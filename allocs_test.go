@@ -15,6 +15,7 @@ import (
 	"repro/internal/stonne/config"
 	"repro/internal/stonne/maeri"
 	"repro/internal/stonne/mapping"
+	"repro/internal/stonne/sigma"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
@@ -85,6 +86,68 @@ func TestFusedDenseSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("steady-state fused Dense allocates %.1f/op, want ~0 (<= 2)", allocs)
+	}
+}
+
+// TestSigmaDenseSteadyStateAllocFree pins SIGMA's fused Dense — memoised
+// row-summary counters, the cached input transpose and the skinny
+// sparse-stationary kernel — to 0 allocs/op over pruned weights once the
+// pack cache is warm: no per-run scan buffer, no fresh output.
+func TestSigmaDenseSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is inflated under -race")
+	}
+	in := tensor.RandomUniform(1, 1, 1, 256)
+	w := tensor.RandomUniform(2, 1, 128, 256)
+	tensor.Prune(w, 0.5)
+	eng, err := sigma.NewEngine(config.Default(config.SIGMASparseGEMM))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Pack = tensor.NewPackCache(0, 0)
+
+	allocs := steadyStateAllocs(func() {
+		out, _, err := eng.Dense(in, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Release()
+	})
+	if allocs > 0 {
+		t.Fatalf("steady-state SIGMA Dense allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestSigmaConvSteadyStateAllocFree pins the three steps of SIGMA's conv
+// lowering (api.convViaGEMM) the same way: the cached kernel matrix, the
+// counters replayed from its memoised row summary, and the implicit-GEMM
+// sweep through the compacted sparse-stationary kernel.
+func TestSigmaConvSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is inflated under -race")
+	}
+	d := tensor.ConvDims{N: 1, C: 32, H: 8, W: 8, K: 32, R: 3, S: 3, PadH: 1, PadW: 1}
+	if err := d.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	in := tensor.RandomUniform(1, 1, d.N, d.C, d.H, d.W)
+	ker := tensor.RandomUniform(2, 1, d.K, d.C, d.R, d.S)
+	tensor.Prune(ker, 0.5)
+	eng, err := sigma.NewEngine(config.Default(config.SIGMASparseGEMM))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Pack = tensor.NewPackCache(0, 0)
+
+	allocs := steadyStateAllocs(func() {
+		km := tensor.KernelMatrixCached(ker, d, 0, eng.Pack)
+		if _, err := eng.GEMMStats(km, d.N*d.P()*d.Q()); err != nil {
+			t.Fatal(err)
+		}
+		tensor.ConvGEMMImplicitCached(in, ker, d, 1, eng.Pack).Release()
+	})
+	if allocs > 0 {
+		t.Fatalf("steady-state SIGMA conv lowering allocates %.1f/op, want 0", allocs)
 	}
 }
 

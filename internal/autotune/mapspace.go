@@ -180,8 +180,6 @@ func ConvCycleCost(cfg config.HWConfig, d tensor.ConvDims) MeasureFunc {
 
 // FCCycleCost measures an FC mapping by simulated cycle count.
 func FCCycleCost(cfg config.HWConfig, batches, inNeurons, outNeurons int) MeasureFunc {
-	in := tensor.New(batches, inNeurons)
-	w := tensor.New(outNeurons, inNeurons)
 	pool := enginePool(cfg)
 	return func(c Config) Cost {
 		m := FCMappingOf(c)
@@ -193,7 +191,7 @@ func FCCycleCost(cfg config.HWConfig, batches, inNeurons, outNeurons int) Measur
 			return Infeasible
 		}
 		defer pool.Put(eng)
-		_, st, err := eng.Dense(in, w, m)
+		st, err := eng.DenseStats(batches, inNeurons, outNeurons, m)
 		if err != nil {
 			return Infeasible
 		}

@@ -94,9 +94,7 @@ func dryCycles(f *farm.Farm, cfg config.HWConfig, l models.LayerSpec, cm mapping
 		_, st, err := eng.Conv2D(nil, nil, l.Conv, cm)
 		return st.Cycles, err
 	}
-	in := tensor.New(l.M, l.K)
-	w := tensor.New(l.N, l.K)
-	_, st, err := eng.Dense(in, w, fcm)
+	st, err := eng.DenseStats(l.M, l.K, l.N, fcm)
 	return st.Cycles, err
 }
 

@@ -78,6 +78,13 @@ type Session struct {
 	// Results are byte-identical with or without it.
 	pack *tensor.PackCache
 
+	// pruned memoises maybePrune per weight content: a session's sparsity
+	// ratio is fixed, so each weight tensor is cloned and pruned once, not
+	// once per Run. prunes counts the prune passes actually performed.
+	prunemu sync.Mutex
+	pruned  map[[32]byte]*tensor.Tensor
+	prunes  int
+
 	recmu   sync.Mutex
 	records []api.LayerRecord
 }
@@ -159,14 +166,33 @@ func (s *Session) fcMappingFor(name string) mapping.FCMapping {
 }
 
 // maybePrune applies SIGMA's sparsity_ratio to a weight tensor by magnitude
-// pruning a copy; other architectures pass weights through untouched.
+// pruning a copy; other architectures pass weights through untouched. The
+// pruned copy is kept for the session's lifetime, keyed by the weight's
+// content, so later runs (and layers sharing a weight) reuse it — and with
+// it every form the pack cache derives from it.
 func (s *Session) maybePrune(w *tensor.Tensor) *tensor.Tensor {
 	if s.cfg.Controller != config.SIGMASparseGEMM || s.cfg.SparsityRatio == 0 {
 		return w
 	}
-	pruned := w.Clone()
-	tensor.Prune(pruned, float64(s.cfg.SparsityRatio)/100)
-	return pruned
+	key := w.ContentHash()
+	s.prunemu.Lock()
+	defer s.prunemu.Unlock()
+	if p, ok := s.pruned[key]; ok {
+		if !tensor.ShapeEq(p.Shape(), w.Shape()) {
+			// Content identity ignores shape: equal values under another
+			// shape (two zero-initialised weights, say) share the pruning.
+			return p.Reshape(w.Shape()...)
+		}
+		return p
+	}
+	p := w.Clone()
+	tensor.Prune(p, float64(s.cfg.SparsityRatio)/100)
+	s.prunes++
+	if s.pruned == nil {
+		s.pruned = make(map[[32]byte]*tensor.Tensor)
+	}
+	s.pruned[key] = p
+	return p
 }
 
 // Run optimises the graph with the standard pass pipeline and executes it

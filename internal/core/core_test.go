@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/graph"
 	"repro/internal/models"
 	"repro/internal/stonne/config"
@@ -197,6 +198,45 @@ func TestSIGMASparsityPruningAffectsCycles(t *testing.T) {
 	sparse := run(50)
 	if sparse >= dense {
 		t.Fatalf("50%% sparsity (%d cycles) must be faster than dense (%d cycles)", sparse, dense)
+	}
+}
+
+// TestSIGMAPrunesEachWeightOnce checks that a sparse SIGMA session prunes a
+// weight tensor the first time a Run meets it and never again: later runs
+// perform no prune work and reproduce the first run's records and output.
+func TestSIGMAPrunesEachWeightOnce(t *testing.T) {
+	cfg := config.Default(config.SIGMASparseGEMM)
+	cfg.SparsityRatio = 50
+	s, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := models.TinyCNN(1)
+	feeds := map[string]*tensor.Tensor{"data": tensor.RandomUniform(3, 1, 1, 2, 10, 10)}
+	first, err := s.Run(g, feeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := append([]api.LayerRecord(nil), s.Records()...)
+	if s.prunes != len(records) {
+		t.Fatalf("first run pruned %d weights for %d offloaded layers", s.prunes, len(records))
+	}
+	for run := 2; run <= 3; run++ {
+		outs, err := s.Run(g, feeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.prunes != len(records) {
+			t.Fatalf("run %d pruned again: %d prune passes for %d weights", run, s.prunes, len(records))
+		}
+		if i := tensor.FirstBitDiff(first[0], outs[0]); i >= 0 {
+			t.Fatalf("run %d output diverges from the first at element %d", run, i)
+		}
+		for l, r := range s.Records() {
+			if r != records[l] {
+				t.Fatalf("run %d record %d = %+v, first run reported %+v", run, l, r, records[l])
+			}
+		}
 	}
 }
 

@@ -305,37 +305,57 @@ func (e *Engine) convStep(out, in, kernel *tensor.Tensor, d tensor.ConvDims,
 // reuse, so every step streams its T_S × T_K weight tile through the
 // distribution network alongside the T_K input activations.
 func (e *Engine) Dense(in, weights *tensor.Tensor, m mapping.FCMapping) (*tensor.Tensor, stats.Stats, error) {
-	var batches, inN, outN int
-	if e.DryRun {
-		if in == nil || weights == nil {
-			return nil, stats.Stats{}, fmt.Errorf("maeri: dry-run dense still requires shape-bearing tensors")
-		}
+	if in == nil || weights == nil {
+		return nil, stats.Stats{}, fmt.Errorf("maeri: dense requires input and weight tensors (DenseStats takes the shapes alone)")
 	}
 	if in.Rank() != 2 || weights.Rank() != 2 {
 		return nil, stats.Stats{}, fmt.Errorf("maeri: dense requires 2-D input and weights, got %v and %v", in.Shape(), weights.Shape())
 	}
-	batches, inN = in.Dim(0), in.Dim(1)
-	outN = weights.Dim(0)
+	batches, inN := in.Dim(0), in.Dim(1)
+	outN := weights.Dim(0)
 	if weights.Dim(1) != inN {
 		return nil, stats.Stats{}, fmt.Errorf("maeri: dense reduction mismatch: input %v vs weights %v", in.Shape(), weights.Shape())
+	}
+	if e.DryRun {
+		st, err := e.DenseStats(batches, inN, outN, m)
+		return nil, st, err
 	}
 	if err := m.Validate(batches, inN, outN, e.cfg.MSSize); err != nil {
 		return nil, stats.Stats{}, err
 	}
 	if !e.Reference {
-		st := e.analyticDense(batches, inN, outN, m)
-		if e.DryRun {
-			return nil, st, nil
-		}
-		return fusedDense(in, weights, m), st, nil
+		return fusedDense(in, weights, m), e.analyticDense(batches, inN, outN, m), nil
 	}
+	return e.denseSteps(in, weights, batches, inN, outN, m)
+}
+
+// DenseStats returns the counters Dense reports for an input of [batches,
+// inN] against weights of [outN, inN], from the shapes alone — MAERI's
+// dense counters never depend on operand values, so the cycles-target
+// tuners and dry-run jobs need no tensors at all (as Conv2D(nil, nil, d, m)
+// is for a dry-run convolution). Reference selects the step loop, without
+// arithmetic, over the closed form; the two are bit-identical.
+func (e *Engine) DenseStats(batches, inN, outN int, m mapping.FCMapping) (stats.Stats, error) {
+	if err := m.Validate(batches, inN, outN, e.cfg.MSSize); err != nil {
+		return stats.Stats{}, err
+	}
+	if !e.Reference {
+		return e.analyticDense(batches, inN, outN, m), nil
+	}
+	_, st, err := e.denseSteps(nil, nil, batches, inN, outN, m)
+	return st, err
+}
+
+// denseSteps is the reference step loop of Dense: one simulated step per
+// (T_S, T_N, T_K) tile. Nil operands run the counters alone.
+func (e *Engine) denseSteps(in, weights *tensor.Tensor, batches, inN, outN int, m mapping.FCMapping) (*tensor.Tensor, stats.Stats, error) {
 	dn, rn, ab, err := e.fabrics()
 	if err != nil {
 		return nil, stats.Stats{}, err
 	}
 
 	var out *tensor.Tensor
-	if !e.DryRun {
+	if in != nil {
 		out = tensor.New(batches, outN)
 	}
 	var st stats.Stats
@@ -375,7 +395,7 @@ func (e *Engine) Dense(in, weights *tensor.Tensor, m mapping.FCMapping) (*tensor
 				st.MACs += nv * int64(tk)
 				st.AccumWrites += nv
 
-				if !e.DryRun {
+				if in != nil {
 					inD, wD, outD := in.Data(), weights.Data(), out.Data()
 					for n := n0; n < n0+tn; n++ {
 						for s := s0; s < s0+ts; s++ {

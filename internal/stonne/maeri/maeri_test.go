@@ -324,6 +324,37 @@ func TestDryRunMatchesFullRunCounters(t *testing.T) {
 	}
 }
 
+// TestDenseStatsNeedsShapesOnly checks the shape-only entry: DenseStats
+// reports exactly the counters a full-accuracy Dense over real operands
+// does, on the closed form and on the step loop, and Dense itself still
+// refuses to run without tensors.
+func TestDenseStatsNeedsShapesOnly(t *testing.T) {
+	in := tensor.RandomUniform(1, 1, 3, 37)
+	w := tensor.RandomUniform(2, 1, 11, 37)
+	m := mapping.FCMapping{TS: 4, TK: 5, TN: 1}
+	for _, reference := range []bool{false, true} {
+		e := mustEngine(t, testConfig(128))
+		e.Reference = reference
+		_, want, err := e.Dense(in, w, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.DenseStats(3, 37, 11, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("reference=%v: shape-only stats %+v, full run %+v", reference, got, want)
+		}
+		if _, err := e.DenseStats(3, 37, 11, mapping.FCMapping{TS: 64, TK: 64, TN: 1}); err == nil {
+			t.Error("a mapping larger than the multiplier array must be rejected")
+		}
+		if _, _, err := e.Dense(nil, nil, m); err == nil {
+			t.Error("Dense without tensors must be rejected")
+		}
+	}
+}
+
 func TestNewEngineRejectsBadConfig(t *testing.T) {
 	cfg := testConfig(128)
 	cfg.Controller = config.SIGMASparseGEMM

@@ -29,15 +29,15 @@ type Engine struct {
 	// DryRun skips output arithmetic while keeping every counter exact.
 	// SIGMA's per-column costs are identical across the streaming matrix's
 	// columns, so the dry run folds the column loop into a multiplication
-	// and needs only the stationary operand — O(nnz) instead of
-	// O(nnz × columns).
+	// and needs only the stationary operand's row summary — O(rows)
+	// instead of O(nnz × columns).
 	//
 	// Counters and arithmetic are decoupled (PR 4): by default full-accuracy
 	// runs also skip the chunk-by-chunk simulation loop — Stats come from
-	// the O(nnz) GEMMStats pass and the output from the fast GEMM kernel,
-	// both bit-identical to the reference (the chunk loop adds every
-	// stationary nonzero's product directly onto its output element in
-	// ascending-K order, exactly the chain tensor.GEMM computes).
+	// the GEMMStats row-summary replay and the output from the fast GEMM
+	// kernel, both bit-identical to the reference (the chunk loop adds
+	// every stationary nonzero's product directly onto its output element
+	// in ascending-K order, exactly the chain tensor.GEMM computes).
 	DryRun bool
 
 	// Reference forces the chunk-by-chunk simulation loop — counters and,
@@ -45,9 +45,10 @@ type Engine struct {
 	// fast path and to reproduce its derivation.
 	Reference bool
 
-	// Pack, when set, lets the fused GEMM route reuse content-keyed packed
-	// operand panels across engines. Outputs are bitwise identical with or
-	// without it.
+	// Pack, when set, lets the fused route reuse content-keyed derived
+	// forms across engines: packed operand panels, input transposes and the
+	// stationary operand's row summary. Counters and outputs are bitwise
+	// identical with or without it.
 	Pack *tensor.PackCache
 
 	dn *fabric.DistributionNetwork
@@ -149,13 +150,13 @@ func (e *Engine) GEMM(stationary, streaming *tensor.Tensor) (*tensor.Tensor, sta
 		return nil, stats.Stats{}, fmt.Errorf("sigma: GEMM inner dimensions differ: %v × %v", stationary.Shape(), streaming.Shape())
 	}
 	if !e.Reference {
-		// Fused fast path: O(nnz) analytic counters, and for full-accuracy
-		// runs the fast GEMM kernel — the chunk loop is never entered. The
-		// reference arithmetic accumulates each output element directly,
-		// one add per stationary nonzero in ascending K (chunk boundaries
-		// never regroup the chain), so tensor.GEMM — whose sparse route
-		// skips the zero rows the chunk loop never materialised, a bitwise
-		// no-op — reproduces the output bytes exactly.
+		// Fused fast path: analytic counters (GEMMStats), and for
+		// full-accuracy runs the fast GEMM kernel — the chunk loop is never
+		// entered. The reference arithmetic accumulates each output element
+		// directly, one add per stationary nonzero in ascending K (chunk
+		// boundaries never regroup the chain), so tensor.GEMM — for which
+		// the zero elements the chunk loop never materialised are skipped
+		// or a bitwise no-op — reproduces the output bytes exactly.
 		st, err := e.GEMMStats(stationary, m)
 		if err != nil || e.DryRun {
 			return nil, st, err
@@ -259,15 +260,60 @@ func (e *Engine) GEMM(stationary, streaming *tensor.Tensor) (*tensor.Tensor, sta
 	return out, st, nil
 }
 
+// rowSummary returns the structure of the stationary operand that
+// GEMMStats replays: per row, the nonzero count and the first and last
+// nonzero columns (−1 for an empty row), three ints per row. It is all the
+// memory controller's chunking depends on and is independent of the
+// hardware configuration and of the streaming operand, so with a pack cache
+// it is built once per stationary content and shared by every config, batch
+// size and engine that multiplies the same weights.
+func (e *Engine) rowSummary(stationary *tensor.Tensor) []int32 {
+	if e.Pack == nil {
+		return scanRows(stationary)
+	}
+	key := tensor.PackKey{Op: "sigma/rowsummary/v1", Hash: stationary.ContentHash(),
+		P: [6]int{stationary.Dim(0), stationary.Dim(1)}}
+	return e.Pack.GetOrBuildInts(key, func() []int32 { return scanRows(stationary) })
+}
+
+// scanRows builds the row summary in one pass over the operand: a
+// branch-free count per row, and two column searches that stop at the
+// first hit, O(1/density) per row.
+func scanRows(t *tensor.Tensor) []int32 {
+	s, k := t.Dim(0), t.Dim(1)
+	sum := make([]int32, 3*s)
+	d := t.Data()
+	for r := 0; r < s; r++ {
+		row := d[r*k : (r+1)*k]
+		nnz := tensor.CountNonzero(row)
+		first, last := -1, -1
+		if nnz > 0 {
+			for first = 0; row[first] == 0; first++ {
+			}
+			for last = k - 1; row[last] == 0; last-- {
+			}
+		}
+		sum[3*r], sum[3*r+1], sum[3*r+2] = int32(nnz), int32(first), int32(last)
+	}
+	return sum
+}
+
 // GEMMStats computes the statistics of GEMM(stationary, streaming) for a
 // streaming operand of `streamCols` columns without performing arithmetic
 // and without materialising the streaming matrix at all — SIGMA's cycle
 // and traffic counters depend only on the stationary operand's nonzero
 // structure and the column count. The memory-controller chunking of the
-// full simulation is replayed in a single O(nnz) pass over the stationary
-// matrix: every column of a chunk costs the same, so the per-column cost is
-// computed once and multiplied by streamCols. Stats are bit-identical to
-// the full simulation's (proven by the equivalence tests).
+// full simulation is replayed over the operand's row summary: a chunk is
+// ms_size consecutive nonzeros in row-major order, and its cost depends
+// only on its length, on how many rows it touches, on whether it starts
+// mid-row, and on how many of its row changes land on the column the
+// previous row ended on — all of which the summary gives without visiting
+// an element. Every column of a chunk costs the same, so the per-column
+// cost is computed once and multiplied by streamCols, and the full chunks
+// in the middle of a long row are identical and counted in one step: the
+// replay is O(rows) after an O(S·K) summary scan that a pack cache shares
+// across calls. Stats are bit-identical to the full simulation's (proven by
+// the equivalence tests).
 func (e *Engine) GEMMStats(stationary *tensor.Tensor, streamCols int) (stats.Stats, error) {
 	if stationary.Rank() != 2 {
 		return stats.Stats{}, fmt.Errorf("sigma: GEMMStats requires a 2-D stationary operand, got %v", stationary.Shape())
@@ -279,10 +325,10 @@ func (e *Engine) GEMMStats(stationary *tensor.Tensor, streamCols int) (stats.Sta
 	m := int64(streamCols)
 	dnBW, rnBW := int64(e.cfg.DNBandwidth), int64(e.cfg.RNBandwidth)
 	present := e.cfg.AccumBuffer
-	ms := e.cfg.MSSize
+	ms := int64(e.cfg.MSSize)
 
 	var st stats.Stats
-	st.Multipliers = ms
+	st.Multipliers = e.cfg.MSSize
 	st.Outputs = int64(s) * m
 	var cycles, dnElems int64
 
@@ -293,11 +339,11 @@ func (e *Engine) GEMMStats(stationary *tensor.Tensor, streamCols int) (stats.Sta
 		return (n + bw - 1) / bw
 	}
 
-	// flush accounts for one full or final chunk of the stationary fill.
-	flush := func(chunkLen, uniqueK, segments, continued int64) {
-		cycles += ceil(chunkLen, dnBW) // stationary fill
-		dnElems += chunkLen
-		st.WeightLoads += chunkLen
+	// flush accounts for n identical chunks of the stationary fill.
+	flush := func(n, chunkLen, uniqueK, segments, continued int64) {
+		cycles += n * ceil(chunkLen, dnBW) // stationary fill
+		dnElems += n * chunkLen
+		st.WeightLoads += n * chunkLen
 		var recirc int64
 		if !present {
 			recirc = continued
@@ -308,52 +354,61 @@ func (e *Engine) GEMMStats(stationary *tensor.Tensor, streamCols int) (stats.Sta
 		}
 		segPsums := chunkLen - segments
 		drain := ceil(segments, rnBW)
-		cycles += m * max(inCycles, drain, 1)
-		dnElems += m * (uniqueK + recirc)
-		st.SpatialPsums += m * segPsums
-		st.Steps += m
-		st.MACs += m * chunkLen
-		st.AccumWrites += m * segments
-		st.InputLoads += m * uniqueK
+		cycles += n * m * max(inCycles, drain, 1)
+		dnElems += n * m * (uniqueK + recirc)
+		st.SpatialPsums += n * m * segPsums
+		st.Steps += n * m
+		st.MACs += n * m * chunkLen
+		st.AccumWrites += n * m * segments
+		st.InputLoads += n * m * uniqueK
 	}
 
-	// One streaming pass over the stationary matrix replays the chunking.
-	stD := stationary.Data()
-	seenRow := make([]bool, s)
-	var chunkLen, uniqueK, segments, continued int64
-	lastK, lastRow := -1, -1
+	// Replay the chunking row by row. The open chunk holds chunkLen
+	// nonzeros over `segments` rows; sharedK counts its row changes whose
+	// first column repeats the previous row's last (the streaming element
+	// is already on the network, so it is not a new unique K); continued
+	// is 1 when the chunk opened mid-row, whose partial sum it must
+	// re-accumulate.
+	sum := e.rowSummary(stationary)
+	var chunkLen, segments, sharedK, continued int64
+	prevLast := int32(-1)
 	for r := 0; r < s; r++ {
-		for c := 0; c < k; c++ {
-			if stD[r*k+c] == 0 {
-				continue
+		nnz := int64(sum[3*r])
+		if nnz == 0 {
+			continue
+		}
+		segments++
+		if chunkLen > 0 && sum[3*r+1] == prevLast {
+			sharedK++
+		}
+		prevLast = sum[3*r+2]
+		for nnz > 0 {
+			take := min(nnz, ms-chunkLen)
+			chunkLen += take
+			nnz -= take
+			if chunkLen < ms {
+				break
 			}
-			if chunkLen == int64(ms) {
-				flush(chunkLen, uniqueK, segments, continued)
-				chunkLen, uniqueK, segments, continued = 0, 0, 0, 0
-				lastK, lastRow = -1, -1
+			flush(1, chunkLen, chunkLen-sharedK, segments, continued)
+			// The rest of the row opens the following chunks mid-row: its
+			// full chunks are all alike, its tail stays open.
+			if full := nnz / ms; full > 0 {
+				flush(full, ms, ms, 1, 1)
+				nnz -= full * ms
 			}
-			chunkLen++
-			if c != lastK {
-				uniqueK++
-				lastK = c
-			}
-			if r != lastRow {
-				segments++
-				lastRow = r
-				if seenRow[r] {
-					continued++
-				}
-				seenRow[r] = true
+			chunkLen, segments, sharedK, continued = 0, 0, 0, 0
+			if nnz > 0 {
+				segments, continued = 1, 1
 			}
 		}
 	}
 	if chunkLen > 0 {
-		flush(chunkLen, uniqueK, segments, continued)
+		flush(1, chunkLen, chunkLen-sharedK, segments, continued)
 	}
 
 	// FAN pipeline drain for the widest segment (bounded by the chunk).
 	rn := fabric.ReductionNetwork{Kind: fabric.FEN}
-	cycles += int64(rn.Depth(min(ms, k))) + 1
+	cycles += int64(rn.Depth(min(e.cfg.MSSize, k))) + 1
 	st.Cycles = cycles
 	st.DNElements = dnElems
 	return st, nil
@@ -373,21 +428,31 @@ func (e *Engine) Dense(in, weights *tensor.Tensor) (*tensor.Tensor, stats.Stats,
 		st, err := e.GEMMStats(weights, in.Dim(0))
 		return nil, st, err
 	}
-	var inT *tensor.Tensor
 	if e.Reference {
 		// The reference chunk loop keeps a private copy to stay conservative.
-		inT = in.Transpose(1, 0)
-	} else {
-		// The fused route never mutates operands, so the transposed input
-		// can be shared content-keyed across the jobs of a sweep (the same
-		// activation is typically submitted under many mappings/configs).
-		inT = tensor.Transpose2DCached(in, e.Pack)
+		prod, st, err := e.GEMM(weights, in.Transpose(1, 0)) // [S, M]
+		if err != nil {
+			return nil, stats.Stats{}, err
+		}
+		return prod.Transpose(1, 0), st, nil
 	}
-	prod, st, err := e.GEMM(weights, inT) // [S, M]
+	// The fused route never mutates operands, so the transposed input can be
+	// shared content-keyed across the jobs of a sweep (the same activation is
+	// typically submitted under many mappings/configs).
+	prod, st, err := e.GEMM(weights, tensor.Transpose2DCached(in, e.Pack)) // [S, M]
 	if err != nil {
 		return nil, stats.Stats{}, err
 	}
-	out := prod.Transpose(1, 0)
-	prod.Release() // transient [S, M] intermediate, pooled on the fused route
+	// Both the [S, M] intermediate and the [M, S] result are pooled, so a
+	// caller that releases its outputs runs the layer allocation-free.
+	m, s := in.Dim(0), weights.Dim(0)
+	out := tensor.NewPooled(m, s)
+	pd, od := prod.Data(), out.Data()
+	for i := 0; i < s; i++ {
+		for j := 0; j < m; j++ {
+			od[j*s+i] = pd[i*m+j]
+		}
+	}
+	prod.Release()
 	return out, st, nil
 }

@@ -108,6 +108,11 @@ func (t *Tensor) Release() {
 	tensorPools[b].Put(t)
 }
 
+// scratchHeaders recycles the *[]float32 boxes scratchPools stores, so a
+// get/put pair allocates nothing: getScratch empties a box into here and
+// putScratch refills one.
+var scratchHeaders sync.Pool
+
 // getScratch returns a []float32 of length n whose contents are
 // unspecified. Pair with putScratch.
 func getScratch(n int) []float32 {
@@ -119,7 +124,10 @@ func getScratch(n int) []float32 {
 		return make([]float32, n)
 	}
 	if v := scratchPools[b].Get(); v != nil {
-		s := *v.(*[]float32)
+		box := v.(*[]float32)
+		s := *box
+		*box = nil
+		scratchHeaders.Put(box)
 		return s[:n]
 	}
 	return make([]float32, n, 1<<b)
@@ -134,8 +142,12 @@ func putScratch(s []float32) {
 	if b < 0 || cap(s) != 1<<b {
 		return
 	}
-	s = s[:0]
-	scratchPools[b].Put(&s)
+	box, _ := scratchHeaders.Get().(*[]float32)
+	if box == nil {
+		box = new([]float32)
+	}
+	*box = s[:0]
+	scratchPools[b].Put(box)
 }
 
 // GetScratch returns a length-n float32 scratch slice with unspecified

@@ -106,9 +106,20 @@ func KernelMatrixCached(kernel *Tensor, d ConvDims, g int, cache *PackCache) *Te
 	if cache == nil {
 		return KernelMatrix(kernel, d, g)
 	}
-	key := PackKey{Op: "conv/kernelmatrix/v1", Hash: kernel.ContentHash(),
-		P: [6]int{g, d.K, d.C, d.R, d.S, d.G}}
-	return cache.GetOrBuild(key, func() *Tensor { return KernelMatrix(kernel, d, g) })
+	h := kernel.ContentHash()
+	key := PackKey{Op: "conv/kernelmatrix/v1", Hash: h, P: [6]int{g, d.K, d.C, d.R, d.S, d.G}}
+	return cache.GetOrBuild(key, func() *Tensor {
+		km := KernelMatrix(kernel, d, g)
+		if d.G == 1 && km.Size() == kernel.Size() {
+			// An ungrouped kernel matrix is the KCRS kernel's elements in
+			// the same order, so it has the kernel's content identity:
+			// forms derived from km (SIGMA's row summary) key on the hash
+			// this lookup already paid for instead of hashing km again.
+			kh := h
+			km.chash.Store(&kh)
+		}
+		return km
+	})
 }
 
 // ConvGEMMImplicitCached is ConvGEMMImplicit with a content-keyed pack
@@ -123,98 +134,95 @@ func ConvGEMMImplicitCached(in, kernel *Tensor, d ConvDims, workers int, cache *
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p, q := d.P(), d.Q()
-	cg, kg := d.C/d.G, d.K/d.G
-	rows := cg * d.R * d.S
-	cols := d.N * p * q
-	pq := p * q
 	out := NewPooled(d.N, d.K, p, q)
-	outD := out.Data()
-
-	nBlocks := (cols + im2colBlockCols - 1) / im2colBlockCols
-	for g := 0; g < d.G; g++ {
-		km := KernelMatrixCached(kernel, d, g, cache) // kg × rows, weight-stationary
-		kmD := km.Data()
-		kgBase := g * kg
+	c := convPanels{in: in, d: d, outD: out.Data(), kg: d.K / d.G, rows: d.C / d.G * d.R * d.S, cols: d.N * p * q, pq: p * q}
+	nBlocks := (c.cols + im2colBlockCols - 1) / im2colBlockCols
+	for c.g = 0; c.g < d.G; c.g++ {
+		c.kmD = KernelMatrixCached(kernel, d, c.g, cache).Data() // kg × rows, weight-stationary
 		// Dense kernels take the packed register-blocked micro-kernel;
-		// pruned ones (the SIGMA lowering) keep the skip-zero axpy loop.
+		// pruned ones (the SIGMA lowering) the sparse-stationary kernel.
 		// Both accumulate each output element in ascending (C, R, S) order
 		// in one running chain, so the result is bitwise identical.
-		packed := packedWorthIt(kg, rows, min(im2colBlockCols, cols)) && !sparseWorthSkipping(kmD)
-
-		run := func(panel, acc []float32, block int) {
-			col0 := block * im2colBlockCols
-			width := min(im2colBlockCols, cols-col0)
-			Im2ColBlock(in, d, g, col0, width, panel[:rows*width])
-			acc = acc[:kg*width]
-			for i := range acc {
-				acc[i] = 0
-			}
-			if packed {
-				gemmPackedAccum(kmD, panel[:rows*width], acc, kg, rows, width)
-			} else {
-				for kk := 0; kk < kg; kk++ {
-					wrow := kmD[kk*rows : (kk+1)*rows]
-					crow := acc[kk*width : (kk+1)*width]
-					for l, wv := range wrow {
-						if wv == 0 {
-							continue
-						}
-						brow := panel[l*width : (l+1)*width]
-						for j := range crow {
-							crow[j] += wv * brow[j]
-						}
-					}
-				}
-			}
-			// Scatter the block into the NCHW output: column col maps to
-			// batch col/(P·Q) and plane offset col%(P·Q), so each row of
-			// acc copies out in contiguous runs within one batch.
-			for kk := 0; kk < kg; kk++ {
-				ch := kgBase + kk
-				j := 0
-				for j < width {
-					col := col0 + j
-					n := col / pq
-					rem := col % pq
-					runLen := min(width-j, pq-rem)
-					dst := outD[(n*d.K+ch)*pq+rem:]
-					copy(dst[:runLen], acc[kk*width+j:kk*width+j+runLen])
-					j += runLen
-				}
-			}
-		}
-
-		nw := min(workers, nBlocks)
-		if nw <= 1 {
-			panel := getScratch(rows * im2colBlockCols)
-			acc := getScratch(kg * im2colBlockCols)
-			for b := 0; b < nBlocks; b++ {
-				run(panel, acc, b)
-			}
-			putScratch(acc)
-			putScratch(panel)
+		c.packed = packedWorthIt(c.kg, c.rows, min(im2colBlockCols, c.cols)) && !sparseWorthSkipping(c.kmD)
+		if nw := min(workers, nBlocks); nw > 1 {
+			c.parallel(nw, nBlocks)
 			continue
 		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				panel := getScratch(rows * im2colBlockCols)
-				acc := getScratch(kg * im2colBlockCols)
-				for {
-					b := int(next.Add(1)) - 1
-					if b >= nBlocks {
-						putScratch(acc)
-						putScratch(panel)
-						return
-					}
-					run(panel, acc, b)
-				}
-			}()
+		panel := getScratch(c.rows * im2colBlockCols)
+		acc := getScratch(c.kg * im2colBlockCols)
+		for b := 0; b < nBlocks; b++ {
+			c.block(panel, acc, b)
 		}
-		wg.Wait()
+		putScratch(acc)
+		putScratch(panel)
 	}
 	return out
+}
+
+// convPanels is the state of one group's implicit-GEMM sweep: the kernel
+// matrix kmD (kg × rows) multiplies im2col panels of up to im2colBlockCols
+// columns into the NCHW output outD. It is a value so the serial sweep keeps
+// it on the stack; only parallel, which hands a copy to its workers, pays
+// for sharing it.
+type convPanels struct {
+	in                 *Tensor
+	d                  ConvDims
+	g                  int
+	kmD, outD          []float32
+	kg, rows, cols, pq int
+	packed             bool
+}
+
+// block computes column panel `block` of the group's product in acc and
+// scatters it into the output; panel and acc are caller-owned scratch.
+func (c *convPanels) block(panel, acc []float32, block int) {
+	col0 := block * im2colBlockCols
+	width := min(im2colBlockCols, c.cols-col0)
+	panel = panel[:c.rows*width]
+	Im2ColBlock(c.in, c.d, c.g, col0, width, panel)
+	acc = acc[:c.kg*width]
+	clear(acc)
+	if c.packed {
+		gemmPackedAccum(c.kmD, panel, acc, c.kg, c.rows, width)
+	} else {
+		gemmSparse(c.kmD, panel, acc, 0, c.kg, c.rows, width)
+	}
+	// Scatter the block into the NCHW output: column col maps to batch
+	// col/(P·Q) and plane offset col%(P·Q), so each row of acc copies out
+	// in contiguous runs within one batch.
+	for kk := 0; kk < c.kg; kk++ {
+		ch := c.g*c.kg + kk
+		for j := 0; j < width; {
+			col := col0 + j
+			n, rem := col/c.pq, col%c.pq
+			runLen := min(width-j, c.pq-rem)
+			copy(c.outD[(n*c.d.K+ch)*c.pq+rem:][:runLen], acc[kk*width+j:])
+			j += runLen
+		}
+	}
+}
+
+// parallel sweeps the group's nBlocks panels over nw goroutines, each with
+// its own scratch; every output element is written by exactly one of them.
+func (c convPanels) parallel(nw, nBlocks int) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < nw; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			panel := getScratch(c.rows * im2colBlockCols)
+			acc := getScratch(c.kg * im2colBlockCols)
+			for {
+				b := int(next.Add(1)) - 1
+				if b >= nBlocks {
+					putScratch(acc)
+					putScratch(panel)
+					return
+				}
+				c.block(panel, acc, b)
+			}
+		}()
+	}
+	wg.Wait()
 }

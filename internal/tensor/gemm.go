@@ -11,10 +11,11 @@ import (
 // This is the matrix multiply used by the CPU target and by the GEMM
 // lowering of convolutions for the SIGMA and TPU architectures. Large dense
 // problems route through the packed register-blocked micro-kernel
-// (packgemm.go); small or sparse-stationary ones stay on the skip-zero
-// reference loop. Every route accumulates each output element in ascending-K
-// order in one running chain, so the float32 result is bitwise identical
-// regardless of which kernel ran (pinned by TestPackedGEMMBitwiseEqual).
+// (packgemm.go); small or sparse-stationary ones take the sparse-stationary
+// kernel (gemmSparse). Every route accumulates each output element in
+// ascending-K order in one running chain, so the float32 result is bitwise
+// identical regardless of which kernel ran (pinned by
+// TestPackedGEMMBitwiseEqual and TestSparseGEMMBitwiseEqual).
 func GEMM(a, b *Tensor) *Tensor {
 	m, k, n := gemmDims(a, b)
 	out := New(m, n)
@@ -55,13 +56,13 @@ func gemmDims(a, b *Tensor) (int, int, int) {
 }
 
 // gemmAuto accumulates c += a × b, picking the packed micro-kernel for
-// problems where its packing preamble pays off and the reference skip-zero
-// loop otherwise (tiny shapes, or a stationary operand sparse enough that
-// skipping whole zero rows beats dense register tiling). kc <= 0 selects the
-// tuned K-panel size.
+// problems where its packing preamble pays off and the sparse-stationary
+// kernel otherwise (tiny or skinny shapes, or a stationary operand sparse
+// enough that work proportional to its nonzeros beats dense register
+// tiling). kc <= 0 selects the tuned K-panel size.
 func gemmAuto(a, b, c []float32, m, k, n, kc int) {
 	if !packedWorthIt(m, k, n) || sparseWorthSkipping(a) {
-		gemmRows(a, b, c, 0, m, k, n, 0)
+		gemmSparse(a, b, c, 0, m, k, n)
 		return
 	}
 	gemmPackedRange(a, b, c, k, n, 0, m, kc)
@@ -126,7 +127,7 @@ func GEMMParallel(a, b *Tensor, block, workers int) *Tensor {
 				i0 := band * block
 				i1 := min(i0+block, m)
 				if !packedWorthIt(i1-i0, k, n) || sparse {
-					gemmRows(a.data, b.data, out.data, i0, i1, k, n, 0)
+					gemmSparse(a.data, b.data, out.data, i0, i1, k, n)
 				} else {
 					gemmPackedRange(a.data, b.data, out.data, k, n, i0, i1, 0)
 				}
@@ -137,29 +138,107 @@ func GEMMParallel(a, b *Tensor, block, workers int) *Tensor {
 	return out
 }
 
-// gemmRows computes the [i0, i1) row band of C += A × B with the reference
-// ikj loop (optionally K-blocked; block <= 0 disables blocking), skipping
-// zero A elements. This is the kernel every faster route must match bit for
-// bit: ascending-K per-element summation in one running chain.
-func gemmRows(a, b, c []float32, i0, i1, k, n, block int) {
-	if block <= 0 {
-		block = k
+// gemmSparse computes the [i0, i1) row band of C += A × B for the problems
+// the packed micro-kernel does not take: a stationary operand A with enough
+// zeros to be worth skipping (the SIGMA lowering's pruned weights), or a
+// streaming operand B too small or skinny to pack. It is the one
+// sparse-stationary kernel behind GEMM, GEMMParallel and the panel multiply
+// of ConvGEMMImplicit. Every output element accumulates its products in
+// ascending-K order in one running chain, exactly like the scalar skip-zero
+// ikj loop (the test oracle refGEMM), so the result is bitwise equal to it:
+//
+//   - wide B (n >= packNR, e.g. an im2col panel): one axpy c[i,:] += a·b[p,:]
+//     per nonzero A element — the AVX kernel where available, the same
+//     multiply-then-add per lane otherwise — so the cost follows the
+//     nonzero count at vector width;
+//   - skinny B (n < packNR, e.g. a batch-1 dense layer): four A rows are
+//     interleaved as independent chains against one B column, which hides
+//     the add latency a single chain would serialise on. Zeros are
+//     multiplied rather than skipped: a branch per element costs more than
+//     the multiply at any density, and for finite operands the skipped
+//     products are ±0, a bitwise no-op on an accumulator that can never be
+//     −0 (the same finite-operand contract packgemm.go documents).
+func gemmSparse(a, b, c []float32, i0, i1, k, n int) {
+	if n < packNR {
+		gemmSkinny(a, b, c, i0, i1, k, n)
+		return
 	}
-	for pp := 0; pp < k; pp += block {
-		pMax := min(pp+block, k)
+	// K is blocked so the B rows one sweep over the A band touches stay in
+	// L2; blocks are visited in ascending order, so no chain is regrouped.
+	// Within a block each A row's nonzero positions are first compacted
+	// branch-free (see nonzeroBit; a mispredict costs as much as half an
+	// axpy), so the axpy loop itself runs without a data-dependent branch.
+	var nzPos [sparseKBlock]int32
+	kb := min(max(16, sparseBlockFloats/n), sparseKBlock)
+	for p0 := 0; p0 < k; p0 += kb {
+		p1 := min(p0+kb, k)
 		for i := i0; i < i1; i++ {
+			arow := a[i*k+p0 : i*k+p1]
 			crow := c[i*n : (i+1)*n]
-			for p := pp; p < pMax; p++ {
-				av := a[i*k+p]
-				if av == 0 {
-					continue
-				}
-				brow := b[p*n : (p+1)*n]
-				for j := range crow {
-					crow[j] += av * brow[j]
-				}
+			nz := 0
+			for p, av := range arow {
+				nzPos[nz%sparseKBlock] = int32(p) // nz < len(arow) <= sparseKBlock
+				nz += nonzeroBit(av)
+			}
+			axpyRows(nzPos[:nz], arow, b[p0*n:p1*n], n, crow)
+		}
+	}
+}
+
+// Blocking of gemmSparse's wide route: one K block spans at most
+// sparseKBlock B rows (the size of the compaction buffer) and about
+// sparseBlockFloats values of B (256 KiB).
+const (
+	sparseKBlock      = 1024
+	sparseBlockFloats = 64 << 10
+)
+
+// skinnyRows is how many stationary rows gemmSkinny interleaves: enough
+// independent chains to cover the float add latency, few enough that the
+// accumulators and row cursors stay in registers.
+const skinnyRows = 4
+
+// gemmSkinny is gemmSparse for n < packNR: per B column, skinnyRows A rows
+// at a time run as independent ascending-K dot-product chains seeded by C.
+func gemmSkinny(a, b, c []float32, i0, i1, k, n int) {
+	if k == 0 {
+		return
+	}
+	col := b[:k] // n == 1: B is its own single column
+	if n > 1 {
+		col = getScratch(k)
+	}
+	for j := 0; j < n; j++ {
+		if n > 1 {
+			for p := range col {
+				col[p] = b[p*n+j]
 			}
 		}
+		i := i0
+		for ; i+skinnyRows <= i1; i += skinnyRows {
+			r0 := a[i*k:][:len(col)]
+			r1 := a[(i+1)*k:][:len(col)]
+			r2 := a[(i+2)*k:][:len(col)]
+			r3 := a[(i+3)*k:][:len(col)]
+			c0, c1, c2, c3 := c[i*n+j], c[(i+1)*n+j], c[(i+2)*n+j], c[(i+3)*n+j]
+			for p, bv := range col {
+				c0 += r0[p] * bv
+				c1 += r1[p] * bv
+				c2 += r2[p] * bv
+				c3 += r3[p] * bv
+			}
+			c[i*n+j], c[(i+1)*n+j], c[(i+2)*n+j], c[(i+3)*n+j] = c0, c1, c2, c3
+		}
+		for ; i < i1; i++ {
+			acc := c[i*n+j]
+			for p, av := range a[i*k:][:len(col)] {
+				acc += av * col[p]
+			}
+			c[i*n+j] = acc
+		}
+	}
+	if n > 1 {
+		putScratch(col)
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 
 // PackCache memoizes derived, immutable forms of operand tensors — packed
 // GEMM B-panels, MAERI's per-tile [K-block][tap][8] kernel panels, layout
-// transposes, kernel matrices — keyed by the source operand's content hash
-// plus the parameters the derivation depends on. Simulation sweeps submit
+// transposes, kernel matrices, SIGMA's per-row nonzero summaries — keyed by
+// the source operand's content hash plus the parameters the derivation
+// depends on. Simulation sweeps submit
 // many jobs over the same network weights; with a shared PackCache those
 // jobs pack each weight panel once instead of once per job, which is the
 // BLIS-style separation of packing from compute amortised across jobs
@@ -57,10 +58,13 @@ type PackStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// packEntry is one cached derived form plus its accounting.
+// packEntry is one cached derived form — a tensor, or an integer table for
+// the forms that are counts and indices rather than values — plus its
+// accounting.
 type packEntry struct {
 	key  PackKey
 	t    *Tensor
+	ints []int32
 	size int64
 }
 
@@ -87,19 +91,27 @@ func NewPackCache(maxEntries int, maxBytes int64) *PackCache {
 // Get returns the cached derived form under k, refreshing its recency. The
 // returned tensor is shared and must be treated as read-only.
 func (c *PackCache) Get(k PackKey) (*Tensor, bool) {
+	if e := c.lookup(k); e != nil {
+		return e.t, true
+	}
+	return nil, false
+}
+
+// lookup returns the entry under k, refreshing its recency, or nil.
+func (c *PackCache) lookup(k PackKey) *packEntry {
 	if c == nil {
-		return nil, false
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
 	if !ok {
 		c.stats.Misses++
-		return nil, false
+		return nil
 	}
 	c.ll.MoveToFront(el)
 	c.stats.Hits++
-	return el.Value.(*packEntry).t, true
+	return el.Value.(*packEntry)
 }
 
 // Put stores a fully built derived form under k and evicts from the cold
@@ -108,28 +120,32 @@ func (c *PackCache) Put(k PackKey, t *Tensor) {
 	if c == nil || t == nil {
 		return
 	}
-	size := int64(len(t.Data()))*4 + 64
+	c.store(&packEntry{key: k, t: t, size: int64(len(t.Data()))*4 + 64})
+}
+
+// store publishes a fully built entry, replacing any previous one under its
+// key, and evicts from the cold end until the bounds hold.
+func (c *PackCache) store(e *packEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Puts++
-	if el, ok := c.items[k]; ok {
-		e := el.Value.(*packEntry)
-		c.bytes += size - e.size
-		e.t, e.size = t, size
+	if el, ok := c.items[e.key]; ok {
+		c.bytes += e.size - el.Value.(*packEntry).size
+		el.Value = e
 		c.ll.MoveToFront(el)
 	} else {
-		c.items[k] = c.ll.PushFront(&packEntry{key: k, t: t, size: size})
-		c.bytes += size
+		c.items[e.key] = c.ll.PushFront(e)
+		c.bytes += e.size
 	}
 	for c.overBounds() {
 		el := c.ll.Back()
 		if el == nil {
 			break
 		}
-		e := el.Value.(*packEntry)
+		old := el.Value.(*packEntry)
 		c.ll.Remove(el)
-		delete(c.items, e.key)
-		c.bytes -= e.size
+		delete(c.items, old.key)
+		c.bytes -= old.size
 		c.stats.Evictions++
 	}
 }
@@ -148,6 +164,22 @@ func (c *PackCache) GetOrBuild(k PackKey, build func() *Tensor) *Tensor {
 	t := build()
 	c.Put(k, t)
 	return t
+}
+
+// GetOrBuildInts is GetOrBuild for derived forms that are integer tables
+// (counts and indices, which float32 storage could not hold exactly). The
+// same contract applies: the key pins the derivation, the returned slice is
+// shared and read-only.
+func (c *PackCache) GetOrBuildInts(k PackKey, build func() []int32) []int32 {
+	if c == nil {
+		return build()
+	}
+	if e := c.lookup(k); e != nil {
+		return e.ints
+	}
+	v := build()
+	c.store(&packEntry{key: k, ints: v, size: int64(len(v))*4 + 64})
+	return v
 }
 
 func (c *PackCache) overBounds() bool {

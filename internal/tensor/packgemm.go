@@ -14,8 +14,8 @@ import "sync"
 // single A row per tile the A operand is consumed in natural row-major
 // order and needs no packing.)
 //
-// Bitwise equality with the reference ikj loop (gemmRows) is a design
-// invariant, not an accident:
+// Bitwise equality with the scalar skip-zero ikj loop (the tests' refGEMM)
+// is a design invariant, not an accident:
 //
 //   - every output element accumulates its products in ascending-K order, in
 //     a single running chain: K panels are visited in ascending order and
@@ -85,7 +85,7 @@ func packB(b []float32, ldb, p0, kc, j0, nc int, dst []float32) {
 // gemmPackedRange accumulates c[i0:i1) += a[i0:i1) × b for row-major,
 // contiguous operands (a: m×k, b: k×n, c: m×n), processing only the row band
 // [i0, i1). kc <= 0 selects the tuned packKC. Per-element summation order is
-// ascending K in one running chain, identical to gemmRows'.
+// ascending K in one running chain, identical to gemmSparse's.
 func gemmPackedRange(a, b, c []float32, k, n, i0, i1, kc int) {
 	if kc <= 0 {
 		kc = packKC
@@ -226,18 +226,16 @@ func packedWorthIt(m, k, n int) bool {
 	return int64(m)*int64(k)*int64(n) >= 32*1024
 }
 
-// sparseWorthSkipping reports whether a has enough zeros that the reference
-// loop's skip-zero fast path (one branch per A element, one avoided axpy per
-// zero) beats the dense micro-kernel. The scan is O(m·k) against O(m·k·n)
-// multiply work, so it costs well under 1% of a routed GEMM. The SIGMA
-// lowering feeds magnitude-pruned stationary operands through here, where
-// skipping wins below roughly two-thirds density.
+// sparseWorthSkipping reports whether a has enough zeros that the
+// sparse-stationary kernel (gemmSparse: work proportional to the nonzero
+// count, but one c load and store per nonzero pair) beats the dense
+// micro-kernel. The scan is O(m·k) against O(m·k·n) multiply work, so it
+// costs well under 1% of a routed GEMM. The SIGMA lowering feeds
+// magnitude-pruned stationary operands through here. Measured against the
+// AVX kernels on the AlexNet im2col shapes, the crossover density is 0.8–0.9
+// for panels 169–256 columns wide, 0.55 at 64 columns and 0.45 at 36; the
+// one constant, skipping from 40% zeros up, sits where the wide panels win
+// clearly and the narrow ones break even.
 func sparseWorthSkipping(a []float32) bool {
-	zeros := 0
-	for _, v := range a {
-		if v == 0 {
-			zeros++
-		}
-	}
-	return zeros*3 >= len(a)
+	return (len(a)-CountNonzero(a))*5 >= len(a)*2
 }

@@ -2,15 +2,30 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
-// refGEMM computes the reference product with the skip-zero ikj loop the
-// packed micro-kernel must match bit for bit.
+// refGEMM computes the reference product with the scalar skip-zero ikj
+// loop — the oracle every kernel (packed micro-kernel, sparse-stationary
+// axpy and skinny interleave) must match bit for bit: ascending-K
+// per-element summation in one running chain.
 func refGEMM(a, b *Tensor) *Tensor {
 	m, k, n := gemmDims(a, b)
 	out := New(m, n)
-	gemmRows(a.data, b.data, out.data, 0, m, k, n, 0)
+	for i := 0; i < m; i++ {
+		crow := out.data[i*n : (i+1)*n]
+		for p := 0; p < k; p++ {
+			av := a.data[i*k+p]
+			if av == 0 {
+				continue
+			}
+			brow := b.data[p*n : (p+1)*n]
+			for j := range crow {
+				crow[j] += av * brow[j]
+			}
+		}
+	}
 	return out
 }
 
@@ -63,6 +78,53 @@ func TestPackedGEMMBitwiseEqual(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSparseGEMMBitwiseEqual pins the sparse-stationary kernel — the skinny
+// row interleave below packNR columns, the compacted AVX axpy from there up
+// — to the scalar skip-zero loop, bit for bit: every width around the
+// skinny/wide switch and the vector step, row counts that leave the
+// interleave a remainder, K past one compaction block, every density from
+// an all-zero operand to a full one, and weights that are −0 (skipped by
+// the oracle, multiplied by the skinny route) or denormal. It runs once on
+// the AVX kernels and once on the pure-Go fallbacks.
+func TestSparseGEMMBitwiseEqual(t *testing.T) {
+	check := func(t *testing.T) {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257} {
+			for _, m := range []int{1, 3, 4, 6, 9} {
+				for _, density := range []float64{0, 0.1, 0.5, 1} {
+					k := 37
+					if n >= 255 && m == 6 {
+						k = sparseKBlock + 11
+					}
+					a := RandomUniform(int64(n*100+m), 1, m, k)
+					b := RandomUniform(int64(n*100+k), 1, k, n)
+					Prune(a, 1-density)
+					for i := 0; i < len(a.data); i += 5 {
+						switch {
+						case a.data[i] == 0:
+							a.data[i] = float32(math.Copysign(0, -1))
+						case i%2 == 0:
+							a.data[i] = math.Float32frombits(uint32(1 + i)) // denormal
+						}
+					}
+					want := refGEMM(a, b)
+					got := New(m, n)
+					gemmSparse(a.data, b.data, got.data, 0, m, k, n)
+					if i := FirstBitDiff(want, got); i >= 0 {
+						t.Fatalf("%dx%dx%d density %.1f: element %d is %v (%08x), oracle %v (%08x)", m, k, n, density,
+							i, got.data[i], math.Float32bits(got.data[i]), want.data[i], math.Float32bits(want.data[i]))
+					}
+				}
+			}
+		}
+	}
+	t.Run(SIMDLevel(), check)
+	if hasAVX {
+		hasAVX = false
+		defer func() { hasAVX = true }()
+		t.Run("scalar", check)
 	}
 }
 

@@ -28,6 +28,26 @@ func dot8CarryAsm(k int, a, b, c *float32)
 // panelDot8Asm is the AVX fused-convolution inner kernel; see simd_amd64.s.
 func panelDot8Asm(nv, nblocks int, a, panel, dst *float32)
 
+// axpyRowsAsm is the AVX sparse-stationary inner kernel; see simd_amd64.s.
+// It retains none of its pointers, which lets gemmSparse keep the position
+// buffer on its stack.
+//
+//go:noescape
+func axpyRowsAsm(nz int, pos *int32, a, b *float32, ldb int, c *float32, n int)
+
+// axpyRows accumulates c[j] += a[p]·b[p·ldb+j] (j < len(c)) for every
+// position p of pos, in order: one multiply and one add per lane and
+// position, never fused. Every p must index a, and b must hold the
+// len(c)-wide row of every position.
+func axpyRows(pos []int32, a, b []float32, ldb int, c []float32) {
+	if hasAVX && len(pos) > 0 && len(c) > 0 {
+		_ = b[(len(a)-1)*ldb+len(c)-1]
+		axpyRowsAsm(len(pos), &pos[0], &a[0], &b[0], ldb, &c[0], len(c))
+		return
+	}
+	axpyRowsGo(pos, a, b, ldb, c)
+}
+
 // dot8Carry accumulates c[j] += Σ_p a[p]·b[p·8+j] (j < 8, ascending p, one
 // running chain seeded by the incoming c) over a packed 8-wide B panel.
 func dot8Carry(k int, a, b, c []float32) {

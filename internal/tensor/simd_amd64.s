@@ -105,3 +105,108 @@ pdflush:
 pddone:
 	VZEROUPPER
 	RET
+
+// func axpyRowsAsm(nz int, pos *int32, a, b *float32, ldb int, c *float32, n int)
+//
+// The sparse-stationary inner kernel: for each of the nz positions p =
+// pos[t], in order, c[j] ← c[j] + a[p]·b[p·ldb+j] for j < n — one step of n
+// independent K chains per position. Positions are taken two at a time so
+// c is loaded and stored once per pair; each lane still adds the first
+// product, then the second, exactly the scalar order. Eight lanes per
+// iteration, then a scalar tail with the same multiply-then-add per lane.
+TEXT ·axpyRowsAsm(SB), NOSPLIT, $0-56
+	MOVQ nz+0(FP), R8
+	MOVQ pos+8(FP), R9
+	MOVQ a+16(FP), R10
+	MOVQ b+24(FP), R11
+	MOVQ ldb+32(FP), R12
+	MOVQ c+40(FP), DI
+	MOVQ n+48(FP), R13
+	SHLQ $2, R12
+
+arpair:
+	CMPQ         R8, $2
+	JLT          arsingle
+	MOVLQSX      (R9), AX
+	MOVLQSX      4(R9), BX
+	VBROADCASTSS (R10)(AX*4), Y0
+	VBROADCASTSS (R10)(BX*4), Y1
+	IMULQ        R12, AX
+	IMULQ        R12, BX
+	ADDQ         R11, AX
+	ADDQ         R11, BX
+	MOVQ         DI, DX
+	MOVQ         R13, CX
+
+arpair8:
+	CMPQ    CX, $8
+	JLT     arpair1
+	VMULPS  (AX), Y0, Y2
+	VMULPS  (BX), Y1, Y3
+	VMOVUPS (DX), Y4
+	VADDPS  Y2, Y4, Y4
+	VADDPS  Y3, Y4, Y4
+	VMOVUPS Y4, (DX)
+	ADDQ    $32, AX
+	ADDQ    $32, BX
+	ADDQ    $32, DX
+	SUBQ    $8, CX
+	JMP     arpair8
+
+arpair1:
+	TESTQ  CX, CX
+	JZ     arpairnext
+	VMULSS (AX), X0, X2
+	VMULSS (BX), X1, X3
+	VMOVSS (DX), X4
+	VADDSS X2, X4, X4
+	VADDSS X3, X4, X4
+	VMOVSS X4, (DX)
+	ADDQ   $4, AX
+	ADDQ   $4, BX
+	ADDQ   $4, DX
+	DECQ   CX
+	JMP    arpair1
+
+arpairnext:
+	ADDQ $8, R9
+	SUBQ $2, R8
+	JMP  arpair
+
+arsingle:
+	TESTQ        R8, R8
+	JZ           ardone
+	MOVLQSX      (R9), AX
+	VBROADCASTSS (R10)(AX*4), Y0
+	IMULQ        R12, AX
+	ADDQ         R11, AX
+	MOVQ         DI, DX
+	MOVQ         R13, CX
+
+arsingle8:
+	CMPQ    CX, $8
+	JLT     arsingle1
+	VMULPS  (AX), Y0, Y2
+	VMOVUPS (DX), Y4
+	VADDPS  Y2, Y4, Y4
+	VMOVUPS Y4, (DX)
+	ADDQ    $32, AX
+	ADDQ    $32, DX
+	SUBQ    $8, CX
+	JMP     arsingle8
+
+arsingle1:
+	TESTQ  CX, CX
+	JZ     ardone
+	VMULSS (AX), X0, X2
+	VMOVSS (DX), X4
+	VADDSS X2, X4, X4
+	VMOVSS X4, (DX)
+	ADDQ   $4, AX
+	ADDQ   $4, DX
+	DECQ   CX
+	JMP    arsingle1
+
+ardone:
+	VZEROUPPER
+	RET

@@ -7,6 +7,19 @@ package tensor
 // builds, or amd64 without AVX). TestSIMDKernelsMatchFallback pins the two
 // implementations together bit for bit.
 
+// axpyRowsGo is the sparse-stationary inner kernel: for each position p of
+// pos, in order, c[j] += a[p]·b[p·ldb+j] — one product and one add per lane
+// and position, a single step of each lane's K chain.
+func axpyRowsGo(pos []int32, a, b []float32, ldb int, c []float32) {
+	for _, p := range pos {
+		av := a[p]
+		row := b[int(p)*ldb:][:len(c)]
+		for j := range c {
+			c[j] += av * row[j]
+		}
+	}
+}
+
 // dot8CarryGo is the packed-GEMM inner kernel: c[0:8] carries one running
 // K chain per lane, ascending p, over a packed 8-wide B panel.
 func dot8CarryGo(k int, a, b, c []float32) {

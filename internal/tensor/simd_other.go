@@ -11,5 +11,8 @@ var hasAVX = false
 // builds are always on the scalar fallbacks.
 func SIMDLevel() string { return "scalar" }
 
+func axpyRows(pos []int32, a, b []float32, ldb int, c []float32) {
+	axpyRowsGo(pos, a, b, ldb, c)
+}
 func dot8Carry(k int, a, b, c []float32)                 { dot8CarryGo(k, a, b, c) }
 func panelDot8(nv, nblocks int, a, panel, dst []float32) { panelDot8Go(nv, nblocks, a, panel, dst) }

@@ -28,6 +28,31 @@ func TestSIMDKernelsMatchFallback(t *testing.T) {
 			}
 		}
 	}
+	// axpyRows: widths around the 8-lane step and the scalar tail, position
+	// counts that leave the pairing a remainder, a strided B.
+	for _, n := range []int{1, 2, 7, 8, 9, 15, 16, 17, 255, 256, 257} {
+		for _, nz := range []int{0, 1, 2, 3, 8, 9} {
+			const k = 12
+			ldb := n + 3
+			a := RandomUniform(int64(n), 1, k).Data()
+			b := RandomUniform(int64(n)+50, 1, k*ldb).Data()
+			pos := make([]int32, nz)
+			for i := range pos {
+				pos[i] = int32((i*5 + n) % k) // any order, repeats allowed
+			}
+			cWant := RandomUniform(11, 1, n).Data()
+			cGot := append([]float32(nil), cWant...)
+
+			axpyRowsGo(pos, a, b, ldb, cWant)
+			axpyRows(pos, a, b, ldb, cGot)
+			for j := range cWant {
+				if math.Float32bits(cWant[j]) != math.Float32bits(cGot[j]) {
+					t.Fatalf("axpyRows n=%d nz=%d lane %d: %v (%08x) vs fallback %v (%08x)",
+						n, nz, j, cGot[j], math.Float32bits(cGot[j]), cWant[j], math.Float32bits(cWant[j]))
+				}
+			}
+		}
+	}
 	for _, nv := range []int{1, 2, 3, 9, 36} {
 		for _, nblocks := range []int{1, 2, 5, 32} {
 			a := RandomUniform(int64(nv), 1, nv).Data()

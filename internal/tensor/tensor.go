@@ -38,7 +38,9 @@ func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			// Format a copy: handing shape itself to Sprintf would make every
+			// caller's variadic slice escape, one allocation per New/NewPooled.
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}
@@ -234,16 +236,25 @@ func (t *Tensor) String() string {
 	return "Tensor[" + strings.Join(parts, " ") + "]"
 }
 
-// NNZ returns the number of nonzero elements.
-func (t *Tensor) NNZ() int {
+// nonzeroBit is 1 when v != 0 and 0 otherwise, computed without a branch
+// from v's magnitude bits (±0 have none, NaN has some). Pruned weights are
+// zero or not with no pattern a branch predictor could learn, so the scans
+// and compactions over them count this way.
+func nonzeroBit(v float32) int {
+	return int((magnitudeKey(v) + 0x7fffffff) >> 31)
+}
+
+// CountNonzero returns the number of nonzero values in s, branch-free.
+func CountNonzero(s []float32) int {
 	n := 0
-	for _, v := range t.data {
-		if v != 0 {
-			n++
-		}
+	for _, v := range s {
+		n += nonzeroBit(v)
 	}
 	return n
 }
+
+// NNZ returns the number of nonzero elements.
+func (t *Tensor) NNZ() int { return CountNonzero(t.data) }
 
 // Sparsity returns the fraction of zero elements in [0,1].
 func (t *Tensor) Sparsity() float64 {

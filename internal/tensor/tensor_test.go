@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -368,6 +369,85 @@ func TestPruneKeepsLargest(t *testing.T) {
 	}
 	if x.At(0) != 0 || x.At(2) != 0 || x.At(4) != 0 {
 		t.Fatalf("small magnitudes must be zeroed: %v", x.Data())
+	}
+}
+
+// refPrune is Prune as it was before the counting selection: the threshold
+// comes from fully sorting a float64 copy of the magnitudes. It is the
+// oracle for the zero pattern, ties included.
+func refPrune(t *Tensor, fraction float64) {
+	if fraction <= 0 {
+		return
+	}
+	if fraction >= 1 {
+		t.Fill(0)
+		return
+	}
+	n := len(t.data)
+	target := int(math.Round(fraction * float64(n)))
+	if target <= 0 {
+		return
+	}
+	mags := make([]float64, n)
+	for i, v := range t.data {
+		mags[i] = math.Abs(float64(v))
+	}
+	sorted := append([]float64(nil), mags...)
+	sort.Float64s(sorted)
+	threshold := sorted[target-1]
+	zeroed := 0
+	for i := range t.data {
+		if mags[i] < threshold {
+			t.data[i] = 0
+			zeroed++
+		}
+	}
+	for i := range t.data {
+		if zeroed >= target {
+			break
+		}
+		if t.data[i] != 0 && mags[i] == threshold {
+			t.data[i] = 0
+			zeroed++
+		}
+	}
+}
+
+// TestPruneMatchesSortOracle checks the selection-based Prune against the
+// sort-based one bit for bit: continuous values, a tensor of few distinct
+// magnitudes (so the threshold is a many-way tie broken in index order),
+// existing ±0, infinities and NaNs, at fractions that put the threshold
+// inside and between the tie groups.
+func TestPruneMatchesSortOracle(t *testing.T) {
+	inputs := map[string]func() *Tensor{
+		"normal": func() *Tensor { return RandomNormal(3, 0.05, 37, 41) },
+		"ties": func() *Tensor {
+			x := RandomUniform(4, 1, 1000)
+			for i, v := range x.data {
+				x.data[i] = float32(math.Round(float64(v)*3)) / 3 // magnitudes 0, ⅓, ⅔, 1
+			}
+			x.data[5] = float32(math.Copysign(0, -1))
+			return x
+		},
+		"non-finite": func() *Tensor {
+			x := RandomUniform(5, 1, 64)
+			x.data[3], x.data[9] = float32(math.NaN()), float32(math.NaN())
+			x.data[20], x.data[21] = float32(math.Inf(1)), float32(math.Inf(-1))
+			x.data[40] = math.Float32frombits(1) // smallest denormal
+			return x
+		},
+	}
+	for name, mk := range inputs {
+		for _, frac := range []float64{0.001, 0.02, 0.1, 0.25, 0.4, 0.5, 0.62, 0.75, 0.9, 0.999} {
+			want, got := mk(), mk()
+			refPrune(want, frac)
+			Prune(got, frac)
+			for i := range want.data {
+				if math.Float32bits(want.data[i]) != math.Float32bits(got.data[i]) {
+					t.Fatalf("%s, fraction %v: element %d is %v, sort-based pruning gives %v", name, frac, i, got.data[i], want.data[i])
+				}
+			}
+		}
 	}
 }
 

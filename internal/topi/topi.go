@@ -177,41 +177,43 @@ func Pool2D(in *tensor.Tensor, kind PoolKind, kernel, stride, pad int) (*tensor.
 		return nil, fmt.Errorf("topi: pool output would be empty")
 	}
 	out := tensor.New(n, c, p, q)
-	for in4 := 0; in4 < n; in4++ {
-		for ic := 0; ic < c; ic++ {
-			for y := 0; y < p; y++ {
-				for x := 0; x < q; x++ {
-					var acc float64
-					count := 0
-					best := math.Inf(-1)
-					for ky := 0; ky < kernel; ky++ {
-						for kx := 0; kx < kernel; kx++ {
-							iy := y*stride - pad + ky
-							ix := x*stride - pad + kx
-							if iy < 0 || iy >= h || ix < 0 || ix >= w {
-								continue
-							}
-							v := float64(in.At(in4, ic, iy, ix))
-							acc += v
-							count++
-							if v > best {
-								best = v
-							}
+	inD, outD := in.Data(), out.Data()
+	for plane := 0; plane < n*c; plane++ {
+		src := inD[plane*h*w : (plane+1)*h*w]
+		dst := outD[plane*p*q : (plane+1)*p*q]
+		for y := 0; y < p; y++ {
+			for x := 0; x < q; x++ {
+				var acc float64
+				count := 0
+				best := math.Inf(-1)
+				for ky := 0; ky < kernel; ky++ {
+					iy := y*stride - pad + ky
+					if iy < 0 || iy >= h {
+						continue
+					}
+					for kx := 0; kx < kernel; kx++ {
+						ix := x*stride - pad + kx
+						if ix < 0 || ix >= w {
+							continue
+						}
+						v := float64(src[iy*w+ix])
+						acc += v
+						count++
+						if v > best {
+							best = v
 						}
 					}
-					var v float64
-					if kind == MaxPool {
-						if count == 0 {
-							best = 0
-						}
-						v = best
-					} else {
-						if count > 0 {
-							v = acc / float64(count)
-						}
-					}
-					out.Set(float32(v), in4, ic, y, x)
 				}
+				var v float64
+				if kind == MaxPool {
+					if count == 0 {
+						best = 0
+					}
+					v = best
+				} else if count > 0 {
+					v = acc / float64(count)
+				}
+				dst[y*q+x] = float32(v)
 			}
 		}
 	}
@@ -256,19 +258,22 @@ func LRN(in *tensor.Tensor, size int, alpha, beta, k float64) (*tensor.Tensor, e
 	}
 	n, c, h, w := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
 	out := tensor.New(n, c, h, w)
+	inD, outD := in.Data(), out.Data()
 	half := size / 2
+	hw := h * w
+	scale := alpha / float64(size)
 	for in4 := 0; in4 < n; in4++ {
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				for ic := 0; ic < c; ic++ {
-					var sq float64
-					for j := max(0, ic-half); j <= min(c-1, ic+half); j++ {
-						v := float64(in.At(in4, j, y, x))
-						sq += v * v
-					}
-					denom := math.Pow(k+alpha/float64(size)*sq, beta)
-					out.Set(float32(float64(in.At(in4, ic, y, x))/denom), in4, ic, y, x)
+		src := inD[in4*c*hw : (in4+1)*c*hw]
+		dst := outD[in4*c*hw : (in4+1)*c*hw]
+		for ic := 0; ic < c; ic++ {
+			lo, hi := max(0, ic-half), min(c-1, ic+half)
+			for pos := 0; pos < hw; pos++ {
+				var sq float64
+				for j := lo; j <= hi; j++ {
+					v := float64(src[j*hw+pos])
+					sq += v * v
 				}
+				dst[ic*hw+pos] = float32(float64(src[ic*hw+pos]) / math.Pow(k+scale*sq, beta))
 			}
 		}
 	}

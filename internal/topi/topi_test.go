@@ -375,3 +375,102 @@ func TestBatchNormValidation(t *testing.T) {
 		t.Fatal("parameter size mismatch must error")
 	}
 }
+
+// refLRN and refPool2D are LRN and Pool2D as they were before they indexed
+// their operands directly: every element goes through the bounds-checked
+// variadic Tensor.At / Set. They are the oracles for the output bits.
+func refLRN(in *tensor.Tensor, size int, alpha, beta, k float64) *tensor.Tensor {
+	n, c, h, w := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
+	out := tensor.New(n, c, h, w)
+	half := size / 2
+	for in4 := 0; in4 < n; in4++ {
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				for ic := 0; ic < c; ic++ {
+					var sq float64
+					for j := max(0, ic-half); j <= min(c-1, ic+half); j++ {
+						v := float64(in.At(in4, j, y, x))
+						sq += v * v
+					}
+					denom := math.Pow(k+alpha/float64(size)*sq, beta)
+					out.Set(float32(float64(in.At(in4, ic, y, x))/denom), in4, ic, y, x)
+				}
+			}
+		}
+	}
+	return out
+}
+
+func refPool2D(in *tensor.Tensor, kind PoolKind, kernel, stride, pad int) *tensor.Tensor {
+	n, c, h, w := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
+	p := (h+2*pad-kernel)/stride + 1
+	q := (w+2*pad-kernel)/stride + 1
+	out := tensor.New(n, c, p, q)
+	for in4 := 0; in4 < n; in4++ {
+		for ic := 0; ic < c; ic++ {
+			for y := 0; y < p; y++ {
+				for x := 0; x < q; x++ {
+					var acc float64
+					count := 0
+					best := math.Inf(-1)
+					for ky := 0; ky < kernel; ky++ {
+						for kx := 0; kx < kernel; kx++ {
+							iy := y*stride - pad + ky
+							ix := x*stride - pad + kx
+							if iy < 0 || iy >= h || ix < 0 || ix >= w {
+								continue
+							}
+							v := float64(in.At(in4, ic, iy, ix))
+							acc += v
+							count++
+							if v > best {
+								best = v
+							}
+						}
+					}
+					var v float64
+					if kind == MaxPool {
+						if count == 0 {
+							best = 0
+						}
+						v = best
+					} else if count > 0 {
+						v = acc / float64(count)
+					}
+					out.Set(float32(v), in4, ic, y, x)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestLRNAndPoolMatchIndexedOracle compares the direct-indexing LRN and
+// Pool2D with the At/Set implementations bit for bit: AlexNet's two LRN
+// shapes (window 5 clipped at both channel edges), and pools that are
+// padded, strided, overlapping and — with padding past the kernel — see
+// windows that are empty or cut on every side.
+func TestLRNAndPoolMatchIndexedOracle(t *testing.T) {
+	for i, shape := range [][]int{{1, 96, 55, 55}, {1, 256, 27, 27}, {2, 3, 4, 5}} {
+		in := tensor.RandomUniform(int64(i), 3, shape...)
+		got, err := LRN(in, 5, 1e-4, 0.75, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := tensor.FirstBitDiff(refLRN(in, 5, 1e-4, 0.75, 2), got); d >= 0 {
+			t.Fatalf("LRN %v diverges from the indexed oracle at element %d", shape, d)
+		}
+	}
+	in := tensor.RandomUniform(9, 2, 2, 3, 13, 11)
+	for _, kind := range []PoolKind{MaxPool, AvgPool} {
+		for _, g := range [][3]int{{3, 2, 0}, {3, 2, 1}, {2, 2, 1}, {5, 3, 2}, {2, 1, 2}} {
+			got, err := Pool2D(in, kind, g[0], g[1], g[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := tensor.FirstBitDiff(refPool2D(in, kind, g[0], g[1], g[2]), got); d >= 0 {
+				t.Fatalf("Pool2D kind=%d kernel=%d stride=%d pad=%d diverges from the indexed oracle at element %d", kind, g[0], g[1], g[2], d)
+			}
+		}
+	}
+}
