@@ -201,7 +201,7 @@ func main() {
 	// re-probed without stalling workers. With both, the replicated store
 	// fans writes to the key's R ring owners, serves reads local-first with
 	// read-repair, and rebalances ownership changes in the background.
-	var local *farm.RetryStore
+	var local farm.LocalTier
 	if *cacheDir != "" {
 		ds, err := farm.NewDiskStore(*cacheDir, *diskMax)
 		if err != nil {
@@ -234,11 +234,7 @@ func main() {
 			})
 		}
 		if len(members) > 0 {
-			var localTier farm.Store
-			if local != nil {
-				localTier = local // keep a nil interface when there is no disk tier
-			}
-			repl = farm.NewReplicatedStore(localTier, selfRingName(*addr), *replicas, members,
+			repl = farm.NewReplicatedStore(local, selfRingName(*addr), *replicas, members,
 				farm.WithRebalanceRate(*rebalRate))
 			opts = append(opts, farm.WithDiskStore(repl))
 			log.Printf("replicated result tier: %d peer(s), R=%d, self %q", len(members), *replicas, selfRingName(*addr))
@@ -263,11 +259,7 @@ func main() {
 		if repl != nil {
 			repair = repl.GetRemote
 		}
-		if repl != nil {
-			scrubber = farm.NewScrubber(repl, *scrubEvery, repair)
-		} else {
-			scrubber = farm.NewScrubber(local, *scrubEvery, repair)
-		}
+		scrubber = farm.NewScrubber(local, *scrubEvery, repair)
 		log.Printf("disk scrubber: one pass every %s", *scrubEvery)
 	}
 	if *sweepDir == "" && *cacheDir != "" {

@@ -22,8 +22,8 @@ package bifrost
 //	                               execution on a four-branch CNN
 //
 // GEMM kernel variants (packed micro-kernel vs reference ikj loop) are
-// benchmarked in internal/tensor. BENCH_pr2.json and BENCH_pr4.json
-// snapshot the measured numbers.
+// benchmarked in internal/tensor. Claims are measured by the layered
+// benchmark (benchmark/README.md).
 
 import (
 	"fmt"

@@ -77,9 +77,14 @@ type Farm struct {
 	// tiersOnce makes tier teardown idempotent across Close and Shutdown.
 	tiersOnce sync.Once
 
-	cmu      sync.Mutex
-	mem      Store
-	disk     Store
+	cmu  sync.Mutex
+	mem  Store
+	disk Store
+	// local is the disk tier's node-local view, resolved once in New: the
+	// tier itself, or a ReplicatedStore's own local tier — so Warm, Limits
+	// and the peer wire protocol never reach past this node's storage. nil
+	// without local storage.
+	local    LocalTier
 	inflight map[string]*call
 
 	pack    *tensor.PackCache
@@ -218,6 +223,11 @@ func New(workers int, opts ...Option) *Farm {
 		// a many-worker sweep from serialising on one mutex.
 		f.mem = NewShardedStore(defaultStoreShards(f.maxEntries, f.maxBytes), f.maxEntries, f.maxBytes)
 	}
+	if repl, ok := f.disk.(*ReplicatedStore); ok {
+		f.local = repl.local
+	} else {
+		f.local = asLocalTier(f.disk)
+	}
 	if !f.packSet {
 		f.pack = tensor.NewPackCache(tensor.DefaultPackCacheEntries, tensor.DefaultPackCacheBytes)
 	}
@@ -240,14 +250,6 @@ func (f *Farm) PackCache() *tensor.PackCache { return f.pack }
 // Ring returns the farm's recent-trace ring (nil unless WithTraceRing).
 func (f *Farm) Ring() *telemetry.TraceRing { return f.ring }
 
-// entryLister is the optional Store capability Warm needs: streaming the
-// tier's entries in least-recently-used-first order, bounded to the newest
-// N entries and/or the newest entries fitting a byte budget. *DiskStore
-// implements it.
-type entryLister interface {
-	Entries(newest int, newestBytes int64, fn func(key string, res Result) bool)
-}
-
 // Warm preloads the persistent tier's entries into the memory tier, so a
 // freshly started farm answers known sweeps from memory instead of paying a
 // disk probe per first hit. Entries load least recently used first, leaving
@@ -261,12 +263,11 @@ type entryLister interface {
 // persistent tier or it cannot enumerate). Warming is read-only with
 // respect to the disk tier and safe to run concurrently with submissions.
 func (f *Farm) Warm() int {
-	lister, ok := f.disk.(entryLister)
-	if !ok {
+	if f.local == nil {
 		return 0
 	}
 	n := 0
-	lister.Entries(f.maxEntries, f.maxBytes, func(key string, res Result) bool {
+	f.local.Entries(f.maxEntries, f.maxBytes, func(key string, res Result) bool {
 		f.cmu.Lock()
 		f.mem.Put(key, res)
 		f.cmu.Unlock()
@@ -448,8 +449,9 @@ func (f *Farm) detach(c *call) {
 // executions. Because exec runs once per key (single flight), the disk
 // probe is deduplicated exactly like the execution it replaces.
 func (f *Farm) exec(c *call) {
+	// busy drops before each close(c.done) below, never in a defer: a caller
+	// released by Do must not observe this worker still busy.
 	f.busy.Add(1)
-	defer f.busy.Add(-1)
 	c.span.Observe(telemetry.PhaseEnqueueWait, time.Since(c.enqueuedAt))
 	if f.disk != nil {
 		t := time.Now()
@@ -472,6 +474,7 @@ func (f *Farm) exec(c *call) {
 			f.diskHits.Add(1)
 			f.pending.Add(-1)
 			f.statsMu.RUnlock()
+			f.busy.Add(-1)
 			close(c.done)
 			return
 		}
@@ -520,6 +523,7 @@ func (f *Farm) exec(c *call) {
 		f.pending.Add(-1)
 		f.statsMu.RUnlock()
 	}
+	f.busy.Add(-1)
 	close(c.done)
 }
 
@@ -750,65 +754,30 @@ func (f *Farm) SubmitCtx(ctx context.Context, j Job) *Future {
 
 // CacheGet consults the farm's cache tiers without scheduling anything: the
 // memory tier first, then the disk tier, promoting a disk hit into memory
-// exactly like a worker would. It is the lookup behind the peer wire
-// protocol (PeerHandler): a remote node asking "do you already have this
-// result" must never trigger a local simulation.
-func (f *Farm) CacheGet(key string) (Result, bool) {
+// exactly like a worker would. It is the sweep journal's replay primitive: a
+// lookup must never trigger a simulation.
+func (f *Farm) CacheGet(key string) (Result, bool) { return f.cacheGet(key, f.disk) }
+
+// CachePut stores a result under key into every tier, so later CacheGet
+// probes answer without simulating.
+func (f *Farm) CachePut(key string, res Result) { f.cachePut(key, res, f.disk) }
+
+// cacheGetLocal and cachePutLocal are CacheGet and CachePut confined to this
+// node's own tiers (memory, then the local tier) — the two halves of the
+// peer wire protocol PeerHandler serves. A peer's GET answered from a third
+// replica would bounce lookups around the ring, and a peer's PUT fanned
+// back out would cascade one logical write into N² replica writes.
+func (f *Farm) cacheGetLocal(key string) (Result, bool) { return f.cacheGet(key, f.local) }
+func (f *Farm) cachePutLocal(key string, res Result)    { f.cachePut(key, res, f.local) }
+
+func (f *Farm) cacheGet(key string, tier Store) (Result, bool) {
 	if res, ok := f.mem.Get(key); ok {
 		return res, true
 	}
-	if f.disk != nil {
-		if res, ok := f.disk.Get(key); ok {
-			f.cmu.Lock()
-			f.mem.Put(key, res)
-			f.cmu.Unlock()
-			return res, true
-		}
-	}
-	return Result{}, false
-}
-
-// CachePut stores a result under key into every tier — the write half of
-// the peer wire protocol, letting a remote node replicate a result it
-// computed so later CacheGet probes here answer without simulating.
-func (f *Farm) CachePut(key string, res Result) {
-	f.cmu.Lock()
-	f.mem.Put(key, res)
-	f.cmu.Unlock()
-	if f.disk != nil {
-		f.disk.Put(key, res)
-	}
-}
-
-// localStore is the optional capability a composed disk tier (a
-// *ReplicatedStore) exposes so the peer wire protocol can be confined to
-// this node's own storage: a peer's GET answered from a third replica
-// would bounce lookups around the ring, and a peer's PUT fanned back out
-// would cascade one logical write into N² replica writes.
-type localStore interface {
-	GetLocal(key string) (Result, bool)
-	PutLocal(key string, res Result)
-}
-
-// cacheGetLocal is CacheGet restricted to this node's own tiers: memory,
-// then the disk tier's local half when it distinguishes one. PeerHandler
-// answers with it.
-func (f *Farm) cacheGetLocal(key string) (Result, bool) {
-	if res, ok := f.mem.Get(key); ok {
-		return res, true
-	}
-	if f.disk == nil {
+	if tier == nil {
 		return Result{}, false
 	}
-	var (
-		res Result
-		ok  bool
-	)
-	if ls, can := f.disk.(localStore); can {
-		res, ok = ls.GetLocal(key)
-	} else {
-		res, ok = f.disk.Get(key)
-	}
+	res, ok := tier.Get(key)
 	if ok {
 		f.cmu.Lock()
 		f.mem.Put(key, res)
@@ -817,20 +786,13 @@ func (f *Farm) cacheGetLocal(key string) (Result, bool) {
 	return res, ok
 }
 
-// cachePutLocal is CachePut restricted to this node's own tiers — the
-// landing half of replication. PeerHandler stores with it.
-func (f *Farm) cachePutLocal(key string, res Result) {
+func (f *Farm) cachePut(key string, res Result, tier Store) {
 	f.cmu.Lock()
 	f.mem.Put(key, res)
 	f.cmu.Unlock()
-	if f.disk == nil {
-		return
+	if tier != nil {
+		tier.Put(key, res)
 	}
-	if ls, can := f.disk.(localStore); can {
-		ls.PutLocal(key, res)
-		return
-	}
-	f.disk.Put(key, res)
 }
 
 // Do submits a job and blocks until its result is ready.
@@ -1004,11 +966,9 @@ func (f *Farm) Limits() Limits {
 	}
 	if f.disk != nil {
 		l.Disk = true
-		if mb, ok := f.disk.(interface{ MaxBytes() int64 }); ok {
-			l.DiskMaxBytes = mb.MaxBytes()
-		}
-		if d, ok := f.disk.(interface{ Dir() string }); ok {
-			l.DiskDir = d.Dir()
+		if f.local != nil {
+			l.DiskMaxBytes = f.local.MaxBytes()
+			l.DiskDir = f.local.Dir()
 		}
 	}
 	return l

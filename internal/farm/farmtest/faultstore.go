@@ -150,13 +150,3 @@ func (fs *FaultStore) Stats() farm.StoreStats { return fs.inner.Stats() }
 
 // Close implements farm.Store.
 func (fs *FaultStore) Close() error { return fs.inner.Close() }
-
-// Entries forwards the warm-streaming capability so a faulted tier still
-// composes with farm.Warm (injection applies to lookups, not streaming).
-func (fs *FaultStore) Entries(newest int, newestBytes int64, fn func(key string, res farm.Result) bool) {
-	if lister, ok := fs.inner.(interface {
-		Entries(newest int, newestBytes int64, fn func(key string, res farm.Result) bool)
-	}); ok {
-		lister.Entries(newest, newestBytes, fn)
-	}
-}

@@ -3,10 +3,12 @@ package farm_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/farm"
+	"repro/internal/farm/farmtest"
 )
 
 // TestShutdownGracefulDrain proves the clean path: Shutdown with a generous
@@ -127,5 +129,47 @@ func TestShutdownSubmitCtxAlreadyCancelled(t *testing.T) {
 	}
 	if st.Cancelled != 1 {
 		t.Errorf("Stats.Cancelled = %d, want 1", st.Cancelled)
+	}
+}
+
+// TestShutdownReplicatedTierLeavesNoGoroutines runs every background path of
+// the durable tier at least once — the read-repair worker, churn-triggered
+// rebalance passes, ticker-driven scrub passes — and proves Close and Stop
+// leave nothing behind: no watcher polls member health any more, and a
+// rebalance pass never outlives its store.
+func TestShutdownReplicatedTierLeavesNoGoroutines(t *testing.T) {
+	farmtest.NoGoroutineLeak(t)
+	ds, err := farm.NewDiskStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := farm.NewRetryStore(ds, farmtest.TestRetryPolicy())
+	a, b := farm.NewMemoryStore(0, 0), farm.NewMemoryStore(0, 0)
+	rs := farm.NewReplicatedStore(local, "self", 2, []farm.ReplicaMember{
+		{Name: "a", Store: farm.NewRetryStore(a, farmtest.TestRetryPolicy())},
+		{Name: "b", Store: b},
+	}, farm.WithRebalanceRate(1<<20))
+	scr := farm.NewScrubber(local, time.Millisecond, rs.GetRemote)
+
+	key := func(i int) string { return fmt.Sprintf("%064x", i) }
+	for i := 0; i < 32; i++ {
+		rs.Put(key(i), farm.Result{})
+	}
+	rs.SetMemberActive("a", false) // churn: one pass per flip, the second
+	rs.SetMemberActive("a", true)  // cancelling the first if it still runs
+	repaired := false
+	for i := 1000; i < 1064 && !repaired; i++ {
+		b.Put(key(i), farm.Result{}) // only b holds it: a hit there schedules a repair
+		_, repaired = rs.Get(key(i))
+	}
+	if !repaired {
+		t.Fatal("no candidate key had b among its owners")
+	}
+	rs.Flush()
+	waitUntil(t, "a ticker-driven scrub pass", func() bool { return scr.Stats().Passes > 0 })
+
+	scr.Stop()
+	if err := rs.Close(); err != nil {
+		t.Fatalf("closing the replicated store: %v", err)
 	}
 }

@@ -2,6 +2,9 @@ package farm
 
 import (
 	"context"
+	"errors"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,6 +14,16 @@ import (
 // out to the first R distinct owners of the key on a consistent-hash ring
 // over this node and its peers, so losing any single node's disk loses no
 // results — the shard is served from its replicas, not recomputed.
+//
+// The ring is static: self plus every configured member, built once. What
+// varies is who takes part. Traffic walks a key's owners in ring order and
+// offers each member the operation through its breaker's Admit (inside the
+// member's RetryStore); a member that refuses — barred, or quarantined with
+// no probe due — is skipped and the next owner takes its place, which by
+// consistent hashing is exactly the owner order of a ring rebuilt without
+// it. Because the gate is Admit and never "is it open", a quarantined
+// member keeps receiving one real operation per probe interval and rejoins
+// on the first that succeeds.
 //
 //   - Writes are replicated, not quorum-gated: the local tier is written
 //     synchronously (it is this node's own cache), remote owners get the
@@ -23,27 +36,22 @@ import (
 //     the local tier and to every earlier-ordered owner that cleanly
 //     missed, so transient outages heal on traffic. A total miss lets the
 //     farm recompute, and the recompute's normal Put re-replicates it.
-//   - Anti-entropy after ring churn: members go unhealthy when their
-//     breaker opens (or the coordinator marks them inactive) and healthy
-//     again when a probe succeeds; each transition rebuilds the ring and
-//     starts a bounded, rate-limited, cancellable rebalance pass that
-//     streams every locally-held key whose ownership set grew to its new
-//     owners — a replaced node repopulates from its peers' disks without a
-//     single recompute.
+//   - Anti-entropy after churn: every breaker transition (and every
+//     SetMemberActive flip) snapshots member health, diffs each
+//     locally-held key's owners under the previous and the new snapshot,
+//     and streams the key to the owners it gained in a bounded,
+//     rate-limited, cancellable pass — a replaced node repopulates from
+//     its peers' disks without a single recompute.
 //
 // The zero number of remote members degenerates to a plain wrapper around
 // the local tier. A ReplicatedStore is safe for concurrent use.
 type ReplicatedStore struct {
-	local    Store  // this node's tier (RetryStore over DiskStore); may be nil
-	selfName string // this node's ring identity; "" keeps self off the ring
-	replicas int    // R: distinct owners per key, clamped to ring size
+	local    LocalTier // this node's tier (RetryStore over DiskStore); nil for a diskless node
+	selfName string    // this node's ring identity; "" keeps self off the ring
+	replicas int       // R: distinct owners per key, clamped to ring size
 
-	members []*replicaMember
-
-	ring   *Ring        // healthy members only; rebuilt on every transition
-	ringMu sync.RWMutex // guards replacing rs.ring and the lastHealthy set
-
-	lastHealthy map[string]bool // healthy-set snapshot behind the live ring
+	members map[string]*replicaMember // by ring name; fixed at construction
+	ring    *Ring                     // self plus every member; never mutated
 
 	repairPending  atomic.Int64 // repairs scheduled but not yet applied
 	writes         atomic.Int64 // successful remote replica writes
@@ -57,21 +65,20 @@ type ReplicatedStore struct {
 	closeOnce sync.Once
 	closed    chan struct{}
 
-	watchEvery    time.Duration
 	rebalanceRate int // keys per second streamed by one rebalance pass
 
 	rebalMu     sync.Mutex
+	health      map[string]bool // member health the last rebalance pass diffed up to
 	rebalCancel context.CancelFunc
 	rebalWG     sync.WaitGroup
 }
 
 // replicaMember is one remote peer's replication state.
 type replicaMember struct {
-	name  string
-	store Store
-	fal   FallibleStore // nil when store cannot surface errors
-	deg   func() bool   // breaker state (RetryStore.Degraded); nil = never
-	act   atomic.Bool   // coordinator/probe-driven liveness
+	store   Store         // owned: closed with the ReplicatedStore
+	fal     FallibleStore // store's error-surfacing half, resolved once
+	breaker *Breaker      // the store's breaker when it is a *RetryStore; nil = never quarantined
+	act     atomic.Bool   // administrative bar (SetMemberActive)
 }
 
 // ReplicaMember names one remote replica target, typically a *RetryStore
@@ -83,17 +90,6 @@ type ReplicaMember struct {
 
 // ReplicatedOption configures a ReplicatedStore.
 type ReplicatedOption func(*ReplicatedStore)
-
-// WithReplicaWatchInterval sets how often member health (breaker state) is
-// re-checked for ring churn. Tests drive it to milliseconds; production
-// defaults to 1s.
-func WithReplicaWatchInterval(d time.Duration) ReplicatedOption {
-	return func(rs *ReplicatedStore) {
-		if d > 0 {
-			rs.watchEvery = d
-		}
-	}
-}
 
 // WithRebalanceRate bounds an anti-entropy pass to about n keys per second
 // (default 128; n < 1 keeps the default). The pass is deliberately slow: it
@@ -115,167 +111,115 @@ const defaultRepairQueue = 256
 // store (nil for a diskless node), selfName its ring identity (matching how
 // peers name it, so every node derives the same owners; "" keeps this node
 // off the ring and makes it write-through only), replicas the R in "first R
-// distinct owners", and members the remote replica targets. The store owns
-// local and every member store: Close closes them all.
+// distinct owners", and members the remote replica targets (distinctly
+// named). The store owns local and every member store: Close closes them.
 func NewReplicatedStore(local Store, selfName string, replicas int, members []ReplicaMember, opts ...ReplicatedOption) *ReplicatedStore {
 	if replicas < 1 {
 		replicas = 2
 	}
 	rs := &ReplicatedStore{
-		local:         local,
+		local:         asLocalTier(local),
 		selfName:      selfName,
 		replicas:      replicas,
+		members:       make(map[string]*replicaMember, len(members)),
+		ring:          NewRing(0),
 		closed:        make(chan struct{}),
 		repairCh:      make(chan repairJob, defaultRepairQueue),
-		watchEvery:    time.Second,
 		rebalanceRate: 128,
-		lastHealthy:   make(map[string]bool),
+	}
+	if selfName != "" {
+		rs.ring.Add(selfName)
 	}
 	for _, m := range members {
-		mem := &replicaMember{name: m.Name, store: m.Store}
-		mem.fal, _ = m.Store.(FallibleStore)
-		if d, ok := m.Store.(interface{ Degraded() bool }); ok {
-			mem.deg = d.Degraded
+		mem := &replicaMember{store: m.Store, fal: asFallible(m.Store)}
+		if retry, ok := m.Store.(*RetryStore); ok {
+			mem.breaker = retry.breaker
+			mem.breaker.onChange = rs.memberChanged
 		}
 		mem.act.Store(true)
-		rs.members = append(rs.members, mem)
+		rs.members[m.Name] = mem
+		rs.ring.Add(m.Name)
 	}
 	for _, o := range opts {
 		o(rs)
 	}
-	rs.ring = rs.buildRing(rs.healthySet())
-	rs.lastHealthy = rs.healthySet()
+	rs.health = rs.snapshot()
 
 	rs.repairWG.Add(1)
 	go rs.repairLoop()
-	if len(rs.members) > 0 {
-		rs.repairWG.Add(1)
-		go rs.watchLoop()
-	}
 	return rs
 }
 
-// healthy reports whether a member may receive replica traffic right now:
-// marked active (coordinator probe) and not quarantined by its breaker.
+// healthy reports the member's health for snapshots, gauges and readiness:
+// not barred and its breaker closed. It never gates traffic — getErr and
+// putErr do, through Admit.
 func (m *replicaMember) healthy() bool {
-	return m.act.Load() && (m.deg == nil || !m.deg())
+	return m.act.Load() && (m.breaker == nil || !m.breaker.Open())
 }
 
-// healthySet snapshots every member's health, keyed by name.
-func (rs *ReplicatedStore) healthySet() map[string]bool {
+// getErr offers the member a read. ErrStoreQuarantined means it refused —
+// administratively barred, or its breaker is open with no probe due — and
+// the caller skips it as if it were off the ring.
+func (m *replicaMember) getErr(key string) (Result, bool, error) {
+	if !m.act.Load() {
+		return Result{}, false, ErrStoreQuarantined
+	}
+	return m.fal.GetErr(key)
+}
+
+// putErr offers the member a write; see getErr for the refusal contract.
+func (m *replicaMember) putErr(key string, res Result) error {
+	if !m.act.Load() {
+		return ErrStoreQuarantined
+	}
+	return m.fal.PutErr(key, res)
+}
+
+// snapshot records every member's health, keyed by name.
+func (rs *ReplicatedStore) snapshot() map[string]bool {
 	set := make(map[string]bool, len(rs.members))
-	for _, m := range rs.members {
-		set[m.name] = m.healthy()
+	for name, m := range rs.members {
+		set[name] = m.healthy()
 	}
 	return set
 }
 
-// buildRing constructs a ring over self plus the healthy members.
-func (rs *ReplicatedStore) buildRing(healthy map[string]bool) *Ring {
-	r := NewRing(0)
-	if rs.selfName != "" {
-		r.Add(rs.selfName)
-	}
-	for name, ok := range healthy {
-		if ok {
-			r.Add(name)
-		}
-	}
-	return r
-}
-
-// member returns the named remote member, or nil.
-func (rs *ReplicatedStore) member(name string) *replicaMember {
-	for _, m := range rs.members {
-		if m.name == name {
-			return m
-		}
-	}
-	return nil
-}
-
-// HasMember reports whether name is one of this store's remote replicas —
-// the coordinator uses it to route probe-driven liveness only to stores
-// that know the peer.
-func (rs *ReplicatedStore) HasMember(name string) bool { return rs.member(name) != nil }
-
-// SetMemberActive is the coordinator/probe hook: mark a member reachable or
-// not. A transition rebuilds the ring and kicks an anti-entropy pass
-// immediately rather than waiting for the watch tick.
+// SetMemberActive is the administrative bar: an inactive member is offered
+// no traffic at all (not even breaker probes) until it is re-activated. A
+// flip starts an anti-entropy pass like any other health transition.
 func (rs *ReplicatedStore) SetMemberActive(name string, active bool) {
-	m := rs.member(name)
-	if m == nil {
-		return
-	}
-	if m.act.Swap(active) != active {
-		rs.refreshRing()
+	if m := rs.members[name]; m != nil && m.act.Swap(active) != active {
+		rs.memberChanged()
 	}
 }
 
-// watchLoop re-checks member health on an interval, catching the churn the
-// coordinator hook can't see: a breaker tripping on traffic, or a half-open
-// probe succeeding against a recovered peer.
-func (rs *ReplicatedStore) watchLoop() {
-	defer rs.repairWG.Done()
-	t := time.NewTicker(rs.watchEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-rs.closed:
-			return
-		case <-t.C:
-			rs.refreshRing()
+// walk returns every node on the ring in the key's owner order.
+func (rs *ReplicatedStore) walk(key string) []string {
+	return rs.ring.Owners(key, len(rs.members)+1)
+}
+
+// owners returns the key's first R owners among self and the members the
+// snapshot calls healthy — exactly the owners of a ring built over only
+// those nodes.
+func (rs *ReplicatedStore) owners(key string, healthy map[string]bool) []string {
+	all := rs.walk(key)
+	out := all[:0]
+	for _, name := range all {
+		if len(out) == rs.replicas {
+			break
+		}
+		if name == rs.selfName || healthy[name] {
+			out = append(out, name)
 		}
 	}
-}
-
-// refreshRing rebuilds the ring if the healthy set changed since the last
-// build, and starts a rebalance pass for the transition. Cheap when nothing
-// changed.
-func (rs *ReplicatedStore) refreshRing() {
-	now := rs.healthySet()
-	rs.ringMu.Lock()
-	if equalSet(rs.lastHealthy, now) {
-		rs.ringMu.Unlock()
-		return
-	}
-	rs.lastHealthy = now
-	oldRing := rs.ring
-	rs.ring = rs.buildRing(now)
-	newRing := rs.ring
-	rs.ringMu.Unlock()
-	rs.startRebalance(oldRing, newRing)
-}
-
-func equalSet(a, b map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// currentRing returns the live ring snapshot.
-func (rs *ReplicatedStore) currentRing() *Ring {
-	rs.ringMu.RLock()
-	defer rs.ringMu.RUnlock()
-	return rs.ring
-}
-
-// owners returns the key's first R distinct owners on the live ring.
-func (rs *ReplicatedStore) owners(key string) []string {
-	return rs.currentRing().Owners(key, rs.replicas)
+	return out
 }
 
 // Get implements Store: local tier first, then the key's owners in ring
-// order. A hit served by a non-primary replica schedules an asynchronous
-// read-repair to the local tier and every earlier-ordered owner that
-// cleanly missed; a total miss lets the farm recompute (whose Put then
-// re-replicates the result).
+// order until R have answered. A hit served by a non-primary replica
+// schedules an asynchronous read-repair to the local tier and every
+// earlier-ordered owner that cleanly missed; a total miss lets the farm
+// recompute (whose Put then re-replicates the result).
 func (rs *ReplicatedStore) Get(key string) (Result, bool) {
 	if rs.local != nil {
 		if res, ok := rs.local.Get(key); ok {
@@ -283,15 +227,21 @@ func (rs *ReplicatedStore) Get(key string) (Result, bool) {
 		}
 	}
 	var missed []*replicaMember // owners that answered a clean miss before the hit
-	for _, name := range rs.owners(key) {
-		if name == rs.selfName {
-			continue // the local tier already missed
+	owned := 0
+	for _, name := range rs.walk(key) {
+		if owned == rs.replicas {
+			break
 		}
-		m := rs.member(name)
-		if m == nil || !m.healthy() {
+		if name == rs.selfName {
+			owned++ // the local tier already missed
 			continue
 		}
-		res, ok, err := memberGet(m, key)
+		m := rs.members[name]
+		res, ok, err := m.getErr(key)
+		if errors.Is(err, ErrStoreQuarantined) {
+			continue // refused: the next owner takes its place
+		}
+		owned++
 		if err != nil {
 			continue // unreachable replica: not a miss, not repairable now
 		}
@@ -305,94 +255,56 @@ func (rs *ReplicatedStore) Get(key string) (Result, bool) {
 	return Result{}, false
 }
 
-// memberGet reads from one replica, distinguishing clean misses from
-// transport failures when the member can report them.
-func memberGet(m *replicaMember, key string) (Result, bool, error) {
-	if m.fal != nil {
-		return m.fal.GetErr(key)
-	}
-	res, ok := m.store.Get(key)
-	return res, ok, nil
-}
-
 // Put implements Store: the local tier synchronously (this node's own
-// cache), then the key's remote owners through their breakers. Per-replica
-// failure is tolerated — the write needs one copy to land, and the counters
-// plus later repair handle the rest.
+// cache), then the key's remote owners through their breakers until R
+// owners have been offered the write. Per-replica failure is tolerated —
+// the write needs one copy to land, and the counters plus later repair
+// handle the rest.
 func (rs *ReplicatedStore) Put(key string, res Result) {
 	if rs.local != nil {
 		rs.local.Put(key, res)
 	}
-	for _, name := range rs.owners(key) {
-		if name == rs.selfName {
-			continue // the synchronous local write is self's copy
+	owned := 0
+	for _, name := range rs.walk(key) {
+		if owned == rs.replicas {
+			break
 		}
-		m := rs.member(name)
-		if m == nil || !m.healthy() {
+		if name == rs.selfName {
+			owned++ // the synchronous local write is self's copy
 			continue
 		}
-		if err := memberPut(m, key, res); err != nil {
-			rs.failures.Add(1)
-		} else {
-			rs.writes.Add(1)
+		if rs.replicate(rs.members[name], key, res, &rs.writes) {
+			owned++ // a member that refused leaves its place to the next owner
 		}
 	}
 }
 
-// memberPut writes to one replica, reporting failure when the member can.
-func memberPut(m *replicaMember, key string, res Result) error {
-	if m.fal != nil {
-		return m.fal.PutErr(key, res)
+// replicate offers m one copy of res and counts the outcome: a failure
+// against the store, a success into landed. It reports false when m refused
+// the write (see getErr) and therefore took no part.
+func (rs *ReplicatedStore) replicate(m *replicaMember, key string, res Result, landed *atomic.Int64) bool {
+	switch err := m.putErr(key, res); {
+	case errors.Is(err, ErrStoreQuarantined):
+		return false
+	case err != nil:
+		rs.failures.Add(1)
+	default:
+		landed.Add(1)
 	}
-	m.store.Put(key, res)
-	return nil
+	return true
 }
 
-// GetLocal implements the farm's local-only lookup (the peer wire
-// protocol's read half): a remote node asking "do you have this" must see
-// only this node's own storage — answering from a third replica would
-// bounce peer GETs around the ring forever.
-func (rs *ReplicatedStore) GetLocal(key string) (Result, bool) {
-	if rs.local == nil {
-		return Result{}, false
-	}
-	return rs.local.Get(key)
-}
-
-// PutLocal implements the farm's local-only write (the peer wire protocol's
-// write half): a replica frame pushed by a peer lands in this node's own
-// storage and nowhere else — re-fanning it out would cascade one logical
-// Put into N² replica writes.
-func (rs *ReplicatedStore) PutLocal(key string, res Result) {
-	if rs.local == nil {
-		return
-	}
-	rs.local.Put(key, res)
-}
-
-// GetRemote consults only the key's remote replicas — the scrubber's repair
-// source: after deleting a corrupt local entry the replacement must come
-// from a peer's copy, never from the damaged local tier.
+// GetRemote consults only remote replicas — the scrubber's repair source:
+// after deleting a corrupt local entry the replacement must come from a
+// peer's copy, never from the damaged local tier. Members are asked in the
+// key's ring order, all of them: when ownership has moved or the owners
+// are down, any replica that still holds a copy beats recomputing.
 func (rs *ReplicatedStore) GetRemote(key string) (Result, bool) {
-	for _, name := range rs.owners(key) {
+	for _, name := range rs.walk(key) {
 		if name == rs.selfName {
 			continue
 		}
-		m := rs.member(name)
-		if m == nil || !m.healthy() {
-			continue
-		}
-		if res, ok, err := memberGet(m, key); err == nil && ok {
-			return res, true
-		}
-	}
-	// Not an owner's key (ownership moved) or owners are down: any replica
-	// that still holds a copy beats recomputing.
-	for _, m := range rs.members {
-		if !m.healthy() {
-			continue
-		}
-		if res, ok, err := memberGet(m, key); err == nil && ok {
+		if res, ok, err := rs.members[name].getErr(key); err == nil && ok {
 			return res, true
 		}
 	}
@@ -435,99 +347,79 @@ func (rs *ReplicatedStore) repairLoop() {
 				rs.repairs.Add(1)
 			}
 			for _, m := range job.targets {
-				if !m.healthy() {
-					continue
-				}
-				if err := memberPut(m, job.key, job.res); err != nil {
-					rs.failures.Add(1)
-				} else {
-					rs.repairs.Add(1)
-				}
+				rs.replicate(m, job.key, job.res, &rs.repairs)
 			}
 			rs.repairPending.Add(-1)
 		}
 	}
 }
 
-// keyLister is the local-store capability anti-entropy needs (DiskStore.Keys,
-// forwarded by RetryStore).
-type keyLister interface {
-	Keys(fn func(key string) bool)
-}
-
-// peeker is the stat-less read capability the rebalancer streams from.
-type peeker interface {
-	Peek(key string) (Result, bool)
-}
-
-// startRebalance launches one anti-entropy pass for a ring transition,
-// cancelling any pass still running from a previous transition (its
-// remaining work is subsumed: the new pass diffs against the same local
-// key set with the newest ring).
-func (rs *ReplicatedStore) startRebalance(oldRing, newRing *Ring) {
-	lister, okL := rs.local.(keyLister)
-	pk, okP := rs.local.(peeker)
-	if !okL || !okP {
-		return
+// memberChanged is the one churn hook: a member's breaker fires it on every
+// open/close transition, SetMemberActive on every flip. It advances the
+// health snapshot and starts an anti-entropy pass over the difference,
+// cancelling any pass still running from a previous transition.
+func (rs *ReplicatedStore) memberChanged() {
+	if rs.local == nil {
+		return // nothing held locally to stream
 	}
 	rs.rebalMu.Lock()
+	defer rs.rebalMu.Unlock()
+	select {
+	case <-rs.closed:
+		return
+	default:
+	}
+	old, now := rs.health, rs.snapshot()
+	if maps.Equal(old, now) {
+		return // e.g. a breaker moving under the administrative bar
+	}
+	rs.health = now
 	if rs.rebalCancel != nil {
 		rs.rebalCancel()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	rs.rebalCancel = cancel
 	rs.rebalWG.Add(1)
-	rs.rebalMu.Unlock()
-
 	go func() {
 		defer rs.rebalWG.Done()
 		defer cancel()
-		rs.rebalance(ctx, oldRing, newRing, lister, pk)
+		rs.rebalance(ctx, old, now)
 	}()
 }
 
-// rebalance streams every locally-held key whose ownership set gained a
-// member to those new owners, paced to the configured rate so a recovering
-// peer is repopulated without being saturated.
-func (rs *ReplicatedStore) rebalance(ctx context.Context, oldRing, newRing *Ring, lister keyLister, pk peeker) {
+// rebalance streams every locally-held key whose owners gained a member
+// between the two health snapshots to those new owners, paced to the
+// configured rate so a recovering peer is repopulated without being
+// saturated.
+func (rs *ReplicatedStore) rebalance(ctx context.Context, old, now map[string]bool) {
 	pace := time.Second / time.Duration(rs.rebalanceRate)
-	lister.Keys(func(key string) bool {
+	rs.local.Keys(func(key string) bool {
 		select {
 		case <-ctx.Done():
 			return false
-		case <-rs.closed:
-			return false
 		default:
 		}
-		oldOwners := make(map[string]bool)
-		for _, n := range oldRing.Owners(key, rs.replicas) {
-			oldOwners[n] = true
-		}
-		moved, peeked := false, false
+		was := rs.owners(key, old)
+		offered, peeked := false, false
 		var res Result
-		for _, name := range newRing.Owners(key, rs.replicas) {
-			if name == rs.selfName || oldOwners[name] {
-				continue
-			}
-			m := rs.member(name)
-			if m == nil || !m.healthy() {
+		for _, name := range rs.owners(key, now) {
+			if name == rs.selfName || slices.Contains(was, name) {
 				continue
 			}
 			if !peeked {
 				var ok bool
-				if res, ok = pk.Peek(key); !ok {
+				if res, ok = rs.local.Peek(key); !ok {
 					break // entry vanished mid-pass (evicted); nothing to stream
 				}
 				peeked = true
 			}
-			if err := memberPut(m, key, res); err != nil {
-				rs.failures.Add(1)
-			} else {
-				rs.rebalanced.Add(1)
-				moved = true
+			// A refusal means the member flipped again mid-pass; that
+			// transition's own pass covers it.
+			if rs.replicate(rs.members[name], key, res, &rs.rebalanced) {
+				offered = true
 			}
 		}
-		if moved && pace > 0 {
+		if offered && pace > 0 {
 			select {
 			case <-ctx.Done():
 				return false
@@ -538,29 +430,27 @@ func (rs *ReplicatedStore) rebalance(ctx context.Context, oldRing, newRing *Ring
 	})
 }
 
+// healthyMembers counts the remote members currently healthy.
+func (rs *ReplicatedStore) healthyMembers() int {
+	n := 0
+	for _, m := range rs.members {
+		if m.healthy() {
+			n++
+		}
+	}
+	return n
+}
+
 // ReplicationDegraded reports whether fewer than R of the key space's
 // potential owners (this node plus its members) are currently reachable —
 // new writes cannot reach their full replica count, so the node should
 // advertise not-ready and let traffic land where durability is intact.
 func (rs *ReplicatedStore) ReplicationDegraded() bool {
-	want := rs.replicas
-	total := len(rs.members)
+	self := 0
 	if rs.selfName != "" || rs.local != nil {
-		total++
+		self = 1 // the local tier is always reachable from here
 	}
-	if want > total {
-		want = total
-	}
-	healthy := 0
-	if rs.selfName != "" || rs.local != nil {
-		healthy++ // the local tier is always reachable from here
-	}
-	for _, m := range rs.members {
-		if m.healthy() {
-			healthy++
-		}
-	}
-	return healthy < want
+	return rs.healthyMembers()+self < min(rs.replicas, len(rs.members)+self)
 }
 
 // ReplicaStats is the replication tier's health and counter snapshot.
@@ -577,8 +467,9 @@ type ReplicaStats struct {
 
 // ReplicaStats snapshots the replication counters for /metrics.
 func (rs *ReplicatedStore) ReplicaStats() ReplicaStats {
-	st := ReplicaStats{
+	return ReplicaStats{
 		Members:        len(rs.members),
+		Healthy:        rs.healthyMembers(),
 		Writes:         rs.writes.Load(),
 		Failures:       rs.failures.Load(),
 		Repairs:        rs.repairs.Load(),
@@ -586,12 +477,6 @@ func (rs *ReplicatedStore) ReplicaStats() ReplicaStats {
 		Rebalanced:     rs.rebalanced.Load(),
 		Degraded:       rs.ReplicationDegraded(),
 	}
-	for _, m := range rs.members {
-		if m.healthy() {
-			st.Healthy++
-		}
-	}
-	return st
 }
 
 // Stats implements Store: the local tier's counters (the farm reports this
@@ -607,12 +492,12 @@ func (rs *ReplicatedStore) Stats() StoreStats {
 	return st
 }
 
-// Close implements Store: stop the watcher, the repair worker and any
-// rebalance in flight, then close the local tier and every member store.
+// Close implements Store: stop the repair worker and any rebalance in
+// flight, then close the local tier and every member store.
 func (rs *ReplicatedStore) Close() error {
 	rs.closeOnce.Do(func() {
+		rs.rebalMu.Lock() // no pass can start once closed is observed under it
 		close(rs.closed)
-		rs.rebalMu.Lock()
 		if rs.rebalCancel != nil {
 			rs.rebalCancel()
 		}
@@ -644,42 +529,4 @@ func (rs *ReplicatedStore) Flush() {
 			time.Sleep(time.Millisecond)
 		}
 	}
-}
-
-// Entries forwards the local tier's Warm streaming capability.
-func (rs *ReplicatedStore) Entries(newest int, newestBytes int64, fn func(key string, res Result) bool) {
-	if lister, ok := rs.local.(entryLister); ok {
-		lister.Entries(newest, newestBytes, fn)
-	}
-}
-
-// Keys forwards the local tier's key iterator (scrub scheduling).
-func (rs *ReplicatedStore) Keys(fn func(key string) bool) {
-	if lister, ok := rs.local.(keyLister); ok {
-		lister.Keys(fn)
-	}
-}
-
-// Scrub forwards a frame verification to the local tier.
-func (rs *ReplicatedStore) Scrub(key string) ScrubOutcome {
-	if sc, ok := rs.local.(interface{ Scrub(key string) ScrubOutcome }); ok {
-		return sc.Scrub(key)
-	}
-	return ScrubMissing
-}
-
-// Dir forwards the local tier's directory for Limits reporting.
-func (rs *ReplicatedStore) Dir() string {
-	if d, ok := rs.local.(interface{ Dir() string }); ok {
-		return d.Dir()
-	}
-	return ""
-}
-
-// MaxBytes forwards the local tier's byte bound for Limits reporting.
-func (rs *ReplicatedStore) MaxBytes() int64 {
-	if mb, ok := rs.local.(interface{ MaxBytes() int64 }); ok {
-		return mb.MaxBytes()
-	}
-	return 0
 }

@@ -23,8 +23,7 @@ func replicaFixture(t *testing.T, replicas int) (*ReplicatedStore, *scriptedStor
 		{Name: "b", Store: peers["b"]},
 		{Name: "c", Store: peers["c"]},
 	}
-	rs := NewReplicatedStore(local, "self", replicas, members,
-		WithReplicaWatchInterval(time.Hour))
+	rs := NewReplicatedStore(local, "self", replicas, members)
 	t.Cleanup(func() { rs.Close() })
 	ring := NewRing(0)
 	for _, n := range []string{"self", "a", "b", "c"} {
@@ -156,7 +155,7 @@ func TestReplicatedRingRebalanceOnChurn(t *testing.T) {
 	a, b := newScriptedStore(), newScriptedStore()
 	rs := NewReplicatedStore(ds, "self", 2,
 		[]ReplicaMember{{Name: "a", Store: a}, {Name: "b", Store: b}},
-		WithReplicaWatchInterval(time.Hour), WithRebalanceRate(1<<20))
+		WithRebalanceRate(1<<20))
 	defer rs.Close()
 
 	// b is down while the sweep runs: every result lands on self and a only.
@@ -207,6 +206,92 @@ func TestReplicatedRingRebalanceOnChurn(t *testing.T) {
 	}
 }
 
+// TestReplicatedBreakerReclosesAndRejoins pins "rejoin on recovery": a
+// member whose breaker tripped keeps being offered one real operation per
+// probe interval (the gate is Admit, never "is it open"), the first probe
+// that succeeds closes the breaker, the transition starts a rebalance that
+// streams the member the keys it missed, and later writes land on it again.
+func TestReplicatedBreakerReclosesAndRejoins(t *testing.T) {
+	ds, err := NewDiskStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := RetryPolicy{TripAfter: 1, ProbeEvery: time.Second}
+	peer := newScriptedStore()
+	member := NewRetryStore(peer, policy)
+	now := time.Unix(1000, 0)
+	member.breaker.now = func() time.Time { return now }
+	rs := NewReplicatedStore(ds, "self", 2, []ReplicaMember{{Name: "peer", Store: member}},
+		WithRebalanceRate(1<<20))
+	defer rs.Close()
+
+	// One failed Put trips the breaker; the peer heals straight away.
+	peer.script(0, 1)
+	rs.Put(storeKey(0), fakeResult(0, 4))
+	if st := rs.ReplicaStats(); st.Healthy != 0 || st.Failures != 1 || !st.Degraded {
+		t.Fatalf("after the failed put: %+v, want 0 healthy, 1 failure, degraded", st)
+	}
+
+	// traffic keeps reading and writing through the store, as a farm would.
+	next := 1
+	traffic := func(n int) {
+		for i := 0; i < n; i++ {
+			rs.Put(storeKey(next), fakeResult(next, 4))
+			rs.Get(storeKey(1_000_000 + next)) // a miss everywhere: reaches the owner walk
+			next++
+		}
+	}
+	offered := func() int { gets, puts := peer.counts(); return gets + puts }
+
+	// Inside the first probe window nothing reaches the quarantined member.
+	traffic(5)
+	if got := offered(); got != 1 {
+		t.Fatalf("quarantined member was offered %d operations inside the probe window, want only the 1 that tripped it", got)
+	}
+	// Second window: exactly one probe goes through; it fails, the breaker
+	// stays open and the rest of the window is refused again.
+	now = now.Add(policy.ProbeEvery)
+	peer.script(1, 1)
+	traffic(5)
+	if got := offered(); got != 2 {
+		t.Fatalf("open breaker let %d operations through in one probe window, want exactly 1 probe", got-1)
+	}
+	if st := rs.ReplicaStats(); st.Healthy != 0 {
+		t.Fatalf("failed probe closed the breaker: %+v", st)
+	}
+	// Third window: the peer is healthy, the probe succeeds, the member rejoins.
+	peer.script(0, 0)
+	now = now.Add(policy.ProbeEvery)
+	traffic(1)
+	if st := rs.ReplicaStats(); st.Healthy != 1 || st.Degraded {
+		t.Fatalf("member never rejoined after a successful probe: %+v", st)
+	}
+
+	// The close transition started a rebalance (synchronously, from the
+	// probe's own goroutine): every key written during the outage reaches
+	// the member without a single new Put.
+	rs.rebalWG.Wait()
+	missed := next - 1 // keys 0..next-2 were written while the member was out
+	for i := 0; i < missed; i++ {
+		if _, ok := peer.Get(storeKey(i)); !ok {
+			t.Errorf("rebalance never streamed key %d to the recovered member", i)
+		}
+	}
+	if st := rs.ReplicaStats(); st.Rebalanced < int64(missed) {
+		t.Errorf("rebalanced counter %d, want >= %d", st.Rebalanced, missed)
+	}
+
+	// Normal service: later writes land on the member directly.
+	writes := rs.ReplicaStats().Writes
+	rs.Put(storeKey(next), fakeResult(next, 4))
+	if _, ok := peer.Get(storeKey(next)); !ok {
+		t.Error("a Put after recovery did not land on the member")
+	}
+	if got := rs.ReplicaStats().Writes; got != writes+1 {
+		t.Errorf("replica writes %d after the post-recovery Put, want %d", got, writes+1)
+	}
+}
+
 // TestChaosScrubRepairsCorruptEntry pins the scrubber: an injected on-disk
 // corruption is found by the CRC re-verification, the damaged frame is
 // deleted, and the slot is refilled byte-identically from a replica.
@@ -218,8 +303,7 @@ func TestChaosScrubRepairsCorruptEntry(t *testing.T) {
 	}
 	peer := newScriptedStore()
 	rs := NewReplicatedStore(ds, "self", 2,
-		[]ReplicaMember{{Name: "peer", Store: peer}},
-		WithReplicaWatchInterval(time.Hour))
+		[]ReplicaMember{{Name: "peer", Store: peer}})
 	defer rs.Close()
 
 	key := storeKey(1)
@@ -240,7 +324,7 @@ func TestChaosScrubRepairsCorruptEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	scr := NewScrubber(rs, 0, rs.GetRemote)
+	scr := NewScrubber(ds, 0, rs.GetRemote)
 	defer scr.Stop()
 	if n := scr.RunPass(); n != 1 {
 		t.Fatalf("scrub pass scanned %d entries, want 1", n)

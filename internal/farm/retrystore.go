@@ -2,8 +2,7 @@ package farm
 
 import (
 	"errors"
-	"math/rand"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -59,12 +58,12 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-// RetryStore wraps a fallible Store (typically a *DiskStore) with transient
-// fault tolerance:
+// RetryStore wraps a Store (typically a *DiskStore or a *PeerStore) with
+// transient fault tolerance:
 //
 //   - A failed Get or Put is retried with bounded exponential back-off —
 //     a brief I/O hiccup costs latency, never a recomputed or lost result.
-//   - A tier that keeps failing is quarantined by a health breaker: after
+//   - A tier that keeps failing is quarantined by its Breaker: after
 //     TripAfter consecutive exhausted operations the store goes degraded,
 //     answering every Get with an instant miss and dropping every Put, so a
 //     dying disk cannot stall the farm's workers. The farm keeps producing
@@ -73,94 +72,32 @@ func DefaultRetryPolicy() RetryPolicy {
 //     as a probe; the first success closes the breaker and the tier
 //     resumes normal service, re-populated by the write-through traffic.
 //
-// If the wrapped store does not implement FallibleStore it cannot report
-// failure, so RetryStore degenerates to a plain pass-through. The optional
-// capabilities the farm probes for — entry streaming for Warm, Dir and
-// MaxBytes for Limits — are forwarded to the wrapped store.
+// A wrapped store that cannot report failure never trips the breaker, so
+// the wrapper is a plain pass-through for it. RetryStore is itself a
+// LocalTier: the wrapped tier's walkable view passes through behind the
+// breaker (see tier).
 type RetryStore struct {
-	inner  Store
-	fal    FallibleStore // nil when inner cannot surface errors
-	policy RetryPolicy
+	inner   LocalTier     // the wrapped store's local-tier view, resolved once
+	fal     FallibleStore // its error-surfacing half, resolved once
+	policy  RetryPolicy
+	breaker *Breaker
 
-	// now, sleep and rand are the clock/randomness seams the fault-injection
-	// tests use to drive breaker timing deterministically; production uses
-	// the real ones.
-	now   func() time.Time
-	sleep func(time.Duration)
-	rand  func() float64
-
-	mu        sync.Mutex
-	failures  int       // consecutive operations that exhausted their retries
-	open      bool      // breaker state: open = quarantined
-	nextProbe time.Time // earliest moment an open breaker admits a probe
-	retries   int64
-	trips     int64
+	// sleep is the back-off seam of the fault-injection tests (the clock and
+	// randomness seams live on the breaker); production uses time.Sleep.
+	sleep   func(time.Duration)
+	retries atomic.Int64
 }
 
 // NewRetryStore wraps inner with policy. The wrapper owns inner: closing
 // the RetryStore closes it.
 func NewRetryStore(inner Store, policy RetryPolicy) *RetryStore {
-	if policy.ProbeEvery <= 0 {
-		policy.ProbeEvery = time.Second
-	}
-	if policy.Jitter < 0 {
-		policy.Jitter = 0
-	}
-	if policy.Jitter > 1 {
-		policy.Jitter = 1
-	}
-	fal, _ := inner.(FallibleStore)
 	return &RetryStore{
-		inner:  inner,
-		fal:    fal,
-		policy: policy,
-		now:    time.Now,
-		sleep:  time.Sleep,
-		rand:   rand.Float64,
+		inner:   asLocalTier(inner),
+		fal:     asFallible(inner),
+		policy:  policy,
+		breaker: NewBreaker(policy),
+		sleep:   time.Sleep,
 	}
-}
-
-// admit reports whether an operation may touch the wrapped store right now:
-// always when the breaker is closed, and once per probe interval when open.
-func (rs *RetryStore) admit() bool {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if !rs.open {
-		return true
-	}
-	if now := rs.now(); !now.Before(rs.nextProbe) {
-		rs.nextProbe = now.Add(rs.jittered(rs.policy.ProbeEvery)) // claim this probe slot
-		return true
-	}
-	return false
-}
-
-// ok records a successful operation (including a successful probe), closing
-// the breaker and resetting the failure streak.
-func (rs *RetryStore) ok() {
-	rs.mu.Lock()
-	rs.failures = 0
-	rs.open = false
-	rs.mu.Unlock()
-}
-
-// fail records an operation that exhausted its retries, tripping the
-// breaker once the streak reaches the policy's threshold.
-func (rs *RetryStore) fail() {
-	rs.mu.Lock()
-	rs.failures++
-	trip := rs.policy.TripAfter
-	if trip < 1 {
-		trip = 1
-	}
-	if rs.failures >= trip && !rs.open {
-		rs.open = true
-		rs.trips++
-	}
-	if rs.open {
-		rs.nextProbe = rs.now().Add(rs.jittered(rs.policy.ProbeEvery))
-	}
-	rs.mu.Unlock()
 }
 
 // backoff returns the delay before retry attempt (0-based), doubling from
@@ -180,26 +117,35 @@ func (rs *RetryStore) backoff(attempt int) time.Duration {
 	if rs.policy.MaxDelay > 0 && d > rs.policy.MaxDelay {
 		d = rs.policy.MaxDelay
 	}
-	return rs.jittered(d)
-}
-
-// jittered spreads d by a random factor in [1-Jitter, 1+Jitter]. With
-// Jitter 0 it returns d unchanged.
-func (rs *RetryStore) jittered(d time.Duration) time.Duration {
-	j := rs.policy.Jitter
-	if j <= 0 || d <= 0 {
-		return d
-	}
-	f := 1 + j*(2*rs.rand()-1)
-	return time.Duration(float64(d) * f)
+	return rs.breaker.jittered(d)
 }
 
 // Degraded reports whether the breaker is open — the tier is quarantined
 // and the farm is running memory-only.
-func (rs *RetryStore) Degraded() bool {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.open
+func (rs *RetryStore) Degraded() bool { return rs.breaker.Open() }
+
+// do runs one operation through the breaker gate and the retry loop: a
+// quarantined tier answers ErrStoreQuarantined without touching the wrapped
+// store, and an operation that exhausts its retries answers the last
+// underlying error — the taxonomy composing tiers rely on (the replicated
+// store counts per-replica failures and skips quarantined members).
+func (rs *RetryStore) do(op func() error) error {
+	if !rs.breaker.Admit() {
+		return ErrStoreQuarantined
+	}
+	for attempt := 0; ; attempt++ {
+		err := op()
+		if err == nil {
+			rs.breaker.Success()
+			return nil
+		}
+		if attempt >= rs.policy.MaxRetries {
+			rs.breaker.Failure()
+			return err
+		}
+		rs.retries.Add(1)
+		rs.sleep(rs.backoff(attempt))
+	}
 }
 
 // Get implements Store. A quarantined tier answers an instant miss; a
@@ -211,151 +157,55 @@ func (rs *RetryStore) Get(key string) (Result, bool) {
 	return res, ok
 }
 
-// GetErr implements FallibleStore, exposing to composing tiers (the
-// replicated store counts per-replica failures) what Get absorbs: a
-// quarantined tier answers ErrStoreQuarantined, and an operation that
-// exhausts its retries answers the last underlying error.
-func (rs *RetryStore) GetErr(key string) (Result, bool, error) {
-	if rs.fal == nil {
-		res, ok := rs.inner.Get(key)
-		return res, ok, nil
+// GetErr implements FallibleStore, exposing what Get absorbs; see do.
+func (rs *RetryStore) GetErr(key string) (res Result, ok bool, err error) {
+	err = rs.do(func() (e error) { res, ok, e = rs.fal.GetErr(key); return e })
+	if err != nil {
+		return Result{}, false, err
 	}
-	if !rs.admit() {
-		return Result{}, false, ErrStoreQuarantined
-	}
-	for attempt := 0; ; attempt++ {
-		res, ok, err := rs.fal.GetErr(key)
-		if err == nil {
-			rs.ok()
-			return res, ok, nil
-		}
-		if attempt >= rs.policy.MaxRetries {
-			rs.fail()
-			return Result{}, false, err
-		}
-		rs.count(func() { rs.retries++ })
-		rs.sleep(rs.backoff(attempt))
-	}
+	return res, ok, nil
 }
 
 // Put implements Store. A quarantined tier drops the write — the result
 // stays correct in the memory tier and is re-persisted by later traffic
 // once the disk recovers.
-func (rs *RetryStore) Put(key string, res Result) {
-	rs.PutErr(key, res)
-}
+func (rs *RetryStore) Put(key string, res Result) { rs.PutErr(key, res) }
 
-// PutErr implements FallibleStore; see GetErr for the error taxonomy.
+// PutErr implements FallibleStore, exposing what Put absorbs; see do.
 func (rs *RetryStore) PutErr(key string, res Result) error {
-	if rs.fal == nil {
-		rs.inner.Put(key, res)
-		return nil
-	}
-	if !rs.admit() {
-		return ErrStoreQuarantined
-	}
-	for attempt := 0; ; attempt++ {
-		err := rs.fal.PutErr(key, res)
-		if err == nil {
-			rs.ok()
-			return nil
-		}
-		if attempt >= rs.policy.MaxRetries {
-			rs.fail()
-			return err
-		}
-		rs.count(func() { rs.retries++ })
-		rs.sleep(rs.backoff(attempt))
-	}
-}
-
-func (rs *RetryStore) count(f func()) {
-	rs.mu.Lock()
-	f()
-	rs.mu.Unlock()
+	return rs.do(func() error { return rs.fal.PutErr(key, res) })
 }
 
 // Stats implements Store: the wrapped tier's counters annotated with the
 // wrapper's retry, trip and quarantine state.
 func (rs *RetryStore) Stats() StoreStats {
 	st := rs.inner.Stats()
-	rs.mu.Lock()
-	st.Retries = rs.retries
-	st.Trips = rs.trips
-	st.Degraded = rs.open
-	rs.mu.Unlock()
+	st.Retries = rs.retries.Load()
+	st.Trips = rs.breaker.Trips()
+	st.Degraded = rs.breaker.Open()
 	return st
 }
 
 // Close implements Store, closing the wrapped tier.
 func (rs *RetryStore) Close() error { return rs.inner.Close() }
 
-// Entries forwards the Warm streaming capability when the wrapped store has
-// it; a quarantined tier streams nothing (warming must not stall on a dying
-// disk).
+// tier is the breaker gate in front of the wrapped tier's walkable view:
+// while quarantined it is the empty view, so warming, rebalancing and
+// scrubbing never touch a dying disk. These reads cannot heal the tier, so
+// they look at Open instead of spending a probe slot with Admit.
+func (rs *RetryStore) tier() LocalTier {
+	if rs.breaker.Open() {
+		return noLocalTier{}
+	}
+	return rs.inner
+}
+
+// The LocalTier methods: the wrapped tier's, behind the gate.
 func (rs *RetryStore) Entries(newest int, newestBytes int64, fn func(key string, res Result) bool) {
-	if rs.Degraded() {
-		return
-	}
-	if lister, ok := rs.inner.(interface {
-		Entries(newest int, newestBytes int64, fn func(key string, res Result) bool)
-	}); ok {
-		lister.Entries(newest, newestBytes, fn)
-	}
+	rs.tier().Entries(newest, newestBytes, fn)
 }
-
-// Keys forwards the key-iteration capability (rebalance/scrub source) when
-// the wrapped store has it; a quarantined tier streams nothing.
-func (rs *RetryStore) Keys(fn func(key string) bool) {
-	if rs.Degraded() {
-		return
-	}
-	if ks, ok := rs.inner.(interface {
-		Keys(fn func(key string) bool)
-	}); ok {
-		ks.Keys(fn)
-	}
-}
-
-// Peek forwards the stat-less read capability (rebalance source) when the
-// wrapped store has it; a quarantined tier answers a miss.
-func (rs *RetryStore) Peek(key string) (Result, bool) {
-	if rs.Degraded() {
-		return Result{}, false
-	}
-	if pk, ok := rs.inner.(interface {
-		Peek(key string) (Result, bool)
-	}); ok {
-		return pk.Peek(key)
-	}
-	return Result{}, false
-}
-
-// Scrub forwards the frame-verification capability when the wrapped store
-// has it; a quarantined tier reports the entry missing rather than touching
-// a dying disk.
-func (rs *RetryStore) Scrub(key string) ScrubOutcome {
-	if rs.Degraded() {
-		return ScrubMissing
-	}
-	if sc, ok := rs.inner.(interface{ Scrub(key string) ScrubOutcome }); ok {
-		return sc.Scrub(key)
-	}
-	return ScrubMissing
-}
-
-// Dir forwards the wrapped store's directory for Limits reporting.
-func (rs *RetryStore) Dir() string {
-	if d, ok := rs.inner.(interface{ Dir() string }); ok {
-		return d.Dir()
-	}
-	return ""
-}
-
-// MaxBytes forwards the wrapped store's byte bound for Limits reporting.
-func (rs *RetryStore) MaxBytes() int64 {
-	if mb, ok := rs.inner.(interface{ MaxBytes() int64 }); ok {
-		return mb.MaxBytes()
-	}
-	return 0
-}
+func (rs *RetryStore) Keys(fn func(key string) bool)  { rs.tier().Keys(fn) }
+func (rs *RetryStore) Peek(key string) (Result, bool) { return rs.tier().Peek(key) }
+func (rs *RetryStore) Scrub(key string) ScrubOutcome  { return rs.tier().Scrub(key) }
+func (rs *RetryStore) Dir() string                    { return rs.inner.Dir() }
+func (rs *RetryStore) MaxBytes() int64                { return rs.inner.MaxBytes() }

@@ -70,7 +70,7 @@ func testClockStore(policy RetryPolicy) (*RetryStore, *scriptedStore, *time.Time
 	rs := NewRetryStore(inner, policy)
 	now := time.Unix(1000, 0)
 	var slept []time.Duration
-	rs.now = func() time.Time { return now }
+	rs.breaker.now = func() time.Time { return now }
 	rs.sleep = func(d time.Duration) { slept = append(slept, d) }
 	return rs, inner, &now, &slept
 }
@@ -231,7 +231,7 @@ func TestRetryStoreFaultJitterSpreadsBackoffAndProbe(t *testing.T) {
 	defer rs.Close()
 	// Scripted randomness: 0 → factor 1-j, 1 → factor 1+j.
 	rolls, i := []float64{0, 1, 0.5}, 0
-	rs.rand = func() float64 { v := rolls[i%len(rolls)]; i++; return v }
+	rs.breaker.rand = func() float64 { v := rolls[i%len(rolls)]; i++; return v }
 
 	// Two scripted failures: one retry (jittered back-off), then the trip
 	// (jittered probe deadline).
@@ -274,7 +274,7 @@ func TestRetryStoreFaultZeroJitterDeterministic(t *testing.T) {
 	policy := RetryPolicy{MaxRetries: 2, BaseDelay: 4 * time.Millisecond, MaxDelay: time.Second, TripAfter: 3, ProbeEvery: time.Second}
 	rs, inner, _, slept := testClockStore(policy)
 	defer rs.Close()
-	rs.rand = func() float64 { t.Fatal("jitter 0 consulted the randomness source"); return 0 }
+	rs.breaker.rand = func() float64 { t.Fatal("jitter 0 consulted the randomness source"); return 0 }
 	inner.Put(testKey(2), Result{})
 	inner.script(2, 0)
 	if _, ok := rs.Get(testKey(2)); !ok {

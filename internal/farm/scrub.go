@@ -6,23 +6,6 @@ import (
 	"time"
 )
 
-// scrubStore is what the scrubber needs from the tier it patrols: key
-// iteration, in-place frame verification, and a local write to land a
-// repaired copy. *DiskStore provides the first two directly; behind a
-// *ReplicatedStore the same calls reach the local tier through its
-// forwarders while repairs come from replicas.
-type scrubStore interface {
-	Keys(fn func(key string) bool)
-	Scrub(key string) ScrubOutcome
-}
-
-// localPutter lands a repaired frame in the local tier only — on a
-// ReplicatedStore the repaired copy must not fan back out to the replicas
-// it just came from.
-type localPutter interface {
-	PutLocal(key string, res Result)
-}
-
 // Scrubber is the low-priority background integrity pass over the local
 // result tier: every interval it walks the store's keys, re-verifies each
 // entry's CRC frame, deletes what fails (the store counts it Corrupt), and
@@ -31,7 +14,7 @@ type localPutter interface {
 // fsck truncation) is found and healed before a request ever reads the bad
 // frame, turning what would be a recompute into a replica fetch.
 type Scrubber struct {
-	store  scrubStore
+	store  LocalTier
 	repair func(key string) (Result, bool) // replica fetch; nil = delete only
 
 	// pace bounds the scan rate (keys per second) so a pass over a large
@@ -55,10 +38,11 @@ const scrubPaceKeysPerSecond = 512
 
 // NewScrubber starts a scrubber over store, running one pass every
 // interval. repair, when non-nil, is consulted for every corrupt entry
-// (typically ReplicatedStore.GetRemote) and its answer written back via the
-// store's local-only put. Stop it with Stop; an interval <= 0 disables the
+// (typically ReplicatedStore.GetRemote) and its answer written back to the
+// local tier only — a repaired copy must not fan back out to the replicas
+// it just came from. Stop it with Stop; an interval <= 0 disables the
 // ticker (passes then run only via RunPass, the test seam).
-func NewScrubber(store scrubStore, interval time.Duration, repair func(key string) (Result, bool)) *Scrubber {
+func NewScrubber(store LocalTier, interval time.Duration, repair func(key string) (Result, bool)) *Scrubber {
 	s := &Scrubber{
 		store:  store,
 		repair: repair,
@@ -105,13 +89,8 @@ func (s *Scrubber) RunPass() int {
 			s.corrupt.Add(1)
 			if s.repair != nil {
 				if res, ok := s.repair(key); ok {
-					if lp, can := s.store.(localPutter); can {
-						lp.PutLocal(key, res)
-						s.repaired.Add(1)
-					} else if st, can := s.store.(Store); can {
-						st.Put(key, res)
-						s.repaired.Add(1)
-					}
+					s.store.Put(key, res)
+					s.repaired.Add(1)
 				}
 			}
 		case ScrubMissing, ScrubOK:

@@ -33,12 +33,13 @@ type Store interface {
 	Close() error
 }
 
-// FallibleStore is the optional error-surfacing capability of a Store. The
-// plain Get/Put contract absorbs storage failures (a damaged entry is a
-// miss, a failed write is a skipped write), which is right for the farm —
-// but a reliability wrapper like RetryStore needs to see the failures to
-// retry them and to track the tier's health. *DiskStore implements it;
-// purely in-memory tiers, which cannot fail, do not.
+// FallibleStore is the error-surfacing half of a Store. The plain Get/Put
+// contract absorbs storage failures (a damaged entry is a miss, a failed
+// write is a skipped write), which is right for the farm — but RetryStore
+// and ReplicatedStore need to see the failures to retry them and to track
+// the tier's health. *DiskStore, *PeerStore and *RetryStore implement it;
+// both consumers resolve it once with asFallible, so a store that cannot
+// fail (a memory tier) needs no second code path.
 type FallibleStore interface {
 	// GetErr is Get with the storage error surfaced. A missing entry is
 	// (Result{}, false, nil) — not an error; a corrupt entry that was
@@ -49,6 +50,70 @@ type FallibleStore interface {
 	// PutErr is Put with the storage error surfaced: err != nil means the
 	// result is not durably stored.
 	PutErr(key string, res Result) error
+}
+
+// infallible adapts a Store that cannot report failure to FallibleStore:
+// every operation succeeds.
+type infallible struct{ Store }
+
+func (s infallible) GetErr(key string) (Result, bool, error) {
+	res, ok := s.Get(key)
+	return res, ok, nil
+}
+
+func (s infallible) PutErr(key string, res Result) error {
+	s.Put(key, res)
+	return nil
+}
+
+// asFallible resolves s's error-surfacing half once, at construction.
+func asFallible(s Store) FallibleStore {
+	if f, ok := s.(FallibleStore); ok {
+		return f
+	}
+	return infallible{s}
+}
+
+// LocalTier is a node's own persistent tier: a Store whose Get and Put touch
+// this node's storage only, plus what the maintenance paths need from
+// storage they can walk (see *DiskStore, the implementation, for each
+// method's contract): Warm streams Entries, the rebalancer walks Keys and
+// reads with Peek, the scrubber walks Keys and verifies with Scrub, Limits
+// reports Dir and MaxBytes. *RetryStore passes its wrapped tier's through
+// behind the breaker. Consumers resolve it once with asLocalTier, never
+// per call.
+type LocalTier interface {
+	Store
+	Entries(newest int, newestBytes int64, fn func(key string, res Result) bool)
+	Keys(fn func(key string) bool)
+	Peek(key string) (Result, bool)
+	Scrub(key string) ScrubOutcome
+	Dir() string
+	MaxBytes() int64
+}
+
+// noLocalTier is the LocalTier view of a Store with no walkable storage (a
+// memory tier, a remote peer, a test double): lookups and writes still
+// reach the store, and there is nothing to list, verify or report.
+type noLocalTier struct{ Store }
+
+func (noLocalTier) Entries(int, int64, func(string, Result) bool) {}
+func (noLocalTier) Keys(func(string) bool)                        {}
+func (noLocalTier) Peek(string) (Result, bool)                    { return Result{}, false }
+func (noLocalTier) Scrub(string) ScrubOutcome                     { return ScrubMissing }
+func (noLocalTier) Dir() string                                   { return "" }
+func (noLocalTier) MaxBytes() int64                               { return 0 }
+
+// asLocalTier resolves s's local-tier view once, at construction; nil stays
+// nil (no tier at all).
+func asLocalTier(s Store) LocalTier {
+	switch t := s.(type) {
+	case nil:
+		return nil
+	case LocalTier:
+		return t
+	}
+	return noLocalTier{s}
 }
 
 // StoreStats is a snapshot of one cache tier's counters.

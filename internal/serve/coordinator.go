@@ -28,14 +28,15 @@ import (
 //
 // Failure handling mirrors the local disk tier's:
 //
-//	peer down      → per-peer breaker trips after a failure streak; the
-//	                 peer is quarantined and probed on a timer
+//	peer down      → per-peer farm.Breaker (the disk tier's and the
+//	                 replicas' state machine) trips after a failure streak;
+//	                 the peer is quarantined and probed on a timer
 //	quarantined    → its shard is redistributed deterministically to the
 //	                 next owners on the ring, then to the local farm
 //	peer at bound  → its 429 propagates to the client with Retry-After
 //	                 intact (backpressure is an answer, not a failure)
-//	peer draining  → its /stats advertises the drain; the scrape pulls it
-//	                 off the ring before a single dispatch can fail, and
+//	peer draining  → its /stats advertises the drain; the scrape bars it
+//	                 from placement before a single dispatch can fail, and
 //	                 the health probes re-admit it when it comes back
 //	peer stalled   → with -hedge-after set, a dispatch that outlives the
 //	                 threshold races a second request to the next owner;
@@ -130,22 +131,20 @@ func defaultPeerConfig() peerConfig {
 }
 
 const (
-	// peerTripAfter consecutive forwarding failures quarantine a peer.
-	peerTripAfter = 3
-	// peerProbeEvery is the quarantined peer's re-probe interval: one real
-	// job per interval is risked against it; success re-admits it.
-	peerProbeEvery = 2 * time.Second
 	// peerDialTimeout bounds connection establishment to a peer; an
 	// unreachable node fails over in seconds, not minutes.
 	peerDialTimeout = 5 * time.Second
 	// healthProbeTimeout bounds one active /healthz probe.
 	healthProbeTimeout = 2 * time.Second
-	// probeDownAfter consecutive failed health probes take a peer off the
-	// ring; the first success puts it back.
+	// probeDownAfter consecutive failed health probes bar a peer from
+	// placement; the first success re-admits it.
 	probeDownAfter = 2
 )
 
-// coordinator owns the ring, the per-peer health and the dispatch loop.
+// coordinator owns the ring, the per-peer health and the dispatch loop. The
+// ring is static — every configured peer, built once; placement walks a
+// key's owners and skips barred peers, which yields the owner order of a
+// ring rebuilt without them.
 type coordinator struct {
 	s      *Server
 	cfg    peerConfig
@@ -166,14 +165,14 @@ type coordinator struct {
 type peerState struct {
 	name, url string
 
-	mu          sync.Mutex
-	failures    int       // consecutive forwarding failures
-	quarantined bool      // breaker open
-	nextProbe   time.Time // earliest next probe while quarantined
-	trips       int64
-	draining    bool // peer advertised a drain via /stats or /healthz
-	down        bool // active health probes flipped the peer off the ring
-	probeFails  int  // consecutive failed health probes
+	// breaker quarantines a peer whose dispatches keep failing: one real job
+	// per probe interval is risked against it; success re-admits it.
+	breaker *farm.Breaker
+
+	mu         sync.Mutex
+	draining   bool // peer advertised a drain via /stats or /healthz
+	down       bool // active health probes barred the peer
+	probeFails int  // consecutive failed health probes
 
 	statsAt time.Time
 	statsOK bool
@@ -226,7 +225,7 @@ func newCoordinator(s *Server, peers []Peer, client *http.Client) *coordinator {
 			continue
 		}
 		c.ring.Add(p.Name)
-		c.peers[p.Name] = &peerState{name: p.Name, url: p.URL}
+		c.peers[p.Name] = &peerState{name: p.Name, url: p.URL, breaker: farm.NewBreaker(farm.DefaultRetryPolicy())}
 		c.names = append(c.names, p.Name)
 	}
 	sort.Strings(c.names)
@@ -239,44 +238,6 @@ func newCoordinator(s *Server, peers []Peer, client *http.Client) *coordinator {
 // stop ends the coordinator's background probe loop.
 func (c *coordinator) stop() { c.stopOnce.Do(func() { close(c.stopCh) }) }
 
-// admit reports whether a peer may receive a job right now: always when
-// healthy, once per probe interval when quarantined.
-func (ps *peerState) admit(now time.Time) bool {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if !ps.quarantined {
-		return true
-	}
-	if !now.Before(ps.nextProbe) {
-		ps.nextProbe = now.Add(peerProbeEvery) // claim this probe slot
-		return true
-	}
-	return false
-}
-
-// ok records a successful exchange, closing an open breaker.
-func (ps *peerState) ok() {
-	ps.mu.Lock()
-	ps.failures = 0
-	ps.quarantined = false
-	ps.mu.Unlock()
-}
-
-// fail records a forwarding failure, quarantining the peer at the streak
-// threshold.
-func (ps *peerState) fail(now time.Time) {
-	ps.mu.Lock()
-	ps.failures++
-	if ps.failures >= peerTripAfter && !ps.quarantined {
-		ps.quarantined = true
-		ps.trips++
-	}
-	if ps.quarantined {
-		ps.nextProbe = now.Add(peerProbeEvery)
-	}
-	ps.mu.Unlock()
-}
-
 // barred reports whether the peer is out of placement entirely: draining
 // or probed down. Unlike the breaker (which risks one real job per probe
 // interval), a barred peer receives nothing until the health probes or a
@@ -287,35 +248,12 @@ func (ps *peerState) barred() bool {
 	return ps.draining || ps.down
 }
 
-// syncRing reconciles the peer's ring membership with its state: on the
-// ring iff neither draining nor down. The same liveness feeds the
-// replicated result tier when this node has one and knows the peer as a
-// replica — the probe loop's verdict beats waiting for the replica
-// breaker to trip on traffic.
-func (c *coordinator) syncRing(ps *peerState) {
-	ps.mu.Lock()
-	want := !ps.draining && !ps.down
-	ps.mu.Unlock()
-	if want {
-		c.ring.Add(ps.name)
-	} else {
-		c.ring.Remove(ps.name)
-	}
-	if repl := c.s.repl; repl != nil && repl.HasMember(ps.name) {
-		repl.SetMemberActive(ps.name, want)
-	}
-}
-
 // noteDraining applies a drain advertisement scraped from the peer's
-// /stats, proactively removing (or re-admitting) it from the ring.
-func (c *coordinator) noteDraining(ps *peerState, draining bool) {
+// /stats, proactively barring (or re-admitting) it.
+func (ps *peerState) noteDraining(draining bool) {
 	ps.mu.Lock()
-	changed := ps.draining != draining
 	ps.draining = draining
 	ps.mu.Unlock()
-	if changed {
-		c.syncRing(ps)
-	}
 }
 
 // overloaded consults the peer's scraped stats: a peer already at its queue
@@ -330,7 +268,7 @@ func (c *coordinator) overloaded(ps *peerState) bool {
 // scrape returns the peer's stats, refreshing over the wire at most once
 // per TTL. A failed scrape is not breaker food — placement just proceeds
 // without the hint. A successful scrape also carries the peer's draining
-// advertisement, which drives ring membership.
+// advertisement, which bars or re-admits the peer.
 func (c *coordinator) scrape(ps *peerState) (peerScrape, bool) {
 	ps.mu.Lock()
 	if time.Since(ps.statsAt) < c.cfg.StatsTTL {
@@ -356,15 +294,15 @@ func (c *coordinator) scrape(ps *peerState) (peerScrape, bool) {
 	ps.stats, ps.statsOK = st, ok
 	ps.mu.Unlock()
 	if ok {
-		c.noteDraining(ps, st.Draining)
+		ps.noteDraining(st.Draining)
 	}
 	return st, ok
 }
 
 // probeLoop actively probes every peer's /healthz on a timer, flipping
 // peers down after consecutive failures and back up on the first success —
-// so a restarted or recovered node rejoins the ring without waiting for a
-// placement to happen to scrape it.
+// so a restarted or recovered node rejoins placement without waiting for a
+// dispatch to discover it.
 func (c *coordinator) probeLoop() {
 	t := time.NewTicker(c.cfg.ProbeEvery)
 	defer t.Stop()
@@ -408,14 +346,18 @@ func (c *coordinator) probe(ps *peerState) {
 		}
 	}
 	ps.mu.Unlock()
-	c.syncRing(ps)
 }
 
-// placeable decides whether a placement may try this peer right now, and
-// accounts the skip if not. overloaded runs first so its scrape can learn
-// a drain advertisement this very placement acts on.
-func (c *coordinator) placeable(ps *peerState, now time.Time) bool {
-	if !ps.admit(now) || c.overloaded(ps) || ps.barred() {
+// placeable decides whether a placement may try this peer right now. A
+// barred peer is off the ring as far as placement goes: passed over without
+// a probe slot, a scrape or a skip count. Otherwise the breaker's Admit is
+// the gate, and overloaded runs before the second barred check so its
+// scrape can learn a drain advertisement this very placement acts on.
+func (c *coordinator) placeable(ps *peerState) bool {
+	if ps.barred() {
+		return false
+	}
+	if !ps.breaker.Admit() || c.overloaded(ps) || ps.barred() {
 		ps.skipped.Add(1)
 		return false
 	}
@@ -443,10 +385,9 @@ func (c *coordinator) run(ctx context.Context, req JobRequest) JobResponse {
 		return c.runHedged(ctx, req, key, owners, start)
 	}
 
-	now := time.Now()
 	for _, name := range owners {
 		ps := c.peers[name]
-		if !c.placeable(ps, now) {
+		if !c.placeable(ps) {
 			continue
 		}
 		resp, terminal := c.forward(ctx, ps, req, key, start)
@@ -484,11 +425,10 @@ func (c *coordinator) runHedged(ctx context.Context, req JobRequest, key string,
 	results := make(chan attempt, len(owners)+1)
 	next, inflight := 0, 0
 	launch := func(hedged bool) bool {
-		now := time.Now()
 		for next < len(owners) {
 			ps := c.peers[owners[next]]
 			next++
-			if !c.placeable(ps, now) {
+			if !c.placeable(ps) {
 				continue
 			}
 			inflight++
@@ -560,7 +500,7 @@ func (c *coordinator) forward(ctx context.Context, ps *peerState, req JobRequest
 	hresp, err := c.client.Do(hreq)
 	if err != nil {
 		if ctx.Err() == nil {
-			ps.fail(time.Now())
+			ps.breaker.Failure()
 		}
 		return JobResponse{}, false
 	}
@@ -576,16 +516,16 @@ func (c *coordinator) forward(ctx context.Context, ps *peerState, req JobRequest
 	case hresp.StatusCode == http.StatusOK:
 		if decodeErr != nil {
 			if ctx.Err() == nil {
-				ps.fail(time.Now())
+				ps.breaker.Failure()
 			}
 			return JobResponse{}, false
 		}
-		ps.ok()
+		ps.breaker.Success()
 	case hresp.StatusCode == http.StatusTooManyRequests:
 		// The peer is healthy and saying "not now": backpressure propagates
 		// to the client as-is, hint included, rather than pile the load
 		// onto the next owner and melt the ring one peer at a time.
-		ps.ok()
+		ps.breaker.Success()
 		resp.err = farm.ErrQueueFull
 		if resp.Error == "" {
 			resp.Error = farm.ErrQueueFull.Error()
@@ -595,12 +535,12 @@ func (c *coordinator) forward(ctx context.Context, ps *peerState, req JobRequest
 			resp.RetryAfterMS = 1000
 		}
 	case hresp.StatusCode == http.StatusGatewayTimeout:
-		ps.ok()
+		ps.breaker.Success()
 		resp.err = context.DeadlineExceeded
 		resp = c.s.annotate(resp)
 	case hresp.StatusCode == http.StatusUnprocessableEntity:
 		// The job itself is bad; every peer would refuse it identically.
-		ps.ok()
+		ps.breaker.Success()
 		if resp.Error == "" {
 			resp.Error = fmt.Sprintf("peer %s: HTTP %d", ps.name, hresp.StatusCode)
 		}
@@ -610,12 +550,12 @@ func (c *coordinator) forward(ctx context.Context, ps *peerState, req JobRequest
 		// The peer told us it is draining mid-flight: remember it so the
 		// next placement skips it, and fail this job over without feeding
 		// the breaker — a draining node is healthy, just leaving.
-		c.noteDraining(ps, true)
+		ps.noteDraining(true)
 		return JobResponse{}, false
 	default:
 		// Other 5xx, or garbage: this peer cannot answer.
 		if ctx.Err() == nil {
-			ps.fail(time.Now())
+			ps.breaker.Failure()
 		}
 		return JobResponse{}, false
 	}
@@ -645,8 +585,14 @@ func (c *coordinator) forward(ctx context.Context, ps *peerState, req JobRequest
 // when an operator needs to see them.
 func (c *coordinator) writeMetrics(w io.Writer) {
 	one := func(v float64) []telemetry.Sample { return []telemetry.Sample{{Value: v}} }
+	placed := 0
+	for _, ps := range c.peers {
+		if !ps.barred() {
+			placed++
+		}
+	}
 	telemetry.WriteSamples(w, "bifrost_coordinator_ring_members",
-		"Peers currently on the coordinator's hash ring.", "gauge", one(float64(c.ring.Len()))...)
+		"Peers currently on the coordinator's hash ring.", "gauge", one(float64(placed))...)
 	telemetry.WriteSamples(w, "bifrost_coordinator_local_fallbacks_total",
 		"Jobs the local farm absorbed because every owning peer was unavailable.", "counter",
 		one(float64(c.localFallbacks.Load()))...)
@@ -668,20 +614,12 @@ func (c *coordinator) writeMetrics(w io.Writer) {
 		telemetry.WriteSamples(w, suffix, help, typ, samples...)
 	}
 	perPeer("bifrost_peer_up", "1 while the peer is admitted, 0 while quarantined, down or draining.", "gauge", func(ps *peerState) float64 {
-		ps.mu.Lock()
-		defer ps.mu.Unlock()
-		if ps.quarantined || ps.down || ps.draining {
-			return 0
-		}
-		return 1
+		return bit01(!ps.breaker.Open() && !ps.barred())
 	})
 	perPeer("bifrost_peer_draining", "1 while the peer advertises a drain.", "gauge", func(ps *peerState) float64 {
 		ps.mu.Lock()
 		defer ps.mu.Unlock()
-		if ps.draining {
-			return 1
-		}
-		return 0
+		return bit01(ps.draining)
 	})
 	perPeer("bifrost_peer_dispatched_total", "Jobs this peer answered terminally.", "counter",
 		func(ps *peerState) float64 { return float64(ps.dispatched.Load()) })
@@ -689,11 +627,8 @@ func (c *coordinator) writeMetrics(w io.Writer) {
 		func(ps *peerState) float64 { return float64(ps.failovers.Load()) })
 	perPeer("bifrost_peer_skipped_total", "Placements that skipped this peer (quarantine, queue bound or drain).", "counter",
 		func(ps *peerState) float64 { return float64(ps.skipped.Load()) })
-	perPeer("bifrost_peer_breaker_trips_total", "Times this peer's breaker opened.", "counter", func(ps *peerState) float64 {
-		ps.mu.Lock()
-		defer ps.mu.Unlock()
-		return float64(ps.trips)
-	})
+	perPeer("bifrost_peer_breaker_trips_total", "Times this peer's breaker opened.", "counter",
+		func(ps *peerState) float64 { return float64(ps.breaker.Trips()) })
 	scraped := func(pick func(peerScrape) float64) func(*peerState) float64 {
 		return func(ps *peerState) float64 {
 			ps.mu.Lock()

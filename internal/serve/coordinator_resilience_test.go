@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/farm"
+	"repro/internal/farm/farmtest"
 )
 
 // scrapeMetrics fetches the coordinator's /metrics body.
@@ -146,6 +147,7 @@ func TestCoordinatorPeerHedgedDispatch(t *testing.T) {
 // the active prober flip it off the ring after consecutive failures — and
 // back on when it recovers.
 func TestCoordinatorPeerProbeFlipsRing(t *testing.T) {
+	farmtest.NoGoroutineLeak(t) // the probe loop must stop with the server
 	w1 := newWorkerNode(t)
 	flakyFarm := farm.New(1)
 	flakyNode := NewServer(flakyFarm)

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,7 +73,7 @@ func newReplCluster(t *testing.T, n, replicas int) []*replNode {
 			t.Fatal(err)
 		}
 		repl := farm.NewReplicatedStore(ds, names[i], replicas, members,
-			farm.WithReplicaWatchInterval(20*time.Millisecond), farm.WithRebalanceRate(1<<20))
+			farm.WithRebalanceRate(1<<20))
 		fm := farm.New(2, farm.WithDiskStore(repl))
 		ts := httptest.NewUnstartedServer(NewServer(fm, WithReplicatedStore(repl)))
 		ts.Listener.Close()
@@ -94,6 +96,7 @@ func newReplCluster(t *testing.T, n, replicas int) []*replNode {
 // byte-identical output — every row served from a surviving replica, not
 // recomputed.
 func TestChaosThreeNodeKillServedFromReplicas(t *testing.T) {
+	farmtest.NoGoroutineLeak(t)
 	reqs := sweepRequests()
 	single, _ := newTestServer(t)
 	want := runSweepNDJSON(t, single.URL, reqs)
@@ -187,6 +190,72 @@ func TestChaosThreeNodeKillServedFromReplicas(t *testing.T) {
 		if rz.StatusCode != http.StatusOK {
 			t.Errorf("survivor %s not ready after peer loss: HTTP %d", nd.name, rz.StatusCode)
 		}
+	}
+}
+
+// TestChaosReplicaRejoinsAfterPeerRestart pins "rejoin on recovery" end to
+// end on the smallest cluster that can lose durability: a two-node R=2 pair.
+// Losing the peer trips its replica breaker and /readyz reports
+// replication_degraded; once the peer is back on the same address, ordinary
+// traffic carries the half-open probe that closes the breaker, and /readyz
+// recovers with no restart.
+func TestChaosReplicaRejoinsAfterPeerRestart(t *testing.T) {
+	farmtest.NoGoroutineLeak(t)
+	nodes := newReplCluster(t, 2, 2)
+	front, peer := nodes[0], nodes[1]
+
+	job := 0
+	simulate := func() { // one fresh job: a replicated Get (miss) and Put on front
+		t.Helper()
+		job++
+		resp, err := http.Post(front.ts.URL+"/simulate", "application/json", strings.NewReader(dryBody(7000+job, "")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("job %d: HTTP %d", job, resp.StatusCode)
+		}
+	}
+	degraded := func() bool {
+		t.Helper()
+		resp, err := http.Get(front.ts.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var rz ReadyResponse
+		if err := json.NewDecoder(resp.Body).Decode(&rz); err != nil {
+			t.Fatal(err)
+		}
+		return slices.Contains(rz.Reasons, "replication_degraded")
+	}
+
+	simulate()
+	if degraded() {
+		t.Fatal("degraded with both nodes up")
+	}
+	peer.kill()
+	waitFor(t, "the dead peer's breaker to trip", func() bool { simulate(); return degraded() })
+
+	// The peer comes back on the same address (same ring name), like a
+	// restarted process; its farm kept running, as after a network partition.
+	l, err := net.Listen("tcp", peer.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := httptest.NewUnstartedServer(NewServer(peer.fm, WithReplicatedStore(peer.repl)))
+	back.Listener.Close()
+	back.Listener = l
+	back.Start()
+	t.Cleanup(back.Close)
+	waitFor(t, "the replica breaker to re-close on traffic", func() bool { simulate(); return !degraded() })
+
+	// Rejoined for real: the next result is replicated onto the peer's disk.
+	before := peer.fm.Stats().Disk.Puts
+	simulate()
+	if got := peer.fm.Stats().Disk.Puts; got <= before {
+		t.Fatalf("no replica write reached the restarted peer (disk puts %d → %d)", before, got)
 	}
 }
 

@@ -162,7 +162,36 @@ type JobRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// Job compiles the request into a farm job.
+// Front-door bounds on hostile input: constants, not flags — nothing a
+// legitimate sweep sends comes near them.
+const (
+	// maxJobBody bounds a /simulate body (and one NDJSON line); a job is a
+	// few hundred bytes of geometry.
+	maxJobBody = 1 << 20
+	// maxBatchBody bounds a /batch body: hundreds of thousands of rows.
+	maxBatchBody = 64 << 20
+	// maxOperandElems bounds each operand and output tensor a job may ask
+	// the server to materialise: 2^28 float32s (1 GiB), seven times AlexNet
+	// fc1's 37.7 M weights.
+	maxOperandElems = 1 << 28
+)
+
+// checkElems rejects a tensor shape with a non-positive dimension or more
+// than maxOperandElems elements. The product is bounded by division before
+// each multiply, so it cannot overflow int.
+func checkElems(what string, dims ...int) error {
+	n := 1
+	for _, d := range dims {
+		if d <= 0 || n > maxOperandElems/d {
+			return fmt.Errorf("%s %v needs positive dimensions and at most %d elements", what, dims, maxOperandElems)
+		}
+		n *= d
+	}
+	return nil
+}
+
+// Job compiles the request into a farm job. Geometry is validated before
+// any operand is allocated.
 func (r JobRequest) Job() (farm.Job, error) {
 	cfg, err := r.Arch.Config()
 	if err != nil {
@@ -187,9 +216,25 @@ func (r JobRequest) Job() (farm.Job, error) {
 		if c.S == 0 {
 			c.S = c.R // square kernel shorthand
 		}
+		// The input and pad bounds come first so Resolve's output-size
+		// arithmetic cannot overflow.
+		if c.G < 0 || c.Stride < 0 || c.Pad < 0 || c.Pad > maxOperandElems {
+			return farm.Job{}, fmt.Errorf("conv2d job needs g, stride >= 0 and 0 <= pad <= %d, got %d, %d and %d",
+				maxOperandElems, c.G, c.Stride, c.Pad)
+		}
+		if err := checkElems("conv input", c.N, c.C, c.H, c.W); err != nil {
+			return farm.Job{}, err
+		}
 		d := tensor.ConvDims{N: c.N, C: c.C, H: c.H, W: c.W, K: c.K, R: c.R, S: c.S,
 			G: c.G, StrideH: c.Stride, StrideW: c.Stride, PadH: c.Pad, PadW: c.Pad}
 		if err := d.Resolve(); err != nil {
+			return farm.Job{}, err
+		}
+		err = checkElems("conv kernel", d.K, d.C/d.G, d.R, d.S)
+		if err == nil {
+			err = checkElems("conv output", d.N, d.K, d.P(), d.Q())
+		}
+		if err != nil {
 			return farm.Job{}, err
 		}
 		j.Kind = farm.Conv2D
@@ -219,8 +264,15 @@ func (r JobRequest) Job() (farm.Job, error) {
 		if dn.M == 0 {
 			dn.M = 1
 		}
-		if dn.K <= 0 || dn.N <= 0 {
-			return farm.Job{}, fmt.Errorf("dense job needs positive k and n, got %d and %d", dn.K, dn.N)
+		err = checkElems("dense input", dn.M, dn.K)
+		if err == nil {
+			err = checkElems("dense weights", dn.N, dn.K)
+		}
+		if err == nil {
+			err = checkElems("dense output", dn.M, dn.N)
+		}
+		if err != nil {
+			return farm.Job{}, err
 		}
 		j.Kind = farm.Dense
 		j.M, j.K, j.N = dn.M, dn.K, dn.N
@@ -395,8 +447,7 @@ func WithSweepDir(dir string) ServerOption { return func(s *Server) { s.sweepDir
 
 // WithReplicatedStore hands the server the farm's replicated result tier so
 // it can surface replication health: the replica/rebalance metric families
-// on /metrics, the replication_degraded readiness reason, and the
-// coordinator probe loop's liveness hints into the replica ring.
+// on /metrics and the replication_degraded readiness reason.
 func WithReplicatedStore(rs *farm.ReplicatedStore) ServerOption {
 	return func(s *Server) { s.repl = rs }
 }
@@ -708,14 +759,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(buf.Bytes())
 }
 
+// badBodyStatus maps a request-body read error to its status: 413 when the
+// body outgrew its http.MaxBytesReader bound or an NDJSON line the
+// scanner's, 400 for anything malformed.
+func badBodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) || errors.Is(err, bufio.ErrTooLong) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		s.refuseDraining(w)
 		return
 	}
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, JobResponse{Error: "decoding job: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody)).Decode(&req); err != nil {
+		writeJSON(w, badBodyStatus(err), JobResponse{Error: "decoding job: " + err.Error()})
 		return
 	}
 	resp := s.dispatch(r.Context(), req)
@@ -797,9 +859,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var reqs []JobRequest
+	body := http.MaxBytesReader(w, r.Body, maxBatchBody)
 	if ndjson {
-		sc := bufio.NewScanner(r.Body)
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+		sc := bufio.NewScanner(body)
+		sc.Buffer(make([]byte, 0, maxJobBody), maxJobBody)
 		line := 0
 		for sc.Scan() {
 			line++
@@ -815,13 +878,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			reqs = append(reqs, req)
 		}
 		if err := sc.Err(); err != nil {
-			writeJSON(w, http.StatusBadRequest, JobResponse{Error: err.Error()})
+			writeJSON(w, badBodyStatus(err), JobResponse{Error: err.Error()})
 			return
 		}
 	} else {
 		var batch BatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-			writeJSON(w, http.StatusBadRequest, JobResponse{Error: "decoding batch: " + err.Error()})
+		if err := json.NewDecoder(body).Decode(&batch); err != nil {
+			writeJSON(w, badBodyStatus(err), JobResponse{Error: "decoding batch: " + err.Error()})
 			return
 		}
 		reqs = batch.Jobs

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -109,6 +110,92 @@ func TestSimulateRejectsBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusOK || jr.Error == "" {
 			t.Fatalf("%s: status %d, error %q — want a rejection", name, resp.StatusCode, jr.Error)
+		}
+	}
+}
+
+// repeat is an endless reader cycling through pat, for bodies too large to
+// hold in memory.
+type repeat struct {
+	pat string
+	off int
+}
+
+func (r *repeat) Read(p []byte) (int, error) {
+	for n := 0; n < len(p); {
+		c := copy(p[n:], r.pat[r.off:])
+		n, r.off = n+c, (r.off+c)%len(r.pat)
+	}
+	return len(p), nil
+}
+
+// TestFrontDoorBoundsHostileInput pins the front door's two bounds: a job
+// whose geometry is non-positive or would materialise an absurd tensor is
+// refused with 422 before anything is allocated (including when the element
+// count overflows int), and a body beyond its byte bound is refused with
+// 413 — while the largest real layer the paper runs stays far inside both.
+func TestFrontDoorBoundsHostileInput(t *testing.T) {
+	ts, fm := newTestServer(t)
+	post := func(path, ctype string, body io.Reader) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, ctype, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+
+	for name, body := range map[string]string{
+		"dense 1e9 x 1e9":            `{"op":"dense","dense":{"k":1000000000,"n":1000000000}}`,
+		"dense k*n overflows int":    `{"op":"dense","dense":{"k":4611686018427387904,"n":4}}`,
+		"dense m*n over the bound":   `{"op":"dense","dense":{"m":65536,"k":8,"n":65536}}`,
+		"dense negative m":           `{"op":"dense","dense":{"m":-1,"k":8,"n":8}}`,
+		"dense zero k":               `{"op":"dense","dense":{"k":0,"n":8}}`,
+		"dense negative n, dry run":  `{"op":"dense","dense":{"k":8,"n":-8},"dry_run":true}`,
+		"conv input over the bound":  `{"op":"conv2d","conv":{"c":1024,"h":1024,"k":1,"r":1}}`,
+		"conv input overflows int":   `{"op":"conv2d","conv":{"c":3037000500,"h":3037000500,"k":1,"r":1}}`,
+		"conv kernel over the bound": `{"op":"conv2d","conv":{"c":64,"h":2048,"k":4096,"r":2048}}`,
+		"conv output over the bound": `{"op":"conv2d","conv":{"c":1,"h":16000,"k":2,"r":1}}`,
+		"conv negative channels":     `{"op":"conv2d","conv":{"c":-2,"h":8,"k":4,"r":3}}`,
+		"conv negative groups":       `{"op":"conv2d","conv":{"c":2,"h":8,"k":4,"r":3,"g":-2}}`,
+		"conv negative stride":       `{"op":"conv2d","conv":{"c":2,"h":8,"k":4,"r":3,"stride":-1}}`,
+		"conv negative pad":          `{"op":"conv2d","conv":{"c":2,"h":8,"k":4,"r":3,"pad":-1}}`,
+		"conv pad overflows int":     `{"op":"conv2d","conv":{"c":2,"h":8,"k":4,"r":3,"pad":4611686018427387904}}`,
+	} {
+		if got := post("/simulate", "application/json", strings.NewReader(body)); got != http.StatusUnprocessableEntity {
+			t.Errorf("%s: HTTP %d, want 422", name, got)
+		}
+		// The same row inside a batch is an error row, never a crash.
+		if got := post("/batch", "application/x-ndjson", strings.NewReader(body+"\n")); got != http.StatusOK {
+			t.Errorf("%s as an NDJSON row: HTTP %d, want 200 with an error row", name, got)
+		}
+	}
+	if st := fm.Stats(); st.Completed != 0 || st.Panics != 0 {
+		t.Errorf("a refused job reached a worker: %+v", st)
+	}
+	// AlexNet fc1, the largest layer the paper simulates (37.7 M weights).
+	if got := post("/simulate", "application/json",
+		strings.NewReader(`{"op":"dense","dense":{"k":9216,"n":4096},"dry_run":true}`)); got != http.StatusOK {
+		t.Errorf("AlexNet fc1 geometry: HTTP %d, want 200", got)
+	}
+
+	blank := strings.Repeat(" ", 1023)
+	for name, req := range map[string]struct {
+		path, ctype string
+		body        io.Reader
+	}{
+		"simulate body":     {"/simulate", "application/json", io.LimitReader(&repeat{pat: blank}, maxJobBody+1)},
+		"batch JSON body":   {"/batch", "application/json", io.LimitReader(&repeat{pat: blank}, maxBatchBody+1)},
+		"batch NDJSON body": {"/batch", "application/x-ndjson", io.LimitReader(&repeat{pat: blank + "\n"}, maxBatchBody+1)},
+		"one NDJSON line":   {"/batch", "application/x-ndjson", io.LimitReader(&repeat{pat: strings.Repeat("x", 1023)}, maxJobBody+1)},
+	} {
+		if testing.Short() && strings.HasPrefix(name, "batch") {
+			continue // 64 MiB through the race detector takes seconds
+		}
+		if got := post(req.path, req.ctype, req.body); got != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized %s: HTTP %d, want 413", name, got)
 		}
 	}
 }
