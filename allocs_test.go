@@ -9,9 +9,15 @@ package bifrost
 // before it shows up in a benchmark.
 
 import (
+	"io"
+	"log/slog"
+	"net/http/httptest"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/farm"
+	"repro/internal/serve"
 	"repro/internal/stonne/config"
 	"repro/internal/stonne/maeri"
 	"repro/internal/stonne/mapping"
@@ -249,5 +255,46 @@ func TestTracedFarmSteadyStateAllocFree(t *testing.T) {
 	})
 	if withTrace > plain+1.5 {
 		t.Fatalf("traced warm hit allocates %.1f/op vs %.1f untraced — tracing must add at most the Trace object", withTrace, plain)
+	}
+}
+
+// TestServeHitPathAllocBound pins the cache hit path at lookup cost: a
+// memory-warm /simulate of the benchmark's standard conv row and of its
+// K1024×N256 dense row allocates well under 64 KB per request — the JSON in
+// and out, the future and the caller's copy of the output, but never an
+// operand (156 KB and 1.0 MB respectively when every request regenerated
+// and hashed them). A change that materialises operands on a hit fails here
+// before it shows on the benchmark's sweep_hit_mixed workload.
+func TestServeHitPathAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is inflated under -race")
+	}
+	f := NewFarm(1)
+	defer f.Close()
+	srv := serve.NewServer(f, serve.WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil))))
+	for name, body := range map[string]string{
+		"conv":  `{"arch":{"controller":"maeri"},"op":"conv2d","conv":{"c":64,"h":6,"k":64,"r":3,"pad":1},"mapping":[1,1,1,4,1,1,1,1],"seed":5}`,
+		"dense": `{"arch":{"controller":"maeri"},"op":"dense","dense":{"k":1024,"n":256},"fc_mapping":[4,4,1],"seed":6}`,
+	} {
+		post := func() {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("POST", "/simulate", strings.NewReader(body)))
+			if rec.Code != 200 {
+				t.Fatalf("%s row: HTTP %d: %s", name, rec.Code, rec.Body)
+			}
+		}
+		post() // cold: simulate once, fill the memory tier and the key memo
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			post()
+		}
+		runtime.ReadMemStats(&after)
+		if perReq := (after.TotalAlloc - before.TotalAlloc) / runs; perReq >= 64<<10 {
+			t.Errorf("memory-warm /simulate of the %s row allocates %d B per request, want < 64 KiB", name, perReq)
+		} else {
+			t.Logf("%s row: %d B per warm request", name, perReq)
+		}
 	}
 }

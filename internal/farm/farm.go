@@ -87,6 +87,9 @@ type Farm struct {
 	local    LocalTier
 	inflight map[string]*call
 
+	// keys is the spec → content key memo for lazy jobs (see KeyOf).
+	keys keyMemo
+
 	pack    *tensor.PackCache
 	packSet bool
 
@@ -483,21 +486,30 @@ func (f *Farm) exec(c *call) {
 	job := c.job
 	job.pack = f.pack // shared pack reuse; excluded from Key(), bit-identical results
 	t := time.Now()
+	// Both tiers missed: only now does Run generate a lazy job's operands,
+	// so their cost is observed under the compute phase.
 	c.res, c.err = Run(job)
 	c.span.Observe(telemetry.PhaseCompute, time.Since(t))
 	t = time.Now()
+	if c.err == nil {
+		f.cmu.Lock()
+		f.mem.Put(c.key, c.res)
+		f.cmu.Unlock()
+		if f.disk != nil {
+			f.disk.Put(c.key, c.res)
+		}
+	}
+	// The in-flight entry outlives the persist: an identical submission that
+	// arrives while the result is between tiers — already evicted from a
+	// tight memory tier, not yet on disk — attaches to this call instead of
+	// simulating again. (The quicker a resubmission is keyed, the likelier
+	// it lands in that window.)
 	f.cmu.Lock()
 	if f.inflight[c.key] == c {
 		delete(f.inflight, c.key)
 	}
-	if c.err == nil {
-		f.mem.Put(c.key, c.res)
-	}
 	f.cmu.Unlock()
 	if c.err == nil {
-		if f.disk != nil {
-			f.disk.Put(c.key, c.res)
-		}
 		c.span.Observe(telemetry.PhasePersist, time.Since(t))
 		f.finishSpan(c, "compute")
 		f.statsMu.RLock()
@@ -646,7 +658,7 @@ func (f *Farm) SubmitWait(j Job) *Future { return f.submit(j, true) }
 
 func (f *Farm) submit(j Job, block bool) *Future {
 	f.count(&f.submitted)
-	key, err := j.Key()
+	key, j, err := f.keyOf(j)
 	if err != nil {
 		f.count(&f.failed)
 		return resolvedFuture("", Result{}, err)
@@ -662,9 +674,9 @@ func (f *Farm) submit(j Job, block bool) *Future {
 	memLookup := time.Since(start)
 	dedupStart := time.Now()
 	f.cmu.Lock()
-	// Re-check under the lock: exec publishes to the memory tier and
-	// removes the in-flight entry while holding cmu, so a completion that
-	// raced the optimistic miss above is visible in exactly one of the two
+	// Re-check under the lock: exec publishes to the memory tier before it
+	// removes the in-flight entry (both under cmu), so a completion that
+	// raced the optimistic miss above is visible in at least one of the two
 	// checks here.
 	if res, ok := f.mem.Get(key); ok {
 		f.cmu.Unlock()

@@ -64,7 +64,9 @@ type Job struct {
 	// Input and Weights are the operand tensors. The farm treats them as
 	// immutable; callers apply pruning before building the job (the key
 	// then covers the pruned content together with HW.SparsityRatio).
-	// Both may be nil for dry-run jobs.
+	// Both are nil for dry-run jobs, and for a lazy job (WithOperands) until
+	// Materialize generates them — which the farm does only when it must
+	// hash a never-seen spec or actually simulate.
 	Input, Weights *tensor.Tensor
 
 	// Seed identifies operands generated from a PRNG seed by the caller
@@ -136,6 +138,10 @@ type Job struct {
 	// healthy job computes the same bytes with or without a hook, and like
 	// pack it does NOT participate in Key().
 	fault func()
+
+	// operands, when set, makes the job lazy: Input and Weights are nil and
+	// this generator produces them on demand (see WithOperands).
+	operands func() (input, weights *tensor.Tensor)
 }
 
 // WithPackCache returns a copy of the job that will reuse derived operand
@@ -153,6 +159,32 @@ func (j Job) WithPackCache(pc *tensor.PackCache) Job {
 // deterministically. Production paths never set it.
 func (j Job) WithFaultHook(fn func()) Job {
 	j.fault = fn
+	return j
+}
+
+// WithOperands returns a lazy copy of the job: it carries no operand
+// tensors, and gen produces them the first time something needs their
+// contents. gen must be a pure function of the job's other keyed fields —
+// HW (including SparsityRatio), Kind, Layout, Dims or M/K/N, and Seed — and
+// must already apply any pruning: a farm remembers the content key of every
+// lazy spec it has hashed (Farm.KeyOf), so two lazy jobs with equal specs
+// are taken to have equal operands without generating either. In exchange a
+// cache hit, a single-flight attach, a coordinator placement or a journal
+// replay of a known spec never allocates an operand; only a worker about to
+// simulate, or the first hash of a new spec, calls gen. Jobs built from
+// explicit tensors never set a generator and never consult that memory.
+func (j Job) WithOperands(gen func() (input, weights *tensor.Tensor)) Job {
+	j.Input, j.Weights, j.operands = nil, nil, gen
+	return j
+}
+
+// Materialize returns the job with its operands in place: a lazy job's
+// generator runs once and is dropped, any other job is returned unchanged.
+func (j Job) Materialize() Job {
+	if j.operands != nil {
+		j.Input, j.Weights = j.operands()
+		j.operands = nil
+	}
 	return j
 }
 
@@ -226,6 +258,7 @@ func run(j Job) (Result, error) {
 	if j.DryRun {
 		return runDry(cfg, j)
 	}
+	j = j.Materialize()
 	switch j.Kind {
 	case Conv2D:
 		if j.Input == nil || j.Weights == nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -34,15 +35,32 @@ const KeyVersion = keyVersion
 // Keys also name the disk-tier cache files, so any change to this encoding
 // must bump both keyVersion and DiskFormatVersion.
 func (j Job) Key() (string, error) {
+	j = j.Materialize() // a lazy job keys like its materialised form
+	h := sha256.New()
+	w := &keyWriter{h: h}
+	if err := j.writeSpec(w); err != nil {
+		return "", err
+	}
+
+	// Operand contents — this is what makes the key content-addressed.
+	w.tensor(j.Input)
+	w.tensor(j.Weights)
+
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// writeSpec serialises everything Key() hashes ahead of the operand
+// contents: the normalised hardware, operator identity, seed, geometry and
+// mappings. It is the single canonical encoder of a job's spec — Key()
+// continues it with the operands, specDigest stops here.
+func (j Job) writeSpec(w *keyWriter) error {
 	cfg := j.HW.Normalize()
 	d := j.Dims
 	if j.Kind == Conv2D {
 		if err := d.Resolve(); err != nil {
-			return "", err
+			return err
 		}
 	}
-	h := sha256.New()
-	w := keyWriter{h: h}
 	w.str(keyVersion)
 
 	// Hardware configuration, Table III order.
@@ -69,12 +87,20 @@ func (j Job) Key() (string, error) {
 	w.ints(m.TR, m.TS, m.TC, m.TK, m.TG, m.TN, m.TX, m.TY)
 	f := j.FCMapping
 	w.ints(f.TS, f.TK, f.TN)
+	return nil
+}
 
-	// Operand contents — this is what makes the key content-addressed.
-	w.tensor(j.Input)
-	w.tensor(j.Weights)
-
-	return hex.EncodeToString(h.Sum(nil)), nil
+// specDigest is the key memo's index: a SHA-256 over exactly the bytes
+// Key() hashes before the operand contents. A lazy job's operands are a
+// pure function of those bytes (Job.WithOperands), so equal digests mean
+// equal content keys.
+func (j Job) specDigest() (d [sha256.Size]byte, err error) {
+	h := sha256.New()
+	if err := j.writeSpec(&keyWriter{h: h}); err != nil {
+		return d, err
+	}
+	h.Sum(d[:0])
+	return d, nil
 }
 
 // keyWriter serialises values into the hash in a fixed, self-delimiting
@@ -86,23 +112,23 @@ type keyWriter struct {
 	buf [8]byte
 }
 
-func (w keyWriter) u64(v uint64) {
+func (w *keyWriter) u64(v uint64) {
 	binary.LittleEndian.PutUint64(w.buf[:], v)
 	w.h.Write(w.buf[:])
 }
 
-func (w keyWriter) str(s string) {
+func (w *keyWriter) str(s string) {
 	w.u64(uint64(len(s)))
 	w.h.Write([]byte(s))
 }
 
-func (w keyWriter) ints(vs ...int) {
+func (w *keyWriter) ints(vs ...int) {
 	for _, v := range vs {
 		w.u64(uint64(int64(v)))
 	}
 }
 
-func (w keyWriter) bool(b bool) {
+func (w *keyWriter) bool(b bool) {
 	if b {
 		w.u64(1)
 	} else {
@@ -110,7 +136,7 @@ func (w keyWriter) bool(b bool) {
 	}
 }
 
-func (w keyWriter) tensor(t *tensor.Tensor) {
+func (w *keyWriter) tensor(t *tensor.Tensor) {
 	if t == nil {
 		w.u64(0)
 		return
@@ -125,4 +151,83 @@ func (w keyWriter) tensor(t *tensor.Tensor) {
 	// hashed bytes are identical to a single contiguous conversion, without
 	// the per-submission allocation proportional to the operand size.
 	tensor.WriteFloatBits(w.h, data)
+}
+
+// keyMemoEntries bounds a farm's spec → key memo: two generations of half
+// this many entries, ~150 B each (32 B digest, 64 B hex key, map overhead),
+// so at most ~10 MB for a sweep of any length.
+const keyMemoEntries = 1 << 16
+
+// keyMemo remembers the content key of every lazy spec a farm has hashed.
+// It lives in memory only: it is never persisted and never crosses the
+// wire, so a cold process (or a peer) learns each distinct spec's key by
+// building its operands once, and a key is only ever the output of Key()
+// on real operands. Eviction is generational: when the current generation
+// fills it becomes the old one and the previous old one is dropped, entries
+// still in use being carried forward as they are looked up.
+type keyMemo struct {
+	mu       sync.Mutex
+	cur, old map[[sha256.Size]byte]string
+}
+
+func (m *keyMemo) get(d [sha256.Size]byte) (string, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if key, ok := m.cur[d]; ok {
+		return key, true
+	}
+	key, ok := m.old[d]
+	if ok {
+		m.putLocked(d, key)
+	}
+	return key, ok
+}
+
+func (m *keyMemo) put(d [sha256.Size]byte, key string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.putLocked(d, key)
+}
+
+func (m *keyMemo) putLocked(d [sha256.Size]byte, key string) {
+	if m.cur == nil || len(m.cur) >= keyMemoEntries/2 {
+		m.old, m.cur = m.cur, make(map[[sha256.Size]byte]string)
+	}
+	m.cur[d] = key
+}
+
+// KeyOf returns the job's content key — always the bytes Job.Key() produces
+// — at the cost of a lookup when it can: a lazy job (Job.WithOperands)
+// whose spec this farm has hashed before is answered from the farm's
+// bounded in-memory memo without generating an operand. A never-seen lazy
+// spec is materialised once, keyed with Key() and remembered; a job with
+// explicit tensors bypasses the memo and is hashed in full. Submit and
+// every caller that needs a job's key outside a submission (coordinator
+// placement, journal replay, naming a failed row) go through here.
+func (f *Farm) KeyOf(j Job) (string, error) {
+	key, _, err := f.keyOf(j)
+	return key, err
+}
+
+// keyOf is KeyOf that also hands back the job it keyed, materialised if
+// the key had to be built: a submission that paid for the operands keeps
+// them for its worker instead of generating them twice.
+func (f *Farm) keyOf(j Job) (string, Job, error) {
+	if j.operands == nil {
+		key, err := j.Key()
+		return key, j, err
+	}
+	d, err := j.specDigest()
+	if err != nil {
+		return "", j, err
+	}
+	if key, ok := f.keys.get(d); ok {
+		return key, j, nil
+	}
+	j = j.Materialize()
+	key, err := j.Key()
+	if err == nil {
+		f.keys.put(d, key)
+	}
+	return key, j, err
 }

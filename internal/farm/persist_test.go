@@ -321,3 +321,64 @@ func TestDiskStoreSurvivesProcessBoundary(t *testing.T) {
 		t.Fatal("crashed temp file survived reopen")
 	}
 }
+
+// gatedStore holds one key's Put at a gate, so a test can stand inside the
+// window where a fresh result is in the memory tier but not yet on disk.
+type gatedStore struct {
+	farm.Store
+	key              string
+	entered, release chan struct{}
+}
+
+func (g *gatedStore) Put(key string, res farm.Result) {
+	if key == g.key {
+		close(g.entered)
+		<-g.release
+	}
+	g.Store.Put(key, res)
+}
+
+// TestResubmitDuringPersistAttaches: a result that a one-entry memory tier
+// has already evicted while its disk write is still in flight is between
+// tiers; an identical submission arriving then must attach to the finishing
+// call, not simulate a second time.
+func TestResubmitDuringPersistAttaches(t *testing.T) {
+	jobs := farmtest.Jobs()
+	a, b := jobs[0], jobs[1]
+	keyA, err := a.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := farm.NewDiskStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &gatedStore{Store: ds, key: keyA, entered: make(chan struct{}), release: make(chan struct{})}
+	fm := farm.New(2, farm.WithMaxEntries(1), farm.WithDiskStore(gate))
+	defer fm.Close()
+
+	first := fm.Submit(a)
+	<-gate.entered // a is computed and in memory; its disk write is parked
+	if _, err := fm.Do(b); err != nil {
+		t.Fatal(err) // b's result evicts a's from the one-entry memory tier
+	}
+	second := fm.Submit(a)
+	if st := fm.Stats(); st.Deduped != 1 {
+		t.Errorf("resubmission during the persist window: deduped = %d, want 1 (stats %+v)", st.Deduped, st)
+	}
+	close(gate.release)
+	want, err := first.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := second.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := farmtest.DiffResults(want, got); err != nil {
+		t.Errorf("attached waiter got a different result: %v", err)
+	}
+	if st := fm.Stats(); st.Completed != 2 {
+		t.Errorf("%d simulations ran, want 2 (one each for a and b)", st.Completed)
+	}
+}

@@ -365,17 +365,19 @@ func (c *coordinator) placeable(ps *peerState) bool {
 }
 
 // run dispatches one request across the ring. The job's content key decides
-// its owner; owners are tried in the ring's deterministic failover order,
-// skipping quarantined, queue-bound and draining peers; if every owner is
-// out, the local farm executes the job — the coordinator never refuses
-// work a single node could do.
+// its owner — a memo lookup for a spec this coordinator has placed before,
+// one operand build for a new one, never a key taken from the request.
+// Owners are tried in the ring's deterministic failover order, skipping
+// quarantined, queue-bound and draining peers; if every owner is out, the
+// local farm executes the job — the coordinator never refuses work a single
+// node could do.
 func (c *coordinator) run(ctx context.Context, req JobRequest) JobResponse {
 	start := time.Now()
-	job, err := req.Job()
+	job, err := req.lazyJob()
 	if err != nil {
 		return c.s.annotate(JobResponse{Error: err.Error(), ElapsedMS: msSince(start), err: err})
 	}
-	key, err := job.Key()
+	key, err := c.s.farm.KeyOf(job)
 	if err != nil {
 		return c.s.annotate(JobResponse{Error: err.Error(), ElapsedMS: msSince(start), err: err})
 	}

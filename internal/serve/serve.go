@@ -24,7 +24,10 @@
 // same content-addressed cache entry, including entries persisted to disk
 // by a previous process (bifrost-serve -cache-dir): a restarted server
 // answers previously computed requests byte-identically with zero
-// simulator executions.
+// simulator executions. Generation is lazy: the server submits the request's
+// spec with a generator attached, and the farm materialises operands only
+// to hash a spec it has never keyed or to actually simulate — a cache hit
+// costs a lookup.
 package serve
 
 import (
@@ -190,14 +193,41 @@ func checkElems(what string, dims ...int) error {
 	return nil
 }
 
-// Job compiles the request into a farm job. Geometry is validated before
-// any operand is allocated.
+// Job compiles the request into a fully materialised farm job: the
+// validated spec of lazyJob with both operand tensors generated. It is the
+// eager form for callers that read the operands or run the job inline; the
+// server's own paths submit the lazy form and let the farm decide whether
+// an operand is ever needed.
 func (r JobRequest) Job() (farm.Job, error) {
+	j, err := r.lazyJob()
+	return j.Materialize(), err
+}
+
+// seededOperands is the operand generator of a seeded request: uniform
+// input and weights of the given shapes drawn from seed and seed+100, the
+// weights pruned to the sparsity percentage. It is a pure function of its
+// arguments, all of which the job's key covers (farm.Job.WithOperands).
+func seededOperands(seed int64, sparsity int, inShape, wShape []int) func() (input, weights *tensor.Tensor) {
+	return func() (input, weights *tensor.Tensor) {
+		input = tensor.RandomUniform(seed, 1, inShape...)
+		weights = tensor.RandomUniform(seed+100, 1, wShape...)
+		if sparsity > 0 {
+			tensor.Prune(weights, float64(sparsity)/100)
+		}
+		return input, weights
+	}
+}
+
+// lazyJob compiles the request into a farm job without allocating an
+// operand: geometry and mappings are validated here, and a non-dry-run job
+// carries the seeded generator instead of tensors.
+func (r JobRequest) lazyJob() (farm.Job, error) {
 	cfg, err := r.Arch.Config()
 	if err != nil {
 		return farm.Job{}, err
 	}
 	j := farm.Job{HW: cfg, Seed: r.Seed, DryRun: r.DryRun, ExecWorkers: r.ExecWorkers, Trace: r.Trace}
+	var inShape, wShape []int
 	switch r.Op {
 	case "conv2d":
 		if r.Conv == nil {
@@ -248,14 +278,7 @@ func (r JobRequest) Job() (farm.Job, error) {
 			j.ConvMapping = mapping.ConvMapping{TR: m[0], TS: m[1], TC: m[2], TK: m[3],
 				TG: m[4], TN: m[5], TX: m[6], TY: m[7]}
 		}
-		if !r.DryRun {
-			j.Input = tensor.RandomUniform(r.Seed, 1, d.N, d.C, d.H, d.W)
-			kernel := tensor.RandomUniform(r.Seed+100, 1, d.K, d.C/d.G, d.R, d.S)
-			if cfg.SparsityRatio > 0 {
-				tensor.Prune(kernel, float64(cfg.SparsityRatio)/100)
-			}
-			j.Weights = kernel
-		}
+		inShape, wShape = []int{d.N, d.C, d.H, d.W}, []int{d.K, d.C / d.G, d.R, d.S}
 	case "dense":
 		if r.Dense == nil {
 			return farm.Job{}, fmt.Errorf("dense job needs a dense geometry")
@@ -283,16 +306,12 @@ func (r JobRequest) Job() (farm.Job, error) {
 			}
 			j.FCMapping = mapping.FCMapping{TS: r.FCMapping[0], TK: r.FCMapping[1], TN: r.FCMapping[2]}
 		}
-		if !r.DryRun {
-			j.Input = tensor.RandomUniform(r.Seed, 1, dn.M, dn.K)
-			weights := tensor.RandomUniform(r.Seed+100, 1, dn.N, dn.K)
-			if cfg.SparsityRatio > 0 {
-				tensor.Prune(weights, float64(cfg.SparsityRatio)/100)
-			}
-			j.Weights = weights
-		}
+		inShape, wShape = []int{dn.M, dn.K}, []int{dn.N, dn.K}
 	default:
 		return farm.Job{}, fmt.Errorf("unknown op %q (want conv2d or dense)", r.Op)
+	}
+	if !r.DryRun {
+		j = j.WithOperands(seededOperands(r.Seed, cfg.SparsityRatio, inShape, wShape))
 	}
 	return j, nil
 }
@@ -598,10 +617,10 @@ func (s *Server) refuseDraining(w http.ResponseWriter) {
 }
 
 // fanout bounds a batch's concurrent in-flight jobs. Twice the worker pool
-// keeps every worker fed while the next jobs' operand tensors materialise,
-// but the width is clamped to the queue bound: a fan-out wider than the
-// queue admits would manufacture ErrQueueFull rows for jobs whose caller
-// was blocked right here, ready to wait.
+// keeps every worker fed while the next never-seen specs' operand tensors
+// materialise for hashing, but the width is clamped to the queue bound: a
+// fan-out wider than the queue admits would manufacture ErrQueueFull rows
+// for jobs whose caller was blocked right here, ready to wait.
 func (s *Server) fanout() int {
 	n := 2 * s.farm.Workers()
 	if lim := s.farm.Limits(); lim.MaxQueue > 0 && n > lim.MaxQueue {
@@ -690,7 +709,7 @@ func (s *Server) run(ctx context.Context, req JobRequest) JobResponse {
 	// traced when slow-job logging needs the data.
 	echoTrace := req.Trace || s.traceAll
 	req.Trace = echoTrace || s.slowJob > 0
-	job, err := req.Job()
+	job, err := req.lazyJob()
 	if err != nil {
 		return s.annotate(JobResponse{Error: err.Error(), ElapsedMS: msSince(start), err: err})
 	}
@@ -711,7 +730,10 @@ func (s *Server) run(ctx context.Context, req JobRequest) JobResponse {
 	res, err := s.farm.DoCtx(ctx, job)
 	elapsed := time.Since(start)
 	if err != nil {
-		key, _ := job.Key() // best effort: name the job even on failure
+		// Best effort: name the job even on failure. The submission already
+		// taught the farm this spec's key, so an overloaded node answers its
+		// 429s and 504s without hashing an operand.
+		key, _ := s.farm.KeyOf(job)
 		return s.annotate(JobResponse{Key: key, Error: err.Error(), ElapsedMS: telemetry.MS(elapsed), err: err})
 	}
 	if s.slowJob > 0 && elapsed >= s.slowJob {
@@ -724,10 +746,18 @@ func (s *Server) run(ctx context.Context, req JobRequest) JobResponse {
 			slog.Any("trace", res.Trace),
 		)
 	}
-	resp := JobResponse{Key: res.Key, Cached: res.Hit, Stats: &res.Stats, ElapsedMS: telemetry.MS(elapsed)}
+	resp := respond(res, elapsed)
 	if echoTrace {
 		resp.Trace = res.Trace
 	}
+	return resp
+}
+
+// respond shapes a farm result into its response row. Live executions,
+// cache hits and journal replays all go through here, so a replayed row
+// cannot drift from the row the original run produced.
+func respond(res farm.Result, elapsed time.Duration) JobResponse {
+	resp := JobResponse{Key: res.Key, Cached: res.Hit, Stats: &res.Stats, ElapsedMS: telemetry.MS(elapsed)}
 	if res.Out != nil {
 		resp.OutputShape = res.Out.Shape()
 		var sum float64
@@ -862,16 +892,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, maxBatchBody)
 	if ndjson {
 		sc := bufio.NewScanner(body)
-		sc.Buffer(make([]byte, 0, maxJobBody), maxJobBody)
+		// The scanner grows its buffer on demand up to the line bound; a job
+		// line is a few hundred bytes, so start there rather than at 1 MiB.
+		sc.Buffer(make([]byte, 0, 4096), maxJobBody)
 		line := 0
 		for sc.Scan() {
 			line++
-			text := strings.TrimSpace(sc.Text())
-			if text == "" {
+			text := bytes.TrimSpace(sc.Bytes())
+			if len(text) == 0 {
 				continue
 			}
 			var req JobRequest
-			if err := json.Unmarshal([]byte(text), &req); err != nil {
+			if err := json.Unmarshal(text, &req); err != nil {
 				writeJSON(w, http.StatusBadRequest, JobResponse{Error: fmt.Sprintf("line %d: %v", line, err)})
 				return
 			}
@@ -910,9 +942,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Fan the sweep out, but bound the in-flight requests: the farm caps
-	// simulation concurrency, while this semaphore caps how many jobs have
-	// their operand tensors materialised at once — without it a huge sweep
-	// would allocate every operand up front regardless of worker count.
+	// simulation concurrency, while this semaphore caps how many never-seen
+	// jobs have their operand tensors materialised at once — without it a
+	// huge cold sweep would allocate every operand up front regardless of
+	// worker count.
 	// The request context rides along: a client that disconnects cancels
 	// every still-queued job of its sweep, freeing the farm for others.
 	results := make([]JobResponse, len(reqs))
@@ -956,6 +989,7 @@ func (s *Server) streamBatch(w http.ResponseWriter, ctx context.Context, reqs []
 
 	buf := encBufPool.Get().(*bytes.Buffer)
 	defer encBufPool.Put(buf)
+	enc := json.NewEncoder(buf)
 	ready := make([]bool, len(reqs))
 	written := 0
 	for range reqs {
@@ -963,7 +997,7 @@ func (s *Server) streamBatch(w http.ResponseWriter, ctx context.Context, reqs []
 		flushed := false
 		for written < len(results) && ready[written] {
 			buf.Reset()
-			if err := json.NewEncoder(buf).Encode(results[written]); err != nil {
+			if err := enc.Encode(results[written]); err != nil {
 				// The response is already streaming; all we can do is emit
 				// an error line in place of the result.
 				fmt.Fprintf(buf, "{\"error\":%q}\n", err.Error())

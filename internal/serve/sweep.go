@@ -184,20 +184,22 @@ func (s *Server) sweepRow(run *sweepRun, i int, req JobRequest) JobResponse {
 // replayRow serves a journaled row from the result cache. The journaled key
 // must equal the key of the job the client re-sent for this row — a client
 // reusing a sweep id for a different sweep gets its rows recomputed, never
-// a wrong cached answer. Recomputing the key costs the row's operand
-// generation but no simulation, and a cache miss (evicted entry) simply
-// falls back to a normal dispatch.
+// a wrong cached answer. The key comes from the farm's spec memo: a lookup
+// for a spec this process has keyed before, one operand generation (and no
+// simulation) for one it has not — a restarted server rebuilds each distinct
+// journaled spec once. A cache miss (evicted entry) simply falls back to a
+// normal dispatch.
 func (s *Server) replayRow(req JobRequest, key string) (JobResponse, bool) {
 	start := time.Now()
 	if req.ExecWorkers == 0 {
 		req.ExecWorkers = s.execWorkers
 	}
 	req.Trace = false
-	job, err := req.Job()
+	job, err := req.lazyJob()
 	if err != nil {
 		return JobResponse{}, false
 	}
-	k, err := job.Key()
+	k, err := s.farm.KeyOf(job)
 	if err != nil || k != key {
 		return JobResponse{}, false
 	}
@@ -205,16 +207,8 @@ func (s *Server) replayRow(req JobRequest, key string) (JobResponse, bool) {
 	if !ok {
 		return JobResponse{}, false
 	}
-	resp := JobResponse{Key: key, Cached: true, Stats: &res.Stats, ElapsedMS: msSince(start)}
-	if res.Out != nil {
-		resp.OutputShape = res.Out.Shape()
-		var sum float64
-		for _, v := range res.Out.Data() {
-			sum += float64(v)
-		}
-		resp.OutputSum = sum
-	}
-	return resp, true
+	res.Key, res.Hit = key, true
+	return respond(res, time.Since(start)), true
 }
 
 // finish retires a completed run: the journal file stays on disk for a
@@ -260,6 +254,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, ctx context.Context, run *sw
 	fl, _ := w.(http.Flusher)
 	buf := encBufPool.Get().(*bytes.Buffer)
 	defer encBufPool.Put(buf)
+	enc := json.NewEncoder(buf)
 	for i := range run.rows {
 		select {
 		case <-run.ready[i]:
@@ -267,7 +262,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, ctx context.Context, run *sw
 			return
 		}
 		buf.Reset()
-		if err := json.NewEncoder(buf).Encode(run.rows[i]); err != nil {
+		if err := enc.Encode(run.rows[i]); err != nil {
 			fmt.Fprintf(buf, "{\"error\":%q}\n", err.Error())
 		}
 		if _, err := w.Write(buf.Bytes()); err != nil {
