@@ -16,7 +16,6 @@ import (
 	bifrost "repro"
 	"repro/internal/stonne/maeri"
 	"repro/internal/stonne/mapping"
-	"repro/internal/tensor"
 )
 
 func main() {
@@ -86,8 +85,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		eng.DryRun = true
-		_, st, err := eng.Dense(tensor.New(1, 4096), tensor.New(4096, 4096), m)
+		st, err := eng.DenseStats(1, 4096, 4096, m) // counters need the shapes alone
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,7 +1,8 @@
 package bifrost
 
 // Microbenchmarks of the fast paths, each paired with the reference
-// implementation it replaced so the speedup stays measurable:
+// implementation it replaced so the speedup stays measurable (both sides are
+// farm.Run jobs; Job.Reference selects the oracle package):
 //
 //	BenchmarkMAERIDryRunConv     — analytical dry-run vs the step-loop
 //	                               reference on a ResNet-scale layer (PR 2,
@@ -33,7 +34,6 @@ import (
 	"repro/internal/farm"
 	"repro/internal/graph"
 	"repro/internal/stonne/config"
-	"repro/internal/stonne/maeri"
 	"repro/internal/stonne/mapping"
 	"repro/internal/tensor"
 )
@@ -46,33 +46,34 @@ func resnetLayer() (tensor.ConvDims, mapping.ConvMapping) {
 	return d, m
 }
 
-func BenchmarkMAERIDryRunConv(b *testing.B) {
-	d, m := resnetLayer()
-	if err := d.Resolve(); err != nil {
-		b.Fatal(err)
-	}
-	cfg := config.Default(config.MAERIDenseWorkload)
+// benchFusedVsReference runs job through farm.Run twice: on the production
+// engines (name "fused") and, with Job.Reference set, on the oracle package's
+// step loops ("reference").
+func benchFusedVsReference(b *testing.B, prefix, fused string, job farm.Job) {
 	for _, ref := range []bool{false, true} {
-		name := "analytic"
+		name := prefix + fused
 		if ref {
-			name = "reference"
+			name = prefix + "reference"
 		}
+		job.Reference = ref
 		b.Run(name, func(b *testing.B) {
-			eng, err := maeri.NewEngine(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng.DryRun = true
-			eng.Reference = ref
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.Conv2D(nil, nil, d, m); err != nil {
+				if _, err := farm.Run(job); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+func BenchmarkMAERIDryRunConv(b *testing.B) {
+	d, m := resnetLayer()
+	benchFusedVsReference(b, "", "analytic", farm.Job{
+		HW: config.Default(config.MAERIDenseWorkload), Kind: farm.Conv2D,
+		Dims: d, ConvMapping: m, DryRun: true,
+	})
 }
 
 // BenchmarkFullAccuracyConv measures the PR 4 tentpole on MAERI:
@@ -90,98 +91,40 @@ func BenchmarkFullAccuracyConv(b *testing.B) {
 		{"conv4_14x14x256", tensor.ConvDims{N: 1, C: 256, H: 14, W: 14, K: 256, R: 3, S: 3, PadH: 1, PadW: 1}},
 		{"conv5_7x7x512", tensor.ConvDims{N: 1, C: 512, H: 7, W: 7, K: 512, R: 3, S: 3, PadH: 1, PadW: 1}},
 	}
-	m := mapping.ConvMapping{TR: 3, TS: 3, TC: 1, TK: 8, TG: 1, TN: 1, TX: 1, TY: 1}
-	cfg := config.Default(config.MAERIDenseWorkload)
 	for _, layer := range layers {
 		d := layer.d
-		if err := d.Resolve(); err != nil {
-			b.Fatal(err)
-		}
-		in := tensor.RandomUniform(1, 1, d.N, d.H, d.W, d.C)      // NHWC
-		ker := tensor.RandomUniform(2, 1, d.R, d.S, d.C/d.G, d.K) // RSCK
-		for _, ref := range []bool{false, true} {
-			name := layer.name + "/fused"
-			if ref {
-				name = layer.name + "/reference"
-			}
-			b.Run(name, func(b *testing.B) {
-				eng, err := maeri.NewEngine(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				eng.Reference = ref
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := eng.Conv2D(in, ker, d, m); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+		benchFusedVsReference(b, layer.name+"/", "fused", farm.Job{
+			HW: config.Default(config.MAERIDenseWorkload), Kind: farm.Conv2D, Layout: tensor.NHWC,
+			Dims:        d,
+			ConvMapping: mapping.ConvMapping{TR: 3, TS: 3, TC: 1, TK: 8, TG: 1, TN: 1, TX: 1, TY: 1},
+			Input:       tensor.RandomUniform(1, 1, d.N, d.H, d.W, d.C), // NHWC
+			Weights:     tensor.RandomUniform(2, 1, d.R, d.S, d.C, d.K), // RSCK
+		})
 	}
 }
 
 // BenchmarkFullAccuracyLowered measures the GEMM-lowered full-accuracy path
-// (here the TPU; SIGMA shapes behave the same) through the farm's job
-// runner: fused (GEMMStats counters + implicit-GEMM arithmetic through the
-// packed micro-kernel) against the reference (materialised im2col multiplied
-// by the cycle-ticked mesh).
+// (here the TPU; SIGMA shapes behave the same): fused (GEMMStats counters +
+// implicit-GEMM arithmetic through the packed micro-kernel) against the
+// reference (materialised im2col multiplied by the cycle-ticked mesh).
 func BenchmarkFullAccuracyLowered(b *testing.B) {
 	d := tensor.ConvDims{N: 1, C: 64, H: 28, W: 28, K: 64, R: 3, S: 3, PadH: 1, PadW: 1}
-	if err := d.Resolve(); err != nil {
-		b.Fatal(err)
-	}
-	in := tensor.RandomUniform(1, 1, d.N, d.C, d.H, d.W)
-	ker := tensor.RandomUniform(2, 1, d.K, d.C, d.R, d.S)
-	for _, ref := range []bool{false, true} {
-		name := "fused"
-		if ref {
-			name = "reference"
-		}
-		b.Run(name, func(b *testing.B) {
-			job := farm.Job{
-				HW: config.Default(config.TPUOSDense), Kind: farm.Conv2D,
-				Dims: d, Input: in, Weights: ker, Reference: ref,
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := farm.Run(job); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchFusedVsReference(b, "", "fused", farm.Job{
+		HW: config.Default(config.TPUOSDense), Kind: farm.Conv2D, Dims: d,
+		Input:   tensor.RandomUniform(1, 1, d.N, d.C, d.H, d.W),
+		Weights: tensor.RandomUniform(2, 1, d.K, d.C, d.R, d.S),
+	})
 }
 
 // BenchmarkFullAccuracyDense measures the fused full-accuracy dense layer
 // against the step loop on a classifier-scale FC (1024 → 1000).
 func BenchmarkFullAccuracyDense(b *testing.B) {
-	cfg := config.Default(config.MAERIDenseWorkload)
-	in := tensor.RandomUniform(1, 1, 4, 1024)
-	w := tensor.RandomUniform(2, 1, 1000, 1024)
-	m := mapping.FCMapping{TS: 16, TK: 8, TN: 1}
-	for _, ref := range []bool{false, true} {
-		name := "fused"
-		if ref {
-			name = "reference"
-		}
-		b.Run(name, func(b *testing.B) {
-			eng, err := maeri.NewEngine(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng.Reference = ref
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.Dense(in, w, m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchFusedVsReference(b, "", "fused", farm.Job{
+		HW: config.Default(config.MAERIDenseWorkload), Kind: farm.Dense,
+		FCMapping: mapping.FCMapping{TS: 16, TK: 8, TN: 1},
+		Input:     tensor.RandomUniform(1, 1, 4, 1024),
+		Weights:   tensor.RandomUniform(2, 1, 1000, 1024),
+	})
 }
 
 func BenchmarkConvLowering(b *testing.B) {

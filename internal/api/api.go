@@ -72,7 +72,7 @@ type ConvParams = tensor.ConvDims
 //     per group, the kernel becomes the (K/G)×(C/G·R·S) stationary matrix
 //     and the im2col input the (C/G·R·S)×(N·P·Q) streaming matrix.
 func Conv2DNCHW(cfg config.HWConfig, in, kernel *tensor.Tensor, d ConvParams, m mapping.ConvMapping) (*tensor.Tensor, stats.Stats, error) {
-	return Conv2DNCHWWorkers(cfg, in, kernel, d, m, 1)
+	return Conv2DNCHWOpts(cfg, in, kernel, d, m, Options{})
 }
 
 // Options tune how a layer executes without changing what it computes: the
@@ -86,41 +86,11 @@ type Options struct {
 	// native path is unaffected.
 	Workers int
 
-	// Reference forces the step-loop / cycle-ticked reference engines and,
-	// for the GEMM-lowered architectures, the materialised im2col lowering —
-	// the full pre-fast-path execution. It exists to validate the fused
-	// default and is how the differential harness produces its step-loop
-	// baseline.
-	Reference bool
-
 	// Pack shares a content-keyed cache of derived operand forms (packed
 	// weight panels, kernel matrices, layout transposes) across layer
 	// executions: a sweep over fixed weights derives each form once instead
-	// of once per job. Reference runs deliberately ignore it so the
-	// validation baseline stays cache-free. Outputs and counters are
-	// bitwise identical with or without a cache.
+	// of once per job.
 	Pack *tensor.PackCache
-}
-
-// pack returns the cache the fused path may use: none in Reference mode,
-// keeping the differential baseline independent of the cache.
-func (o Options) pack() *tensor.PackCache {
-	if o.Reference {
-		return nil
-	}
-	return o.Pack
-}
-
-// Conv2DNCHWWorkers is Conv2DNCHW with an explicit worker count for the
-// exact arithmetic of the GEMM-lowered path (SIGMA / TPU). The simulated
-// counters and the output are bitwise identical for every worker count —
-// tensor.ConvGEMMImplicit never changes the per-element accumulation order —
-// so results cache under the same content-addressed key regardless of
-// workers. workers <= 1 keeps the serial kernel; workers > 1 parallelises
-// column blocks; negative selects GOMAXPROCS. MAERI's native path is
-// unaffected by workers.
-func Conv2DNCHWWorkers(cfg config.HWConfig, in, kernel *tensor.Tensor, d ConvParams, m mapping.ConvMapping, workers int) (*tensor.Tensor, stats.Stats, error) {
-	return Conv2DNCHWOpts(cfg, in, kernel, d, m, Options{Workers: workers})
 }
 
 // Conv2DNCHWOpts is Conv2DNCHW with full execution options.
@@ -133,10 +103,10 @@ func Conv2DNCHWOpts(cfg config.HWConfig, in, kernel *tensor.Tensor, d ConvParams
 	if err != nil {
 		return nil, stats.Stats{}, err
 	}
-	sim.SetReference(opt.Reference).SetPackCache(opt.pack())
+	sim.SetPackCache(opt.Pack)
 	if sim.SupportsDirectConv() {
-		nhwc := tensor.NCHWToNHWCCached(in, opt.pack())
-		rsck := tensor.KCRSToRSCKCached(kernel, opt.pack())
+		nhwc := tensor.NCHWToNHWCCached(in, opt.Pack)
+		rsck := tensor.KCRSToRSCKCached(kernel, opt.Pack)
 		out, st, err := sim.Conv2D(nhwc, rsck, d, m)
 		if err != nil {
 			return nil, stats.Stats{}, err
@@ -167,14 +137,11 @@ func Conv2DNCHWOpts(cfg config.HWConfig, in, kernel *tensor.Tensor, d ConvParams
 // bifrost-serve's exec_workers) or use tensor.ConvGEMMImplicit directly;
 // the result is bitwise identical either way.
 func convViaGEMM(sim *stonne.Simulator, in, kernel *tensor.Tensor, d ConvParams, opt Options) (*tensor.Tensor, stats.Stats, error) {
-	if opt.Reference {
-		return convViaGEMMReference(sim, in, kernel, d)
-	}
 	p, q := d.P(), d.Q()
 	cols := d.N * p * q
 	var total stats.Stats
 	for g := 0; g < d.G; g++ {
-		km := tensor.KernelMatrixCached(kernel, d, g, opt.pack()) // (K/G) × (C/G·R·S), weight-stationary
+		km := tensor.KernelMatrixCached(kernel, d, g, opt.Pack) // (K/G) × (C/G·R·S), weight-stationary
 		st, err := sim.GEMMStats(km, cols)
 		if err != nil {
 			return nil, stats.Stats{}, err
@@ -185,40 +152,7 @@ func convViaGEMM(sim *stonne.Simulator, in, kernel *tensor.Tensor, d ConvParams,
 	if workers == 0 {
 		workers = 1
 	}
-	return tensor.ConvGEMMImplicitCached(in, kernel, d, workers, opt.pack()), total, nil
-}
-
-// convViaGEMMReference is the materialised reference lowering: per group the
-// full (C/G·R·S) × (N·P·Q) im2col matrix is built and the simulator's own
-// GEMM — running its step-loop / cycle-ticked reference engine — computes
-// both counters and product, which is then scattered into the NCHW output.
-// The fused path above is proven bitwise identical to this by the farmtest
-// differential harness.
-func convViaGEMMReference(sim *stonne.Simulator, in, kernel *tensor.Tensor, d ConvParams) (*tensor.Tensor, stats.Stats, error) {
-	p, q := d.P(), d.Q()
-	pq := p * q
-	cols := d.N * pq
-	kg := d.K / d.G
-	out := tensor.New(d.N, d.K, p, q)
-	outD := out.Data()
-	var total stats.Stats
-	for g := 0; g < d.G; g++ {
-		km := tensor.KernelMatrix(kernel, d, g)
-		im := tensor.Im2Col(in, d, g)
-		prod, st, err := sim.GEMM(km, im) // kg × cols
-		if err != nil {
-			return nil, stats.Stats{}, err
-		}
-		total.Add(st)
-		prodD := prod.Data()
-		for kk := 0; kk < kg; kk++ {
-			ch := g*kg + kk
-			for n := 0; n < d.N; n++ {
-				copy(outD[(n*d.K+ch)*pq:(n*d.K+ch)*pq+pq], prodD[kk*cols+n*pq:kk*cols+(n+1)*pq])
-			}
-		}
-	}
-	return out, total, nil
+	return tensor.ConvGEMMImplicitCached(in, kernel, d, workers, opt.Pack), total, nil
 }
 
 // Conv2DNHWC executes a convolution with an NHWC input and RSCK kernel
@@ -227,13 +161,7 @@ func convViaGEMMReference(sim *stonne.Simulator, in, kernel *tensor.Tensor, d Co
 // minimal change to the data provided by TVM"); GEMM architectures reuse
 // the NCHW lowering after a CPU-side transpose.
 func Conv2DNHWC(cfg config.HWConfig, in, kernel *tensor.Tensor, d ConvParams, m mapping.ConvMapping) (*tensor.Tensor, stats.Stats, error) {
-	return Conv2DNHWCWorkers(cfg, in, kernel, d, m, 1)
-}
-
-// Conv2DNHWCWorkers is Conv2DNHWC with an explicit worker count for the
-// GEMM-lowered arithmetic; see Conv2DNCHWWorkers.
-func Conv2DNHWCWorkers(cfg config.HWConfig, in, kernel *tensor.Tensor, d ConvParams, m mapping.ConvMapping, workers int) (*tensor.Tensor, stats.Stats, error) {
-	return Conv2DNHWCOpts(cfg, in, kernel, d, m, Options{Workers: workers})
+	return Conv2DNHWCOpts(cfg, in, kernel, d, m, Options{})
 }
 
 // Conv2DNHWCOpts is Conv2DNHWC with full execution options.
@@ -246,7 +174,7 @@ func Conv2DNHWCOpts(cfg config.HWConfig, in, kernel *tensor.Tensor, d ConvParams
 	if err != nil {
 		return nil, stats.Stats{}, err
 	}
-	sim.SetReference(opt.Reference).SetPackCache(opt.pack())
+	sim.SetPackCache(opt.Pack)
 	if sim.SupportsDirectConv() {
 		out, st, err := sim.Conv2D(in, kernel, d, m)
 		if err != nil {
@@ -254,8 +182,8 @@ func Conv2DNHWCOpts(cfg config.HWConfig, in, kernel *tensor.Tensor, d ConvParams
 		}
 		return out, st, nil // NPQK is NHWC for the output tensor
 	}
-	nchw := tensor.NHWCToNCHWCached(in, opt.pack())
-	kcrs := tensor.RSCKToKCRSCached(kernel, opt.pack())
+	nchw := tensor.NHWCToNCHWCached(in, opt.Pack)
+	kcrs := tensor.RSCKToKCRSCached(kernel, opt.Pack)
 	out, st, err := convViaGEMM(sim, nchw, kcrs, d, opt)
 	if err != nil {
 		return nil, stats.Stats{}, err
@@ -279,7 +207,7 @@ func DenseOpts(cfg config.HWConfig, in, weights *tensor.Tensor, m mapping.FCMapp
 	if err != nil {
 		return nil, stats.Stats{}, err
 	}
-	sim.SetReference(opt.Reference).SetPackCache(opt.pack())
+	sim.SetPackCache(opt.Pack)
 	return sim.Dense(in, weights, m)
 }
 

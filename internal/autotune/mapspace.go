@@ -2,28 +2,33 @@ package autotune
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/stonne/config"
 	"repro/internal/stonne/energy"
 	"repro/internal/stonne/maeri"
 	"repro/internal/stonne/mapping"
+	"repro/internal/stonne/stats"
 	"repro/internal/tensor"
 )
 
-// enginePool amortises engine construction (config validation plus any
-// fabric state) across the thousands of measurements a tuning run makes.
-// Engines are not safe for concurrent use, so concurrent MeasureFunc calls
-// — e.g. under ParallelMeasurer — each check out their own engine.
-func enginePool(cfg config.HWConfig) *sync.Pool {
-	return &sync.Pool{New: func() any {
-		eng, err := maeri.NewEngine(cfg)
+// dryConvCost builds a MeasureFunc that scores a conv mapping from the Stats
+// of a dry-run MAERI simulation (exact counters, no arithmetic). The engine
+// is built once and shared: it keeps no state between calls, so concurrent
+// MeasureFunc calls — e.g. under ParallelMeasurer — are safe. An invalid cfg
+// or an illegal mapping measures as Infeasible.
+func dryConvCost(cfg config.HWConfig, d tensor.ConvDims, score func(stats.Stats) Cost) MeasureFunc {
+	eng, err := maeri.NewEngine(cfg)
+	if err != nil {
+		return func(Config) Cost { return Infeasible }
+	}
+	eng.DryRun = true
+	return func(c Config) Cost {
+		_, st, err := eng.Conv2D(nil, nil, d, ConvMappingOf(c))
 		if err != nil {
-			return (*maeri.Engine)(nil)
+			return Infeasible
 		}
-		eng.DryRun = true
-		return eng
-	}}
+		return score(st)
+	}
 }
 
 // tileCandidates returns the knob values for one tile dimension: every
@@ -151,47 +156,24 @@ func FCPsumCost(batches, inNeurons, outNeurons, msSize int) MeasureFunc {
 	}
 }
 
-// ConvCycleCost measures a conv mapping by simulated cycle count (dry-run
-// MAERI simulation: exact counters, no arithmetic). Dry runs use the
-// analytical engine — per-tile-size-class closed forms instead of the
-// O(steps) loop nest — so the cycles target is now nearly as cheap as the
-// psums target and usable on ResNet-scale layers, not just the paper's
-// small Figure 10 workload. Set maeri.Engine.Reference to force the
-// step-loop reference implementation when validating the model.
+// ConvCycleCost measures a conv mapping by simulated cycle count. Dry runs
+// use the analytical engine — per-tile-size-class closed forms instead of
+// the O(steps) loop nest — so the cycles target is nearly as cheap as the
+// psums target and usable on ResNet-scale layers, not just the paper's small
+// Figure 10 workload.
 func ConvCycleCost(cfg config.HWConfig, d tensor.ConvDims) MeasureFunc {
-	pool := enginePool(cfg)
-	return func(c Config) Cost {
-		m := ConvMappingOf(c)
-		if err := m.Validate(d, cfg.MSSize); err != nil {
-			return Infeasible
-		}
-		eng := pool.Get().(*maeri.Engine)
-		if eng == nil {
-			return Infeasible
-		}
-		defer pool.Put(eng)
-		_, st, err := eng.Conv2D(nil, nil, d, m)
-		if err != nil {
-			return Infeasible
-		}
-		return Cost{Primary: float64(st.Cycles)}
-	}
+	return dryConvCost(cfg, d, func(st stats.Stats) Cost { return Cost{Primary: float64(st.Cycles)} })
 }
 
-// FCCycleCost measures an FC mapping by simulated cycle count.
+// FCCycleCost measures an FC mapping by simulated cycle count, from the
+// layer's shapes alone.
 func FCCycleCost(cfg config.HWConfig, batches, inNeurons, outNeurons int) MeasureFunc {
-	pool := enginePool(cfg)
+	eng, err := maeri.NewEngine(cfg)
+	if err != nil {
+		return func(Config) Cost { return Infeasible }
+	}
 	return func(c Config) Cost {
-		m := FCMappingOf(c)
-		if err := m.Validate(batches, inNeurons, outNeurons, cfg.MSSize); err != nil {
-			return Infeasible
-		}
-		eng := pool.Get().(*maeri.Engine)
-		if eng == nil {
-			return Infeasible
-		}
-		defer pool.Put(eng)
-		st, err := eng.DenseStats(batches, inNeurons, outNeurons, m)
+		st, err := eng.DenseStats(batches, inNeurons, outNeurons, FCMappingOf(c))
 		if err != nil {
 			return Infeasible
 		}
@@ -200,45 +182,14 @@ func FCCycleCost(cfg config.HWConfig, batches, inNeurons, outNeurons int) Measur
 }
 
 // ConvEnergyCost measures a conv mapping by estimated energy (the paper's
-// future-work tuning target, §IX), via a dry-run simulation and the
-// event-based energy model.
+// future-work tuning target, §IX), via the event-based energy model.
 func ConvEnergyCost(cfg config.HWConfig, d tensor.ConvDims, model energy.Model) MeasureFunc {
-	pool := enginePool(cfg)
-	return func(c Config) Cost {
-		m := ConvMappingOf(c)
-		if err := m.Validate(d, cfg.MSSize); err != nil {
-			return Infeasible
-		}
-		eng := pool.Get().(*maeri.Engine)
-		if eng == nil {
-			return Infeasible
-		}
-		defer pool.Put(eng)
-		_, st, err := eng.Conv2D(nil, nil, d, m)
-		if err != nil {
-			return Infeasible
-		}
+	return dryConvCost(cfg, d, func(st stats.Stats) Cost {
 		return Cost{Primary: model.Estimate(st).TotalPJ(), Secondary: float64(st.Cycles)}
-	}
+	})
 }
 
 // ConvEDPCost measures a conv mapping by energy-delay product.
 func ConvEDPCost(cfg config.HWConfig, d tensor.ConvDims, model energy.Model) MeasureFunc {
-	pool := enginePool(cfg)
-	return func(c Config) Cost {
-		m := ConvMappingOf(c)
-		if err := m.Validate(d, cfg.MSSize); err != nil {
-			return Infeasible
-		}
-		eng := pool.Get().(*maeri.Engine)
-		if eng == nil {
-			return Infeasible
-		}
-		defer pool.Put(eng)
-		_, st, err := eng.Conv2D(nil, nil, d, m)
-		if err != nil {
-			return Infeasible
-		}
-		return Cost{Primary: model.EDP(st)}
-	}
+	return dryConvCost(cfg, d, func(st stats.Stats) Cost { return Cost{Primary: model.EDP(st)} })
 }

@@ -13,8 +13,8 @@ import (
 // Use it for cheap, pure measure functions (the psums target) that are not
 // worth routing through the simulation farm; workers <= 0 selects
 // GOMAXPROCS. f must be safe for concurrent use — every shipped MeasureFunc
-// is: the psum costs are pure functions and the cycle/energy costs check a
-// private engine out of a sync.Pool per call.
+// is: the psum costs are pure functions and the cycle/energy costs share an
+// engine that keeps no state between calls.
 func ParallelMeasurer(workers int, f MeasureFunc) Measurer {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

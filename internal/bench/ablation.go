@@ -5,10 +5,11 @@ import (
 	"io"
 
 	"repro/internal/autotune"
+	"repro/internal/farm"
 	"repro/internal/stonne/config"
 	"repro/internal/stonne/energy"
-	"repro/internal/stonne/maeri"
 	"repro/internal/stonne/mapping"
+	"repro/internal/stonne/stats"
 	"repro/internal/tensor"
 )
 
@@ -25,14 +26,10 @@ func ablationConv() tensor.ConvDims {
 	return d
 }
 
-func dryConvCycles(cfg config.HWConfig, d tensor.ConvDims, m mapping.ConvMapping) (int64, error) {
-	eng, err := maeri.NewEngine(cfg)
-	if err != nil {
-		return 0, err
-	}
-	eng.DryRun = true
-	_, st, err := eng.Conv2D(nil, nil, d, m)
-	return st.Cycles, err
+// dryConvStats measures a conv mapping with a counters-only MAERI job.
+func dryConvStats(cfg config.HWConfig, d tensor.ConvDims, m mapping.ConvMapping) (stats.Stats, error) {
+	res, err := farm.Run(farm.Job{HW: cfg, Kind: farm.Conv2D, Dims: d, ConvMapping: m, DryRun: true})
+	return res.Stats, err
 }
 
 // AccumBufferRow compares cycles with and without the accumulation buffer
@@ -62,15 +59,15 @@ func AblationAccumBuffer() ([]AccumBufferRow, error) {
 	noAB.AccumBuffer = false
 	var rows []AccumBufferRow
 	for _, m := range maps {
-		with, err := dryConvCycles(base, d, m)
+		with, err := dryConvStats(base, d, m)
 		if err != nil {
 			return nil, err
 		}
-		without, err := dryConvCycles(noAB, d, m)
+		without, err := dryConvStats(noAB, d, m)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, AccumBufferRow{VNSize: m.VNSize(), Mapping: m, WithBuffer: with, WithoutBuffer: without})
+		rows = append(rows, AccumBufferRow{VNSize: m.VNSize(), Mapping: m, WithBuffer: with.Cycles, WithoutBuffer: without.Cycles})
 	}
 	return rows, nil
 }
@@ -106,12 +103,7 @@ func AblationBandwidth() ([]BandwidthRow, error) {
 	for _, bw := range []int{2, 4, 8, 16, 32, 64} {
 		cfg := config.Default(config.MAERIDenseWorkload)
 		cfg.DNBandwidth = bw
-		eng, err := maeri.NewEngine(cfg)
-		if err != nil {
-			return nil, err
-		}
-		eng.DryRun = true
-		_, st, err := eng.Conv2D(nil, nil, d, m)
+		st, err := dryConvStats(cfg, d, m)
 		if err != nil {
 			return nil, err
 		}
@@ -165,11 +157,11 @@ func AblationTuningTarget(seed int64) ([]TargetRow, error) {
 			return nil, fmt.Errorf("bench: target %s: %w", t.name, err)
 		}
 		m := autotune.ConvMappingOf(res.Best.Config)
-		cycles, err := dryConvCycles(cfg, d, m)
+		st, err := dryConvStats(cfg, d, m)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, TargetRow{Target: t.name, Mapping: m, Cycles: cycles, Measured: res.Measured})
+		rows = append(rows, TargetRow{Target: t.name, Mapping: m, Cycles: st.Cycles, Measured: res.Measured})
 	}
 	return rows, nil
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/mrna"
 	"repro/internal/stonne/config"
-	"repro/internal/stonne/maeri"
 	"repro/internal/stonne/mapping"
 	"repro/internal/tensor"
 )
@@ -67,35 +66,26 @@ func tunedFCMapping(fm *farm.Farm, l models.LayerSpec, ms int) (mapping.FCMappin
 	return autotune.FCMappingOf(res.Best.Config), nil
 }
 
-// dryCycles measures a mapping's cycle count with a dry-run MAERI engine —
-// the analytical fast path, bit-identical to the step-loop reference —
-// through the farm (cached, deduplicated) when one is provided.
+// dryCycles measures a mapping's cycle count with a counters-only MAERI job,
+// through the farm (cached, deduplicated) when one is provided and inline
+// otherwise.
 func dryCycles(f *farm.Farm, cfg config.HWConfig, l models.LayerSpec, cm mapping.ConvMapping, fcm mapping.FCMapping) (int64, error) {
-	if f != nil {
-		j := farm.Job{HW: cfg, DryRun: true}
-		if l.Op == graph.OpConv2D {
-			j.Kind = farm.Conv2D
-			j.Dims = l.Conv
-			j.ConvMapping = cm
-		} else {
-			j.Kind = farm.Dense
-			j.FCMapping = fcm
-			j.M, j.K, j.N = l.M, l.K, l.N
-		}
-		res, err := f.Do(j)
-		return res.Stats.Cycles, err
-	}
-	eng, err := maeri.NewEngine(cfg)
-	if err != nil {
-		return 0, err
-	}
-	eng.DryRun = true
+	j := farm.Job{HW: cfg, DryRun: true}
 	if l.Op == graph.OpConv2D {
-		_, st, err := eng.Conv2D(nil, nil, l.Conv, cm)
-		return st.Cycles, err
+		j.Kind = farm.Conv2D
+		j.Dims = l.Conv
+		j.ConvMapping = cm
+	} else {
+		j.Kind = farm.Dense
+		j.FCMapping = fcm
+		j.M, j.K, j.N = l.M, l.K, l.N
 	}
-	st, err := eng.DenseStats(l.M, l.K, l.N, fcm)
-	return st.Cycles, err
+	run := farm.Run
+	if f != nil {
+		run = f.Do
+	}
+	res, err := run(j)
+	return res.Stats.Cycles, err
 }
 
 // MappingRow is one layer's outcome under the three mapping sources —

@@ -62,11 +62,11 @@ type Session struct {
 	// either way.
 	ExecWorkers int
 
-	// Reference forces every offloaded layer through the step-loop /
-	// cycle-ticked reference engines instead of the default fused fast path
-	// (analytic counters + fast arithmetic). Outputs, records and cache
-	// keys are identical either way — the flag exists to validate the fast
-	// path end to end and to measure its speedup.
+	// Reference sets farm.Job.Reference on every offloaded layer, running it
+	// on the oracle package's step-loop simulations instead of the
+	// production engines. Outputs, records and cache keys are identical
+	// either way — the flag exists to validate the engines end to end and to
+	// measure their speedup.
 	Reference bool
 
 	farm *farm.Farm
@@ -245,6 +245,17 @@ func (s *Session) offload(n *graph.Node, ins []*tensor.Tensor) (*tensor.Tensor, 
 	return nil, false, nil
 }
 
+// exec runs one offloaded layer. One job description serves both paths: the
+// farm schedules, caches and deduplicates it; without a farm the same job
+// runs inline, so the two paths cannot drift apart.
+func (s *Session) exec(job farm.Job) (farm.Result, error) {
+	job.Reference = s.Reference
+	if s.farm != nil {
+		return s.farm.Do(job)
+	}
+	return farm.Run(job.WithPackCache(s.pack))
+}
+
 func (s *Session) offloadConv(n *graph.Node, ins []*tensor.Tensor) (*tensor.Tensor, bool, error) {
 	d, err := graph.ConvDimsOf(n)
 	if err != nil {
@@ -252,20 +263,10 @@ func (s *Session) offloadConv(n *graph.Node, ins []*tensor.Tensor) (*tensor.Tens
 	}
 	kernel := s.maybePrune(ins[1])
 	m := s.convMappingFor(n.Name)
-	// One job description for both paths: the farm schedules, caches and
-	// deduplicates it; without a farm the same job runs inline, so the two
-	// paths cannot drift apart.
-	job := farm.Job{
+	res, err := s.exec(farm.Job{
 		HW: s.cfg, Kind: farm.Conv2D, Layout: n.Attrs.DataLayout,
 		Dims: d, ConvMapping: m, Input: ins[0], Weights: kernel,
-		Reference: s.Reference,
-	}
-	var res farm.Result
-	if s.farm != nil {
-		res, err = s.farm.Do(job)
-	} else {
-		res, err = farm.Run(job.WithPackCache(s.pack))
-	}
+	})
 	if err != nil {
 		return nil, false, fmt.Errorf("offloading conv2d %q: %w", n.Name, err)
 	}
@@ -295,14 +296,7 @@ func (s *Session) offloadConv(n *graph.Node, ins []*tensor.Tensor) (*tensor.Tens
 func (s *Session) offloadDense(n *graph.Node, ins []*tensor.Tensor) (*tensor.Tensor, bool, error) {
 	weights := s.maybePrune(ins[1])
 	m := s.fcMappingFor(n.Name)
-	job := farm.Job{HW: s.cfg, Kind: farm.Dense, FCMapping: m, Input: ins[0], Weights: weights, Reference: s.Reference}
-	var res farm.Result
-	var err error
-	if s.farm != nil {
-		res, err = s.farm.Do(job)
-	} else {
-		res, err = farm.Run(job.WithPackCache(s.pack))
-	}
+	res, err := s.exec(farm.Job{HW: s.cfg, Kind: farm.Dense, FCMapping: m, Input: ins[0], Weights: weights})
 	if err != nil {
 		return nil, false, fmt.Errorf("offloading dense %q: %w", n.Name, err)
 	}

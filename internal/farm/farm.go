@@ -154,7 +154,7 @@ func WithDiskStore(s Store) Option { return func(f *Farm) { f.disk = s } }
 // across jobs with identical operands. nil disables pack reuse entirely.
 // Pack reuse changes where derived bytes come from, never what they are:
 // results and cache keys are byte-identical with any setting, so the cache
-// (like Job.ExecWorkers and Job.Reference) does not participate in Key().
+// (like Job.ExecWorkers) does not participate in Key().
 func WithPackCache(pc *tensor.PackCache) Option {
 	return func(f *Farm) { f.pack, f.packSet = pc, true }
 }

@@ -94,11 +94,11 @@ func RunFresh(tb testing.TB, jobs []farm.Job) []farm.Result {
 	return results
 }
 
-// RunReference executes every job inline with Job.Reference set: the
-// step-loop / cycle-ticked engines and, for GEMM-lowered convolutions, the
-// materialised im2col lowering. This is the ground truth the fused fast
-// path — and every cache tier replaying fused results — must match byte for
-// byte.
+// RunReference executes every job inline with Job.Reference set, which is
+// how anything reaches the oracle package: the step-loop / cycle-ticked
+// simulations and, for GEMM-lowered convolutions, the materialised im2col
+// lowering. This is the ground truth the production engines — and every
+// cache tier replaying their results — must match byte for byte.
 func RunReference(tb testing.TB, jobs []farm.Job) []farm.Result {
 	tb.Helper()
 	results := make([]farm.Result, len(jobs))
@@ -157,8 +157,8 @@ func AssertSameResults(tb testing.TB, context string, want, got []farm.Result) {
 // AssertEquivalent is the harness entry point: it proves the four result
 // paths agree byte-for-byte on the given jobs.
 //
-//  1. reference — every job inline through the step-loop / cycle-ticked
-//     engines (Job.Reference), the ground truth;
+//  1. reference — every job inline through the oracle package's step-loop /
+//     cycle-ticked simulations (Job.Reference), the ground truth;
 //  2. fresh — every job inline through farm.Run's default fused fast path;
 //  3. warm memory — the same jobs twice through one farm, the second pass
 //     required to be served entirely from the in-memory tier;

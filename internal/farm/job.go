@@ -17,6 +17,7 @@ import (
 	"repro/internal/stonne/config"
 	"repro/internal/stonne/maeri"
 	"repro/internal/stonne/mapping"
+	"repro/internal/stonne/oracle"
 	"repro/internal/stonne/stats"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
@@ -90,13 +91,15 @@ type Job struct {
 	// every tier.
 	ExecWorkers int
 
-	// Reference forces the step-loop / cycle-ticked reference engines (and,
-	// for GEMM-lowered convolutions, the materialised im2col lowering)
-	// instead of the default fused fast path. Results are bitwise identical
-	// either way — the engine equivalence suites and the farmtest
-	// differential harness enforce it — so Reference, like ExecWorkers,
-	// deliberately does NOT participate in Key(): a warm cache populated by
-	// fused runs serves reference submissions and vice versa.
+	// Reference runs the job on the oracle package — the step-loop / chunk-
+	// loop / cycle-ticked reference simulations and, for GEMM-lowered
+	// convolutions, the materialised im2col lowering — instead of the
+	// production engines; run consults it once, and nothing below the farm
+	// knows the flag exists. Results are bitwise identical either way — the
+	// engine equivalence suites, the FuzzEngineEquivalence target and the
+	// farmtest differential harness enforce it — so Reference, like
+	// ExecWorkers, deliberately does NOT participate in Key(): a warm cache
+	// populated by engine runs serves reference submissions and vice versa.
 	//
 	// The bitwise guarantee assumes finite operand values. The fused
 	// kernels compute products the reference's skip-zero loops never
@@ -255,76 +258,81 @@ func run(j Job) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if j.DryRun {
-		return runDry(cfg, j)
-	}
-	j = j.Materialize()
+	d := j.Dims
 	switch j.Kind {
 	case Conv2D:
-		if j.Input == nil || j.Weights == nil {
-			return Result{}, fmt.Errorf("farm: conv2d job needs input and weight tensors")
-		}
-		d := j.Dims
 		if err := d.Resolve(); err != nil {
 			return Result{}, err
 		}
-		var (
-			out *tensor.Tensor
-			st  stats.Stats
-			err error
-		)
-		opt := api.Options{Workers: j.ExecWorkers, Reference: j.Reference, Pack: j.pack}
-		if j.Layout == tensor.NHWC {
-			out, st, err = api.Conv2DNHWCOpts(cfg, j.Input, j.Weights, d, j.ConvMapping, opt)
-		} else {
-			out, st, err = api.Conv2DNCHWOpts(cfg, j.Input, j.Weights, d, j.ConvMapping, opt)
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Out: out, Stats: st}, nil
 	case Dense:
-		if j.Input == nil || j.Weights == nil {
-			return Result{}, fmt.Errorf("farm: dense job needs input and weight tensors")
+		if j.DryRun && (j.M <= 0 || j.K <= 0 || j.N <= 0) {
+			return Result{}, fmt.Errorf("farm: dry-run dense job needs M, K, N geometry, got %d×%d→%d", j.M, j.K, j.N)
 		}
-		out, st, err := api.DenseOpts(cfg, j.Input, j.Weights, j.FCMapping, api.Options{Reference: j.Reference, Pack: j.pack})
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Out: out, Stats: st}, nil
+	default:
+		return Result{}, fmt.Errorf("farm: unknown job kind %q", j.Kind)
 	}
-	return Result{}, fmt.Errorf("farm: unknown job kind %q", j.Kind)
-}
-
-// runDry executes the counters-only measurement path (MAERI only, matching
-// the AutoTVM cycle-cost measure functions).
-func runDry(cfg config.HWConfig, j Job) (Result, error) {
-	eng, err := maeri.NewEngine(cfg)
+	if !j.DryRun {
+		j = j.Materialize()
+		if j.Input == nil || j.Weights == nil {
+			return Result{}, fmt.Errorf("farm: %s job needs input and weight tensors", j.Kind)
+		}
+	}
+	// The one place a simulator is chosen: every caller that wants the
+	// reference step loops — the differential harness, the engine benchmarks,
+	// core.Session.Reference — gets them by setting the flag on a job.
+	sim := runEngines
+	if j.Reference {
+		sim = runOracle
+	}
+	out, st, err := sim(cfg, j, d)
 	if err != nil {
 		return Result{}, err
 	}
-	eng.DryRun = true
-	eng.Reference = j.Reference
-	switch j.Kind {
-	case Conv2D:
-		d := j.Dims
-		if err := d.Resolve(); err != nil {
-			return Result{}, err
-		}
-		_, st, err := eng.Conv2D(nil, nil, d, j.ConvMapping)
+	return Result{Out: out, Stats: st}, nil
+}
+
+// runEngines executes a validated job on the production engines: analytic
+// counters plus fused arithmetic.
+func runEngines(cfg config.HWConfig, j Job, d tensor.ConvDims) (*tensor.Tensor, stats.Stats, error) {
+	opt := api.Options{Workers: j.ExecWorkers, Pack: j.pack}
+	switch {
+	case j.DryRun:
+		// Counters only: MAERI's, matching the AutoTVM cycle-cost measure
+		// functions.
+		eng, err := maeri.NewEngine(cfg)
 		if err != nil {
-			return Result{}, err
+			return nil, stats.Stats{}, err
 		}
-		return Result{Stats: st}, nil
-	case Dense:
-		if j.M <= 0 || j.K <= 0 || j.N <= 0 {
-			return Result{}, fmt.Errorf("farm: dry-run dense job needs M, K, N geometry, got %d×%d→%d", j.M, j.K, j.N)
+		eng.DryRun = true
+		if j.Kind == Conv2D {
+			return eng.Conv2D(nil, nil, d, j.ConvMapping)
 		}
 		st, err := eng.DenseStats(j.M, j.K, j.N, j.FCMapping)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Stats: st}, nil
+		return nil, st, err
+	case j.Kind == Dense:
+		return api.DenseOpts(cfg, j.Input, j.Weights, j.FCMapping, opt)
+	case j.Layout == tensor.NHWC:
+		return api.Conv2DNHWCOpts(cfg, j.Input, j.Weights, d, j.ConvMapping, opt)
+	default:
+		return api.Conv2DNCHWOpts(cfg, j.Input, j.Weights, d, j.ConvMapping, opt)
 	}
-	return Result{}, fmt.Errorf("farm: unknown job kind %q", j.Kind)
+}
+
+// runOracle executes a validated job on the reference simulator, which takes
+// neither a worker count nor a pack cache.
+func runOracle(cfg config.HWConfig, j Job, d tensor.ConvDims) (*tensor.Tensor, stats.Stats, error) {
+	switch {
+	case j.DryRun && j.Kind == Conv2D:
+		st, err := oracle.ConvStats(cfg, d, j.ConvMapping)
+		return nil, st, err
+	case j.DryRun:
+		st, err := oracle.DenseStats(cfg, j.M, j.K, j.N, j.FCMapping)
+		return nil, st, err
+	case j.Kind == Dense:
+		return oracle.Dense(cfg, j.Input, j.Weights, j.FCMapping)
+	case j.Layout == tensor.NHWC:
+		return oracle.Conv2DNHWC(cfg, j.Input, j.Weights, d, j.ConvMapping)
+	default:
+		return oracle.Conv2DNCHW(cfg, j.Input, j.Weights, d, j.ConvMapping)
+	}
 }

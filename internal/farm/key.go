@@ -28,9 +28,10 @@ const KeyVersion = keyVersion
 // they describe the same simulation, and keys are stable across processes
 // and platforms (golden values are pinned in key_test.go and
 // testdata/job_keys.golden; the fuzz target in key_fuzz_test.go checks the
-// equivalence both ways). ExecWorkers and Reference are deliberately
-// excluded: neither can change the result — only the wall-clock time of
-// computing it — so fused and reference submissions share cache entries.
+// equivalence both ways). The fields that choose how a result is computed —
+// ExecWorkers, and the flag that selects the oracle package — are
+// deliberately excluded: neither can change the result, only the wall-clock
+// time of computing it, so engine and oracle submissions share cache entries.
 //
 // Keys also name the disk-tier cache files, so any change to this encoding
 // must bump both keyVersion and DiskFormatVersion.

@@ -3,8 +3,9 @@
 // that delivers inputs and weights to the multiplier switches, the
 // reduction networks (MAERI's ART, the STIFT-style fold-enabled network and
 // the TPU's temporal reduction), the accumulation buffer, and a
-// cycle-ticked systolic mesh. The MAERI/SIGMA controllers drive these
-// components step by step; the TPU mesh is ticked cycle by cycle.
+// cycle-ticked systolic mesh. The oracle package drives the MAERI/SIGMA
+// components step by step and ticks the TPU mesh cycle by cycle; the
+// production engines use only the closed-form Depth.
 package fabric
 
 import (
@@ -30,11 +31,6 @@ func NewDistributionNetwork(bandwidth int) (*DistributionNetwork, error) {
 		return nil, fmt.Errorf("fabric: distribution bandwidth must be ≥ 1, got %d", bandwidth)
 	}
 	return &DistributionNetwork{Bandwidth: bandwidth}, nil
-}
-
-// Reset clears the counters so the network can be reused for a new layer.
-func (d *DistributionNetwork) Reset() {
-	d.Elements, d.Cycles = 0, 0
 }
 
 // Deliver accounts for the distribution of `unique` distinct values and
@@ -78,11 +74,6 @@ func NewReductionNetwork(kind ReduceKind, bandwidth int) (*ReductionNetwork, err
 		return nil, fmt.Errorf("fabric: reduction bandwidth must be ≥ 1, got %d", bandwidth)
 	}
 	return &ReductionNetwork{Kind: kind, Bandwidth: bandwidth}, nil
-}
-
-// Reset clears the counters so the network can be reused for a new layer.
-func (r *ReductionNetwork) Reset() {
-	r.Psums, r.Drains, r.Cycles = 0, 0, 0
 }
 
 // Depth returns the pipeline depth (in cycles) of the tree for a virtual
@@ -157,11 +148,6 @@ type AccumulationBuffer struct {
 // NewAccumulationBuffer returns a buffer model.
 func NewAccumulationBuffer(present bool) *AccumulationBuffer {
 	return &AccumulationBuffer{Present: present}
-}
-
-// Reset clears the counters so the buffer can be reused for a new layer.
-func (a *AccumulationBuffer) Reset() {
-	a.Writes, a.Reads, a.recirculated = 0, 0, 0
 }
 
 // Accumulate records `n` partial results being accumulated. `first` marks

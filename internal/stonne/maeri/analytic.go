@@ -8,8 +8,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file implements the analytical dry-run engine: the closed-form
-// evaluation of the step-loop cost model in maeri.go.
+// This file implements the analytical engine: the closed-form evaluation of
+// the step-loop cost model (the loop itself is the oracle package's).
 //
 // The key observation is that the per-step cost of the temporal loop nest is
 // a pure function of the *effective* tile sizes of the step (and of whether
@@ -71,8 +71,8 @@ func (e *Engine) treeDepth(vnSize int) int64 {
 	return int64(rn.Depth(vnSize))
 }
 
-// analyticConv computes the Stats of a dry-run Conv2D in closed form,
-// bit-identical to the step-loop reference.
+// analyticConv computes the Stats of a Conv2D in closed form, bit-identical
+// to the step loop.
 func (e *Engine) analyticConv(d tensor.ConvDims, m mapping.ConvMapping) stats.Stats {
 	p, q := d.P(), d.Q()
 	cg, kg := d.C/d.G, d.K/d.G
@@ -170,8 +170,8 @@ func (e *Engine) analyticConv(d tensor.ConvDims, m mapping.ConvMapping) stats.St
 	return st
 }
 
-// analyticDense computes the Stats of a dry-run Dense in closed form,
-// bit-identical to the step-loop reference.
+// analyticDense computes the Stats of a Dense in closed form, bit-identical
+// to the step loop.
 func (e *Engine) analyticDense(batches, inN, outN int, m mapping.FCMapping) stats.Stats {
 	dnBW, rnBW := int64(e.cfg.DNBandwidth), int64(e.cfg.RNBandwidth)
 	present := e.cfg.AccumBuffer

@@ -5,11 +5,12 @@ import (
 
 	"repro/internal/stonne/config"
 	"repro/internal/stonne/mapping"
+	"repro/internal/stonne/oracle"
 	"repro/internal/tensor"
 )
 
-// The equivalence suite proves the analytical dry-run engine bit-identical
-// to the step-loop reference across a grid of geometries, mappings and
+// The equivalence suite proves the analytical engine and the fused kernels
+// bit-identical to the oracle package's step loop across a grid of geometries, mappings and
 // hardware configurations — including boundary-heavy tiles (dimensions not
 // divisible by their tile), grouped convolutions and strided layers.
 
@@ -60,8 +61,7 @@ func TestAnalyticConvMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("analytic: %v", err)
 				}
-				eng.Reference = true
-				_, ref, err := eng.Conv2D(nil, nil, d, m)
+				ref, err := oracle.ConvStats(cfg, d, m)
 				if err != nil {
 					t.Fatalf("reference: %v", err)
 				}
@@ -109,8 +109,7 @@ func TestAnalyticDenseMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("analytic: %v", err)
 				}
-				eng.Reference = true
-				_, ref, err := eng.Dense(in, w, m)
+				ref, err := oracle.DenseStats(cfg, g.m, g.k, g.n, m)
 				if err != nil {
 					t.Fatalf("reference: %v", err)
 				}
@@ -166,8 +165,7 @@ func TestFusedConvMatchesStepLoop(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fused: %v", err)
 			}
-			eng.Reference = true
-			refOut, ref, err := eng.Conv2D(in, ker, dd, m)
+			refOut, ref, err := oracle.Conv2DNHWC(cfg, in, ker, dd, m)
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
@@ -213,8 +211,7 @@ func TestFusedDenseMatchesStepLoop(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fused: %v", err)
 			}
-			eng.Reference = true
-			refOut, ref, err := eng.Dense(in, w, m)
+			refOut, ref, err := oracle.Dense(cfg, in, w, m)
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
@@ -260,8 +257,8 @@ func TestDryRunMatchesFullRun(t *testing.T) {
 	}
 }
 
-// TestEngineReuse exercises the fabric-reuse path: repeated calls on one
-// engine must report the same stats as fresh engines (counters reset).
+// TestEngineReuse exercises the pooled-scratch reuse of the fused kernel:
+// repeated calls on one engine must report the same stats and output bytes.
 func TestEngineReuse(t *testing.T) {
 	d := tensor.ConvDims{N: 1, C: 4, H: 8, W: 8, K: 4, R: 3, S: 3, PadH: 1, PadW: 1}
 	if err := d.Resolve(); err != nil {

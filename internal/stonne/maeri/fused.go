@@ -7,13 +7,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file implements the full-accuracy fused fast path: the arithmetic
-// half of a non-dry simulation, decoupled from the counters. A default
-// (non-Reference) full-accuracy run computes its Stats through the PR 2
-// analytical models (analytic.go) and its output tensor through the kernels
-// here — the step loop in maeri.go is never entered.
+// This file implements the fused arithmetic: the output half of a
+// full-accuracy simulation, decoupled from the counters. A run computes its
+// Stats through the analytical models (analytic.go) and its output tensor
+// through the kernels here.
 //
-// Bitwise equality with the step-loop reference is the contract. The step
+// Bitwise equality with the oracle package's step loop is the contract. That
 // loop's arithmetic has one property the fast path must reproduce exactly,
 // because float32 addition is not associative: each output element is
 // accumulated per *reduction tile* — a fresh accumulator per (c0, r0, s0)

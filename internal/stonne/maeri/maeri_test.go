@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/stonne/config"
 	"repro/internal/stonne/mapping"
+	"repro/internal/stonne/oracle"
 	"repro/internal/tensor"
 	"repro/internal/topi"
 )
@@ -326,32 +327,47 @@ func TestDryRunMatchesFullRunCounters(t *testing.T) {
 
 // TestDenseStatsNeedsShapesOnly checks the shape-only entry: DenseStats
 // reports exactly the counters a full-accuracy Dense over real operands
-// does, on the closed form and on the step loop, and Dense itself still
-// refuses to run without tensors.
+// does, on the closed form and on the oracle's step loop, and Dense itself
+// still refuses to run without tensors.
 func TestDenseStatsNeedsShapesOnly(t *testing.T) {
 	in := tensor.RandomUniform(1, 1, 3, 37)
 	w := tensor.RandomUniform(2, 1, 11, 37)
 	m := mapping.FCMapping{TS: 4, TK: 5, TN: 1}
-	for _, reference := range []bool{false, true} {
-		e := mustEngine(t, testConfig(128))
-		e.Reference = reference
-		_, want, err := e.Dense(in, w, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.DenseStats(3, 37, 11, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("reference=%v: shape-only stats %+v, full run %+v", reference, got, want)
-		}
-		if _, err := e.DenseStats(3, 37, 11, mapping.FCMapping{TS: 64, TK: 64, TN: 1}); err == nil {
-			t.Error("a mapping larger than the multiplier array must be rejected")
-		}
-		if _, _, err := e.Dense(nil, nil, m); err == nil {
-			t.Error("Dense without tensors must be rejected")
-		}
+	cfg := testConfig(128)
+	e := mustEngine(t, cfg)
+	_, want, err := e.Dense(in, w, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.DenseStats(3, 37, 11, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("shape-only stats %+v, full run %+v", got, want)
+	}
+	_, refFull, err := oracle.Dense(cfg, in, w, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := oracle.DenseStats(cfg, 3, 37, 11, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref != want || refFull != want {
+		t.Errorf("step loop: shape-only stats %+v, full run %+v, engine %+v", ref, refFull, want)
+	}
+	if _, err := e.DenseStats(3, 37, 11, mapping.FCMapping{TS: 64, TK: 64, TN: 1}); err == nil {
+		t.Error("a mapping larger than the multiplier array must be rejected")
+	}
+	if _, err := oracle.DenseStats(cfg, 3, 37, 11, mapping.FCMapping{TS: 64, TK: 64, TN: 1}); err == nil {
+		t.Error("the step loop must reject a mapping larger than the multiplier array")
+	}
+	if _, _, err := e.Dense(nil, nil, m); err == nil {
+		t.Error("Dense without tensors must be rejected")
+	}
+	if _, _, err := oracle.Dense(cfg, nil, nil, m); err == nil {
+		t.Error("the step loop's Dense without tensors must be rejected")
 	}
 }
 

@@ -4,11 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/stonne/config"
+	"repro/internal/stonne/mapping"
+	"repro/internal/stonne/oracle"
 	"repro/internal/tensor"
 )
 
-// TestGEMMStatsMatchesSimulation proves the O(nnz) stats pass bit-identical
-// to the full chunk-by-chunk simulation across sparsity levels, accumulation
+// TestGEMMStatsMatchesSimulation proves the row-summary stats pass and the
+// fast GEMM bit-identical to the oracle's chunk-by-chunk simulation across sparsity levels, accumulation
 // buffer settings and awkward (non-multiple-of-ms_size) shapes.
 func TestGEMMStatsMatchesSimulation(t *testing.T) {
 	type geo struct{ s, k, m int }
@@ -29,24 +31,18 @@ func TestGEMMStatsMatchesSimulation(t *testing.T) {
 				tensor.Prune(stationary, sp)
 				streaming := tensor.RandomUniform(7, 1, g.k, g.m)
 
-				full, err := NewEngine(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				full.Reference = true
-				wantOut, want, err := full.GEMM(stationary, streaming)
+				wantOut, want, err := oracle.GEMM(cfg, stationary, streaming)
 				if err != nil {
 					t.Fatal(err)
 				}
 
-				// The default full-accuracy path is now fused: analytic
-				// counters + fast GEMM arithmetic, never the chunk loop.
-				// Stats AND output bytes must match the reference.
-				fusedEng, err := NewEngine(cfg)
+				// The engine is analytic counters + fast GEMM arithmetic:
+				// Stats AND output bytes must match the chunk loop.
+				eng, err := NewEngine(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fusedOut, fused, err := fusedEng.GEMM(stationary, streaming)
+				fusedOut, fused, err := eng.GEMM(stationary, streaming)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -57,64 +53,52 @@ func TestGEMMStatsMatchesSimulation(t *testing.T) {
 					t.Errorf("geo=%+v sparsity=%.1f accum=%v: fused output diverges at element %d: %v vs %v",
 						g, sp, accum, i, fusedOut.Data()[i], wantOut.Data()[i])
 				}
-				got, err := full.GEMMStats(stationary, g.m)
+				// The counters-only entry needs no streaming operand at all.
+				got, err := eng.GEMMStats(stationary, g.m)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != want {
 					t.Errorf("geo=%+v sparsity=%.1f accum=%v:\n stats pass %+v\n simulation %+v", g, sp, accum, got, want)
 				}
-
-				// The dry-run engine takes the same fast path.
-				dry, err := NewEngine(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dry.DryRun = true
-				out, dryStats, err := dry.GEMM(stationary, streaming)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if out != nil {
-					t.Error("dry-run GEMM returned an output tensor")
-				}
-				if dryStats != want {
-					t.Errorf("geo=%+v sparsity=%.1f accum=%v: dry-run stats diverge:\n dry %+v\n sim %+v", g, sp, accum, dryStats, want)
-				}
 			}
 		}
 	}
 }
 
-// TestDenseDryRun checks the dense dry-run shortcut against the full path.
+// TestDenseDryRun checks the counters-only entry against the dense layer:
+// GEMMStats over the weights and the batch size reports what Dense — and the
+// oracle's Dense — report, without an input tensor.
 func TestDenseDryRun(t *testing.T) {
 	cfg := config.Default(config.SIGMASparseGEMM).Normalize()
 	in := tensor.RandomUniform(3, 1, 4, 32)
 	w := tensor.RandomUniform(4, 1, 10, 32)
 	tensor.Prune(w, 0.5)
 
-	full, err := NewEngine(cfg)
+	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, err := full.Dense(in, w)
+	out, want, err := eng.Dense(in, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dry, err := NewEngine(cfg)
+	got, err := eng.GEMMStats(w, in.Dim(0))
 	if err != nil {
 		t.Fatal(err)
-	}
-	dry.DryRun = true
-	out, got, err := dry.Dense(in, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != nil {
-		t.Error("dry-run dense returned an output tensor")
 	}
 	if got != want {
-		t.Errorf("dense dry-run stats diverge:\n dry %+v\n sim %+v", got, want)
+		t.Errorf("dense counters-only stats diverge:\n dry %+v\n sim %+v", got, want)
+	}
+	refOut, ref, err := oracle.Dense(cfg, in, w, mapping.FCMapping{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref != want {
+		t.Errorf("dense stats diverge from the chunk loop:\n engine %+v\n oracle %+v", want, ref)
+	}
+	if i := tensor.FirstBitDiff(refOut, out); i >= 0 {
+		t.Errorf("dense output diverges from the chunk loop at element %d", i)
 	}
 }
 
@@ -139,18 +123,23 @@ func span(lo, hi int) []int {
 	return cols
 }
 
-// engineWith builds an engine around cfg without NewEngine's validation, so
-// the replay can be driven at multiplier counts (ms_size 1, 2) no real
-// configuration allows but where every nonzero is a chunk boundary.
-func engineWith(ms int, accum bool, pack *tensor.PackCache) *Engine {
+// cfgWith is a configuration NewEngine's validation would refuse: multiplier
+// counts (ms_size 1, 2) no real configuration allows but where every nonzero
+// is a chunk boundary.
+func cfgWith(ms int, accum bool) config.HWConfig {
 	cfg := config.Default(config.SIGMASparseGEMM)
 	cfg.MSSize, cfg.AccumBuffer = ms, accum
 	cfg.DNBandwidth, cfg.RNBandwidth = 4, 2 // narrow, so every ceil() matters
-	return &Engine{cfg: cfg, Pack: pack}
+	return cfg
+}
+
+// engineWith builds an engine around cfgWith without validating it.
+func engineWith(ms int, accum bool, pack *tensor.PackCache) *Engine {
+	return &Engine{cfg: cfgWith(ms, accum), Pack: pack}
 }
 
 // TestGEMMStatsMatchesReferenceAdversarial pins the row-summary replay to
-// the Reference chunk loop on the structures where a summary could lose
+// the oracle's chunk loop on the structures where a summary could lose
 // information: chunk boundaries at and inside rows, empty rows, rows longer
 // than several chunks, and row changes that land on the previous row's last
 // column (which the chunk loop does not count as a new streaming element —
@@ -199,10 +188,8 @@ func TestGEMMStatsMatchesReferenceAdversarial(t *testing.T) {
 func checkStatsAgainstReference(t *testing.T, name string, stationary *tensor.Tensor, ms int, accum bool) {
 	t.Helper()
 	const cols = 3
-	ref := engineWith(ms, accum, nil)
-	ref.Reference = true
 	streaming := tensor.RandomUniform(9, 1, stationary.Dim(1), cols)
-	_, want, err := ref.GEMM(stationary, streaming)
+	_, want, err := oracle.GEMM(cfgWith(ms, accum), stationary, streaming)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,61 +20,22 @@ import (
 	"repro/internal/tensor"
 )
 
-// Engine simulates one SIGMA instance. An Engine reuses its fabric models
-// across calls and is therefore not safe for concurrent use; create one
-// engine per goroutine.
+// Engine simulates one SIGMA instance. An Engine keeps no state between
+// calls, so once its fields are set it may serve concurrent calls.
+//
+// Counters and arithmetic are decoupled: Stats come from the GEMMStats
+// row-summary replay and the output from the fast GEMM kernel, both
+// bit-identical to the oracle package's chunk-by-chunk simulation (which adds
+// every stationary nonzero's product directly onto its output element in
+// ascending-K order, exactly the chain tensor.GEMM computes).
 type Engine struct {
 	cfg config.HWConfig
 
-	// DryRun skips output arithmetic while keeping every counter exact.
-	// SIGMA's per-column costs are identical across the streaming matrix's
-	// columns, so the dry run folds the column loop into a multiplication
-	// and needs only the stationary operand's row summary — O(rows)
-	// instead of O(nnz × columns).
-	//
-	// Counters and arithmetic are decoupled (PR 4): by default full-accuracy
-	// runs also skip the chunk-by-chunk simulation loop — Stats come from
-	// the GEMMStats row-summary replay and the output from the fast GEMM
-	// kernel, both bit-identical to the reference (the chunk loop adds
-	// every stationary nonzero's product directly onto its output element
-	// in ascending-K order, exactly the chain tensor.GEMM computes).
-	DryRun bool
-
-	// Reference forces the chunk-by-chunk simulation loop — counters and,
-	// for full-accuracy runs, arithmetic. It exists to validate the fused
-	// fast path and to reproduce its derivation.
-	Reference bool
-
-	// Pack, when set, lets the fused route reuse content-keyed derived
-	// forms across engines: packed operand panels, input transposes and the
+	// Pack, when set, lets the engine reuse content-keyed derived forms
+	// across engines: packed operand panels, input transposes and the
 	// stationary operand's row summary. Counters and outputs are bitwise
 	// identical with or without it.
 	Pack *tensor.PackCache
-
-	dn *fabric.DistributionNetwork
-	rn *fabric.ReductionNetwork
-	ab *fabric.AccumulationBuffer
-}
-
-// fabrics returns the engine's fabric models, creating them on first use
-// and resetting their counters on every call thereafter.
-func (e *Engine) fabrics() (*fabric.DistributionNetwork, *fabric.ReductionNetwork, *fabric.AccumulationBuffer, error) {
-	if e.dn == nil {
-		dn, err := fabric.NewDistributionNetwork(e.cfg.DNBandwidth)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		rn, err := fabric.NewReductionNetwork(fabric.FEN, e.cfg.RNBandwidth)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		e.dn, e.rn, e.ab = dn, rn, fabric.NewAccumulationBuffer(e.cfg.AccumBuffer)
-		return e.dn, e.rn, e.ab, nil
-	}
-	e.dn.Reset()
-	e.rn.Reset()
-	e.ab.Reset()
-	return e.dn, e.rn, e.ab, nil
 }
 
 // NewEngine validates the hardware configuration and returns an engine.
@@ -86,13 +47,6 @@ func NewEngine(cfg config.HWConfig) (*Engine, error) {
 		return nil, err
 	}
 	return &Engine{cfg: cfg}, nil
-}
-
-// nonzero is one stationary element: value, its row and its reduction
-// coordinate (the shared K dimension).
-type nonzero struct {
-	row, k int
-	v      float32
 }
 
 // Bitmap is the compressed representation of a stationary matrix: one bit
@@ -144,120 +98,20 @@ func (e *Engine) GEMM(stationary, streaming *tensor.Tensor) (*tensor.Tensor, sta
 	if stationary.Rank() != 2 || streaming.Rank() != 2 {
 		return nil, stats.Stats{}, fmt.Errorf("sigma: GEMM requires 2-D operands, got %v × %v", stationary.Shape(), streaming.Shape())
 	}
-	s, k := stationary.Dim(0), stationary.Dim(1)
-	k2, m := streaming.Dim(0), streaming.Dim(1)
-	if k != k2 {
+	m := streaming.Dim(1)
+	if stationary.Dim(1) != streaming.Dim(0) {
 		return nil, stats.Stats{}, fmt.Errorf("sigma: GEMM inner dimensions differ: %v × %v", stationary.Shape(), streaming.Shape())
 	}
-	if !e.Reference {
-		// Fused fast path: analytic counters (GEMMStats), and for
-		// full-accuracy runs the fast GEMM kernel — the chunk loop is never
-		// entered. The reference arithmetic accumulates each output element
-		// directly, one add per stationary nonzero in ascending K (chunk
-		// boundaries never regroup the chain), so tensor.GEMM — for which
-		// the zero elements the chunk loop never materialised are skipped
-		// or a bitwise no-op — reproduces the output bytes exactly.
-		st, err := e.GEMMStats(stationary, m)
-		if err != nil || e.DryRun {
-			return nil, st, err
-		}
-		return tensor.GEMMCached(stationary, streaming, e.Pack), st, nil
-	}
-	dn, rn, ab, err := e.fabrics()
+	// The chunk loop accumulates each output element directly, one add per
+	// stationary nonzero in ascending K (chunk boundaries never regroup the
+	// chain), so tensor.GEMM — for which the zero elements the chunk loop
+	// never materialises are skipped or a bitwise no-op — reproduces its
+	// output bytes exactly.
+	st, err := e.GEMMStats(stationary, m)
 	if err != nil {
-		return nil, stats.Stats{}, err
+		return nil, st, err
 	}
-
-	// The memory controller compresses the stationary operand. Metadata
-	// (bitmap) travels out of band; only values use multiplier slots.
-	var nz []nonzero
-	stD := stationary.Data()
-	for r := 0; r < s; r++ {
-		for c := 0; c < k; c++ {
-			if v := stD[r*k+c]; v != 0 {
-				nz = append(nz, nonzero{row: r, k: c, v: v})
-			}
-		}
-	}
-
-	out := tensor.New(s, m)
-	outD := out.Data()
-	strD := streaming.Data()
-	var st stats.Stats
-	st.Multipliers = e.cfg.MSSize
-	st.Outputs = int64(s) * int64(m)
-	var cycles int64
-	ms := e.cfg.MSSize
-
-	seenRow := make([]int, s) // round stamp per row, to detect continued rows
-	for i := range seenRow {
-		seenRow[i] = -1
-	}
-	round := 0
-	for base := 0; base < len(nz); base += ms {
-		chunk := nz[base:min(base+ms, len(nz))]
-
-		// Stationary fill: the chunk's values stream through the
-		// distribution network into the Flex-DPEs.
-		cycles += dn.Deliver(int64(len(chunk)))
-		st.WeightLoads += int64(len(chunk))
-
-		// Chunk shape: distinct streaming coordinates (multicast across
-		// rows sharing a k) and row segments (each segment is one FAN
-		// reduction group; segments continuing a previous round's row must
-		// re-accumulate).
-		uniqueK := 0
-		lastK := -1
-		segments := 0
-		lastRow := -1
-		continued := int64(0)
-		for _, el := range chunk {
-			if el.k != lastK {
-				uniqueK++
-				lastK = el.k
-			}
-			if el.row != lastRow {
-				segments++
-				lastRow = el.row
-				if seenRow[el.row] >= 0 {
-					continued++
-				}
-				seenRow[el.row] = round
-			}
-		}
-
-		// Streaming phase: for every output column, deliver the uniqueK
-		// streaming elements (multicast across row groups), reduce each row
-		// segment through the FAN tree, and drain the segment results.
-		segPsums := int64(len(chunk) - segments) // v−1 adds per segment, summed
-		for col := 0; col < m; col++ {
-			inCycles := dn.Deliver(int64(uniqueK))
-			ab.Accumulate(int64(segments)-continued, true)
-			recirc := ab.Accumulate(continued, false)
-			if recirc > 0 {
-				inCycles += dn.Deliver(recirc)
-			}
-			rn.Psums += segPsums
-			st.SpatialPsums += segPsums
-			drain := rn.Drain(int64(segments))
-			cycles += max(inCycles, drain, 1)
-			st.Steps++
-			st.MACs += int64(len(chunk))
-			st.AccumWrites += int64(segments)
-			st.InputLoads += int64(uniqueK)
-
-			// Exact arithmetic for this chunk/column.
-			for _, el := range chunk {
-				outD[el.row*m+col] += el.v * strD[el.k*m+col]
-			}
-		}
-		round++
-	}
-	// FAN pipeline drain for the widest segment (bounded by the chunk).
-	cycles += int64(rn.Depth(min(ms, k))) + 1
-	st.Cycles = cycles
-	st.DNElements = dn.Elements
-	return out, st, nil
+	return tensor.GEMMCached(stationary, streaming, e.Pack), st, nil
 }
 
 // rowSummary returns the structure of the stationary operand that
@@ -424,20 +278,8 @@ func (e *Engine) Dense(in, weights *tensor.Tensor) (*tensor.Tensor, stats.Stats,
 	if in.Dim(1) != weights.Dim(1) {
 		return nil, stats.Stats{}, fmt.Errorf("sigma: dense reduction mismatch: input %v vs weights %v", in.Shape(), weights.Shape())
 	}
-	if e.DryRun {
-		st, err := e.GEMMStats(weights, in.Dim(0))
-		return nil, st, err
-	}
-	if e.Reference {
-		// The reference chunk loop keeps a private copy to stay conservative.
-		prod, st, err := e.GEMM(weights, in.Transpose(1, 0)) // [S, M]
-		if err != nil {
-			return nil, stats.Stats{}, err
-		}
-		return prod.Transpose(1, 0), st, nil
-	}
-	// The fused route never mutates operands, so the transposed input can be
-	// shared content-keyed across the jobs of a sweep (the same activation is
+	// Operands are never mutated, so the transposed input can be shared
+	// content-keyed across the jobs of a sweep (the same activation is
 	// typically submitted under many mappings/configs).
 	prod, st, err := e.GEMM(weights, tensor.Transpose2DCached(in, e.Pack)) // [S, M]
 	if err != nil {

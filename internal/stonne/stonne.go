@@ -54,33 +54,14 @@ func New(cfg config.HWConfig) (*Simulator, error) {
 // Config returns the (normalised) hardware configuration.
 func (s *Simulator) Config() config.HWConfig { return s.cfg }
 
-// SetReference forces (or releases) the step-loop / cycle-ticked reference
-// implementation of whichever engine the simulator drives. By default every
-// engine runs its fused fast path — analytic counters plus fast arithmetic —
-// which is bit-identical to the reference (Stats and output bytes; the
-// engines' equivalence suites enforce it), so Reference exists only to
-// validate the fast paths and to reproduce their derivation. It returns s
-// for chaining.
-func (s *Simulator) SetReference(on bool) *Simulator {
-	switch {
-	case s.maeriEng != nil:
-		s.maeriEng.Reference = on
-	case s.sigmaEng != nil:
-		s.sigmaEng.Reference = on
-	case s.tpuEng != nil:
-		s.tpuEng.Reference = on
-	}
-	return s
-}
-
 // SetPackCache shares a content-keyed pack cache with the simulator's
 // engine: packed weight panels, kernel matrices and layout transposes are
 // then reused across simulator instances that hold the same operands —
 // the allocation-free steady state of a sweep over fixed network weights.
 // Counters and output bytes are bitwise identical with or without a cache
 // (the pack reuse changes where packed bytes come from, never what they
-// are), so the cache, like Reference, never participates in result cache
-// keys. It returns s for chaining.
+// are), so the cache never participates in result cache keys. It returns s
+// for chaining.
 func (s *Simulator) SetPackCache(pc *tensor.PackCache) *Simulator {
 	switch {
 	case s.maeriEng != nil:

@@ -1,9 +1,10 @@
 // Package tpu simulates STONNE's fixed systolic-array architecture
 // (TPU_OS_DENSE): an OS_MESH of ms_rows × ms_cols processing elements with a
-// rigid dataflow and a mandatory accumulation buffer. Unlike the MAERI and
-// SIGMA step models, the mesh here is simulated cycle by cycle, PE by PE,
-// through fabric.SystolicMesh — operands physically propagate through the
-// pipeline registers with the canonical skew.
+// rigid dataflow and a mandatory accumulation buffer. The mesh itself —
+// operands physically propagating through the pipeline registers with the
+// canonical skew, cycle by cycle, PE by PE — is simulated by the oracle
+// package; this engine reports the same counters in closed form and the
+// same output bytes through the fast GEMM kernel.
 //
 // The TPU has no mapping space: "since the TPU has a fixed dataflow
 // architecture, the tiling can not be changed" (§V-A).
@@ -13,41 +14,27 @@ import (
 	"fmt"
 
 	"repro/internal/stonne/config"
-	"repro/internal/stonne/fabric"
 	"repro/internal/stonne/stats"
 	"repro/internal/tensor"
 )
 
-// Engine simulates one TPU instance. An Engine reuses its systolic mesh
-// across calls and is therefore not safe for concurrent use; create one
-// engine per goroutine.
+// Engine simulates one TPU instance. An Engine keeps no state between calls,
+// so once its fields are set it may serve concurrent calls.
+//
+// Counters and arithmetic are decoupled: the OS_MESH's per-tile cost is a
+// closed-form function of the tile geometry, so Stats collapse to a handful
+// of tile classes (GEMMStats), and the output comes from the fast GEMM
+// kernel — each PE accumulates its output element's products in ascending-K
+// order with ±0 no-ops while operands are in flight, exactly the chain
+// tensor.GEMM computes. Both are bit-identical to the cycle-ticked mesh.
 type Engine struct {
 	cfg config.HWConfig
-
-	// DryRun skips the cycle-ticked mesh while keeping every counter exact:
-	// the OS_MESH's per-tile cost is a closed-form function of the tile
-	// geometry, so the whole GEMM collapses to a handful of tile classes.
-	//
-	// Counters and arithmetic are decoupled (PR 4): by default full-accuracy
-	// runs also skip the cycle-ticked mesh — Stats come from the closed
-	// form and the output from the fast GEMM kernel, both bit-identical to
-	// the mesh (each PE accumulates its output element's products in
-	// ascending-K order with ±0 no-ops while operands are in flight,
-	// exactly the chain tensor.GEMM computes).
-	DryRun bool
-
-	// Reference forces the cycle-ticked mesh — counters and, for
-	// full-accuracy runs, arithmetic. It exists to validate the fused fast
-	// path and to reproduce its derivation.
-	Reference bool
 
 	// Pack, when set, shares content-keyed derived operands across engines:
 	// the dense lowering's transposed weight matrix and the fused GEMM's
 	// packed B-panels are built once per distinct operand instead of once
 	// per job. Outputs are bitwise identical with or without it.
 	Pack *tensor.PackCache
-
-	mesh *fabric.SystolicMesh
 }
 
 // NewEngine validates the hardware configuration and returns an engine.
@@ -62,91 +49,25 @@ func NewEngine(cfg config.HWConfig) (*Engine, error) {
 	return &Engine{cfg: cfg}, nil
 }
 
-// GEMM computes out = a × b for a [M, K] and b [K, N] on the systolic mesh.
-// The output is tiled into ms_rows × ms_cols blocks; each block is computed
-// output-stationary with operands streamed through the skewed edges.
+// GEMM computes out = a × b for a [M, K] and b [K, N]. On the mesh the
+// output is tiled into ms_rows × ms_cols blocks, each computed
+// output-stationary with operands streamed through the skewed edges; a PE's
+// accumulator sums a[r,i]·b[i,c] for i ascending (the skew aligns both
+// operands on the same index; out-of-range ticks multiply zero-fed
+// registers, contributing ±0 no-ops), so tensor.GEMM reproduces the output
+// bytes exactly.
 func (e *Engine) GEMM(a, b *tensor.Tensor) (*tensor.Tensor, stats.Stats, error) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		return nil, stats.Stats{}, fmt.Errorf("tpu: GEMM requires 2-D operands, got %v × %v", a.Shape(), b.Shape())
 	}
-	m, k := a.Dim(0), a.Dim(1)
-	k2, n := b.Dim(0), b.Dim(1)
-	if k != k2 {
+	if a.Dim(1) != b.Dim(0) {
 		return nil, stats.Stats{}, fmt.Errorf("tpu: GEMM inner dimensions differ: %v × %v", a.Shape(), b.Shape())
 	}
-	if !e.Reference {
-		// Fused fast path: closed-form counters, and for full-accuracy runs
-		// the fast GEMM kernel — the mesh is never ticked. A mesh PE's
-		// accumulator sums a[r,i]·b[i,c] for i ascending (the skew aligns
-		// both operands on the same index; out-of-range ticks multiply
-		// zero-fed registers, contributing ±0 no-ops), so tensor.GEMM
-		// reproduces the output bytes exactly.
-		st, err := e.GEMMStats(m, k, n)
-		if err != nil || e.DryRun {
-			return nil, st, err
-		}
-		return tensor.GEMMCached(a, b, e.Pack), st, nil
+	st, err := e.GEMMStats(a.Dim(0), a.Dim(1), b.Dim(1))
+	if err != nil {
+		return nil, st, err
 	}
-	rows, cols := e.cfg.MSRows, e.cfg.MSCols
-	if e.mesh == nil || e.mesh.Rows != rows || e.mesh.Cols != cols {
-		mesh, err := fabric.NewSystolicMesh(rows, cols)
-		if err != nil {
-			return nil, stats.Stats{}, err
-		}
-		e.mesh = mesh
-	}
-	mesh := e.mesh
-	out := tensor.New(m, n)
-	var st stats.Stats
-	st.Multipliers = rows * cols
-	st.Outputs = int64(m) * int64(n)
-	st.MACs = int64(m) * int64(k) * int64(n)
-
-	aTile := make([]float32, rows*k)
-	bTile := make([]float32, k*cols)
-	var cycles int64
-	for r0 := 0; r0 < m; r0 += rows {
-		tr := min(rows, m-r0)
-		// Zero-padded A tile.
-		for i := range aTile {
-			aTile[i] = 0
-		}
-		for r := 0; r < tr; r++ {
-			copy(aTile[r*k:(r+1)*k], a.Data()[(r0+r)*k:(r0+r+1)*k])
-		}
-		for c0 := 0; c0 < n; c0 += cols {
-			tc := min(cols, n-c0)
-			for i := range bTile {
-				bTile[i] = 0
-			}
-			for kk := 0; kk < k; kk++ {
-				copy(bTile[kk*cols:kk*cols+tc], b.Data()[kk*n+c0:kk*n+c0+tc])
-			}
-			tileOut, tileCycles, elems := runTile(mesh, aTile, bTile, k, tr, tc)
-			cycles += tileCycles
-			st.DNElements += elems
-			st.InputLoads += elems
-			st.AccumWrites += int64(tr) * int64(tc)
-			st.Steps++
-			for r := 0; r < tr; r++ {
-				for c := 0; c < tc; c++ {
-					out.Set(tileOut[r*cols+c], r0+r, c0+c)
-				}
-			}
-		}
-	}
-	st.Cycles = cycles
-	return out, st, nil
-}
-
-// runTile drives the mesh through one output tile and returns the
-// accumulators, the cycles consumed and the edge elements delivered.
-func runTile(mesh *fabric.SystolicMesh, aTile, bTile []float32, k, tr, tc int) ([]float32, int64, int64) {
-	outs, cycles := mesh.MultiplyTile(aTile, bTile, k)
-	// Edge traffic: each of the tr active rows and tc active columns
-	// receives k operands over the run.
-	elems := int64(k) * int64(tr+tc)
-	return outs, cycles, elems
+	return tensor.GEMMCached(a, b, e.Pack), st, nil
 }
 
 // GEMMStats computes the statistics of an [M, K] × [K, N] GEMM in closed
@@ -211,14 +132,7 @@ func (e *Engine) Dense(in, weights *tensor.Tensor) (*tensor.Tensor, stats.Stats,
 	if in.Dim(1) != weights.Dim(1) {
 		return nil, stats.Stats{}, fmt.Errorf("tpu: dense reduction mismatch: input %v vs weights %v", in.Shape(), weights.Shape())
 	}
-	var wt *tensor.Tensor
-	if e.Reference {
-		// The reference mesh keeps a private copy to stay conservative.
-		wt = weights.Transpose(1, 0)
-	} else {
-		// The fused route never mutates operands, so the transposed weight
-		// matrix can be shared content-keyed across jobs.
-		wt = tensor.Transpose2DCached(weights, e.Pack)
-	}
-	return e.GEMM(in, wt)
+	// Operands are never mutated, so the transposed weight matrix can be
+	// shared content-keyed across jobs.
+	return e.GEMM(in, tensor.Transpose2DCached(weights, e.Pack))
 }
