@@ -36,9 +36,9 @@ func steadyStateAllocs(run func()) float64 {
 }
 
 // TestFusedConvSteadyStateAllocFree pins the fused full-accuracy Conv2D
-// path — analytic counters plus the panel-streaming arithmetic — to ~0
-// allocs/op once the content-keyed panels are cached and outputs are
-// released back to the arena.
+// path — analytic counters plus the register-blocked arithmetic — to ~0
+// allocs/op once the pooled scratch (tap tables, kernel panel, gather
+// buffer) has grown and outputs are released back to the arena.
 func TestFusedConvSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is inflated under -race")
@@ -54,7 +54,6 @@ func TestFusedConvSteadyStateAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Pack = tensor.NewPackCache(0, 0)
 
 	allocs := steadyStateAllocs(func() {
 		out, _, err := eng.Conv2D(in, ker, d, m)
@@ -81,7 +80,6 @@ func TestFusedDenseSteadyStateAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Pack = tensor.NewPackCache(0, 0)
 
 	allocs := steadyStateAllocs(func() {
 		out, _, err := eng.Dense(in, w, m)

@@ -105,9 +105,12 @@ func Conv2DNCHWOpts(cfg config.HWConfig, in, kernel *tensor.Tensor, d ConvParams
 	}
 	sim.SetPackCache(opt.Pack)
 	if sim.SupportsDirectConv() {
-		nhwc := tensor.NCHWToNHWCCached(in, opt.Pack)
+		// The activation is new on every run — a pooled transient, never a
+		// cache entry; the weights are what later runs and jobs re-read.
+		nhwc := tensor.NCHWToNHWCPooled(in)
 		rsck := tensor.KCRSToRSCKCached(kernel, opt.Pack)
 		out, st, err := sim.Conv2D(nhwc, rsck, d, m)
+		nhwc.Release()
 		if err != nil {
 			return nil, stats.Stats{}, err
 		}

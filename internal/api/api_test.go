@@ -163,3 +163,31 @@ func TestComputeSummariesRecorded(t *testing.T) {
 		t.Errorf("maeri compute sum = %v ms, want > 0", sums["maeri"].SumMS)
 	}
 }
+
+// TestMAERIConvPackTrafficIsConstant pins what a MAERI convolution leaves
+// in the pack cache: its weights' RSCK transpose and nothing else — not the
+// activation, and not one entry per reduction tile (2 304 under the basic
+// mapping on this conv3-shaped layer, which is what used to be published).
+func TestMAERIConvPackTrafficIsConstant(t *testing.T) {
+	d := tensor.ConvDims{N: 1, C: 256, H: 13, W: 13, K: 384, R: 3, S: 3, PadH: 1, PadW: 1}
+	if err := d.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	in := tensor.RandomUniform(1, 1, d.N, d.C, d.H, d.W)
+	w := tensor.RandomUniform(2, 1, d.K, d.C, d.R, d.S)
+	pc := tensor.NewPackCache(0, 0)
+	cfg := config.Default(config.MAERIDenseWorkload)
+	for run, want := range []tensor.PackStats{
+		{Entries: 1, Puts: 1, Misses: 1},
+		{Entries: 1, Puts: 1, Misses: 1, Hits: 1},
+	} {
+		if _, _, err := Conv2DNCHWOpts(cfg, in, w, d, mapping.Basic(), Options{Pack: pc}); err != nil {
+			t.Fatal(err)
+		}
+		got := pc.Stats()
+		want.Bytes = got.Bytes
+		if got != want {
+			t.Fatalf("pack cache after call %d: %+v, want %+v", run+1, got, want)
+		}
+	}
+}

@@ -358,3 +358,36 @@ func TestMiniResNetOffloadWithBNFolding(t *testing.T) {
 		t.Fatalf("records = %d, want 3", len(s.Records()))
 	}
 }
+
+// TestSessionPackCacheHoldsWhatIsReRead pins a MAERI model session's pack
+// cache traffic: the first run publishes one RSCK transpose per conv layer
+// and nothing else (the engine used to flood it with one entry per
+// reduction tile, 11 989 a run, evicting the transposes before they could
+// be hit), and the second run finds every one of them — zero puts, zero
+// misses.
+func TestSessionPackCacheHoldsWhatIsReRead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs full AlexNet")
+	}
+	s, err := NewSession(config.Default(config.MAERIDenseWorkload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := models.AlexNet(3)
+	run := func(seed int64) tensor.PackStats {
+		t.Helper()
+		feeds := map[string]*tensor.Tensor{"data": tensor.RandomUniform(seed, 1, 1, 3, 227, 227)}
+		if _, err := s.Run(g, feeds); err != nil {
+			t.Fatal(err)
+		}
+		return s.pack.Stats()
+	}
+	first := run(1)
+	if first.Puts != 5 || first.Evictions != 0 {
+		t.Fatalf("first run: %+v, want 5 puts (one RSCK transpose per conv layer) and no evictions", first)
+	}
+	second := run(2)
+	if second.Puts != first.Puts || second.Misses != first.Misses || second.Hits != first.Hits+5 {
+		t.Fatalf("second run did not hit every cached weight transpose:\n first  %+v\n second %+v", first, second)
+	}
+}

@@ -492,6 +492,9 @@ func (f *Farm) exec(c *call) {
 	c.span.Observe(telemetry.PhaseCompute, time.Since(t))
 	t = time.Now()
 	if c.err == nil {
+		// A pooled output would pin its bucket's rounded-up capacity for
+		// the life of the cache entry.
+		c.res.Out = c.res.Out.Compact()
 		f.cmu.Lock()
 		f.mem.Put(c.key, c.res)
 		f.cmu.Unlock()

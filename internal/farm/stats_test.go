@@ -86,17 +86,17 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 	}
 }
 
-// TestFarmSharesPackCacheAcrossJobs proves the Farm → Job → engine
-// threading: two jobs with identical weights but different mappings must
-// reuse the shared pack cache (the second job's panels come from the
-// first's packing), and a farm with pack reuse disabled must not touch it.
+// TestFarmSharesPackCacheAcrossJobs proves the Farm → Job → api threading:
+// two jobs with identical weights but different mappings must reuse the
+// shared pack cache (the second job's RSCK weight transpose comes from the
+// first's), and a farm with pack reuse disabled must not touch it.
 func TestFarmSharesPackCacheAcrossJobs(t *testing.T) {
 	d := tensor.ConvDims{N: 1, C: 2, H: 8, W: 8, K: 8, R: 3, S: 3, PadH: 1, PadW: 1}
-	in := tensor.RandomUniform(1, 1, 1, 8, 8, 2)
-	w := tensor.RandomUniform(2, 1, 3, 3, 2, 8)
+	in := tensor.RandomUniform(1, 1, 1, 2, 8, 8)
+	w := tensor.RandomUniform(2, 1, 8, 2, 3, 3)
 	job := func(tk int) Job {
 		return Job{HW: config.Default(config.MAERIDenseWorkload), Kind: Conv2D,
-			Layout: tensor.NHWC, Dims: d,
+			Layout: tensor.NCHW, Dims: d,
 			ConvMapping: mapping.ConvMapping{TR: 3, TS: 3, TC: 1, TK: tk, TG: 1, TN: 1, TX: 1, TY: 1},
 			Input:       in, Weights: w, Seed: 1}
 	}
@@ -127,4 +127,41 @@ func TestFarmSharesPackCacheAcrossJobs(t *testing.T) {
 		t.Fatalf("pack-disabled farm recorded pack activity: %+v", st)
 	}
 	off.Close()
+}
+
+// TestFarmCachesExactSizeOutputs pins what the memory tier holds for a
+// result whose output came from the tensor arena (the SIGMA / TPU conv
+// lowering): an exact-size tensor, not the arena bucket's rounded-up
+// capacity pinned for the life of the entry — with the bits farm.Run
+// produces.
+func TestFarmCachesExactSizeOutputs(t *testing.T) {
+	d := tensor.ConvDims{N: 1, C: 4, H: 12, W: 12, K: 16, R: 3, S: 3, PadH: 1, PadW: 1}
+	job := Job{HW: config.Default(config.SIGMASparseGEMM), Kind: Conv2D, Layout: tensor.NCHW, Dims: d,
+		ConvMapping: mapping.Basic(),
+		Input:       tensor.RandomUniform(1, 1, 1, 4, 12, 12), Weights: tensor.RandomUniform(2, 1, 16, 4, 3, 3), Seed: 1}
+	want, err := Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := want.Out.Size(); n&(n-1) == 0 {
+		t.Fatalf("output of %d elements fills its arena bucket exactly; pick a geometry that does not", n)
+	}
+
+	mem := NewMemoryStore(0, 0)
+	f := New(1, WithMemoryStore(mem))
+	defer f.Close()
+	res, err := f.Do(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, ok := mem.Get(res.Key)
+	if !ok {
+		t.Fatal("computed result is not in the memory tier")
+	}
+	if l, c := len(cached.Out.Data()), cap(cached.Out.Data()); c != l {
+		t.Fatalf("cached output pins %d floats for %d", c, l)
+	}
+	if i := tensor.FirstBitDiff(want.Out, cached.Out); i >= 0 {
+		t.Fatalf("cached output diverges from farm.Run at element %d", i)
+	}
 }

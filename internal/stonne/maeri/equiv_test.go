@@ -1,6 +1,7 @@
 package maeri
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/stonne/config"
@@ -125,7 +126,10 @@ func TestAnalyticDenseMatchesReference(t *testing.T) {
 // analytic counters plus the fused arithmetic kernel — bit-identical (Stats
 // AND output bytes) to the step-loop reference across geometries, mappings
 // and hardware configurations, including boundary-heavy tiles, groups,
-// strides and padding (where the reference skips out-of-window taps).
+// strides and padding (where the reference skips out-of-window taps and the
+// kernel multiplies zero-filled ones), and every edge of the kernel's 4 × 8
+// blocking: K/G below, at and between multiples of 8, output rows of less
+// than one, exactly one and a fractional number of 4-wide blocks.
 func TestFusedConvMatchesStepLoop(t *testing.T) {
 	dims := []tensor.ConvDims{
 		{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, PadH: 1, PadW: 1},
@@ -134,6 +138,23 @@ func TestFusedConvMatchesStepLoop(t *testing.T) {
 		{N: 1, C: 8, H: 10, W: 10, K: 8, R: 3, S: 3, G: 2, PadH: 1, PadW: 1},
 		{N: 3, C: 6, H: 9, W: 9, K: 6, R: 5, S: 5, G: 3, StrideH: 2, StrideW: 2, PadH: 2, PadW: 2},
 		{N: 1, C: 5, H: 13, W: 13, K: 7, R: 1, S: 1},
+		// K/G 16, 24, 40 (whole K-blocks) and 12, 20 (a partial last one)
+		// against Q 13, 5, 4, 3 (partial, whole and sub-block rows).
+		{N: 1, C: 3, H: 5, W: 13, K: 16, R: 3, S: 3, PadH: 1, PadW: 1},
+		{N: 1, C: 6, H: 4, W: 5, K: 24, R: 3, S: 3, PadH: 1, PadW: 1},
+		{N: 1, C: 3, H: 4, W: 4, K: 40, R: 3, S: 3, PadH: 1, PadW: 1},
+		{N: 1, C: 4, H: 5, W: 4, K: 12, R: 3, S: 3, PadH: 1, PadW: 1},
+		{N: 1, C: 6, H: 6, W: 3, K: 40, R: 3, S: 3, G: 2, PadH: 1, PadW: 1},
+		// Q = 1 and Q = 2 under padding: no output column has an interior
+		// window, every tap row and column crosses the border somewhere.
+		{N: 1, C: 3, H: 3, W: 1, K: 8, R: 3, S: 3, PadH: 1, PadW: 1},
+		{N: 1, C: 6, H: 4, W: 2, K: 16, R: 3, S: 3, PadH: 1, PadW: 1},
+		// Q = 1 without padding: a single window the size of the input.
+		{N: 1, C: 3, H: 3, W: 3, K: 8, R: 3, S: 3},
+		// conv1-like: large window, stride 4, no padding.
+		{N: 1, C: 3, H: 23, W: 23, K: 16, R: 11, S: 11, StrideH: 4, StrideW: 4},
+		// conv2-like: 5×5 window, padding 2, two groups, batch of two.
+		{N: 2, C: 6, H: 7, W: 7, K: 16, R: 5, S: 5, G: 2, PadH: 2, PadW: 2},
 	}
 	maps := []mapping.ConvMapping{
 		{TR: 1, TS: 1, TC: 1, TK: 1, TG: 1, TN: 1, TX: 1, TY: 1},
@@ -141,6 +162,9 @@ func TestFusedConvMatchesStepLoop(t *testing.T) {
 		{TR: 2, TS: 2, TC: 3, TK: 1, TG: 1, TN: 1, TX: 3, TY: 2}, // boundary-heavy reduction tiles
 		{TR: 1, TS: 3, TC: 2, TK: 3, TG: 1, TN: 1, TX: 4, TY: 3},
 		{TR: 3, TS: 1, TC: 1, TK: 2, TG: 2, TN: 1, TX: 2, TY: 5},
+		// Multi-tap tiles whose rows straddle the top and bottom padding:
+		// part of a tile's taps are zero-filled, part are live.
+		{TR: 2, TS: 1, TC: 3, TK: 1, TG: 1, TN: 1, TX: 1, TY: 1},
 	}
 	cfg := maeriCfg(256, 4, 4, true, config.ASNetwork)
 	for di, d := range dims {
@@ -150,9 +174,16 @@ func TestFusedConvMatchesStepLoop(t *testing.T) {
 		}
 		in := tensor.RandomUniform(int64(100+di), 1, dd.N, dd.H, dd.W, dd.C)
 		ker := tensor.RandomUniform(int64(200+di), 1, dd.R, dd.S, dd.C/dd.G, dd.K)
-		// Zeros in the activations exercise the fused kernel's sparse skip
-		// (a bitwise no-op the reference performs as ±0 additions).
+		// Zero activations of either sign, against weights of either sign
+		// (RandomUniform is symmetric): their products are the ±0 the
+		// kernel's zero-filled padding taps also contribute, and must be
+		// the bitwise no-ops the header of fused.go argues they are.
 		tensor.Prune(in, 0.25)
+		for i, v := range in.Data() {
+			if v == 0 && i%2 == 1 {
+				in.Data()[i] = float32(math.Copysign(0, -1))
+			}
+		}
 		for _, m := range maps {
 			if err := m.Validate(dd, 256); err != nil {
 				continue
@@ -188,32 +219,39 @@ func TestFusedDenseMatchesStepLoop(t *testing.T) {
 		{1, 256, 64},
 		{3, 100, 37},
 		{2, 17, 5}, // output neurons not a multiple of the 4-wide micro-block
+		{1, 19, 6},
+		{2, 23, 7},
 	}
 	maps := []mapping.FCMapping{
 		{TS: 1, TN: 1, TK: 1},
 		{TS: 4, TN: 1, TK: 8},
 		{TS: 5, TN: 1, TK: 3},
 		{TS: 2, TN: 2, TK: 7},
+		// T_K = inN for the last two geometries — the whole chain is one
+		// accumulator — and past inN for the shorter ones, which engine and
+		// oracle must both reject.
+		{TS: 1, TN: 1, TK: 19},
+		{TS: 3, TN: 1, TK: 23},
 	}
 	cfg := maeriCfg(256, 4, 4, true, config.ASNetwork)
 	for gi, g := range geos {
 		in := tensor.RandomUniform(int64(300+gi), 1, g.m, g.k)
 		w := tensor.RandomUniform(int64(400+gi), 1, g.n, g.k)
 		for _, m := range maps {
-			if err := m.Validate(g.m, g.k, g.n, 256); err != nil {
-				continue
-			}
 			eng, err := NewEngine(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fusedOut, fused, err := eng.Dense(in, w, m)
-			if err != nil {
-				t.Fatalf("fused: %v", err)
+			refOut, ref, refErr := oracle.Dense(cfg, in, w, m)
+			if m.Validate(g.m, g.k, g.n, 256) != nil {
+				if err == nil || refErr == nil {
+					t.Errorf("geo=%+v mapping=%s is invalid: fused err %v, reference err %v", g, m, err, refErr)
+				}
+				continue
 			}
-			refOut, ref, err := oracle.Dense(cfg, in, w, m)
-			if err != nil {
-				t.Fatalf("reference: %v", err)
+			if err != nil || refErr != nil {
+				t.Fatalf("geo=%+v mapping=%s: fused err %v, reference err %v", g, m, err, refErr)
 			}
 			if fused != ref {
 				t.Errorf("geo=%+v mapping=%s: fused stats diverge:\n fused %+v\n ref   %+v", g, m, fused, ref)

@@ -46,13 +46,6 @@ type Engine struct {
 	// per-reduction-tile accumulation order exactly. Both halves are
 	// bit-identical to the oracle (proven by the equivalence tests).
 	DryRun bool
-
-	// Pack, when set, shares packed kernel panels across engines through a
-	// content-keyed cache: fused convolutions whose weights and tile
-	// decomposition match a previous run's reuse its panels instead of
-	// repacking them. Outputs are bitwise identical with or without it, so
-	// it never participates in result cache keys.
-	Pack *tensor.PackCache
 }
 
 // eff clamps a tile that would run past its dimension: the effective size
@@ -113,7 +106,7 @@ func (e *Engine) Conv2D(in, kernel *tensor.Tensor, d tensor.ConvDims, m mapping.
 	if e.DryRun {
 		return nil, st, nil
 	}
-	return fusedConv(in, kernel, d, m, e.Pack), st, nil
+	return fusedConv(in, kernel, d, m), st, nil
 }
 
 // Dense executes a fully connected layer on the simulated MAERI: the input

@@ -55,17 +55,17 @@ func New(cfg config.HWConfig) (*Simulator, error) {
 func (s *Simulator) Config() config.HWConfig { return s.cfg }
 
 // SetPackCache shares a content-keyed pack cache with the simulator's
-// engine: packed weight panels, kernel matrices and layout transposes are
-// then reused across simulator instances that hold the same operands —
-// the allocation-free steady state of a sweep over fixed network weights.
+// engine: packed GEMM panels, weight transposes and row summaries are then
+// reused across simulator instances that hold the same operands — the
+// allocation-free steady state of a sweep over fixed network weights. The
+// MAERI engine derives nothing worth keeping (its kernel panel is per-call
+// scratch), so only SIGMA and the TPU take the cache.
 // Counters and output bytes are bitwise identical with or without a cache
 // (the pack reuse changes where packed bytes come from, never what they
 // are), so the cache never participates in result cache keys. It returns s
 // for chaining.
 func (s *Simulator) SetPackCache(pc *tensor.PackCache) *Simulator {
 	switch {
-	case s.maeriEng != nil:
-		s.maeriEng.Pack = pc
 	case s.sigmaEng != nil:
 		s.sigmaEng.Pack = pc
 	case s.tpuEng != nil:

@@ -108,6 +108,21 @@ func (t *Tensor) Release() {
 	tensorPools[b].Put(t)
 }
 
+// Compact returns t, or — when t's storage is larger than its contents, as
+// an arena tensor's is unless its size is a power of two — an exact-size
+// copy, releasing t. It is for results about to be held for a long time (a
+// result cache entry): kept as they are they would pin the bucket's
+// rounded-up capacity, up to twice their size, for the life of the holder.
+// The same aliasing rule as Release applies when a copy is made.
+func (t *Tensor) Compact() *Tensor {
+	if t == nil || cap(t.data) == len(t.data) {
+		return t
+	}
+	c := t.Clone()
+	t.Release()
+	return c
+}
+
 // scratchHeaders recycles the *[]float32 boxes scratchPools stores, so a
 // get/put pair allocates nothing: getScratch empties a box into here and
 // putScratch refills one.

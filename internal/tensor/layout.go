@@ -29,7 +29,10 @@ func KernelFor(l Layout) (Layout, error) {
 
 // Transpose returns a new tensor with dimensions permuted by perm, so that
 // out.shape[i] == t.shape[perm[i]].
-func (t *Tensor) Transpose(perm ...int) *Tensor {
+func (t *Tensor) Transpose(perm ...int) *Tensor { return t.transpose(New, perm) }
+
+// transpose is Transpose into a tensor minted by alloc (New or NewPooled).
+func (t *Tensor) transpose(alloc func(...int) *Tensor, perm []int) *Tensor {
 	r := t.Rank()
 	if len(perm) != r {
 		panic(fmt.Sprintf("tensor: permutation %v does not match rank %d", perm, r))
@@ -43,7 +46,7 @@ func (t *Tensor) Transpose(perm ...int) *Tensor {
 		seen[p] = true
 		outShape[i] = t.shape[p]
 	}
-	out := New(outShape...)
+	out := alloc(outShape...)
 	// Strides of the input, row-major.
 	inStride := make([]int, r)
 	s := 1
@@ -108,8 +111,9 @@ func RSCKToKCRSCached(t *Tensor, cache *PackCache) *Tensor {
 }
 
 // NCHWToNHWCCached returns NCHWToNHWC(t), content-cached like the kernel
-// conversions: a mapping sweep converts each layer input once per sweep
-// pass instead of once per job. Shared, read-only.
+// conversions, for callers that convert one input many times (a mapping
+// sweep over a fixed layer input). The api layer does not use it: there an
+// activation is seen once (NCHWToNHWCPooled). Shared, read-only.
 func NCHWToNHWCCached(t *Tensor, cache *PackCache) *Tensor {
 	if cache == nil {
 		return NCHWToNHWC(t)
@@ -132,6 +136,11 @@ func NHWCToNCHWCached(t *Tensor, cache *PackCache) *Tensor {
 
 // NCHWToNHWC converts an activation tensor from NCHW to NHWC.
 func NCHWToNHWC(t *Tensor) *Tensor { return t.Transpose(0, 2, 3, 1) }
+
+// NCHWToNHWCPooled is NCHWToNHWC into an arena tensor, for a transient the
+// caller Releases once consumed: a layer's activation is new on every run,
+// so its transpose is worth recycling and never worth caching.
+func NCHWToNHWCPooled(t *Tensor) *Tensor { return t.transpose(NewPooled, []int{0, 2, 3, 1}) }
 
 // NHWCToNCHW converts an activation tensor from NHWC to NCHW.
 func NHWCToNCHW(t *Tensor) *Tensor { return t.Transpose(0, 3, 1, 2) }

@@ -8,14 +8,17 @@ import (
 )
 
 // PackCache memoizes derived, immutable forms of operand tensors — packed
-// GEMM B-panels, MAERI's per-tile [K-block][tap][8] kernel panels, layout
-// transposes, kernel matrices, SIGMA's per-row nonzero summaries — keyed by
-// the source operand's content hash plus the parameters the derivation
-// depends on. Simulation sweeps submit
-// many jobs over the same network weights; with a shared PackCache those
-// jobs pack each weight panel once instead of once per job, which is the
-// BLIS-style separation of packing from compute amortised across jobs
-// instead of within one GEMM.
+// GEMM B-panels, weight layout transposes, kernel matrices, SIGMA's per-row
+// nonzero summaries — keyed by the source operand's content hash plus the
+// parameters the derivation depends on. Simulation sweeps submit many jobs
+// over the same network weights; with a shared PackCache those jobs derive
+// each form once instead of once per job, which is the BLIS-style
+// separation of packing from compute amortised across jobs instead of
+// within one GEMM. It is for forms that are re-read: a whole-operand
+// derivation of something constant across jobs or runs (weights). A form of
+// a one-shot operand (a layer's activation) or one that costs less to redo
+// than to hash and keep (MAERI's per-call kernel panel) does not belong in
+// it — every entry that is never hit pushes out one that would be.
 //
 // Cached values are immutable by contract: producers hand the cache a
 // fully built tensor and never write to it again, and consumers only read.
@@ -68,12 +71,30 @@ type packEntry struct {
 	size int64
 }
 
-// DefaultPackCacheEntries and DefaultPackCacheBytes bound a farm's default
-// shared cache: enough for the working set of a large sweep (hundreds of
-// distinct weight tensors times a handful of derived forms each) while
-// keeping the resident overhead well under typical result-cache budgets.
+// DefaultPackCacheEntries and DefaultPackCacheBytes bound the default cache
+// of a farm or a session. Entries are whole-operand forms, 9 KB to 3.5 MB
+// each, so the entry bound is the one that works: it is independent of
+// layer size, and a model that outgrows it degrades to re-deriving its
+// forms each run instead of thrashing on bytes. 64 holds a model's working
+// set — a full AlexNet run keeps 5 forms on MAERI and 22 on SIGMA (19 of
+// weights, re-read every run, and 3 dense-input transposes that age out),
+// a VGG-16 about twice that — and nothing more: a sweep over fresh weights
+// re-reads a form within one batch or never, so whatever else the cache
+// holds is resident memory nobody reads. The byte bound is the safety net
+// for a few very large operands. Measured on the benchmark's sweeps (peak RSS in MB, two
+// 15 s runs each, same session; the parent commit, whose 4096 entries were
+// recycled by MAERI's per-tile flood, read 249–293 and 249–261):
+//
+//	entries   sweep_miss_small   cluster_sweep_r2
+//	4096      756                —
+//	256       311–312            324–347
+//	64        227–277            233–246
+//	32        254–256            224–278
+//
+// 32 is no smaller than 64 in resident memory and leaves a SIGMA session
+// no headroom; 256 costs 60–100 MB for forms no job reads twice.
 const (
-	DefaultPackCacheEntries = 4096
+	DefaultPackCacheEntries = 64
 	DefaultPackCacheBytes   = 256 << 20
 )
 

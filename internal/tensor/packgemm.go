@@ -196,17 +196,20 @@ func gemmPackedCached(a []float32, b *Tensor, c []float32, k, n, i0, i1 int, cac
 	}
 }
 
-// PanelDot8 is the fused-convolution panel kernel used by the MAERI
-// full-accuracy fast path: for each of nblocks 8-wide output blocks, a
-// fresh accumulator sums a[t]·panel[(kb·nv+t)·8+j] over the nv taps in
-// ascending t order and is added onto dst[kb·8+j] once — exactly a
-// simulated step loop's fresh per-reduction-tile accumulator followed by
-// its single `out += acc`. The panel is laid out [block][tap][8]. Runs the
-// AVX kernel where available; per-lane arithmetic is bit-identical to the
-// pure-Go fallback either way. nv and nblocks must be positive; a needs nv
-// values, panel nblocks·nv·8, dst nblocks·8.
-func PanelDot8(nv, nblocks int, a, panel, dst []float32) {
-	panelDot8(nv, nblocks, a, panel, dst)
+// PanelTiles4x8 is the fused-convolution micro-kernel of the MAERI
+// full-accuracy fast path: it computes a 4-position × 8-channel output
+// block over the whole reduction axis, holding the block in registers
+// across every reduction tile. a is [tap][4] and panel [tap][8], both in
+// reduction order; nts[i] ≥ 1 is the tap count of tile i and Σnts must
+// equal len(a)/4 (the kernel trusts it, as axpyRows trusts its positions).
+// Per output element each tile sums its taps in ascending order into a
+// fresh accumulator, which is added onto the output once — exactly a
+// simulated step loop's per-reduction-tile accumulator and its single
+// `out += acc`, tiles in the order given. Row j is stored (not
+// accumulated) at dst[j·ldd:][:8]. Runs the AVX kernel where available;
+// per-lane arithmetic is bit-identical to the pure-Go fallback either way.
+func PanelTiles4x8(nts []int32, a, panel, dst []float32, ldd int) {
+	panelTiles4x8(nts, a, panel, dst, ldd)
 }
 
 // gemmPackedAccum accumulates c += a × b over the whole m×n output through

@@ -1,4 +1,4 @@
-//go:build amd64
+//go:build amd64 && !noasm
 
 package tensor
 
@@ -25,8 +25,12 @@ func SIMDLevel() string {
 // dot8CarryAsm is the AVX packed-GEMM inner kernel; see simd_amd64.s.
 func dot8CarryAsm(k int, a, b, c *float32)
 
-// panelDot8Asm is the AVX fused-convolution inner kernel; see simd_amd64.s.
-func panelDot8Asm(nv, nblocks int, a, panel, dst *float32)
+// panelTiles4x8Asm is the AVX fused-convolution micro-kernel; see
+// simd_amd64.s. It retains none of its pointers, which lets fusedConv keep
+// its edge tile on the stack.
+//
+//go:noescape
+func panelTiles4x8Asm(ntiles int, nts *int32, a, panel, dst *float32, ldd int)
 
 // axpyRowsAsm is the AVX sparse-stationary inner kernel; see simd_amd64.s.
 // It retains none of its pointers, which lets gemmSparse keep the position
@@ -58,13 +62,14 @@ func dot8Carry(k int, a, b, c []float32) {
 	dot8CarryGo(k, a, b, c)
 }
 
-// panelDot8 runs the fused-conv panel kernel: fresh 8-wide accumulators per
-// block, ascending-tap sums, one add onto dst per block. nv and nblocks
-// must both be positive.
-func panelDot8(nv, nblocks int, a, panel, dst []float32) {
-	if hasAVX {
-		panelDot8Asm(nv, nblocks, &a[0], &panel[0], &dst[0])
+// panelTiles4x8 runs the fused-conv micro-kernel: a 4×8 output block held
+// in registers across every reduction tile, fresh accumulators per tile,
+// ascending-tap sums, one add onto the block per tile.
+func panelTiles4x8(nts []int32, a, panel, dst []float32, ldd int) {
+	if hasAVX && len(nts) > 0 {
+		_, _ = panel[2*len(a)-1], dst[3*ldd+7]
+		panelTiles4x8Asm(len(nts), &nts[0], &a[0], &panel[0], &dst[0], ldd)
 		return
 	}
-	panelDot8Go(nv, nblocks, a, panel, dst)
+	panelTiles4x8Go(nts, a, panel, dst, ldd)
 }

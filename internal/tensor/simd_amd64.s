@@ -7,7 +7,7 @@
 // the executable specification; TestSIMDKernelsMatchFallback pins them to
 // these implementations bit for bit.
 
-//go:build amd64
+//go:build amd64 && !noasm
 
 #include "textflag.h"
 
@@ -63,46 +63,91 @@ carrydone:
 	VZEROUPPER
 	RET
 
-// func panelDot8Asm(nv, nblocks int, a, panel, dst *float32)
+// func panelTiles4x8Asm(ntiles int, nts *int32, a, panel, dst *float32, ldd int)
 //
-// The fused-convolution inner kernel: for each of nblocks 8-wide output
-// blocks, a fresh accumulator sums a[t]·panel[(kb·nv+t)·8+j] in ascending t
-// and is then added onto dst — the reference step loop's fresh
-// per-reduction-tile accumulator followed by its single `out += acc`.
-// The panel is laid out [block][tap][8], so DI advances continuously.
-TEXT ·panelDot8Asm(SB), NOSPLIT, $0-40
-	MOVQ nv+0(FP), R9
-	MOVQ nblocks+8(FP), BX
-	MOVQ a+16(FP), R8
-	MOVQ panel+24(FP), DI
-	MOVQ dst+32(FP), DX
-
-pdblock:
-	TESTQ  BX, BX
-	JZ     pddone
+// The fused-convolution micro-kernel: a 4-position × 8-channel output block
+// over the whole reduction axis of its elements. Y0–Y3 hold the four output
+// rows across every reduction tile; Y4–Y7 hold the current tile's fresh
+// accumulators. Per tile i the nts[i] taps stream by in ascending order —
+// a is [tap][4] (one activation per position), panel [tap][8] (one weight
+// per channel), so one panel load feeds 32 multiply-accumulates — and one
+// VADDPS per row then adds the tile's sum onto the output: the reference
+// step loop's fresh per-reduction-tile accumulator and its single
+// `out += acc`, tiles in the order given. A tile's first tap is peeled as
+// acc = +0 + a·w, the same value a zeroed accumulator would reach. The
+// rows are stored (not accumulated) ldd floats apart.
+TEXT ·panelTiles4x8Asm(SB), NOSPLIT, $0-48
+	MOVQ   ntiles+0(FP), BX
+	MOVQ   nts+8(FP), R9
+	MOVQ   a+16(FP), SI
+	MOVQ   panel+24(FP), DI
+	MOVQ   dst+32(FP), DX
+	MOVQ   ldd+40(FP), R10
+	SHLQ   $2, R10
 	VXORPS Y0, Y0, Y0
-	MOVQ   R8, SI
-	MOVQ   R9, CX
-	TESTQ  CX, CX
-	JZ     pdflush
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y15, Y15, Y15
+	TESTQ  BX, BX
+	JZ     ptstore
 
-pdtap:
-	VBROADCASTSS (SI), Y1
-	VMULPS       (DI), Y1, Y1
-	VADDPS       Y1, Y0, Y0
-	ADDQ         $4, SI
+pttile:
+	MOVLQSX      (R9), CX
+	ADDQ         $4, R9
+	VMOVUPS      (DI), Y12
+	VBROADCASTSS (SI), Y8
+	VBROADCASTSS 4(SI), Y9
+	VBROADCASTSS 8(SI), Y10
+	VBROADCASTSS 12(SI), Y11
+	VMULPS       Y12, Y8, Y8
+	VMULPS       Y12, Y9, Y9
+	VMULPS       Y12, Y10, Y10
+	VMULPS       Y12, Y11, Y11
+	VADDPS       Y8, Y15, Y4
+	VADDPS       Y9, Y15, Y5
+	VADDPS       Y10, Y15, Y6
+	VADDPS       Y11, Y15, Y7
+	ADDQ         $16, SI
 	ADDQ         $32, DI
 	DECQ         CX
-	JNZ          pdtap
+	JLE          ptflush
 
-pdflush:
-	VADDPS  (DX), Y0, Y0
+pttap:
+	VMOVUPS      (DI), Y12
+	VBROADCASTSS (SI), Y8
+	VBROADCASTSS 4(SI), Y9
+	VBROADCASTSS 8(SI), Y10
+	VBROADCASTSS 12(SI), Y11
+	VMULPS       Y12, Y8, Y8
+	VMULPS       Y12, Y9, Y9
+	VMULPS       Y12, Y10, Y10
+	VMULPS       Y12, Y11, Y11
+	VADDPS       Y8, Y4, Y4
+	VADDPS       Y9, Y5, Y5
+	VADDPS       Y10, Y6, Y6
+	VADDPS       Y11, Y7, Y7
+	ADDQ         $16, SI
+	ADDQ         $32, DI
+	DECQ         CX
+	JNZ          pttap
+
+ptflush:
+	VADDPS Y4, Y0, Y0
+	VADDPS Y5, Y1, Y1
+	VADDPS Y6, Y2, Y2
+	VADDPS Y7, Y3, Y3
+	DECQ   BX
+	JNZ    pttile
+
+ptstore:
 	VMOVUPS Y0, (DX)
-	ADDQ    $32, DX
-	DECQ    BX
-	JMP     pdblock
-
-pddone:
+	ADDQ    R10, DX
+	VMOVUPS Y1, (DX)
+	ADDQ    R10, DX
+	VMOVUPS Y2, (DX)
+	ADDQ    R10, DX
+	VMOVUPS Y3, (DX)
 	VZEROUPPER
 	RET
 

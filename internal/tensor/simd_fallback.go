@@ -65,33 +65,44 @@ func dot8CarryGo(k int, a, b, c []float32) {
 	c[4], c[5], c[6], c[7] = c4, c5, c6, c7
 }
 
-// panelDot8Go is the fused-convolution inner kernel: per 8-wide block, a
-// fresh accumulator sums the taps in ascending order and is added onto dst
-// once — the reference's per-reduction-tile chain.
-func panelDot8Go(nv, nblocks int, a, panel, dst []float32) {
-	a = a[:nv:nv]
-	for kb := 0; kb < nblocks; kb++ {
-		var a0, a1, a2, a3, a4, a5, a6, a7 float32
-		base := kb * nv * 8
-		for t, iv := range a {
-			kr := panel[base+t*8 : base+t*8+8 : base+t*8+8]
-			a0 += iv * kr[0]
-			a1 += iv * kr[1]
-			a2 += iv * kr[2]
-			a3 += iv * kr[3]
-			a4 += iv * kr[4]
-			a5 += iv * kr[5]
-			a6 += iv * kr[6]
-			a7 += iv * kr[7]
+// panelTiles4x8Go is the fused-convolution micro-kernel: a 4-position ×
+// 8-channel output block over the whole reduction axis. a is [tap][4] (one
+// activation per position) and panel [tap][8] (one weight per channel),
+// both in reduction order; nts[i] is the tap count of reduction tile i, so
+// len(a) is 4·Σnts. Per output element, every tile sums its taps in
+// ascending order into a fresh accumulator that is then added onto the
+// output once — the reference step loop's per-tile chain, tiles in the
+// order given. Row j of the block is stored (not accumulated) at
+// dst[j·ldd:][:8].
+func panelTiles4x8Go(nts []int32, a, panel, dst []float32, ldd int) {
+	for j := 0; j < 4; j++ {
+		var o0, o1, o2, o3, o4, o5, o6, o7 float32
+		t := 0
+		for _, nt := range nts {
+			var a0, a1, a2, a3, a4, a5, a6, a7 float32
+			for end := t + int(nt); t < end; t++ {
+				iv := a[t*4+j]
+				kr := panel[t*8 : t*8+8 : t*8+8]
+				a0 += iv * kr[0]
+				a1 += iv * kr[1]
+				a2 += iv * kr[2]
+				a3 += iv * kr[3]
+				a4 += iv * kr[4]
+				a5 += iv * kr[5]
+				a6 += iv * kr[6]
+				a7 += iv * kr[7]
+			}
+			o0 += a0
+			o1 += a1
+			o2 += a2
+			o3 += a3
+			o4 += a4
+			o5 += a5
+			o6 += a6
+			o7 += a7
 		}
-		d := dst[kb*8 : kb*8+8 : kb*8+8]
-		d[0] += a0
-		d[1] += a1
-		d[2] += a2
-		d[3] += a3
-		d[4] += a4
-		d[5] += a5
-		d[6] += a6
-		d[7] += a7
+		d := dst[j*ldd : j*ldd+8 : j*ldd+8]
+		d[0], d[1], d[2], d[3] = o0, o1, o2, o3
+		d[4], d[5], d[6], d[7] = o4, o5, o6, o7
 	}
 }

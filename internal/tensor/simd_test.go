@@ -53,19 +53,27 @@ func TestSIMDKernelsMatchFallback(t *testing.T) {
 			}
 		}
 	}
-	for _, nv := range []int{1, 2, 3, 9, 36} {
-		for _, nblocks := range []int{1, 2, 5, 32} {
-			a := RandomUniform(int64(nv), 1, nv).Data()
-			panel := RandomUniform(int64(nblocks), 1, nblocks*nv*8).Data()
-			dWant := RandomUniform(9, 1, nblocks*8).Data()
+	// panelTiles4x8: single-tap tiles (the basic mapping), multi-tap tiles,
+	// a mix with a short last tile, one tile spanning the whole axis; a
+	// packed and a strided destination whose other floats must survive.
+	for ti, nts := range [][]int32{{1}, {1, 1, 1, 1, 1}, {9, 9, 9}, {2, 3, 1, 7, 2}, {36}, {4, 4, 4, 3}} {
+		taps := 0
+		for _, nt := range nts {
+			taps += int(nt)
+		}
+		for _, ldd := range []int{8, 8 + 5} {
+			a := RandomUniform(int64(ti), 1, taps*4).Data()
+			a[0], a[len(a)-1] = 0, float32(math.Copysign(0, -1)) // ±0 activations: zero-filled padding taps
+			panel := RandomUniform(int64(ti)+20, 1, taps*8).Data()
+			dWant := RandomUniform(9, 1, 4*ldd).Data()
 			dGot := append([]float32(nil), dWant...)
 
-			panelDot8Go(nv, nblocks, a, panel, dWant)
-			panelDot8(nv, nblocks, a, panel, dGot)
+			panelTiles4x8Go(nts, a, panel, dWant, ldd)
+			panelTiles4x8(nts, a, panel, dGot, ldd)
 			for j := range dWant {
 				if math.Float32bits(dWant[j]) != math.Float32bits(dGot[j]) {
-					t.Fatalf("panelDot8 nv=%d nblocks=%d lane %d: %v vs fallback %v",
-						nv, nblocks, j, dGot[j], dWant[j])
+					t.Fatalf("panelTiles4x8 nts=%v ldd=%d element %d: %v vs fallback %v",
+						nts, ldd, j, dGot[j], dWant[j])
 				}
 			}
 		}
