@@ -773,15 +773,11 @@ func (f *Farm) SubmitCtx(ctx context.Context, j Job) *Future {
 // lookup must never trigger a simulation.
 func (f *Farm) CacheGet(key string) (Result, bool) { return f.cacheGet(key, f.disk) }
 
-// CachePut stores a result under key into every tier, so later CacheGet
-// probes answer without simulating.
-func (f *Farm) CachePut(key string, res Result) { f.cachePut(key, res, f.disk) }
-
-// cacheGetLocal and cachePutLocal are CacheGet and CachePut confined to this
-// node's own tiers (memory, then the local tier) — the two halves of the
-// peer wire protocol PeerHandler serves. A peer's GET answered from a third
-// replica would bounce lookups around the ring, and a peer's PUT fanned
-// back out would cascade one logical write into N² replica writes.
+// cacheGetLocal and cachePutLocal read and write this node's own tiers only
+// (memory, then the local tier) — the two halves of the peer wire protocol
+// PeerHandler serves. A peer's GET answered from a third replica would
+// bounce lookups around the ring, and a peer's PUT fanned back out would
+// cascade one logical write into N² replica writes.
 func (f *Farm) cacheGetLocal(key string) (Result, bool) { return f.cacheGet(key, f.local) }
 func (f *Farm) cachePutLocal(key string, res Result)    { f.cachePut(key, res, f.local) }
 

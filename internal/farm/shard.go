@@ -57,9 +57,6 @@ func NewShardedStore(n, maxEntries int, maxBytes int64) *ShardedStore {
 	return s
 }
 
-// Shards returns the shard count.
-func (s *ShardedStore) Shards() int { return len(s.shards) }
-
 // shard maps a key to its owning shard by hashing the key prefix.
 func (s *ShardedStore) shard(key string) *MemoryStore {
 	if len(s.shards) == 1 {

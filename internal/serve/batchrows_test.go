@@ -6,9 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/farm"
+	"repro/internal/farm/farmtest"
 )
 
 // TestBatchNDJSONErrorRowTaxonomy is the regression test for opaque stream
@@ -106,5 +109,101 @@ func TestBatchFanoutRespectsQueueBound(t *testing.T) {
 	}
 	if st := fm.Stats(); st.Rejected != 0 {
 		t.Errorf("batch fan-out manufactured %d rejections over a bound-1 queue", st.Rejected)
+	}
+}
+
+// TestBatchFourFormsOnePipeline pins the four ways to ask for a batch —
+// JSON or NDJSON, plain or under a sweep_id — as one pipeline: the same
+// sweep with an invalid job in the middle comes back row for row equal to
+// /simulate in submission order, the error row in place and the rows after
+// it unaffected, and the NDJSON forms deliver row 0 while later rows are
+// still uncomputed. Each form gets a fresh one-worker node, so its rows are
+// cold; the streamed forms slow its disk tier to 20ms a touch, so they
+// complete far apart.
+func TestBatchFourFormsOnePipeline(t *testing.T) {
+	const bad = 6
+	reqs := slices.Insert(sweepRequests(), bad, JobRequest{Arch: ArchSpec{Controller: "maeri"}, Op: "warp_drive"})
+	single, _ := newTestServer(t)
+	want := make([]JobResponse, len(reqs))
+	for i, req := range reqs {
+		_, want[i] = postSimulate(t, single.URL, req)
+	}
+	if want[bad].Error == "" {
+		t.Fatal("/simulate accepted the invalid job")
+	}
+
+	for _, form := range []struct {
+		name, query string
+		ndjson      bool
+	}{
+		{"json", "", false},
+		{"json-sweep", "?sweep_id=four", false},
+		{"ndjson", "", true},
+		{"ndjson-sweep", "?sweep_id=four", true},
+	} {
+		t.Run(form.name, func(t *testing.T) {
+			ds, err := farm.NewDiskStore(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var slow farmtest.FaultPolicy
+			if form.ndjson {
+				slow.Latency = 20 * time.Millisecond
+			}
+			fs := farmtest.NewFaultStore(ds, slow)
+			fm := farm.New(1, farm.WithDiskStore(fs))
+			ts := httptest.NewServer(NewServer(fm))
+			t.Cleanup(func() { ts.Close(); fm.Close() })
+
+			var got []JobResponse
+			if form.ndjson {
+				resp, err := http.Post(ts.URL+"/batch"+form.query, "application/x-ndjson", encodeNDJSON(t, reqs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				dec := json.NewDecoder(resp.Body)
+				for {
+					var jr JobResponse
+					if err := dec.Decode(&jr); err == io.EOF {
+						break
+					} else if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) == 0 {
+						if n := fm.Stats().Completed; n >= int64(len(reqs)-1) {
+							t.Errorf("row 0 arrived with all %d simulations finished: the stream buffered the batch", n)
+						}
+					}
+					got = append(got, jr)
+				}
+			} else {
+				body, err := json.Marshal(BatchRequest{Jobs: reqs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.Post(ts.URL+"/batch"+form.query, "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var batch BatchResponse
+				if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
+					t.Fatal(err)
+				}
+				got = batch.Results
+			}
+
+			if len(got) != len(want) {
+				t.Fatalf("%d rows, want %d", len(got), len(want))
+			}
+			for i, w := range want {
+				g := got[i]
+				if g.Key != w.Key || g.Error != w.Error || g.Code != w.Code || g.OutputSum != w.OutputSum ||
+					(g.Stats == nil) != (w.Stats == nil) || (w.Stats != nil && *g.Stats != *w.Stats) {
+					t.Errorf("row %d differs from /simulate:\n got %+v\nwant %+v", i, g, w)
+				}
+			}
+		})
 	}
 }

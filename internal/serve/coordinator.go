@@ -70,16 +70,6 @@ func WithPeers(peers []Peer) ServerOption {
 	return func(s *Server) { s.peerList = append([]Peer(nil), peers...) }
 }
 
-// WithPeerClient substitutes the HTTP client the coordinator dials peers
-// with — the seam the chaos tests use to inject transport faults.
-func WithPeerClient(c *http.Client) ServerOption {
-	return func(s *Server) {
-		if c != nil {
-			s.peerClient = c
-		}
-	}
-}
-
 // WithHedgeAfter enables hedged dispatch: a peer request still unanswered
 // after d races a second request to the next ring owner; the first answer
 // wins and the loser is cancelled. Content-addressed keys make the hedge
@@ -124,10 +114,6 @@ type peerConfig struct {
 	Timeout    time.Duration // peer response-header bound
 	StatsTTL   time.Duration // placement-stats staleness bound
 	ProbeEvery time.Duration // 0: no active health probes
-}
-
-func defaultPeerConfig() peerConfig {
-	return peerConfig{Timeout: 2 * time.Minute, StatsTTL: 2 * time.Second}
 }
 
 const (
@@ -198,25 +184,21 @@ type peerScrape struct {
 	} `json:"limits"`
 }
 
-func newCoordinator(s *Server, peers []Peer, client *http.Client) *coordinator {
-	cfg := s.peerCfg
-	if client == nil {
+func newCoordinator(s *Server, peers []Peer) *coordinator {
+	c := &coordinator{
+		s:    s,
+		cfg:  s.peerCfg,
+		ring: farm.NewRing(0),
 		// Dial and response-header bounds instead of a blanket timeout: a
 		// hung or unreachable peer fails over fast, while a legitimately
 		// long simulation may stream its (already started) response body
 		// for as long as it needs.
-		client = &http.Client{Transport: &http.Transport{
+		client: &http.Client{Transport: &http.Transport{
 			DialContext:           (&net.Dialer{Timeout: peerDialTimeout}).DialContext,
-			ResponseHeaderTimeout: cfg.Timeout,
+			ResponseHeaderTimeout: s.peerCfg.Timeout,
 			MaxIdleConnsPerHost:   16,
 			IdleConnTimeout:       90 * time.Second,
-		}}
-	}
-	c := &coordinator{
-		s:      s,
-		cfg:    cfg,
-		ring:   farm.NewRing(0),
-		client: client,
+		}},
 		peers:  make(map[string]*peerState, len(peers)),
 		stopCh: make(chan struct{}),
 	}
@@ -229,7 +211,7 @@ func newCoordinator(s *Server, peers []Peer, client *http.Client) *coordinator {
 		c.names = append(c.names, p.Name)
 	}
 	sort.Strings(c.names)
-	if cfg.ProbeEvery > 0 {
+	if c.cfg.ProbeEvery > 0 {
 		go c.probeLoop()
 	}
 	return c
@@ -370,51 +352,20 @@ func (c *coordinator) placeable(ps *peerState) bool {
 // Owners are tried in the ring's deterministic failover order, skipping
 // quarantined, queue-bound and draining peers; if every owner is out, the
 // local farm executes the job — the coordinator never refuses work a single
-// node could do.
+// node could do. A hedge (-hedge-after) races the next placeable owner; content
+// addressing makes that safe — whichever peer answers, the bytes are identical.
 func (c *coordinator) run(ctx context.Context, req JobRequest) JobResponse {
 	start := time.Now()
+	var key string
 	job, err := req.lazyJob()
-	if err != nil {
-		return c.s.annotate(JobResponse{Error: err.Error(), ElapsedMS: msSince(start), err: err})
+	if err == nil {
+		key, err = c.s.farm.KeyOf(job)
 	}
-	key, err := c.s.farm.KeyOf(job)
 	if err != nil {
 		return c.s.annotate(JobResponse{Error: err.Error(), ElapsedMS: msSince(start), err: err})
 	}
 
 	owners := c.ring.Owners(key, c.ring.Len())
-	if c.cfg.HedgeAfter > 0 {
-		return c.runHedged(ctx, req, key, owners, start)
-	}
-
-	for _, name := range owners {
-		ps := c.peers[name]
-		if !c.placeable(ps) {
-			continue
-		}
-		resp, terminal := c.forward(ctx, ps, req, key, start)
-		if terminal {
-			return resp
-		}
-		ps.failovers.Add(1)
-		if ctx.Err() != nil {
-			// The client is gone; walking more owners only burns peers.
-			return c.s.annotate(JobResponse{Key: key, Error: ctx.Err().Error(), ElapsedMS: msSince(start), err: ctx.Err()})
-		}
-	}
-
-	// Redistribution's last hop: the shard lands on the local farm.
-	c.localFallbacks.Add(1)
-	return c.s.run(ctx, req)
-}
-
-// runHedged is the dispatch loop with hedging enabled: the primary owner
-// gets the job, and if it has not answered within the hedge threshold the
-// next placeable owner races it. The first terminal answer wins and every
-// other attempt is cancelled; a non-terminal failure is replaced by the
-// next candidate immediately. Content addressing makes the race safe —
-// whichever peer answers, the bytes are identical.
-func (c *coordinator) runHedged(ctx context.Context, req JobRequest, key string, owners []string, start time.Time) JobResponse {
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel() // cancels every losing attempt
 
@@ -424,40 +375,39 @@ func (c *coordinator) runHedged(ctx context.Context, req JobRequest, key string,
 		ps       *peerState
 		hedged   bool
 	}
-	results := make(chan attempt, len(owners)+1)
-	next, inflight := 0, 0
-	launch := func(hedged bool) bool {
-		for next < len(owners) {
-			ps := c.peers[owners[next]]
-			next++
-			if !c.placeable(ps) {
-				continue
+	results := make(chan attempt, len(owners)) // each owner is tried at most once
+	inflight := 0
+	launch := func(hedged bool) bool { // starts the next placeable owner, if any
+		for len(owners) > 0 {
+			ps := c.peers[owners[0]]
+			owners = owners[1:]
+			if c.placeable(ps) {
+				inflight++
+				go func() {
+					resp, terminal := c.forward(hctx, ps, req, key, start)
+					results <- attempt{resp: resp, terminal: terminal, ps: ps, hedged: hedged}
+				}()
+				return true
 			}
-			inflight++
-			go func(ps *peerState, hedged bool) {
-				resp, terminal := c.forward(hctx, ps, req, key, start)
-				results <- attempt{resp: resp, terminal: terminal, ps: ps, hedged: hedged}
-			}(ps, hedged)
-			return true
 		}
 		return false
 	}
 
-	if !launch(false) {
-		c.localFallbacks.Add(1)
-		return c.s.run(ctx, req)
+	// With hedging off the timer channel stays nil — never ready — and the
+	// walk is this same loop with one arm that cannot fire.
+	var hedge <-chan time.Time
+	if d := c.cfg.HedgeAfter; d > 0 {
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		hedge = timer.C
 	}
-	timer := time.NewTimer(c.cfg.HedgeAfter)
-	defer timer.Stop()
-	hedged := false
+	launch(false)
 	for inflight > 0 {
 		select {
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				if launch(true) {
-					c.hedges.Add(1)
-				}
+		case <-hedge:
+			hedge = nil // one hedge per job
+			if launch(true) {
+				c.hedges.Add(1)
 			}
 		case a := <-results:
 			inflight--
@@ -472,6 +422,7 @@ func (c *coordinator) runHedged(ctx context.Context, req JobRequest, key string,
 			}
 			a.ps.failovers.Add(1)
 			if ctx.Err() != nil {
+				// The client is gone; walking more owners only burns peers.
 				return c.s.annotate(JobResponse{Key: key, Error: ctx.Err().Error(), ElapsedMS: msSince(start), err: ctx.Err()})
 			}
 			// Replace the failed attempt so the job keeps the same number
@@ -479,6 +430,8 @@ func (c *coordinator) runHedged(ctx context.Context, req JobRequest, key string,
 			launch(a.hedged)
 		}
 	}
+
+	// Redistribution's last hop: the shard lands on the local farm.
 	c.localFallbacks.Add(1)
 	return c.s.run(ctx, req)
 }

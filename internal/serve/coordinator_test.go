@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/farm"
 )
@@ -151,10 +152,46 @@ func TestCoordinatorTwoNodePeerSweepByteIdentical(t *testing.T) {
 	}
 }
 
+// eachWalk runs body — a scenario over a coordinator built with the given
+// hedge option, returning its /metrics — with hedging off and with hedging
+// armed on a timer that never fires. The coordinator has one owner walk, so
+// the two must place every row identically: no hedge in either, and the
+// named counters equal. Bodies keep the walk sequential (a queue bound of 1
+// clamps the batch fan-out to 1) so breaker trips, and with them the
+// counters, do not depend on goroutine timing.
+func eachWalk(t *testing.T, same []string, body func(t *testing.T, hedge ServerOption) string) {
+	var off string
+	for _, mode := range []struct {
+		name  string
+		after time.Duration
+	}{{"hedge-off", 0}, {"hedge-armed", time.Hour}} {
+		t.Run(mode.name, func(t *testing.T) {
+			metrics := body(t, WithHedgeAfter(mode.after))
+			if v := metricValue(t, metrics, "bifrost_peer_hedges_total"); v != 0 {
+				t.Errorf("%v hedges fired with the timer off or an hour out", v)
+			}
+			if off == "" {
+				off = metrics
+				return
+			}
+			for _, name := range same {
+				if a, b := metricValue(t, off, name), metricValue(t, metrics, name); a != b {
+					t.Errorf("%s = %v with hedging off, %v armed: the walks diverged", name, a, b)
+				}
+			}
+		})
+	}
+}
+
 // TestCoordinatorPeerDownRedistributes kills one of two peers: its shard
 // must land on the survivor (or the local farm) with every job still
 // byte-identical, and the dead peer's breaker must trip.
 func TestCoordinatorPeerDownRedistributes(t *testing.T) {
+	eachWalk(t, []string{`bifrost_peer_failovers_total{peer="dead"}`, "bifrost_coordinator_local_fallbacks_total"},
+		testCoordinatorPeerDownRedistributes)
+}
+
+func testCoordinatorPeerDownRedistributes(t *testing.T, hedge ServerOption) string {
 	reqs := sweepRequests()
 	single, _ := newTestServer(t)
 	want := runSweepNDJSON(t, single.URL, reqs)
@@ -164,8 +201,8 @@ func TestCoordinatorPeerDownRedistributes(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close() // nothing listens: connection refused, the hard failure mode
 
-	coordFarm := farm.New(2)
-	coord := httptest.NewServer(NewServer(coordFarm,
+	coordFarm := farm.New(2, farm.WithMaxQueue(1))
+	coord := httptest.NewServer(NewServer(coordFarm, hedge,
 		WithPeers([]Peer{{Name: "alive", URL: alive.URL}, {Name: "dead", URL: deadURL}})))
 	t.Cleanup(func() {
 		coord.Close()
@@ -199,12 +236,18 @@ func TestCoordinatorPeerDownRedistributes(t *testing.T) {
 	if !strings.Contains(string(metrics), `bifrost_peer_failovers_total{peer="dead"}`) {
 		t.Error("dead peer's failovers family missing from /metrics")
 	}
+	return string(metrics)
 }
 
 // TestCoordinatorPeerBackpressurePropagates fronts a peer that answers 429:
 // the coordinator must hand the client the same terminal backpressure —
 // status, machine-readable code and retry hint — not mask it or fail over.
 func TestCoordinatorPeerBackpressurePropagates(t *testing.T) {
+	eachWalk(t, []string{`bifrost_peer_failovers_total{peer="busy"}`, "bifrost_coordinator_local_fallbacks_total"},
+		testCoordinatorPeerBackpressurePropagates)
+}
+
+func testCoordinatorPeerBackpressurePropagates(t *testing.T, hedge ServerOption) string {
 	busy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/simulate" {
 			http.NotFound(w, r)
@@ -218,7 +261,7 @@ func TestCoordinatorPeerBackpressurePropagates(t *testing.T) {
 	defer busy.Close()
 
 	coordFarm := farm.New(1)
-	coord := httptest.NewServer(NewServer(coordFarm, WithPeers([]Peer{{Name: "busy", URL: busy.URL}})))
+	coord := httptest.NewServer(NewServer(coordFarm, hedge, WithPeers([]Peer{{Name: "busy", URL: busy.URL}})))
 	t.Cleanup(func() {
 		coord.Close()
 		coordFarm.Close()
@@ -247,6 +290,7 @@ func TestCoordinatorPeerBackpressurePropagates(t *testing.T) {
 	if jr.Peer != "busy" {
 		t.Errorf("backpressure row peer = %q, want busy", jr.Peer)
 	}
+	return scrapeMetrics(t, coord.URL)
 }
 
 // TestCoordinatorPeerTracePropagation asks for a trace through the remote
@@ -295,6 +339,11 @@ func TestCoordinatorPeerTracePropagation(t *testing.T) {
 // every peer unreachable the coordinator must degrade to a correct single
 // node, absorbing the sweep into its local farm.
 func TestCoordinatorAllPeersDownFallsBackLocal(t *testing.T) {
+	eachWalk(t, []string{`bifrost_peer_failovers_total{peer="dead"}`, "bifrost_coordinator_local_fallbacks_total"},
+		testCoordinatorAllPeersDownFallsBackLocal)
+}
+
+func testCoordinatorAllPeersDownFallsBackLocal(t *testing.T, hedge ServerOption) string {
 	reqs := sweepRequests()
 	single, _ := newTestServer(t)
 	want := runSweepNDJSON(t, single.URL, reqs)
@@ -303,8 +352,8 @@ func TestCoordinatorAllPeersDownFallsBackLocal(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close()
 
-	coordFarm := farm.New(2)
-	coord := httptest.NewServer(NewServer(coordFarm, WithPeers([]Peer{{Name: "dead", URL: deadURL}})))
+	coordFarm := farm.New(2, farm.WithMaxQueue(1))
+	coord := httptest.NewServer(NewServer(coordFarm, hedge, WithPeers([]Peer{{Name: "dead", URL: deadURL}})))
 	t.Cleanup(func() {
 		coord.Close()
 		coordFarm.Close()
@@ -331,4 +380,5 @@ func TestCoordinatorAllPeersDownFallsBackLocal(t *testing.T) {
 	if !strings.Contains(string(metrics), "bifrost_coordinator_local_fallbacks_total") {
 		t.Error("local-fallback counter missing from /metrics")
 	}
+	return string(metrics)
 }

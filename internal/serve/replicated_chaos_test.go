@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -24,7 +25,8 @@ type replNode struct {
 	ts     *httptest.Server
 	fm     *farm.Farm
 	repl   *farm.ReplicatedStore
-	name   string
+	name   string // ring identity
+	addr   string // listen address, for a restart on the same port
 	killed bool
 }
 
@@ -42,19 +44,20 @@ func (n *replNode) kill() {
 
 // newReplCluster stands up n workers whose replicated stores are cross-wired
 // over real HTTP peer stores, each remote member behind its own breaker.
-// Listeners are pre-bound so every node knows its peers' ring names (host:port,
-// exactly how bifrost-serve derives them) before any store is built.
+// Listeners are pre-bound so every node knows its peers' addresses before any
+// store is built. Ring names are fixed (node0…), not the ephemeral addresses:
+// placement of a sweep's rows is then the same on every run.
 func newReplCluster(t *testing.T, n, replicas int) []*replNode {
 	t.Helper()
 	listeners := make([]net.Listener, n)
-	names := make([]string, n)
+	names, addrs := make([]string, n), make([]string, n)
 	for i := range listeners {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		listeners[i] = l
-		names[i] = l.Addr().String()
+		names[i], addrs[i] = fmt.Sprintf("node%d", i), l.Addr().String()
 	}
 	nodes := make([]*replNode, n)
 	for i := range nodes {
@@ -65,7 +68,7 @@ func newReplCluster(t *testing.T, n, replicas int) []*replNode {
 			}
 			members = append(members, farm.ReplicaMember{
 				Name:  names[j],
-				Store: farm.NewRetryStore(farm.NewPeerStore("http://"+names[j]), farmtest.TestRetryPolicy()),
+				Store: farm.NewRetryStore(farm.NewPeerStore("http://"+addrs[j]), farmtest.TestRetryPolicy()),
 			})
 		}
 		ds, err := farm.NewDiskStore(filepath.Join(t.TempDir(), "cache"), 0)
@@ -79,7 +82,7 @@ func newReplCluster(t *testing.T, n, replicas int) []*replNode {
 		ts.Listener.Close()
 		ts.Listener = listeners[i]
 		ts.Start()
-		nodes[i] = &replNode{ts: ts, fm: fm, repl: repl, name: names[i]}
+		nodes[i] = &replNode{ts: ts, fm: fm, repl: repl, name: names[i], addr: addrs[i]}
 	}
 	t.Cleanup(func() {
 		for _, nd := range nodes {
@@ -240,7 +243,7 @@ func TestChaosReplicaRejoinsAfterPeerRestart(t *testing.T) {
 
 	// The peer comes back on the same address (same ring name), like a
 	// restarted process; its farm kept running, as after a network partition.
-	l, err := net.Listen("tcp", peer.name)
+	l, err := net.Listen("tcp", peer.addr)
 	if err != nil {
 		t.Fatal(err)
 	}

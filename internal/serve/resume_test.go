@@ -207,8 +207,8 @@ func TestChaosSweepDisconnectResumeRestart(t *testing.T) {
 }
 
 // TestChaosSweepConflictAndFreshStart pins the registry's id semantics: a
-// second client cannot steal a live id without resume, a resume must agree
-// on the row count, and resubmitting a finished id without resume starts
+// second client cannot steal a live id without resume, a resume must send
+// the live run's own jobs row for row, and resubmitting a finished id without resume starts
 // over instead of replaying the stale journal.
 func TestChaosSweepConflictAndFreshStart(t *testing.T) {
 	ds, err := farm.NewDiskStore(t.TempDir(), 0)
@@ -258,7 +258,33 @@ func TestChaosSweepConflictAndFreshStart(t *testing.T) {
 		t.Fatalf("row-count mismatch: HTTP %d, want 409", resp.StatusCode)
 	}
 
+	// Resume with the right row count but another sweep's rows: refused — a
+	// live run's rows answer the resume, so they must be the rows it sent.
+	other := sweepRequests()
+	for i := range other {
+		other[i].Seed += 1000
+	}
+	resp, err = http.Post(ts.URL+"/batch?sweep_id=busy&resume=true", "application/x-ndjson", encodeNDJSON(t, other))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr = JobResponse{}
+	json.NewDecoder(resp.Body).Decode(&jr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict || jr.Code != "sweep_conflict" {
+		t.Fatalf("resume with another sweep's rows: HTTP %d code %q, want 409 sweep_conflict", resp.StatusCode, jr.Code)
+	}
+
+	// Resume with the same jobs, differing only in fields no key covers:
+	// a second reader on the live run, answered with the run's own rows.
+	same := sweepRequests()
+	for i := range same {
+		same[i].Trace, same[i].TimeoutMS, same[i].ExecWorkers = true, 60_000, 2
+	}
+	attached := postSweepNDJSON(t, ts.URL, "sweep_id=busy&resume=true", same)
+
 	first := <-done
+	assertSweepRows(t, "live-run resume", first, attached)
 	for i, row := range first {
 		if row.Error != "" {
 			t.Fatalf("row %d of the contested sweep failed: %s", i, row.Error)
