@@ -67,6 +67,62 @@ func TestFusedConvSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestSplitFusedConvAllocBound pins the split path of the fused Conv2D: on
+// AlexNet's conv3 at GOMAXPROCS=2 every run hands rows to a helper, and at
+// steady state that costs at most 2 allocations per run. The loop state,
+// the bound row method and the helper's scratch are all pooled; what is
+// left is the runtime's per-P caches (free goroutines, pool slots, wait
+// queues) settling as work moves between the two Ps. testing.AllocsPerRun
+// runs at GOMAXPROCS=1, where nothing splits, so the count comes from
+// MemStats directly.
+func TestSplitFusedConvAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is inflated under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	d := tensor.ConvDims{N: 1, C: 256, H: 13, W: 13, K: 384, R: 3, S: 3, PadH: 1, PadW: 1}
+	if err := d.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	in := tensor.RandomUniform(1, 1, d.N, d.H, d.W, d.C)
+	ker := tensor.RandomUniform(2, 1, d.R, d.S, d.C, d.K)
+	eng, err := maeri.NewEngine(config.Default(config.MAERIDenseWorkload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		out, _, err := eng.Conv2D(in, ker, d, mapping.Basic())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Release()
+	}
+	for i := 0; i < 200; i++ {
+		// A helper exits onto the other P's free-goroutine list; until the
+		// runtime has rebalanced those lists, starting one allocates a g.
+		tensor.ParallelFor(2, 1, func(int, int) {})
+	}
+	for i := 0; i < 10; i++ {
+		run() // warm both Ps' pooled scratch and the arena
+	}
+	const runs = 20
+	launches := tensor.HelperLaunches()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if split := tensor.HelperLaunches() - launches; split < runs {
+		t.Fatalf("only %d of %d runs started a helper at GOMAXPROCS=2", split, runs)
+	}
+	if allocs := float64(after.Mallocs-before.Mallocs) / runs; allocs > 2 {
+		t.Fatalf("steady-state split Conv2D allocates %.1f/op, want <= 2", allocs)
+	} else {
+		t.Logf("steady-state split Conv2D: %.2f allocs/op", allocs)
+	}
+}
+
 // TestFusedDenseSteadyStateAllocFree pins the fused full-accuracy Dense
 // path the same way.
 func TestFusedDenseSteadyStateAllocFree(t *testing.T) {

@@ -80,10 +80,15 @@ func Conv2DNCHW(cfg config.HWConfig, in, kernel *tensor.Tensor, d ConvParams, m 
 // (enforced by the engine equivalence suites and the farmtest differential
 // harness), so none of these fields participates in result cache keys.
 type Options struct {
-	// Workers is the worker count for the exact arithmetic of the
-	// GEMM-lowered path (SIGMA / TPU): 0 or 1 keeps the serial kernel,
-	// > 1 parallelises column blocks, < 0 selects GOMAXPROCS. MAERI's
-	// native path is unaffected.
+	// Workers caps the goroutines the GEMM-lowered convolution (SIGMA /
+	// TPU) splits its column blocks over: 1 keeps it serial, > 1 is an
+	// upper bound, and 0 or < 0 borrows whatever cores are idle. Every
+	// kernel under a layer — this one, MAERI's fused conv and dense,
+	// SIGMA's dense — splits only when the layer is big enough to repay it
+	// and only onto helpers free in tensor.ParallelFor's process-wide
+	// budget of GOMAXPROCS−1, so a sweep of small jobs, or a job that finds
+	// every helper taken, runs serially whatever Workers says. Outputs are
+	// bitwise identical for every value.
 	Workers int
 
 	// Pack shares a content-keyed cache of derived operand forms (packed
@@ -131,14 +136,13 @@ func Conv2DNCHWOpts(cfg config.HWConfig, in, kernel *tensor.Tensor, d ConvParams
 // identical to the materialised path (GEMM over Im2Col): both accumulate
 // each output element in ascending (C, R, S) order.
 //
-// The panel kernel runs with one worker by default: a layer execution is
-// one job, and parallelism belongs to the layers above it (the simulation
-// farm's worker pool and the wavefront graph executor), so job-level serial
-// arithmetic keeps the serial paths genuinely serial and avoids
-// oversubscribing a farm that is already running one job per core. Callers
-// who do want intra-conv parallelism opt in per job (farm.Job.ExecWorkers,
-// bifrost-serve's exec_workers) or use tensor.ConvGEMMImplicit directly;
-// the result is bitwise identical either way.
+// A layer big enough to repay it has its column panels split, bounded by
+// opt.Workers, onto helpers from tensor.ParallelFor's process-wide budget
+// of GOMAXPROCS−1: a chain model leaves the farm and the wavefront executor
+// nothing to overlap, so the cores they leave idle go to the layer itself.
+// A job below the size threshold — every sweep job — or one that finds the
+// budget spent runs serially. The result is bitwise identical however the
+// panels were split.
 func convViaGEMM(sim *stonne.Simulator, in, kernel *tensor.Tensor, d ConvParams, opt Options) (*tensor.Tensor, stats.Stats, error) {
 	p, q := d.P(), d.Q()
 	cols := d.N * p * q
@@ -151,11 +155,7 @@ func convViaGEMM(sim *stonne.Simulator, in, kernel *tensor.Tensor, d ConvParams,
 		}
 		total.Add(st)
 	}
-	workers := opt.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	return tensor.ConvGEMMImplicitCached(in, kernel, d, workers, opt.Pack), total, nil
+	return tensor.ConvGEMMImplicitCached(in, kernel, d, opt.Workers, opt.Pack), total, nil
 }
 
 // Conv2DNHWC executes a convolution with an NHWC input and RSCK kernel

@@ -81,14 +81,15 @@ type Job struct {
 	// cost, bit-identical to the step-loop reference.
 	DryRun bool
 
-	// ExecWorkers is the worker count for the exact arithmetic of
-	// GEMM-lowered convolutions (SIGMA / TPU): 0 or 1 keeps the job-level
-	// serial kernel, > 1 parallelises column blocks, < 0 selects
-	// GOMAXPROCS. Outputs and counters are bitwise identical for every
-	// value (tensor.ConvGEMMImplicit never reorders per-element
-	// accumulation), so ExecWorkers deliberately does NOT participate in
-	// Key(): serial and parallel submissions share one cache entry, on
-	// every tier.
+	// ExecWorkers caps the goroutines the exact arithmetic of a
+	// GEMM-lowered convolution (SIGMA / TPU) splits over: 1 keeps it
+	// serial, > 1 is an upper bound, and 0 or < 0 borrows whatever cores
+	// are idle. Only a layer big enough to repay it is split, and only onto
+	// idle cores (api.Options.Workers). Outputs and counters are bitwise
+	// identical for every value (tensor.ConvGEMMImplicit never reorders
+	// per-element accumulation), so ExecWorkers deliberately does NOT
+	// participate in Key(): serial and parallel submissions share one cache
+	// entry, on every tier.
 	ExecWorkers int
 
 	// Reference runs the job on the oracle package — the step-loop / chunk-

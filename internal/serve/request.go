@@ -101,12 +101,14 @@ type JobRequest struct {
 	Seed      int64 `json:"seed,omitempty"`
 	// DryRun runs the counters-only MAERI measurement (no operands).
 	DryRun bool `json:"dry_run,omitempty"`
-	// ExecWorkers is the intra-job worker count for the exact arithmetic of
-	// GEMM-lowered convolutions (SIGMA / TPU): 0 inherits the server
-	// default, 1 forces the serial kernel, > 1 parallelises column blocks,
-	// < 0 selects GOMAXPROCS. Responses are byte-identical for every value
-	// (the accumulation order never changes), so it does not participate in
-	// the cache key: serial and parallel requests share entries.
+	// ExecWorkers caps the goroutines the exact arithmetic of a GEMM-lowered
+	// convolution (SIGMA / TPU) splits over: 0 inherits the server default,
+	// 1 forces the serial kernel, > 1 is an upper bound and < 0 borrows
+	// whatever cores are idle. Only a layer big enough to repay it is split,
+	// and only onto idle cores (api.Options.Workers). Responses are
+	// byte-identical for every value (the accumulation order never
+	// changes), so it does not participate in the cache key: serial and
+	// parallel requests share entries.
 	ExecWorkers int `json:"exec_workers,omitempty"`
 	// Trace echoes a per-job lifecycle trace in the response: where the
 	// job's wall-clock time went (enqueue wait, dedup, cache lookups,

@@ -80,8 +80,8 @@ type Server struct {
 type ServerOption func(*Server)
 
 // WithExecWorkers sets the default JobRequest.ExecWorkers applied to
-// requests that leave the field unset (0). The server default keeps 0
-// meaning the serial kernel, matching the farm's own default.
+// requests that leave the field unset (0). The server default, 0, leaves
+// the farm's own default: a big layer borrows whatever cores are idle.
 func WithExecWorkers(n int) ServerOption { return func(s *Server) { s.execWorkers = n } }
 
 // WithJobTimeout sets the default per-job deadline applied to requests that

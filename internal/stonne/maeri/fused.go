@@ -53,12 +53,16 @@ type convTap struct {
 
 // convScratch is the reusable working state of one fusedConv call, recycled
 // through a pool so the steady-state fused path allocates nothing: the tap
-// and tile tables, the packed kernel panel and the gathered activations.
+// and tile tables and the packed kernel panels, plus the call's geometry and
+// operands, which every chunk of output rows reads.
 type convScratch struct {
 	taps  []convTap
 	nts   []int32
-	panel []float32
-	acts  []float32
+	panel []float32 // [group][K-block][tap][8]
+
+	d         tensor.ConvDims
+	inD, outD []float32
+	rowsFn    func(lo, hi int) // sc.rows, bound once per scratch: a split call allocates no closure
 }
 
 var convScratchPool = sync.Pool{New: func() any { return &convScratch{} }}
@@ -121,53 +125,78 @@ func (sc *convScratch) reductionAxis(d tensor.ConvDims, m mapping.ConvMapping) (
 //     per tile — and are stored once. Blocks that are partial in either
 //     direction land in a stack tile and copy their valid part out.
 //
-// Panel and gather buffer are per-call scratch from a pool: the panel is a
+// A layer big enough to repay it has its (group, batch, output row) rows
+// split across idle cores by tensor.ParallelFor: every row has one writer
+// and its own gather buffer, and reads the shared panels.
+//
+// Panels and gather buffers are per-call scratch from pools: a panel is a
 // strided copy worth 1/(P·Q) of the convolution it feeds, cheaper to redo
 // than to key, hash and keep.
 func fusedConv(in, kernel *tensor.Tensor, d tensor.ConvDims, m mapping.ConvMapping) *tensor.Tensor {
 	p, q := d.P(), d.Q()
-	cg, kg := d.C/d.G, d.K/d.G
+	kg := d.K / d.G
 	out := tensor.NewPooled(d.N, p, q, d.K)
-	inD, kerD, outD := in.Data(), kernel.Data(), out.Data()
 
 	sc := convScratchPool.Get().(*convScratch)
 	defer convScratchPool.Put(sc)
-	taps, nts := sc.reductionAxis(d, m)
+	taps, _ := sc.reductionAxis(d, m)
+	group := (kg + 7) / 8 * len(taps) * 8 // one group's panel
+	sc.panel = slices.Grow(sc.panel[:0], d.G*group)[:d.G*group]
+	for g := 0; g < d.G; g++ {
+		packConvPanel(sc.panel[g*group:(g+1)*group], kernel.Data(), taps, g*kg, kg)
+	}
+	sc.d, sc.inD, sc.outD = d, in.Data(), out.Data()
+	defer func() { sc.inD, sc.outD = nil, nil }() // the pool must not pin operands
+
+	rows := d.G * d.N * p
+	if grain := tensor.Grain(rows, q*kg*len(taps), 0); grain < rows {
+		if sc.rowsFn == nil {
+			sc.rowsFn = sc.rows
+		}
+		tensor.ParallelFor(rows, grain, sc.rowsFn)
+	} else {
+		sc.rows(0, rows)
+	}
+	return out
+}
+
+// rows computes output rows [lo, hi) of the call, indexed (group, batch,
+// output row), with its own gather buffer.
+func (sc *convScratch) rows(lo, hi int) {
+	d := &sc.d
+	p, q := d.P(), d.Q()
+	cg, kg := d.C/d.G, d.K/d.G
+	taps, nts := sc.taps, sc.nts
 	nt := len(taps)
 	nkb, nyb := (kg+7)/8, (q+3)/4
-	sc.panel = slices.Grow(sc.panel[:0], nkb*nt*8)[:nkb*nt*8]
-	sc.acts = slices.Grow(sc.acts[:0], nyb*nt*4)[:nyb*nt*4]
-	panel, acts := sc.panel, sc.acts
+	acts := tensor.GetScratch(nyb * nt * 4)
+	defer tensor.PutScratch(acts)
 	var edge [4 * 8]float32
 
-	for g := 0; g < d.G; g++ {
-		packConvPanel(panel, kerD, taps, g*kg, kg)
-		for n := 0; n < d.N; n++ {
-			for x := 0; x < p; x++ {
-				iy0 := x*d.StrideH - d.PadH
-				gatherConvRow(acts, inD, taps, d, ((n*d.H+iy0)*d.W-d.PadW)*d.C+g*cg, iy0)
-				outX := (n*p+x)*q*d.K + g*kg
-				for kb := 0; kb < nkb; kb++ {
-					kw := min(8, kg-kb*8)
-					pnl := panel[kb*nt*8 : (kb+1)*nt*8]
-					for yb := 0; yb < nyb; yb++ {
-						yw := min(4, q-yb*4)
-						a := acts[yb*nt*4 : (yb+1)*nt*4]
-						dst := outD[outX+yb*4*d.K+kb*8:]
-						if kw == 8 && yw == 4 {
-							tensor.PanelTiles4x8(nts, a, pnl, dst, d.K)
-							continue
-						}
-						tensor.PanelTiles4x8(nts, a, pnl, edge[:], 8)
-						for j := 0; j < yw; j++ {
-							copy(dst[j*d.K:j*d.K+kw], edge[j*8:])
-						}
-					}
+	for r := lo; r < hi; r++ {
+		g, n, x := r/(d.N*p), r/p%d.N, r%p
+		panel := sc.panel[g*nkb*nt*8 : (g+1)*nkb*nt*8]
+		iy0 := x*d.StrideH - d.PadH
+		gatherConvRow(acts, sc.inD, taps, *d, ((n*d.H+iy0)*d.W-d.PadW)*d.C+g*cg, iy0)
+		outX := (n*p+x)*q*d.K + g*kg
+		for kb := 0; kb < nkb; kb++ {
+			kw := min(8, kg-kb*8)
+			pnl := panel[kb*nt*8 : (kb+1)*nt*8]
+			for yb := 0; yb < nyb; yb++ {
+				yw := min(4, q-yb*4)
+				a := acts[yb*nt*4 : (yb+1)*nt*4]
+				dst := sc.outD[outX+yb*4*d.K+kb*8:]
+				if kw == 8 && yw == 4 {
+					tensor.PanelTiles4x8(nts, a, pnl, dst, d.K)
+					continue
+				}
+				tensor.PanelTiles4x8(nts, a, pnl, edge[:], 8)
+				for j := 0; j < yw; j++ {
+					copy(dst[j*d.K:j*d.K+kw], edge[j*8:])
 				}
 			}
 		}
 	}
-	return out
 }
 
 // packConvPanel packs one group's kernel (k in [kBase, kBase+kg)) into the
@@ -228,27 +257,40 @@ func gatherConvRow(acts, inD []float32, taps []convTap, d tensor.ConvDims, base,
 // tile and added onto the output. Output neurons are processed four at a
 // time so each input activation is loaded once per four dot products, and
 // the four outputs stay in registers across every K tile: one store per
-// neuron, not one per tile.
+// neuron, not one per tile. A layer big enough to repay it has its neuron
+// quads split across idle cores by tensor.ParallelFor.
 func fusedDense(in, weights *tensor.Tensor, m mapping.FCMapping) *tensor.Tensor {
 	batches, inN := in.Dim(0), in.Dim(1)
 	outN := weights.Dim(0)
 	out := tensor.NewPooled(batches, outN)
 	inD, wD, outD := in.Data(), weights.Data(), out.Data()
+	quads := (outN + 3) / 4
+	if grain := tensor.Grain(quads, 4*inN*batches, 0); grain < quads {
+		tensor.ParallelFor(quads, grain, func(lo, hi int) { denseQuads(inD, wD, outD, batches, inN, outN, m.TK, lo, hi) })
+	} else {
+		denseQuads(inD, wD, outD, batches, inN, outN, m.TK, 0, quads)
+	}
+	return out
+}
 
+// denseQuads computes output neurons [4·lo, min(4·hi, outN)) of every batch
+// row; a partial last quad runs one neuron at a time.
+func denseQuads(inD, wD, outD []float32, batches, inN, outN, tk, lo, hi int) {
+	end := min(4*hi, outN)
 	for n := 0; n < batches; n++ {
 		inRow := inD[n*inN : (n+1)*inN : (n+1)*inN]
 		outRow := outD[n*outN : (n+1)*outN : (n+1)*outN]
-		s0 := 0
-		for ; s0+3 < outN; s0 += 4 {
+		s0 := 4 * lo
+		for ; s0+3 < end; s0 += 4 {
 			w0 := wD[s0*inN : (s0+1)*inN : (s0+1)*inN]
 			w1 := wD[(s0+1)*inN : (s0+2)*inN : (s0+2)*inN]
 			w2 := wD[(s0+2)*inN : (s0+3)*inN : (s0+3)*inN]
 			w3 := wD[(s0+3)*inN : (s0+4)*inN : (s0+4)*inN]
 			var o0, o1, o2, o3 float32
-			for k0 := 0; k0 < inN; k0 += m.TK {
-				tk := eff(k0, m.TK, inN)
+			for k0 := 0; k0 < inN; k0 += tk {
+				tkEff := eff(k0, tk, inN)
 				var a0, a1, a2, a3 float32
-				for k := k0; k < k0+tk; k++ {
+				for k := k0; k < k0+tkEff; k++ {
 					iv := inRow[k]
 					a0 += iv * w0[k]
 					a1 += iv * w1[k]
@@ -262,13 +304,13 @@ func fusedDense(in, weights *tensor.Tensor, m mapping.FCMapping) *tensor.Tensor 
 			}
 			outRow[s0], outRow[s0+1], outRow[s0+2], outRow[s0+3] = o0, o1, o2, o3
 		}
-		for ; s0 < outN; s0++ {
+		for ; s0 < end; s0++ {
 			wRow := wD[s0*inN : (s0+1)*inN : (s0+1)*inN]
 			var o float32
-			for k0 := 0; k0 < inN; k0 += m.TK {
-				tk := eff(k0, m.TK, inN)
+			for k0 := 0; k0 < inN; k0 += tk {
+				tkEff := eff(k0, tk, inN)
 				var acc float32
-				for k := k0; k < k0+tk; k++ {
+				for k := k0; k < k0+tkEff; k++ {
 					acc += inRow[k] * wRow[k]
 				}
 				o += acc
@@ -276,5 +318,4 @@ func fusedDense(in, weights *tensor.Tensor, m mapping.FCMapping) *tensor.Tensor 
 			outRow[s0] = o
 		}
 	}
-	return out
 }

@@ -2,17 +2,15 @@ package tensor
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // This file implements the fused, im2col-free GEMM lowering of convolution:
 // instead of materialising the full (C/G·R·S) × (N·P·Q) im2col matrix, the
 // streaming operand is produced one column block at a time and multiplied
 // against the kernel matrix while still hot in cache. Peak memory drops
-// from O(C·R·S·N·P·Q) to O(C·R·S·blockCols) per worker, and column blocks
-// are processed by parallel workers.
+// from O(C·R·S·N·P·Q) to O(C·R·S·blockCols) per worker, and a big layer's
+// column blocks are split across idle cores by ParallelFor.
 
 // im2colBlockCols is the number of output positions one panel covers. 256
 // columns keeps a 3×3×256-channel panel comfortably inside L2 while leaving
@@ -88,12 +86,13 @@ func Im2ColBlock(in *Tensor, d ConvDims, g, col0, width int, dst []float32) {
 // ConvGEMMImplicit computes a grouped 2-D convolution of an NCHW input with
 // a KCRS kernel, returning the NCHW output, via implicit GEMM: per group,
 // the kernel matrix multiplies im2col column panels that are generated
-// block-by-block and never materialised as a whole. Panels are distributed
-// over `workers` goroutines (workers <= 0 selects GOMAXPROCS); each output
-// element is written by exactly one worker and accumulated in ascending
-// (C, R, S) order with zero kernel weights skipped, so the result is
-// bitwise identical to GEMM(KernelMatrix(kernel, d, g), Im2Col(in, d, g))
-// regardless of the worker count.
+// block-by-block and never materialised as a whole. Panels are split over
+// at most `workers` goroutines (workers <= 0: as many as ParallelFor's
+// budget has free), and only when the layer is big enough to repay it
+// (Grain); each output element is written by exactly one of them and
+// accumulated in ascending (C, R, S) order with zero kernel weights
+// skipped, so the result is bitwise identical to GEMM(KernelMatrix(kernel,
+// d, g), Im2Col(in, d, g)) regardless of the worker count.
 func ConvGEMMImplicit(in, kernel *Tensor, d ConvDims, workers int) *Tensor {
 	return ConvGEMMImplicitCached(in, kernel, d, workers, nil)
 }
@@ -130,9 +129,6 @@ func ConvGEMMImplicitCached(in, kernel *Tensor, d ConvDims, workers int, cache *
 	if err := d.Resolve(); err != nil {
 		panic(err)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	p, q := d.P(), d.Q()
 	out := NewPooled(d.N, d.K, p, q)
 	c := convPanels{in: in, d: d, outD: out.Data(), kg: d.K / d.G, rows: d.C / d.G * d.R * d.S, cols: d.N * p * q, pq: p * q}
@@ -144,17 +140,12 @@ func ConvGEMMImplicitCached(in, kernel *Tensor, d ConvDims, workers int, cache *
 		// Both accumulate each output element in ascending (C, R, S) order
 		// in one running chain, so the result is bitwise identical.
 		c.packed = packedWorthIt(c.kg, c.rows, min(im2colBlockCols, c.cols)) && !sparseWorthSkipping(c.kmD)
-		if nw := min(workers, nBlocks); nw > 1 {
-			c.parallel(nw, nBlocks)
+		if grain := Grain(nBlocks, c.kg*c.rows*im2colBlockCols, workers); grain < nBlocks {
+			group := c // the closure's own copy: c is reassigned by the loop
+			ParallelFor(nBlocks, grain, func(lo, hi int) { group.blocks(lo, hi) })
 			continue
 		}
-		panel := getScratch(c.rows * im2colBlockCols)
-		acc := getScratch(c.kg * im2colBlockCols)
-		for b := 0; b < nBlocks; b++ {
-			c.block(panel, acc, b)
-		}
-		putScratch(acc)
-		putScratch(panel)
+		c.blocks(0, nBlocks)
 	}
 	return out
 }
@@ -162,8 +153,8 @@ func ConvGEMMImplicitCached(in, kernel *Tensor, d ConvDims, workers int, cache *
 // convPanels is the state of one group's implicit-GEMM sweep: the kernel
 // matrix kmD (kg × rows) multiplies im2col panels of up to im2colBlockCols
 // columns into the NCHW output outD. It is a value so the serial sweep keeps
-// it on the stack; only parallel, which hands a copy to its workers, pays
-// for sharing it.
+// it on the stack; only a split sweep, whose closure holds a copy, pays for
+// sharing it.
 type convPanels struct {
 	in                 *Tensor
 	d                  ConvDims
@@ -171,6 +162,18 @@ type convPanels struct {
 	kmD, outD          []float32
 	kg, rows, cols, pq int
 	packed             bool
+}
+
+// blocks computes column panels [lo, hi) of the group's product, with its
+// own panel and accumulator scratch.
+func (c *convPanels) blocks(lo, hi int) {
+	panel := getScratch(c.rows * im2colBlockCols)
+	acc := getScratch(c.kg * im2colBlockCols)
+	for b := lo; b < hi; b++ {
+		c.block(panel, acc, b)
+	}
+	putScratch(acc)
+	putScratch(panel)
 }
 
 // block computes column panel `block` of the group's product in acc and
@@ -200,29 +203,4 @@ func (c *convPanels) block(panel, acc []float32, block int) {
 			j += runLen
 		}
 	}
-}
-
-// parallel sweeps the group's nBlocks panels over nw goroutines, each with
-// its own scratch; every output element is written by exactly one of them.
-func (c convPanels) parallel(nw, nBlocks int) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			panel := getScratch(c.rows * im2colBlockCols)
-			acc := getScratch(c.kg * im2colBlockCols)
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= nBlocks {
-					putScratch(acc)
-					putScratch(panel)
-					return
-				}
-				c.block(panel, acc, b)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -92,32 +92,6 @@ func TestConvGEMMImplicitMatchesMaterialised(t *testing.T) {
 	}
 }
 
-// TestGEMMParallelBitwiseEqual proves the row-band parallel GEMM bitwise
-// identical to the serial kernels for awkward shapes and any worker count.
-func TestGEMMParallelBitwiseEqual(t *testing.T) {
-	shapes := [][3]int{{1, 1, 1}, {17, 33, 9}, {64, 64, 64}, {65, 129, 63}}
-	for _, s := range shapes {
-		a := RandomUniform(5, 1, s[0], s[1])
-		b := RandomUniform(6, 1, s[1], s[2])
-		want := GEMM(a, b)
-		blocked := GEMMBlocked(a, b, 16)
-		for i := range want.Data() {
-			if blocked.Data()[i] != want.Data()[i] {
-				t.Fatalf("shape %v: GEMMBlocked element %d differs from GEMM", s, i)
-			}
-		}
-		for _, workers := range []int{1, 3, 16} {
-			got := GEMMParallel(a, b, 16, workers)
-			for i := range want.Data() {
-				if got.Data()[i] != want.Data()[i] {
-					t.Fatalf("shape %v workers=%d: element %d = %v, want %v (not bitwise identical)",
-						s, workers, i, got.Data()[i], want.Data()[i])
-				}
-			}
-		}
-	}
-}
-
 // TestGEMMBlockedValidatesShapes locks in the satellite fix: GEMMBlocked
 // must reject mismatched operands just like GEMM instead of silently
 // reading out of shape.
@@ -134,7 +108,6 @@ func TestGEMMBlockedValidatesShapes(t *testing.T) {
 	b := New(6, 3) // inner dimension mismatch
 	expectPanic("inner mismatch", func() { GEMMBlocked(a, b, 0) })
 	expectPanic("rank", func() { GEMMBlocked(New(4), b, 0) })
-	expectPanic("parallel inner mismatch", func() { GEMMParallel(a, b, 0, 2) })
 }
 
 func BenchmarkGEMMVariants(b *testing.B) {
@@ -146,7 +119,6 @@ func BenchmarkGEMMVariants(b *testing.B) {
 	}{
 		{"GEMM", func() *Tensor { return GEMM(a, bb) }},
 		{"GEMMBlocked", func() *Tensor { return GEMMBlocked(a, bb, 64) }},
-		{"GEMMParallel", func() *Tensor { return GEMMParallel(a, bb, 64, 0) }},
 	} {
 		b.Run(fmt.Sprintf("%s/256", bench.name), func(b *testing.B) {
 			b.ReportAllocs()

@@ -1,11 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // GEMM computes C = A × B for 2-D tensors A (M×K) and B (K×N).
 // This is the matrix multiply used by the CPU target and by the GEMM
@@ -81,69 +76,12 @@ func GEMMBlocked(a, b *Tensor, block int) *Tensor {
 	return out
 }
 
-// GEMMParallel computes C = A × B with row-band worker goroutines over the
-// packed micro-kernel: the M axis is split into bands, each owned by exactly
-// one worker, so no output element is ever written by two goroutines and the
-// per-element summation order (ascending K, as in GEMM) is independent of
-// the worker count — the result is bitwise identical to GEMM's.
-// workers <= 0 selects GOMAXPROCS; block <= 0 selects the default band of 64
-// rows (bands are merged so each worker repacks B as few times as possible).
-func GEMMParallel(a, b *Tensor, block, workers int) *Tensor {
-	if block <= 0 {
-		block = 64
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	m, k, n := gemmDims(a, b)
-	out := New(m, n)
-	bands := (m + block - 1) / block
-	if workers > bands {
-		workers = bands
-	}
-	if workers <= 1 {
-		gemmAuto(a.data, b.data, out.data, m, k, n, 0)
-		return out
-	}
-	// Merge bands so every worker gets at most one contiguous run per pass:
-	// each band still has exactly one owner (rows are written once), but the
-	// per-band B repacking is amortised over bigger row ranges.
-	if merged := (m + workers - 1) / workers; merged > block {
-		block = merged
-		bands = (m + block - 1) / block
-	}
-	sparse := sparseWorthSkipping(a.data)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				band := int(next.Add(1)) - 1
-				if band >= bands {
-					return
-				}
-				i0 := band * block
-				i1 := min(i0+block, m)
-				if !packedWorthIt(i1-i0, k, n) || sparse {
-					gemmSparse(a.data, b.data, out.data, i0, i1, k, n)
-				} else {
-					gemmPackedRange(a.data, b.data, out.data, k, n, i0, i1, 0)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
 // gemmSparse computes the [i0, i1) row band of C += A × B for the problems
 // the packed micro-kernel does not take: a stationary operand A with enough
 // zeros to be worth skipping (the SIGMA lowering's pruned weights), or a
 // streaming operand B too small or skinny to pack. It is the one
-// sparse-stationary kernel behind GEMM, GEMMParallel and the panel multiply
-// of ConvGEMMImplicit. Every output element accumulates its products in
+// sparse-stationary kernel behind GEMM and the panel multiply of
+// ConvGEMMImplicit. Every output element accumulates its products in
 // ascending-K order in one running chain, exactly like the scalar skip-zero
 // ikj loop (the test oracle refGEMM), so the result is bitwise equal to it:
 //
@@ -157,9 +95,15 @@ func GEMMParallel(a, b *Tensor, block, workers int) *Tensor {
 //     multiplied rather than skipped: a branch per element costs more than
 //     the multiply at any density, and for finite operands the skipped
 //     products are ±0, a bitwise no-op on an accumulator that can never be
-//     −0 (the same finite-operand contract packgemm.go documents).
+//     −0 (the same finite-operand contract packgemm.go documents). A band
+//     big enough to repay it (SIGMA's fully connected layers) is split into
+//     row bands across idle cores; each row is one chain either way.
 func gemmSparse(a, b, c []float32, i0, i1, k, n int) {
 	if n < packNR {
+		if grain := Grain(i1-i0, k*n, 0); grain < i1-i0 {
+			ParallelFor(i1-i0, grain, func(lo, hi int) { gemmSkinny(a, b, c, i0+lo, i0+hi, k, n) })
+			return
+		}
 		gemmSkinny(a, b, c, i0, i1, k, n)
 		return
 	}

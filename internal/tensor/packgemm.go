@@ -3,7 +3,7 @@ package tensor
 import "sync"
 
 // This file implements the packed, register-blocked GEMM micro-kernel that
-// backs GEMM, GEMMBlocked, GEMMParallel and the panel multiply inside
+// backs GEMM, GEMMBlocked and the panel multiply inside
 // ConvGEMMImplicit. It follows the BLIS/caffe2 packed-panel decomposition,
 // specialised to a 1×packNR micro-tile: the streaming operand B is repacked
 // into contiguous packNR-wide micro-panels sized to L1, and the innermost

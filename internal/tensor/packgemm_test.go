@@ -68,9 +68,9 @@ func TestPackedGEMMBitwiseEqual(t *testing.T) {
 					GEMMBlocked(a, b, 0),
 					GEMMBlocked(a, b, 37), // awkward K panel
 					GEMMBlocked(a, b, 128),
-					GEMMParallel(a, b, 0, 1),
-					GEMMParallel(a, b, 16, 4),
-					GEMMParallel(a, b, 5, 3),
+					bandedGEMM(a, b, g.m),
+					bandedGEMM(a, b, 16),
+					bandedGEMM(a, b, 5),
 				} {
 					if i := FirstBitDiff(want, got); i >= 0 {
 						t.Fatalf("routed GEMM diverges at element %d: %v vs %v", i, got.data[i], want.data[i])
@@ -128,8 +128,8 @@ func TestSparseGEMMBitwiseEqual(t *testing.T) {
 	}
 }
 
-// TestPackedGEMMRowRange checks band-restricted packed execution (the
-// GEMMParallel work unit): disjoint bands must tile the full product.
+// TestPackedGEMMRowRange checks band-restricted packed execution: disjoint
+// bands must tile the full product.
 func TestPackedGEMMRowRange(t *testing.T) {
 	const m, k, n = 70, 90, 50
 	a := RandomUniform(3, 1, m, k)

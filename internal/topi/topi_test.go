@@ -3,6 +3,7 @@ package topi
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -471,6 +472,41 @@ func TestLRNAndPoolMatchIndexedOracle(t *testing.T) {
 			if d := tensor.FirstBitDiff(refPool2D(in, kind, g[0], g[1], g[2]), got); d >= 0 {
 				t.Fatalf("Pool2D kind=%d kernel=%d stride=%d pad=%d diverges from the indexed oracle at element %d", kind, g[0], g[1], g[2], d)
 			}
+		}
+	}
+}
+
+// TestParallelLRNPoolBitIdentical runs LRN on AlexNet's [1,96,55,55], and
+// max and average pooling on 98 such planes — chunks of 4 planes and a
+// last chunk of 2 — at GOMAXPROCS 1 and 4: the outputs must match byte for
+// byte, and at 4 every call must have been split.
+func TestParallelLRNPoolBitIdentical(t *testing.T) {
+	in := tensor.RandomUniform(1, 3, 1, 96, 55, 55)
+	planes := tensor.RandomUniform(2, 3, 1, 98, 55, 55)
+	ops := map[string]func() (*tensor.Tensor, error){
+		"lrn":     func() (*tensor.Tensor, error) { return LRN(in, 5, 1e-4, 0.75, 2) },
+		"maxpool": func() (*tensor.Tensor, error) { return Pool2D(planes, MaxPool, 3, 2, 0) },
+		"avgpool": func() (*tensor.Tensor, error) { return Pool2D(planes, AvgPool, 3, 2, 1) },
+	}
+	for name, op := range ops {
+		var outs [2]*tensor.Tensor
+		var launches [2]int64
+		for i, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			before := tensor.HelperLaunches()
+			out, err := op()
+			launches[i] = tensor.HelperLaunches() - before
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs[i] = out
+		}
+		if i := tensor.FirstBitDiff(outs[0], outs[1]); i >= 0 {
+			t.Errorf("%s: element %d differs between GOMAXPROCS 1 and 4", name, i)
+		}
+		if launches[0] != 0 || launches[1] == 0 {
+			t.Errorf("%s: helpers started at GOMAXPROCS 1 / 4: %d / %d, want 0 / > 0", name, launches[0], launches[1])
 		}
 	}
 }
