@@ -139,7 +139,6 @@ func main() {
 		maxBytes   = flag.Int64("cache-max-bytes", 0, "in-memory cache byte bound, LRU-evicted (0 = unbounded)")
 		diskMax    = flag.Int64("cache-disk-max-bytes", 0, "disk cache byte bound, LRU-evicted (0 = unbounded)")
 		warm       = flag.Bool("cache-warm", false, "preload the disk cache's entries into the in-memory LRU at startup (requires -cache-dir)")
-		execW      = flag.Int("exec-workers", 0, "default cap on a GEMM-lowered conv's arithmetic goroutines (1 = serial, 0/<0 = borrow idle cores; only layers big enough to repay it split); responses are byte-identical either way")
 		maxQueue   = flag.Int("max-queue", 0, "queued-job bound: submissions beyond it are rejected with HTTP 429 + Retry-After instead of growing the queue (0 = unbounded)")
 		jobTimeout = flag.Duration("job-timeout", 0, "default per-job deadline, e.g. 30s; unanswered jobs fail with HTTP 504 and queued ones are removed (0 = none; requests override with timeout_ms)")
 		drainWait  = flag.Duration("shutdown-timeout", 30*time.Second, "graceful-drain bound on SIGINT/SIGTERM: running jobs get this long to finish before queued work is abandoned")
@@ -266,7 +265,6 @@ func main() {
 		*sweepDir = *cacheDir + "/sweeps"
 	}
 	sopts := []serve.ServerOption{
-		serve.WithExecWorkers(*execW),
 		serve.WithJobTimeout(*jobTimeout),
 		serve.WithLogger(logger),
 		serve.WithTraceAll(*traceAll),

@@ -36,7 +36,6 @@ func main() {
 		seed      = flag.Int64("seed", 42, "weight/input seed")
 		cfgOut    = flag.String("write-config", "", "also write the STONNE config file to this path")
 		dotOut    = flag.String("dot", "", "also write the model graph in Graphviz DOT format to this path")
-		workers   = flag.Int("exec-workers", 1, "graph-executor workers: 1 = serial, >1 = wavefront scheduling of independent branches, <0 = GOMAXPROCS")
 	)
 	flag.Parse()
 
@@ -67,7 +66,6 @@ func main() {
 		log.Fatal(err)
 	}
 	sess.Verify = *verify
-	sess.ExecWorkers = *workers
 	if err := applyMappings(sess, arch, g, *mapSrc); err != nil {
 		log.Fatal(err)
 	}

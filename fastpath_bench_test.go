@@ -19,8 +19,9 @@ package bifrost
 //	                               vs step loop
 //	BenchmarkConvLowering        — fused im2col-free implicit GEMM vs the
 //	                               materialised Im2Col + GEMM composition
-//	BenchmarkGraphExec           — wavefront graph executor vs serial
-//	                               execution on a four-branch CNN
+//	BenchmarkGraphExec           — wavefront graph executor (the default
+//	                               above one core) vs serial execution
+//	                               (GOMAXPROCS 1) on a four-branch CNN
 //
 // GEMM kernel variants (packed micro-kernel vs reference ikj loop) are
 // benchmarked in internal/tensor. Claims are measured by the layered
@@ -269,15 +270,15 @@ func benchGraph() (*graph.Graph, map[string]*tensor.Tensor) {
 }
 
 func BenchmarkGraphExec(b *testing.B) {
-	for _, workers := range []int{1, 0} {
+	for _, procs := range []int{1, 0} {
 		name := "serial"
-		if workers == 0 {
+		if procs == 0 {
 			name = "parallel"
-			workers = -1
 		}
 		b.Run(name, func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs)) // 0 keeps the default
 			g, feeds := benchGraph()
-			ex := &graph.Executor{Graph: g, Workers: workers}
+			ex := &graph.Executor{Graph: g}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := ex.Run(feeds); err != nil {

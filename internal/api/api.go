@@ -89,6 +89,10 @@ type Options struct {
 	// budget of GOMAXPROCS−1, so a sweep of small jobs, or a job that finds
 	// every helper taken, runs serially whatever Workers says. Outputs are
 	// bitwise identical for every value.
+	//
+	// No production path sets it: its one source, farm.Job.ExecWorkers, is
+	// set only by the benchmark harness, which pins both fields. They go
+	// together under ROADMAP item 1(c).
 	Workers int
 
 	// Pack shares a content-keyed cache of derived operand forms (packed

@@ -14,8 +14,8 @@ import (
 // dryConvCost builds a MeasureFunc that scores a conv mapping from the Stats
 // of a dry-run MAERI simulation (exact counters, no arithmetic). The engine
 // is built once and shared: it keeps no state between calls, so concurrent
-// MeasureFunc calls — e.g. under ParallelMeasurer — are safe. An invalid cfg
-// or an illegal mapping measures as Infeasible.
+// MeasureFunc calls are safe. An invalid cfg or an illegal mapping measures
+// as Infeasible.
 func dryConvCost(cfg config.HWConfig, d tensor.ConvDims, score func(stats.Stats) Cost) MeasureFunc {
 	eng, err := maeri.NewEngine(cfg)
 	if err != nil {

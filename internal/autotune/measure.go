@@ -1,60 +1,10 @@
 package autotune
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/farm"
 	"repro/internal/stonne/config"
 	"repro/internal/tensor"
 )
-
-// ParallelMeasurer fans a batch out over a pool of goroutines calling f.
-// Use it for cheap, pure measure functions (the psums target) that are not
-// worth routing through the simulation farm; workers <= 0 selects
-// GOMAXPROCS. f must be safe for concurrent use — every shipped MeasureFunc
-// is: the psum costs are pure functions and the cycle/energy costs share an
-// engine that keeps no state between calls.
-func ParallelMeasurer(workers int, f MeasureFunc) Measurer {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return parallelMeasurer{workers: workers, f: f}
-}
-
-type parallelMeasurer struct {
-	workers int
-	f       MeasureFunc
-}
-
-func (p parallelMeasurer) MeasureBatch(cfgs []Config) []Cost {
-	costs := make([]Cost, len(cfgs))
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	n := p.workers
-	if n > len(cfgs) {
-		n = len(cfgs)
-	}
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(cfgs) {
-					return
-				}
-				costs[i] = p.f(cfgs[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return costs
-}
 
 // FarmConvCycleMeasurer measures conv mappings by simulated cycle count
 // through the simulation farm: feasible configurations become dry-run jobs

@@ -32,9 +32,9 @@ func resultsEqual(t *testing.T, name string, a, b Result) {
 }
 
 // TestBatchedTunersMatchSerial runs every tuner on a real cycle-cost space
-// serially, through ParallelMeasurer and through the farm, and requires the
-// full trial logs to be bit-identical — the batched paths may only change
-// wall-clock time, never results.
+// serially and through the farm, and requires the full trial logs to be
+// bit-identical — the batched path may only change wall-clock time, never
+// results.
 func TestBatchedTunersMatchSerial(t *testing.T) {
 	cfg := config.Default(config.MAERIDenseWorkload)
 	cfg.MSSize = 16
@@ -63,13 +63,6 @@ func TestBatchedTunersMatchSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s serial: %v", name, err)
 		}
-		opts.Measurer = ParallelMeasurer(4, measure)
-		parallel, err := tuner.Tune(space, measure, opts)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", name, err)
-		}
-		resultsEqual(t, name+"/parallel", serial, parallel)
-
 		opts.Measurer = FarmConvCycleMeasurer(f, cfg, d)
 		farmed, err := tuner.Tune(space, measure, opts)
 		if err != nil {

@@ -29,20 +29,15 @@ func DefaultTuneOptions() TuneOptions {
 }
 
 // tunedConvMapping runs the psum-target XGB tuning for one conv layer. The
-// psum measure is a cheap pure function, so with a farm present the trials
-// parallelize through a goroutine-pool measurer sized to the farm rather
-// than through simulation jobs.
-func tunedConvMapping(fm *farm.Farm, d tensor.ConvDims, ms int, o TuneOptions) (mapping.ConvMapping, error) {
+// psum measure is closed-form arithmetic, cheaper than a goroutine hand-off,
+// so the trials run serially with or without a farm.
+func tunedConvMapping(d tensor.ConvDims, ms int, o TuneOptions) (mapping.ConvMapping, error) {
 	space, err := autotune.ConvMappingSpace(d, ms)
 	if err != nil {
 		return mapping.ConvMapping{}, err
 	}
-	measure := autotune.ConvPsumCost(d, ms)
 	opts := autotune.Options{Trials: o.Trials, EarlyStopping: o.EarlyStopping, Seed: o.Seed}
-	if fm != nil {
-		opts.Measurer = autotune.ParallelMeasurer(fm.Workers(), measure)
-	}
-	res, err := autotune.XGBTuner{}.Tune(space, measure, opts)
+	res, err := autotune.XGBTuner{}.Tune(space, autotune.ConvPsumCost(d, ms), opts)
 	if err != nil {
 		return mapping.ConvMapping{}, err
 	}
@@ -52,14 +47,9 @@ func tunedConvMapping(fm *farm.Farm, d tensor.ConvDims, ms int, o TuneOptions) (
 // tunedFCMapping runs the psum-target grid tuning for one dense layer (the
 // FC space is small enough that the paper's converged XGB search and an
 // exhaustive search coincide).
-func tunedFCMapping(fm *farm.Farm, l models.LayerSpec, ms int) (mapping.FCMapping, error) {
+func tunedFCMapping(l models.LayerSpec, ms int) (mapping.FCMapping, error) {
 	space := autotune.FCMappingSpace(l.K, l.N, ms)
-	measure := autotune.FCPsumCost(l.M, l.K, l.N, ms)
-	opts := autotune.Options{}
-	if fm != nil {
-		opts.Measurer = autotune.ParallelMeasurer(fm.Workers(), measure)
-	}
-	res, err := autotune.GridSearch{}.Tune(space, measure, opts)
+	res, err := autotune.GridSearch{}.Tune(space, autotune.FCPsumCost(l.M, l.K, l.N, ms), autotune.Options{})
 	if err != nil {
 		return mapping.FCMapping{}, err
 	}
@@ -111,9 +101,9 @@ func (r MappingRow) Speedup() float64 { return float64(r.BasicCycles) / float64(
 // MappingStudy runs the complete §VIII-B pipeline on each AlexNet layer:
 // the automatically generated basic mapping, the AutoTVM-tuned mapping
 // (psums target with early stopping) and the mRNA mapping, each measured in
-// cycles on MAERI with 128 multipliers. With a farm, tuner trials
-// parallelize and the cycle measurements run as cached dry-run jobs; rows
-// are bit-identical to the serial study either way.
+// cycles on MAERI with 128 multipliers. With a farm, the cycle measurements
+// run as cached dry-run jobs; rows are bit-identical to the serial study
+// either way.
 func MappingStudy(fm *farm.Farm, scale Scale, o TuneOptions) ([]MappingRow, error) {
 	cfg := config.Default(config.MAERIDenseWorkload)
 	mapper, err := mrna.NewMapper(cfg, mrna.MinimizeCycles)
@@ -124,7 +114,7 @@ func MappingStudy(fm *farm.Farm, scale Scale, o TuneOptions) ([]MappingRow, erro
 	for _, l := range layers(scale) {
 		row := MappingRow{Layer: l.Name, IsConv: l.Op == graph.OpConv2D}
 		if l.Op == graph.OpConv2D {
-			row.AutoTVMConv, err = tunedConvMapping(fm, l.Conv, cfg.MSSize, o)
+			row.AutoTVMConv, err = tunedConvMapping(l.Conv, cfg.MSSize, o)
 			if err != nil {
 				return nil, fmt.Errorf("bench: tuning %s: %w", l.Name, err)
 			}
@@ -142,7 +132,7 @@ func MappingStudy(fm *farm.Farm, scale Scale, o TuneOptions) ([]MappingRow, erro
 				return nil, err
 			}
 		} else {
-			row.AutoTVMFC, err = tunedFCMapping(fm, l, cfg.MSSize)
+			row.AutoTVMFC, err = tunedFCMapping(l, cfg.MSSize)
 			if err != nil {
 				return nil, fmt.Errorf("bench: tuning %s: %w", l.Name, err)
 			}

@@ -53,15 +53,6 @@ type Session struct {
 	DefaultConvMapping *mapping.ConvMapping
 	DefaultFCMapping   *mapping.FCMapping
 
-	// ExecWorkers configures the graph executor: 0 or 1 runs nodes
-	// serially; > 1 enables wavefront scheduling so independent branches
-	// of the model execute concurrently (each offloaded layer submitting
-	// its own simulation, which a farm then runs in parallel); < 0 selects
-	// GOMAXPROCS. Outputs and the per-layer record set are bit-identical
-	// to serial execution; records are reported in topological order
-	// either way.
-	ExecWorkers int
-
 	// Reference sets farm.Job.Reference on every offloaded layer, running it
 	// on the oracle package's step-loop simulations instead of the
 	// production engines. Outputs, records and cache keys are identical
@@ -129,7 +120,9 @@ func (s *Session) WithFarm(f *farm.Farm) *Session {
 // Farm returns the farm configured with WithFarm, or nil.
 func (s *Session) Farm() *farm.Farm { return s.farm }
 
-// Records returns the per-layer simulation records of the last Run.
+// Records returns the per-layer simulation records of the last Run, in
+// topological order. Each Run starts a fresh slice, so a slice returned
+// here is never overwritten by a later Run.
 func (s *Session) Records() []api.LayerRecord { return s.records }
 
 // TotalStats aggregates the records of the last Run.
@@ -198,6 +191,8 @@ func (s *Session) maybePrune(w *tensor.Tensor) *tensor.Tensor {
 // Run optimises the graph with the standard pass pipeline and executes it
 // end to end, offloading supported layers to the simulated accelerator.
 // It mirrors Listing 1: the caller provides an unmodified model and feeds.
+// On more than one core independent branches run concurrently (see
+// graph.Executor); outputs and records are bit-identical either way.
 func (s *Session) Run(g *graph.Graph, feeds map[string]*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -205,25 +200,23 @@ func (s *Session) Run(g *graph.Graph, feeds map[string]*tensor.Tensor) ([]*tenso
 	if err := passes.Standard(g); err != nil {
 		return nil, err
 	}
-	s.records = s.records[:0]
-	ex := &graph.Executor{Graph: g, Offload: s.offload, Workers: s.ExecWorkers}
+	s.records = nil
+	ex := &graph.Executor{Graph: g, Offload: s.offload}
 	outs, err := ex.Run(feeds)
 	if err != nil {
 		return nil, err
 	}
-	if s.ExecWorkers > 1 || s.ExecWorkers < 0 {
-		// Wavefront execution appends records in completion order; restore
-		// the deterministic topological order serial execution reports.
-		order, err := g.TopoSort()
-		if err != nil {
-			return nil, err
-		}
-		pos := make(map[string]int, len(order))
-		for i, n := range order {
-			pos[n.Name] = i
-		}
-		sort.SliceStable(s.records, func(i, j int) bool { return pos[s.records[i].Name] < pos[s.records[j].Name] })
+	// Wavefront execution appends records in completion order; restore the
+	// deterministic topological order serial execution reports.
+	order, err := g.TopoSort()
+	if err != nil {
+		return nil, err
 	}
+	pos := make(map[string]int, len(order))
+	for i, n := range order {
+		pos[n.Name] = i
+	}
+	sort.SliceStable(s.records, func(i, j int) bool { return pos[s.records[i].Name] < pos[s.records[j].Name] })
 	return outs, nil
 }
 

@@ -217,7 +217,7 @@ func TestSIGMAPrunesEachWeightOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := append([]api.LayerRecord(nil), s.Records()...)
+	records := s.Records()
 	if s.prunes != len(records) {
 		t.Fatalf("first run pruned %d weights for %d offloaded layers", s.prunes, len(records))
 	}
@@ -236,6 +236,28 @@ func TestSIGMAPrunesEachWeightOnce(t *testing.T) {
 			if r != records[l] {
 				t.Fatalf("run %d record %d = %+v, first run reported %+v", run, l, r, records[l])
 			}
+		}
+	}
+}
+
+// TestRecordsSurviveNextRun keeps the records of one Run and runs another
+// model on the same session: the kept slice must be untouched.
+func TestRecordsSurviveNextRun(t *testing.T) {
+	s, err := NewSession(config.Default(config.MAERIDenseWorkload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(models.TinyCNN(1), map[string]*tensor.Tensor{"data": tensor.RandomUniform(3, 1, 1, 2, 10, 10)}); err != nil {
+		t.Fatal(err)
+	}
+	kept := s.Records()
+	snapshot := append([]api.LayerRecord(nil), kept...)
+	if _, err := s.Run(models.LeNet5(1), map[string]*tensor.Tensor{"data": tensor.RandomUniform(4, 1, 1, 1, 28, 28)}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range snapshot {
+		if kept[i] != snapshot[i] {
+			t.Fatalf("record %d of the first run changed under the second: %+v, was %+v", i, kept[i], snapshot[i])
 		}
 	}
 }

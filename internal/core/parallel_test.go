@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/farm"
 	"repro/internal/graph"
 	"repro/internal/models"
@@ -31,46 +32,42 @@ func branchyModel() (*graph.Graph, map[string]*tensor.Tensor) {
 }
 
 // TestSessionParallelExecBitIdentical proves a wavefront-scheduled session
-// (with and without a farm) produces bitwise-identical outputs and the same
-// per-layer records, in the same order, as the serial session.
+// (GOMAXPROCS 4, with and without a farm) produces bitwise-identical outputs
+// and the same per-layer records, in the same topological order, as the
+// serial session (GOMAXPROCS 1).
 func TestSessionParallelExecBitIdentical(t *testing.T) {
 	cfg := config.Default(config.MAERIDenseWorkload)
-	serial, err := NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, feeds := branchyModel()
-	want, err := serial.Run(g, feeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := serial.Records()
-
-	fm := farm.New(4)
-	defer fm.Close()
-	for _, withFarm := range []bool{false, true} {
-		par, err := NewSession(cfg)
+	run := func(procs int, fm *farm.Farm) ([]*tensor.Tensor, []api.LayerRecord) {
+		t.Helper()
+		s, err := NewSession(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par.ExecWorkers = 4
-		if withFarm {
-			par.WithFarm(fm)
-		}
-		g2, feeds2 := branchyModel()
-		got, err := par.Run(g2, feeds2)
+		s.WithFarm(fm)
+		g, feeds := branchyModel()
+		prev := runtime.GOMAXPROCS(procs)
+		outs, err := s.Run(g, feeds)
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
-			t.Fatalf("farm=%v: %v", withFarm, err)
+			t.Fatalf("GOMAXPROCS=%d farm=%v: %v", procs, fm != nil, err)
 		}
-		for i := range want[0].Data() {
-			if got[0].Data()[i] != want[0].Data()[i] {
-				t.Fatalf("farm=%v: element %d = %v, want %v (not bitwise identical)",
-					withFarm, i, got[0].Data()[i], want[0].Data()[i])
-			}
+		return outs, s.Records()
+	}
+	want, recs := run(1, nil)
+	if len(recs) != 2 || recs[0].Name != "conv0" || recs[1].Name != "conv1" {
+		t.Fatalf("serial records %v, want conv0 then conv1", recs)
+	}
+
+	fm := farm.New(4)
+	defer fm.Close()
+	for _, f := range []*farm.Farm{nil, fm} {
+		got, gotRecs := run(4, f)
+		if i := tensor.FirstBitDiff(want[0], got[0]); i >= 0 {
+			t.Fatalf("farm=%v: element %d = %v, want %v (not bitwise identical)",
+				f != nil, i, got[0].Data()[i], want[0].Data()[i])
 		}
-		gotRecs := par.Records()
 		if !reflect.DeepEqual(recs, gotRecs) {
-			t.Fatalf("farm=%v: records diverge:\n serial   %v\n parallel %v", withFarm, recs, gotRecs)
+			t.Fatalf("farm=%v: records diverge:\n serial   %v\n parallel %v", f != nil, recs, gotRecs)
 		}
 	}
 }

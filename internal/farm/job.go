@@ -90,6 +90,10 @@ type Job struct {
 	// per-element accumulation), so ExecWorkers deliberately does NOT
 	// participate in Key(): serial and parallel submissions share one cache
 	// entry, on every tier.
+	//
+	// No production path sets it — sessions, tuners and the server leave it
+	// 0 — and it stays only because the benchmark harness pins it; it goes
+	// under ROADMAP item 1(c).
 	ExecWorkers int
 
 	// Reference runs the job on the oracle package — the step-loop / chunk-

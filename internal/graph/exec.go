@@ -18,20 +18,17 @@ type OffloadFunc func(n *Node, inputs []*tensor.Tensor) (*tensor.Tensor, bool, e
 
 // Executor evaluates a graph on the CPU operator inventory, optionally
 // diverting nodes through an OffloadFunc.
+//
+// With more than one core (GOMAXPROCS > 1) Run uses wavefront scheduling: a
+// node becomes runnable the moment all of its inputs have been evaluated, so
+// independent branches of the model execute concurrently (each on its own
+// goroutine, e.g. each submitting its own simulation to the farm). Offload
+// must then be safe for concurrent use. At GOMAXPROCS 1 the graph evaluates
+// serially in topological order. Every node evaluates exactly once with
+// exactly the same inputs either way, so the outputs are bitwise identical.
 type Executor struct {
 	Graph   *Graph
 	Offload OffloadFunc
-
-	// Workers selects the execution strategy: 0 or 1 evaluates the graph
-	// serially in topological order; > 1 runs wavefront scheduling, where a
-	// node becomes runnable the moment all of its inputs have been
-	// evaluated, so independent branches of the model execute concurrently
-	// (each on its own goroutine, e.g. each submitting its own simulation
-	// to the farm); < 0 selects GOMAXPROCS workers. Every node still
-	// evaluates exactly once with exactly the same inputs, so the outputs
-	// are bitwise identical to serial execution. With Workers > 1 the
-	// Offload function must be safe for concurrent use.
-	Workers int
 }
 
 // Run evaluates the graph for the given named input feeds and returns the
@@ -44,14 +41,7 @@ func (e *Executor) Run(feeds map[string]*tensor.Tensor) ([]*tensor.Tensor, error
 	if err != nil {
 		return nil, err
 	}
-	workers := e.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(order) {
-		workers = len(order)
-	}
-	if workers > 1 {
+	if workers := min(runtime.GOMAXPROCS(0), len(order)); workers > 1 {
 		return e.runParallel(order, feeds, workers)
 	}
 	values := make(map[*Node]*tensor.Tensor, len(order))
@@ -85,7 +75,7 @@ func (e *Executor) runParallel(order []*Node, feeds map[string]*tensor.Tensor, w
 		index[node] = i
 	}
 	values := make([]*tensor.Tensor, n)
-	remaining := make([]int32, n)  // input edges not yet satisfied
+	remaining := make([]int32, n) // input edges not yet satisfied
 	consumers := make([][]int, n) // edges out of each node (duplicates kept)
 	for i, node := range order {
 		remaining[i] = int32(len(node.Inputs))

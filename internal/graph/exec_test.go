@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -33,15 +34,18 @@ func branchyGraph(t testing.TB) (*Graph, map[string]*tensor.Tensor) {
 	return g, feeds
 }
 
+// withProcs runs f at GOMAXPROCS procs: 1 selects the serial executor, more
+// the wavefront.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
 // TestParallelExecBitwiseEqual proves wavefront execution bit-identical to
-// serial execution for any worker count, with and without an offload.
+// serial execution (GOMAXPROCS 1) at any core count, with and without an
+// offload.
 func TestParallelExecBitwiseEqual(t *testing.T) {
 	g, feeds := branchyGraph(t)
-	serial := &Executor{Graph: g}
-	want, err := serial.Run(feeds)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A concurrency-safe offload that handles ReLU nodes by doubling them,
 	// to prove offloaded nodes follow the same path in both executors.
 	var offloadCalls atomic.Int32
@@ -58,42 +62,54 @@ func TestParallelExecBitwiseEqual(t *testing.T) {
 		}
 		return out, true, nil
 	}
-	serialOff := &Executor{Graph: g, Offload: offload}
-	wantOff, err := serialOff.Run(feeds)
+	plain, off := &Executor{Graph: g}, &Executor{Graph: g, Offload: offload}
+	var want, wantOff []*tensor.Tensor
+	var err error
+	withProcs(1, func() {
+		if want, err = plain.Run(feeds); err == nil {
+			wantOff, err = off.Run(feeds)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{-1, 2, 8} {
+	for _, procs := range []int{2, 8} {
 		for _, tc := range []struct {
 			name string
 			ex   *Executor
 			want []*tensor.Tensor
 		}{
-			{"plain", &Executor{Graph: g, Workers: workers}, want},
-			{"offload", &Executor{Graph: g, Offload: offload, Workers: workers}, wantOff},
+			{"plain", plain, want},
+			{"offload", off, wantOff},
 		} {
-			got, err := tc.ex.Run(feeds)
+			var got []*tensor.Tensor
+			withProcs(procs, func() { got, err = tc.ex.Run(feeds) })
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+				t.Fatalf("%s GOMAXPROCS=%d: %v", tc.name, procs, err)
 			}
 			if len(got) != len(tc.want) {
-				t.Fatalf("%s workers=%d: %d outputs, want %d", tc.name, workers, len(got), len(tc.want))
+				t.Fatalf("%s GOMAXPROCS=%d: %d outputs, want %d", tc.name, procs, len(got), len(tc.want))
 			}
 			for oi := range got {
 				for i := range got[oi].Data() {
 					if got[oi].Data()[i] != tc.want[oi].Data()[i] {
-						t.Fatalf("%s workers=%d: output %d element %d = %v, want %v (not bitwise identical)",
-							tc.name, workers, oi, i, got[oi].Data()[i], tc.want[oi].Data()[i])
+						t.Fatalf("%s GOMAXPROCS=%d: output %d element %d = %v, want %v (not bitwise identical)",
+							tc.name, procs, oi, i, got[oi].Data()[i], tc.want[oi].Data()[i])
 					}
 				}
 			}
 		}
 	}
+	// Each of the three offload runs diverts the four ReLUs exactly once.
+	if got := offloadCalls.Load(); got != 12 {
+		t.Fatalf("offload called %d times over three runs, want 12", got)
+	}
 }
 
 // TestParallelExecError checks that a failing node surfaces its error and
-// the executor terminates cleanly (no deadlock, no panic).
+// the executor terminates cleanly (no deadlock, no panic), serially and
+// under wavefront scheduling.
 func TestParallelExecError(t *testing.T) {
 	g, feeds := branchyGraph(t)
 	failing := func(n *Node, ins []*tensor.Tensor) (*tensor.Tensor, bool, error) {
@@ -102,18 +118,26 @@ func TestParallelExecError(t *testing.T) {
 		}
 		return nil, false, nil
 	}
-	ex := &Executor{Graph: g, Offload: failing, Workers: 4}
-	if _, err := ex.Run(feeds); err == nil || !strings.Contains(err.Error(), "injected failure") {
-		t.Fatalf("expected injected failure, got %v", err)
+	ex := &Executor{Graph: g, Offload: failing}
+	for _, procs := range []int{1, 4} {
+		var err error
+		withProcs(procs, func() { _, err = ex.Run(feeds) })
+		if err == nil || !strings.Contains(err.Error(), "injected failure") {
+			t.Fatalf("GOMAXPROCS=%d: expected injected failure, got %v", procs, err)
+		}
 	}
 }
 
 // TestParallelExecMissingFeed checks the error path for an absent input
-// feed under wavefront scheduling.
+// feed, serially and under wavefront scheduling.
 func TestParallelExecMissingFeed(t *testing.T) {
 	g, _ := branchyGraph(t)
-	ex := &Executor{Graph: g, Workers: 4}
-	if _, err := ex.Run(map[string]*tensor.Tensor{}); err == nil || !strings.Contains(err.Error(), "no feed") {
-		t.Fatalf("expected missing-feed error, got %v", err)
+	ex := &Executor{Graph: g}
+	for _, procs := range []int{1, 4} {
+		var err error
+		withProcs(procs, func() { _, err = ex.Run(map[string]*tensor.Tensor{}) })
+		if err == nil || !strings.Contains(err.Error(), "no feed") {
+			t.Fatalf("GOMAXPROCS=%d: expected missing-feed error, got %v", procs, err)
+		}
 	}
 }

@@ -274,10 +274,10 @@ func (run *sweepRun) record(row int, key string) {
 }
 
 // sameJob reports whether two requests describe the same job — every field
-// farm.Job.Key covers. Trace, TimeoutMS and ExecWorkers never change a result
-// or a key, so a resume may set them differently.
+// farm.Job.Key covers. Trace and TimeoutMS never change a result or a key, so
+// a resume may set them differently.
 func sameJob(a, b JobRequest) bool {
-	a.Trace, a.TimeoutMS, a.ExecWorkers = b.Trace, b.TimeoutMS, b.ExecWorkers
+	a.Trace, a.TimeoutMS = b.Trace, b.TimeoutMS
 	return reflect.DeepEqual(a, b)
 }
 
@@ -363,9 +363,6 @@ func (s *Server) sweepRow(run *sweepRun, i int, req JobRequest) JobResponse {
 // normal dispatch.
 func (s *Server) replayRow(req JobRequest, key string) (JobResponse, bool) {
 	start := time.Now()
-	if req.ExecWorkers == 0 {
-		req.ExecWorkers = s.execWorkers
-	}
 	req.Trace = false
 	job, err := req.lazyJob()
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/farm"
@@ -54,8 +55,7 @@ func eagerKey(t *testing.T, req JobRequest) string {
 // TestSeedReuseNeverAliases: the farm's spec memo answers by request spec,
 // so a request that reuses a seed but changes anything the key covers must
 // get its own key — always the eager one — while the knobs the key ignores
-// (exec_workers, trace, timeout_ms) share the memoised entry and generate
-// nothing.
+// (trace, timeout_ms) share the memoised entry and generate nothing.
 func TestSeedReuseNeverAliases(t *testing.T) {
 	ts, fm := newTestServer(t)
 	base := JobRequest{Arch: ArchSpec{Controller: "sigma", Sparsity: 50}, Op: "conv2d",
@@ -96,9 +96,8 @@ func TestSeedReuseNeverAliases(t *testing.T) {
 	}
 
 	for name, v := range map[string]JobRequest{
-		"exec_workers": variant(func(r *JobRequest) { r.ExecWorkers = 2 }),
-		"trace":        variant(func(r *JobRequest) { r.Trace = true }),
-		"timeout_ms":   variant(func(r *JobRequest) { r.TimeoutMS = 60_000 }),
+		"trace":      variant(func(r *JobRequest) { r.Trace = true }),
+		"timeout_ms": variant(func(r *JobRequest) { r.TimeoutMS = 60_000 }),
 	} {
 		_, got := postSimulate(t, ts.URL, v)
 		if got.Key != first.Key || !got.Cached {
@@ -118,6 +117,67 @@ func TestSeedReuseNeverAliases(t *testing.T) {
 		if key, err := fm.KeyOf(counted); err != nil || key != first.Key || gens != 0 {
 			t.Errorf("%s set: KeyOf = %s (err %v) after %d operand generations, want %s after 0", name, key, err, gens, first.Key)
 		}
+	}
+}
+
+// TestRetiredExecWorkersFieldIgnored: "exec_workers" is no longer a request
+// field, and requests decode without DisallowUnknownFields, so a client that
+// still sends it is answered byte for byte as the row without it — on
+// /simulate and on an NDJSON /batch — under one key and one memo entry.
+func TestRetiredExecWorkersFieldIgnored(t *testing.T) {
+	ts, fm := newTestServer(t)
+	// A SIGMA conv: the GEMM-lowered path the field used to cap.
+	plain := `{"arch":{"controller":"sigma"},"op":"conv2d","conv":{"c":4,"h":12,"k":8,"r":3},"seed":9}`
+	retired := `{"exec_workers":4,` + plain[1:]
+	elapsed := regexp.MustCompile(`"elapsed_ms":[0-9.e+-]+`)
+	post := func(path, ctype, body string) string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, ctype, bytes.NewReader([]byte(body+"\n")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", path, resp.StatusCode, buf.Bytes())
+		}
+		return string(elapsed.ReplaceAll(buf.Bytes(), []byte(`"elapsed_ms":0`)))
+	}
+	post("/simulate", "application/json", plain) // computes; every row below is a hit
+	for _, ep := range [][2]string{{"/simulate", "application/json"}, {"/batch", "application/x-ndjson"}} {
+		want, got := post(ep[0], ep[1], plain), post(ep[0], ep[1], retired)
+		if got != want {
+			t.Errorf("%s: exec_workers changed the answer:\n  with    %s\n  without %s", ep[0], got, want)
+		}
+		if !strings.Contains(got, `"cached":true`) {
+			t.Errorf("%s: row with exec_workers missed the cache: %s", ep[0], got)
+		}
+	}
+	if n := fm.Stats().Completed; n != 1 {
+		t.Fatalf("%d simulations for one job, want 1", n)
+	}
+
+	// One memo entry: the farm keys the retired row without generating.
+	var req JobRequest
+	if err := json.Unmarshal([]byte(retired), &req); err != nil {
+		t.Fatal(err)
+	}
+	job, err := req.lazyJob()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens := 0
+	counted := job.WithOperands(func() (*tensor.Tensor, *tensor.Tensor) {
+		gens++
+		m := job.Materialize()
+		return m.Input, m.Weights
+	})
+	want := eagerKey(t, req)
+	if key, err := fm.KeyOf(counted); err != nil || key != want || gens != 0 {
+		t.Errorf("KeyOf = %s (err %v) after %d operand generations, want %s after 0", key, err, gens, want)
 	}
 }
 

@@ -93,10 +93,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeFarmMetrics renders the farm's counter snapshot as exposition
-// families at scrape time. These values are owned by the farm's Stats
-// accounting; deriving them per scrape keeps /metrics and /stats exactly
-// consistent without double-counting state in the registry.
 // bit01 renders a boolean as a 0/1 gauge value.
 func bit01(b bool) float64 {
 	if b {
@@ -105,6 +101,10 @@ func bit01(b bool) float64 {
 	return 0
 }
 
+// writeFarmMetrics renders the farm's counter snapshot as exposition
+// families at scrape time. These values are owned by the farm's Stats
+// accounting; deriving them per scrape keeps /metrics and /stats exactly
+// consistent without double-counting state in the registry.
 func (s *Server) writeFarmMetrics(w io.Writer) {
 	st := s.farm.Stats()
 	one := func(v float64) []telemetry.Sample { return []telemetry.Sample{{Value: v}} }
@@ -243,16 +243,14 @@ type VersionInfo struct {
 	VCSRevision string      `json:"vcs_revision,omitempty"`
 	VCSTime     string      `json:"vcs_time,omitempty"`
 	SIMD        string      `json:"simd"`
-	ExecWorkers int         `json:"exec_workers"`
 	Farm        farm.Limits `json:"farm"`
 }
 
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	info := VersionInfo{
-		GoVersion:   runtime.Version(),
-		SIMD:        tensor.SIMDLevel(),
-		ExecWorkers: s.execWorkers,
-		Farm:        s.farm.Limits(),
+		GoVersion: runtime.Version(),
+		SIMD:      tensor.SIMDLevel(),
+		Farm:      s.farm.Limits(),
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		info.Module = bi.Main.Path

@@ -190,58 +190,3 @@ func TestServeBoundedCacheStillCorrect(t *testing.T) {
 		t.Fatalf("evicted entries were re-simulated instead of disk-served: %+v", st)
 	}
 }
-
-// TestExecWorkersEndpoint proves the ROADMAP follow-up: responses computed
-// with parallel intra-job arithmetic are byte-identical to serial ones —
-// across the per-request field, the server-wide default, and the shared
-// cache entry.
-func TestExecWorkersEndpoint(t *testing.T) {
-	// A SIGMA conv exercises the GEMM-lowered path ExecWorkers controls.
-	req := func(workers string) string {
-		return `{"arch": {"controller": "sigma"}, "op": "conv2d",
-			"conv": {"c": 4, "h": 12, "k": 8, "r": 3}, "seed": 9` + workers + `}`
-	}
-
-	// Independent farms so each side computes fresh.
-	serialFarm := farm.New(1)
-	defer serialFarm.Close()
-	serialSrv := httptest.NewServer(NewServer(serialFarm))
-	defer serialSrv.Close()
-	parallelFarm := farm.New(1)
-	defer parallelFarm.Close()
-	parallelSrv := httptest.NewServer(NewServer(parallelFarm, WithExecWorkers(4)))
-	defer parallelSrv.Close()
-
-	post := func(url, body string) JobResponse {
-		t.Helper()
-		resp, err := http.Post(url+"/simulate", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var jr JobResponse
-		if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
-			t.Fatal(err)
-		}
-		if jr.Error != "" {
-			t.Fatal(jr.Error)
-		}
-		return jr
-	}
-
-	serial := post(serialSrv.URL, req(""))
-	viaDefault := post(parallelSrv.URL, req("")) // server default: 4 workers
-	viaField := post(serialSrv.URL, req(`, "exec_workers": -1`))
-
-	diffResponses(t, "server-default parallel vs serial", []JobResponse{serial}, []JobResponse{viaDefault})
-	if viaDefault.Cached {
-		t.Fatal("parallel server computed nothing (unexpected cache hit)")
-	}
-	// exec_workers is excluded from the cache key: the GOMAXPROCS request
-	// on the serial server must be served from the entry the serial request
-	// wrote, byte-identically.
-	if !viaField.Cached {
-		t.Fatal("exec_workers split the cache key")
-	}
-	diffResponses(t, "per-request parallel vs serial", []JobResponse{serial}, []JobResponse{viaField})
-}

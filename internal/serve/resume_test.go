@@ -279,7 +279,7 @@ func TestChaosSweepConflictAndFreshStart(t *testing.T) {
 	// a second reader on the live run, answered with the run's own rows.
 	same := sweepRequests()
 	for i := range same {
-		same[i].Trace, same[i].TimeoutMS, same[i].ExecWorkers = true, 60_000, 2
+		same[i].Trace, same[i].TimeoutMS = true, 60_000
 	}
 	attached := postSweepNDJSON(t, ts.URL, "sweep_id=busy&resume=true", same)
 

@@ -48,10 +48,9 @@ import (
 
 // Server routes simulation requests into a farm.
 type Server struct {
-	farm        *farm.Farm
-	mux         *http.ServeMux
-	execWorkers int
-	jobTimeout  time.Duration
+	farm       *farm.Farm
+	mux        *http.ServeMux
+	jobTimeout time.Duration
 
 	logger   *slog.Logger
 	traceAll bool
@@ -78,11 +77,6 @@ type Server struct {
 
 // ServerOption configures a Server.
 type ServerOption func(*Server)
-
-// WithExecWorkers sets the default JobRequest.ExecWorkers applied to
-// requests that leave the field unset (0). The server default, 0, leaves
-// the farm's own default: a big layer borrows whatever cores are idle.
-func WithExecWorkers(n int) ServerOption { return func(s *Server) { s.execWorkers = n } }
 
 // WithJobTimeout sets the default per-job deadline applied to requests that
 // leave timeout_ms unset (0 disables the default). A job that outlives its
@@ -335,9 +329,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // still-queued jobs so they never occupy a worker.
 func (s *Server) run(ctx context.Context, req JobRequest) JobResponse {
 	start := time.Now()
-	if req.ExecWorkers == 0 {
-		req.ExecWorkers = s.execWorkers
-	}
 	// echoTrace controls what the client sees; the job is additionally
 	// traced when slow-job logging needs the data.
 	echoTrace := req.Trace || s.traceAll

@@ -125,6 +125,9 @@ func KernelMatrixCached(kernel *Tensor, d ConvDims, g int, cache *PackCache) *Te
 // cache for the per-group kernel matrices, and pooled panel / accumulator
 // scratch either way. A nil cache only changes where the kernel matrix
 // comes from, never the arithmetic: outputs are bitwise identical.
+// Production callers pass workers 0 (api.Options.Workers has no production
+// setter); the parameter stays only because the benchmark harness pins it,
+// and goes under ROADMAP item 1(c).
 func ConvGEMMImplicitCached(in, kernel *Tensor, d ConvDims, workers int, cache *PackCache) *Tensor {
 	if err := d.Resolve(); err != nil {
 		panic(err)
