@@ -25,6 +25,14 @@
 //	# cleanly on SIGTERM within 30s
 //	bifrost-serve -max-queue 4096 -job-timeout 30s -shutdown-timeout 30s
 //
+//	# a cluster: every node gets the same -cluster list; each worker names
+//	# itself with -self and replicates results to R ring owners, the node
+//	# without -self is the coordinator sharding jobs across all members
+//	CLUSTER=w1=http://10.0.0.1:8087,w2=http://10.0.0.2:8087
+//	bifrost-serve -cluster $CLUSTER -self w1 -cache-dir /var/cache/bifrost  # on 10.0.0.1
+//	bifrost-serve -cluster $CLUSTER -self w2 -cache-dir /var/cache/bifrost  # on 10.0.0.2
+//	bifrost-serve -cluster $CLUSTER                                         # coordinator
+//
 //	# one simulation
 //	curl -s localhost:8087/simulate -d '{
 //	  "arch": {"controller": "maeri", "ms_size": 128},
@@ -73,59 +81,46 @@ import (
 	"repro/internal/tensor"
 )
 
-// parsePeers decodes the -peers flag: comma-separated name=url entries,
-// with the name derived from the URL host when omitted.
-func parsePeers(s string) ([]serve.Peer, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
+// parseCluster decodes -cluster (comma-separated name=url entries, a name on
+// every one) and returns every member but -self: the coordinator's peers
+// when self is empty, a worker's replica members otherwise. Every node is
+// given the same list, so the coordinator's placement ring and each
+// worker's replica ring (self plus its peers) hash the same names and agree
+// on every key's owners.
+func parseCluster(list, self string) ([]serve.Peer, error) {
+	if strings.TrimSpace(list) == "" {
+		if self != "" {
+			return nil, errors.New("-self requires -cluster")
+		}
 		return nil, nil
 	}
 	var peers []serve.Peer
-	seen := make(map[string]bool)
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
+	names, urls := make(map[string]bool), make(map[string]bool)
+	for _, part := range strings.Split(list, ",") {
 		name, rawurl, ok := strings.Cut(part, "=")
-		if !ok {
-			rawurl = part
-			name = strings.TrimPrefix(strings.TrimPrefix(part, "https://"), "http://")
-		}
 		name, rawurl = strings.TrimSpace(name), strings.TrimSpace(rawurl)
-		if name == "" || rawurl == "" {
-			return nil, fmt.Errorf("bad -peers entry %q (want name=url)", part)
+		if !ok || name == "" || rawurl == "" {
+			return nil, fmt.Errorf("bad -cluster entry %q (want name=url)", part)
 		}
 		if !strings.Contains(rawurl, "://") {
 			rawurl = "http://" + rawurl
 		}
-		if seen[name] {
-			return nil, fmt.Errorf("duplicate peer name %q in -peers", name)
+		rawurl = strings.TrimRight(rawurl, "/")
+		if names[name] {
+			return nil, fmt.Errorf("duplicate name %q in -cluster", name)
 		}
-		seen[name] = true
-		peers = append(peers, serve.Peer{Name: name, URL: strings.TrimRight(rawurl, "/")})
+		if urls[rawurl] {
+			return nil, fmt.Errorf("duplicate url %q in -cluster", rawurl)
+		}
+		names[name], urls[rawurl] = true, true
+		if name != self {
+			peers = append(peers, serve.Peer{Name: name, URL: rawurl})
+		}
+	}
+	if self != "" && !names[self] {
+		return nil, fmt.Errorf("-self %q is not in -cluster", self)
 	}
 	return peers, nil
-}
-
-// peerName derives a replica's ring identity from its base URL: the
-// host:port, matching both -peers' default naming and how other nodes
-// reference this one — every node derives the same owner set for a key.
-func peerName(rawurl string) string {
-	name := strings.TrimPrefix(strings.TrimPrefix(rawurl, "https://"), "http://")
-	return strings.TrimRight(name, "/")
-}
-
-// selfRingName normalises the listen address into the identity peers use
-// for this node, so the replica ring can recognise itself among a key's
-// owners. A host-less ":8087" is assumed reachable as localhost (correct
-// for single-host clusters; multi-host deployments should listen on an
-// explicit host).
-func selfRingName(addr string) string {
-	if strings.HasPrefix(addr, ":") {
-		return "localhost" + addr
-	}
-	return addr
 }
 
 func main() {
@@ -148,26 +143,21 @@ func main() {
 		traceRing  = flag.Int("traces", 256, "recent lifecycle traces retained for GET /debug/traces (0 = disabled)")
 		logJSON    = flag.Bool("log-json", false, "emit structured request logs as JSON instead of text")
 		logLevel   = flag.String("log-level", "info", "minimum structured-log level: debug, info, warn or error")
-		peersFlag  = flag.String("peers", "", "comma-separated peer list for coordinator mode, each name=url (e.g. node1=http://10.0.0.1:8087,node2=http://10.0.0.2:8087); jobs are consistent-hashed across peers with the local farm as fallback")
-		coord      = flag.Bool("coordinator", false, "require coordinator mode: fail startup if -peers is empty instead of silently running single-node")
-		peerStore  = flag.String("peer-store", "", "comma-separated peer base URLs mounted as a remote cache tier behind the local farm (read/replicate results over the peer wire protocol)")
+		clusterArg = flag.String("cluster", "", "cluster membership, the same list on every node: comma-separated name=url entries (e.g. w1=http://10.0.0.1:8087,w2=http://10.0.0.2:8087); without -self this node is the coordinator over every member")
+		self       = flag.String("self", "", "this worker's name in -cluster: results are replicated to their ring owners among the other members (empty = coordinator)")
 		sweepDir   = flag.String("sweep-dir", "", "directory for resumable-sweep journals (default: <cache-dir>/sweeps when -cache-dir is set; empty without it keeps journals in-process only)")
 		hedgeAfter = flag.Duration("hedge-after", 0, "coordinator hedging threshold: a peer dispatch still unanswered after this long races a second request to the next ring owner, first answer wins (0 = disabled)")
 		peerTO     = flag.Duration("peer-timeout", 2*time.Minute, "coordinator per-dispatch response-header bound: a peer that has not begun answering within it fails over (dials are bounded separately)")
-		statsTTL   = flag.Duration("peer-stats-ttl", 2*time.Second, "coordinator placement-stats staleness bound: each peer's /stats is re-scraped at most once per TTL")
 		peerProbe  = flag.Duration("peer-probe", 5*time.Second, "coordinator active health-probe interval: each peer's /healthz is probed on this timer, flipping it off/on the ring (0 = probe only via dispatch failures)")
-		replicas   = flag.Int("replicas", 2, "result-replication factor R with -peer-store: each result is written to the first R distinct ring owners (clamped to cluster size)")
+		replicas   = flag.Int("replicas", 2, "result-replication factor R with -self: each result is written to the first R distinct ring owners (clamped to cluster size)")
 		scrubEvery = flag.Duration("scrub-interval", 10*time.Minute, "background disk-scrub pass interval: re-verify every cached frame's CRC, delete corrupt entries and refill them from replicas (0 = disabled; requires -cache-dir)")
-		rebalRate  = flag.Int("rebalance-rate", 128, "anti-entropy pacing with -peer-store: keys per second streamed to new owners after ring churn")
+		rebalRate  = flag.Int("rebalance-rate", 128, "anti-entropy pacing with -self: keys per second streamed to new owners after ring churn")
 	)
 	flag.Parse()
 
-	peers, err := parsePeers(*peersFlag)
+	peers, err := parseCluster(*clusterArg, *self)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *coord && len(peers) == 0 {
-		log.Fatal("-coordinator requires a non-empty -peers list")
 	}
 
 	var level slog.Level
@@ -195,11 +185,11 @@ func main() {
 		log.Fatal("-replicas must be at least 1")
 	}
 	// The persistent slot composes: a local disk tier (-cache-dir) chained
-	// before remote peers (-peer-store), each behind its own retry wrapper
-	// so a flaky disk or unreachable peer is retried, quarantined and
-	// re-probed without stalling workers. With both, the replicated store
-	// fans writes to the key's R ring owners, serves reads local-first with
-	// read-repair, and rebalances ownership changes in the background.
+	// before the other cluster members (-self), each behind its own retry
+	// wrapper so a flaky disk or unreachable peer is retried, quarantined
+	// and re-probed without stalling workers. On a worker the replicated
+	// store fans writes to the key's R ring owners, serves reads local-first
+	// with read-repair, and rebalances ownership changes in the background.
 	var local farm.LocalTier
 	if *cacheDir != "" {
 		ds, err := farm.NewDiskStore(*cacheDir, *diskMax)
@@ -211,35 +201,19 @@ func main() {
 			ds.Dir(), ds.Stats().Entries, ds.Stats().Bytes)
 	}
 	var repl *farm.ReplicatedStore
-	if *peerStore != "" {
-		var members []farm.ReplicaMember
-		seen := make(map[string]bool)
-		for _, u := range strings.Split(*peerStore, ",") {
-			if u = strings.TrimSpace(u); u == "" {
-				continue
+	if *self != "" {
+		members := make([]farm.ReplicaMember, len(peers))
+		for i, p := range peers {
+			members[i] = farm.ReplicaMember{
+				Name:  p.Name,
+				Store: farm.NewRetryStore(farm.NewPeerStore(p.URL), farm.DefaultRetryPolicy()),
 			}
-			if !strings.Contains(u, "://") {
-				u = "http://" + u
-			}
-			u = strings.TrimRight(u, "/")
-			name := peerName(u)
-			if seen[name] {
-				log.Fatalf("duplicate peer %q in -peer-store", name)
-			}
-			seen[name] = true
-			members = append(members, farm.ReplicaMember{
-				Name:  name,
-				Store: farm.NewRetryStore(farm.NewPeerStore(u), farm.DefaultRetryPolicy()),
-			})
 		}
-		if len(members) > 0 {
-			repl = farm.NewReplicatedStore(local, selfRingName(*addr), *replicas, members,
-				farm.WithRebalanceRate(*rebalRate))
-			opts = append(opts, farm.WithDiskStore(repl))
-			log.Printf("replicated result tier: %d peer(s), R=%d, self %q", len(members), *replicas, selfRingName(*addr))
-		}
-	}
-	if repl == nil && local != nil {
+		repl = farm.NewReplicatedStore(local, *self, *replicas, members,
+			farm.WithRebalanceRate(*rebalRate))
+		opts = append(opts, farm.WithDiskStore(repl))
+		log.Printf("replicated result tier: %d peer(s), R=%d, self %q", len(members), *replicas, *self)
+	} else if local != nil {
 		opts = append(opts, farm.WithDiskStore(local))
 	}
 	if *warm && *cacheDir == "" {
@@ -280,12 +254,11 @@ func main() {
 	if *sweepDir != "" {
 		log.Printf("resumable-sweep journals at %s", *sweepDir)
 	}
-	if len(peers) > 0 {
+	if *self == "" && len(peers) > 0 {
 		sopts = append(sopts,
 			serve.WithPeers(peers),
 			serve.WithHedgeAfter(*hedgeAfter),
 			serve.WithPeerTimeout(*peerTO),
-			serve.WithPeerStatsTTL(*statsTTL),
 			serve.WithPeerProbes(*peerProbe),
 		)
 		log.Printf("coordinator mode over %d peer(s)", len(peers))
@@ -316,10 +289,9 @@ func main() {
 
 	// Graceful drain: the first SIGINT/SIGTERM — or a POST /drain — flips
 	// the node to draining (new work refused with the machine-readable
-	// "draining" code, /healthz and /readyz report 503, /stats advertises
-	// the drain so coordinators pull this node off their rings), finishes
-	// queued jobs via the farm's drain within -shutdown-timeout, then stops
-	// the listener. The endpoints stay up through the farm drain so load
+	// "draining" code and /healthz and /readyz report 503, either of which
+	// pulls this node off a coordinator's ring), finishes queued jobs via
+	// the farm's drain within -shutdown-timeout, then stops the listener. The endpoints stay up through the farm drain so load
 	// balancers and coordinators observe the state instead of a vanished
 	// socket. A second signal aborts immediately (signal.Stop restores
 	// default handling).

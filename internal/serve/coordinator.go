@@ -33,23 +33,24 @@ import (
 //	                 the peer is quarantined and probed on a timer
 //	quarantined    → its shard is redistributed deterministically to the
 //	                 next owners on the ring, then to the local farm
-//	peer at bound  → its 429 propagates to the client with Retry-After
-//	                 intact (backpressure is an answer, not a failure)
-//	peer draining  → its /stats advertises the drain; the scrape bars it
-//	                 from placement before a single dispatch can fail, and
-//	                 the health probes re-admit it when it comes back
+//	peer at bound  → its 429 propagates to the client with the peer's
+//	                 Retry-After intact (backpressure is an answer, not a
+//	                 failure)
+//	peer draining  → its in-flight 503 "draining" answer bars it from
+//	                 placement and fails the job over without feeding the
+//	                 breaker; the health probes see the drain too, and
+//	                 re-admit the peer when it comes back
 //	peer stalled   → with -hedge-after set, a dispatch that outlives the
 //	                 threshold races a second request to the next owner;
 //	                 first answer wins, the loser is cancelled
 //	all peers gone → the local farm executes everything; a coordinator
 //	                 degrades to a correct single node
 //
-// The coordinator also scrapes each peer's /stats on a short TTL: queue
-// depth drives placement (a peer at its queue bound is skipped before the
-// wire round-trip, not after), and the scraped gauges are re-exported on
-// /metrics under a peer label. When probing is enabled, a background loop
-// additionally hits each peer's /healthz so a dead or recovered node flips
-// down/up without waiting for a real dispatch to discover it.
+// Placement makes no side calls: what the coordinator knows about a peer
+// comes from its dispatch answers and, when probing is enabled, from a
+// background loop hitting each peer's /healthz, so a dead or recovered node
+// flips down/up without waiting for a real dispatch to discover it. Each
+// peer's load gauges live on its own /metrics.
 
 // Peer names one remote bifrost-serve node in the coordinator's ring.
 type Peer struct {
@@ -91,15 +92,6 @@ func WithPeerTimeout(d time.Duration) ServerOption {
 	}
 }
 
-// WithPeerStatsTTL bounds how stale the scraped placement stats may be.
-func WithPeerStatsTTL(d time.Duration) ServerOption {
-	return func(s *Server) {
-		if d > 0 {
-			s.peerCfg.StatsTTL = d
-		}
-	}
-}
-
 // WithPeerProbes starts a background loop probing each peer's /healthz
 // every interval: consecutive failures flip the peer down (off the ring),
 // a success flips it back up — so membership tracks reality instead of
@@ -112,7 +104,6 @@ func WithPeerProbes(every time.Duration) ServerOption {
 type peerConfig struct {
 	HedgeAfter time.Duration // 0: no hedging
 	Timeout    time.Duration // peer response-header bound
-	StatsTTL   time.Duration // placement-stats staleness bound
 	ProbeEvery time.Duration // 0: no active health probes
 }
 
@@ -147,7 +138,7 @@ type coordinator struct {
 	stopCh   chan struct{}
 }
 
-// peerState is one peer's breaker, scrape cache and counters.
+// peerState is one peer's breaker, health marks and counters.
 type peerState struct {
 	name, url string
 
@@ -156,32 +147,13 @@ type peerState struct {
 	breaker *farm.Breaker
 
 	mu         sync.Mutex
-	draining   bool // peer advertised a drain via /stats or /healthz
+	draining   bool // peer answered a dispatch with 503 "draining"
 	down       bool // active health probes barred the peer
 	probeFails int  // consecutive failed health probes
 
-	statsAt time.Time
-	statsOK bool
-	stats   peerScrape
-
 	dispatched atomic.Int64 // jobs this peer answered (any terminal status)
 	failovers  atomic.Int64 // jobs moved off this peer after it failed
-	skipped    atomic.Int64 // placements skipped: quarantine, queue bound, drain
-}
-
-// peerScrape is the slice of a peer's /stats the coordinator acts on.
-type peerScrape struct {
-	Queued      int64 `json:"queued"`
-	BusyWorkers int64 `json:"busy_workers"`
-	Workers     int   `json:"workers"`
-	Draining    bool  `json:"draining"`
-	Ratios      struct {
-		Memory float64 `json:"memory"`
-		Disk   float64 `json:"disk"`
-	} `json:"ratios"`
-	Limits struct {
-		MaxQueue int `json:"max_queue"`
-	} `json:"limits"`
+	skipped    atomic.Int64 // placements the breaker refused
 }
 
 func newCoordinator(s *Server, peers []Peer) *coordinator {
@@ -222,63 +194,11 @@ func (c *coordinator) stop() { c.stopOnce.Do(func() { close(c.stopCh) }) }
 
 // barred reports whether the peer is out of placement entirely: draining
 // or probed down. Unlike the breaker (which risks one real job per probe
-// interval), a barred peer receives nothing until the health probes or a
-// fresh scrape clear it.
+// interval), a barred peer receives nothing until a health probe clears it.
 func (ps *peerState) barred() bool {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	return ps.draining || ps.down
-}
-
-// noteDraining applies a drain advertisement scraped from the peer's
-// /stats, proactively barring (or re-admitting) it.
-func (ps *peerState) noteDraining(draining bool) {
-	ps.mu.Lock()
-	ps.draining = draining
-	ps.mu.Unlock()
-}
-
-// overloaded consults the peer's scraped stats: a peer already at its queue
-// bound would only answer 429, so the coordinator routes past it — the same
-// redistribution path a dead peer takes, driven by backpressure telemetry
-// instead of a breaker.
-func (c *coordinator) overloaded(ps *peerState) bool {
-	st, ok := c.scrape(ps)
-	return ok && st.Limits.MaxQueue > 0 && st.Queued >= int64(st.Limits.MaxQueue)
-}
-
-// scrape returns the peer's stats, refreshing over the wire at most once
-// per TTL. A failed scrape is not breaker food — placement just proceeds
-// without the hint. A successful scrape also carries the peer's draining
-// advertisement, which bars or re-admits the peer.
-func (c *coordinator) scrape(ps *peerState) (peerScrape, bool) {
-	ps.mu.Lock()
-	if time.Since(ps.statsAt) < c.cfg.StatsTTL {
-		st, ok := ps.stats, ps.statsOK
-		ps.mu.Unlock()
-		return st, ok
-	}
-	ps.statsAt = time.Now() // claim the refresh before releasing the lock
-	ps.mu.Unlock()
-
-	var st peerScrape
-	ok := false
-	resp, err := c.client.Get(ps.url + "/stats")
-	if err == nil {
-		if resp.StatusCode == http.StatusOK &&
-			json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st) == nil {
-			ok = true
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-	}
-	ps.mu.Lock()
-	ps.stats, ps.statsOK = st, ok
-	ps.mu.Unlock()
-	if ok {
-		ps.noteDraining(st.Draining)
-	}
-	return st, ok
 }
 
 // probeLoop actively probes every peer's /healthz on a timer, flipping
@@ -332,14 +252,12 @@ func (c *coordinator) probe(ps *peerState) {
 
 // placeable decides whether a placement may try this peer right now. A
 // barred peer is off the ring as far as placement goes: passed over without
-// a probe slot, a scrape or a skip count. Otherwise the breaker's Admit is
-// the gate, and overloaded runs before the second barred check so its
-// scrape can learn a drain advertisement this very placement acts on.
-func (c *coordinator) placeable(ps *peerState) bool {
+// a probe slot or a skip count. Otherwise the breaker's Admit is the gate.
+func (ps *peerState) placeable() bool {
 	if ps.barred() {
 		return false
 	}
-	if !ps.breaker.Admit() || c.overloaded(ps) || ps.barred() {
+	if !ps.breaker.Admit() {
 		ps.skipped.Add(1)
 		return false
 	}
@@ -350,7 +268,7 @@ func (c *coordinator) placeable(ps *peerState) bool {
 // its owner — a memo lookup for a spec this coordinator has placed before,
 // one operand build for a new one, never a key taken from the request.
 // Owners are tried in the ring's deterministic failover order, skipping
-// quarantined, queue-bound and draining peers; if every owner is out, the
+// quarantined, probed-down and draining peers; if every owner is out, the
 // local farm executes the job — the coordinator never refuses work a single
 // node could do. A hedge (-hedge-after) races the next placeable owner; content
 // addressing makes that safe — whichever peer answers, the bytes are identical.
@@ -381,7 +299,7 @@ func (c *coordinator) run(ctx context.Context, req JobRequest) JobResponse {
 		for len(owners) > 0 {
 			ps := c.peers[owners[0]]
 			owners = owners[1:]
-			if c.placeable(ps) {
+			if ps.placeable() {
 				inflight++
 				go func() {
 					resp, terminal := c.forward(hctx, ps, req, key, start)
@@ -478,17 +396,14 @@ func (c *coordinator) forward(ctx context.Context, ps *peerState, req JobRequest
 		ps.breaker.Success()
 	case hresp.StatusCode == http.StatusTooManyRequests:
 		// The peer is healthy and saying "not now": backpressure propagates
-		// to the client as-is, hint included, rather than pile the load
-		// onto the next owner and melt the ring one peer at a time.
+		// to the client as-is, the peer's hint included, rather than pile
+		// the load onto the next owner and melt the ring one peer at a time.
 		ps.breaker.Success()
 		resp.err = farm.ErrQueueFull
 		if resp.Error == "" {
 			resp.Error = farm.ErrQueueFull.Error()
 		}
 		resp = c.s.annotate(resp)
-		if resp.RetryAfterMS == 0 {
-			resp.RetryAfterMS = 1000
-		}
 	case hresp.StatusCode == http.StatusGatewayTimeout:
 		ps.breaker.Success()
 		resp.err = context.DeadlineExceeded
@@ -505,7 +420,9 @@ func (c *coordinator) forward(ctx context.Context, ps *peerState, req JobRequest
 		// The peer told us it is draining mid-flight: remember it so the
 		// next placement skips it, and fail this job over without feeding
 		// the breaker — a draining node is healthy, just leaving.
-		ps.noteDraining(true)
+		ps.mu.Lock()
+		ps.draining = true
+		ps.mu.Unlock()
 		return JobResponse{}, false
 	default:
 		// Other 5xx, or garbage: this peer cannot answer.
@@ -534,10 +451,10 @@ func (c *coordinator) forward(ctx context.Context, ps *peerState, req JobRequest
 }
 
 // writeMetrics appends the coordinator's exposition families: ring and
-// hedge counters, per-peer dispatch counters and health, plus the scraped
-// placement gauges under the same peer label. Per-peer families cover every
-// configured peer, including ones currently off the ring — that is exactly
-// when an operator needs to see them.
+// hedge counters, plus per-peer dispatch counters and health under a peer
+// label. Per-peer families cover every configured peer, including ones
+// currently off the ring — that is exactly when an operator needs to see
+// them.
 func (c *coordinator) writeMetrics(w io.Writer) {
 	one := func(v float64) []telemetry.Sample { return []telemetry.Sample{{Value: v}} }
 	placed := 0
@@ -580,26 +497,8 @@ func (c *coordinator) writeMetrics(w io.Writer) {
 		func(ps *peerState) float64 { return float64(ps.dispatched.Load()) })
 	perPeer("bifrost_peer_failovers_total", "Jobs moved off this peer after it failed.", "counter",
 		func(ps *peerState) float64 { return float64(ps.failovers.Load()) })
-	perPeer("bifrost_peer_skipped_total", "Placements that skipped this peer (quarantine, queue bound or drain).", "counter",
+	perPeer("bifrost_peer_skipped_total", "Placements that skipped this peer because its breaker refused the job.", "counter",
 		func(ps *peerState) float64 { return float64(ps.skipped.Load()) })
 	perPeer("bifrost_peer_breaker_trips_total", "Times this peer's breaker opened.", "counter",
 		func(ps *peerState) float64 { return float64(ps.breaker.Trips()) })
-	scraped := func(pick func(peerScrape) float64) func(*peerState) float64 {
-		return func(ps *peerState) float64 {
-			ps.mu.Lock()
-			defer ps.mu.Unlock()
-			if !ps.statsOK {
-				return 0
-			}
-			return pick(ps.stats)
-		}
-	}
-	perPeer("bifrost_peer_queue_depth", "Scraped queue depth at this peer.", "gauge",
-		scraped(func(st peerScrape) float64 { return float64(st.Queued) }))
-	perPeer("bifrost_peer_busy_workers", "Scraped busy workers at this peer.", "gauge",
-		scraped(func(st peerScrape) float64 { return float64(st.BusyWorkers) }))
-	perPeer("bifrost_peer_mem_hit_ratio", "Scraped memory-tier hit ratio at this peer.", "gauge",
-		scraped(func(st peerScrape) float64 { return st.Ratios.Memory }))
-	perPeer("bifrost_peer_disk_hit_ratio", "Scraped disk-tier hit ratio at this peer.", "gauge",
-		scraped(func(st peerScrape) float64 { return st.Ratios.Disk }))
 }

@@ -42,8 +42,8 @@ func metricValue(t *testing.T, body, name string) float64 {
 }
 
 // TestCoordinatorRingSkipsDrainingPeer drains one of two workers and runs a
-// sweep through the coordinator: the stats scrape must learn the drain and
-// pull the peer off the ring, every row must land elsewhere byte-identically
+// sweep through the coordinator: the peer's in-flight 503 "draining" answer
+// must pull it off the ring, every row must land elsewhere byte-identically
 // with zero error rows, and the drain must not feed the peer's breaker.
 func TestCoordinatorRingSkipsDrainingPeer(t *testing.T) {
 	reqs := sweepRequests()
@@ -53,8 +53,7 @@ func TestCoordinatorRingSkipsDrainingPeer(t *testing.T) {
 	w1, w2 := newWorkerNode(t), newWorkerNode(t)
 	coordFarm := farm.New(2)
 	coord := httptest.NewServer(NewServer(coordFarm,
-		WithPeers([]Peer{{Name: "w1", URL: w1.URL}, {Name: "w2", URL: w2.URL}}),
-		WithPeerStatsTTL(10*time.Millisecond)))
+		WithPeers([]Peer{{Name: "w1", URL: w1.URL}, {Name: "w2", URL: w2.URL}})))
 	t.Cleanup(func() { coord.Close(); coordFarm.Close() })
 
 	// Drain w2 directly, as an operator would before taking it down.

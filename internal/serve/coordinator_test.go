@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -141,14 +142,46 @@ func TestCoordinatorTwoNodePeerSweepByteIdentical(t *testing.T) {
 		`bifrost_peer_dispatched_total{peer="w1"}`,
 		`bifrost_peer_dispatched_total{peer="w2"}`,
 		`bifrost_peer_up{peer="w1"}`,
-		`bifrost_peer_queue_depth{peer="w1"}`,
-		`bifrost_peer_busy_workers{peer="w2"}`,
-		`bifrost_peer_mem_hit_ratio{peer="w1"}`,
 		"bifrost_coordinator_ring_members 2",
 	} {
 		if !strings.Contains(string(metrics), fam) {
 			t.Errorf("coordinator /metrics missing %s", fam)
 		}
+	}
+}
+
+// TestCoordinatorPlacementMakesNoSideCalls fronts each worker with a handler
+// counting GET /stats and runs a sweep through the coordinator: placement
+// decides from dispatch answers alone, so no worker is ever asked for its
+// stats on the request path.
+func TestCoordinatorPlacementMakesNoSideCalls(t *testing.T) {
+	var statsCalls atomic.Int64
+	peers := make([]Peer, 2)
+	for i := range peers {
+		node := newWorkerNode(t)
+		counted := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodGet && r.URL.Path == "/stats" {
+				statsCalls.Add(1)
+			}
+			node.Config.Handler.ServeHTTP(w, r)
+		}))
+		t.Cleanup(counted.Close)
+		peers[i] = Peer{Name: fmt.Sprintf("w%d", i+1), URL: counted.URL}
+	}
+	coordFarm := farm.New(2)
+	coord := httptest.NewServer(NewServer(coordFarm, WithPeers(peers)))
+	t.Cleanup(func() {
+		coord.Close()
+		coordFarm.Close()
+	})
+
+	for i, row := range runSweepNDJSON(t, coord.URL, sweepRequests()) {
+		if row.Error != "" || row.Peer == "" {
+			t.Fatalf("row %d: error %q peer %q, want a peer's answer", i, row.Error, row.Peer)
+		}
+	}
+	if n := statsCalls.Load(); n != 0 {
+		t.Errorf("placement scraped the workers' /stats %d times, want 0", n)
 	}
 }
 
@@ -241,7 +274,8 @@ func testCoordinatorPeerDownRedistributes(t *testing.T, hedge ServerOption) stri
 
 // TestCoordinatorPeerBackpressurePropagates fronts a peer that answers 429:
 // the coordinator must hand the client the same terminal backpressure —
-// status, machine-readable code and retry hint — not mask it or fail over.
+// status, machine-readable code and the peer's own retry hint, not one
+// derived from the coordinator's near-empty queue — and not fail over.
 func TestCoordinatorPeerBackpressurePropagates(t *testing.T) {
 	eachWalk(t, []string{`bifrost_peer_failovers_total{peer="busy"}`, "bifrost_coordinator_local_fallbacks_total"},
 		testCoordinatorPeerBackpressurePropagates)
@@ -276,15 +310,15 @@ func testCoordinatorPeerBackpressurePropagates(t *testing.T, hedge ServerOption)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("backpressure hop: HTTP %d, want 429", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After through the coordinator")
+	if got := resp.Header.Get("Retry-After"); got != "2" {
+		t.Errorf("Retry-After %q through the coordinator, want the peer's 2", got)
 	}
 	var jr JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
 		t.Fatal(err)
 	}
-	if jr.Code != "queue_full" || !jr.Retryable || jr.RetryAfterMS <= 0 {
-		t.Errorf("backpressure row = code %q retryable %v retry_after_ms %d, want machine-readable queue_full",
+	if jr.Code != "queue_full" || !jr.Retryable || jr.RetryAfterMS != 2000 {
+		t.Errorf("backpressure row = code %q retryable %v retry_after_ms %d, want queue_full, retryable, the peer's 2000",
 			jr.Code, jr.Retryable, jr.RetryAfterMS)
 	}
 	if jr.Peer != "busy" {

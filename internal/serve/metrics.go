@@ -44,9 +44,8 @@ type StatsResponse struct {
 	// TracesRecorded counts lifecycle traces captured into the debug ring.
 	TracesRecorded uint64  `json:"traces_recorded"`
 	UptimeSeconds  float64 `json:"uptime_seconds"`
-	// Draining reports that this node has begun draining; a coordinator's
-	// stats scrape uses it to pull the node off the ring before any
-	// dispatch to it can fail.
+	// Draining reports that this node has begun draining: it refuses new
+	// work and /healthz answers 503 until the process exits.
 	Draining bool `json:"draining"`
 	// ActiveSweeps counts resumable sweeps currently executing (including
 	// sweeps whose client has disconnected).

@@ -12,7 +12,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/farm"
 	"repro/internal/farm/farmtest"
@@ -110,8 +109,7 @@ func TestChaosThreeNodeKillServedFromReplicas(t *testing.T) {
 	for i, nd := range nodes {
 		peers[i] = Peer{Name: nd.name, URL: nd.ts.URL}
 	}
-	coord := httptest.NewServer(NewServer(coordFarm,
-		WithPeers(peers), WithPeerStatsTTL(10*time.Millisecond)))
+	coord := httptest.NewServer(NewServer(coordFarm, WithPeers(peers)))
 	t.Cleanup(func() {
 		coord.Close()
 		coordFarm.Close()

@@ -331,14 +331,16 @@ func classify(err error) (code string, status int, retryable bool) {
 }
 
 // annotate fills the taxonomy fields of an error response from its typed
-// error, including the millisecond form of the backpressure hint.
+// error, including the millisecond form of the backpressure hint when the
+// response does not already carry one (a busy peer's own, relayed by the
+// coordinator).
 func (s *Server) annotate(resp JobResponse) JobResponse {
 	if resp.err == nil {
 		return resp
 	}
 	code, _, retryable := classify(resp.err)
 	resp.Code, resp.Retryable = code, retryable
-	if errors.Is(resp.err, farm.ErrQueueFull) {
+	if errors.Is(resp.err, farm.ErrQueueFull) && resp.RetryAfterMS == 0 {
 		resp.RetryAfterMS = 1000 * s.retryAfterSeconds()
 	}
 	return resp

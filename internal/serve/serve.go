@@ -125,7 +125,7 @@ func WithScrubber(sc *farm.Scrubber) ServerOption {
 // given farm.
 func NewServer(f *farm.Farm, opts ...ServerOption) *Server {
 	s := &Server{farm: f, mux: http.NewServeMux(), started: time.Now(), drainCh: make(chan struct{}), sweeps: newSweepRegistry()}
-	s.peerCfg = peerConfig{Timeout: 2 * time.Minute, StatsTTL: 2 * time.Second}
+	s.peerCfg = peerConfig{Timeout: 2 * time.Minute}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -167,10 +167,10 @@ func (s *Server) Close() {
 
 // BeginDrain flips the node into draining: liveness stays up long enough
 // for load balancers to observe readiness going false, /healthz and
-// /readyz report 503, new work is refused with the machine-readable
-// "draining" code, and /stats advertises the state so coordinators remove
-// this node from their rings before a single dispatch fails. Queued work
-// is unaffected — the caller finishes it via farm.Shutdown. Idempotent.
+// /readyz report 503, and new work is refused with the machine-readable
+// "draining" code, which a coordinator takes as its cue to pull this node
+// off its ring and fail the job over. Queued work is unaffected — the
+// caller finishes it via farm.Shutdown. Idempotent.
 func (s *Server) BeginDrain() {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
@@ -355,8 +355,8 @@ func (s *Server) run(ctx context.Context, req JobRequest) JobResponse {
 	elapsed := time.Since(start)
 	if err != nil {
 		// Best effort: name the job even on failure. The submission already
-		// taught the farm this spec's key, so an overloaded node answers its
-		// 429s and 504s without hashing an operand.
+		// taught the farm this spec's key, so a node at its queue bound
+		// answers its 429s and 504s without hashing an operand.
 		key, _ := s.farm.KeyOf(job)
 		return s.annotate(JobResponse{Key: key, Error: err.Error(), ElapsedMS: telemetry.MS(elapsed), err: err})
 	}
