@@ -75,15 +75,20 @@ func (s *Space) At(idx int64) Config {
 		panic(fmt.Sprintf("autotune: index %d out of range for space of %d", idx, s.Size()))
 	}
 	values := make([]int, len(s.Knobs))
+	s.decode(idx, values)
+	return Config{space: s, values: values}
+}
+
+// decode writes the knob values of the in-range flat index idx into values.
+func (s *Space) decode(idx int64, values []int) {
 	for i := len(s.Knobs) - 1; i >= 0; i-- {
 		n := int64(len(s.Knobs[i].Values))
 		values[i] = s.Knobs[i].Values[idx%n]
 		idx /= n
 	}
-	return Config{space: s, values: values}
 }
 
-// indexOfGenome converts per-knob option indices to a Config.
+// fromGenome converts per-knob option indices to a Config.
 func (s *Space) fromGenome(genome []int) Config {
 	values := make([]int, len(s.Knobs))
 	for i, g := range genome {

@@ -3,6 +3,7 @@ package autotune
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/xgboost"
@@ -240,6 +241,10 @@ func (x XGBTuner) Tune(space *Space, measure MeasureFunc, opts Options) (Result,
 		return 0, false
 	}
 
+	// Candidate scoring reuses one decode and one feature buffer.
+	knobs := make([]int, len(space.Knobs))
+	feat := make([]float64, len(space.Knobs))
+
 	// Warm-up: two batches of random measurements.
 	var warm []int64
 	for i := 0; i < 2*batch && tr.result.Measured+len(warm) < opts.Trials; i++ {
@@ -285,7 +290,11 @@ func (x XGBTuner) Tune(space *Space, measure MeasureFunc, opts Options) (Result,
 			}
 			s := scored{idx: idx}
 			if model != nil {
-				s.pred = model.Predict(featurize(space.At(idx)))
+				space.decode(idx, knobs)
+				for i, v := range knobs {
+					feat[i] = float64(v)
+				}
+				s.pred = model.Predict(feat)
 			} else {
 				s.pred = rng.Float64()
 			}
@@ -294,7 +303,15 @@ func (x XGBTuner) Tune(space *Space, measure MeasureFunc, opts Options) (Result,
 		if len(candidates) == 0 {
 			break
 		}
-		sort.Slice(candidates, func(i, j int) bool { return candidates[i].pred < candidates[j].pred })
+		// The picks, and with them the seeded trial logs, depend on the
+		// order of equal predictions. With a "less"-only cmp, SortFunc runs
+		// the pdqsort sort.Slice runs and leaves ties in the same order.
+		slices.SortFunc(candidates, func(a, b scored) int {
+			if a.pred < b.pred {
+				return -1
+			}
+			return 0
+		})
 		var picked []int64
 		for _, c := range candidates {
 			if len(picked) >= batch || tr.result.Measured+len(picked) >= opts.Trials {

@@ -196,3 +196,36 @@ func TestSingleFeatureStep(t *testing.T) {
 		t.Fatalf("right side predicts %v", m.Predict([]float64{11}))
 	}
 }
+
+// TestTrainAllocsPerRoundIndependentOfRows pins the refit's steady state:
+// once a row set's sorted orders are memoised, another round allocates
+// only its tree's node arena — nothing per row and nothing per sorted
+// feature. On this two-knob grid every round grows the same depth-2 tree
+// over the same row sets, so rounds 2–21 hit the memo at every node.
+func TestTrainAllocsPerRoundIndependentOfRows(t *testing.T) {
+	perRound := func(n int) float64 {
+		x := make([][]float64, n)
+		y := make([]float64, n)
+		for i := range x {
+			a, b := float64(i%2), float64(i/2%2)
+			x[i] = []float64{a, b}
+			y[i] = 4*a + b
+		}
+		p := DefaultParams()
+		p.MaxDepth = 2
+		allocs := func(rounds int) float64 {
+			p.Rounds = rounds
+			return testing.AllocsPerRun(5, func() {
+				if _, err := Train(x, y, p); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return (allocs(21) - allocs(1)) / 20
+	}
+	small, large := perRound(64), perRound(4096)
+	t.Logf("allocs per round after the first: %.2f at 64 rows, %.2f at 4096 rows", small, large)
+	if large > small+0.5 || large > 8 {
+		t.Fatalf("allocs per round grew to %.2f at 4096 rows (%.2f at 64): the refit allocates per node or per row again", large, small)
+	}
+}
