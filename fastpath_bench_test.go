@@ -19,21 +19,16 @@ package bifrost
 //	                               vs step loop
 //	BenchmarkConvLowering        — fused im2col-free implicit GEMM vs the
 //	                               materialised Im2Col + GEMM composition
-//	BenchmarkGraphExec           — wavefront graph executor (the default
-//	                               above one core) vs serial execution
-//	                               (GOMAXPROCS 1) on a four-branch CNN
 //
 // GEMM kernel variants (packed micro-kernel vs reference ikj loop) are
 // benchmarked in internal/tensor. Claims are measured by the layered
 // benchmark (benchmark/README.md).
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
 	"repro/internal/farm"
-	"repro/internal/graph"
 	"repro/internal/stonne/config"
 	"repro/internal/stonne/mapping"
 	"repro/internal/tensor"
@@ -181,9 +176,9 @@ func warmSweepMappings() []mapping.ConvMapping {
 //
 //	pooled   — the default farm: shared content-keyed PackCache (kernel
 //	           layout conversion + per-tile panels packed once per sweep),
-//	           pooled tensor arenas, sharded memory store
+//	           pooled tensor arenas
 //	baseline — the PR 4 configuration: pack reuse disabled, arenas
-//	           bypassed, single-lock memory store
+//	           bypassed
 //	guarded  — the pooled farm plus the PR 7 robustness guards as
 //	           bifrost-serve deploys them: a bounded submit queue and a
 //	           persistent tier (an in-memory stand-in, so the disk itself
@@ -213,8 +208,7 @@ func BenchmarkWarmSweep(b *testing.B) {
 			return []farm.Option{farm.WithMaxEntries(256)}
 		}},
 		{"baseline", false, func() []farm.Option {
-			return []farm.Option{farm.WithMaxEntries(256), farm.WithPackCache(nil),
-				farm.WithMemoryStore(farm.NewMemoryStore(256, 0))}
+			return []farm.Option{farm.WithMaxEntries(256), farm.WithPackCache(nil)}
 		}},
 		{"guarded", true, func() []farm.Option {
 			return []farm.Option{farm.WithMaxEntries(256), farm.WithMaxQueue(4096),
@@ -245,45 +239,6 @@ func BenchmarkWarmSweep(b *testing.B) {
 			b.ReportMetric(float64(b.N*len(mappings))/b.Elapsed().Seconds(), "jobs/s")
 			if st := fm.Stats(); st.Hits != 0 {
 				b.Fatalf("warm sweep was served from the result cache (%d hits): the measurement is void", st.Hits)
-			}
-		})
-	}
-}
-
-// benchGraph builds a four-branch CNN executed purely on the CPU operator
-// inventory, so the benchmark isolates executor scheduling.
-func benchGraph() (*graph.Graph, map[string]*tensor.Tensor) {
-	g := graph.New("bench")
-	in := g.Input("data", 1, 8, 28, 28)
-	stemW := g.Constant("stem_w", tensor.RandomUniform(1, 1, 16, 8, 3, 3))
-	stem := g.Conv2D("stem", in, stemW, graph.Attrs{PadH: 1, PadW: 1})
-	var branches []*graph.Node
-	for i := 0; i < 4; i++ {
-		w := g.Constant(fmt.Sprintf("w%d", i), tensor.RandomUniform(int64(2+i), 1, 16, 16, 3, 3))
-		c := g.Conv2D(fmt.Sprintf("conv%d", i), stem, w, graph.Attrs{PadH: 1, PadW: 1})
-		branches = append(branches, g.ReLU(fmt.Sprintf("relu%d", i), c))
-	}
-	l := g.Add("l", branches[0], branches[1])
-	r := g.Add("r", branches[2], branches[3])
-	g.MarkOutput(g.Add("out", l, r))
-	return g, map[string]*tensor.Tensor{"data": tensor.RandomUniform(9, 1, 1, 8, 28, 28)}
-}
-
-func BenchmarkGraphExec(b *testing.B) {
-	for _, procs := range []int{1, 0} {
-		name := "serial"
-		if procs == 0 {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs)) // 0 keeps the default
-			g, feeds := benchGraph()
-			ex := &graph.Executor{Graph: g}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ex.Run(feeds); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

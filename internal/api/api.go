@@ -86,9 +86,10 @@ type Options struct {
 	// kernel under a layer — this one, MAERI's fused conv and dense,
 	// SIGMA's dense — splits only when the layer is big enough to repay it
 	// and only onto helpers free in tensor.ParallelFor's process-wide
-	// budget of GOMAXPROCS−1, so a sweep of small jobs, or a job that finds
-	// every helper taken, runs serially whatever Workers says. Outputs are
-	// bitwise identical for every value.
+	// budget of GOMAXPROCS−1. A model run offloads one layer at a time, so
+	// that layer may take the whole budget; a sweep of small jobs, or a job
+	// that finds every helper taken by concurrent farm jobs, runs serially
+	// whatever Workers says. Outputs are bitwise identical for every value.
 	//
 	// No production path sets it: its one source, farm.Job.ExecWorkers, is
 	// set only by the benchmark harness, which pins both fields. They go
@@ -142,8 +143,8 @@ func Conv2DNCHWOpts(cfg config.HWConfig, in, kernel *tensor.Tensor, d ConvParams
 //
 // A layer big enough to repay it has its column panels split, bounded by
 // opt.Workers, onto helpers from tensor.ParallelFor's process-wide budget
-// of GOMAXPROCS−1: a chain model leaves the farm and the wavefront executor
-// nothing to overlap, so the cores they leave idle go to the layer itself.
+// of GOMAXPROCS−1: the graph executor runs one node at a time, so the cores
+// a model run leaves idle go to the layer itself.
 // A job below the size threshold — every sweep job — or one that finds the
 // budget spent runs serially. The result is bitwise identical however the
 // panels were split.

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/api"
 	"repro/internal/farm"
@@ -27,7 +26,8 @@ import (
 )
 
 // Session is one configured Bifrost run context. The zero value is not
-// usable; construct with NewSession.
+// usable; construct with NewSession. A Session is not safe for concurrent
+// use: give each goroutine its own, sharing a farm between them.
 type Session struct {
 	cfg config.HWConfig
 
@@ -72,11 +72,9 @@ type Session struct {
 	// pruned memoises maybePrune per weight content: a session's sparsity
 	// ratio is fixed, so each weight tensor is cloned and pruned once, not
 	// once per Run. prunes counts the prune passes actually performed.
-	prunemu sync.Mutex
-	pruned  map[[32]byte]*tensor.Tensor
-	prunes  int
+	pruned map[[32]byte]*tensor.Tensor
+	prunes int
 
-	recmu   sync.Mutex
 	records []api.LayerRecord
 }
 
@@ -168,8 +166,6 @@ func (s *Session) maybePrune(w *tensor.Tensor) *tensor.Tensor {
 		return w
 	}
 	key := w.ContentHash()
-	s.prunemu.Lock()
-	defer s.prunemu.Unlock()
 	if p, ok := s.pruned[key]; ok {
 		if !tensor.ShapeEq(p.Shape(), w.Shape()) {
 			// Content identity ignores shape: equal values under another
@@ -191,8 +187,8 @@ func (s *Session) maybePrune(w *tensor.Tensor) *tensor.Tensor {
 // Run optimises the graph with the standard pass pipeline and executes it
 // end to end, offloading supported layers to the simulated accelerator.
 // It mirrors Listing 1: the caller provides an unmodified model and feeds.
-// On more than one core independent branches run concurrently (see
-// graph.Executor); outputs and records are bit-identical either way.
+// Nodes run one at a time in topological order (see graph.Executor), so
+// Records lists the offloaded layers in that order.
 func (s *Session) Run(g *graph.Graph, feeds map[string]*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -202,22 +198,7 @@ func (s *Session) Run(g *graph.Graph, feeds map[string]*tensor.Tensor) ([]*tenso
 	}
 	s.records = nil
 	ex := &graph.Executor{Graph: g, Offload: s.offload}
-	outs, err := ex.Run(feeds)
-	if err != nil {
-		return nil, err
-	}
-	// Wavefront execution appends records in completion order; restore the
-	// deterministic topological order serial execution reports.
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	pos := make(map[string]int, len(order))
-	for i, n := range order {
-		pos[n.Name] = i
-	}
-	sort.SliceStable(s.records, func(i, j int) bool { return pos[s.records[i].Name] < pos[s.records[j].Name] })
-	return outs, nil
+	return ex.Run(feeds)
 }
 
 // offload is the graph.OffloadFunc that redirects conv2d and dense nodes to
@@ -278,11 +259,9 @@ func (s *Session) offloadConv(n *graph.Node, ins []*tensor.Tensor) (*tensor.Tens
 			return nil, false, fmt.Errorf("verification failed for conv2d %q: max diff %v", n.Name, tensor.MaxAbsDiff(want, out))
 		}
 	}
-	s.recmu.Lock()
 	s.records = append(s.records, api.LayerRecord{
 		Name: n.Name, Op: "conv2d", Arch: s.cfg.Controller, Mapping: m.String(), Stats: st,
 	})
-	s.recmu.Unlock()
 	return out, true, nil
 }
 
@@ -303,11 +282,9 @@ func (s *Session) offloadDense(n *graph.Node, ins []*tensor.Tensor) (*tensor.Ten
 			return nil, false, fmt.Errorf("verification failed for dense %q: max diff %v", n.Name, tensor.MaxAbsDiff(want, out))
 		}
 	}
-	s.recmu.Lock()
 	s.records = append(s.records, api.LayerRecord{
 		Name: n.Name, Op: "dense", Arch: s.cfg.Controller, Mapping: "T_S, T_K, T_N = " + m.String(), Stats: st,
 	})
-	s.recmu.Unlock()
 	return out, true, nil
 }
 

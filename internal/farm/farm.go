@@ -221,10 +221,7 @@ func New(workers int, opts ...Option) *Farm {
 		opt(f)
 	}
 	if f.mem == nil {
-		// The default memory tier is sharded by key prefix: per-shard LRU
-		// bounds sum to the configured totals, and the per-shard locks keep
-		// a many-worker sweep from serialising on one mutex.
-		f.mem = NewShardedStore(defaultStoreShards(f.maxEntries, f.maxBytes), f.maxEntries, f.maxBytes)
+		f.mem = NewMemoryStore(f.maxEntries, f.maxBytes)
 	}
 	if repl, ok := f.disk.(*ReplicatedStore); ok {
 		f.local = repl.local
@@ -667,10 +664,8 @@ func (f *Farm) submit(j Job, block bool) *Future {
 		return resolvedFuture("", Result{}, err)
 	}
 	start := time.Now()
-	// Fast path outside the farm-global mutex: the memory tier is
-	// internally locked (sharded by key prefix), so submissions hitting a
-	// warm cache never serialise on cmu — this is where the sharded
-	// store's contention relief is actually realised.
+	// Fast path outside the farm-global mutex: the memory tier has its own
+	// lock, so submissions hitting a warm cache never serialise on cmu.
 	if res, ok := f.mem.Get(key); ok {
 		return f.memHit(j, key, res, start, time.Since(start))
 	}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/stonne/stats"
@@ -103,6 +105,59 @@ func TestMemoryStoreUpdateInPlace(t *testing.T) {
 	res, ok := m.Get(storeKey(1))
 	if !ok || res.Stats.Cycles != 2 {
 		t.Fatalf("in-place update lost the newer result: %+v", res.Stats)
+	}
+}
+
+// TestMemoryStoreConcurrent hammers one store from many goroutines (run
+// under -race in CI): the farm's warm-hit fast path calls Get outside
+// Farm.cmu, so puts, hits and evictions must stay coherent on their own.
+func TestMemoryStoreConcurrent(t *testing.T) {
+	m := NewMemoryStore(32, 0)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				key := storeKey((g*31 + i) % 64)
+				if i%3 == 0 {
+					m.Put(key, fakeResult(i, 4))
+				} else {
+					m.Get(key)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := m.Stats(); st.Entries > 32 {
+		t.Fatalf("bound exceeded under concurrency: %+v", st)
+	}
+}
+
+// TestFarmMemoryTierIsOneLRU: on a 16-core box a farm bounded to 1024
+// entries holds exactly the 1024 most recently used results, and the next
+// put evicts the coldest one — whatever way the keys hash.
+func TestFarmMemoryTierIsOneLRU(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
+	f := New(1, WithMaxEntries(1024))
+	defer f.Close()
+	for i := 0; i < 1024; i++ {
+		f.mem.Put(storeKey(i), fakeResult(i, 4))
+	}
+	if st := f.Stats().Memory; st.Entries != 1024 || st.Evictions != 0 {
+		t.Fatalf("after 1024 puts: %d entries, %d evictions; want 1024, 0", st.Entries, st.Evictions)
+	}
+	f.mem.Put(storeKey(1024), fakeResult(1024, 4))
+	if _, ok := f.mem.Get(storeKey(0)); ok {
+		t.Fatal("the least recently used key survived the 1025th put")
+	}
+	for i := 1; i <= 1024; i++ {
+		if _, ok := f.mem.Get(storeKey(i)); !ok {
+			t.Fatalf("key %d was evicted; only key 0 should have been", i)
+		}
+	}
+	if st := f.Stats().Memory; st.Entries != 1024 || st.Evictions != 1 {
+		t.Fatalf("after 1025 puts: %d entries, %d evictions; want 1024, 1", st.Entries, st.Evictions)
 	}
 }
 

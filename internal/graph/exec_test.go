@@ -3,17 +3,18 @@ package graph
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/tensor"
 )
 
 // branchyGraph builds a multi-branch model: one stem convolution feeding
 // four independent convolution branches that are reduced pairwise by
-// element-wise adds — enough width for the wavefront executor to actually
-// run branches concurrently.
+// element-wise adds.
 func branchyGraph(t testing.TB) (*Graph, map[string]*tensor.Tensor) {
 	t.Helper()
 	g := New("branchy")
@@ -34,82 +35,50 @@ func branchyGraph(t testing.TB) (*Graph, map[string]*tensor.Tensor) {
 	return g, feeds
 }
 
-// withProcs runs f at GOMAXPROCS procs: 1 selects the serial executor, more
-// the wavefront.
-func withProcs(procs int, f func()) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	f()
-}
-
-// TestParallelExecBitwiseEqual proves wavefront execution bit-identical to
-// serial execution (GOMAXPROCS 1) at any core count, with and without an
-// offload.
-func TestParallelExecBitwiseEqual(t *testing.T) {
+// TestExecutorOffloadsInTopoOrder runs a four-branch graph on four cores
+// with an Offload that holds every call for about a millisecond: the
+// executor must call it in exactly TopoSort order and never twice at once,
+// so an OffloadFunc needs no locking of its own.
+func TestExecutorOffloadsInTopoOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	g, feeds := branchyGraph(t)
-	// A concurrency-safe offload that handles ReLU nodes by doubling them,
-	// to prove offloaded nodes follow the same path in both executors.
-	var offloadCalls atomic.Int32
+	var (
+		mu             sync.Mutex
+		calls          []string
+		inflight, peak int
+	)
 	offload := func(n *Node, ins []*tensor.Tensor) (*tensor.Tensor, bool, error) {
-		if n.Op != OpReLU {
-			return nil, false, nil
-		}
-		offloadCalls.Add(1)
-		out := ins[0].Clone()
-		for i, v := range out.Data() {
-			if v < 0 {
-				out.Data()[i] = 0
-			}
-		}
-		return out, true, nil
+		mu.Lock()
+		calls = append(calls, n.Name)
+		inflight++
+		peak = max(peak, inflight)
+		mu.Unlock()
+		time.Sleep(time.Millisecond)
+		mu.Lock()
+		inflight--
+		mu.Unlock()
+		return nil, false, nil
 	}
-	plain, off := &Executor{Graph: g}, &Executor{Graph: g, Offload: offload}
-	var want, wantOff []*tensor.Tensor
-	var err error
-	withProcs(1, func() {
-		if want, err = plain.Run(feeds); err == nil {
-			wantOff, err = off.Run(feeds)
-		}
-	})
+	if _, err := (&Executor{Graph: g, Offload: offload}).Run(feeds); err != nil {
+		t.Fatal(err)
+	}
+	order, err := g.TopoSort()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for _, procs := range []int{2, 8} {
-		for _, tc := range []struct {
-			name string
-			ex   *Executor
-			want []*tensor.Tensor
-		}{
-			{"plain", plain, want},
-			{"offload", off, wantOff},
-		} {
-			var got []*tensor.Tensor
-			withProcs(procs, func() { got, err = tc.ex.Run(feeds) })
-			if err != nil {
-				t.Fatalf("%s GOMAXPROCS=%d: %v", tc.name, procs, err)
-			}
-			if len(got) != len(tc.want) {
-				t.Fatalf("%s GOMAXPROCS=%d: %d outputs, want %d", tc.name, procs, len(got), len(tc.want))
-			}
-			for oi := range got {
-				for i := range got[oi].Data() {
-					if got[oi].Data()[i] != tc.want[oi].Data()[i] {
-						t.Fatalf("%s GOMAXPROCS=%d: output %d element %d = %v, want %v (not bitwise identical)",
-							tc.name, procs, oi, i, got[oi].Data()[i], tc.want[oi].Data()[i])
-					}
-				}
-			}
-		}
+	want := make([]string, len(order))
+	for i, n := range order {
+		want[i] = n.Name
 	}
-	// Each of the three offload runs diverts the four ReLUs exactly once.
-	if got := offloadCalls.Load(); got != 12 {
-		t.Fatalf("offload called %d times over three runs, want 12", got)
+	if !slices.Equal(calls, want) {
+		t.Errorf("offload order %v, want topological order %v", calls, want)
+	}
+	if peak != 1 {
+		t.Errorf("%d offload calls ran at once, want 1", peak)
 	}
 }
 
-// TestParallelExecError checks that a failing node surfaces its error and
-// the executor terminates cleanly (no deadlock, no panic), serially and
-// under wavefront scheduling.
+// TestParallelExecError checks that a failing node surfaces its error.
 func TestParallelExecError(t *testing.T) {
 	g, feeds := branchyGraph(t)
 	failing := func(n *Node, ins []*tensor.Tensor) (*tensor.Tensor, bool, error) {
@@ -118,26 +87,18 @@ func TestParallelExecError(t *testing.T) {
 		}
 		return nil, false, nil
 	}
-	ex := &Executor{Graph: g, Offload: failing}
-	for _, procs := range []int{1, 4} {
-		var err error
-		withProcs(procs, func() { _, err = ex.Run(feeds) })
-		if err == nil || !strings.Contains(err.Error(), "injected failure") {
-			t.Fatalf("GOMAXPROCS=%d: expected injected failure, got %v", procs, err)
-		}
+	_, err := (&Executor{Graph: g, Offload: failing}).Run(feeds)
+	if err == nil || !strings.Contains(err.Error(), "injected failure") {
+		t.Fatalf("expected injected failure, got %v", err)
 	}
 }
 
 // TestParallelExecMissingFeed checks the error path for an absent input
-// feed, serially and under wavefront scheduling.
+// feed.
 func TestParallelExecMissingFeed(t *testing.T) {
 	g, _ := branchyGraph(t)
-	ex := &Executor{Graph: g}
-	for _, procs := range []int{1, 4} {
-		var err error
-		withProcs(procs, func() { _, err = ex.Run(map[string]*tensor.Tensor{}) })
-		if err == nil || !strings.Contains(err.Error(), "no feed") {
-			t.Fatalf("GOMAXPROCS=%d: expected missing-feed error, got %v", procs, err)
-		}
+	_, err := (&Executor{Graph: g}).Run(map[string]*tensor.Tensor{})
+	if err == nil || !strings.Contains(err.Error(), "no feed") {
+		t.Fatalf("expected missing-feed error, got %v", err)
 	}
 }
