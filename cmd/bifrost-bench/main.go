@@ -2,7 +2,8 @@
 // paper's evaluation (§VIII). By default it runs every experiment on the
 // geometry-faithful mini-AlexNet layers; -full switches to the paper's
 // AlexNet (Figure 9 and the basic-mapping columns then simulate ~10⁹-MAC
-// layers and take minutes).
+// layers; counters come from the analytic models, so `-full -exp all` still
+// takes about 4 s on a 2-core Xeon VM).
 //
 // Usage:
 //

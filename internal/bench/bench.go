@@ -76,8 +76,8 @@ type Scale int
 
 // Workload scales.
 const (
-	Mini Scale = iota // scaled-down AlexNet: seconds per experiment
-	Full              // the paper's AlexNet: minutes per experiment
+	Mini Scale = iota // scaled-down AlexNet: well under a second per experiment
+	Full              // the paper's AlexNet: about 4 s for every experiment together
 )
 
 func layers(s Scale) []models.LayerSpec {

@@ -264,6 +264,118 @@ func TestFusedDenseMatchesStepLoop(t *testing.T) {
 	}
 }
 
+// signedZeros zeroes about a third of t's values, alternating +0 and −0.
+func signedZeros(t *tensor.Tensor) {
+	for i := range t.Data() {
+		switch i % 6 {
+		case 1:
+			t.Data()[i] = 0
+		case 4:
+			t.Data()[i] = float32(math.Copysign(0, -1))
+		}
+	}
+}
+
+// TestFusedConvSingleTapMatchesStepLoop pins the single-tap layout (every
+// reduction tile one tap, run as one tile over every tap) against the step
+// loop on padded layers with negative and −0 weights and ±0 activations,
+// with mappings of one-tap tiles interleaved on one engine with multi-tap
+// ones (T_C = 2, T_R = 3), so the pooled tile table switches layouts
+// between calls.
+func TestFusedConvSingleTapMatchesStepLoop(t *testing.T) {
+	dims := []tensor.ConvDims{
+		{N: 1, C: 6, H: 7, W: 9, K: 16, R: 3, S: 3, PadH: 1, PadW: 1},
+		{N: 2, C: 4, H: 6, W: 6, K: 12, R: 3, S: 3, G: 2, PadH: 1, PadW: 1},
+		{N: 1, C: 4, H: 9, W: 9, K: 20, R: 5, S: 5, StrideH: 2, StrideW: 2, PadH: 2, PadW: 2},
+		{N: 1, C: 3, H: 4, W: 3, K: 8, R: 3, S: 3, PadH: 1, PadW: 1},
+	}
+	maps := []mapping.ConvMapping{
+		mapping.Basic(),
+		{TR: 1, TS: 1, TC: 2, TK: 1, TG: 1, TN: 1, TX: 1, TY: 1},
+		{TR: 1, TS: 1, TC: 1, TK: 4, TG: 1, TN: 1, TX: 2, TY: 1}, // one tap per tile, wider elsewhere
+		{TR: 3, TS: 1, TC: 1, TK: 1, TG: 1, TN: 1, TX: 1, TY: 1},
+		mapping.Basic(),
+		{TR: 3, TS: 1, TC: 2, TK: 2, TG: 1, TN: 1, TX: 1, TY: 1},
+	}
+	cfg := maeriCfg(256, 4, 4, true, config.ASNetwork)
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for di, d := range dims {
+		if err := d.Resolve(); err != nil {
+			t.Fatal(err)
+		}
+		in := tensor.RandomUniform(int64(500+di), 1, d.N, d.H, d.W, d.C)
+		ker := tensor.RandomUniform(int64(600+di), 1, d.R, d.S, d.C/d.G, d.K)
+		signedZeros(in)
+		for i := 0; i < len(ker.Data()); i += 7 {
+			ker.Data()[i] = float32(math.Copysign(0, -1))
+		}
+		for _, m := range maps {
+			if err := m.Validate(d, 256); err != nil {
+				continue
+			}
+			fusedOut, fused, err := eng.Conv2D(in, ker, d, m)
+			if err != nil {
+				t.Fatalf("fused: %v", err)
+			}
+			refOut, ref, err := oracle.Conv2DNHWC(cfg, in, ker, d, m)
+			if err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			if fused != ref {
+				t.Errorf("dims=%+v mapping=[%s]: fused stats diverge:\n fused %+v\n ref   %+v", d, m, fused, ref)
+			}
+			if i := tensor.FirstBitDiff(refOut, fusedOut); i >= 0 {
+				t.Errorf("dims=%+v mapping=[%s]: fused output diverges at element %d: %08x vs %08x",
+					d, m, i, math.Float32bits(fusedOut.Data()[i]), math.Float32bits(refOut.Data()[i]))
+			}
+		}
+	}
+}
+
+// TestFusedDenseFlatChainMatchesStepLoop pins the flat chain (T_K = 1, run
+// as T_K = inN, and T_K = inN itself) and the tiled loop (T_K = 3), at
+// batch 1 and 2, over activations that are +0, −0 or live against weights
+// of either sign: output bytes and Stats must match the step loop. T_K =
+// 2·inN is invalid and both sides must reject it.
+func TestFusedDenseFlatChainMatchesStepLoop(t *testing.T) {
+	type geo struct{ m, k, n int }
+	cfg := maeriCfg(256, 4, 4, true, config.ASNetwork)
+	for gi, g := range []geo{{1, 64, 16}, {1, 37, 13}, {1, 9, 3}, {2, 37, 13}} {
+		in := tensor.RandomUniform(int64(700+gi), 1, g.m, g.k)
+		w := tensor.RandomUniform(int64(800+gi), 1, g.n, g.k)
+		signedZeros(in)
+		w.Data()[3] = float32(math.Copysign(0, -1))
+		for _, tk := range []int{1, 3, g.k, 2 * g.k} {
+			m := mapping.FCMapping{TS: 1, TN: 1, TK: tk}
+			eng, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fusedOut, fused, err := eng.Dense(in, w, m)
+			refOut, ref, refErr := oracle.Dense(cfg, in, w, m)
+			if m.Validate(g.m, g.k, g.n, 256) != nil {
+				if err == nil || refErr == nil {
+					t.Errorf("geo=%+v mapping=%s is invalid: fused err %v, reference err %v", g, m, err, refErr)
+				}
+				continue
+			}
+			if err != nil || refErr != nil {
+				t.Fatalf("geo=%+v mapping=%s: fused err %v, reference err %v", g, m, err, refErr)
+			}
+			if fused != ref {
+				t.Errorf("geo=%+v mapping=%s: fused stats diverge:\n fused %+v\n ref   %+v", g, m, fused, ref)
+			}
+			if i := tensor.FirstBitDiff(refOut, fusedOut); i >= 0 {
+				t.Errorf("geo=%+v mapping=%s: fused output diverges at element %d: %08x vs %08x",
+					g, m, i, math.Float32bits(fusedOut.Data()[i]), math.Float32bits(refOut.Data()[i]))
+			}
+		}
+	}
+}
+
 // TestDryRunMatchesFullRun ties the dry-run paths to the full-accuracy
 // simulation: the counters must be identical whether or not arithmetic is
 // performed.

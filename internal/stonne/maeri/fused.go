@@ -39,6 +39,15 @@ import (
 // in the padding: its sum is +0 and `out += +0` leaves out, itself never
 // −0, as it was. The equiv_test.go suite pins output bytes, not just Stats,
 // over padded layers with negative weights and ±0 activations.
+//
+// The same argument lets two tilings drop their per-tile accumulators.
+// Where every tile is one tap (the conv's basic mapping) or one element (a
+// dense layer at T_K = 1), the chain out += (+0 + p) becomes out += p: the
+// two differ only for p = −0, which +0 + p turns into +0, and out, never −0
+// itself, absorbs either unchanged. One tile spanning the whole axis is
+// out = +0 + acc over that same chain acc, itself never −0, which is acc.
+// So both run as one tile spanning the axis: the conv kernel flushes once
+// per block instead of once per tap, and the dense loop once per neuron.
 
 // convTap is one (c, r, s) tap of the reduction axis, resolved against the
 // layer geometry once per call; n, x and the group shift it by a base.
@@ -70,7 +79,9 @@ var convScratchPool = sync.Pool{New: func() any { return &convScratch{} }}
 // reductionAxis lays out the reduction axis of one output element in the
 // step loop's visit order — tiles c0 outermost, then r0, then s0; within a
 // tile c, then r, then s — as the tap table and the per-tile tap counts the
-// micro-kernel flushes its fresh accumulators by.
+// micro-kernel flushes its fresh accumulators by. An axis of single-tap
+// tiles is laid out as one tile over every tap, bit-identical by the file
+// header's argument.
 func (sc *convScratch) reductionAxis(d tensor.ConvDims, m mapping.ConvMapping) ([]convTap, []int32) {
 	cg, q := d.C/d.G, d.Q()
 	taps, nts := sc.taps[:0], sc.nts[:0]
@@ -102,6 +113,9 @@ func (sc *convScratch) reductionAxis(d tensor.ConvDims, m mapping.ConvMapping) (
 				}
 			}
 		}
+	}
+	if len(nts) == len(taps) && len(taps) > 0 {
+		nts = append(nts[:0], int32(len(taps)))
 	}
 	sc.taps, sc.nts = taps, nts
 	return taps, nts
@@ -259,16 +273,23 @@ func gatherConvRow(acts, inD []float32, taps []convTap, d tensor.ConvDims, base,
 // the four outputs stay in registers across every K tile: one store per
 // neuron, not one per tile. A layer big enough to repay it has its neuron
 // quads split across idle cores by tensor.ParallelFor.
+//
+// T_K = 1 (the basic mapping) runs as one tile spanning the row, which the
+// file header shows is bit-identical and costs one add per product, not two.
 func fusedDense(in, weights *tensor.Tensor, m mapping.FCMapping) *tensor.Tensor {
 	batches, inN := in.Dim(0), in.Dim(1)
 	outN := weights.Dim(0)
 	out := tensor.NewPooled(batches, outN)
 	inD, wD, outD := in.Data(), weights.Data(), out.Data()
 	quads := (outN + 3) / 4
+	tk := m.TK
+	if tk == 1 {
+		tk = inN
+	}
 	if grain := tensor.Grain(quads, 4*inN*batches, 0); grain < quads {
-		tensor.ParallelFor(quads, grain, func(lo, hi int) { denseQuads(inD, wD, outD, batches, inN, outN, m.TK, lo, hi) })
+		tensor.ParallelFor(quads, grain, func(lo, hi int) { denseQuads(inD, wD, outD, batches, inN, outN, tk, lo, hi) })
 	} else {
-		denseQuads(inD, wD, outD, batches, inN, outN, m.TK, 0, quads)
+		denseQuads(inD, wD, outD, batches, inN, outN, tk, 0, quads)
 	}
 	return out
 }

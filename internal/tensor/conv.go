@@ -10,7 +10,8 @@ import (
 // streaming operand is produced one column block at a time and multiplied
 // against the kernel matrix while still hot in cache. Peak memory drops
 // from O(C·R·S·N·P·Q) to O(C·R·S·blockCols) per worker, and a big layer's
-// column blocks are split across idle cores by ParallelFor.
+// column blocks — or, when it has too few of them, a block's stationary
+// rows — are split across idle cores by ParallelFor.
 
 // im2colBlockCols is the number of output positions one panel covers. 256
 // columns keeps a 3×3×256-channel panel comfortably inside L2 while leaving
@@ -86,13 +87,15 @@ func Im2ColBlock(in *Tensor, d ConvDims, g, col0, width int, dst []float32) {
 // ConvGEMMImplicit computes a grouped 2-D convolution of an NCHW input with
 // a KCRS kernel, returning the NCHW output, via implicit GEMM: per group,
 // the kernel matrix multiplies im2col column panels that are generated
-// block-by-block and never materialised as a whole. Panels are split over
-// at most `workers` goroutines (workers <= 0: as many as ParallelFor's
-// budget has free), and only when the layer is big enough to repay it
-// (Grain); each output element is written by exactly one of them and
-// accumulated in ascending (C, R, S) order with zero kernel weights
-// skipped, so the result is bitwise identical to GEMM(KernelMatrix(kernel,
-// d, g), Im2Col(in, d, g)) regardless of the worker count.
+// block-by-block and never materialised as a whole. Panels — or, for a
+// layer with too few panels to split, the sparse-stationary rows of each
+// panel's product — are split over at most `workers` goroutines (workers <=
+// 0: as many as ParallelFor's budget has free), and only when the layer is
+// big enough to repay it (Grain); each output element is written by exactly
+// one of them and accumulated in ascending (C, R, S) order with zero kernel
+// weights skipped, so the result is bitwise identical to
+// GEMM(KernelMatrix(kernel, d, g), Im2Col(in, d, g)) regardless of the
+// worker count.
 func ConvGEMMImplicit(in, kernel *Tensor, d ConvDims, workers int) *Tensor {
 	return ConvGEMMImplicitCached(in, kernel, d, workers, nil)
 }
@@ -143,11 +146,15 @@ func ConvGEMMImplicitCached(in, kernel *Tensor, d ConvDims, workers int, cache *
 		// Both accumulate each output element in ascending (C, R, S) order
 		// in one running chain, so the result is bitwise identical.
 		c.packed = packedWorthIt(c.kg, c.rows, min(im2colBlockCols, c.cols)) && !sparseWorthSkipping(c.kmD)
+		c.rowWorkers = 1
 		if grain := Grain(nBlocks, c.kg*c.rows*im2colBlockCols, workers); grain < nBlocks {
 			group := c // the closure's own copy: c is reassigned by the loop
 			ParallelFor(nBlocks, grain, func(lo, hi int) { group.blocks(lo, hi) })
 			continue
 		}
+		// Blocks too few to split (a small layer is a single block) may
+		// still split their stationary rows.
+		c.rowWorkers = workers
 		c.blocks(0, nBlocks)
 	}
 	return out
@@ -165,6 +172,10 @@ type convPanels struct {
 	kmD, outD          []float32
 	kg, rows, cols, pq int
 	packed             bool
+	// rowWorkers bounds the split of one block's stationary rows (≤ 0: the
+	// budget's free helpers, 1: none); set only when the blocks themselves
+	// run serially.
+	rowWorkers int
 }
 
 // blocks computes column panels [lo, hi) of the group's product, with its
@@ -190,6 +201,12 @@ func (c *convPanels) block(panel, acc []float32, block int) {
 	clear(acc)
 	if c.packed {
 		gemmPackedAccum(c.kmD, panel, acc, c.kg, c.rows, width)
+	} else if grain := Grain(c.kg, c.rows*width, c.rowWorkers); grain < c.kg {
+		// Row bands of the sparse-stationary product: each row is still
+		// one chain, and has one writer. The closure copies what it reads,
+		// so c itself stays on the caller's stack.
+		kmD, b, cc, k := c.kmD, panel, acc, c.rows
+		ParallelFor(c.kg, grain, func(lo, hi int) { gemmSparse(kmD, b, cc, lo, hi, k, width) })
 	} else {
 		gemmSparse(c.kmD, panel, acc, 0, c.kg, c.rows, width)
 	}

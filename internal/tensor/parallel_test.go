@@ -121,6 +121,8 @@ func TestParallelConvGEMMImplicitWorkers(t *testing.T) {
 // on AlexNet-sized shapes at GOMAXPROCS 1 and 4: SIGMA's conv lowering on
 // conv1 and conv2 (pruned kernels) and the skinny GEMM behind SIGMA's fc6
 // and fc8. Outputs must match byte for byte, and the second run must split.
+// SIGMA's conv3, whose rows split instead of its blocks, also runs at
+// GOMAXPROCS 2, and a sweep-sized conv must not split at all.
 func TestParallelKernelsBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("AlexNet-sized layers")
@@ -159,5 +161,41 @@ func TestParallelKernelsBitIdentical(t *testing.T) {
 		if HelperLaunches() == before {
 			t.Errorf("%s: no helper started at GOMAXPROCS=4", k.name)
 		}
+	}
+
+	// SIGMA's conv3: its 169 output columns are one block, so only the
+	// block's stationary rows can split — at GOMAXPROCS 2 as well, the
+	// benchmark's box. A sweep-sized conv must stay serial.
+	conv3 := ConvDims{N: 1, C: 256, H: 13, W: 13, K: 384, R: 3, S: 3, PadH: 1, PadW: 1}
+	sweep := ConvDims{N: 1, C: 64, H: 6, W: 6, K: 64, R: 3, S: 3, PadH: 1, PadW: 1}
+	for _, d := range []*ConvDims{&conv3, &sweep} {
+		if err := d.Resolve(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := RandomUniform(5, 1, conv3.N, conv3.C, conv3.H, conv3.W)
+	ker := RandomUniform(6, 1, conv3.K, conv3.C, conv3.R, conv3.S)
+	Prune(ker, 0.5)
+	run := func() *Tensor { return ConvGEMMImplicit(in, ker, conv3, 0) }
+	var serial *Tensor
+	atProcs(1, func() { serial = run() })
+	for _, procs := range []int{2, 4} {
+		var split *Tensor
+		before := HelperLaunches()
+		atProcs(procs, func() { split = run() })
+		if i := FirstBitDiff(serial, split); i >= 0 {
+			t.Errorf("SIGMA conv3: element %d differs between GOMAXPROCS 1 and %d", i, procs)
+		}
+		if HelperLaunches() == before {
+			t.Errorf("SIGMA conv3: no helper started at GOMAXPROCS=%d", procs)
+		}
+	}
+	sin := RandomUniform(7, 1, sweep.N, sweep.C, sweep.H, sweep.W)
+	sker := RandomUniform(8, 1, sweep.K, sweep.C, sweep.R, sweep.S)
+	Prune(sker, 0.5)
+	before := HelperLaunches()
+	atProcs(4, func() { ConvGEMMImplicit(sin, sker, sweep, 0) })
+	if n := HelperLaunches() - before; n != 0 {
+		t.Errorf("sweep-sized SIGMA conv C64 6×6 K64 started %d helpers, want 0", n)
 	}
 }

@@ -78,6 +78,38 @@ func TestSIMDKernelsMatchFallback(t *testing.T) {
 			}
 		}
 	}
+	// An axis of single-tap tiles run as one tile over every tap (how the
+	// fused conv lays out the basic mapping) must give the same bits, ±0
+	// activations and −0 weights included.
+	negZero := float32(math.Copysign(0, -1))
+	for _, taps := range []int{1, 2, 3, 9, 121, 2304} {
+		a := RandomUniform(int64(taps)+40, 1, taps*4).Data()
+		panel := RandomUniform(int64(taps)+60, 1, taps*8).Data()
+		for i := range a {
+			switch i % 7 {
+			case 0:
+				a[i] = 0
+			case 3:
+				a[i] = negZero
+			}
+		}
+		for i := 0; i < len(panel); i += 5 {
+			panel[i] = negZero
+		}
+		ones := make([]int32, taps)
+		for i := range ones {
+			ones[i] = 1
+		}
+		dWant := make([]float32, 4*8)
+		dGot := make([]float32, 4*8)
+		panelTiles4x8Go(ones, a, panel, dWant, 8)
+		panelTiles4x8([]int32{int32(taps)}, a, panel, dGot, 8)
+		for j := range dWant {
+			if w, g := math.Float32bits(dWant[j]), math.Float32bits(dGot[j]); w != g {
+				t.Fatalf("panelTiles4x8 taps=%d element %d: one tile %08x vs single-tap tiles %08x", taps, j, g, w)
+			}
+		}
+	}
 }
 
 // TestPackedGEMMWithoutAVX forces the pure-Go kernels and re-checks the

@@ -264,6 +264,13 @@ func Softmax(in *tensor.Tensor) *tensor.Tensor {
 // LRN applies AlexNet-style local response normalisation across channels:
 // b[c] = a[c] / (k + alpha/size · Σ a[c']²)^beta over a window of `size`
 // channels centred at c.
+//
+// A centre a[c] of ±0 skips the math.Pow without moving an output bit: it
+// is written straight to the output, with its sign, whenever
+// k + alpha/size·Σ ≥ 1 and beta ≥ 0, since the denominator is then at least
+// 1 (+Inf included) and ±0 over it is the same ±0. A NaN in the window fails
+// the comparison and takes the full path. About half of AlexNet's LRN
+// inputs are ReLU zeros.
 func LRN(in *tensor.Tensor, size int, alpha, beta, k float64) (*tensor.Tensor, error) {
 	if in.Rank() != 4 {
 		return nil, fmt.Errorf("topi: lrn requires NCHW input, got %v", in.Shape())
@@ -292,6 +299,7 @@ const lrnPowWork = 512
 func lrnChannels(inD, outD []float32, c, hw, size int, alpha, beta, k float64, lo, hi int) {
 	half := size / 2
 	scale := alpha / float64(size)
+	zeroKeepsSign := beta >= 0
 	for plane := lo; plane < hi; plane++ {
 		in4, ic := plane/c, plane%c
 		src := inD[in4*c*hw : (in4+1)*c*hw]
@@ -303,7 +311,13 @@ func lrnChannels(inD, outD []float32, c, hw, size int, alpha, beta, k float64, l
 				v := float64(src[j*hw+pos])
 				sq += v * v
 			}
-			dst[ic*hw+pos] = float32(float64(src[ic*hw+pos]) / math.Pow(k+scale*sq, beta))
+			base := k + scale*sq
+			centre := src[ic*hw+pos]
+			if centre == 0 && zeroKeepsSign && base >= 1 {
+				dst[ic*hw+pos] = centre
+				continue
+			}
+			dst[ic*hw+pos] = float32(float64(centre) / math.Pow(base, beta))
 		}
 	}
 }

@@ -450,7 +450,10 @@ func refPool2D(in *tensor.Tensor, kind PoolKind, kernel, stride, pad int) *tenso
 // Pool2D with the At/Set implementations bit for bit: AlexNet's two LRN
 // shapes (window 5 clipped at both channel edges), and pools that are
 // padded, strided, overlapping and — with padding past the kernel — see
-// windows that are empty or cut on every side.
+// windows that are empty or cut on every side. LRN also runs over ReLU'd
+// inputs holding +0 and −0 centres (the zero-centre shortcut), a NaN beside
+// a zero centre, k = alpha = 0 (a zero base that must reach math.Pow) and
+// negative or special betas.
 func TestLRNAndPoolMatchIndexedOracle(t *testing.T) {
 	for i, shape := range [][]int{{1, 96, 55, 55}, {1, 256, 27, 27}, {2, 3, 4, 5}} {
 		in := tensor.RandomUniform(int64(i), 3, shape...)
@@ -460,6 +463,46 @@ func TestLRNAndPoolMatchIndexedOracle(t *testing.T) {
 		}
 		if d := tensor.FirstBitDiff(refLRN(in, 5, 1e-4, 0.75, 2), got); d >= 0 {
 			t.Fatalf("LRN %v diverges from the indexed oracle at element %d", shape, d)
+		}
+	}
+	negZero := float32(math.Copysign(0, -1))
+	relu := tensor.RandomUniform(7, 3, 2, 9, 6, 7)
+	for i, v := range relu.Data() {
+		if v < 0 {
+			relu.Data()[i] = 0
+			if i%3 == 0 {
+				relu.Data()[i] = negZero
+			}
+		}
+	}
+	withNaN := relu.Clone()
+	d := withNaN.Data()
+	d[1*42+5], d[2*42+5] = float32(math.NaN()), 0 // channel 1 NaN beside a +0 centre in channel 2
+	d[3*42+8], d[4*42+8] = float32(math.NaN()), negZero
+	for _, tc := range []struct {
+		name              string
+		in                *tensor.Tensor
+		alpha, beta, kval float64
+	}{
+		{"relu", relu, 1e-4, 0.75, 2},
+		{"relu k=1", relu, 1e-4, 0.75, 1},
+		{"relu k<1", relu, 1e-4, 0.75, 0.5},
+		{"nan beside zero", withNaN, 1e-4, 0.75, 2},
+		{"k=0 alpha=0", relu, 0, 0.75, 0},
+		{"negative beta", relu, 1e-4, -0.75, 2},
+		{"negative beta k=0 alpha=0", relu, 0, -0.75, 0},
+		{"beta 0.5", relu, 1e-4, 0.5, 2},
+		{"beta 0", relu, 1e-4, 0, 2},
+		{"beta 2.25", relu, 1, 2.25, 2},
+	} {
+		got, err := LRN(tc.in, 5, tc.alpha, tc.beta, tc.kval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refLRN(tc.in, 5, tc.alpha, tc.beta, tc.kval)
+		if d := tensor.FirstBitDiff(want, got); d >= 0 {
+			t.Fatalf("LRN %s diverges from the indexed oracle at element %d: %08x vs %08x", tc.name, d,
+				math.Float32bits(got.Data()[d]), math.Float32bits(want.Data()[d]))
 		}
 	}
 	in := tensor.RandomUniform(9, 2, 2, 3, 13, 11)
