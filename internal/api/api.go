@@ -103,9 +103,33 @@ type Options struct {
 	Pack *tensor.PackCache
 }
 
+// checkConvOperands rejects operands whose shapes disagree with the
+// resolved d: an NCHW input [N C H W] with a KCRS kernel [K C/G R S], or
+// for nhwc an NHWC input [N H W C] with an RSCK kernel [R S C/G K]. Both
+// entry points check here, before any layout work, so no architecture can
+// index past a short operand or compute from part of a long one.
+func checkConvOperands(in, kernel *tensor.Tensor, d ConvParams, nhwc bool) error {
+	inLayout, kLayout := "NCHW", "KCRS"
+	wantIn, wantK := [4]int{d.N, d.C, d.H, d.W}, [4]int{d.K, d.C / d.G, d.R, d.S}
+	if nhwc {
+		inLayout, kLayout = "NHWC", "RSCK"
+		wantIn, wantK = [4]int{d.N, d.H, d.W, d.C}, [4]int{d.R, d.S, d.C / d.G, d.K}
+	}
+	switch {
+	case in == nil || !tensor.ShapeEq(in.Shape(), wantIn[:]):
+		return fmt.Errorf("api: conv input is not %s %v", inLayout, wantIn)
+	case kernel == nil || !tensor.ShapeEq(kernel.Shape(), wantK[:]):
+		return fmt.Errorf("api: conv kernel is not %s %v", kLayout, wantK)
+	}
+	return nil
+}
+
 // Conv2DNCHWOpts is Conv2DNCHW with full execution options.
 func Conv2DNCHWOpts(cfg config.HWConfig, in, kernel *tensor.Tensor, d ConvParams, m mapping.ConvMapping, opt Options) (*tensor.Tensor, stats.Stats, error) {
 	if err := d.Resolve(); err != nil {
+		return nil, stats.Stats{}, err
+	}
+	if err := checkConvOperands(in, kernel, d, false); err != nil {
 		return nil, stats.Stats{}, err
 	}
 	defer observeCompute(cfg, time.Now())
@@ -175,6 +199,9 @@ func Conv2DNHWC(cfg config.HWConfig, in, kernel *tensor.Tensor, d ConvParams, m 
 // Conv2DNHWCOpts is Conv2DNHWC with full execution options.
 func Conv2DNHWCOpts(cfg config.HWConfig, in, kernel *tensor.Tensor, d ConvParams, m mapping.ConvMapping, opt Options) (*tensor.Tensor, stats.Stats, error) {
 	if err := d.Resolve(); err != nil {
+		return nil, stats.Stats{}, err
+	}
+	if err := checkConvOperands(in, kernel, d, true); err != nil {
 		return nil, stats.Stats{}, err
 	}
 	defer observeCompute(cfg, time.Now())

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/stonne/config"
 	"repro/internal/stonne/mapping"
+	"repro/internal/stonne/stats"
 	"repro/internal/tensor"
 	"repro/internal/topi"
 )
@@ -123,6 +124,50 @@ func TestBadGeometryRejected(t *testing.T) {
 	}
 	if _, _, err := Conv2DNHWC(config.Default(config.MAERIDenseWorkload), nil, nil, d, mapping.Basic()); err == nil {
 		t.Fatal("invalid geometry must be rejected")
+	}
+}
+
+// TestConvOperandShapesChecked: an operand that disagrees with the conv
+// geometry is an error on every architecture and through both layout entry
+// points — never a panic, and never an output computed from part of it.
+func TestConvOperandShapesChecked(t *testing.T) {
+	d := tensor.ConvDims{N: 1, C: 4, H: 6, W: 6, K: 4, R: 3, S: 3}
+	type operands struct{ in, kernel []int }
+	entries := []struct {
+		name  string
+		conv  func(config.HWConfig, *tensor.Tensor, *tensor.Tensor, ConvParams, mapping.ConvMapping) (*tensor.Tensor, stats.Stats, error)
+		cases map[string]operands
+	}{
+		{"NCHW", Conv2DNCHW, map[string]operands{
+			"oversized K":   {[]int{1, 4, 6, 6}, []int{8, 4, 3, 3}},
+			"permuted dims": {[]int{1, 4, 6, 6}, []int{4, 3, 3, 4}},
+			"rank-3 kernel": {[]int{1, 4, 6, 6}, []int{4, 4, 9}},
+			"input C":       {[]int{1, 3, 6, 6}, []int{4, 4, 3, 3}},
+		}},
+		{"NHWC", Conv2DNHWC, map[string]operands{
+			"oversized K":   {[]int{1, 6, 6, 4}, []int{3, 3, 4, 8}},
+			"permuted dims": {[]int{1, 6, 6, 4}, []int{4, 4, 3, 3}},
+			"rank-3 kernel": {[]int{1, 6, 6, 4}, []int{9, 4, 4}},
+			"input C":       {[]int{1, 6, 6, 3}, []int{3, 3, 4, 4}},
+		}},
+	}
+	for _, ct := range []config.ControllerType{config.MAERIDenseWorkload, config.SIGMASparseGEMM, config.TPUOSDense} {
+		for _, e := range entries {
+			for name, ops := range e.cases {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s %s %s: panicked: %v", ct, e.name, name, r)
+						}
+					}()
+					in, ker := tensor.RandomUniform(1, 1, ops.in...), tensor.RandomUniform(2, 1, ops.kernel...)
+					out, _, err := e.conv(config.Default(ct), in, ker, d, mapping.Basic())
+					if err == nil || out != nil {
+						t.Errorf("%s %s %s: err %v, output %v; want an error and no output", ct, e.name, name, err, out != nil)
+					}
+				}()
+			}
+		}
 	}
 }
 

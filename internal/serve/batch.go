@@ -364,7 +364,8 @@ func (s *Server) sweepRow(run *sweepRun, i int, req JobRequest) JobResponse {
 func (s *Server) replayRow(req JobRequest, key string) (JobResponse, bool) {
 	start := time.Now()
 	req.Trace = false
-	job, err := req.lazyJob()
+	job, release, err := s.operands.lazyJob(req)
+	defer release()
 	if err != nil {
 		return JobResponse{}, false
 	}

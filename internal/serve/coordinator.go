@@ -275,10 +275,11 @@ func (ps *peerState) placeable() bool {
 func (c *coordinator) run(ctx context.Context, req JobRequest) JobResponse {
 	start := time.Now()
 	var key string
-	job, err := req.lazyJob()
+	job, release, err := c.s.operands.lazyJob(req)
 	if err == nil {
 		key, err = c.s.farm.KeyOf(job)
 	}
+	release() // placement needs only the key
 	if err != nil {
 		return c.s.annotate(JobResponse{Error: err.Error(), ElapsedMS: msSince(start), err: err})
 	}

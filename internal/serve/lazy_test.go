@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/farm"
@@ -72,7 +73,7 @@ func TestSeedReuseNeverAliases(t *testing.T) {
 		mut(&v)
 		return v
 	}
-	for name, v := range map[string]JobRequest{
+	changed := map[string]JobRequest{
 		"dim":        variant(func(r *JobRequest) { r.Conv.H = 9 }),
 		"sparsity":   variant(func(r *JobRequest) { r.Arch.Sparsity = 75 }),
 		"controller": variant(func(r *JobRequest) { r.Arch = ArchSpec{Controller: "tpu"} }),
@@ -81,7 +82,10 @@ func TestSeedReuseNeverAliases(t *testing.T) {
 		"dry_run": variant(func(r *JobRequest) {
 			r.Arch, r.DryRun = ArchSpec{Controller: "maeri"}, true
 		}),
-	} {
+		"seed":    variant(func(r *JobRequest) { r.Seed = 10 }),
+		"weights": variant(func(r *JobRequest) { r.Conv.K = 8 }),
+	}
+	for name, v := range changed {
 		_, got := postSimulate(t, ts.URL, v)
 		want := eagerKey(t, v)
 		if got.Error != "" || got.Key != want {
@@ -118,6 +122,38 @@ func TestSeedReuseNeverAliases(t *testing.T) {
 			t.Errorf("%s set: KeyOf = %s (err %v) after %d operand generations, want %s after 0", name, key, err, gens, first.Key)
 		}
 	}
+
+	// The same requests in flight together on a fresh server: the ones that
+	// share the base's operands share them through the operand registry,
+	// and none of the others may pick them up — every row keys like its
+	// eager twin.
+	cold, _ := newTestServer(t)
+	changed["base"] = base
+	var wg sync.WaitGroup
+	for name, v := range changed {
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := eagerKey(t, v)
+		for range 3 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(cold.URL+"/simulate", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				var got JobResponse
+				if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || got.Error != "" || got.Key != want {
+					t.Errorf("%s in flight with the others: key %s (error %q, decode %v), eager %s", name, got.Key, got.Error, err, want)
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }
 
 // TestRetiredExecWorkersFieldIgnored: "exec_workers" is no longer a request

@@ -1,0 +1,72 @@
+package serve
+
+import (
+	"sync"
+
+	"repro/internal/farm"
+	"repro/internal/tensor"
+)
+
+// operandRegistry shares seeded operands among a server's in-flight
+// requests. A sweep submits one layer under many mappings and
+// configurations, so rows that name the same seededOperands are common;
+// through the registry they hand the farm one generator, and the first
+// row to need operands builds the pair every other holder then reads —
+// along with the tensors' memoised ContentHash, which the pack cache keys
+// its derived forms by. Sharing is safe because farm operands are
+// read-only (tensor.Tensor.ContentHash) and the key is the generator's full
+// input, so holders only ever share tensors that would have been
+// bit-identical anyway.
+//
+// An entry lives exactly as long as its holders: it is deleted when the
+// request of its last holder returns, so nothing is retained between
+// requests and the registry is empty whenever the server is idle. A job
+// still in the farm after its request returned (a deadline that fired
+// mid-simulation) keeps its generator; a later request simply starts a
+// fresh entry.
+type operandRegistry struct {
+	mu      sync.Mutex
+	entries map[seededOperands]*operandEntry
+}
+
+type operandEntry struct {
+	holders int
+	get     func() (input, weights *tensor.Tensor)
+}
+
+func newOperandRegistry() *operandRegistry {
+	return &operandRegistry{entries: make(map[seededOperands]*operandEntry)}
+}
+
+// lazyJob is JobRequest.lazyJob with the generator shared through the
+// registry. The caller holds a reference until it calls release, which it
+// must do exactly once, when it no longer needs the job's operands.
+func (o *operandRegistry) lazyJob(req JobRequest) (job farm.Job, release func(), err error) {
+	j, err := req.spec()
+	if err != nil || j.DryRun {
+		return j, func() {}, err
+	}
+	ops := operandsOf(j)
+	o.mu.Lock()
+	e := o.entries[ops]
+	if e == nil {
+		e = &operandEntry{get: sync.OnceValues(ops.generate)}
+		o.entries[ops] = e
+	}
+	e.holders++
+	o.mu.Unlock()
+	return j.WithOperands(e.get), func() {
+		o.mu.Lock()
+		if e.holders--; e.holders == 0 {
+			delete(o.entries, ops)
+		}
+		o.mu.Unlock()
+	}, nil
+}
+
+// len reports how many distinct operand sets are currently held.
+func (o *operandRegistry) len() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.entries)
+}

@@ -153,31 +153,63 @@ func (r JobRequest) Job() (farm.Job, error) {
 	return j.Materialize(), err
 }
 
-// seededOperands is the operand generator of a seeded request: uniform
-// input and weights of the given shapes drawn from seed and seed+100, the
-// weights pruned to the sparsity percentage. It is a pure function of its
-// arguments, all of which the job's key covers (farm.Job.WithOperands).
-func seededOperands(seed int64, sparsity int, inShape, wShape []int) func() (input, weights *tensor.Tensor) {
-	return func() (input, weights *tensor.Tensor) {
-		input = tensor.RandomUniform(seed, 1, inShape...)
-		weights = tensor.RandomUniform(seed+100, 1, wShape...)
-		if sparsity > 0 {
-			tensor.Prune(weights, float64(sparsity)/100)
-		}
-		return input, weights
+// seededOperands names the operands of a seeded request by the full
+// argument list of their generator: uniform input and weights of the given
+// shapes drawn from seed and seed+100, the weights pruned to the sparsity
+// percentage. Generation is a pure function of these fields, all of which
+// the job's key covers (farm.Job.WithOperands), so two requests with equal
+// seededOperands need bit-identical tensors — the server's operand
+// registry (operands.go) shares one pair between them. Both shapes have
+// rank dims: 4 for conv2d (NCHW input, KCRS kernel), 2 for dense ([M K]
+// input, [N K] weights).
+type seededOperands struct {
+	seed     int64
+	sparsity int
+	rank     int
+	in, w    [4]int
+}
+
+// generate draws the operands.
+func (o seededOperands) generate() (input, weights *tensor.Tensor) {
+	input = tensor.RandomUniform(o.seed, 1, o.in[:o.rank]...)
+	weights = tensor.RandomUniform(o.seed+100, 1, o.w[:o.rank]...)
+	if o.sparsity > 0 {
+		tensor.Prune(weights, float64(o.sparsity)/100)
 	}
+	return input, weights
+}
+
+// operandsOf names the seeded operands of a job compiled by spec.
+func operandsOf(j farm.Job) seededOperands {
+	o := seededOperands{seed: j.Seed, sparsity: j.HW.SparsityRatio}
+	if j.Kind == farm.Conv2D {
+		d := j.Dims
+		o.rank, o.in, o.w = 4, [4]int{d.N, d.C, d.H, d.W}, [4]int{d.K, d.C / d.G, d.R, d.S}
+	} else {
+		o.rank, o.in, o.w = 2, [4]int{j.M, j.K}, [4]int{j.N, j.K}
+	}
+	return o
 }
 
 // lazyJob compiles the request into a farm job without allocating an
-// operand: geometry and mappings are validated here, and a non-dry-run job
-// carries the seeded generator instead of tensors.
+// operand: a non-dry-run job carries its own seeded generator instead of
+// tensors.
 func (r JobRequest) lazyJob() (farm.Job, error) {
+	j, err := r.spec()
+	if err == nil && !j.DryRun {
+		j = j.WithOperands(operandsOf(j).generate)
+	}
+	return j, err
+}
+
+// spec compiles the request into a farm job without operands: geometry and
+// mappings are validated here.
+func (r JobRequest) spec() (farm.Job, error) {
 	cfg, err := r.Arch.Config()
 	if err != nil {
 		return farm.Job{}, err
 	}
 	j := farm.Job{HW: cfg, Seed: r.Seed, DryRun: r.DryRun, Trace: r.Trace}
-	var inShape, wShape []int
 	switch r.Op {
 	case "conv2d":
 		if r.Conv == nil {
@@ -228,7 +260,6 @@ func (r JobRequest) lazyJob() (farm.Job, error) {
 			j.ConvMapping = mapping.ConvMapping{TR: m[0], TS: m[1], TC: m[2], TK: m[3],
 				TG: m[4], TN: m[5], TX: m[6], TY: m[7]}
 		}
-		inShape, wShape = []int{d.N, d.C, d.H, d.W}, []int{d.K, d.C / d.G, d.R, d.S}
 	case "dense":
 		if r.Dense == nil {
 			return farm.Job{}, fmt.Errorf("dense job needs a dense geometry")
@@ -256,12 +287,8 @@ func (r JobRequest) lazyJob() (farm.Job, error) {
 			}
 			j.FCMapping = mapping.FCMapping{TS: r.FCMapping[0], TK: r.FCMapping[1], TN: r.FCMapping[2]}
 		}
-		inShape, wShape = []int{dn.M, dn.K}, []int{dn.N, dn.K}
 	default:
 		return farm.Job{}, fmt.Errorf("unknown op %q (want conv2d or dense)", r.Op)
-	}
-	if !r.DryRun {
-		j = j.WithOperands(seededOperands(r.Seed, cfg.SparsityRatio, inShape, wShape))
 	}
 	return j, nil
 }

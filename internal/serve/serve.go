@@ -62,6 +62,8 @@ type Server struct {
 	peerCfg  peerConfig
 
 	sweeps *sweepRegistry
+	// operands shares the seeded operands of in-flight requests (operands.go).
+	operands *operandRegistry
 
 	repl  *farm.ReplicatedStore
 	scrub *farm.Scrubber
@@ -124,7 +126,8 @@ func WithScrubber(sc *farm.Scrubber) ServerOption {
 // NewServer returns an http.Handler serving the bifrost-serve API on the
 // given farm.
 func NewServer(f *farm.Farm, opts ...ServerOption) *Server {
-	s := &Server{farm: f, mux: http.NewServeMux(), started: time.Now(), drainCh: make(chan struct{}), sweeps: newSweepRegistry()}
+	s := &Server{farm: f, mux: http.NewServeMux(), started: time.Now(), drainCh: make(chan struct{}),
+		sweeps: newSweepRegistry(), operands: newOperandRegistry()}
 	s.peerCfg = peerConfig{Timeout: 2 * time.Minute}
 	for _, opt := range opts {
 		opt(s)
@@ -333,7 +336,8 @@ func (s *Server) run(ctx context.Context, req JobRequest) JobResponse {
 	// traced when slow-job logging needs the data.
 	echoTrace := req.Trace || s.traceAll
 	req.Trace = echoTrace || s.slowJob > 0
-	job, err := req.lazyJob()
+	job, release, err := s.operands.lazyJob(req)
+	defer release()
 	if err != nil {
 		return s.annotate(JobResponse{Error: err.Error(), ElapsedMS: msSince(start), err: err})
 	}

@@ -278,10 +278,11 @@ func (e *Engine) Dense(in, weights *tensor.Tensor) (*tensor.Tensor, stats.Stats,
 	if in.Dim(1) != weights.Dim(1) {
 		return nil, stats.Stats{}, fmt.Errorf("sigma: dense reduction mismatch: input %v vs weights %v", in.Shape(), weights.Shape())
 	}
-	// Operands are never mutated, so the transposed input can be shared
-	// content-keyed across the jobs of a sweep (the same activation is
-	// typically submitted under many mappings/configs).
-	prod, st, err := e.GEMM(weights, tensor.Transpose2DCached(in, e.Pack)) // [S, M]
+	// The activation is new on every run: its transpose is a pooled
+	// transient, never a pack-cache entry that would push out one that hits.
+	inT := tensor.Transpose2DPooled(in)   // [K, M]
+	prod, st, err := e.GEMM(weights, inT) // [S, M]
+	inT.Release()
 	if err != nil {
 		return nil, stats.Stats{}, err
 	}

@@ -81,14 +81,14 @@ store_hits_total{tier="disk"} 2
 func TestHistogramBucketBoundaries(t *testing.T) {
 	bounds := []float64{0.001, 0.01, 0.1}
 	h := newHistogram(bounds)
-	h.Observe(0.001)                            // exactly on bound 0 → bucket 0
-	h.Observe(math.Nextafter(0.001, 1))         // just above → bucket 1
-	h.Observe(0.01)                             // on bound 1 → bucket 1
-	h.Observe(0.1)                              // on bound 2 → bucket 2
-	h.Observe(math.Nextafter(0.1, 1))           // just above last bound → +Inf
-	h.Observe(0)                                // below everything → bucket 0
-	h.Observe(math.Inf(1))                      // +Inf value → +Inf bucket
-	wantCounts := []uint64{2, 2, 1, 2}          // per-bucket, non-cumulative
+	h.Observe(0.001)                    // exactly on bound 0 → bucket 0
+	h.Observe(math.Nextafter(0.001, 1)) // just above → bucket 1
+	h.Observe(0.01)                     // on bound 1 → bucket 1
+	h.Observe(0.1)                      // on bound 2 → bucket 2
+	h.Observe(math.Nextafter(0.1, 1))   // just above last bound → +Inf
+	h.Observe(0)                        // below everything → bucket 0
+	h.Observe(math.Inf(1))              // +Inf value → +Inf bucket
+	wantCounts := []uint64{2, 2, 1, 2}  // per-bucket, non-cumulative
 	snap := h.Snapshot()
 	for i, want := range wantCounts {
 		if snap.Counts[i] != want {
@@ -285,9 +285,9 @@ func TestTraceRing(t *testing.T) {
 // omission via the accumulated durations.
 func TestSpanTake(t *testing.T) {
 	s := BeginSpan()
-	s.Observe(PhaseCompute, 2e6)  // 2ms
-	s.Observe(PhasePersist, 5e5)  // 0.5ms
-	s.Observe(PhasePersist, 5e5)  // accumulates → 1ms
+	s.Observe(PhaseCompute, 2e6) // 2ms
+	s.Observe(PhasePersist, 5e5) // 0.5ms
+	s.Observe(PhasePersist, 5e5) // accumulates → 1ms
 	tr := s.Take("key123", "compute")
 	EndSpan(s)
 	if tr.Key != "key123" || tr.Source != "compute" {

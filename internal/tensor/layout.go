@@ -87,6 +87,22 @@ func Transpose2DCached(t *Tensor, cache *PackCache) *Tensor {
 	return cache.GetOrBuild(key, func() *Tensor { return t.Transpose(1, 0) })
 }
 
+// Transpose2DPooled is t.Transpose(1, 0) of a 2-D tensor into an arena
+// tensor, for a transient the caller Releases once consumed — a dense
+// layer's activation, which is new on every run and so worth recycling and
+// never worth caching (compare NCHWToNHWCPooled).
+func Transpose2DPooled(t *Tensor) *Tensor {
+	m, k := t.Dim(0), t.Dim(1)
+	out := NewPooled(k, m)
+	src, dst := t.data, out.data
+	for i := 0; i < m; i++ {
+		for j, v := range src[i*k : (i+1)*k] {
+			dst[j*m+i] = v
+		}
+	}
+	return out
+}
+
 // KCRSToRSCKCached returns KCRSToRSCK(t), served from the content-keyed
 // pack cache when one is supplied (the MAERI NCHW lowering converts the
 // same kernel once per sweep instead of once per job). Shared, read-only.

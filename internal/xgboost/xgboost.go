@@ -96,7 +96,9 @@ func Train(x [][]float64, y []float64, p Params) (*Model, error) {
 	if p.MinSamples < 2 {
 		p.MinSamples = 2
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
+	// Only row subsampling draws from the generator; it is seeded on first
+	// use, so the default full-row fit never pays for a source.
+	var rng *rand.Rand
 
 	var base float64
 	for _, v := range y {
@@ -135,6 +137,9 @@ func Train(x [][]float64, y []float64, p Params) (*Model, error) {
 		rows := work
 		if p.SubsampleRow > 0 && p.SubsampleRow < 1 {
 			k := int(math.Ceil(p.SubsampleRow * float64(n)))
+			if rng == nil {
+				rng = rand.New(rand.NewSource(p.Seed))
+			}
 			perm := rng.Perm(n)[:k]
 			sort.Ints(perm)
 			rows = work[:k]
