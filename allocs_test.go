@@ -150,7 +150,7 @@ func TestFusedDenseSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestSigmaDenseSteadyStateAllocFree pins SIGMA's fused Dense — memoised
-// row-summary counters, the cached input transpose and the skinny
+// row-summary counters, the pooled input transpose and the skinny
 // sparse-stationary kernel — to 0 allocs/op over pruned weights once the
 // pack cache is warm: no per-run scan buffer, no fresh output.
 func TestSigmaDenseSteadyStateAllocFree(t *testing.T) {

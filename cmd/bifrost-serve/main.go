@@ -150,8 +150,6 @@ func main() {
 		peerTO     = flag.Duration("peer-timeout", 2*time.Minute, "coordinator per-dispatch response-header bound: a peer that has not begun answering within it fails over (dials are bounded separately)")
 		peerProbe  = flag.Duration("peer-probe", 5*time.Second, "coordinator active health-probe interval: each peer's /healthz is probed on this timer, flipping it off/on the ring (0 = probe only via dispatch failures)")
 		replicas   = flag.Int("replicas", 2, "result-replication factor R with -self: each result is written to the first R distinct ring owners (clamped to cluster size)")
-		scrubEvery = flag.Duration("scrub-interval", 10*time.Minute, "background disk-scrub pass interval: re-verify every cached frame's CRC, delete corrupt entries and refill them from replicas (0 = disabled; requires -cache-dir)")
-		rebalRate  = flag.Int("rebalance-rate", 128, "anti-entropy pacing with -self: keys per second streamed to new owners after ring churn")
 	)
 	flag.Parse()
 
@@ -188,8 +186,9 @@ func main() {
 	// before the other cluster members (-self), each behind its own retry
 	// wrapper so a flaky disk or unreachable peer is retried, quarantined
 	// and re-probed without stalling workers. On a worker the replicated
-	// store fans writes to the key's R ring owners, serves reads local-first
-	// with read-repair, and rebalances ownership changes in the background.
+	// store fans writes to the key's R ring owners and reads only the local
+	// tier: every result is a pure function of its key, so a copy this node
+	// lacks is recomputed, never fetched.
 	var local farm.LocalTier
 	if *cacheDir != "" {
 		ds, err := farm.NewDiskStore(*cacheDir, *diskMax)
@@ -209,8 +208,7 @@ func main() {
 				Store: farm.NewRetryStore(farm.NewPeerStore(p.URL), farm.DefaultRetryPolicy()),
 			}
 		}
-		repl = farm.NewReplicatedStore(local, *self, *replicas, members,
-			farm.WithRebalanceRate(*rebalRate))
+		repl = farm.NewReplicatedStore(local, *self, *replicas, members)
 		opts = append(opts, farm.WithDiskStore(repl))
 		log.Printf("replicated result tier: %d peer(s), R=%d, self %q", len(members), *replicas, *self)
 	} else if local != nil {
@@ -224,17 +222,6 @@ func main() {
 		n := fm.Warm()
 		log.Printf("warmed %d cached results into memory", n)
 	}
-	// The scrubber patrols the local disk tier for at-rest corruption;
-	// with replication it refills what it deletes from the key's replicas.
-	var scrubber *farm.Scrubber
-	if *scrubEvery > 0 && local != nil {
-		var repair func(key string) (farm.Result, bool)
-		if repl != nil {
-			repair = repl.GetRemote
-		}
-		scrubber = farm.NewScrubber(local, *scrubEvery, repair)
-		log.Printf("disk scrubber: one pass every %s", *scrubEvery)
-	}
 	if *sweepDir == "" && *cacheDir != "" {
 		*sweepDir = *cacheDir + "/sweeps"
 	}
@@ -247,9 +234,6 @@ func main() {
 	}
 	if repl != nil {
 		sopts = append(sopts, serve.WithReplicatedStore(repl))
-	}
-	if scrubber != nil {
-		sopts = append(sopts, serve.WithScrubber(scrubber))
 	}
 	if *sweepDir != "" {
 		log.Printf("resumable-sweep journals at %s", *sweepDir)
@@ -309,9 +293,6 @@ func main() {
 
 	drain := func() {
 		api.BeginDrain() // idempotent: already set when POST /drain led here
-		if scrubber != nil {
-			scrubber.Stop() // a scrub pass must not race the tier teardown
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 		defer cancel()
 		if err := fm.Shutdown(ctx); err != nil {
@@ -326,9 +307,6 @@ func main() {
 
 	select {
 	case err := <-done:
-		if scrubber != nil {
-			scrubber.Stop()
-		}
 		api.Close()
 		fm.Close()
 		if err != nil {

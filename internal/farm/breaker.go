@@ -24,12 +24,6 @@ type Breaker struct {
 	now  func() time.Time
 	rand func() float64
 
-	// onChange, when set (before any traffic), is called after every
-	// open/close transition, outside the breaker's lock. It carries no
-	// state: racing transitions may deliver out of order, so a subscriber
-	// reads Open itself.
-	onChange func()
-
 	mu        sync.Mutex
 	failures  int       // consecutive failed operations
 	open      bool      // open = quarantined
@@ -74,36 +68,28 @@ func (b *Breaker) Admit() bool {
 // closing the breaker and resetting the failure streak.
 func (b *Breaker) Success() {
 	b.mu.Lock()
-	closed := b.open
 	b.failures = 0
 	b.open = false
 	b.mu.Unlock()
-	if closed && b.onChange != nil {
-		b.onChange()
-	}
 }
 
 // Failure records a failed operation, tripping the breaker once the streak
 // reaches the threshold; a failed probe re-arms the probe timer.
 func (b *Breaker) Failure() {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.failures++
-	tripped := b.failures >= b.tripAfter && !b.open
-	if tripped {
+	if b.failures >= b.tripAfter && !b.open {
 		b.open = true
 		b.trips++
 	}
 	if b.open {
 		b.nextProbe = b.now().Add(b.jittered(b.probeEvery))
 	}
-	b.mu.Unlock()
-	if tripped && b.onChange != nil {
-		b.onChange()
-	}
 }
 
 // Open reports whether the breaker is open — a reading for gauges and
-// health snapshots, never a traffic gate: only Admit lets the probe through
+// readiness, never a traffic gate: only Admit lets the probe through
 // that can close it again.
 func (b *Breaker) Open() bool {
 	b.mu.Lock()

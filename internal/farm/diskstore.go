@@ -335,17 +335,16 @@ func (ds *DiskStore) Entries(newest int, newestBytes int64, fn func(key string, 
 	}
 }
 
-// diskFile is one stored entry's directory metadata, shared by the
-// Entries/Keys iterators.
+// diskFile is one stored entry's directory metadata, as Entries lists it.
 type diskFile struct {
 	name  string
 	size  int64
 	mtime time.Time
 }
 
-// listFiles snapshots the store's entry files sorted oldest-mtime first —
-// the shared listing step behind Entries and Keys. Temp files and anything
-// that is not a well-formed key name are skipped.
+// listFiles snapshots the store's entry files sorted oldest-mtime first, for
+// Entries. Temp files and anything that is not a well-formed key name are
+// skipped.
 func (ds *DiskStore) listFiles() []diskFile {
 	ents, err := os.ReadDir(ds.dir)
 	if err != nil {
@@ -364,74 +363,6 @@ func (ds *DiskStore) listFiles() []diskFile {
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
 	return files
-}
-
-// Keys streams the store's entry keys, oldest mtime first, stopping early
-// if fn returns false. It reads only the directory — no file contents, no
-// decode, no stats — so iterating a large store to compute ownership
-// changes (the rebalancer) or schedule scrub passes costs one readdir.
-// Names are a point-in-time snapshot: entries may vanish (eviction,
-// corruption reaping) before fn sees them, so consumers must tolerate a
-// subsequent miss.
-func (ds *DiskStore) Keys(fn func(key string) bool) {
-	for _, f := range ds.listFiles() {
-		if !fn(f.name) {
-			return
-		}
-	}
-}
-
-// Peek reads and decodes one entry without touching recency or hit/miss
-// accounting — the read primitive for the rebalancer, which streams
-// locally-held entries to new owners and must not promote them in the LRU
-// or skew the store's lookup statistics. A corrupt entry reads as a plain
-// miss and is left for Get/Scrub to reap.
-func (ds *DiskStore) Peek(key string) (Result, bool) {
-	if !validKey(key) {
-		return Result{}, false
-	}
-	b, err := os.ReadFile(ds.path(key))
-	if err != nil {
-		return Result{}, false
-	}
-	res, err := decodeResult(b)
-	if err != nil {
-		return Result{}, false
-	}
-	return res, true
-}
-
-// ScrubOutcome is the result of re-verifying one stored entry's frame.
-type ScrubOutcome int
-
-const (
-	// ScrubOK: the entry read back and its CRC frame verified.
-	ScrubOK ScrubOutcome = iota
-	// ScrubMissing: no entry under this key (evicted or never stored).
-	ScrubMissing
-	// ScrubCorrupt: the frame failed verification; the entry was deleted
-	// and counted so a replica repair (or recompute) gets a clean slot.
-	ScrubCorrupt
-)
-
-// Scrub re-verifies one entry's CRC frame in place. Unlike Get it does not
-// refresh recency (a background integrity pass must not look like traffic
-// to the LRU) and does not count a hit or miss; like Get, a damaged frame
-// is deleted and counted as Corrupt so the slot is clean for repair.
-func (ds *DiskStore) Scrub(key string) ScrubOutcome {
-	if !validKey(key) {
-		return ScrubMissing
-	}
-	b, err := os.ReadFile(ds.path(key))
-	if err != nil {
-		return ScrubMissing
-	}
-	if _, err := decodeResult(b); err != nil {
-		ds.remove(key)
-		ds.count(func(s *StoreStats) { s.Corrupt++ })
-		return ScrubCorrupt
-	}
-	return ScrubOK
 }
 
 func (ds *DiskStore) count(f func(*StoreStats)) {

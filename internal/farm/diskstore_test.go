@@ -88,80 +88,105 @@ func TestDiskStoreSkipsCorruptEntries(t *testing.T) {
 
 // TestFarmRecoversFromDiskCorruption runs the corruption scenario through a
 // whole farm: a damaged disk entry must be recomputed transparently and the
-// rewritten file must serve the next cold farm.
+// rewritten file must serve the next cold farm. On a replicated node the
+// answer is the same — a result is a pure function of its key, so the
+// corrupt frame is recomputed, not fetched from the replica that still
+// holds a good copy.
 func TestFarmRecoversFromDiskCorruption(t *testing.T) {
-	dir := t.TempDir()
 	job := convJob()
 	key, err := job.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, tc := range []struct {
+		name string
+		peer *scriptedStore // a replica member holding a good copy; nil = bare DiskStore
+	}{
+		{name: "disk"},
+		{name: "replicated", peer: newScriptedStore()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			open := func() (*DiskStore, Store) {
+				t.Helper()
+				ds, err := NewDiskStore(dir, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.peer == nil {
+					return ds, ds
+				}
+				return ds, NewReplicatedStore(ds, "self", 2, []ReplicaMember{{Name: "peer", Store: tc.peer}})
+			}
 
-	ds, err := NewDiskStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := New(1, WithDiskStore(ds))
-	want, err := warm.Do(job)
-	warm.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+			ds, tier := open()
+			warm := New(1, WithDiskStore(tier))
+			want, err := warm.Do(job)
+			warm.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.peer != nil {
+				if _, puts := tc.peer.counts(); puts != 1 {
+					t.Fatalf("replica received %d writes, want 1", puts)
+				}
+			}
 
-	// Bit-flip the persisted entry between processes.
-	path := filepath.Join(ds.Dir(), key)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/2] ^= 0x10
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			// Bit-flip the persisted entry between processes.
+			path := filepath.Join(ds.Dir(), key)
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[len(b)/2] ^= 0x10
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	ds2, err := NewDiskStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := New(1, WithDiskStore(ds2))
-	got, err := cold.Do(job)
-	if err != nil {
-		t.Fatalf("corruption surfaced to the caller: %v", err)
-	}
-	if got.Hit {
-		t.Fatal("corrupt entry was served as a cache hit")
-	}
-	if got.Stats != want.Stats {
-		t.Fatalf("recomputed stats diverged: %+v vs %+v", got.Stats, want.Stats)
-	}
-	st := cold.Stats()
-	if st.Disk == nil || st.Disk.Corrupt != 1 {
-		t.Fatalf("corruption not recorded: %+v", st.Disk)
-	}
-	if st.Misses != 1 || st.Completed != 1 {
-		t.Fatalf("expected exactly one recomputation: %+v", st)
-	}
-	cold.Close()
+			_, tier = open()
+			cold := New(1, WithDiskStore(tier))
+			got, err := cold.Do(job)
+			if err != nil {
+				t.Fatalf("corruption surfaced to the caller: %v", err)
+			}
+			if got.Hit {
+				t.Fatal("corrupt entry was served as a cache hit")
+			}
+			if got.Stats != want.Stats {
+				t.Fatalf("recomputed stats diverged: %+v vs %+v", got.Stats, want.Stats)
+			}
+			st := cold.Stats()
+			if st.Disk == nil || st.Disk.Corrupt != 1 {
+				t.Fatalf("corruption not recorded: %+v", st.Disk)
+			}
+			if st.Misses != 1 || st.Completed != 1 {
+				t.Fatalf("expected exactly one recomputation: %+v", st)
+			}
+			cold.Close()
+			if tc.peer != nil {
+				if gets, _ := tc.peer.counts(); gets != 0 {
+					t.Fatalf("replica was read %d times, want 0: a corrupt frame is recomputed", gets)
+				}
+			}
 
-	// Third process: the rewrite must have healed the directory.
-	ds3, err := NewDiskStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	healed := New(1, WithDiskStore(ds3))
-	defer healed.Close()
-	res, err := healed.Do(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Hit || res.Stats != want.Stats {
-		t.Fatalf("healed entry not served byte-identically: hit=%v stats=%+v", res.Hit, res.Stats)
-	}
-	if st := healed.Stats(); st.DiskHits != 1 || st.Misses != 0 {
-		t.Fatalf("healed replay stats: %+v", st)
-	}
-	if len(diskKeys(t, ds3)) != 1 {
-		t.Fatalf("directory not clean: %v", diskKeys(t, ds3))
+			// Third process: the rewrite must have healed the directory.
+			ds3, tier := open()
+			healed := New(1, WithDiskStore(tier))
+			defer healed.Close()
+			res, err := healed.Do(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Hit || res.Stats != want.Stats {
+				t.Fatalf("healed entry not served byte-identically: hit=%v stats=%+v", res.Hit, res.Stats)
+			}
+			if st := healed.Stats(); st.DiskHits != 1 || st.Misses != 0 {
+				t.Fatalf("healed replay stats: %+v", st)
+			}
+			if len(diskKeys(t, ds3)) != 1 {
+				t.Fatalf("directory not clean: %v", diskKeys(t, ds3))
+			}
+		})
 	}
 }
 

@@ -1,8 +1,6 @@
 package farm
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -72,47 +70,40 @@ func TestReplicatedRingPutFansOutToOwners(t *testing.T) {
 	}
 }
 
-// TestReplicatedRingReadRepair pins the quorum-free read path: a hit served
-// by a later-ordered owner heals the local tier and every earlier owner
-// that cleanly missed, asynchronously.
-func TestReplicatedRingReadRepair(t *testing.T) {
+// TestReplicatedGetReadsLocalTierOnly pins the read path: replicas are
+// written, never read back. A key that both of its remote owners hold but
+// the local tier lacks is a miss (the farm recomputes it), and no member is
+// asked for it; a key in the local tier hits.
+func TestReplicatedGetReadsLocalTierOnly(t *testing.T) {
 	rs, local, peers, ring := replicaFixture(t, 2)
 
-	// Find a key owned by two remote members — seed only the second owner,
-	// so the read must fail over past a clean miss before it hits.
-	var key, first, second string
+	var key string
 	for i := 0; i < 4096; i++ {
 		owners := ring.Owners(storeKey(i), 2)
 		if owners[0] != "self" && owners[1] != "self" {
-			key, first, second = storeKey(i), owners[0], owners[1]
+			key = storeKey(i)
+			for _, o := range owners {
+				peers[o].PutErr(key, fakeResult(7, 4))
+			}
 			break
 		}
 	}
 	if key == "" {
 		t.Fatal("no key with two remote owners in 4096 candidates")
 	}
-	want := fakeResult(7, 4)
-	peers[second].Put(key, want)
-
-	res, ok := rs.Get(key)
-	if !ok || res.Stats != want.Stats {
-		t.Fatalf("read did not fail over to owner %s: ok=%v", second, ok)
-	}
-	rs.Flush()
-
-	if _, ok := local.Get(key); !ok {
-		t.Error("read-repair did not heal the local tier")
-	}
-	if _, ok := peers[first].Get(key); !ok {
-		t.Errorf("read-repair did not heal earlier owner %s", first)
-	}
-	if st := rs.ReplicaStats(); st.Repairs < 2 {
-		t.Errorf("repairs counter %d, want >= 2", st.Repairs)
+	if _, ok := rs.Get(key); ok {
+		t.Fatal("Get served a key the local tier does not hold")
 	}
 
-	// A total miss stays a miss: the farm recomputes, Get must not invent.
-	if _, ok := rs.Get(storeKey(9999)); ok {
-		t.Error("Get invented a result for a key no replica holds")
+	want := fakeResult(8, 4)
+	local.PutErr(storeKey(9999), want)
+	if res, ok := rs.Get(storeKey(9999)); !ok || res.Stats != want.Stats {
+		t.Fatalf("local-tier key: ok=%v, want a hit", ok)
+	}
+	for name, p := range peers {
+		if gets, _ := p.counts(); gets != 0 {
+			t.Errorf("member %s was read %d times, want 0", name, gets)
+		}
 	}
 }
 
@@ -143,74 +134,10 @@ func TestReplicatedRingDegraded(t *testing.T) {
 	}
 }
 
-// TestReplicatedRingRebalanceOnChurn pins anti-entropy: when a member
-// rejoins the ring, every locally-held key whose ownership set gained the
-// member is streamed to it — a replaced disk repopulates from its peers
-// without a recompute.
-func TestReplicatedRingRebalanceOnChurn(t *testing.T) {
-	ds, err := NewDiskStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := newScriptedStore(), newScriptedStore()
-	rs := NewReplicatedStore(ds, "self", 2,
-		[]ReplicaMember{{Name: "a", Store: a}, {Name: "b", Store: b}},
-		WithRebalanceRate(1<<20))
-	defer rs.Close()
-
-	// b is down while the sweep runs: every result lands on self and a only.
-	rs.SetMemberActive("b", false)
-	const n = 48
-	for i := 0; i < n; i++ {
-		rs.Put(storeKey(i), fakeResult(i, 4))
-	}
-	if _, ok := b.Get(storeKey(0)); ok {
-		t.Fatal("inactive member received a replica write")
-	}
-
-	// b rejoins: the churn transition must stream it the keys it now owns.
-	rs.SetMemberActive("b", true)
-	full := NewRing(0)
-	for _, name := range []string{"self", "a", "b"} {
-		full.Add(name)
-	}
-	var expect []string
-	for i := 0; i < n; i++ {
-		for _, o := range full.Owners(storeKey(i), 2) {
-			if o == "b" {
-				expect = append(expect, storeKey(i))
-			}
-		}
-	}
-	if len(expect) == 0 {
-		t.Fatal("degenerate fixture: b owns no keys")
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		missing := 0
-		for _, key := range expect {
-			if _, ok := b.Get(key); !ok {
-				missing++
-			}
-		}
-		if missing == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rebalance stalled: %d of %d owed keys never reached b", missing, len(expect))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if st := rs.ReplicaStats(); st.Rebalanced < int64(len(expect)) {
-		t.Errorf("rebalanced counter %d, want >= %d", st.Rebalanced, len(expect))
-	}
-}
-
 // TestReplicatedBreakerReclosesAndRejoins pins "rejoin on recovery": a
 // member whose breaker tripped keeps being offered one real operation per
 // probe interval (the gate is Admit, never "is it open"), the first probe
-// that succeeds closes the breaker, the transition starts a rebalance that
-// streams the member the keys it missed, and later writes land on it again.
+// that succeeds closes the breaker, and later writes land on it again.
 func TestReplicatedBreakerReclosesAndRejoins(t *testing.T) {
 	ds, err := NewDiskStore(t.TempDir(), 0)
 	if err != nil {
@@ -221,8 +148,7 @@ func TestReplicatedBreakerReclosesAndRejoins(t *testing.T) {
 	member := NewRetryStore(peer, policy)
 	now := time.Unix(1000, 0)
 	member.breaker.now = func() time.Time { return now }
-	rs := NewReplicatedStore(ds, "self", 2, []ReplicaMember{{Name: "peer", Store: member}},
-		WithRebalanceRate(1<<20))
+	rs := NewReplicatedStore(ds, "self", 2, []ReplicaMember{{Name: "peer", Store: member}})
 	defer rs.Close()
 
 	// One failed Put trips the breaker; the peer heals straight away.
@@ -232,12 +158,11 @@ func TestReplicatedBreakerReclosesAndRejoins(t *testing.T) {
 		t.Fatalf("after the failed put: %+v, want 0 healthy, 1 failure, degraded", st)
 	}
 
-	// traffic keeps reading and writing through the store, as a farm would.
+	// traffic keeps writing through the store, as a farm would.
 	next := 1
 	traffic := func(n int) {
 		for i := 0; i < n; i++ {
 			rs.Put(storeKey(next), fakeResult(next, 4))
-			rs.Get(storeKey(1_000_000 + next)) // a miss everywhere: reaches the owner walk
 			next++
 		}
 	}
@@ -267,20 +192,6 @@ func TestReplicatedBreakerReclosesAndRejoins(t *testing.T) {
 		t.Fatalf("member never rejoined after a successful probe: %+v", st)
 	}
 
-	// The close transition started a rebalance (synchronously, from the
-	// probe's own goroutine): every key written during the outage reaches
-	// the member without a single new Put.
-	rs.rebalWG.Wait()
-	missed := next - 1 // keys 0..next-2 were written while the member was out
-	for i := 0; i < missed; i++ {
-		if _, ok := peer.Get(storeKey(i)); !ok {
-			t.Errorf("rebalance never streamed key %d to the recovered member", i)
-		}
-	}
-	if st := rs.ReplicaStats(); st.Rebalanced < int64(missed) {
-		t.Errorf("rebalanced counter %d, want >= %d", st.Rebalanced, missed)
-	}
-
 	// Normal service: later writes land on the member directly.
 	writes := rs.ReplicaStats().Writes
 	rs.Put(storeKey(next), fakeResult(next, 4))
@@ -289,69 +200,5 @@ func TestReplicatedBreakerReclosesAndRejoins(t *testing.T) {
 	}
 	if got := rs.ReplicaStats().Writes; got != writes+1 {
 		t.Errorf("replica writes %d after the post-recovery Put, want %d", got, writes+1)
-	}
-}
-
-// TestChaosScrubRepairsCorruptEntry pins the scrubber: an injected on-disk
-// corruption is found by the CRC re-verification, the damaged frame is
-// deleted, and the slot is refilled byte-identically from a replica.
-func TestChaosScrubRepairsCorruptEntry(t *testing.T) {
-	dir := t.TempDir()
-	ds, err := NewDiskStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peer := newScriptedStore()
-	rs := NewReplicatedStore(ds, "self", 2,
-		[]ReplicaMember{{Name: "peer", Store: peer}})
-	defer rs.Close()
-
-	key := storeKey(1)
-	want := fakeResult(7, 8)
-	rs.Put(key, want) // lands locally and on the replica (R=2 over 2 nodes)
-	if _, ok := peer.Get(key); !ok {
-		t.Fatal("replica never received the frame")
-	}
-
-	// Flip one byte of the stored frame: the next CRC check must fail.
-	path := filepath.Join(dir, DiskFormatVersion, key)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	scr := NewScrubber(ds, 0, rs.GetRemote)
-	defer scr.Stop()
-	if n := scr.RunPass(); n != 1 {
-		t.Fatalf("scrub pass scanned %d entries, want 1", n)
-	}
-	st := scr.Stats()
-	if st.Scanned != 1 || st.Corrupt != 1 || st.Repaired != 1 {
-		t.Fatalf("scrub stats %+v, want 1 scanned, 1 corrupt, 1 repaired", st)
-	}
-
-	got, ok := ds.Peek(key)
-	if !ok {
-		t.Fatal("repaired entry missing from disk")
-	}
-	if got.Stats != want.Stats {
-		t.Fatalf("repaired stats %+v, want %+v", got.Stats, want.Stats)
-	}
-	if len(got.Out.Data()) != len(want.Out.Data()) {
-		t.Fatalf("repaired tensor has %d elements, want %d", len(got.Out.Data()), len(want.Out.Data()))
-	}
-	for i := range want.Out.Data() {
-		if got.Out.Data()[i] != want.Out.Data()[i] {
-			t.Fatalf("repaired tensor diverges at element %d", i)
-		}
-	}
-
-	// A clean second pass: nothing left to repair.
-	if scr.RunPass(); scr.Stats().Corrupt != 1 {
-		t.Fatalf("clean pass found new corruption: %+v", scr.Stats())
 	}
 }

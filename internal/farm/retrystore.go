@@ -189,23 +189,16 @@ func (rs *RetryStore) Stats() StoreStats {
 // Close implements Store, closing the wrapped tier.
 func (rs *RetryStore) Close() error { return rs.inner.Close() }
 
-// tier is the breaker gate in front of the wrapped tier's walkable view:
-// while quarantined it is the empty view, so warming, rebalancing and
-// scrubbing never touch a dying disk. These reads cannot heal the tier, so
-// they look at Open instead of spending a probe slot with Admit.
-func (rs *RetryStore) tier() LocalTier {
-	if rs.breaker.Open() {
-		return noLocalTier{}
+// Entries streams the wrapped tier's entries, behind the breaker: while
+// quarantined it streams nothing, so warming never touches a dying disk. A
+// warm read cannot heal the tier, so it looks at Open instead of spending a
+// probe slot with Admit.
+func (rs *RetryStore) Entries(newest int, newestBytes int64, fn func(key string, res Result) bool) {
+	if !rs.breaker.Open() {
+		rs.inner.Entries(newest, newestBytes, fn)
 	}
-	return rs.inner
 }
 
-// The LocalTier methods: the wrapped tier's, behind the gate.
-func (rs *RetryStore) Entries(newest int, newestBytes int64, fn func(key string, res Result) bool) {
-	rs.tier().Entries(newest, newestBytes, fn)
-}
-func (rs *RetryStore) Keys(fn func(key string) bool)  { rs.tier().Keys(fn) }
-func (rs *RetryStore) Peek(key string) (Result, bool) { return rs.tier().Peek(key) }
-func (rs *RetryStore) Scrub(key string) ScrubOutcome  { return rs.tier().Scrub(key) }
-func (rs *RetryStore) Dir() string                    { return rs.inner.Dir() }
-func (rs *RetryStore) MaxBytes() int64                { return rs.inner.MaxBytes() }
+// Dir and MaxBytes complete the LocalTier view: the wrapped tier's.
+func (rs *RetryStore) Dir() string     { return rs.inner.Dir() }
+func (rs *RetryStore) MaxBytes() int64 { return rs.inner.MaxBytes() }

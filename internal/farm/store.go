@@ -75,32 +75,24 @@ func asFallible(s Store) FallibleStore {
 }
 
 // LocalTier is a node's own persistent tier: a Store whose Get and Put touch
-// this node's storage only, plus what the maintenance paths need from
-// storage they can walk (see *DiskStore, the implementation, for each
-// method's contract): Warm streams Entries, the rebalancer walks Keys and
-// reads with Peek, the scrubber walks Keys and verifies with Scrub, Limits
-// reports Dir and MaxBytes. *RetryStore passes its wrapped tier's through
-// behind the breaker. Consumers resolve it once with asLocalTier, never
-// per call.
+// this node's storage only, plus what the farm needs from storage it can
+// walk (see *DiskStore, the implementation, for each method's contract):
+// Warm streams Entries, Limits reports Dir and MaxBytes. *RetryStore passes
+// its wrapped tier's through behind the breaker. Consumers resolve it once
+// with asLocalTier, never per call.
 type LocalTier interface {
 	Store
 	Entries(newest int, newestBytes int64, fn func(key string, res Result) bool)
-	Keys(fn func(key string) bool)
-	Peek(key string) (Result, bool)
-	Scrub(key string) ScrubOutcome
 	Dir() string
 	MaxBytes() int64
 }
 
 // noLocalTier is the LocalTier view of a Store with no walkable storage (a
 // memory tier, a remote peer, a test double): lookups and writes still
-// reach the store, and there is nothing to list, verify or report.
+// reach the store, and there is nothing to list or report.
 type noLocalTier struct{ Store }
 
 func (noLocalTier) Entries(int, int64, func(string, Result) bool) {}
-func (noLocalTier) Keys(func(string) bool)                        {}
-func (noLocalTier) Peek(string) (Result, bool)                    { return Result{}, false }
-func (noLocalTier) Scrub(string) ScrubOutcome                     { return ScrubMissing }
 func (noLocalTier) Dir() string                                   { return "" }
 func (noLocalTier) MaxBytes() int64                               { return 0 }
 

@@ -186,27 +186,9 @@ func (s *Server) writeFarmMetrics(w io.Writer) {
 		telemetry.WriteSamples(w, "bifrost_replica_failures_total",
 			"Failed remote replica writes.",
 			"counter", one(float64(rp.Failures))...)
-		telemetry.WriteSamples(w, "bifrost_replica_repairs_total",
-			"Replica writes performed by read-repair (a hit healed into tiers that missed).",
-			"counter", one(float64(rp.Repairs))...)
-		telemetry.WriteSamples(w, "bifrost_replica_rebalanced_total",
-			"Keys streamed to new owners by anti-entropy after ring churn.",
-			"counter", one(float64(rp.Rebalanced))...)
 		telemetry.WriteSamples(w, "bifrost_replication_degraded",
 			"1 while fewer than R replica owners are reachable.",
 			"gauge", one(bit01(rp.Degraded))...)
-	}
-	if s.scrub != nil {
-		sc := s.scrub.Stats()
-		telemetry.WriteSamples(w, "bifrost_scrub_scanned_total",
-			"Disk entries whose CRC frames the scrubber re-verified.",
-			"counter", one(float64(sc.Scanned))...)
-		telemetry.WriteSamples(w, "bifrost_scrub_corrupt_total",
-			"Entries the scrubber found corrupt and deleted.",
-			"counter", one(float64(sc.Corrupt))...)
-		telemetry.WriteSamples(w, "bifrost_scrub_repaired_total",
-			"Corrupt entries refilled from a replica instead of recomputed.",
-			"counter", one(float64(sc.Repaired))...)
 	}
 
 	pk := st.Pack

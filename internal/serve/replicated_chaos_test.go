@@ -74,8 +74,7 @@ func newReplCluster(t *testing.T, n, replicas int) []*replNode {
 		if err != nil {
 			t.Fatal(err)
 		}
-		repl := farm.NewReplicatedStore(ds, names[i], replicas, members,
-			farm.WithRebalanceRate(1<<20))
+		repl := farm.NewReplicatedStore(ds, names[i], replicas, members)
 		fm := farm.New(2, farm.WithDiskStore(repl))
 		ts := httptest.NewUnstartedServer(NewServer(fm, WithReplicatedStore(repl)))
 		ts.Listener.Close()
@@ -96,7 +95,9 @@ func newReplCluster(t *testing.T, n, replicas int) []*replNode {
 // acceptance: a three-node replicated cluster warms a sweep, loses one node
 // kill -9-style mid-sweep, and the re-run still returns zero error rows and
 // byte-identical output — every row served from a surviving replica, not
-// recomputed.
+// recomputed. No replica is ever read over the wire: the coordinator fails
+// the dead node's rows over to the next ring owner, which wrote its own
+// copy during the warm pass and answers from its local tier.
 func TestChaosThreeNodeKillServedFromReplicas(t *testing.T) {
 	farmtest.NoGoroutineLeak(t)
 	reqs := sweepRequests()
@@ -198,15 +199,16 @@ func TestChaosThreeNodeKillServedFromReplicas(t *testing.T) {
 // end on the smallest cluster that can lose durability: a two-node R=2 pair.
 // Losing the peer trips its replica breaker and /readyz reports
 // replication_degraded; once the peer is back on the same address, ordinary
-// traffic carries the half-open probe that closes the breaker, and /readyz
-// recovers with no restart.
+// traffic — the replica write every fresh result fans out — carries the
+// half-open probe that closes the breaker, and /readyz recovers with no
+// restart.
 func TestChaosReplicaRejoinsAfterPeerRestart(t *testing.T) {
 	farmtest.NoGoroutineLeak(t)
 	nodes := newReplCluster(t, 2, 2)
 	front, peer := nodes[0], nodes[1]
 
 	job := 0
-	simulate := func() { // one fresh job: a replicated Get (miss) and Put on front
+	simulate := func() { // one fresh job: a local miss and a replicated Put on front
 		t.Helper()
 		job++
 		resp, err := http.Post(front.ts.URL+"/simulate", "application/json", strings.NewReader(dryBody(7000+job, "")))

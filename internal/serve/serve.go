@@ -65,8 +65,7 @@ type Server struct {
 	// operands shares the seeded operands of in-flight requests (operands.go).
 	operands *operandRegistry
 
-	repl  *farm.ReplicatedStore
-	scrub *farm.Scrubber
+	repl *farm.ReplicatedStore
 
 	draining  atomic.Bool
 	drainCh   chan struct{}
@@ -111,16 +110,10 @@ func WithTraceRing(r *telemetry.TraceRing) ServerOption { return func(s *Server)
 func WithSweepDir(dir string) ServerOption { return func(s *Server) { s.sweeps.dir = dir } }
 
 // WithReplicatedStore hands the server the farm's replicated result tier so
-// it can surface replication health: the replica/rebalance metric families
-// on /metrics and the replication_degraded readiness reason.
+// it can surface replication health: the replica metric families on
+// /metrics and the replication_degraded readiness reason.
 func WithReplicatedStore(rs *farm.ReplicatedStore) ServerOption {
 	return func(s *Server) { s.repl = rs }
-}
-
-// WithScrubber hands the server the disk scrubber so its counters ride
-// /metrics. Lifecycle stays with the caller (main stops it on drain).
-func WithScrubber(sc *farm.Scrubber) ServerOption {
-	return func(s *Server) { s.scrub = sc }
 }
 
 // NewServer returns an http.Handler serving the bifrost-serve API on the
