@@ -32,10 +32,10 @@ const (
 	codecVersion = 1
 )
 
-// CodecVersion is the result-frame codec version, exported so the peer wire
-// protocol can handshake on it: a peer speaking a different frame encoding
-// must answer miss, never hand over bytes the other side would decode under
-// the wrong rules.
+// CodecVersion is the result-frame codec version, exported for the peer
+// wire protocol's version headers: a receiver speaking a different frame
+// encoding refuses the write with 412, never decodes bytes under the wrong
+// rules.
 const CodecVersion = codecVersion
 
 // EncodeResult serialises a Result into the versioned CRC-framed byte form

@@ -82,8 +82,8 @@ type Farm struct {
 	disk Store
 	// local is the disk tier's node-local view, resolved once in New: the
 	// tier itself, or a ReplicatedStore's own local tier — so Warm, Limits
-	// and the peer wire protocol never reach past this node's storage. nil
-	// without local storage.
+	// and a replica written over the peer wire protocol never reach past
+	// this node's storage. nil without local storage.
 	local    LocalTier
 	inflight map[string]*call
 
@@ -766,24 +766,14 @@ func (f *Farm) SubmitCtx(ctx context.Context, j Job) *Future {
 // memory tier first, then the disk tier, promoting a disk hit into memory
 // exactly like a worker would. It is the sweep journal's replay primitive: a
 // lookup must never trigger a simulation.
-func (f *Farm) CacheGet(key string) (Result, bool) { return f.cacheGet(key, f.disk) }
-
-// cacheGetLocal and cachePutLocal read and write this node's own tiers only
-// (memory, then the local tier) — the two halves of the peer wire protocol
-// PeerHandler serves. A peer's GET answered from a third replica would
-// bounce lookups around the ring, and a peer's PUT fanned back out would
-// cascade one logical write into N² replica writes.
-func (f *Farm) cacheGetLocal(key string) (Result, bool) { return f.cacheGet(key, f.local) }
-func (f *Farm) cachePutLocal(key string, res Result)    { f.cachePut(key, res, f.local) }
-
-func (f *Farm) cacheGet(key string, tier Store) (Result, bool) {
+func (f *Farm) CacheGet(key string) (Result, bool) {
 	if res, ok := f.mem.Get(key); ok {
 		return res, true
 	}
-	if tier == nil {
+	if f.disk == nil {
 		return Result{}, false
 	}
-	res, ok := tier.Get(key)
+	res, ok := f.disk.Get(key)
 	if ok {
 		f.cmu.Lock()
 		f.mem.Put(key, res)
@@ -792,12 +782,15 @@ func (f *Farm) cacheGet(key string, tier Store) (Result, bool) {
 	return res, ok
 }
 
-func (f *Farm) cachePut(key string, res Result, tier Store) {
+// cachePutLocal stores a replica PeerHandler received in this node's own
+// tiers only (memory, then the local tier): fanning it back out would
+// cascade one logical write into N² replica writes.
+func (f *Farm) cachePutLocal(key string, res Result) {
 	f.cmu.Lock()
 	f.mem.Put(key, res)
 	f.cmu.Unlock()
-	if tier != nil {
-		tier.Put(key, res)
+	if f.local != nil {
+		f.local.Put(key, res)
 	}
 }
 

@@ -15,14 +15,14 @@ import (
 
 // FaultTransport injects network faults at the http.RoundTripper level —
 // beneath the peer store, above the real transport — so the chaos suites
-// exercise exactly what a flaky network does to the peer wire protocol:
-// requests that never arrive, responses corrupted in flight, and latency
+// exercise exactly what a flaky network does to the write-only peer wire:
+// requests that never arrive, frames corrupted in flight, and latency
 // spikes. Same policy shape and seeded-PRNG determinism as FaultStore.
 //
 // An ErrRate draw fails the round trip with ErrInjected (the peer never
-// hears the request). A CorruptRate draw lets the exchange happen but flips
-// a byte in the response body — which the result frame's CRC must catch,
-// turning the damage into a clean miss, never wrong bytes.
+// hears the request). A CorruptRate draw flips a byte in the request body
+// and lets the exchange happen — the receiver's CRC check must refuse the
+// frame with 422, never store wrong bytes.
 type FaultTransport struct {
 	inner http.RoundTripper
 
@@ -55,8 +55,8 @@ func (ft *FaultTransport) SetPolicy(p FaultPolicy) {
 	ft.mu.Unlock()
 }
 
-// Injected reports how many round trips failed and how many responses were
-// corrupted in flight.
+// Injected reports how many round trips failed and how many request bodies
+// were corrupted in flight.
 func (ft *FaultTransport) Injected() (failed, corrupted int64) {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
@@ -78,18 +78,20 @@ func (ft *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		time.Sleep(p.Latency)
 	}
 	if fail {
+		if req.Body != nil {
+			req.Body.Close()
+		}
 		return nil, ErrInjected
 	}
-	resp, err := ft.inner.RoundTrip(req)
-	if err != nil || !corrupt {
-		return resp, err
+	if !corrupt || req.Body == nil {
+		return ft.inner.RoundTrip(req)
 	}
-	// Corrupt the response in flight: read the body, flip one byte
-	// somewhere past the frame header, hand back the damaged copy.
-	body, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if rerr != nil {
-		return nil, rerr
+	// Corrupt the request in flight: read the body, flip one byte in the
+	// middle (inside a frame's CRC-covered payload), send the damaged copy.
+	body, err := io.ReadAll(req.Body)
+	req.Body.Close()
+	if err != nil {
+		return nil, err
 	}
 	if len(body) > 20 {
 		body[len(body)/2] ^= 0x20
@@ -97,20 +99,25 @@ func (ft *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		ft.corrupted++
 		ft.mu.Unlock()
 	}
-	resp.Body = io.NopCloser(bytes.NewReader(body))
-	resp.ContentLength = int64(len(body))
-	return resp, nil
+	req = req.Clone(req.Context())
+	req.Body, req.GetBody = io.NopCloser(bytes.NewReader(body)), nil
+	req.ContentLength = int64(len(body))
+	return ft.inner.RoundTrip(req)
 }
 
 // AssertPeerFaultTolerant proves the distributed analogue of
-// AssertFaultTolerant: a remote peer tier misbehaving at the network level
-// costs retries, quarantine and local recomputation — never wrong bytes.
+// AssertFaultTolerant: a replica peer misbehaving at the network level
+// costs retries, quarantine and dropped replicas — never wrong bytes, in
+// the results or in the peer's cache.
 //
-// It stands up a healthy backing farm behind farm.PeerHandler, mounts it as
-// a remote tier (PeerStore → RetryStore, as a coordinator deploys it) under
-// a farm whose network misbehaves per policy, runs the standard job table
-// twice, and asserts both passes byte-identical to fresh inline execution.
-// With a total outage it additionally asserts the breaker tripped.
+// It deploys the peer the way bifrost-serve does: a PeerStore behind
+// NewRetryStore, as the one remote member of a ReplicatedStore at R = 2, so
+// every result the farm computes is written to it over a network that
+// misbehaves per policy. It runs the standard job table twice, asserts both
+// passes byte-identical to fresh inline execution, and asserts the backing
+// peer holds no entry that differs from fresh. A corrupt frame must be
+// refused by the receiver's CRC check; a total outage must trip the
+// member's breaker.
 func AssertPeerFaultTolerant(tb testing.TB, policy FaultPolicy) {
 	tb.Helper()
 	jobs := Jobs()
@@ -122,11 +129,16 @@ func AssertPeerFaultTolerant(tb testing.TB, policy FaultPolicy) {
 	defer srv.Close()
 
 	ft := NewFaultTransport(nil, policy)
-	ps := farm.NewPeerStore(srv.URL, farm.WithPeerHTTPClient(&http.Client{
+	member := farm.NewRetryStore(farm.NewPeerStore(srv.URL, farm.WithPeerHTTPClient(&http.Client{
 		Transport: ft,
 		Timeout:   10 * time.Second,
-	}))
-	fm := farm.New(4, farm.WithDiskStore(farm.NewRetryStore(ps, TestRetryPolicy())))
+	})), TestRetryPolicy())
+	ds, err := farm.NewDiskStore(tb.TempDir(), 0)
+	if err != nil {
+		tb.Fatalf("opening disk store: %v", err)
+	}
+	repl := farm.NewReplicatedStore(ds, "self", 2, []farm.ReplicaMember{{Name: "peer", Store: member}})
+	fm := farm.New(4, farm.WithDiskStore(repl))
 	defer fm.Close()
 
 	first, err := fm.DoBatch(jobs)
@@ -141,29 +153,36 @@ func AssertPeerFaultTolerant(tb testing.TB, policy FaultPolicy) {
 	}
 	AssertSameResults(tb, "peer-faulted second pass vs fresh", want, second)
 
-	st := fm.Stats()
-	if st.Disk == nil {
-		tb.Fatalf("farm lost its remote tier stats: %+v", st)
+	st := member.Stats()
+	failed, corrupted := ft.Injected()
+	if policy.ErrRate > 0 && failed == 0 {
+		tb.Errorf("policy %+v injected no network faults over %d jobs", policy, len(jobs))
 	}
-	if failed, _ := ft.Injected(); policy.ErrRate > 0 && failed == 0 {
-		tb.Errorf("policy %+v injected no network faults over %d jobs", policy, 2*len(jobs))
+	// Only a pure-corruption policy reliably reaches the receiver: when
+	// errors are mixed in, the breaker may quarantine the member before any
+	// write rolls corrupt.
+	if policy.CorruptRate > 0 && policy.ErrRate == 0 && (corrupted == 0 || st.Corrupt != corrupted) {
+		tb.Errorf("policy %+v corrupted %d frames, the receiver refused %d", policy, corrupted, st.Corrupt)
 	}
-	if policy.ErrRate >= 1 && st.Disk.Trips == 0 {
-		tb.Errorf("total network outage never tripped the breaker: %+v", st.Disk)
+	if policy.ErrRate >= 1 && st.Trips == 0 {
+		tb.Errorf("total network outage never tripped the member's breaker: %+v", st)
 	}
 	// Whatever the network did, the backing peer must never have been
-	// poisoned: its cache still answers the sweep byte-identically.
-	if policy.ErrRate < 1 {
-		for i, j := range jobs {
-			key, err := j.Key()
-			if err != nil {
-				tb.Fatalf("job %d key: %v", i, err)
-			}
-			if res, ok := backing.CacheGet(key); ok {
-				if err := DiffResults(want[i], res); err != nil {
-					tb.Errorf("backing peer's entry for job %d diverged: %v", i, err)
-				}
+	// poisoned: every entry it holds is byte-identical to fresh.
+	held := 0
+	for i, j := range jobs {
+		key, err := j.Key()
+		if err != nil {
+			tb.Fatalf("job %d key: %v", i, err)
+		}
+		if res, ok := backing.CacheGet(key); ok {
+			held++
+			if err := DiffResults(want[i], res); err != nil {
+				tb.Errorf("backing peer's entry for job %d diverged: %v", i, err)
 			}
 		}
+	}
+	if int64(held) != st.Puts {
+		tb.Errorf("backing peer holds %d entries, the member reports %d successful writes", held, st.Puts)
 	}
 }

@@ -16,9 +16,9 @@ import (
 const keyVersion = "bifrost/farm/v1"
 
 // KeyVersion is the key-derivation version, exported for the peer wire
-// protocol's handshake: nodes deriving keys under different rules would
-// look up (and replicate) results under keys the other side never writes,
-// so a mismatch downgrades a peer to always-miss instead.
+// protocol's version headers: a node deriving keys under different rules
+// would file replicas under keys the receiver never looks up, so the
+// receiver refuses a mismatched write with 412 instead.
 const KeyVersion = keyVersion
 
 // Key returns the content-addressed cache key of a job: a hex-encoded

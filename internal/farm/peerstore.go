@@ -3,7 +3,6 @@ package farm
 import (
 	"bytes"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,28 +12,20 @@ import (
 	"time"
 )
 
-// The peer wire protocol makes one node's result cache readable and
-// writable by another, speaking the exact versioned frame format the disk
-// tier persists (codec.go) under the exact content-addressed keys the farm
-// derives (key.go):
+// The peer wire protocol lets one node write a replica into another node's
+// result cache, in the exact versioned frame format the disk tier persists
+// (codec.go) under the exact content-addressed keys the farm derives
+// (key.go). It is write-only: every result is a pure function of its key,
+// so a node that lacks a copy recomputes it and never reads a replica back.
 //
-//	GET /peer/codec          → 200, JSON PeerCodecInfo (the handshake)
-//	GET /peer/result/{key}   → 200 octet-stream frame | 404 miss | 412 version skew
 //	PUT /peer/result/{key}   → 204 stored | 412 version skew | 422 bad frame
 //
-// Every result exchange carries the sender's codec and key versions in
-// headers; either side that sees a mismatch refuses the exchange with 412
-// rather than decode bytes under the wrong rules or file results under keys
-// the other side never derives. The client (PeerStore) additionally
-// handshakes via /peer/codec before its first exchange and downgrades a
-// mismatched peer to always-miss — version skew during a rolling upgrade
-// degrades throughput, never correctness.
-
-// PeerCodecInfo is the handshake payload: the versions a node speaks.
-type PeerCodecInfo struct {
-	CodecVersion int    `json:"codec_version"`
-	KeyVersion   string `json:"key_version"`
-}
+// Every PUT carries the sender's codec and key versions in headers, and the
+// receiver refuses with 412 a PUT whose headers are missing or differ from
+// its own, rather than decode bytes under the wrong rules or file results
+// under keys it never derives. The sender treats a 412 as a dropped write,
+// not a fault: version skew during a rolling upgrade costs replicas, never
+// correctness.
 
 const (
 	peerCodecHeader = "X-Bifrost-Codec"
@@ -46,29 +37,9 @@ const (
 	peerMaxFrameBytes = 256 << 20
 )
 
-// setPeerVersionHeaders stamps a message with the local protocol versions.
-func setPeerVersionHeaders(h http.Header) {
-	h.Set(peerCodecHeader, strconv.Itoa(CodecVersion))
-	h.Set(peerKeyHeader, KeyVersion)
-}
-
-// peerVersionsMatch reports whether a message's version headers agree with
-// the local ones. Absent headers count as a match: the handshake endpoint
-// is the authoritative check, the headers are a per-exchange tripwire for
-// peers that restarted with a new version mid-conversation.
-func peerVersionsMatch(h http.Header) bool {
-	if v := h.Get(peerCodecHeader); v != "" && v != strconv.Itoa(CodecVersion) {
-		return false
-	}
-	if v := h.Get(peerKeyHeader); v != "" && v != KeyVersion {
-		return false
-	}
-	return true
-}
-
 // isResultKey reports whether key has the shape Job.Key() produces: 64
 // lowercase hex characters. The handler rejects anything else before it
-// touches the cache, so a peer cannot probe with arbitrary strings.
+// touches the cache, so a peer cannot write under arbitrary strings.
 func isResultKey(key string) bool {
 	if len(key) != 64 {
 		return false
@@ -77,48 +48,16 @@ func isResultKey(key string) bool {
 	return err == nil && strings.ToLower(key) == key
 }
 
-// PeerHandler serves the peer wire protocol over f's result cache. It is an
-// http.Handler with its own routing for the /peer/ endpoints; the serve
-// layer mounts it on the main mux, and tests mount it directly on an
-// httptest server. Lookups and stores are confined to this node's own
-// tiers (memory plus the disk tier's local half): a peer asking "do you
-// have this" must never trigger a further peer lookup from here, and a
-// replica frame pushed by a peer must never fan back out — either would
-// turn the replication graph into a cycle.
+// PeerHandler serves the peer wire protocol over f's result cache: one
+// route, PUT /peer/result/{key}. The serve layer mounts it on the main mux,
+// and tests mount it directly on an httptest server. A replica frame
+// pushed by a peer is stored in this node's own tiers only (memory plus the
+// disk tier's local half) and never fans back out — that would cascade one
+// logical write into N² replica writes.
 func PeerHandler(f *Farm) http.Handler {
 	mux := http.NewServeMux()
-
-	mux.HandleFunc("GET /peer/codec", func(w http.ResponseWriter, r *http.Request) {
-		setPeerVersionHeaders(w.Header())
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(PeerCodecInfo{CodecVersion: CodecVersion, KeyVersion: KeyVersion})
-	})
-
-	mux.HandleFunc("GET /peer/result/{key}", func(w http.ResponseWriter, r *http.Request) {
-		setPeerVersionHeaders(w.Header())
-		if !peerVersionsMatch(r.Header) {
-			http.Error(w, "peer codec/key version mismatch", http.StatusPreconditionFailed)
-			return
-		}
-		key := r.PathValue("key")
-		if !isResultKey(key) {
-			http.Error(w, "malformed result key", http.StatusBadRequest)
-			return
-		}
-		res, ok := f.cacheGetLocal(key)
-		if !ok {
-			http.Error(w, "miss", http.StatusNotFound)
-			return
-		}
-		frame := EncodeResult(res)
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-		w.Write(frame)
-	})
-
 	mux.HandleFunc("PUT /peer/result/{key}", func(w http.ResponseWriter, r *http.Request) {
-		setPeerVersionHeaders(w.Header())
-		if !peerVersionsMatch(r.Header) {
+		if r.Header.Get(peerCodecHeader) != strconv.Itoa(CodecVersion) || r.Header.Get(peerKeyHeader) != KeyVersion {
 			http.Error(w, "peer codec/key version mismatch", http.StatusPreconditionFailed)
 			return
 		}
@@ -146,36 +85,25 @@ func PeerHandler(f *Farm) http.Handler {
 		f.cachePutLocal(key, res)
 		w.WriteHeader(http.StatusNoContent)
 	})
-
 	return mux
 }
 
-// PeerStore is a remote result-cache tier: a farm.Store whose entries live
-// in another node's cache, reached over the peer wire protocol. It slots
-// anywhere a Store does — a coordinator composes Memory→Peer the way a
-// single node composes Memory→Disk — and implements FallibleStore so
-// NewRetryStore gives an unreachable peer the same treatment as a failing
-// disk: bounded retries, quarantine after a failure streak, half-open
-// probes until it recovers.
+// PeerStore is a replica target: a farm.Store whose Put writes the result
+// into another node's cache over the peer wire protocol. A replica target
+// is never read, so Get and GetErr are clean misses that do no I/O. It
+// implements FallibleStore so NewRetryStore gives an unreachable peer the
+// same treatment as a failing disk: bounded retries, quarantine after a
+// failure streak, half-open probes until it recovers.
 //
-// Failure taxonomy, matching the Store contract:
-//   - network error or 5xx    → GetErr/PutErr error (retry/quarantine food)
-//   - 404                     → clean miss (and proof the peer is healthy)
-//   - corrupt or short frame  → clean miss, counted in Stats().Corrupt
-//   - version skew (412 or a
-//     failed handshake match) → permanent miss until re-handshake; not a
-//     fault, so it never trips the breaker
+// PutErr's failure taxonomy:
+//   - network error or 5xx     → error (retry/quarantine food)
+//   - 422, the peer's CRC check
+//     refused the frame        → error, counted in Stats().Corrupt
+//   - 412, version skew        → dropped write, nil: skew is not a fault,
+//     so it never trips the breaker
 type PeerStore struct {
 	base   string // peer base URL, no trailing slash
 	client *http.Client
-
-	// Handshake state. hsMu is held across the handshake request itself so
-	// concurrent first lookups collapse into one probe.
-	hsMu        sync.Mutex
-	hsKnown     bool
-	hsCompat    bool
-	hsChecked   time.Time
-	recheckSkew time.Duration // how often a mismatched peer is re-probed
 
 	statsMu sync.Mutex
 	stats   StoreStats
@@ -194,82 +122,17 @@ func WithPeerHTTPClient(c *http.Client) PeerStoreOption {
 	}
 }
 
-// WithPeerRecheck sets how often a version-mismatched peer is re-probed via
-// the handshake (default 30s) — long enough that a skewed peer costs ~zero,
-// short enough that finishing its upgrade brings it back without a restart.
-func WithPeerRecheck(d time.Duration) PeerStoreOption {
-	return func(p *PeerStore) {
-		if d > 0 {
-			p.recheckSkew = d
-		}
-	}
-}
-
-// NewPeerStore returns a Store backed by the peer at baseURL (scheme and
-// host, e.g. "http://node2:8080"). The handshake is lazy: the first
-// operation performs it, and until a handshake succeeds compatibly the
-// store answers every lookup with a miss.
+// NewPeerStore returns a Store that writes replicas to the peer at baseURL
+// (scheme and host, e.g. "http://node2:8080").
 func NewPeerStore(baseURL string, opts ...PeerStoreOption) *PeerStore {
 	p := &PeerStore{
-		base:        strings.TrimRight(baseURL, "/"),
-		client:      &http.Client{Timeout: 30 * time.Second},
-		recheckSkew: 30 * time.Second,
+		base:   strings.TrimRight(baseURL, "/"),
+		client: &http.Client{Timeout: 30 * time.Second},
 	}
 	for _, opt := range opts {
 		opt(p)
 	}
 	return p
-}
-
-// URL returns the peer's base URL.
-func (p *PeerStore) URL() string { return p.base }
-
-// handshake ensures the peer's versions are known, re-probing a mismatched
-// peer at most once per recheck interval. It returns whether the peer is
-// compatible; a network failure during the handshake is returned as an
-// error (the peer is unreachable, not incompatible) and leaves the state
-// unknown so the next operation retries.
-func (p *PeerStore) handshake() (bool, error) {
-	p.hsMu.Lock()
-	defer p.hsMu.Unlock()
-	if p.hsKnown {
-		if p.hsCompat {
-			return true, nil
-		}
-		if time.Since(p.hsChecked) < p.recheckSkew {
-			return false, nil
-		}
-	}
-	resp, err := p.client.Get(p.base + "/peer/codec")
-	if err != nil {
-		return false, fmt.Errorf("peer %s: handshake: %w", p.base, err)
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Errorf("peer %s: handshake: HTTP %d", p.base, resp.StatusCode)
-	}
-	var info PeerCodecInfo
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&info); err != nil {
-		return false, fmt.Errorf("peer %s: handshake: %w", p.base, err)
-	}
-	p.hsKnown = true
-	p.hsChecked = time.Now()
-	p.hsCompat = info.CodecVersion == CodecVersion && info.KeyVersion == KeyVersion
-	return p.hsCompat, nil
-}
-
-// markSkewed records a 412 seen mid-conversation: the peer changed versions
-// after a compatible handshake (restart during an upgrade), so it goes back
-// to the mismatched state until the next re-probe.
-func (p *PeerStore) markSkewed() {
-	p.hsMu.Lock()
-	p.hsKnown = true
-	p.hsCompat = false
-	p.hsChecked = time.Now()
-	p.hsMu.Unlock()
 }
 
 func (p *PeerStore) count(f func(*StoreStats)) {
@@ -278,80 +141,23 @@ func (p *PeerStore) count(f func(*StoreStats)) {
 	p.statsMu.Unlock()
 }
 
-// GetErr implements FallibleStore: fetch the frame from the peer and decode
-// it under the shared codec. See the type comment for the failure taxonomy.
-func (p *PeerStore) GetErr(key string) (Result, bool, error) {
-	compat, err := p.handshake()
-	if err != nil {
-		p.count(func(s *StoreStats) { s.Errors++; s.Misses++ })
-		return Result{}, false, err
-	}
-	if !compat {
-		p.count(func(s *StoreStats) { s.Misses++ })
-		return Result{}, false, nil
-	}
-	req, err := http.NewRequest(http.MethodGet, p.base+"/peer/result/"+key, nil)
-	if err != nil {
-		return Result{}, false, err
-	}
-	setPeerVersionHeaders(req.Header)
-	resp, err := p.client.Do(req)
-	if err != nil {
-		p.count(func(s *StoreStats) { s.Errors++; s.Misses++ })
-		return Result{}, false, fmt.Errorf("peer %s: get: %w", p.base, err)
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-	}()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		p.count(func(s *StoreStats) { s.Misses++ })
-		return Result{}, false, nil
-	case http.StatusPreconditionFailed:
-		p.markSkewed()
-		p.count(func(s *StoreStats) { s.Misses++ })
-		return Result{}, false, nil
-	default:
-		p.count(func(s *StoreStats) { s.Errors++; s.Misses++ })
-		return Result{}, false, fmt.Errorf("peer %s: get: HTTP %d", p.base, resp.StatusCode)
-	}
-	frame, err := io.ReadAll(io.LimitReader(resp.Body, peerMaxFrameBytes+1))
-	if err != nil {
-		p.count(func(s *StoreStats) { s.Errors++; s.Misses++ })
-		return Result{}, false, fmt.Errorf("peer %s: get: reading frame: %w", p.base, err)
-	}
-	res, err := DecodeResult(frame)
-	if err != nil {
-		// The connection worked; the bytes are damaged. Same policy as a
-		// corrupt disk entry: a clean miss, recomputed locally, and the
-		// damage never propagates because the CRC caught it.
-		p.count(func(s *StoreStats) { s.Corrupt++; s.Misses++ })
-		return Result{}, false, nil
-	}
-	p.count(func(s *StoreStats) { s.Hits++ })
-	return res, true, nil
-}
+// GetErr implements FallibleStore: a replica target is never read. It must
+// stay, or asFallible would not find PutErr and replica-write errors would
+// never reach the member's breaker.
+func (p *PeerStore) GetErr(string) (Result, bool, error) { return Result{}, false, nil }
 
-// PutErr implements FallibleStore: replicate the result to the peer. A
-// version-skewed peer drops the write without error (its cache simply won't
-// hold our entries); an unreachable one reports the failure for the retry
-// wrapper to handle.
+// Get implements Store: a replica target is never read.
+func (p *PeerStore) Get(string) (Result, bool) { return Result{}, false }
+
+// PutErr implements FallibleStore: replicate the result to the peer. See
+// the type comment for the failure taxonomy.
 func (p *PeerStore) PutErr(key string, res Result) error {
-	compat, err := p.handshake()
-	if err != nil {
-		p.count(func(s *StoreStats) { s.Errors++ })
-		return err
-	}
-	if !compat {
-		return nil
-	}
 	req, err := http.NewRequest(http.MethodPut, p.base+"/peer/result/"+key, bytes.NewReader(EncodeResult(res)))
 	if err != nil {
 		return err
 	}
-	setPeerVersionHeaders(req.Header)
+	req.Header.Set(peerCodecHeader, strconv.Itoa(CodecVersion))
+	req.Header.Set(peerKeyHeader, KeyVersion)
 	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := p.client.Do(req)
 	if err != nil {
@@ -367,7 +173,6 @@ func (p *PeerStore) PutErr(key string, res Result) error {
 		p.count(func(s *StoreStats) { s.Puts++ })
 		return nil
 	case http.StatusPreconditionFailed:
-		p.markSkewed()
 		return nil
 	case http.StatusUnprocessableEntity:
 		// The peer's CRC check rejected our frame: it was damaged in
@@ -380,24 +185,8 @@ func (p *PeerStore) PutErr(key string, res Result) error {
 	}
 }
 
-// Get implements Store, absorbing transport errors as misses per the Store
-// contract. Compose with NewRetryStore to get retries and quarantine
-// instead of a raw miss per failure.
-func (p *PeerStore) Get(key string) (Result, bool) {
-	res, ok, _ := p.GetErr(key)
-	return res, ok
-}
-
 // Put implements Store, absorbing transport errors.
 func (p *PeerStore) Put(key string, res Result) { _ = p.PutErr(key, res) }
-
-// Compatible reports the last handshake outcome: false either before any
-// successful handshake or after one that found version skew.
-func (p *PeerStore) Compatible() bool {
-	p.hsMu.Lock()
-	defer p.hsMu.Unlock()
-	return p.hsKnown && p.hsCompat
-}
 
 // Stats implements Store. Entries/Bytes stay zero: the tier's contents
 // live on the peer, which reports them in its own /stats.

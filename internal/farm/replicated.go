@@ -21,8 +21,8 @@ import (
 // The ring is static: self plus every configured member, built once. What
 // varies is who takes part. Put walks a key's owners in ring order and
 // offers each member the write through its breaker's Admit (inside the
-// member's RetryStore); a member that refuses — barred, or quarantined with
-// no probe due — is skipped and the next owner takes its place, which by
+// member's RetryStore); a member that refuses — quarantined with no probe
+// due — is skipped and the next owner takes its place, which by
 // consistent hashing is exactly the owner order of a ring rebuilt without
 // it. Because the gate is Admit and never "is it open", a quarantined
 // member keeps receiving one real write per probe interval and rejoins on
@@ -53,7 +53,6 @@ type replicaMember struct {
 	store   Store         // owned: closed with the ReplicatedStore
 	fal     FallibleStore // store's error-surfacing half, resolved once
 	breaker *Breaker      // the store's breaker when it is a *RetryStore; nil = never quarantined
-	act     atomic.Bool   // administrative bar (SetMemberActive)
 }
 
 // ReplicaMember names one remote replica target, typically a *RetryStore
@@ -88,36 +87,17 @@ func NewReplicatedStore(local Store, selfName string, replicas int, members []Re
 		if retry, ok := m.Store.(*RetryStore); ok {
 			mem.breaker = retry.breaker
 		}
-		mem.act.Store(true)
 		rs.members[m.Name] = mem
 		rs.ring.Add(m.Name)
 	}
 	return rs
 }
 
-// healthy reports the member's health for gauges and readiness: not barred
-// and its breaker closed. It never gates traffic — putErr does, through
-// Admit.
+// healthy reports the member's health for gauges and readiness: its
+// breaker closed. It never gates traffic — the member's PutErr does,
+// through Admit.
 func (m *replicaMember) healthy() bool {
-	return m.act.Load() && (m.breaker == nil || !m.breaker.Open())
-}
-
-// putErr offers the member a write. ErrStoreQuarantined means it refused —
-// administratively barred, or its breaker is open with no probe due — and
-// the caller skips it as if it were off the ring.
-func (m *replicaMember) putErr(key string, res Result) error {
-	if !m.act.Load() {
-		return ErrStoreQuarantined
-	}
-	return m.fal.PutErr(key, res)
-}
-
-// SetMemberActive is the administrative bar: an inactive member is offered
-// no traffic at all (not even breaker probes) until it is re-activated.
-func (rs *ReplicatedStore) SetMemberActive(name string, active bool) {
-	if m := rs.members[name]; m != nil {
-		m.act.Store(active)
-	}
+	return m.breaker == nil || !m.breaker.Open()
 }
 
 // Get implements Store: the local tier only. A miss lets the farm
@@ -146,7 +126,7 @@ func (rs *ReplicatedStore) Put(key string, res Result) {
 			owned++ // the synchronous local write is self's copy
 			continue
 		}
-		switch err := rs.members[name].putErr(key, res); {
+		switch err := rs.members[name].fal.PutErr(key, res); {
 		case errors.Is(err, ErrStoreQuarantined):
 			continue // refused: the next owner takes its place
 		case err != nil:

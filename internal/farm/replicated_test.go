@@ -109,26 +109,49 @@ func TestReplicatedGetReadsLocalTierOnly(t *testing.T) {
 
 // TestReplicatedRingDegraded pins the readiness signal: replication is
 // degraded exactly while fewer than R of the key space's owners (self plus
-// healthy members) are reachable.
+// healthy members) are reachable. Members go down the way they do in
+// service: a failed write trips their breaker.
 func TestReplicatedRingDegraded(t *testing.T) {
-	rs, _, _, _ := replicaFixture(t, 2)
+	policy := RetryPolicy{TripAfter: 1, ProbeEvery: time.Second}
+	now := time.Unix(1000, 0)
+	peers := map[string]*scriptedStore{}
+	retries := map[string]*RetryStore{}
+	var members []ReplicaMember
+	for _, name := range []string{"a", "b", "c"} {
+		peers[name] = newScriptedStore()
+		retries[name] = NewRetryStore(peers[name], policy)
+		retries[name].breaker.now = func() time.Time { return now }
+		members = append(members, ReplicaMember{Name: name, Store: retries[name]})
+	}
+	rs := NewReplicatedStore(newScriptedStore(), "self", 2, members)
+	defer rs.Close()
+	down := func(name string) {
+		peers[name].script(0, 1)
+		if err := retries[name].PutErr(storeKey(0), fakeResult(0, 4)); err == nil {
+			t.Fatalf("member %s: scripted put failure did not surface", name)
+		}
+	}
 
 	if rs.ReplicationDegraded() {
 		t.Fatal("degraded with every member healthy")
 	}
-	rs.SetMemberActive("a", false)
-	rs.SetMemberActive("b", false)
+	down("a")
+	down("b")
 	if rs.ReplicationDegraded() {
 		t.Fatal("degraded with one member left: self + c still cover R=2")
 	}
-	rs.SetMemberActive("c", false)
+	down("c")
 	if !rs.ReplicationDegraded() {
 		t.Fatal("not degraded with every remote member down and R=2")
 	}
 	if st := rs.ReplicaStats(); st.Healthy != 0 || !st.Degraded {
 		t.Fatalf("replica stats %+v, want 0 healthy, degraded", st)
 	}
-	rs.SetMemberActive("b", true)
+	// b heals: its next probe succeeds and closes its breaker.
+	now = now.Add(policy.ProbeEvery)
+	if err := retries["b"].PutErr(storeKey(1), fakeResult(1, 4)); err != nil {
+		t.Fatalf("probe write to the healed member: %v", err)
+	}
 	if rs.ReplicationDegraded() {
 		t.Fatal("still degraded after a member recovered")
 	}

@@ -147,8 +147,8 @@ func NewServer(f *farm.Farm, opts ...ServerOption) *Server {
 	s.route("GET", "/debug/traces", s.handleTraces)
 	s.route("GET", "/healthz", s.handleHealthz)
 	s.route("GET", "/readyz", s.handleReadyz)
-	// The peer wire protocol: this node's result cache, readable and
-	// writable by other nodes under the versioned codec handshake.
+	// The peer wire protocol: one route, PUT /peer/result/{key}, through
+	// which other nodes write replicas into this node's result cache.
 	s.mux.Handle("/peer/", farm.PeerHandler(f))
 	return s
 }
