@@ -211,6 +211,31 @@ func TestSigmaConvSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestKernelMatrixViewAllocBound pins tensor.KernelMatrix at a view's cost
+// — the tensor header and its shape, at most 2 allocations — whatever the
+// kernel size: a kernel matrix is never a copy of the kernel.
+func TestKernelMatrixViewAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is inflated under -race")
+	}
+	for _, d := range []tensor.ConvDims{
+		{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, G: 2},
+		{N: 1, C: 256, H: 13, W: 13, K: 384, R: 3, S: 3}, // AlexNet conv3
+	} {
+		if err := d.Resolve(); err != nil {
+			t.Fatal(err)
+		}
+		ker := tensor.RandomUniform(2, 1, d.K, d.C/d.G, d.R, d.S)
+		var km *tensor.Tensor
+		if allocs := testing.AllocsPerRun(50, func() { km = tensor.KernelMatrix(ker, d, d.G-1) }); allocs > 2 {
+			t.Fatalf("KernelMatrix of a %v kernel allocates %.1f/op, want ≤ 2", ker.Shape(), allocs)
+		}
+		if km.Size() != ker.Size()/d.G {
+			t.Fatalf("kernel matrix holds %d values, want %d", km.Size(), ker.Size()/d.G)
+		}
+	}
+}
+
 // TestAnalyticDryRunAllocFree pins the counters-only measurement path (the
 // tuner's cost signal) to zero allocations — it runs thousands of times per
 // mapping search.

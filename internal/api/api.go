@@ -184,7 +184,7 @@ func convViaGEMM(sim *stonne.Simulator, in, kernel *tensor.Tensor, d ConvParams,
 		}
 		total.Add(st)
 	}
-	return tensor.ConvGEMMImplicitCached(in, kernel, d, opt.Workers, opt.Pack), total, nil
+	return tensor.ConvGEMMImplicit(in, kernel, d, opt.Workers), total, nil
 }
 
 // Conv2DNHWC executes a convolution with an NHWC input and RSCK kernel

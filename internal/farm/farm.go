@@ -78,7 +78,7 @@ type Farm struct {
 	tiersOnce sync.Once
 
 	cmu  sync.Mutex
-	mem  Store
+	mem  *MemoryStore
 	disk Store
 	// local is the disk tier's node-local view, resolved once in New: the
 	// tier itself, or a ReplicatedStore's own local tier — so Warm, Limits
@@ -129,7 +129,10 @@ func WithMaxEntries(n int) Option { return func(f *Farm) { f.maxEntries = n } }
 
 // WithMaxBytes bounds the in-memory result tier to roughly b resident
 // bytes of cached results, evicted in LRU order; b <= 0 (the default)
-// leaves it unbounded.
+// leaves it unbounded. An output several entries share is charged to every
+// one of them, so the bound counts what the entries would hold unshared:
+// which results fit never depends on which outputs happen to be equal, and
+// the tier's resident bytes only fall below it.
 func WithMaxBytes(b int64) Option { return func(f *Farm) { f.maxBytes = b } }
 
 // WithMaxQueue bounds the job queue to n waiting jobs; when full, Submit
@@ -139,10 +142,6 @@ func WithMaxBytes(b int64) Option { return func(f *Farm) { f.maxBytes = b } }
 // single-flight attaches never consume queue slots, so a warm sweep is
 // unaffected by the bound.
 func WithMaxQueue(n int) Option { return func(f *Farm) { f.maxQueue = n } }
-
-// WithMemoryStore replaces the in-memory tier wholesale (overriding
-// WithMaxEntries / WithMaxBytes). The store is closed with the farm.
-func WithMemoryStore(s Store) Option { return func(f *Farm) { f.mem = s } }
 
 // WithDiskStore attaches a persistent tier — typically a *DiskStore —
 // probed on memory misses before a job is simulated and written through on
@@ -220,9 +219,7 @@ func New(workers int, opts ...Option) *Farm {
 	for _, opt := range opts {
 		opt(f)
 	}
-	if f.mem == nil {
-		f.mem = NewMemoryStore(f.maxEntries, f.maxBytes)
-	}
+	f.mem = NewMemoryStore(f.maxEntries, f.maxBytes)
 	if repl, ok := f.disk.(*ReplicatedStore); ok {
 		f.local = repl.local
 	} else {
@@ -257,8 +254,7 @@ func (f *Farm) Ring() *telemetry.TraceRing { return f.ring }
 // tier (WithMaxEntries / WithMaxBytes) only reads roughly the newest
 // entries it can actually hold (the byte bound compares encoded file sizes
 // against the tier's resident-byte budget — close cousins, not equal — so
-// the tier's own eviction still enforces the exact bound); a custom
-// WithMemoryStore evicts the coldest as warming fills it. Returns the
+// the tier's own eviction still enforces the exact bound). Returns the
 // number of entries offered to the memory tier (0 when there is no
 // persistent tier or it cannot enumerate). Warming is read-only with
 // respect to the disk tier and safe to run concurrently with submissions.
@@ -490,11 +486,13 @@ func (f *Farm) exec(c *call) {
 	t = time.Now()
 	if c.err == nil {
 		// A pooled output would pin its bucket's rounded-up capacity for
-		// the life of the cache entry.
+		// the life of the cache entry. An output equal to one the memory
+		// tier already holds is swapped for that tensor, so the copy just
+		// computed is garbage once the waiters have cloned it. The put
+		// hashes the output, so it stays outside cmu: it only has to land
+		// before the in-flight entry goes, which it does in program order.
 		c.res.Out = c.res.Out.Compact()
-		f.cmu.Lock()
-		f.mem.Put(c.key, c.res)
-		f.cmu.Unlock()
+		c.res.Out = f.mem.PutShared(c.key, c.res)
 		if f.disk != nil {
 			f.disk.Put(c.key, c.res)
 		}
@@ -673,9 +671,9 @@ func (f *Farm) submit(j Job, block bool) *Future {
 	dedupStart := time.Now()
 	f.cmu.Lock()
 	// Re-check under the lock: exec publishes to the memory tier before it
-	// removes the in-flight entry (both under cmu), so a completion that
-	// raced the optimistic miss above is visible in at least one of the two
-	// checks here.
+	// removes the in-flight entry (the removal under cmu), so a completion
+	// that raced the optimistic miss above is visible in at least one of the
+	// two checks here.
 	if res, ok := f.mem.Get(key); ok {
 		f.cmu.Unlock()
 		return f.memHit(j, key, res, start, memLookup)
@@ -765,7 +763,10 @@ func (f *Farm) SubmitCtx(ctx context.Context, j Job) *Future {
 // CacheGet consults the farm's cache tiers without scheduling anything: the
 // memory tier first, then the disk tier, promoting a disk hit into memory
 // exactly like a worker would. It is the sweep journal's replay primitive: a
-// lookup must never trigger a simulation.
+// lookup must never trigger a simulation. Unlike Future.Wait it does not
+// clone: the returned output is the memory tier's own tensor, possibly
+// shared by other keys, and is read-only — one write through it would
+// corrupt every key that shares it.
 func (f *Farm) CacheGet(key string) (Result, bool) {
 	if res, ok := f.mem.Get(key); ok {
 		return res, true

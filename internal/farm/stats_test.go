@@ -147,14 +147,13 @@ func TestFarmCachesExactSizeOutputs(t *testing.T) {
 		t.Fatalf("output of %d elements fills its arena bucket exactly; pick a geometry that does not", n)
 	}
 
-	mem := NewMemoryStore(0, 0)
-	f := New(1, WithMemoryStore(mem))
+	f := New(1)
 	defer f.Close()
 	res, err := f.Do(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, ok := mem.Get(res.Key)
+	cached, ok := f.mem.Get(res.Key)
 	if !ok {
 		t.Fatal("computed result is not in the memory tier")
 	}

@@ -2,7 +2,10 @@ package farm
 
 import (
 	"container/list"
+	"hash/maphash"
 	"sync"
+
+	"repro/internal/tensor"
 )
 
 // Store is one tier of the farm's result cache, keyed by Job.Key(). The farm
@@ -13,7 +16,8 @@ import (
 //
 // Get and Put carry Results whose Hit and Key fields are ignored: they are
 // transport state the farm fills in per submission. Stored output tensors
-// are treated as immutable by all parties (the farm hands callers clones).
+// are treated as immutable by all parties: the memory tier may hold one
+// tensor for several keys, so the farm hands its callers clones.
 type Store interface {
 	// Get returns the result stored under key, if any. A lookup may refresh
 	// the entry's recency (LRU tiers) and must never surface storage errors
@@ -151,22 +155,40 @@ func (s StoreStats) HitRatio() float64 {
 // MemoryStore is the in-memory tier: a map fronted by an LRU list, bounded
 // by entry count and/or resident bytes. The zero bounds mean unbounded,
 // which is the farm's default and matches the PR-1 cache semantics.
+//
+// A sweep computes many equal outputs under different keys (a MAERI conv
+// has the same output bits at T_K 1 … 8, for one), so outputs stored with
+// PutShared are held once: an entry whose output has the shape and the bits
+// of one the tier already holds points at that tensor, which is dropped
+// when the last entry using it goes.
 type MemoryStore struct {
 	maxEntries int
 	maxBytes   int64
+	seed       maphash.Seed
 
 	mu    sync.Mutex
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
+	// outs holds each output PutShared stored, under a hash of its bits.
+	outs  map[uint64]*sharedOut
 	bytes int64
 	stats StoreStats
 }
 
-// lruEntry is one cached result plus its accounting.
+// sharedOut is one output tensor and the number of entries pointing at it.
+type sharedOut struct {
+	t    *tensor.Tensor
+	refs int
+}
+
+// lruEntry is one cached result plus its accounting. A shared entry holds
+// one of outs[hash]'s references.
 type lruEntry struct {
-	key  string
-	res  Result
-	size int64
+	key    string
+	res    Result
+	size   int64
+	hash   uint64
+	shared bool
 }
 
 // NewMemoryStore returns an LRU-bounded in-memory store. maxEntries <= 0
@@ -175,8 +197,10 @@ func NewMemoryStore(maxEntries int, maxBytes int64) *MemoryStore {
 	return &MemoryStore{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
+		seed:       maphash.MakeSeed(),
 		ll:         list.New(),
 		items:      make(map[string]*list.Element),
+		outs:       make(map[uint64]*sharedOut),
 	}
 }
 
@@ -197,31 +221,74 @@ func (m *MemoryStore) Get(key string) (Result, bool) {
 // Put implements Store: insert (or refresh) the entry, then evict from the
 // cold end until both bounds hold. A result larger than the byte bound on
 // its own is evicted immediately — the bound is absolute, not best-effort.
-func (m *MemoryStore) Put(key string, res Result) {
+// The output is kept as given, never shared.
+func (m *MemoryStore) Put(key string, res Result) { m.put(key, res, 0, false) }
+
+// PutShared is Put for an output the caller has just computed: when the tier
+// already holds an output PutShared stored with the same shape and the same
+// bits (±0 and NaN payloads included), the entry points at that tensor. It
+// returns the output the entry holds, so the caller can drop its own copy.
+// The bits are hashed outside the lock; a match is confirmed bit for bit,
+// so a hash collision only costs the sharing.
+func (m *MemoryStore) PutShared(key string, res Result) *tensor.Tensor {
+	if res.Out == nil {
+		m.Put(key, res)
+		return nil
+	}
+	var h maphash.Hash
+	h.SetSeed(m.seed)
+	tensor.WriteFloatBits(&h, res.Out.Data())
+	return m.put(key, res, h.Sum64(), true)
+}
+
+func (m *MemoryStore) put(key string, res Result, hash uint64, share bool) *tensor.Tensor {
 	res.Hit, res.Key, res.Trace = false, "", nil // canonical form: transport state is per-submission
 	size := resultFootprint(res)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.Puts++
+	if share {
+		switch o := m.outs[hash]; {
+		case o == nil:
+			m.outs[hash] = &sharedOut{t: res.Out, refs: 1}
+		case tensor.ShapeEq(o.t.Shape(), res.Out.Shape()) && tensor.FirstBitDiff(o.t, res.Out) < 0:
+			o.refs++
+			res.Out = o.t
+		default:
+			share = false // a hash collision: this output stays its own
+		}
+	}
+	e := &lruEntry{key: key, res: res, size: size, hash: hash, shared: share}
 	if el, ok := m.items[key]; ok {
-		e := el.Value.(*lruEntry)
-		m.bytes += size - e.size
-		e.res, e.size = res, size
+		m.drop(el.Value.(*lruEntry))
+		el.Value = e
 		m.ll.MoveToFront(el)
 	} else {
-		m.items[key] = m.ll.PushFront(&lruEntry{key: key, res: res, size: size})
-		m.bytes += size
+		m.items[key] = m.ll.PushFront(e)
 	}
+	m.bytes += size
 	for m.overBounds() {
 		el := m.ll.Back()
 		if el == nil {
 			break
 		}
-		e := el.Value.(*lruEntry)
-		m.ll.Remove(el)
-		delete(m.items, e.key)
-		m.bytes -= e.size
+		cold := m.ll.Remove(el).(*lruEntry)
+		delete(m.items, cold.key)
+		m.drop(cold)
 		m.stats.Evictions++
+	}
+	return res.Out
+}
+
+// drop releases an entry's bytes and its reference to a shared output.
+func (m *MemoryStore) drop(e *lruEntry) {
+	m.bytes -= e.size
+	if !e.shared {
+		return
+	}
+	o := m.outs[e.hash]
+	if o.refs--; o.refs == 0 {
+		delete(m.outs, e.hash)
 	}
 }
 

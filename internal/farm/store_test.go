@@ -4,10 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/stonne/config"
+	"repro/internal/stonne/mapping"
 	"repro/internal/stonne/stats"
 	"repro/internal/tensor"
 )
@@ -120,9 +123,12 @@ func TestMemoryStoreConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := storeKey((g*31 + i) % 64)
-				if i%3 == 0 {
+				switch i % 3 {
+				case 0:
 					m.Put(key, fakeResult(i, 4))
-				} else {
+				case 1:
+					m.PutShared(key, fakeResult(i%5, 4)) // five distinct outputs, many sharers
+				default:
 					m.Get(key)
 				}
 			}
@@ -131,6 +137,144 @@ func TestMemoryStoreConcurrent(t *testing.T) {
 	wg.Wait()
 	if st := m.Stats(); st.Entries > 32 {
 		t.Fatalf("bound exceeded under concurrency: %+v", st)
+	}
+	checkShareTable(t, m)
+}
+
+// checkShareTable asserts the memory tier's sharing invariant: every shared
+// entry points at the tensor its hash names, and each tensor's reference
+// count is exactly the number of entries using it.
+func checkShareTable(t *testing.T, m *MemoryStore) {
+	t.Helper()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	refs := make(map[uint64]int)
+	for el := m.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*lruEntry)
+		if !e.shared {
+			continue
+		}
+		refs[e.hash]++
+		if o := m.outs[e.hash]; o == nil || o.t != e.res.Out {
+			t.Fatalf("shared entry %s does not point at its hash's tensor", e.key)
+		}
+	}
+	for h, o := range m.outs {
+		if o.refs != refs[h] {
+			t.Fatalf("output %x counts %d references, %d entries use it", h, o.refs, refs[h])
+		}
+	}
+}
+
+// TestMemoryStoreSharesEqualOutputs: a seeded MAERI conv has the same
+// output bits at T_K 1 and at T_K 8, so the two leave one tensor in the
+// memory tier for both keys, and a write into a Wait result reaches
+// neither. Outputs that differ in shape or in any bit (±0, NaN payloads)
+// are not shared, nor is a disk hit promoted into memory; evicting one
+// sharer leaves the other intact, and the last eviction empties the table.
+func TestMemoryStoreSharesEqualOutputs(t *testing.T) {
+	d := tensor.ConvDims{N: 1, C: 4, H: 10, W: 10, K: 16, R: 3, S: 3, PadH: 1, PadW: 1}
+	conv := func(tk int) Job {
+		m := mapping.Basic()
+		m.TK = tk
+		return Job{HW: config.Default(config.MAERIDenseWorkload), Kind: Conv2D, Layout: tensor.NCHW, Dims: d, ConvMapping: m,
+			Input: tensor.RandomUniform(1, 1, d.N, d.C, d.H, d.W), Weights: tensor.RandomUniform(2, 1, d.K, d.C, d.R, d.S), Seed: 1}
+	}
+	f := New(1)
+	defer f.Close()
+	r1, err := f.Do(conv(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r8, err := f.Do(conv(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Key == r8.Key || r1.Stats == r8.Stats {
+		t.Fatal("T_K 1 and T_K 8 must be two simulations under two keys")
+	}
+	e1, _ := f.mem.Get(r1.Key)
+	e8, _ := f.mem.Get(r8.Key)
+	if e1.Out == nil || e1.Out != e8.Out {
+		t.Fatal("T_K 1 and T_K 8 hold two copies of one output")
+	}
+	checkShareTable(t, f.mem)
+	if n := len(f.mem.outs); n != 1 {
+		t.Fatalf("share table holds %d outputs, want 1", n)
+	}
+
+	want := e1.Out.Clone()
+	hit, err := f.Do(conv(8))
+	if err != nil || !hit.Hit {
+		t.Fatalf("repeat is not a memory hit: %v", err)
+	}
+	for _, res := range []Result{r1, r8, hit} {
+		res.Out.Fill(float32(math.NaN()))
+	}
+	for _, key := range []string{r1.Key, r8.Key} {
+		if got, _ := f.mem.Get(key); tensor.FirstBitDiff(want, got.Out) >= 0 {
+			t.Fatalf("a write into a Wait result reached the output cached under %s", key)
+		}
+	}
+
+	m := NewMemoryStore(0, 0)
+	put := func(key int, out *tensor.Tensor) *tensor.Tensor { return m.PutShared(storeKey(key), Result{Out: out}) }
+	if a := put(0, tensor.FromData([]float32{1, 2, 3, 4}, 2, 2)); put(1, tensor.FromData([]float32{1, 2, 3, 4}, 2, 2)) != a {
+		t.Fatal("an equal output was not shared")
+	}
+	for _, c := range []struct {
+		name string
+		x, y *tensor.Tensor
+	}{
+		{"equal bits, another shape", tensor.FromData([]float32{5, 6, 7, 8}, 2, 2), tensor.FromData([]float32{5, 6, 7, 8}, 4)},
+		{"+0 against -0", tensor.FromData([]float32{0}, 1), tensor.FromData([]float32{float32(math.Copysign(0, -1))}, 1)},
+		{"two NaN payloads", tensor.FromData([]float32{math.Float32frombits(0x7fc00001)}, 1), tensor.FromData([]float32{math.Float32frombits(0x7fc00002)}, 1)},
+	} {
+		if put(10, c.x) == put(11, c.y) {
+			t.Errorf("%s: shared one tensor", c.name)
+		}
+	}
+	checkShareTable(t, m)
+
+	// A disk hit promoted into memory keeps its own tensor, even when a
+	// computed entry holds the same bits.
+	ds, err := NewDiskStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.Put(r8.Key, Result{Out: want, Stats: e8.Stats})
+	fd := New(1, WithDiskStore(ds))
+	defer fd.Close()
+	for _, tk := range []int{1, 8} {
+		if _, err := fd.Do(conv(tk)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p1, _ := fd.mem.Get(r1.Key)
+	p8, _ := fd.mem.Get(r8.Key)
+	if st := fd.Stats(); st.DiskHits != 1 || st.Completed != 1 {
+		t.Fatalf("want one compute and one disk hit: %+v", st)
+	}
+	if p1.Out == p8.Out || tensor.FirstBitDiff(p1.Out, p8.Out) >= 0 {
+		t.Fatal("a disk-hit promotion shared the computed entry's tensor, or the bits differ")
+	}
+	checkShareTable(t, fd.mem)
+
+	// Eviction drops one reference at a time.
+	lru := NewMemoryStore(2, 0)
+	x := lru.PutShared(storeKey(0), fakeResult(7, 4))
+	if lru.PutShared(storeKey(1), fakeResult(7, 4)) != x {
+		t.Fatal("an equal output was not shared")
+	}
+	lru.Put(storeKey(2), fakeResult(8, 4)) // evicts key 0
+	if got, ok := lru.Get(storeKey(1)); !ok || got.Out != x || tensor.FirstBitDiff(got.Out, fakeResult(7, 4).Out) >= 0 {
+		t.Fatal("evicting one sharer disturbed the other")
+	}
+	checkShareTable(t, lru)
+	lru.Put(storeKey(3), fakeResult(9, 4)) // evicts key 2
+	lru.Put(storeKey(4), fakeResult(9, 4)) // evicts key 1, the last sharer
+	if n := len(lru.outs); n != 0 {
+		t.Fatalf("share table holds %d outputs after the last sharer went", n)
 	}
 }
 

@@ -86,52 +86,21 @@ func Im2ColBlock(in *Tensor, d ConvDims, g, col0, width int, dst []float32) {
 
 // ConvGEMMImplicit computes a grouped 2-D convolution of an NCHW input with
 // a KCRS kernel, returning the NCHW output, via implicit GEMM: per group,
-// the kernel matrix multiplies im2col column panels that are generated
-// block-by-block and never materialised as a whole. Panels — or, for a
-// layer with too few panels to split, the sparse-stationary rows of each
-// panel's product — are split over at most `workers` goroutines (workers <=
-// 0: as many as ParallelFor's budget has free), and only when the layer is
-// big enough to repay it (Grain); each output element is written by exactly
-// one of them and accumulated in ascending (C, R, S) order with zero kernel
-// weights skipped, so the result is bitwise identical to
+// the kernel matrix — group g's rows, read in place from the kernel —
+// multiplies im2col column panels that are generated block-by-block and
+// never materialised as a whole. Panels — or, for a layer with too few
+// panels to split, the sparse-stationary rows of each panel's product — are
+// split over at most `workers` goroutines (workers <= 0: as many as
+// ParallelFor's budget has free), and only when the layer is big enough to
+// repay it (Grain); each output element is written by exactly one of them
+// and accumulated in ascending (C, R, S) order with zero kernel weights
+// skipped, so the result is bitwise identical to
 // GEMM(KernelMatrix(kernel, d, g), Im2Col(in, d, g)) regardless of the
-// worker count.
-func ConvGEMMImplicit(in, kernel *Tensor, d ConvDims, workers int) *Tensor {
-	return ConvGEMMImplicitCached(in, kernel, d, workers, nil)
-}
-
-// KernelMatrixCached returns KernelMatrix(kernel, d, g), serving the
-// flattened matrix from the content-keyed pack cache when one is supplied:
-// sweep jobs sharing weights flatten each group's kernel once. The result
-// is shared and must be treated as read-only.
-func KernelMatrixCached(kernel *Tensor, d ConvDims, g int, cache *PackCache) *Tensor {
-	if cache == nil {
-		return KernelMatrix(kernel, d, g)
-	}
-	h := kernel.ContentHash()
-	key := PackKey{Op: "conv/kernelmatrix/v1", Hash: h, P: [6]int{g, d.K, d.C, d.R, d.S, d.G}}
-	return cache.GetOrBuild(key, func() *Tensor {
-		km := KernelMatrix(kernel, d, g)
-		if d.G == 1 && km.Size() == kernel.Size() {
-			// An ungrouped kernel matrix is the KCRS kernel's elements in
-			// the same order, so it has the kernel's content identity:
-			// forms derived from km (SIGMA's row summary) key on the hash
-			// this lookup already paid for instead of hashing km again.
-			kh := h
-			km.chash.Store(&kh)
-		}
-		return km
-	})
-}
-
-// ConvGEMMImplicitCached is ConvGEMMImplicit with a content-keyed pack
-// cache for the per-group kernel matrices, and pooled panel / accumulator
-// scratch either way. A nil cache only changes where the kernel matrix
-// comes from, never the arithmetic: outputs are bitwise identical.
+// worker count. Panel and accumulator scratch is pooled.
 // Production callers pass workers 0 (api.Options.Workers has no production
 // setter); the parameter stays only because the benchmark harness pins it,
-// and goes under ROADMAP item 1(c).
-func ConvGEMMImplicitCached(in, kernel *Tensor, d ConvDims, workers int, cache *PackCache) *Tensor {
+// and goes under ROADMAP item 7.
+func ConvGEMMImplicit(in, kernel *Tensor, d ConvDims, workers int) *Tensor {
 	if err := d.Resolve(); err != nil {
 		panic(err)
 	}
@@ -140,7 +109,7 @@ func ConvGEMMImplicitCached(in, kernel *Tensor, d ConvDims, workers int, cache *
 	c := convPanels{in: in, d: d, outD: out.Data(), kg: d.K / d.G, rows: d.C / d.G * d.R * d.S, cols: d.N * p * q, pq: p * q}
 	nBlocks := (c.cols + im2colBlockCols - 1) / im2colBlockCols
 	for c.g = 0; c.g < d.G; c.g++ {
-		c.kmD = KernelMatrixCached(kernel, d, c.g, cache).Data() // kg × rows, weight-stationary
+		c.kmD = kernelRows(kernel, d, c.g) // kg × rows, weight-stationary
 		// Dense kernels take the packed register-blocked micro-kernel;
 		// pruned ones (the SIGMA lowering) the sparse-stationary kernel.
 		// Both accumulate each output element in ascending (C, R, S) order
@@ -158,6 +127,37 @@ func ConvGEMMImplicitCached(in, kernel *Tensor, d ConvDims, workers int, cache *
 		c.blocks(0, nBlocks)
 	}
 	return out
+}
+
+// ConvGEMMImplicitCached is ConvGEMMImplicit: the kernel matrix is a view of
+// the kernel, so there is nothing left for cache to keep. The form has no
+// product caller and stays only for the benchmark harness
+// (benchmark/ladder.go); it goes under ROADMAP item 7.
+func ConvGEMMImplicitCached(in, kernel *Tensor, d ConvDims, workers int, cache *PackCache) *Tensor {
+	return ConvGEMMImplicit(in, kernel, d, workers)
+}
+
+// KernelMatrixCached returns KernelMatrix(kernel, d, g), serving the view
+// from the content-keyed pack cache when one is supplied. The cached view
+// carries a content identity of its own, so a form derived from it (SIGMA's
+// row summary) hashes the matrix at most once per cache lifetime — and
+// never when G = 1, where the view holds the kernel's elements in the
+// kernel's order and takes the kernel's memoised hash. The result is shared
+// and must be treated as read-only.
+func KernelMatrixCached(kernel *Tensor, d ConvDims, g int, cache *PackCache) *Tensor {
+	if cache == nil {
+		return KernelMatrix(kernel, d, g)
+	}
+	h := kernel.ContentHash()
+	key := PackKey{Op: "conv/kernelmatrix/v1", Hash: h, P: [6]int{g, d.K, d.C, d.R, d.S, d.G}}
+	return cache.GetOrBuild(key, func() *Tensor {
+		km := KernelMatrix(kernel, d, g)
+		if d.G == 1 {
+			kh := h // a copy, so only a miss moves the hash to the heap
+			km.chash.Store(&kh)
+		}
+		return km
+	})
 }
 
 // convPanels is the state of one group's implicit-GEMM sweep: the kernel

@@ -2,6 +2,8 @@ package tensor
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -45,6 +47,70 @@ func TestIm2ColBlockMatchesIm2Col(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// kernelMatrixLoop is the element-by-element flattening KernelMatrix used
+// to copy: the reference its view must equal.
+func kernelMatrixLoop(kernel *Tensor, d ConvDims, g int) *Tensor {
+	kg := d.K / d.G
+	cg := d.C / d.G
+	out := New(kg, cg*d.R*d.S)
+	for k := 0; k < kg; k++ {
+		for c := 0; c < cg; c++ {
+			for r := 0; r < d.R; r++ {
+				for s := 0; s < d.S; s++ {
+					out.Set(kernel.At(g*kg+k, c, r, s), k, (c*d.R+r)*d.S+s)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestKernelMatrixIsView: on random grouped geometries the kernel matrix
+// equals the old copying loop bit for bit, shares the kernel's storage, and
+// a kernel of the wrong shape panics.
+func TestKernelMatrixIsView(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for trial := 0; trial < 60; trial++ {
+		g := 1 + trial%3
+		d := ConvDims{N: 1, C: g * (1 + rng.Intn(4)), H: 6, W: 6, K: g * (1 + rng.Intn(4)),
+			R: 1 + rng.Intn(3), S: 1 + rng.Intn(3), G: g}
+		if err := d.Resolve(); err != nil {
+			t.Fatal(err)
+		}
+		kernel := RandomUniform(int64(trial), 1, d.K, d.C/d.G, d.R, d.S)
+		for grp := 0; grp < d.G; grp++ {
+			got, want := KernelMatrix(kernel, d, grp), kernelMatrixLoop(kernel, d, grp)
+			if !ShapeEq(got.Shape(), want.Shape()) {
+				t.Fatalf("%+v group %d: shape %v, want %v", d, grp, got.Shape(), want.Shape())
+			}
+			if i := FirstBitDiff(got, want); i >= 0 {
+				t.Fatalf("%+v group %d: view differs from the loop at element %d", d, grp, i)
+			}
+			if &got.Data()[0] != &kernel.Data()[grp*got.Size()] {
+				t.Fatalf("%+v group %d: kernel matrix does not share the kernel's storage", d, grp)
+			}
+			if cap(got.Data()) != got.Size() {
+				t.Fatalf("%+v group %d: view capacity %d reaches past its group (%d)", d, grp, cap(got.Data()), got.Size())
+			}
+		}
+	}
+
+	d := ConvDims{N: 1, C: 4, H: 6, W: 6, K: 4, R: 3, S: 3, G: 2}
+	if err := d.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	for _, shape := range [][]int{{4, 4, 3, 3}, {4, 2, 3}, {2, 2, 3, 3}, {4, 2, 3, 1}} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "does not match KCRS") {
+					t.Errorf("kernel shape %v: recovered %v, want a KCRS shape panic", shape, r)
+				}
+			}()
+			KernelMatrix(New(shape...), d, 0)
+		}()
 	}
 }
 

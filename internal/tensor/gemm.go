@@ -301,23 +301,24 @@ func Im2Col(in *Tensor, d ConvDims, g int) *Tensor {
 	return out
 }
 
-// KernelMatrix flattens a KCRS kernel into the (K/G) × (C/G·R·S) matrix used
-// by GEMM convolution, for a single group g.
+// KernelMatrix returns group g's (K/G) × (C/G·R·S) kernel matrix, the
+// stationary operand of GEMM convolution. A KCRS kernel already holds group
+// g's rows g·K/G … (g+1)·K/G contiguously, each in (C, R, S) order, so the
+// matrix is a view of the kernel's own storage and must be treated as
+// read-only. It panics unless the kernel's shape is [K, C/G, R, S].
 func KernelMatrix(kernel *Tensor, d ConvDims, g int) *Tensor {
+	rows := kernelRows(kernel, d, g)
 	kg := d.K / d.G
-	cg := d.C / d.G
-	rows := kg
-	cols := cg * d.R * d.S
-	out := New(rows, cols)
-	for k := 0; k < kg; k++ {
-		ok := g*kg + k
-		for c := 0; c < cg; c++ {
-			for r := 0; r < d.R; r++ {
-				for s := 0; s < d.S; s++ {
-					out.Set(kernel.At(ok, c, r, s), k, (c*d.R+r)*d.S+s)
-				}
-			}
-		}
+	return &Tensor{shape: []int{kg, len(rows) / kg}, data: rows}
+}
+
+// kernelRows returns group g's rows of a KCRS kernel in place: K/G rows of
+// C/G·R·S values, capped so an append can never reach the next group.
+func kernelRows(kernel *Tensor, d ConvDims, g int) []float32 {
+	s := kernel.shape
+	if len(s) != 4 || s[0] != d.K || s[1] != d.C/d.G || s[2] != d.R || s[3] != d.S {
+		panic(fmt.Sprintf("tensor: kernel shape %v does not match KCRS [%d %d %d %d]", s, d.K, d.C/d.G, d.R, d.S))
 	}
-	return out
+	n := len(kernel.data) / d.G
+	return kernel.data[g*n : (g+1)*n : (g+1)*n]
 }

@@ -202,9 +202,10 @@ func TestGEMMCachedBitwiseEqual(t *testing.T) {
 	}
 }
 
-// TestConvGEMMImplicitCachedBitwiseEqual proves the pack-cached implicit
-// GEMM lowering (cached kernel matrices, pooled panels) byte-identical to
-// the uncached path, warm and cold, serial and parallel.
+// TestConvGEMMImplicitCachedBitwiseEqual proves the cache-taking form of
+// the implicit GEMM lowering byte-identical to the plain one, warm and
+// cold, serial and parallel. Its kernel rows are read in place, so it
+// leaves the pack cache empty.
 func TestConvGEMMImplicitCachedBitwiseEqual(t *testing.T) {
 	d := ConvDims{N: 2, C: 6, H: 9, W: 9, K: 16, R: 3, S: 3, PadH: 1, PadW: 1, G: 2}
 	if err := d.Resolve(); err != nil {
@@ -222,7 +223,7 @@ func TestConvGEMMImplicitCachedBitwiseEqual(t *testing.T) {
 			}
 		}
 	}
-	if st := c.Stats(); st.Hits == 0 || st.Puts == 0 {
-		t.Fatalf("kernel matrices were not cached: %+v", st)
+	if st := c.Stats(); st.Puts != 0 {
+		t.Fatalf("kernel rows are read in place, yet the cache took %d forms: %+v", st.Puts, st)
 	}
 }

@@ -31,8 +31,8 @@ func Conv2DNCHW(in, kernel *tensor.Tensor, d tensor.ConvDims) (*tensor.Tensor, e
 	kg := d.K / d.G
 	for g := 0; g < d.G; g++ {
 		cols := tensor.Im2Col(in, d, g)
-		km := groupKernelMatrix(kernel, d, g)
-		prod := tensor.GEMM(km, cols) // kg × (N·P·Q)
+		km := tensor.KernelMatrix(kernel, d, g) // a view of the kernel: read, never written
+		prod := tensor.GEMM(km, cols)
 		for k := 0; k < kg; k++ {
 			for n := 0; n < d.N; n++ {
 				for y := 0; y < p; y++ {
@@ -44,24 +44,6 @@ func Conv2DNCHW(in, kernel *tensor.Tensor, d tensor.ConvDims) (*tensor.Tensor, e
 		}
 	}
 	return out, nil
-}
-
-// groupKernelMatrix flattens the kernels of group g. The kernel tensor is
-// stored as [K, C/G, R, S]; group g owns output channels [g·K/G, (g+1)·K/G).
-func groupKernelMatrix(kernel *tensor.Tensor, d tensor.ConvDims, g int) *tensor.Tensor {
-	kg := d.K / d.G
-	cg := d.C / d.G
-	out := tensor.New(kg, cg*d.R*d.S)
-	for k := 0; k < kg; k++ {
-		for c := 0; c < cg; c++ {
-			for r := 0; r < d.R; r++ {
-				for s := 0; s < d.S; s++ {
-					out.Set(kernel.At(g*kg+k, c, r, s), k, (c*d.R+r)*d.S+s)
-				}
-			}
-		}
-	}
-	return out
 }
 
 // Conv2DNHWC computes a 2-D convolution for an NHWC input and RSCK kernel.
