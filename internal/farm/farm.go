@@ -2,6 +2,8 @@ package farm
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"runtime"
@@ -84,7 +86,11 @@ type Farm struct {
 	// tier itself, or a ReplicatedStore's own local tier — so Warm, Limits
 	// and a replica written over the peer wire protocol never reach past
 	// this node's storage. nil without local storage.
-	local    LocalTier
+	local LocalTier
+	// repl is the disk tier when it is a ReplicatedStore: a fresh result is
+	// persisted through it by its job's placement (Job.Placement), the same
+	// ring input a coordinator routes the job by.
+	repl     *ReplicatedStore
 	inflight map[string]*call
 
 	// keys is the spec → content key memo for lazy jobs (see KeyOf).
@@ -173,6 +179,7 @@ func WithTraceRing(r *telemetry.TraceRing) Option {
 type call struct {
 	job  Job
 	key  string
+	spec [sha256.Size]byte // a lazy job's spec digest from keyOf; zero otherwise
 	done chan struct{}
 	res  Result
 	err  error
@@ -221,7 +228,7 @@ func New(workers int, opts ...Option) *Farm {
 	}
 	f.mem = NewMemoryStore(f.maxEntries, f.maxBytes)
 	if repl, ok := f.disk.(*ReplicatedStore); ok {
-		f.local = repl.local
+		f.repl, f.local = repl, repl.local
 	} else {
 		f.local = asLocalTier(f.disk)
 	}
@@ -493,7 +500,9 @@ func (f *Farm) exec(c *call) {
 		// before the in-flight entry goes, which it does in program order.
 		c.res.Out = c.res.Out.Compact()
 		c.res.Out = f.mem.PutShared(c.key, c.res)
-		if f.disk != nil {
+		if f.repl != nil {
+			f.repl.put(c.placement(), c.key, c.res)
+		} else if f.disk != nil {
 			f.disk.Put(c.key, c.res)
 		}
 	}
@@ -535,6 +544,17 @@ func (f *Farm) exec(c *call) {
 	}
 	f.busy.Add(-1)
 	close(c.done)
+}
+
+// placement is the call's ring input, Job.Placement: the spec digest keyOf
+// computed for a lazy job, hashed here for any other. It cannot fail for a
+// job that was keyed, since Key() encodes the same spec first.
+func (c *call) placement() string {
+	if c.spec == [sha256.Size]byte{} {
+		p, _ := c.job.Placement()
+		return p
+	}
+	return hex.EncodeToString(c.spec[:])
 }
 
 // finishSpan rolls the call's span into the per-phase histograms, echoes a
@@ -656,7 +676,7 @@ func (f *Farm) SubmitWait(j Job) *Future { return f.submit(j, true) }
 
 func (f *Farm) submit(j Job, block bool) *Future {
 	f.count(&f.submitted)
-	key, j, err := f.keyOf(j)
+	key, j, spec, err := f.keyOf(j)
 	if err != nil {
 		f.count(&f.failed)
 		return resolvedFuture("", Result{}, err)
@@ -691,7 +711,7 @@ func (f *Farm) submit(j Job, block bool) *Future {
 		}
 		return &Future{f: f, c: c, key: key}
 	}
-	c := &call{job: j, key: key, done: make(chan struct{}), span: telemetry.BeginSpan()}
+	c := &call{job: j, key: key, spec: spec, done: make(chan struct{}), span: telemetry.BeginSpan()}
 	c.waiters.Store(1)
 	if j.Deadline > 0 {
 		c.deadline = time.Now().Add(j.Deadline)
@@ -783,16 +803,20 @@ func (f *Farm) CacheGet(key string) (Result, bool) {
 	return res, ok
 }
 
-// cachePutLocal stores a replica PeerHandler received in this node's own
-// tiers only (memory, then the local tier): fanning it back out would
-// cascade one logical write into N² replica writes.
+// cachePutLocal stores a replica PeerHandler received in this node's local
+// tier only. A replica is read only after its owner dies, so it waits on
+// disk, not in memory, and the failover that needs it promotes it like any
+// disk hit. A node with no local tier keeps it in memory, the only tier it
+// has. It never fans back out: that would cascade one logical write into N²
+// replica writes.
 func (f *Farm) cachePutLocal(key string, res Result) {
+	if f.local != nil {
+		f.local.Put(key, res)
+		return
+	}
 	f.cmu.Lock()
 	f.mem.Put(key, res)
 	f.cmu.Unlock()
-	if f.local != nil {
-		f.local.Put(key, res)
-	}
 }
 
 // Do submits a job and blocks until its result is ready.

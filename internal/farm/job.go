@@ -177,9 +177,10 @@ func (j Job) WithFaultHook(fn func()) Job {
 // must already apply any pruning: a farm remembers the content key of every
 // lazy spec it has hashed (Farm.KeyOf), so two lazy jobs with equal specs
 // are taken to have equal operands without generating either. In exchange a
-// cache hit, a single-flight attach, a coordinator placement or a journal
-// replay of a known spec never allocates an operand; only a worker about to
-// simulate, or the first hash of a new spec, calls gen. Jobs built from
+// cache hit, a single-flight attach or a journal replay of a known spec
+// never allocates an operand (a coordinator placement, Job.Placement, never
+// needs the key at all); only a worker about to simulate, or the first hash
+// of a new spec, calls gen. Jobs built from
 // explicit tensors never set a generator and never consult that memory.
 func (j Job) WithOperands(gen func() (input, weights *tensor.Tensor)) Job {
 	j.Input, j.Weights, j.operands = nil, nil, gen

@@ -104,6 +104,22 @@ func (j Job) specDigest() (d [sha256.Size]byte, err error) {
 	return d, nil
 }
 
+// Placement returns the job's ring input: the hex SHA-256 of exactly the
+// bytes Key() hashes ahead of the operand contents, the digest that also
+// indexes a farm's key memo. A coordinator routes a job by it and a
+// ReplicatedStore picks a persisted result's owners by it, so placing a job
+// never builds or hashes an operand, and any node derives it from the
+// request alone. Equal keys always have equal placements (the key covers
+// the spec), and a seeded job's operands are a pure function of its spec,
+// so a placement names one simulation exactly as its key does.
+func (j Job) Placement() (string, error) {
+	d, err := j.specDigest()
+	if err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(d[:]), nil
+}
+
 // keyWriter serialises values into the hash in a fixed, self-delimiting
 // format: every string is length-prefixed and every integer is a fixed-width
 // little-endian int64, so no two distinct jobs can produce the same byte
@@ -203,32 +219,35 @@ func (m *keyMemo) putLocked(d [sha256.Size]byte, key string) {
 // bounded in-memory memo without generating an operand. A never-seen lazy
 // spec is materialised once, keyed with Key() and remembered; a job with
 // explicit tensors bypasses the memo and is hashed in full. Submit and
-// every caller that needs a job's key outside a submission (coordinator
-// placement, journal replay, naming a failed row) go through here.
+// every caller that needs a job's key outside a submission (journal
+// replay, naming a failed row) go through here; placing a job needs only
+// its Placement.
 func (f *Farm) KeyOf(j Job) (string, error) {
-	key, _, err := f.keyOf(j)
+	key, _, _, err := f.keyOf(j)
 	return key, err
 }
 
 // keyOf is KeyOf that also hands back the job it keyed, materialised if
-// the key had to be built: a submission that paid for the operands keeps
-// them for its worker instead of generating them twice.
-func (f *Farm) keyOf(j Job) (string, Job, error) {
+// the key had to be built — a submission that paid for the operands keeps
+// them for its worker instead of generating them twice — and, for a lazy
+// job, the spec digest it looked the key up by, which is the job's
+// Placement. A job with explicit tensors gets the zero digest.
+func (f *Farm) keyOf(j Job) (string, Job, [sha256.Size]byte, error) {
 	if j.operands == nil {
 		key, err := j.Key()
-		return key, j, err
+		return key, j, [sha256.Size]byte{}, err
 	}
 	d, err := j.specDigest()
 	if err != nil {
-		return "", j, err
+		return "", j, d, err
 	}
 	if key, ok := f.keys.get(d); ok {
-		return key, j, nil
+		return key, j, d, nil
 	}
 	j = j.Materialize()
 	key, err := j.Key()
 	if err == nil {
 		f.keys.put(d, key)
 	}
-	return key, j, err
+	return key, j, d, err
 }

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/stonne/config"
@@ -112,6 +113,55 @@ func TestKeyFieldChangesChangeHash(t *testing.T) {
 	b.HW.SparsityRatio = 50
 	if mustKey(t, a) == mustKey(t, b) {
 		t.Error("mutating sparsity_ratio did not change the key")
+	}
+}
+
+// TestPlacementIsSpecDigest pins Job.Placement: the hex form of the spec
+// digest that indexes the key memo, computed without touching an operand —
+// so operands never move it, a lazy job places like its materialised form,
+// and every spec field the key covers does move it.
+func TestPlacementIsSpecDigest(t *testing.T) {
+	place := func(j Job) string {
+		t.Helper()
+		p, err := j.Placement()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	base := convJob()
+	p := place(base)
+	if d, _ := base.specDigest(); p != hex.EncodeToString(d[:]) {
+		t.Fatalf("Placement %s is not the spec digest %x", p, d)
+	}
+	if p == mustKey(t, base) {
+		t.Fatal("Placement equals the content key")
+	}
+	other := convJob()
+	other.Input = tensor.RandomUniform(99, 1, 1, 2, 10, 10)
+	other.ExecWorkers = 3
+	if place(other) != p {
+		t.Error("operands or ExecWorkers moved the placement")
+	}
+	lazy := base.WithOperands(func() (in, w *tensor.Tensor) {
+		t.Fatal("Placement built the operands")
+		return nil, nil
+	})
+	if place(lazy) != p {
+		t.Error("a lazy job places unlike its materialised form")
+	}
+	for name, mutate := range map[string]func(*Job){
+		"mapping": func(j *Job) { j.ConvMapping.TK = 4 },
+		"ms_size": func(j *Job) { j.HW.MSSize = 64 },
+		"dims":    func(j *Job) { j.Dims.K = 8 },
+		"seed":    func(j *Job) { j.Seed = 99 },
+		"dry_run": func(j *Job) { j.DryRun = true },
+	} {
+		j := convJob()
+		mutate(&j)
+		if place(j) == p {
+			t.Errorf("mutating %s did not move the placement", name)
+		}
 	}
 }
 

@@ -51,9 +51,12 @@ func isResultKey(key string) bool {
 // PeerHandler serves the peer wire protocol over f's result cache: one
 // route, PUT /peer/result/{key}. The serve layer mounts it on the main mux,
 // and tests mount it directly on an httptest server. A replica frame
-// pushed by a peer is stored in this node's own tiers only (memory plus the
-// disk tier's local half) and never fans back out — that would cascade one
-// logical write into N² replica writes.
+// pushed by a peer is stored in this node's local tier only (the disk
+// tier's local half), not in memory: a replica is read only after its
+// owner dies, and the failover that needs it promotes it like any disk hit.
+// A node with no local tier keeps it in memory, the only tier it has. A
+// replica never fans back out — that would cascade one logical write into
+// N² replica writes.
 func PeerHandler(f *Farm) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("PUT /peer/result/{key}", func(w http.ResponseWriter, r *http.Request) {

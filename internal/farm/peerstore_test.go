@@ -112,6 +112,71 @@ func TestPeerStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPeerReplicaLandsOnDisk pins where a received replica lives: in the
+// receiver's local tier, not its memory tier — a replica is read only after
+// its owner dies, and that failover promotes it like any disk hit. The
+// receiver takes the shapes bifrost-serve gives it, a bare disk tier and a
+// replicated tier over one; a receiver with no local tier keeps the replica
+// in memory, the only tier it has.
+func TestPeerReplicaLandsOnDisk(t *testing.T) {
+	diskTier := func(t *testing.T) farm.Store {
+		ds, err := farm.NewDiskStore(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	for _, tc := range []struct {
+		name string
+		tier func(t *testing.T) farm.Store // nil: no local tier
+	}{
+		{"disk", diskTier},
+		{"replicated", func(t *testing.T) farm.Store {
+			local := farm.NewRetryStore(diskTier(t), farmtest.TestRetryPolicy())
+			return farm.NewReplicatedStore(local, "w2", 2, nil)
+		}},
+		{"memory only", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var opts []farm.Option
+			if tc.tier != nil {
+				opts = append(opts, farm.WithDiskStore(tc.tier(t)))
+			}
+			backing := farm.New(2, opts...)
+			defer backing.Close()
+			srv := httptest.NewServer(farm.PeerHandler(backing))
+			defer srv.Close()
+			ps := farm.NewPeerStore(srv.URL)
+			defer ps.Close()
+
+			key, res := simulated(t, 3)
+			before := backing.Stats()
+			if err := ps.PutErr(key, res); err != nil {
+				t.Fatalf("PutErr: %v", err)
+			}
+			after := backing.Stats()
+			if tc.tier != nil {
+				if got := after.Disk.Entries - before.Disk.Entries; got != 1 {
+					t.Errorf("disk-tier entries rose by %d, want 1", got)
+				}
+				if after.Memory.Puts != before.Memory.Puts || after.Memory.Entries != before.Memory.Entries {
+					t.Errorf("memory tier moved: puts %d → %d, entries %d → %d, want unchanged",
+						before.Memory.Puts, after.Memory.Puts, before.Memory.Entries, after.Memory.Entries)
+				}
+			} else if got := after.Memory.Puts - before.Memory.Puts; got != 1 {
+				t.Errorf("memory-tier puts rose by %d, want 1", got)
+			}
+			back, ok := backing.CacheGet(key)
+			if !ok {
+				t.Fatal("receiver does not hold the replica")
+			}
+			if err := farmtest.DiffResults(res, back); err != nil {
+				t.Fatalf("held replica diverged: %v", err)
+			}
+		})
+	}
+}
+
 // TestPeerStoreMissAndMalformedKey pins the key-shape check: the handler
 // refuses keys that are not 64-char lowercase hex before touching the
 // cache, and the sender surfaces the refusal as an error.

@@ -5,11 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// ReplicatedStore makes the distributed result tier durable: every Put fans
-// out to the first R distinct owners of the key on a consistent-hash ring
-// over this node and its peers, so losing any single node's disk loses no
-// results — a coordinator routes the shard to the next owner, which holds a
-// copy in its own local tier.
+// ReplicatedStore makes the distributed result tier durable: every result a
+// farm persists fans out to the first R distinct owners of its job's
+// placement (Job.Placement) on a consistent-hash ring over this node and its
+// peers, so losing any single node's disk loses no results — a coordinator,
+// which walks the same ring by the same placement, routes the shard to the
+// next owner, which holds a copy in its own local tier.
 //
 // Replicas are written, never read back. Every result is a pure function of
 // its content key (the simulations are deterministic), so a copy this node
@@ -19,14 +20,14 @@ import (
 // store starts no goroutine.
 //
 // The ring is static: self plus every configured member, built once. What
-// varies is who takes part. Put walks a key's owners in ring order and
-// offers each member the write through its breaker's Admit (inside the
-// member's RetryStore); a member that refuses — quarantined with no probe
-// due — is skipped and the next owner takes its place, which by
-// consistent hashing is exactly the owner order of a ring rebuilt without
-// it. Because the gate is Admit and never "is it open", a quarantined
-// member keeps receiving one real write per probe interval and rejoins on
-// the first that succeeds.
+// varies is who takes part. A write walks its placement's owners in ring
+// order and offers each member the write through its breaker's Admit
+// (inside the member's RetryStore); a member that refuses — quarantined
+// with no probe due — is skipped and the next owner takes its place, which
+// by consistent hashing is exactly the owner order of a ring rebuilt
+// without it. Because the gate is Admit and never "is it open", a
+// quarantined member keeps receiving one real write per probe interval and
+// rejoins on the first that succeeds.
 //
 // Writes are replicated, not quorum-gated: the local tier is written
 // synchronously (it is this node's own cache), remote owners get the frame
@@ -109,16 +110,25 @@ func (rs *ReplicatedStore) Get(key string) (Result, bool) {
 	return rs.local.Get(key)
 }
 
-// Put implements Store: the local tier synchronously (this node's own
-// cache), then the key's remote owners through their breakers until R
-// owners have been offered the write. Per-replica failure is tolerated and
-// counted — the write needs one copy to land.
-func (rs *ReplicatedStore) Put(key string, res Result) {
+// Put implements Store for a writer that holds a key but no job: it places
+// the write by the key itself, as put would with place = key. A farm never
+// calls it: it persists a fresh result through put with the job's
+// Placement, the ring input a coordinator routes the job by.
+func (rs *ReplicatedStore) Put(key string, res Result) { rs.put(key, key, res) }
+
+// put writes res under key to the local tier synchronously (this node's own
+// cache), then offers it to the remote owners of place, in ring order and
+// through their breakers, until R owners have been offered the write. place
+// is the job's Placement, so the owners are exactly the nodes a coordinator
+// walks for the job: the first is the node that computed it, the rest are
+// the failover targets that then hold a replica. Per-replica failure is
+// tolerated and counted — the write needs one copy to land.
+func (rs *ReplicatedStore) put(place, key string, res Result) {
 	if rs.local != nil {
 		rs.local.Put(key, res)
 	}
 	owned := 0
-	for _, name := range rs.ring.Owners(key, len(rs.members)+1) {
+	for _, name := range rs.ring.Owners(place, len(rs.members)+1) {
 		if owned == rs.replicas {
 			break
 		}

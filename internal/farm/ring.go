@@ -8,13 +8,13 @@ import (
 	"sync"
 )
 
-// Ring is a consistent-hash ring over named peers: every job key maps to an
-// owner, and adding or removing one peer remaps only the keys that peer
-// owned (roughly 1/N of the space) instead of reshuffling the whole sweep.
-// Positions are derived from SHA-256, so the mapping is deterministic
-// across processes and platforms — two coordinators over the same member
-// set dispatch every key identically, which is what keeps a sharded sweep
-// byte-identical to a single-node run.
+// Ring is a consistent-hash ring over named peers: every job's placement
+// (Job.Placement) maps to an owner, and adding or removing one peer remaps
+// only the jobs that peer owned (roughly 1/N of the space) instead of
+// reshuffling the whole sweep. Positions are derived from SHA-256, so the
+// mapping is deterministic across processes and platforms — two
+// coordinators over the same member set dispatch every job identically,
+// which is what keeps a sharded sweep byte-identical to a single-node run.
 //
 // A Ring is safe for concurrent use: the coordinator reads owners on every
 // request while peer churn (join, drain, quarantine-driven removal)

@@ -19,12 +19,14 @@ import (
 )
 
 // Coordinator mode turns a bifrost-serve node into the front of a
-// distributed farm: each job's content-addressed key is consistent-hashed
-// onto a ring of peer nodes, the job is forwarded to its owner's /simulate
+// distributed farm: each job's spec digest (farm.Job.Placement, the bytes
+// its content key hashes ahead of the operands) is consistent-hashed onto a
+// ring of peer nodes, the job is forwarded to its owner's /simulate
 // endpoint, and the response streams back through the normal single-job and
-// NDJSON batch paths. Placement is deterministic (farm.Ring), so every
-// coordinator over the same peer set routes every key identically and a
-// sharded sweep stays byte-identical to a single-node run.
+// NDJSON batch paths. Placement is deterministic (farm.Ring) and needs no
+// operand, so every coordinator over the same peer set routes every job
+// identically, each owner's replicated tier walks the same ring by the same
+// digest, and a sharded sweep stays byte-identical to a single-node run.
 //
 // Failure handling mirrors the local disk tier's:
 //
@@ -264,27 +266,21 @@ func (ps *peerState) placeable() bool {
 	return true
 }
 
-// run dispatches one request across the ring. The job's content key decides
-// its owner — a memo lookup for a spec this coordinator has placed before,
-// one operand build for a new one, never a key taken from the request.
-// Owners are tried in the ring's deterministic failover order, skipping
-// quarantined, probed-down and draining peers; if every owner is out, the
-// local farm executes the job — the coordinator never refuses work a single
-// node could do. A hedge (-hedge-after) races the next placeable owner; content
-// addressing makes that safe — whichever peer answers, the bytes are identical.
+// run dispatches one request across the ring. The job's spec digest
+// (farm.Job.Placement) decides its owner — a hash of the compiled spec,
+// never an operand build and never a key taken from the request. Owners are
+// tried in the ring's deterministic failover order, skipping quarantined,
+// probed-down and draining peers; if every owner is out, the local farm
+// executes the job — the coordinator never refuses work a single node could
+// do. A hedge (-hedge-after) races the next placeable owner; content
+// addressing makes that safe — whichever peer answers, the bytes are
+// identical.
 func (c *coordinator) run(ctx context.Context, req JobRequest) JobResponse {
 	start := time.Now()
-	var key string
-	job, release, err := c.s.operands.lazyJob(req)
-	if err == nil {
-		key, err = c.s.farm.KeyOf(job)
-	}
-	release() // placement needs only the key
+	owners, err := c.owners(req)
 	if err != nil {
 		return c.s.annotate(JobResponse{Error: err.Error(), ElapsedMS: msSince(start), err: err})
 	}
-
-	owners := c.ring.Owners(key, c.ring.Len())
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel() // cancels every losing attempt
 
@@ -303,7 +299,7 @@ func (c *coordinator) run(ctx context.Context, req JobRequest) JobResponse {
 			if ps.placeable() {
 				inflight++
 				go func() {
-					resp, terminal := c.forward(hctx, ps, req, key, start)
+					resp, terminal := c.forward(hctx, ps, req, start)
 					results <- attempt{resp: resp, terminal: terminal, ps: ps, hedged: hedged}
 				}()
 				return true
@@ -342,7 +338,7 @@ func (c *coordinator) run(ctx context.Context, req JobRequest) JobResponse {
 			a.ps.failovers.Add(1)
 			if ctx.Err() != nil {
 				// The client is gone; walking more owners only burns peers.
-				return c.s.annotate(JobResponse{Key: key, Error: ctx.Err().Error(), ElapsedMS: msSince(start), err: ctx.Err()})
+				return c.failed(req, ctx.Err(), start)
 			}
 			// Replace the failed attempt so the job keeps the same number
 			// of irons in the fire.
@@ -355,16 +351,43 @@ func (c *coordinator) run(ctx context.Context, req JobRequest) JobResponse {
 	return c.s.run(ctx, req)
 }
 
+// owners compiles the request's spec and returns every peer in the ring's
+// failover order for its placement — the order the owner's ReplicatedStore
+// walks when it persists the result.
+func (c *coordinator) owners(req JobRequest) ([]string, error) {
+	job, err := req.spec()
+	if err != nil {
+		return nil, err
+	}
+	place, err := job.Placement()
+	if err != nil {
+		return nil, err
+	}
+	return c.ring.Owners(place, c.ring.Len()), nil
+}
+
+// failed is a row the coordinator originates itself: the client left
+// mid-walk, or the request would not marshal. Like every row it names the
+// job's content key, which placement never computes, so this rare path pays
+// one KeyOf.
+func (c *coordinator) failed(req JobRequest, err error, start time.Time) JobResponse {
+	var key string
+	if job, jerr := req.lazyJob(); jerr == nil {
+		key, _ = c.s.farm.KeyOf(job)
+	}
+	return c.s.annotate(JobResponse{Key: key, Error: err.Error(), ElapsedMS: msSince(start), err: err})
+}
+
 // forward sends the job to one peer and shapes the reply. terminal=false
 // means the peer could not answer (network failure or 5xx) and the caller
 // should fail over; every real answer — success, backpressure, deadline,
 // invalid job — is terminal and propagates. A failure caused by our own
 // context (client gone, or a hedge race this attempt lost) is not breaker
 // food: the peer did nothing wrong.
-func (c *coordinator) forward(ctx context.Context, ps *peerState, req JobRequest, key string, start time.Time) (JobResponse, bool) {
+func (c *coordinator) forward(ctx context.Context, ps *peerState, req JobRequest, start time.Time) (JobResponse, bool) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return c.s.annotate(JobResponse{Key: key, Error: err.Error(), ElapsedMS: msSince(start), err: err}), true
+		return c.failed(req, err, start), true
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, ps.url+"/simulate", bytes.NewReader(body))
 	if err != nil {
