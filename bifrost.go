@@ -91,8 +91,8 @@ func NewSession(arch Architecture) (*Session, error) { return core.NewSession(ar
 //	sess, _ := bifrost.NewSession(arch)
 //	sess.WithFarm(fm)
 //
-// The in-memory tier can be bounded (FarmMaxEntries / FarmMaxBytes, LRU
-// eviction), and a persistent tier (FarmDiskCache) makes results survive
+// The in-memory tier is LRU-bounded (256 MiB by default; FarmMaxEntries /
+// FarmMaxBytes set the bounds), and a persistent tier (FarmDiskCache) makes results survive
 // process restarts — a cold process replaying a warm cache directory
 // returns byte-identical results with zero simulator executions:
 //
@@ -125,7 +125,8 @@ func NewDiskStore(dir string, maxBytes int64) (*DiskStore, error) {
 // FarmMaxEntries bounds the farm's in-memory cache tier to n entries (LRU).
 func FarmMaxEntries(n int) FarmOption { return farm.WithMaxEntries(n) }
 
-// FarmMaxBytes bounds the farm's in-memory cache tier to b resident bytes.
+// FarmMaxBytes bounds the farm's in-memory cache tier to b resident bytes;
+// b <= 0 keeps the default bound, 256 MiB.
 func FarmMaxBytes(b int64) FarmOption { return farm.WithMaxBytes(b) }
 
 // FarmDiskCache attaches a persistent tier to the farm.

@@ -15,11 +15,6 @@
 //	  -cache-max-entries 10000 -cache-max-bytes 256000000 \
 //	  -cache-disk-max-bytes 10000000000
 //
-//	# warm start for known sweeps: preload the disk store's entries into
-//	# the in-memory LRU, so the first pass of a repeated sweep is served
-//	# from memory without even a disk probe
-//	bifrost-serve -cache-dir /var/cache/bifrost -cache-warm
-//
 //	# operational bounds: reject work beyond 4096 queued jobs (HTTP 429 +
 //	# Retry-After), time out jobs stuck past 30s (HTTP 504), and drain
 //	# cleanly on SIGTERM within 30s
@@ -130,10 +125,9 @@ func main() {
 		addr       = flag.String("addr", ":8087", "listen address")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "simulation-farm workers")
 		cacheDir   = flag.String("cache-dir", "", "persistent result-cache directory (empty = memory only)")
-		maxEntries = flag.Int("cache-max-entries", 0, "in-memory cache entry bound, LRU-evicted (0 = unbounded)")
-		maxBytes   = flag.Int64("cache-max-bytes", 0, "in-memory cache byte bound, LRU-evicted (0 = unbounded)")
+		maxEntries = flag.Int("cache-max-entries", 0, "in-memory cache entry bound, LRU-evicted (0 = no entry bound; the byte bound still holds)")
+		maxBytes   = flag.Int64("cache-max-bytes", 0, "in-memory cache byte bound, LRU-evicted (0 = the default, 256 MiB)")
 		diskMax    = flag.Int64("cache-disk-max-bytes", 0, "disk cache byte bound, LRU-evicted (0 = unbounded)")
-		warm       = flag.Bool("cache-warm", false, "preload the disk cache's entries into the in-memory LRU at startup (requires -cache-dir)")
 		maxQueue   = flag.Int("max-queue", 0, "queued-job bound: submissions beyond it are rejected with HTTP 429 + Retry-After instead of growing the queue (0 = unbounded)")
 		jobTimeout = flag.Duration("job-timeout", 0, "default per-job deadline, e.g. 30s; unanswered jobs fail with HTTP 504 and queued ones are removed (0 = none; requests override with timeout_ms)")
 		drainWait  = flag.Duration("shutdown-timeout", 30*time.Second, "graceful-drain bound on SIGINT/SIGTERM: running jobs get this long to finish before queued work is abandoned")
@@ -146,7 +140,6 @@ func main() {
 		clusterArg = flag.String("cluster", "", "cluster membership, the same list on every node: comma-separated name=url entries (e.g. w1=http://10.0.0.1:8087,w2=http://10.0.0.2:8087); without -self this node is the coordinator over every member")
 		self       = flag.String("self", "", "this worker's name in -cluster: results are replicated to their ring owners among the other members (empty = coordinator)")
 		sweepDir   = flag.String("sweep-dir", "", "directory for resumable-sweep journals (default: <cache-dir>/sweeps when -cache-dir is set; empty without it keeps journals in-process only)")
-		hedgeAfter = flag.Duration("hedge-after", 0, "coordinator hedging threshold: a peer dispatch still unanswered after this long races a second request to the next ring owner, first answer wins (0 = disabled)")
 		peerTO     = flag.Duration("peer-timeout", 2*time.Minute, "coordinator per-dispatch response-header bound: a peer that has not begun answering within it fails over (dials are bounded separately)")
 		peerProbe  = flag.Duration("peer-probe", 5*time.Second, "coordinator active health-probe interval: each peer's /healthz is probed on this timer, flipping it off/on the ring (0 = probe only via dispatch failures)")
 		replicas   = flag.Int("replicas", 2, "result-replication factor R with -self: each result is written to the first R distinct ring owners (clamped to cluster size)")
@@ -214,14 +207,7 @@ func main() {
 	} else if local != nil {
 		opts = append(opts, farm.WithDiskStore(local))
 	}
-	if *warm && *cacheDir == "" {
-		log.Fatal("-cache-warm requires -cache-dir")
-	}
 	fm := farm.New(*workers, opts...)
-	if *warm {
-		n := fm.Warm()
-		log.Printf("warmed %d cached results into memory", n)
-	}
 	if *sweepDir == "" && *cacheDir != "" {
 		*sweepDir = *cacheDir + "/sweeps"
 	}
@@ -241,7 +227,6 @@ func main() {
 	if *self == "" && len(peers) > 0 {
 		sopts = append(sopts,
 			serve.WithPeers(peers),
-			serve.WithHedgeAfter(*hedgeAfter),
 			serve.WithPeerTimeout(*peerTO),
 			serve.WithPeerProbes(*peerProbe),
 		)

@@ -42,7 +42,7 @@ func main() {
 		// Farm-backed measurement (cycles target only).
 		farmWorkers = flag.Int("farm-workers", 0, "measurement-farm workers for -target cycles (0 = GOMAXPROCS)")
 		cacheDir    = flag.String("cache-dir", "", "persistent measurement cache for -target cycles (empty = memory only)")
-		cacheMax    = flag.Int64("cache-max-bytes", 0, "in-memory measurement-cache byte bound (0 = unbounded)")
+		cacheMax    = flag.Int64("cache-max-bytes", 0, "in-memory measurement-cache byte bound (0 = the farm's default, 256 MiB)")
 
 		// Conv geometry.
 		c      = flag.Int("c", 16, "input channels")

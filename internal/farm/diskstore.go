@@ -106,7 +106,8 @@ const tmpPrefix = ".tmp-"
 
 // validKey reports whether key is a farm cache key (64 lowercase hex
 // characters) and therefore a safe file name. Anything else is refused,
-// which also rules out path traversal through a crafted key.
+// which also rules out path traversal through a crafted key. It is the one
+// key-shape check: the sweep log and the peer handler use it too.
 func validKey(key string) bool {
 	if len(key) != 64 {
 		return false
@@ -289,80 +290,6 @@ func (ds *DiskStore) remove(key string) {
 			ds.stats.DeleteErrors++
 		}
 	}
-}
-
-// Entries streams decodable entries of the store to fn, least recently
-// used first (by file mtime, the cross-process LRU clock), stopping early
-// if fn returns false. newest > 0 restricts the stream to the newest that
-// many entries, and newestBytes > 0 to the newest entries whose encoded
-// files fit the byte budget (at least one) — both still delivered
-// oldest-first among themselves — so a bounded consumer never pays reads it
-// would immediately evict; non-positive limits stream everything. It reads
-// the files directly — no recency refresh, no hit/miss accounting — so it
-// is the right primitive for cache warming: a memory tier populated in
-// this order ends with the most recently used entries at its hot end, and
-// the store's statistics still describe only real lookup traffic. Corrupt
-// files are skipped (and left for Get's delete-and-recompute path to
-// reap). Safe to run concurrently with farm traffic.
-func (ds *DiskStore) Entries(newest int, newestBytes int64, fn func(key string, res Result) bool) {
-	files := ds.listFiles()
-	if newest > 0 && len(files) > newest {
-		files = files[len(files)-newest:]
-	}
-	if newestBytes > 0 {
-		cut, budget := len(files), newestBytes
-		for cut > 0 && budget >= files[cut-1].size {
-			budget -= files[cut-1].size
-			cut--
-		}
-		if cut == len(files) && cut > 0 {
-			cut-- // always offer at least the newest entry
-		}
-		files = files[cut:]
-	}
-	for _, f := range files {
-		b, err := os.ReadFile(filepath.Join(ds.dir, f.name))
-		if err != nil {
-			continue
-		}
-		res, err := decodeResult(b)
-		if err != nil {
-			continue
-		}
-		if !fn(f.name, res) {
-			return
-		}
-	}
-}
-
-// diskFile is one stored entry's directory metadata, as Entries lists it.
-type diskFile struct {
-	name  string
-	size  int64
-	mtime time.Time
-}
-
-// listFiles snapshots the store's entry files sorted oldest-mtime first, for
-// Entries. Temp files and anything that is not a well-formed key name are
-// skipped.
-func (ds *DiskStore) listFiles() []diskFile {
-	ents, err := os.ReadDir(ds.dir)
-	if err != nil {
-		return nil
-	}
-	files := make([]diskFile, 0, len(ents))
-	for _, ent := range ents {
-		if ent.IsDir() || !validKey(ent.Name()) {
-			continue
-		}
-		info, err := ent.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, diskFile{ent.Name(), info.Size(), info.ModTime()})
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
-	return files
 }
 
 func (ds *DiskStore) count(f func(*StoreStats)) {

@@ -83,9 +83,9 @@ type Farm struct {
 	mem  *MemoryStore
 	disk Store
 	// local is the disk tier's node-local view, resolved once in New: the
-	// tier itself, or a ReplicatedStore's own local tier — so Warm, Limits
-	// and a replica written over the peer wire protocol never reach past
-	// this node's storage. nil without local storage.
+	// tier itself, or a ReplicatedStore's own local tier — so Limits and a
+	// replica written over the peer wire protocol never reach past this
+	// node's storage. nil without local storage.
 	local LocalTier
 	// repl is the disk tier when it is a ReplicatedStore: a fresh result is
 	// persisted through it by its job's placement (Job.Placement), the same
@@ -130,15 +130,25 @@ type Farm struct {
 type Option func(*Farm)
 
 // WithMaxEntries bounds the in-memory result tier to n entries, evicted in
-// LRU order; n <= 0 (the default) leaves it unbounded.
+// LRU order; n <= 0 (the default) sets no entry bound, and the tier's byte
+// bound (WithMaxBytes) still holds.
 func WithMaxEntries(n int) Option { return func(f *Farm) { f.maxEntries = n } }
+
+// DefaultMemMaxBytes is the in-memory result tier's byte bound when
+// WithMaxBytes sets none, equal to the pack cache's default
+// (tensor.DefaultPackCacheBytes). A small sweep's row costs about 8–11 KB
+// of memory, so the bound holds tens of thousands of results, where an
+// unbounded tier grew by a row's worth per row until the process was
+// killed. Entries evicted from memory stay on the disk tier, when there
+// is one.
+const DefaultMemMaxBytes = 256 << 20
 
 // WithMaxBytes bounds the in-memory result tier to roughly b resident
 // bytes of cached results, evicted in LRU order; b <= 0 (the default)
-// leaves it unbounded. An output several entries share is charged to every
-// one of them, so the bound counts what the entries would hold unshared:
-// which results fit never depends on which outputs happen to be equal, and
-// the tier's resident bytes only fall below it.
+// selects DefaultMemMaxBytes. An output several entries share is charged
+// to every one of them, so the bound counts what the entries would hold
+// unshared: which results fit never depends on which outputs happen to be
+// equal, and the tier's resident bytes only fall below it.
 func WithMaxBytes(b int64) Option { return func(f *Farm) { f.maxBytes = b } }
 
 // WithMaxQueue bounds the job queue to n waiting jobs; when full, Submit
@@ -213,8 +223,8 @@ type call struct {
 }
 
 // New returns a running farm with the given number of workers; workers <= 0
-// selects GOMAXPROCS. With no options the cache is a single unbounded
-// in-memory tier, matching the farm's original semantics.
+// selects GOMAXPROCS. With no options the cache is a single in-memory tier
+// bounded by DefaultMemMaxBytes.
 func New(workers int, opts ...Option) *Farm {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -225,6 +235,9 @@ func New(workers int, opts ...Option) *Farm {
 	}
 	for _, opt := range opts {
 		opt(f)
+	}
+	if f.maxBytes <= 0 {
+		f.maxBytes = DefaultMemMaxBytes
 	}
 	f.mem = NewMemoryStore(f.maxEntries, f.maxBytes)
 	if repl, ok := f.disk.(*ReplicatedStore); ok {
@@ -253,32 +266,6 @@ func (f *Farm) PackCache() *tensor.PackCache { return f.pack }
 
 // Ring returns the farm's recent-trace ring (nil unless WithTraceRing).
 func (f *Farm) Ring() *telemetry.TraceRing { return f.ring }
-
-// Warm preloads the persistent tier's entries into the memory tier, so a
-// freshly started farm answers known sweeps from memory instead of paying a
-// disk probe per first hit. Entries load least recently used first, leaving
-// the most recently used ones at the memory LRU's hot end. A bounded memory
-// tier (WithMaxEntries / WithMaxBytes) only reads roughly the newest
-// entries it can actually hold (the byte bound compares encoded file sizes
-// against the tier's resident-byte budget — close cousins, not equal — so
-// the tier's own eviction still enforces the exact bound). Returns the
-// number of entries offered to the memory tier (0 when there is no
-// persistent tier or it cannot enumerate). Warming is read-only with
-// respect to the disk tier and safe to run concurrently with submissions.
-func (f *Farm) Warm() int {
-	if f.local == nil {
-		return 0
-	}
-	n := 0
-	f.local.Entries(f.maxEntries, f.maxBytes, func(key string, res Result) bool {
-		f.cmu.Lock()
-		f.mem.Put(key, res)
-		f.cmu.Unlock()
-		n++
-		return true
-	})
-	return n
-}
 
 // Close stops accepting jobs, waits for queued and running jobs to finish,
 // releases the workers and closes the cache tiers. Results persisted to a
@@ -969,7 +956,7 @@ type Limits struct {
 	// fails fast with ErrQueueFull.
 	MaxQueue int `json:"max_queue"`
 	// MemMaxEntries and MemMaxBytes bound the in-memory result tier
-	// (0 = unbounded).
+	// (MemMaxEntries 0 = no entry bound; MemMaxBytes is always set).
 	MemMaxEntries int   `json:"mem_max_entries"`
 	MemMaxBytes   int64 `json:"mem_max_bytes"`
 	// Disk reports whether a persistent tier is attached; DiskMaxBytes is

@@ -2,7 +2,6 @@ package farm
 
 import (
 	"bytes"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,17 +36,6 @@ const (
 	peerMaxFrameBytes = 256 << 20
 )
 
-// isResultKey reports whether key has the shape Job.Key() produces: 64
-// lowercase hex characters. The handler rejects anything else before it
-// touches the cache, so a peer cannot write under arbitrary strings.
-func isResultKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	_, err := hex.DecodeString(key)
-	return err == nil && strings.ToLower(key) == key
-}
-
 // PeerHandler serves the peer wire protocol over f's result cache: one
 // route, PUT /peer/result/{key}. The serve layer mounts it on the main mux,
 // and tests mount it directly on an httptest server. A replica frame
@@ -65,7 +53,7 @@ func PeerHandler(f *Farm) http.Handler {
 			return
 		}
 		key := r.PathValue("key")
-		if !isResultKey(key) {
+		if !validKey(key) {
 			http.Error(w, "malformed result key", http.StatusBadRequest)
 			return
 		}

@@ -17,123 +17,6 @@ func TestDifferentialCacheFreshDiskEquivalence(t *testing.T) {
 	farmtest.AssertEquivalent(t, farmtest.Jobs())
 }
 
-// TestWarmPreloadsMemoryTier checks cache warming: a cold farm that Warms
-// from a populated disk directory must answer every job from the memory
-// tier — byte-identical results, zero disk probes, zero simulations.
-func TestWarmPreloadsMemoryTier(t *testing.T) {
-	jobs := farmtest.Jobs()
-	want := farmtest.RunFresh(t, jobs)
-	dir := t.TempDir()
-
-	ds, err := farm.NewDiskStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	populate := farm.New(2, farm.WithDiskStore(ds))
-	if _, err := populate.DoBatch(jobs); err != nil {
-		t.Fatal(err)
-	}
-	populate.Close()
-
-	ds2, err := farm.NewDiskStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := farm.New(2, farm.WithDiskStore(ds2))
-	defer cold.Close()
-	if n := cold.Warm(); n != len(jobs) {
-		t.Fatalf("Warm() preloaded %d entries, want %d", n, len(jobs))
-	}
-	got, err := cold.DoBatch(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	farmtest.AssertSameResults(t, "warmed farm replay vs fresh", want, got)
-	st := cold.Stats()
-	if st.Misses != 0 || st.Completed != 0 {
-		t.Fatalf("warmed farm simulated: %+v", st)
-	}
-	if st.DiskHits != 0 {
-		t.Fatalf("warmed farm probed disk %d times, want 0: %+v", st.DiskHits, st)
-	}
-	if st.Memory.Hits != int64(len(jobs)) {
-		t.Fatalf("memory hits = %d, want %d: %+v", st.Memory.Hits, len(jobs), st)
-	}
-	// Warming reads files directly: the disk tier's lookup counters must
-	// still describe only real traffic.
-	if st.Disk == nil || st.Disk.Hits != 0 || st.Disk.Misses != 0 {
-		t.Fatalf("warming disturbed disk lookup stats: %+v", st.Disk)
-	}
-}
-
-// TestWarmRespectsMemoryBounds checks that warming an entry-bounded memory
-// tier reads only the newest entries the tier can hold and keeps the bound.
-func TestWarmRespectsMemoryBounds(t *testing.T) {
-	jobs := farmtest.Jobs()
-	dir := t.TempDir()
-	ds, err := farm.NewDiskStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	populate := farm.New(2, farm.WithDiskStore(ds))
-	if _, err := populate.DoBatch(jobs); err != nil {
-		t.Fatal(err)
-	}
-	populate.Close()
-
-	const bound = 3
-	ds2, err := farm.NewDiskStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := farm.New(2, farm.WithDiskStore(ds2), farm.WithMaxEntries(bound))
-	defer cold.Close()
-	if n := cold.Warm(); n != bound {
-		t.Fatalf("Warm() offered %d entries, want only the bound %d", n, bound)
-	}
-	if entries := cold.Stats().Memory.Entries; entries != bound {
-		t.Fatalf("warmed memory tier holds %d entries, want the bound %d", entries, bound)
-	}
-}
-
-// TestWarmRespectsByteBound checks that warming a byte-bounded memory tier
-// reads only roughly the newest entries fitting the budget instead of
-// streaming (and immediately evicting most of) the whole disk store.
-func TestWarmRespectsByteBound(t *testing.T) {
-	jobs := farmtest.Jobs()
-	dir := t.TempDir()
-	ds, err := farm.NewDiskStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	populate := farm.New(2, farm.WithDiskStore(ds))
-	if _, err := populate.DoBatch(jobs); err != nil {
-		t.Fatal(err)
-	}
-	populate.Close()
-
-	ds2, err := farm.NewDiskStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A budget of one median entry: only a suffix of the store may be read.
-	budget := ds2.Stats().Bytes / int64(len(jobs))
-	cold := farm.New(2, farm.WithDiskStore(ds2), farm.WithMaxBytes(budget))
-	defer cold.Close()
-	if n := cold.Warm(); n <= 0 || n >= len(jobs) {
-		t.Fatalf("Warm() offered %d entries under a ~1-entry byte budget, want 0 < n < %d", n, len(jobs))
-	}
-}
-
-// TestWarmWithoutDiskTier is the degenerate case: nothing to warm from.
-func TestWarmWithoutDiskTier(t *testing.T) {
-	fm := farm.New(1)
-	defer fm.Close()
-	if n := fm.Warm(); n != 0 {
-		t.Fatalf("Warm() on a memory-only farm returned %d, want 0", n)
-	}
-}
-
 // TestDiskTierPromotesToMemory checks the two-level composition: after one
 // disk hit the entry must be served from the memory tier, not re-read from
 // disk.

@@ -189,16 +189,6 @@ func (rs *RetryStore) Stats() StoreStats {
 // Close implements Store, closing the wrapped tier.
 func (rs *RetryStore) Close() error { return rs.inner.Close() }
 
-// Entries streams the wrapped tier's entries, behind the breaker: while
-// quarantined it streams nothing, so warming never touches a dying disk. A
-// warm read cannot heal the tier, so it looks at Open instead of spending a
-// probe slot with Admit.
-func (rs *RetryStore) Entries(newest int, newestBytes int64, fn func(key string, res Result) bool) {
-	if !rs.breaker.Open() {
-		rs.inner.Entries(newest, newestBytes, fn)
-	}
-}
-
 // Dir and MaxBytes complete the LocalTier view: the wrapped tier's.
 func (rs *RetryStore) Dir() string     { return rs.inner.Dir() }
 func (rs *RetryStore) MaxBytes() int64 { return rs.inner.MaxBytes() }

@@ -197,14 +197,6 @@ func TestRetryStoreFaultCapabilityForwarding(t *testing.T) {
 		t.Errorf("MaxBytes() = %d, want %d", rs.MaxBytes(), ds.MaxBytes())
 	}
 
-	// The wrapped tier's entries stream through for Warm.
-	rs.Put(testKey(1), Result{})
-	streamed := 0
-	rs.Entries(0, 0, func(string, Result) bool { streamed++; return true })
-	if streamed != 1 {
-		t.Errorf("Entries streamed %d entries, want 1", streamed)
-	}
-
 	// A farm configured with the wrapper reports the disk tier's limits.
 	fm := New(1, WithDiskStore(rs))
 	defer fm.Close()

@@ -79,26 +79,23 @@ func asFallible(s Store) FallibleStore {
 }
 
 // LocalTier is a node's own persistent tier: a Store whose Get and Put touch
-// this node's storage only, plus what the farm needs from storage it can
-// walk (see *DiskStore, the implementation, for each method's contract):
-// Warm streams Entries, Limits reports Dir and MaxBytes. *RetryStore passes
-// its wrapped tier's through behind the breaker. Consumers resolve it once
-// with asLocalTier, never per call.
+// this node's storage only, plus what Limits reports about it: Dir and
+// MaxBytes (see *DiskStore, the implementation). *RetryStore passes its
+// wrapped tier's through. Consumers resolve it once with asLocalTier, never
+// per call.
 type LocalTier interface {
 	Store
-	Entries(newest int, newestBytes int64, fn func(key string, res Result) bool)
 	Dir() string
 	MaxBytes() int64
 }
 
-// noLocalTier is the LocalTier view of a Store with no walkable storage (a
+// noLocalTier is the LocalTier view of a Store with no local storage (a
 // memory tier, a remote peer, a test double): lookups and writes still
-// reach the store, and there is nothing to list or report.
+// reach the store, and there is nothing to report.
 type noLocalTier struct{ Store }
 
-func (noLocalTier) Entries(int, int64, func(string, Result) bool) {}
-func (noLocalTier) Dir() string                                   { return "" }
-func (noLocalTier) MaxBytes() int64                               { return 0 }
+func (noLocalTier) Dir() string     { return "" }
+func (noLocalTier) MaxBytes() int64 { return 0 }
 
 // asLocalTier resolves s's local-tier view once, at construction; nil stays
 // nil (no tier at all).
@@ -153,8 +150,9 @@ func (s StoreStats) HitRatio() float64 {
 }
 
 // MemoryStore is the in-memory tier: a map fronted by an LRU list, bounded
-// by entry count and/or resident bytes. The zero bounds mean unbounded,
-// which is the farm's default and matches the PR-1 cache semantics.
+// by entry count and/or resident bytes. The zero bounds mean unbounded; a
+// Farm always gives its memory tier a byte bound (DefaultMemMaxBytes unless
+// WithMaxBytes sets one).
 //
 // A sweep computes many equal outputs under different keys (a MAERI conv
 // has the same output bits at T_K 1 … 8, for one), so outputs stored with

@@ -278,6 +278,19 @@ func TestMemoryStoreSharesEqualOutputs(t *testing.T) {
 	}
 }
 
+// TestFarmMemoryTierBoundedByDefault: a farm given no byte bound, or a
+// non-positive one (what -cache-max-bytes 0 passes), bounds its memory tier
+// by DefaultMemMaxBytes, and Limits reports the bound the tier enforces.
+func TestFarmMemoryTierBoundedByDefault(t *testing.T) {
+	for i, opts := range [][]Option{nil, {WithMaxBytes(0)}, {WithMaxBytes(-1)}} {
+		f := New(1, opts...)
+		if got := f.Limits().MemMaxBytes; got != DefaultMemMaxBytes || f.mem.maxBytes != DefaultMemMaxBytes {
+			t.Errorf("case %d: Limits().MemMaxBytes %d, tier bound %d; want %d", i, got, f.mem.maxBytes, DefaultMemMaxBytes)
+		}
+		f.Close()
+	}
+}
+
 // TestFarmMemoryTierIsOneLRU: on a 16-core box a farm bounded to 1024
 // entries holds exactly the 1024 most recently used results, and the next
 // put evicts the coldest one — whatever way the keys hash.

@@ -42,9 +42,9 @@ import (
 //	                 placement and fails the job over without feeding the
 //	                 breaker; the health probes see the drain too, and
 //	                 re-admit the peer when it comes back
-//	peer stalled   → with -hedge-after set, a dispatch that outlives the
-//	                 threshold races a second request to the next owner;
-//	                 first answer wins, the loser is cancelled
+//	peer stalled   → -peer-timeout fails it over like a down peer; a row
+//	                 whose own deadline passes first answers 504 instead,
+//	                 without feeding the breaker
 //	all peers gone → the local farm executes everything; a coordinator
 //	                 degrades to a correct single node
 //
@@ -73,15 +73,6 @@ func WithPeers(peers []Peer) ServerOption {
 	return func(s *Server) { s.peerList = append([]Peer(nil), peers...) }
 }
 
-// WithHedgeAfter enables hedged dispatch: a peer request still unanswered
-// after d races a second request to the next ring owner; the first answer
-// wins and the loser is cancelled. Content-addressed keys make the hedge
-// free of correctness risk — both peers compute (or cache-hit) the same
-// bytes. 0 disables hedging.
-func WithHedgeAfter(d time.Duration) ServerOption {
-	return func(s *Server) { s.peerCfg.HedgeAfter = d }
-}
-
 // WithPeerTimeout bounds how long a peer may hold a dispatch before
 // answering headers. It replaces a blanket client timeout: dials are
 // bounded separately and response bodies may stream as long as they need,
@@ -104,7 +95,6 @@ func WithPeerProbes(every time.Duration) ServerOption {
 
 // peerConfig collects the coordinator's tunables, all flag-settable.
 type peerConfig struct {
-	HedgeAfter time.Duration // 0: no hedging
 	Timeout    time.Duration // peer response-header bound
 	ProbeEvery time.Duration // 0: no active health probes
 }
@@ -133,8 +123,6 @@ type coordinator struct {
 	names  []string // stable sorted peer names for metrics
 
 	localFallbacks atomic.Int64
-	hedges         atomic.Int64
-	hedgeWins      atomic.Int64
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -266,83 +254,39 @@ func (ps *peerState) placeable() bool {
 	return true
 }
 
-// run dispatches one request across the ring. The job's spec digest
-// (farm.Job.Placement) decides its owner — a hash of the compiled spec,
-// never an operand build and never a key taken from the request. Owners are
-// tried in the ring's deterministic failover order, skipping quarantined,
-// probed-down and draining peers; if every owner is out, the local farm
-// executes the job — the coordinator never refuses work a single node could
-// do. A hedge (-hedge-after) races the next placeable owner; content
-// addressing makes that safe — whichever peer answers, the bytes are
-// identical.
+// run dispatches one request across the ring, on the caller's goroutine.
+// The job's spec digest (farm.Job.Placement) decides its owner — a hash of
+// the compiled spec, never an operand build and never a key taken from the
+// request. Owners are tried one at a time in the ring's deterministic
+// failover order, skipping quarantined, probed-down and draining peers; if
+// every owner is out, the local farm executes the job — the coordinator
+// never refuses work a single node could do. The walk is bounded by the
+// row's own deadline, the one its owner enforces too: an owner that stalls
+// past it costs this row, never the next owner's time.
 func (c *coordinator) run(ctx context.Context, req JobRequest) JobResponse {
 	start := time.Now()
 	owners, err := c.owners(req)
 	if err != nil {
 		return c.s.annotate(JobResponse{Error: err.Error(), ElapsedMS: msSince(start), err: err})
 	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel() // cancels every losing attempt
-
-	type attempt struct {
-		resp     JobResponse
-		terminal bool
-		ps       *peerState
-		hedged   bool
+	if d := c.s.deadline(req); d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
 	}
-	results := make(chan attempt, len(owners)) // each owner is tried at most once
-	inflight := 0
-	launch := func(hedged bool) bool { // starts the next placeable owner, if any
-		for len(owners) > 0 {
-			ps := c.peers[owners[0]]
-			owners = owners[1:]
-			if ps.placeable() {
-				inflight++
-				go func() {
-					resp, terminal := c.forward(hctx, ps, req, start)
-					results <- attempt{resp: resp, terminal: terminal, ps: ps, hedged: hedged}
-				}()
-				return true
-			}
+	for _, name := range owners {
+		ps := c.peers[name]
+		if !ps.placeable() {
+			continue
 		}
-		return false
-	}
-
-	// With hedging off the timer channel stays nil — never ready — and the
-	// walk is this same loop with one arm that cannot fire.
-	var hedge <-chan time.Time
-	if d := c.cfg.HedgeAfter; d > 0 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		hedge = timer.C
-	}
-	launch(false)
-	for inflight > 0 {
-		select {
-		case <-hedge:
-			hedge = nil // one hedge per job
-			if launch(true) {
-				c.hedges.Add(1)
-			}
-		case a := <-results:
-			inflight--
-			if a.terminal {
-				if a.hedged {
-					c.hedgeWins.Add(1)
-					if a.resp.Trace != nil {
-						a.resp.Trace.Hedged = true
-					}
-				}
-				return a.resp
-			}
-			a.ps.failovers.Add(1)
-			if ctx.Err() != nil {
-				// The client is gone; walking more owners only burns peers.
-				return c.failed(req, ctx.Err(), start)
-			}
-			// Replace the failed attempt so the job keeps the same number
-			// of irons in the fire.
-			launch(a.hedged)
+		if resp, terminal := c.forward(ctx, ps, req, start); terminal {
+			return resp
+		}
+		ps.failovers.Add(1)
+		if ctx.Err() != nil {
+			// The client is gone or the row's deadline passed; walking
+			// more owners only burns peers.
+			return c.failed(req, ctx.Err(), start)
 		}
 	}
 
@@ -382,8 +326,8 @@ func (c *coordinator) failed(req JobRequest, err error, start time.Time) JobResp
 // means the peer could not answer (network failure or 5xx) and the caller
 // should fail over; every real answer — success, backpressure, deadline,
 // invalid job — is terminal and propagates. A failure caused by our own
-// context (client gone, or a hedge race this attempt lost) is not breaker
-// food: the peer did nothing wrong.
+// context (the client gone or its deadline passed) is not breaker food: the
+// peer did nothing wrong.
 func (c *coordinator) forward(ctx context.Context, ps *peerState, req JobRequest, start time.Time) (JobResponse, bool) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -474,8 +418,8 @@ func (c *coordinator) forward(ctx context.Context, ps *peerState, req JobRequest
 	return resp, true
 }
 
-// writeMetrics appends the coordinator's exposition families: ring and
-// hedge counters, plus per-peer dispatch counters and health under a peer
+// writeMetrics appends the coordinator's exposition families: ring
+// counters, plus per-peer dispatch counters and health under a peer
 // label. Per-peer families cover every configured peer, including ones
 // currently off the ring — that is exactly when an operator needs to see
 // them.
@@ -492,12 +436,6 @@ func (c *coordinator) writeMetrics(w io.Writer) {
 	telemetry.WriteSamples(w, "bifrost_coordinator_local_fallbacks_total",
 		"Jobs the local farm absorbed because every owning peer was unavailable.", "counter",
 		one(float64(c.localFallbacks.Load()))...)
-	telemetry.WriteSamples(w, "bifrost_peer_hedges_total",
-		"Hedged second dispatches issued after the hedge threshold.", "counter",
-		one(float64(c.hedges.Load()))...)
-	telemetry.WriteSamples(w, "bifrost_peer_hedge_wins_total",
-		"Hedged dispatches that answered before the primary.", "counter",
-		one(float64(c.hedgeWins.Load()))...)
 
 	perPeer := func(suffix, help, typ string, pick func(*peerState) float64) {
 		samples := make([]telemetry.Sample, 0, len(c.names))

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/http/httputil"
-	"net/url"
 	"regexp"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -86,59 +89,75 @@ func TestCoordinatorRingSkipsDrainingPeer(t *testing.T) {
 	}
 }
 
-// TestCoordinatorPeerHedgedDispatch shards a sweep across a fast worker and
-// a slow one (250ms per /simulate) with hedging armed at 40ms: the slow
-// peer's rows must be rescued by hedges — byte-identical, zero error rows —
-// and the cancelled losers must not trip the slow peer's breaker.
-func TestCoordinatorPeerHedgedDispatch(t *testing.T) {
-	reqs := sweepRequests()
-	single, _ := newTestServer(t)
-	want := runSweepNDJSON(t, single.URL, reqs)
-
-	fast := newWorkerNode(t)
-	backend := newWorkerNode(t)
-	burl, err := url.Parse(backend.URL)
-	if err != nil {
-		t.Fatal(err)
+// TestCoordinatorWalkIsSequential sends a row with a 150ms deadline to a
+// first owner that stalls past it, as many times as it takes a breaker to
+// trip. The walk runs on the caller's goroutine and tries one owner at a
+// time, so each row comes back a deadline error, the next owner never hears
+// of it, the stalled owner's breaker is not fed (the deadline was the
+// row's, not the peer's fault), and nothing outlives the requests.
+func TestCoordinatorWalkIsSequential(t *testing.T) {
+	farmtest.NoGoroutineLeak(t)
+	var calls [2]atomic.Int64
+	stacks := make(chan string, 1)
+	peers := make([]Peer, 2)
+	for i := range peers {
+		stall := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/simulate" {
+				http.NotFound(w, r)
+				return
+			}
+			calls[i].Add(1)
+			io.Copy(io.Discard, r.Body) // a read body lets the server see the hang-up
+			buf := make([]byte, 1<<20)
+			select {
+			case stacks <- string(buf[:runtime.Stack(buf, true)]):
+			default:
+			}
+			select {
+			case <-r.Context().Done(): // the coordinator gave up on this owner
+			case <-time.After(5 * time.Second):
+			}
+		}))
+		t.Cleanup(stall.Close)
+		peers[i] = Peer{Name: fmt.Sprintf("w%d", i+1), URL: stall.URL}
 	}
-	proxy := httputil.NewSingleHostReverseProxy(burl)
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/simulate" {
-			time.Sleep(250 * time.Millisecond)
+	coordFarm := farm.New(1)
+	api := NewServer(coordFarm, WithPeers(peers))
+	coord := httptest.NewServer(api)
+	t.Cleanup(func() { coord.Close(); api.Close(); coordFarm.Close() })
+
+	rows := farm.DefaultRetryPolicy().TripAfter
+	for i := 0; i < rows; i++ {
+		start := time.Now()
+		resp, err := http.Post(coord.URL+"/simulate", "application/json",
+			strings.NewReader(`{"arch":{"controller":"maeri"},"op":"dense","dense":{"k":16,"n":8},"dry_run":true,"timeout_ms":150}`))
+		if err != nil {
+			t.Fatal(err)
 		}
-		proxy.ServeHTTP(w, r)
-	}))
-	t.Cleanup(slow.Close)
-
-	coordFarm := farm.New(2)
-	coord := httptest.NewServer(NewServer(coordFarm,
-		WithPeers([]Peer{{Name: "fast", URL: fast.URL}, {Name: "slow", URL: slow.URL}}),
-		WithHedgeAfter(40*time.Millisecond)))
-	t.Cleanup(func() { coord.Close(); coordFarm.Close() })
-
-	start := time.Now()
-	got := runSweepNDJSON(t, coord.URL, reqs)
-	elapsed := time.Since(start)
-	assertSweepRows(t, "hedged sweep", want, got)
-
+		var jr JobResponse
+		if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusGatewayTimeout || jr.Code != "deadline" {
+			t.Fatalf("row %d: HTTP %d code %q after %s, want 504 deadline", i, resp.StatusCode, jr.Code, time.Since(start))
+		}
+	}
+	if c0, c1 := calls[0].Load(), calls[1].Load(); min(c0, c1) != 0 || c0+c1 != int64(rows) {
+		t.Errorf("owners received w1 %d, w2 %d /simulate calls, want all %d on the first owner", c0, c1, rows)
+	}
+	// The stalled dispatch must be on the goroutine that called run, not on
+	// one that run started for it.
+	for _, g := range strings.Split(<-stacks, "\n\n") {
+		if strings.Contains(g, "serve.(*coordinator).forward(") && !strings.Contains(g, "serve.(*coordinator).run(") {
+			t.Errorf("a dispatch ran off the caller's goroutine:\n%s", g)
+		}
+	}
 	metrics := scrapeMetrics(t, coord.URL)
-	hedges := metricValue(t, metrics, "bifrost_peer_hedges_total")
-	wins := metricValue(t, metrics, "bifrost_peer_hedge_wins_total")
-	if hedges == 0 {
-		t.Errorf("no hedges fired against a 250ms peer with -hedge-after 40ms (sweep took %s)", elapsed)
-	}
-	if wins == 0 {
-		t.Error("no hedge ever won against a 250ms peer")
-	}
-	if wins > hedges {
-		t.Errorf("hedge wins %v exceed hedges %v", wins, hedges)
-	}
-	// Losing the race is not a failure: the slow peer must stay admitted.
-	if v := metricValue(t, metrics, `bifrost_peer_breaker_trips_total{peer="slow"}`); v != 0 {
-		t.Errorf("cancelled hedge losers tripped the slow peer's breaker %v times", v)
-	}
-	if v := metricValue(t, metrics, "bifrost_coordinator_ring_members"); v != 2 {
-		t.Errorf("ring members %v after hedged sweep, want 2", v)
+	for _, p := range peers {
+		if v := metricValue(t, metrics, `bifrost_peer_breaker_trips_total{peer="`+p.Name+`"}`); v != 0 {
+			t.Errorf("the rows' deadlines tripped %s's breaker %v times", p.Name, v)
+		}
 	}
 }
 

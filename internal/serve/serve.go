@@ -334,12 +334,7 @@ func (s *Server) run(ctx context.Context, req JobRequest) JobResponse {
 	if err != nil {
 		return s.annotate(JobResponse{Error: err.Error(), ElapsedMS: msSince(start), err: err})
 	}
-	switch {
-	case req.TimeoutMS > 0:
-		job.Deadline = time.Duration(req.TimeoutMS) * time.Millisecond
-	case req.TimeoutMS == 0:
-		job.Deadline = s.jobTimeout
-	}
+	job.Deadline = s.deadline(req)
 	if job.Deadline > 0 {
 		// Bound the wait as well as the queue time: a job already executing
 		// when the deadline passes keeps running (its result still feeds the
@@ -442,6 +437,18 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, status, resp)
+}
+
+// deadline is the request's bound: timeout_ms when set, the server's
+// -job-timeout default at 0, none when negative.
+func (s *Server) deadline(req JobRequest) time.Duration {
+	switch {
+	case req.TimeoutMS > 0:
+		return time.Duration(req.TimeoutMS) * time.Millisecond
+	case req.TimeoutMS == 0:
+		return s.jobTimeout
+	}
+	return 0
 }
 
 // dispatch routes one request: through the coordinator's peer ring when

@@ -168,10 +168,6 @@ type Trace struct {
 	// node's (queue wait, lookups, compute). Both are empty for local jobs.
 	Peer   string `json:"peer,omitempty"`
 	Remote *Trace `json:"remote,omitempty"`
-	// Hedged marks a coordinator hop won by a hedged second dispatch: the
-	// primary owner outlived the hedge threshold and this peer answered
-	// first. The result bytes are identical either way.
-	Hedged bool `json:"hedged,omitempty"`
 }
 
 // MS converts a duration to float64 milliseconds, the unit every trace and
