@@ -141,7 +141,7 @@ func main() {
 		self       = flag.String("self", "", "this worker's name in -cluster: results are replicated to their ring owners among the other members (empty = coordinator)")
 		sweepDir   = flag.String("sweep-dir", "", "directory for resumable-sweep journals (default: <cache-dir>/sweeps when -cache-dir is set; empty without it keeps journals in-process only)")
 		peerTO     = flag.Duration("peer-timeout", 2*time.Minute, "coordinator per-dispatch response-header bound: a peer that has not begun answering within it fails over (dials are bounded separately)")
-		peerProbe  = flag.Duration("peer-probe", 5*time.Second, "coordinator active health-probe interval: each peer's /healthz is probed on this timer, flipping it off/on the ring (0 = probe only via dispatch failures)")
+		peerProbe  = flag.Duration("peer-probe", 5*time.Second, "coordinator active health-probe interval: each peer's /healthz answer feeds its breaker, taking it off/on the ring (0 = dispatch answers only)")
 		replicas   = flag.Int("replicas", 2, "result-replication factor R with -self: each result is written to the first R distinct ring owners (clamped to cluster size)")
 	)
 	flag.Parse()
@@ -258,12 +258,13 @@ func main() {
 
 	// Graceful drain: the first SIGINT/SIGTERM — or a POST /drain — flips
 	// the node to draining (new work refused with the machine-readable
-	// "draining" code and /healthz and /readyz report 503, either of which
-	// pulls this node off a coordinator's ring), finishes queued jobs via
-	// the farm's drain within -shutdown-timeout, then stops the listener. The endpoints stay up through the farm drain so load
-	// balancers and coordinators observe the state instead of a vanished
-	// socket. A second signal aborts immediately (signal.Stop restores
-	// default handling).
+	// "draining" code and /healthz and /readyz report 503; a coordinator
+	// counts either answer as a failure until this node's breaker trips),
+	// finishes queued jobs via the farm's drain within -shutdown-timeout,
+	// then stops the listener. The endpoints stay up through the farm
+	// drain so load balancers and coordinators observe the state instead
+	// of a vanished socket. A second signal aborts immediately
+	// (signal.Stop restores default handling).
 	done := make(chan error, 1)
 	go func() {
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {

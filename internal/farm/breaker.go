@@ -12,7 +12,8 @@ import (
 // member's RetryStore and the coordinator's per-peer dispatch all use it
 // the same way — Admit before touching the tier, Success or Failure after
 // — so an open breaker always keeps probing and a recovered tier always
-// rejoins. A Breaker is safe for concurrent use.
+// rejoins; the coordinator's /healthz probes feed the same breaker. A
+// Breaker is safe for concurrent use.
 type Breaker struct {
 	tripAfter  int
 	probeEvery time.Duration

@@ -116,7 +116,7 @@ func TestFarmRecoversFromDiskCorruption(t *testing.T) {
 				if tc.peer == nil {
 					return ds, ds
 				}
-				return ds, NewReplicatedStore(ds, "self", 2, []ReplicaMember{{Name: "peer", Store: tc.peer}})
+				return ds, NewReplicatedStore(ds, "self", 2, []ReplicaMember{{Name: "peer", Store: NewRetryStore(tc.peer, RetryPolicy{})}})
 			}
 
 			ds, tier := open()

@@ -270,24 +270,11 @@ func (f *Farm) Ring() *telemetry.TraceRing { return f.ring }
 // Close stops accepting jobs, waits for queued and running jobs to finish,
 // releases the workers and closes the cache tiers. Results persisted to a
 // disk tier remain on disk: a new farm opened on the same directory serves
-// them without re-simulating. Close is idempotent, and submitting after it
-// fails with ErrFarmClosed. For a drain bounded by a deadline, use
-// Shutdown.
-func (f *Farm) Close() {
-	f.qmu.Lock()
-	if f.closed {
-		f.qmu.Unlock()
-		f.wg.Wait() // joined, not skipped: a concurrent closer still drains
-		f.closeTiers()
-		return
-	}
-	f.closed = true
-	f.qcond.Broadcast()
-	f.qspace.Broadcast()
-	f.qmu.Unlock()
-	f.wg.Wait()
-	f.closeTiers()
-}
+// them without re-simulating. Close is Shutdown without a deadline: it is
+// idempotent, a concurrent Close joins the drain rather than skipping it,
+// and submitting after it fails with ErrFarmClosed. For a drain bounded by
+// a deadline, use Shutdown.
+func (f *Farm) Close() { f.Shutdown(context.Background()) }
 
 // Shutdown is the graceful drain: it stops accepting jobs, lets the workers
 // finish everything already queued or running, then releases them and

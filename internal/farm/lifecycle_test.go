@@ -148,7 +148,7 @@ func TestShutdownReplicatedTierLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	rs := farm.NewReplicatedStore(local, "self", 2, []farm.ReplicaMember{
 		{Name: "a", Store: farm.NewRetryStore(a, farmtest.TestRetryPolicy())},
-		{Name: "b", Store: b},
+		{Name: "b", Store: farm.NewRetryStore(b, farm.RetryPolicy{})},
 	})
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("NewReplicatedStore started %d goroutine(s)", n-before)

@@ -42,25 +42,19 @@ type ReplicatedStore struct {
 	selfName string    // this node's ring identity; "" keeps self off the ring
 	replicas int       // R: distinct owners per key, clamped to ring size
 
-	members map[string]*replicaMember // by ring name; fixed at construction
-	ring    *Ring                     // self plus every member; never mutated
+	members map[string]*RetryStore // by ring name; fixed at construction
+	ring    *Ring                  // self plus every member; never mutated
 
 	writes   atomic.Int64 // successful remote replica writes
 	failures atomic.Int64 // failed remote replica writes
 }
 
-// replicaMember is one remote peer's replication state.
-type replicaMember struct {
-	store   Store         // owned: closed with the ReplicatedStore
-	fal     FallibleStore // store's error-surfacing half, resolved once
-	breaker *Breaker      // the store's breaker when it is a *RetryStore; nil = never quarantined
-}
-
-// ReplicaMember names one remote replica target, typically a *RetryStore
-// wrapping a *PeerStore so the per-replica breaker quarantines a dead peer.
+// ReplicaMember names one remote replica target: a RetryStore, typically
+// wrapping a *PeerStore, whose breaker is the member's health — it
+// quarantines a dead peer and re-admits it on the first write that lands.
 type ReplicaMember struct {
 	Name  string
-	Store Store
+	Store *RetryStore
 }
 
 // NewReplicatedStore builds the replicated tier. local is this node's own
@@ -77,28 +71,17 @@ func NewReplicatedStore(local Store, selfName string, replicas int, members []Re
 		local:    asLocalTier(local),
 		selfName: selfName,
 		replicas: replicas,
-		members:  make(map[string]*replicaMember, len(members)),
+		members:  make(map[string]*RetryStore, len(members)),
 		ring:     NewRing(0),
 	}
 	if selfName != "" {
 		rs.ring.Add(selfName)
 	}
 	for _, m := range members {
-		mem := &replicaMember{store: m.Store, fal: asFallible(m.Store)}
-		if retry, ok := m.Store.(*RetryStore); ok {
-			mem.breaker = retry.breaker
-		}
-		rs.members[m.Name] = mem
+		rs.members[m.Name] = m.Store
 		rs.ring.Add(m.Name)
 	}
 	return rs
-}
-
-// healthy reports the member's health for gauges and readiness: its
-// breaker closed. It never gates traffic — the member's PutErr does,
-// through Admit.
-func (m *replicaMember) healthy() bool {
-	return m.breaker == nil || !m.breaker.Open()
 }
 
 // Get implements Store: the local tier only. A miss lets the farm
@@ -136,7 +119,7 @@ func (rs *ReplicatedStore) put(place, key string, res Result) {
 			owned++ // the synchronous local write is self's copy
 			continue
 		}
-		switch err := rs.members[name].fal.PutErr(key, res); {
+		switch err := rs.members[name].PutErr(key, res); {
 		case errors.Is(err, ErrStoreQuarantined):
 			continue // refused: the next owner takes its place
 		case err != nil:
@@ -148,11 +131,13 @@ func (rs *ReplicatedStore) put(place, key string, res Result) {
 	}
 }
 
-// healthyMembers counts the remote members currently healthy.
+// healthyMembers counts the remote members whose breaker is closed — a
+// reading for gauges and readiness; traffic is gated by each member's
+// PutErr, through Admit.
 func (rs *ReplicatedStore) healthyMembers() int {
 	n := 0
 	for _, m := range rs.members {
-		if m.healthy() {
+		if !m.Degraded() {
 			n++
 		}
 	}
@@ -211,7 +196,7 @@ func (rs *ReplicatedStore) Close() error {
 		err = rs.local.Close()
 	}
 	for _, m := range rs.members {
-		if cerr := m.store.Close(); err == nil {
+		if cerr := m.Close(); err == nil {
 			err = cerr
 		}
 	}

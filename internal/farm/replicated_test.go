@@ -17,9 +17,9 @@ func replicaFixture(t *testing.T, replicas int) (*ReplicatedStore, *scriptedStor
 		"c": newScriptedStore(),
 	}
 	members := []ReplicaMember{
-		{Name: "a", Store: peers["a"]},
-		{Name: "b", Store: peers["b"]},
-		{Name: "c", Store: peers["c"]},
+		{Name: "a", Store: NewRetryStore(peers["a"], RetryPolicy{})},
+		{Name: "b", Store: NewRetryStore(peers["b"], RetryPolicy{})},
+		{Name: "c", Store: NewRetryStore(peers["c"], RetryPolicy{})},
 	}
 	rs := NewReplicatedStore(local, "self", replicas, members)
 	t.Cleanup(func() { rs.Close() })

@@ -40,10 +40,11 @@ type Store interface {
 // FallibleStore is the error-surfacing half of a Store. The plain Get/Put
 // contract absorbs storage failures (a damaged entry is a miss, a failed
 // write is a skipped write), which is right for the farm — but RetryStore
-// and ReplicatedStore need to see the failures to retry them and to track
-// the tier's health. *DiskStore, *PeerStore and *RetryStore implement it;
-// both consumers resolve it once with asFallible, so a store that cannot
-// fail (a memory tier) needs no second code path.
+// needs to see the failures to retry them and to track the tier's health,
+// and ReplicatedStore reads them off its members' RetryStores. *DiskStore,
+// *PeerStore and *RetryStore implement it; RetryStore resolves it once with
+// asFallible, so a store that cannot fail (a memory tier) needs no second
+// code path.
 type FallibleStore interface {
 	// GetErr is Get with the storage error surfaced. A missing entry is
 	// (Result{}, false, nil) — not an error; a corrupt entry that was

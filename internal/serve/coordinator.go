@@ -31,25 +31,25 @@ import (
 // Failure handling mirrors the local disk tier's:
 //
 //	peer down      → per-peer farm.Breaker (the disk tier's and the
-//	                 replicas' state machine) trips after a failure streak;
-//	                 the peer is quarantined and probed on a timer
+//	                 replicas' state machine) trips after a failure streak
+//	                 of dispatches or /healthz probes; the peer is
+//	                 quarantined and risked one real job per probe interval
 //	quarantined    → its shard is redistributed deterministically to the
 //	                 next owners on the ring, then to the local farm
 //	peer at bound  → its 429 propagates to the client with the peer's
 //	                 Retry-After intact (backpressure is an answer, not a
 //	                 failure)
-//	peer draining  → its in-flight 503 "draining" answer bars it from
-//	                 placement and fails the job over without feeding the
-//	                 breaker; the health probes see the drain too, and
-//	                 re-admit the peer when it comes back
+//	peer draining  → its 503 "draining" answers and probes are failures
+//	                 like any other 5xx: the job fails over and the breaker
+//	                 trips; a healthy probe re-admits the peer
 //	peer stalled   → -peer-timeout fails it over like a down peer; a row
 //	                 whose own deadline passes first answers 504 instead,
 //	                 without feeding the breaker
 //	all peers gone → the local farm executes everything; a coordinator
 //	                 degrades to a correct single node
 //
-// Placement makes no side calls: what the coordinator knows about a peer
-// comes from its dispatch answers and, when probing is enabled, from a
+// Placement makes no side calls: what the coordinator knows about a peer is
+// its breaker, fed by dispatch answers and, when probing is enabled, by a
 // background loop hitting each peer's /healthz, so a dead or recovered node
 // flips down/up without waiting for a real dispatch to discover it. Each
 // peer's load gauges live on its own /metrics.
@@ -86,9 +86,9 @@ func WithPeerTimeout(d time.Duration) ServerOption {
 }
 
 // WithPeerProbes starts a background loop probing each peer's /healthz
-// every interval: consecutive failures flip the peer down (off the ring),
-// a success flips it back up — so membership tracks reality instead of
-// being discovered one failed dispatch at a time. 0 disables the loop.
+// every interval and reporting each answer to the peer's breaker, so
+// membership tracks reality instead of being discovered one failed
+// dispatch at a time. 0 disables the loop.
 func WithPeerProbes(every time.Duration) ServerOption {
 	return func(s *Server) { s.peerCfg.ProbeEvery = every }
 }
@@ -105,15 +105,12 @@ const (
 	peerDialTimeout = 5 * time.Second
 	// healthProbeTimeout bounds one active /healthz probe.
 	healthProbeTimeout = 2 * time.Second
-	// probeDownAfter consecutive failed health probes bar a peer from
-	// placement; the first success re-admits it.
-	probeDownAfter = 2
 )
 
-// coordinator owns the ring, the per-peer health and the dispatch loop. The
-// ring is static — every configured peer, built once; placement walks a
-// key's owners and skips barred peers, which yields the owner order of a
-// ring rebuilt without them.
+// coordinator owns the ring, the per-peer breakers and the dispatch loop.
+// The ring is static — every configured peer, built once; placement walks a
+// key's owners and skips peers whose breaker refuses, which yields the
+// owner order of a ring rebuilt without them.
 type coordinator struct {
 	s      *Server
 	cfg    peerConfig
@@ -128,18 +125,14 @@ type coordinator struct {
 	stopCh   chan struct{}
 }
 
-// peerState is one peer's breaker, health marks and counters.
+// peerState is one peer's breaker and counters.
 type peerState struct {
 	name, url string
 
-	// breaker quarantines a peer whose dispatches keep failing: one real job
-	// per probe interval is risked against it; success re-admits it.
+	// breaker is the peer's one health state: dispatches and probes feed
+	// it, and a quarantined peer is risked one real job per probe interval;
+	// success re-admits it.
 	breaker *farm.Breaker
-
-	mu         sync.Mutex
-	draining   bool // peer answered a dispatch with 503 "draining"
-	down       bool // active health probes barred the peer
-	probeFails int  // consecutive failed health probes
 
 	dispatched atomic.Int64 // jobs this peer answered (any terminal status)
 	failovers  atomic.Int64 // jobs moved off this peer after it failed
@@ -182,19 +175,9 @@ func newCoordinator(s *Server, peers []Peer) *coordinator {
 // stop ends the coordinator's background probe loop.
 func (c *coordinator) stop() { c.stopOnce.Do(func() { close(c.stopCh) }) }
 
-// barred reports whether the peer is out of placement entirely: draining
-// or probed down. Unlike the breaker (which risks one real job per probe
-// interval), a barred peer receives nothing until a health probe clears it.
-func (ps *peerState) barred() bool {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.draining || ps.down
-}
-
-// probeLoop actively probes every peer's /healthz on a timer, flipping
-// peers down after consecutive failures and back up on the first success —
-// so a restarted or recovered node rejoins placement without waiting for a
-// dispatch to discover it.
+// probeLoop actively probes every peer's /healthz on a timer, so a dead
+// node leaves placement and a restarted or recovered one rejoins without
+// waiting for a dispatch to discover it.
 func (c *coordinator) probeLoop() {
 	t := time.NewTicker(c.cfg.ProbeEvery)
 	defer t.Stop()
@@ -210,9 +193,9 @@ func (c *coordinator) probeLoop() {
 	}
 }
 
-// probe runs one active health check against a peer. A 200 clears both the
-// down and draining marks (a draining node answers 503, so a healthy
-// answer is proof the drain ended); anything else counts toward down.
+// probe runs one active health check against a peer and reports it to the
+// peer's breaker: a 200 is a success, anything else (a draining node
+// answers 503) a failure.
 func (c *coordinator) probe(ps *peerState) {
 	ctx, cancel := context.WithTimeout(context.Background(), healthProbeTimeout)
 	defer cancel()
@@ -220,33 +203,23 @@ func (c *coordinator) probe(ps *peerState) {
 	if err != nil {
 		return
 	}
-	healthy := false
-	if resp, err := c.client.Do(req); err == nil {
-		healthy = resp.StatusCode == http.StatusOK
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
+	resp, err := c.client.Do(req)
+	if err != nil {
+		ps.breaker.Failure()
+		return
 	}
-	ps.mu.Lock()
-	if healthy {
-		ps.probeFails = 0
-		ps.down = false
-		ps.draining = false
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		ps.breaker.Success()
 	} else {
-		ps.probeFails++
-		if ps.probeFails >= probeDownAfter {
-			ps.down = true
-		}
+		ps.breaker.Failure()
 	}
-	ps.mu.Unlock()
 }
 
-// placeable decides whether a placement may try this peer right now. A
-// barred peer is off the ring as far as placement goes: passed over without
-// a probe slot or a skip count. Otherwise the breaker's Admit is the gate.
+// placeable decides whether a placement may try this peer right now: the
+// breaker's Admit is the gate.
 func (ps *peerState) placeable() bool {
-	if ps.barred() {
-		return false
-	}
 	if !ps.breaker.Admit() {
 		ps.skipped.Add(1)
 		return false
@@ -258,8 +231,8 @@ func (ps *peerState) placeable() bool {
 // The job's spec digest (farm.Job.Placement) decides its owner — a hash of
 // the compiled spec, never an operand build and never a key taken from the
 // request. Owners are tried one at a time in the ring's deterministic
-// failover order, skipping quarantined, probed-down and draining peers; if
-// every owner is out, the local farm executes the job — the coordinator
+// failover order, skipping peers whose breaker refuses; if every owner is
+// out, the local farm executes the job — the coordinator
 // never refuses work a single node could do. The walk is bounded by the
 // row's own deadline, the one its owner enforces too: an owner that stalls
 // past it costs this row, never the next owner's time.
@@ -384,16 +357,9 @@ func (c *coordinator) forward(ctx context.Context, ps *peerState, req JobRequest
 		}
 		resp.err = errors.New(resp.Error)
 		resp = c.s.annotate(resp)
-	case hresp.StatusCode == http.StatusServiceUnavailable && resp.Code == "draining":
-		// The peer told us it is draining mid-flight: remember it so the
-		// next placement skips it, and fail this job over without feeding
-		// the breaker — a draining node is healthy, just leaving.
-		ps.mu.Lock()
-		ps.draining = true
-		ps.mu.Unlock()
-		return JobResponse{}, false
 	default:
-		// Other 5xx, or garbage: this peer cannot answer.
+		// 5xx (a draining peer's 503 included), or garbage: this peer
+		// cannot answer.
 		if ctx.Err() == nil {
 			ps.breaker.Failure()
 		}
@@ -425,14 +391,14 @@ func (c *coordinator) forward(ctx context.Context, ps *peerState, req JobRequest
 // them.
 func (c *coordinator) writeMetrics(w io.Writer) {
 	one := func(v float64) []telemetry.Sample { return []telemetry.Sample{{Value: v}} }
-	placed := 0
+	up := 0
 	for _, ps := range c.peers {
-		if !ps.barred() {
-			placed++
+		if !ps.breaker.Open() {
+			up++
 		}
 	}
 	telemetry.WriteSamples(w, "bifrost_coordinator_ring_members",
-		"Peers currently on the coordinator's hash ring.", "gauge", one(float64(placed))...)
+		"Peers currently on the coordinator's hash ring: the sum of bifrost_peer_up.", "gauge", one(float64(up))...)
 	telemetry.WriteSamples(w, "bifrost_coordinator_local_fallbacks_total",
 		"Jobs the local farm absorbed because every owning peer was unavailable.", "counter",
 		one(float64(c.localFallbacks.Load()))...)
@@ -447,14 +413,8 @@ func (c *coordinator) writeMetrics(w io.Writer) {
 		}
 		telemetry.WriteSamples(w, suffix, help, typ, samples...)
 	}
-	perPeer("bifrost_peer_up", "1 while the peer is admitted, 0 while quarantined, down or draining.", "gauge", func(ps *peerState) float64 {
-		return bit01(!ps.breaker.Open() && !ps.barred())
-	})
-	perPeer("bifrost_peer_draining", "1 while the peer advertises a drain.", "gauge", func(ps *peerState) float64 {
-		ps.mu.Lock()
-		defer ps.mu.Unlock()
-		return bit01(ps.draining)
-	})
+	perPeer("bifrost_peer_up", "1 while the peer's breaker is closed, 0 while it is quarantined.", "gauge",
+		func(ps *peerState) float64 { return bit01(!ps.breaker.Open()) })
 	perPeer("bifrost_peer_dispatched_total", "Jobs this peer answered terminally.", "counter",
 		func(ps *peerState) float64 { return float64(ps.dispatched.Load()) })
 	perPeer("bifrost_peer_failovers_total", "Jobs moved off this peer after it failed.", "counter",

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -45,9 +47,9 @@ func metricValue(t *testing.T, body, name string) float64 {
 }
 
 // TestCoordinatorRingSkipsDrainingPeer drains one of two workers and runs a
-// sweep through the coordinator: the peer's in-flight 503 "draining" answer
-// must pull it off the ring, every row must land elsewhere byte-identically
-// with zero error rows, and the drain must not feed the peer's breaker.
+// sweep through the coordinator: the peer's 503 "draining" answers are
+// failovers that trip its breaker exactly once, which takes it off the
+// ring, and every row lands elsewhere byte-identically with zero error rows.
 func TestCoordinatorRingSkipsDrainingPeer(t *testing.T) {
 	reqs := sweepRequests()
 	single, _ := newTestServer(t)
@@ -78,14 +80,113 @@ func TestCoordinatorRingSkipsDrainingPeer(t *testing.T) {
 	if v := metricValue(t, metrics, "bifrost_coordinator_ring_members"); v != 1 {
 		t.Errorf("ring members %v with one peer draining, want 1", v)
 	}
-	if v := metricValue(t, metrics, `bifrost_peer_draining{peer="w2"}`); v != 1 {
-		t.Errorf("bifrost_peer_draining for w2 = %v, want 1", v)
-	}
 	if v := metricValue(t, metrics, `bifrost_peer_up{peer="w2"}`); v != 0 {
 		t.Errorf("bifrost_peer_up for w2 = %v, want 0 while draining", v)
 	}
-	if v := metricValue(t, metrics, `bifrost_peer_breaker_trips_total{peer="w2"}`); v != 0 {
-		t.Errorf("draining fed w2's breaker: %v trips, want 0", v)
+	if v := metricValue(t, metrics, `bifrost_peer_breaker_trips_total{peer="w2"}`); v != 1 {
+		t.Errorf("the drain tripped w2's breaker %v times, want 1", v)
+	}
+}
+
+// TestCoordinatorProbesFeedBreaker pins that a peer has one health state,
+// its breaker, fed by /healthz probes and dispatch answers alike. Three
+// failed probes open it; so do three failed dispatches with probing off.
+// Either way placement skips the peer, bifrost_coordinator_ring_members is
+// the sum of bifrost_peer_up in every scrape, and one successful probe
+// re-admits the peer. Probes are driven by hand: no ticker, no sleep.
+func TestCoordinatorProbesFeedBreaker(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		trip func(t *testing.T, c *coordinator, ps *peerState, rows []JobRequest)
+	}{
+		{"probes", func(t *testing.T, c *coordinator, ps *peerState, _ []JobRequest) {
+			for i := 0; i < farm.DefaultRetryPolicy().TripAfter; i++ {
+				c.probe(ps)
+			}
+		}},
+		{"dispatches", func(t *testing.T, c *coordinator, ps *peerState, rows []JobRequest) {
+			for _, req := range rows[:farm.DefaultRetryPolicy().TripAfter] {
+				if resp := c.run(context.Background(), req); resp.Error != "" || resp.Peer != "good" {
+					t.Fatalf("a row failed over from the sick peer came back %+v, want answered by good", resp)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			good := newWorkerNode(t)
+			sickFarm := farm.New(1)
+			sickNode := NewServer(sickFarm)
+			var healthzDown, simulateDown atomic.Bool
+			var simulates atomic.Int64
+			sick := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case r.URL.Path == "/healthz" && healthzDown.Load(),
+					r.URL.Path == "/simulate" && simulateDown.Load():
+					http.Error(w, "sick", http.StatusInternalServerError)
+					return
+				case r.URL.Path == "/simulate":
+					simulates.Add(1)
+				}
+				sickNode.ServeHTTP(w, r)
+			}))
+			t.Cleanup(func() { sick.Close(); sickFarm.Close() })
+
+			coordFarm := farm.New(1)
+			srv := NewServer(coordFarm, WithPeers([]Peer{{Name: "good", URL: good.URL}, {Name: "sick", URL: sick.URL}}))
+			t.Cleanup(func() { srv.Close(); coordFarm.Close() })
+			c, ps := srv.coord, srv.coord.peers["sick"]
+
+			// Rows whose first owner is the sick peer.
+			var rows []JobRequest
+			for seed := int64(0); len(rows) < 5; seed++ {
+				req := JobRequest{Arch: ArchSpec{Controller: "maeri"}, Op: "dense", Dense: &DenseSpec{K: 16, N: 8}, DryRun: true, Seed: seed}
+				if owners, err := c.owners(req); err != nil {
+					t.Fatal(err)
+				} else if owners[0] == "sick" {
+					rows = append(rows, req)
+				}
+			}
+			scrape := func(wantUp float64) {
+				t.Helper()
+				var buf bytes.Buffer
+				c.writeMetrics(&buf)
+				m := buf.String()
+				up := metricValue(t, m, `bifrost_peer_up{peer="sick"}`)
+				sum := up + metricValue(t, m, `bifrost_peer_up{peer="good"}`)
+				if members := metricValue(t, m, "bifrost_coordinator_ring_members"); members != sum {
+					t.Errorf("ring members %v, want the sum of peer_up %v", members, sum)
+				}
+				if up != wantUp {
+					t.Errorf("bifrost_peer_up for the sick peer = %v, want %v", up, wantUp)
+				}
+			}
+
+			scrape(1)
+			healthzDown.Store(true)
+			simulateDown.Store(true)
+			tc.trip(t, c, ps, rows)
+			if !ps.breaker.Open() || ps.breaker.Trips() != 1 {
+				t.Fatalf("breaker open %v after %d trips, want open after 1", ps.breaker.Open(), ps.breaker.Trips())
+			}
+			scrape(0)
+
+			// Placement skips the quarantined peer: no probe slot is due yet.
+			healthzDown.Store(false)
+			simulateDown.Store(false)
+			if resp := c.run(context.Background(), rows[3]); resp.Error != "" || resp.Peer != "good" {
+				t.Fatalf("row placed with its first owner quarantined came back %+v, want answered by good", resp)
+			}
+			if n := simulates.Load(); n != 0 {
+				t.Fatalf("the quarantined peer answered %d dispatches, want 0", n)
+			}
+
+			// One healthy probe re-admits it.
+			c.probe(ps)
+			scrape(1)
+			if resp := c.run(context.Background(), rows[4]); resp.Error != "" || resp.Peer != "sick" {
+				t.Fatalf("row placed on the re-admitted peer came back %+v, want answered by sick", resp)
+			}
+		})
 	}
 }
 

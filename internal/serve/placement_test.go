@@ -137,7 +137,7 @@ func TestCoordinatorAndReplicaRingWalksAgree(t *testing.T) {
 		var members []farm.ReplicaMember
 		for _, n := range names {
 			if n != self {
-				members = append(members, farm.ReplicaMember{Name: n, Store: offerLog{name: n, mu: &mu, log: &offers}})
+				members = append(members, farm.ReplicaMember{Name: n, Store: farm.NewRetryStore(offerLog{name: n, mu: &mu, log: &offers}, farm.RetryPolicy{})})
 			}
 		}
 		locals[self] = farm.NewMemoryStore(0, 0)

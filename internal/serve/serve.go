@@ -98,11 +98,6 @@ func WithTraceAll(on bool) ServerOption { return func(s *Server) { s.traceAll = 
 // on request.
 func WithSlowJobThreshold(d time.Duration) ServerOption { return func(s *Server) { s.slowJob = d } }
 
-// WithTraceRing sets the ring backing GET /debug/traces. When unset, the
-// server uses the farm's ring (farm.WithTraceRing); with neither, the
-// endpoint reports zero traces.
-func WithTraceRing(r *telemetry.TraceRing) ServerOption { return func(s *Server) { s.ring = r } }
-
 // WithSweepDir sets the directory where resumable sweeps journal their
 // completed rows, surviving process restarts. Empty keeps journals
 // in-process only: sweeps still survive client disconnects and stay
@@ -120,16 +115,13 @@ func WithReplicatedStore(rs *farm.ReplicatedStore) ServerOption {
 // given farm.
 func NewServer(f *farm.Farm, opts ...ServerOption) *Server {
 	s := &Server{farm: f, mux: http.NewServeMux(), started: time.Now(), drainCh: make(chan struct{}),
-		sweeps: newSweepRegistry(), operands: newOperandRegistry()}
+		sweeps: newSweepRegistry(), operands: newOperandRegistry(), ring: f.Ring()}
 	s.peerCfg = peerConfig{Timeout: 2 * time.Minute}
 	for _, opt := range opts {
 		opt(s)
 	}
 	if s.logger == nil {
 		s.logger = slog.Default()
-	}
-	if s.ring == nil {
-		s.ring = f.Ring()
 	}
 	if len(s.peerList) > 0 {
 		s.coord = newCoordinator(s, s.peerList)
@@ -164,8 +156,8 @@ func (s *Server) Close() {
 // BeginDrain flips the node into draining: liveness stays up long enough
 // for load balancers to observe readiness going false, /healthz and
 // /readyz report 503, and new work is refused with the machine-readable
-// "draining" code, which a coordinator takes as its cue to pull this node
-// off its ring and fail the job over. Queued work is unaffected — the
+// "draining" code, which a coordinator fails over like any 5xx until this
+// node's breaker trips. Queued work is unaffected — the
 // caller finishes it via farm.Shutdown. Idempotent.
 func (s *Server) BeginDrain() {
 	s.drainOnce.Do(func() {
