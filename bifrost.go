@@ -111,13 +111,13 @@ type FarmStoreStats = farm.StoreStats
 // FarmOption configures a Farm at construction.
 type FarmOption = farm.Option
 
-// DiskStore is the persistent result-cache tier: one file per content
-// address under a versioned directory, atomic writes, corruption-tolerant
-// reads.
+// DiskStore is the persistent result-cache tier: append-only segment files
+// under a versioned directory with an in-memory index of one entry per
+// live key, one append per write, corruption-tolerant reads.
 type DiskStore = farm.DiskStore
 
 // NewDiskStore opens (or creates) a persistent result store rooted at dir;
-// maxBytes > 0 bounds its size with least-recently-used eviction.
+// maxBytes > 0 bounds its size, deleting the oldest segments first.
 func NewDiskStore(dir string, maxBytes int64) (*DiskStore, error) {
 	return farm.NewDiskStore(dir, maxBytes)
 }

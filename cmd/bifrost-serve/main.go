@@ -127,7 +127,7 @@ func main() {
 		cacheDir   = flag.String("cache-dir", "", "persistent result-cache directory (empty = memory only)")
 		maxEntries = flag.Int("cache-max-entries", 0, "in-memory cache entry bound, LRU-evicted (0 = no entry bound; the byte bound still holds)")
 		maxBytes   = flag.Int64("cache-max-bytes", 0, "in-memory cache byte bound, LRU-evicted (0 = the default, 256 MiB)")
-		diskMax    = flag.Int64("cache-disk-max-bytes", 0, "disk cache byte bound, LRU-evicted (0 = unbounded)")
+		diskMax    = flag.Int64("cache-disk-max-bytes", 0, "disk cache byte bound, oldest segments first (0 = unbounded)")
 		maxQueue   = flag.Int("max-queue", 0, "queued-job bound: submissions beyond it are rejected with HTTP 429 + Retry-After instead of growing the queue (0 = unbounded)")
 		jobTimeout = flag.Duration("job-timeout", 0, "default per-job deadline, e.g. 30s; unanswered jobs fail with HTTP 504 and queued ones are removed (0 = none; requests override with timeout_ms)")
 		drainWait  = flag.Duration("shutdown-timeout", 30*time.Second, "graceful-drain bound on SIGINT/SIGTERM: running jobs get this long to finish before queued work is abandoned")

@@ -5,18 +5,21 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"repro/internal/stonne/stats"
 	"repro/internal/tensor"
 )
 
-// DiskFormatVersion names the subdirectory a DiskStore keeps its entries
-// under. It must be bumped together with either keyVersion (key.go) or
-// codecVersion below: entries written under different key or encoding rules
-// must never be visible to a store using the current ones. The golden key
-// values in testdata/job_keys.golden pin today's keys, so a key change
-// cannot land without failing tests until both versions move.
-const DiskFormatVersion = "v1"
+// DiskFormatVersion names the subdirectory a DiskStore keeps its segments
+// under. It must be bumped together with keyVersion (key.go), with
+// codecVersion below, or with the segment record layout (diskstore.go):
+// entries written under different key, encoding or layout rules must never
+// be visible to a store using the current ones. v1 kept one file per key;
+// v2 appends key-prefixed frames to segments. The golden key values in
+// testdata/job_keys.golden pin today's keys, so a key change cannot land
+// without failing tests until both versions move.
+const DiskFormatVersion = "v2"
 
 // Frame layout of one persisted result:
 //
@@ -50,13 +53,16 @@ func DecodeResult(b []byte) (Result, error) { return decodeResult(b) }
 // encodeResult serialises a Result (Stats and output tensor; the Hit, Key
 // and Trace fields are transport state owned by the farm and are not
 // persisted).
-func encodeResult(res Result) []byte {
+func encodeResult(res Result) []byte { return appendResult(nil, res) }
+
+// appendResult appends res's frame to buf, growing it once.
+func appendResult(buf []byte, res Result) []byte {
 	payloadLen := 10 * 8 // stats counters + multipliers
 	payloadLen++         // hasOut flag
 	if res.Out != nil {
 		payloadLen += 8 + 8*res.Out.Rank() + 8 + 4*res.Out.Size()
 	}
-	buf := make([]byte, 0, 4+4+8+payloadLen+4)
+	buf = slices.Grow(buf, 4+4+8+payloadLen+4)
 	buf = append(buf, codecMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, codecVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(payloadLen))

@@ -1,63 +1,75 @@
 package farm
 
 import (
+	"cmp"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
-// DiskStore is the persistent tier: one file per Job.Key() under a
-// versioned directory (<root>/<DiskFormatVersion>/<key>), so results
-// survive process restarts and a warm directory can serve a cold process
-// without a single simulator execution.
+// DiskStore is the persistent tier, an append-only log after Bitcask (Sheehy
+// & Smith, 2010): segment files under <root>/<DiskFormatVersion>/<seq>.seg
+// and an in-memory index from each live key to its newest record.
 //
-// Writes are crash-safe — each entry is written to a temp file in the same
-// directory and atomically renamed into place, so a reader (including one
-// in another process sharing the directory) only ever sees complete frames.
-// Reads are corruption-tolerant: a truncated, bit-flipped or
-// version-mismatched file fails the frame checks in decodeResult, is
-// deleted, and reports a miss, so the farm silently recomputes and rewrites
-// the entry. Callers never see a storage error.
+// A record is the key's 64 hex bytes and then the result's CRC frame
+// (encodeResult). A Put is one write at the tail of this store's own
+// segment: a store creates its segments O_EXCL and never appends to one it
+// did not create, so stores sharing a directory never write the same file
+// (each sees the others' records when it next opens). A Get is one index
+// lookup and one positioned read; a miss touches no file. A record that
+// fails decodeResult's checks leaves the index and reads as a miss, so the
+// farm recomputes it: callers never see a storage error. Opening scans the
+// record headers, oldest segment first, a later record for a key
+// superseding an earlier one, up to a crashed writer's torn tail.
 //
-// When maxBytes > 0 the store evicts least-recently-used entries until the
-// total size drops to ~90% of the bound (draining below the bound
-// amortises eviction over many writes instead of paying it on every one).
+// When maxBytes > 0, past the bound the store deletes whole segments,
+// oldest first, down to ~90% of it (amortising eviction over many writes).
+// A read refreshes nothing: recency lives in the memory tier.
 type DiskStore struct {
 	dir      string
 	maxBytes int64
+	segMax   int64 // a segment rolls before a record would take it past this
 
 	mu      sync.Mutex
-	bytes   int64
-	entries int64
 	stats   StoreStats
-	// index is the in-memory eviction index: per-entry size plus a logical
-	// LRU clock over the keys this process has read or written. File
-	// mtimes (refreshed on every hit) order entries across processes, but
-	// their granularity can be coarser than a burst of writes, so within
-	// one process the sequence number is authoritative; entries only known
-	// from a previous process carry seq 0 and sort older, by mtime. The
-	// index exists only when the store is bounded — an unbounded store
-	// never evicts and keeps no per-key state at all.
-	seq   int64
-	index map[string]*diskEntry
+	bytes   int64      // sum of segs' sizes
+	segs    []*segment // ascending seq: oldest first
+	active  *segment   // this store's own segment for appends; nil until a Put
+	nextSeq uint32
+	closed  bool
+	// index has one entry per live key, by its binary form; entries hold
+	// no pointer, so the collector never scans it.
+	index map[[32]byte]diskLoc
 }
 
-// diskEntry is one entry's eviction bookkeeping.
-type diskEntry struct {
-	size  int64
-	seq   int64     // logical recency; 0 = untouched since a previous process
-	mtime time.Time // cross-process tiebreak for seq-0 entries
+// segment is an open segment file and the bytes this store knows it holds.
+type segment struct {
+	seq  uint32
+	f    *os.File
+	size int64
 }
 
-// NewDiskStore opens (or creates) a persistent result store rooted at dir.
-// Entries live under the DiskFormatVersion subdirectory; a directory written
-// by an incompatible version is simply ignored. Leftover temp files from a
-// crashed writer are removed, and the current size is recomputed by
-// scanning, so shared bookkeeping never drifts across restarts.
+// diskLoc is where a key's newest record lives.
+type diskLoc struct {
+	seq uint32 // its segment
+	n   uint32 // record length: hex key + frame
+	off int64
+}
+
+const recHeader = 64 + 16 // hex key + frame header (magic, version, payload length)
+
+// NewDiskStore opens (or creates) a persistent result store rooted at dir,
+// under the DiskFormatVersion subdirectory: another version's directory is
+// ignored and left as it is. The index and the byte count are rebuilt by
+// scanning. Segments roll at maxBytes/16, or at 64 MiB when unbounded.
 func NewDiskStore(dir string, maxBytes int64) (*DiskStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("farm: disk store needs a directory")
@@ -66,228 +78,205 @@ func NewDiskStore(dir string, maxBytes int64) (*DiskStore, error) {
 	if err := os.MkdirAll(vdir, 0o755); err != nil {
 		return nil, fmt.Errorf("farm: creating disk store: %w", err)
 	}
-	ds := &DiskStore{dir: vdir, maxBytes: maxBytes}
-	if maxBytes > 0 {
-		ds.index = make(map[string]*diskEntry)
-	}
 	ents, err := os.ReadDir(vdir)
 	if err != nil {
 		return nil, fmt.Errorf("farm: scanning disk store: %w", err)
 	}
-	for _, ent := range ents {
-		if ent.IsDir() {
+	ds := &DiskStore{dir: vdir, maxBytes: maxBytes, segMax: 64 << 20, index: make(map[[32]byte]diskLoc)}
+	if maxBytes > 0 {
+		ds.segMax = maxBytes / 16
+	}
+	for _, ent := range ents { // by name, so by seq: names are fixed-width
+		base, ok := strings.CutSuffix(ent.Name(), ".seg")
+		seq, err := strconv.ParseUint(base, 10, 32)
+		if !ok || err != nil || len(base) != 10 {
 			continue
 		}
-		if strings.HasPrefix(ent.Name(), tmpPrefix) {
-			os.Remove(filepath.Join(vdir, ent.Name()))
-			continue
+		f, err := os.Open(filepath.Join(vdir, ent.Name()))
+		if err != nil {
+			continue // an unreadable segment only costs its entries
 		}
-		if info, err := ent.Info(); err == nil {
-			ds.bytes += info.Size()
-			ds.entries++
-			if ds.index != nil {
-				ds.index[ent.Name()] = &diskEntry{size: info.Size(), mtime: info.ModTime()}
+		s := &segment{seq: uint32(seq), f: f}
+		s.size, _ = f.Seek(0, io.SeekEnd) // on failure 0: it only costs its entries
+		ds.segs = append(ds.segs, s)
+		ds.bytes += s.size
+		ds.nextSeq = s.seq + 1
+		// Index the records from their headers, up to one that does not fit.
+		var hdr [recHeader]byte
+		for off := int64(0); s.size-off >= recHeader; {
+			if _, err := f.ReadAt(hdr[:], off); err != nil || !validKey(hdr[:64]) {
+				break
 			}
+			// Bound the declared length by the file before any arithmetic.
+			plen := binary.LittleEndian.Uint64(hdr[72:])
+			n := recHeader + int64(plen) + 4
+			if plen > uint64(s.size-off) || n > s.size-off {
+				break
+			}
+			var id [32]byte
+			hex.Decode(id[:], hdr[:64])
+			ds.index[id] = diskLoc{seq: s.seq, n: uint32(n), off: off}
+			off += n
 		}
 	}
-	ds.mu.Lock()
-	ds.evictLocked() // a lowered bound takes effect on open, not first Put
-	ds.mu.Unlock()
+	ds.evictLocked() // a lowered bound takes effect on open; ds is not shared yet
 	return ds, nil
 }
 
-// Dir returns the versioned directory entries are stored in.
+// Dir returns the versioned directory segments are stored in.
 func (ds *DiskStore) Dir() string { return ds.dir }
 
 // MaxBytes returns the store's configured byte bound (0 = unbounded).
 func (ds *DiskStore) MaxBytes() int64 { return ds.maxBytes }
 
-const tmpPrefix = ".tmp-"
-
-// validKey reports whether key is a farm cache key (64 lowercase hex
-// characters) and therefore a safe file name. Anything else is refused,
-// which also rules out path traversal through a crafted key. It is the one
-// key-shape check: the sweep log and the peer handler use it too.
-func validKey(key string) bool {
-	if len(key) != 64 {
-		return false
+// keyID is a valid key's binary form, the index's key.
+func keyID(key string) (id [32]byte, ok bool) {
+	if !validKey(key) {
+		return id, false
 	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+	hex.Decode(id[:], []byte(key))
+	return id, true
 }
 
-func (ds *DiskStore) path(key string) string { return filepath.Join(ds.dir, key) }
+// segment returns the open segment numbered seq, or nil. Needs ds.mu.
+func (ds *DiskStore) segment(seq uint32) *segment {
+	i, ok := slices.BinarySearchFunc(ds.segs, seq, func(s *segment, seq uint32) int { return cmp.Compare(s.seq, seq) })
+	if !ok {
+		return nil
+	}
+	return ds.segs[i]
+}
 
-// Get implements Store. A hit refreshes the entry's modification time so
-// LRU eviction sees it as recently used.
+// Get implements Store.
 func (ds *DiskStore) Get(key string) (Result, bool) {
 	res, ok, _ := ds.GetErr(key)
 	return res, ok
 }
 
 // GetErr implements FallibleStore: like Get, but an I/O failure (anything
-// other than a clean miss or a dropped corrupt entry) is returned so a
-// reliability wrapper can retry it and track the tier's health.
+// but a clean miss or a dropped record) is returned for a RetryStore.
 func (ds *DiskStore) GetErr(key string) (Result, bool, error) {
-	if !validKey(key) {
-		ds.count(func(s *StoreStats) { s.Misses++ })
-		return Result{}, false, nil
-	}
-	b, err := os.ReadFile(ds.path(key))
-	if err != nil {
-		ioErr := !os.IsNotExist(err)
-		ds.count(func(s *StoreStats) {
-			s.Misses++
-			if ioErr {
-				s.Errors++
-			}
-		})
-		if ioErr {
-			return Result{}, false, fmt.Errorf("farm: disk store read: %w", err)
-		}
-		return Result{}, false, nil
-	}
-	res, err := decodeResult(b)
-	if err != nil {
-		// Damaged entry: drop it so the recomputed result gets a clean slot.
-		ds.remove(key)
-		ds.count(func(s *StoreStats) { s.Misses++; s.Corrupt++ })
-		return Result{}, false, nil
-	}
-	now := time.Now()
-	os.Chtimes(ds.path(key), now, now) // best effort: cross-process LRU hint
+	id, ok := keyID(key)
 	ds.mu.Lock()
-	if ds.index != nil {
-		ds.seq++
-		ds.index[key] = &diskEntry{size: int64(len(b)), seq: ds.seq}
+	loc, hit := ds.index[id]
+	s := ds.segment(loc.seq)
+	if !ok || !hit || s == nil {
+		ds.stats.Misses++
+		ds.mu.Unlock()
+		return Result{}, false, nil
 	}
-	ds.stats.Hits++
 	ds.mu.Unlock()
-	return res, true, nil
+	// The read runs outside the lock: an eviction or Close that closes s
+	// meanwhile fails it with os.ErrClosed, never aims it at another file.
+	rec := make([]byte, loc.n)
+	_, err := s.f.ReadAt(rec, loc.off)
+	if err != nil && !errors.Is(err, os.ErrClosed) && !errors.Is(err, io.EOF) {
+		ds.count(func(st *StoreStats) { st.Misses++; st.Errors++ })
+		return Result{}, false, fmt.Errorf("farm: disk store read: %w", err)
+	}
+	if err == nil && string(rec[:64]) == key {
+		if res, derr := decodeResult(rec[64:]); derr == nil {
+			ds.count(func(st *StoreStats) { st.Hits++ })
+			return res, true, nil
+		}
+	}
+	// A record closed under the read, or cut short under the store, is a
+	// plain miss; one read whole that fails its checks is corrupt. Either
+	// way it leaves the index, and since the damage may hide the records
+	// after it from the next open's scan, the next Put starts a segment.
+	ds.mu.Lock()
+	if ds.index[id] == loc { // not superseded meanwhile
+		delete(ds.index, id)
+	}
+	ds.active = nil
+	ds.stats.Misses++
+	if err == nil {
+		ds.stats.Corrupt++
+	}
+	ds.mu.Unlock()
+	return Result{}, false, nil
 }
 
-// Put implements Store: encode, write to a temp file, fsync-free atomic
-// rename, then evict cold entries if the byte bound is exceeded. Failures
-// are recorded and swallowed — a result that could not be persisted is
-// still served from memory.
+// Put implements Store: PutErr with the error counted and swallowed.
 func (ds *DiskStore) Put(key string, res Result) { ds.PutErr(key, res) }
 
-// PutErr implements FallibleStore: like Put, but a write failure is
-// returned so a reliability wrapper can retry it and track the tier's
-// health.
+// PutErr implements FallibleStore: one write at the tail of this store's
+// own segment, returning a write failure for a RetryStore. Nothing is
+// fsynced: a machine crash's torn tail is dead bytes on the next open.
 func (ds *DiskStore) PutErr(key string, res Result) error {
-	if !validKey(key) {
+	id, ok := keyID(key)
+	if !ok {
 		return nil
 	}
 	res.Hit, res.Key = false, ""
-	b := encodeResult(res)
-	tmp, err := os.CreateTemp(ds.dir, tmpPrefix+"*")
-	if err != nil {
-		ds.count(func(s *StoreStats) { s.Errors++ })
-		return fmt.Errorf("farm: disk store write: %w", err)
-	}
-	_, werr := tmp.Write(b)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		ds.count(func(s *StoreStats) { s.Errors++ })
-		if werr == nil {
-			werr = cerr
-		}
-		return fmt.Errorf("farm: disk store write: %w", werr)
-	}
-
+	rec := appendResult([]byte(key), res)
 	ds.mu.Lock()
-	prev, statErr := os.Stat(ds.path(key))
-	if err := os.Rename(tmp.Name(), ds.path(key)); err != nil {
-		ds.mu.Unlock()
-		os.Remove(tmp.Name())
-		ds.count(func(s *StoreStats) { s.Errors++ })
+	defer ds.mu.Unlock()
+	s, err := ds.tailLocked(int64(len(rec)))
+	if err == nil {
+		_, err = s.f.WriteAt(rec, s.size)
+	}
+	if err != nil {
+		ds.stats.Errors++
 		return fmt.Errorf("farm: disk store write: %w", err)
 	}
-	if statErr == nil {
-		ds.bytes -= prev.Size()
-	} else {
-		ds.entries++
-	}
-	ds.bytes += int64(len(b))
-	if ds.index != nil {
-		ds.seq++
-		ds.index[key] = &diskEntry{size: int64(len(b)), seq: ds.seq}
-	}
+	ds.index[id] = diskLoc{seq: s.seq, n: uint32(len(rec)), off: s.size}
+	s.size += int64(len(rec))
+	ds.bytes += int64(len(rec))
 	ds.stats.Puts++
 	ds.evictLocked()
-	ds.mu.Unlock()
 	return nil
 }
 
-// evictLocked removes least-recently-used entries once the store exceeds
-// its byte bound, draining down to ~90% of it so the O(index) sort is paid
-// once per ~10% of write traffic rather than on every Put at a full steady
-// state. It works entirely off the in-memory index — no directory rescan.
-// ds.mu must be held.
+// tailLocked returns the segment an n-byte record is appended to, creating
+// one when the store has none or n would take it past segMax. Needs ds.mu.
+func (ds *DiskStore) tailLocked(n int64) (*segment, error) {
+	if ds.closed {
+		return nil, errors.New("store closed")
+	}
+	if s := ds.active; s != nil && (s.size == 0 || s.size+n <= ds.segMax) {
+		return s, nil
+	}
+	for seq := ds.nextSeq; ; seq++ {
+		f, err := os.OpenFile(filepath.Join(ds.dir, fmt.Sprintf("%010d.seg", seq)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		if errors.Is(err, os.ErrExist) {
+			continue // another store's segment
+		}
+		if err != nil {
+			return nil, err
+		}
+		ds.nextSeq = seq + 1
+		ds.active = &segment{seq: seq, f: f}
+		ds.segs = append(ds.segs, ds.active)
+		return ds.active, nil
+	}
+}
+
+// evictLocked deletes whole segments and their keys, oldest first, from a
+// store past its bound. A segment that cannot be deleted stops the pass
+// with its accounting intact; the next Put retries it. Needs ds.mu.
 func (ds *DiskStore) evictLocked() {
 	if ds.maxBytes <= 0 || ds.bytes <= ds.maxBytes {
 		return
 	}
-	target := ds.maxBytes - ds.maxBytes/10
-	type victim struct {
-		name string
-		e    *diskEntry
-	}
-	victims := make([]victim, 0, len(ds.index))
-	for name, e := range ds.index {
-		victims = append(victims, victim{name, e})
-	}
-	sort.Slice(victims, func(i, j int) bool {
-		if victims[i].e.seq != victims[j].e.seq {
-			return victims[i].e.seq < victims[j].e.seq
+	n := 0
+	for ; n < len(ds.segs) && ds.bytes > ds.maxBytes-ds.maxBytes/10; n++ {
+		s := ds.segs[n]
+		if err := os.Remove(s.f.Name()); err != nil && !errors.Is(err, os.ErrNotExist) {
+			ds.stats.DeleteErrors++ // NotExist: another store already deleted it
+			break
 		}
-		return victims[i].e.mtime.Before(victims[j].e.mtime)
-	})
-	for _, v := range victims {
-		if ds.bytes <= target {
-			return
-		}
-		err := os.Remove(filepath.Join(ds.dir, v.name))
-		if err == nil || os.IsNotExist(err) {
-			// NotExist: another process already removed it; either way the
-			// bytes it accounted for are gone.
-			ds.bytes -= v.e.size
-			ds.entries--
-			delete(ds.index, v.name)
-			if err == nil {
-				ds.stats.Evictions++
-			}
-		} else {
-			// The victim could not be deleted and still occupies disk. Keep
-			// its accounting (the bytes really are still there) and record
-			// the failure; the entry stays coldest and is retried by the
-			// next eviction pass.
-			ds.stats.DeleteErrors++
+		s.f.Close()
+		ds.bytes -= s.size
+		if s == ds.active {
+			ds.active = nil
 		}
 	}
-}
-
-// remove deletes one entry and its accounting (used for corrupt files).
-func (ds *DiskStore) remove(key string) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if info, err := os.Stat(ds.path(key)); err == nil {
-		switch err := os.Remove(ds.path(key)); {
-		case err == nil:
-			ds.bytes -= info.Size()
-			ds.entries--
-			delete(ds.index, key)
-		case !os.IsNotExist(err):
-			// A corrupt entry that refuses to die: it will keep reading as a
-			// miss, but the failed cleanup is worth surfacing.
-			ds.stats.DeleteErrors++
+	ds.segs = slices.Delete(ds.segs, 0, n)
+	for id, loc := range ds.index {
+		if len(ds.segs) == 0 || loc.seq < ds.segs[0].seq {
+			delete(ds.index, id)
+			ds.stats.Evictions++
 		}
 	}
 }
@@ -303,11 +292,21 @@ func (ds *DiskStore) Stats() StoreStats {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	st := ds.stats
-	st.Entries = ds.entries
+	st.Entries = int64(len(ds.index))
 	st.Bytes = ds.bytes
 	return st
 }
 
-// Close implements Store. All writes are already durable (atomic renames),
-// so there is nothing to flush.
-func (ds *DiskStore) Close() error { return nil }
+// Close implements Store: it closes the segment files, after which every
+// Get misses and every Put fails. Each record was written whole when its
+// Put returned, so there is nothing to flush.
+func (ds *DiskStore) Close() error {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	var errs []error
+	for _, s := range ds.segs {
+		errs = append(errs, s.f.Close())
+	}
+	ds.segs, ds.active, ds.closed = nil, nil, true
+	return errors.Join(errs...)
+}

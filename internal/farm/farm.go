@@ -53,9 +53,11 @@ func PhaseSummaries() map[string]telemetry.HistogramSummary { return phaseSecond
 // synchronously on Submit; the optional persistent tier (WithDiskStore) is
 // probed by the worker that picks the job up, before it simulates, so a
 // warm disk directory lets a cold process answer every repeated job with
-// zero simulator executions. Disk hits are promoted back into the memory
-// tier. Single-flight semantics span both tiers: concurrent identical
-// submissions share one disk probe and at most one execution.
+// zero simulator executions. With a disk tier a computed result is written
+// to disk only, and memory admits it when a disk hit promotes it: most
+// results are never read again. Single-flight semantics span both tiers:
+// concurrent identical submissions share one disk probe and at most one
+// execution.
 //
 // A Farm is safe for concurrent use by any number of goroutines and is
 // typically shared: sessions, tuners and the bifrost-serve service can all
@@ -90,7 +92,10 @@ type Farm struct {
 	// repl is the disk tier when it is a ReplicatedStore: a fresh result is
 	// persisted through it by its job's placement (Job.Placement), the same
 	// ring input a coordinator routes the job by.
-	repl     *ReplicatedStore
+	repl *ReplicatedStore
+	// put is the disk tier's error-surfacing write, resolved once in New; a
+	// computed result goes to memory only when it fails (see persist).
+	put      FallibleStore
 	inflight map[string]*call
 
 	// keys is the spec → content key memo for lazy jobs (see KeyOf).
@@ -160,8 +165,9 @@ func WithMaxBytes(b int64) Option { return func(f *Farm) { f.maxBytes = b } }
 func WithMaxQueue(n int) Option { return func(f *Farm) { f.maxQueue = n } }
 
 // WithDiskStore attaches a persistent tier — typically a *DiskStore —
-// probed on memory misses before a job is simulated and written through on
-// every fresh result. The store is closed with the farm.
+// probed on memory misses before a job is simulated and written with every
+// fresh result, which then skips the memory tier unless the write fails.
+// The store is closed with the farm.
 func WithDiskStore(s Store) Option { return func(f *Farm) { f.disk = s } }
 
 // WithPackCache replaces the farm's shared content-keyed pack cache —
@@ -242,8 +248,8 @@ func New(workers int, opts ...Option) *Farm {
 	f.mem = NewMemoryStore(f.maxEntries, f.maxBytes)
 	if repl, ok := f.disk.(*ReplicatedStore); ok {
 		f.repl, f.local = repl, repl.local
-	} else {
-		f.local = asLocalTier(f.disk)
+	} else if f.disk != nil {
+		f.local, f.put = asLocalTier(f.disk), asFallible(f.disk)
 	}
 	if !f.packSet {
 		f.pack = tensor.NewPackCache(tensor.DefaultPackCacheEntries, tensor.DefaultPackCacheBytes)
@@ -465,7 +471,7 @@ func (f *Farm) exec(c *call) {
 	c.res, c.err = Run(job)
 	c.span.Observe(telemetry.PhaseCompute, time.Since(t))
 	t = time.Now()
-	if c.err == nil {
+	if c.err == nil && f.persist(c) != nil {
 		// A pooled output would pin its bucket's rounded-up capacity for
 		// the life of the cache entry. An output equal to one the memory
 		// tier already holds is swapped for that tensor, so the copy just
@@ -474,11 +480,6 @@ func (f *Farm) exec(c *call) {
 		// before the in-flight entry goes, which it does in program order.
 		c.res.Out = c.res.Out.Compact()
 		c.res.Out = f.mem.PutShared(c.key, c.res)
-		if f.repl != nil {
-			f.repl.put(c.placement(), c.key, c.res)
-		} else if f.disk != nil {
-			f.disk.Put(c.key, c.res)
-		}
 	}
 	// The in-flight entry outlives the persist: an identical submission that
 	// arrives while the result is between tiers — already evicted from a
@@ -519,6 +520,24 @@ func (f *Farm) exec(c *call) {
 	f.busy.Add(-1)
 	close(c.done)
 }
+
+// persist writes a computed result to the disk tier only: most rows are
+// never read again, and a disk hit promotes the ones that are into memory.
+// It returns the local write's error — errNoDiskTier without a disk tier —
+// and exec then admits the result to memory, so a quarantined or failing
+// disk still serves it from there.
+func (f *Farm) persist(c *call) error {
+	switch {
+	case f.repl != nil:
+		return f.repl.put(c.placement(), c.key, c.res)
+	case f.put != nil:
+		return f.put.PutErr(c.key, c.res)
+	}
+	return errNoDiskTier
+}
+
+// errNoDiskTier is persist's answer for a node with no local tier.
+var errNoDiskTier = errors.New("farm: no disk tier")
 
 // placement is the call's ring input, Job.Placement: the spec digest keyOf
 // computed for a lazy job, hashed here for any other. It cannot fail for a
@@ -664,10 +683,10 @@ func (f *Farm) submit(j Job, block bool) *Future {
 	memLookup := time.Since(start)
 	dedupStart := time.Now()
 	f.cmu.Lock()
-	// Re-check under the lock: exec publishes to the memory tier before it
+	// Re-check under the lock: exec publishes to a cache tier before it
 	// removes the in-flight entry (the removal under cmu), so a completion
 	// that raced the optimistic miss above is visible in at least one of the
-	// two checks here.
+	// two checks here, or is on disk for the worker's probe.
 	if res, ok := f.mem.Get(key); ok {
 		f.cmu.Unlock()
 		return f.memHit(j, key, res, start, memLookup)

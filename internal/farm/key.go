@@ -33,7 +33,7 @@ const KeyVersion = keyVersion
 // deliberately excluded: neither can change the result, only the wall-clock
 // time of computing it, so engine and oracle submissions share cache entries.
 //
-// Keys also name the disk-tier cache files, so any change to this encoding
+// Keys also index the disk tier's records, so any change to this encoding
 // must bump both keyVersion and DiskFormatVersion.
 func (j Job) Key() (string, error) {
 	j = j.Materialize() // a lazy job keys like its materialised form
@@ -250,4 +250,20 @@ func (f *Farm) keyOf(j Job) (string, Job, [sha256.Size]byte, error) {
 		f.keys.put(d, key)
 	}
 	return key, j, d, err
+}
+
+// validKey reports whether key is a farm cache key (64 lowercase hex
+// characters). It is the one key-shape check: the sweep log, the peer
+// handler and the segment scan use it too.
+func validKey[K string | []byte](key K) bool {
+	if len(key) != 64 {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		c := key[i]
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package farm_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"sync"
@@ -143,7 +144,8 @@ func TestConcurrentSubmitEvictPersist(t *testing.T) {
 // TestDiskStoreSurvivesProcessBoundary simulates the process boundary at
 // the store level: write results through one store, open a second store on
 // the same directory (as a new process would) and require byte-identical
-// round trips plus correct size accounting from the directory rescan.
+// round trips plus correct size accounting from the segment scan, then cut
+// the segment mid-record as a crashed writer would.
 func TestDiskStoreSurvivesProcessBoundary(t *testing.T) {
 	jobs := farmtest.Jobs()[:3]
 	want := farmtest.RunFresh(t, jobs)
@@ -192,16 +194,42 @@ func TestDiskStoreSurvivesProcessBoundary(t *testing.T) {
 		t.Fatal("unrelated store served another directory's entry")
 	}
 
-	// Leftover temp files from a crashed writer are cleaned up on open.
-	tmp := filepath.Join(b.Dir(), ".tmp-crashed")
-	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
+	// A writer that crashed mid-record leaves a torn segment tail: a new
+	// process serves every earlier record and misses the torn one.
+	a.Close()
+	b.Close()
+	segs, err := filepath.Glob(filepath.Join(b.Dir(), "*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one segment, got %v (%v)", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := farm.NewDiskStore(dir, 0); err != nil {
+	last := len(keys) - 1
+	off := bytes.LastIndex(data, []byte(keys[last]))
+	if err := os.Truncate(segs[0], int64(off+(len(data)-off)/2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatal("crashed temp file survived reopen")
+	c, err := farm.NewDiskStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i, key := range keys[:last] {
+		res, ok := c.Get(key)
+		if !ok {
+			t.Fatalf("entry %d before the torn tail missing", i)
+		}
+		if err := farmtest.DiffResults(want[i], res); err != nil {
+			t.Fatalf("entry %d before the torn tail not byte-identical: %v", i, err)
+		}
+	}
+	if _, ok := c.Get(keys[last]); ok {
+		t.Fatal("the torn record was served")
+	}
+	if st := c.Stats(); st.Entries != int64(last) || st.Corrupt != 0 || st.Errors != 0 {
+		t.Fatalf("a torn tail is dead bytes, not damage: %+v", st)
 	}
 }
 
@@ -263,5 +291,48 @@ func TestResubmitDuringPersistAttaches(t *testing.T) {
 	}
 	if st := fm.Stats(); st.Completed != 2 {
 		t.Errorf("%d simulations ran, want 2 (one each for a and b)", st.Completed)
+	}
+}
+
+// TestFailedDiskWriteKeepsResultInMemory: over a disk tier a computed row
+// waits on disk, not in memory, unless the write fails. Over a fault store
+// that fails every operation, bare or quarantined behind a RetryStore, a
+// resubmitted row is a memory hit and nothing is simulated twice.
+func TestFailedDiskWriteKeepsResultInMemory(t *testing.T) {
+	job := farmtest.Jobs()[0]
+	for _, tc := range []struct {
+		name string
+		wrap func(farm.Store) farm.Store
+	}{
+		{"bare", func(s farm.Store) farm.Store { return s }},
+		{"retry", func(s farm.Store) farm.Store { return farm.NewRetryStore(s, farmtest.TestRetryPolicy()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds, err := farm.NewDiskStore(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := farmtest.NewFaultStore(ds, farmtest.FaultPolicy{ErrRate: 1})
+			fm := farm.New(1, farm.WithDiskStore(tc.wrap(fs)))
+			defer fm.Close()
+			want, err := fm.Do(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := fm.Do(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := farmtest.DiffResults(want, got); err != nil {
+				t.Fatalf("resubmission differs: %v", err)
+			}
+			st := fm.Stats()
+			if !got.Hit || st.Completed != 1 || st.DiskHits != 0 || st.Memory.Hits != 1 {
+				t.Fatalf("want one compute and a memory hit: hit=%v %+v", got.Hit, st)
+			}
+			if _, puts, _ := fs.Injected(); puts == 0 {
+				t.Fatal("the fault store failed no write")
+			}
+		})
 	}
 }

@@ -38,9 +38,10 @@ import (
 // The zero number of remote members degenerates to a plain wrapper around
 // the local tier. A ReplicatedStore is safe for concurrent use.
 type ReplicatedStore struct {
-	local    LocalTier // this node's tier (RetryStore over DiskStore); nil for a diskless node
-	selfName string    // this node's ring identity; "" keeps self off the ring
-	replicas int       // R: distinct owners per key, clamped to ring size
+	local    LocalTier     // this node's tier (RetryStore over DiskStore); nil for a diskless node
+	localPut FallibleStore // local's error-surfacing write, resolved once
+	selfName string        // this node's ring identity; "" keeps self off the ring
+	replicas int           // R: distinct owners per key, clamped to ring size
 
 	members map[string]*RetryStore // by ring name; fixed at construction
 	ring    *Ring                  // self plus every member; never mutated
@@ -69,6 +70,7 @@ func NewReplicatedStore(local Store, selfName string, replicas int, members []Re
 	}
 	rs := &ReplicatedStore{
 		local:    asLocalTier(local),
+		localPut: asFallible(local),
 		selfName: selfName,
 		replicas: replicas,
 		members:  make(map[string]*RetryStore, len(members)),
@@ -105,10 +107,13 @@ func (rs *ReplicatedStore) Put(key string, res Result) { rs.put(key, key, res) }
 // is the job's Placement, so the owners are exactly the nodes a coordinator
 // walks for the job: the first is the node that computed it, the rest are
 // the failover targets that then hold a replica. Per-replica failure is
-// tolerated and counted — the write needs one copy to land.
-func (rs *ReplicatedStore) put(place, key string, res Result) {
+// tolerated and counted — the write needs one copy to land. It returns the
+// local write's error (errNoDiskTier on a diskless node), so the farm keeps
+// a result this node could not store in its memory tier.
+func (rs *ReplicatedStore) put(place, key string, res Result) error {
+	err := errNoDiskTier
 	if rs.local != nil {
-		rs.local.Put(key, res)
+		err = rs.localPut.PutErr(key, res)
 	}
 	owned := 0
 	for _, name := range rs.ring.Owners(place, len(rs.members)+1) {
@@ -129,6 +134,7 @@ func (rs *ReplicatedStore) put(place, key string, res Result) {
 		}
 		owned++
 	}
+	return err
 }
 
 // healthyMembers counts the remote members whose breaker is closed — a

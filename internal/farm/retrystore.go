@@ -166,9 +166,10 @@ func (rs *RetryStore) GetErr(key string) (res Result, ok bool, err error) {
 	return res, ok, nil
 }
 
-// Put implements Store. A quarantined tier drops the write — the result
-// stays correct in the memory tier and is re-persisted by later traffic
-// once the disk recovers.
+// Put implements Store. A quarantined tier drops the write; through
+// PutErr the farm sees ErrStoreQuarantined and admits the result to its
+// memory tier instead, so it stays correct there and is re-persisted by
+// later traffic once the disk recovers.
 func (rs *RetryStore) Put(key string, res Result) { rs.PutErr(key, res) }
 
 // PutErr implements FallibleStore, exposing what Put absorbs; see do.

@@ -170,7 +170,8 @@ func checkShareTable(t *testing.T, m *MemoryStore) {
 // output bits at T_K 1 and at T_K 8, so the two leave one tensor in the
 // memory tier for both keys, and a write into a Wait result reaches
 // neither. Outputs that differ in shape or in any bit (±0, NaN payloads)
-// are not shared, nor is a disk hit promoted into memory; evicting one
+// are not shared, nor is a disk hit promoted into memory (over a disk tier
+// a computed row is not admitted to memory at all); evicting one
 // sharer leaves the other intact, and the last eviction empties the table.
 func TestMemoryStoreSharesEqualOutputs(t *testing.T) {
 	d := tensor.ConvDims{N: 1, C: 4, H: 10, W: 10, K: 16, R: 3, S: 3, PadH: 1, PadW: 1}
@@ -236,8 +237,9 @@ func TestMemoryStoreSharesEqualOutputs(t *testing.T) {
 	}
 	checkShareTable(t, m)
 
-	// A disk hit promoted into memory keeps its own tensor, even when a
-	// computed entry holds the same bits.
+	// With a disk tier a computed row waits on disk, not in memory, and a
+	// disk hit promoted into memory keeps its own tensor, even when another
+	// promotion holds the same bits.
 	ds, err := NewDiskStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -250,13 +252,25 @@ func TestMemoryStoreSharesEqualOutputs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p1, _ := fd.mem.Get(r1.Key)
-	p8, _ := fd.mem.Get(r8.Key)
 	if st := fd.Stats(); st.DiskHits != 1 || st.Completed != 1 {
 		t.Fatalf("want one compute and one disk hit: %+v", st)
 	}
-	if p1.Out == p8.Out || tensor.FirstBitDiff(p1.Out, p8.Out) >= 0 {
-		t.Fatal("a disk-hit promotion shared the computed entry's tensor, or the bits differ")
+	if _, ok := fd.mem.Get(r1.Key); ok {
+		t.Fatal("a computed row was admitted to memory over a disk tier")
+	}
+	if _, err := fd.Do(conv(1)); err != nil {
+		t.Fatal(err)
+	}
+	p1, _ := fd.mem.Get(r1.Key)
+	p8, _ := fd.mem.Get(r8.Key)
+	if st := fd.Stats(); st.DiskHits != 2 || st.Completed != 1 {
+		t.Fatalf("want the computed row back as a disk hit: %+v", st)
+	}
+	if p1.Out == nil || p1.Out == p8.Out || tensor.FirstBitDiff(p1.Out, p8.Out) >= 0 {
+		t.Fatal("a disk-hit promotion shared another entry's tensor, or the bits differ")
+	}
+	if n := len(fd.mem.outs); n != 0 {
+		t.Fatalf("promotions entered %d tensors in the share table, want 0", n)
 	}
 	checkShareTable(t, fd.mem)
 

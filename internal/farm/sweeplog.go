@@ -15,8 +15,8 @@ import (
 // SweepLog is the crash-safe journal behind resumable sweeps: one file per
 // client sweep id recording, for each completed row of the sweep, the row's
 // index and its result's content-addressed farm key. The result bytes
-// themselves ride the existing disk-store machinery (CRC-framed,
-// atomic-rename writes under the versioned directory); the journal only has
+// themselves ride the existing disk-store machinery (CRC-framed records
+// appended to segments under the versioned directory); the journal only has
 // to remember *which* key answers *which* row, so a reconnecting client can
 // replay every journaled row straight from the cache and recompute nothing.
 //
@@ -27,7 +27,7 @@ import (
 // Each frame carries its own checksum, so a crash mid-append leaves at most
 // one torn frame at the tail; OpenSweepLog discards everything from the
 // first damaged frame onward (truncating the file back to the last good
-// frame, exactly like the disk store's corruption-tolerant reads) and the
+// frame; the disk store's segment scan likewise stops at a torn tail) and the
 // lost rows are simply recomputed. Journals for distinct sweep ids never
 // collide: the file name is the SHA-256 of the id, which also makes any
 // client-chosen id a safe file name.

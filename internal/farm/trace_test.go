@@ -184,14 +184,22 @@ func TestStatsSchedulerGauges(t *testing.T) {
 	if r := st.Memory.HitRatio(); r != 0 {
 		t.Errorf("memory hit ratio after a single miss = %v, want 0", r)
 	}
+	// Over a disk tier the computed row waits on disk: the second Do is a
+	// disk hit, which promotes it, and the third a memory hit.
 	if _, err := f.Do(traceTestJob(false)); err != nil {
 		t.Fatal(err)
 	}
-	// A missing submission probes the memory tier twice (optimistic Get
-	// plus the under-lock re-check), so one miss + one hit is 1 hit in 3
+	if st := f.Stats(); st.DiskHits != 1 || st.Memory.Hits != 0 {
+		t.Errorf("second Do: disk hits %d, memory hits %d; want 1 and 0", st.DiskHits, st.Memory.Hits)
+	}
+	if res, err := f.Do(traceTestJob(false)); err != nil || !res.Hit {
+		t.Fatalf("third Do: hit=%v err=%v", res.Hit, err)
+	}
+	// A submission that misses memory probes it twice (optimistic Get plus
+	// the under-lock re-check), so two misses and one hit is 1 hit in 5
 	// lookups.
-	if r := f.Stats().Memory.HitRatio(); r != 1.0/3 {
-		t.Errorf("memory hit ratio after miss+hit = %v, want 1/3", r)
+	if st := f.Stats(); st.DiskHits != 1 || st.Memory.HitRatio() != 1.0/5 {
+		t.Errorf("third Do: disk hits %d, memory hit ratio %v; want 1 and 1/5", st.DiskHits, st.Memory.HitRatio())
 	}
 }
 
