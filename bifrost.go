@@ -29,7 +29,6 @@ import (
 	"repro/internal/stonne/magma"
 	"repro/internal/stonne/mapping"
 	"repro/internal/stonne/stats"
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -91,22 +90,14 @@ func NewSession(arch Architecture) (*Session, error) { return core.NewSession(ar
 //	sess, _ := bifrost.NewSession(arch)
 //	sess.WithFarm(fm)
 //
-// The in-memory tier is LRU-bounded (256 MiB by default; FarmMaxEntries /
-// FarmMaxBytes set the bounds), and a persistent tier (FarmDiskCache) makes results survive
+// The in-memory tier is LRU-bounded (256 MiB by default; FarmMaxBytes sets
+// the bound), and a persistent tier (FarmDiskCache) makes results survive
 // process restarts — a cold process replaying a warm cache directory
 // returns byte-identical results with zero simulator executions:
 //
 //	disk, _ := bifrost.NewDiskStore("/var/cache/bifrost", 0)
-//	fm := bifrost.NewFarm(0, bifrost.FarmMaxEntries(10_000), bifrost.FarmDiskCache(disk))
+//	fm := bifrost.NewFarm(0, bifrost.FarmMaxBytes(64<<20), bifrost.FarmDiskCache(disk))
 type Farm = farm.Farm
-
-// FarmStats is a snapshot of a farm's scheduler and cache counters (the
-// payload of bifrost-serve's /stats endpoint), including per-tier hit,
-// eviction and byte counts.
-type FarmStats = farm.Stats
-
-// FarmStoreStats is one cache tier's counter snapshot.
-type FarmStoreStats = farm.StoreStats
 
 // FarmOption configures a Farm at construction.
 type FarmOption = farm.Option
@@ -121,9 +112,6 @@ type DiskStore = farm.DiskStore
 func NewDiskStore(dir string, maxBytes int64) (*DiskStore, error) {
 	return farm.NewDiskStore(dir, maxBytes)
 }
-
-// FarmMaxEntries bounds the farm's in-memory cache tier to n entries (LRU).
-func FarmMaxEntries(n int) FarmOption { return farm.WithMaxEntries(n) }
 
 // FarmMaxBytes bounds the farm's in-memory cache tier to b resident bytes;
 // b <= 0 keeps the default bound, 256 MiB.
@@ -140,25 +128,6 @@ type FarmStore = farm.Store
 // FarmDiskStore attaches any FarmStore as the farm's persistent tier — the
 // generic form of FarmDiskCache, for wrapped or custom stores.
 func FarmDiskStore(s FarmStore) FarmOption { return farm.WithDiskStore(s) }
-
-// FarmMaxQueue bounds the farm's job queue: at the bound, submissions fail
-// fast with ErrFarmQueueFull instead of growing the queue (backpressure).
-// n <= 0 (the default) leaves it unbounded.
-func FarmMaxQueue(n int) FarmOption { return farm.WithMaxQueue(n) }
-
-// ErrFarmQueueFull is returned (wrapped) by submissions rejected at the
-// FarmMaxQueue bound; match it with errors.Is.
-var ErrFarmQueueFull = farm.ErrQueueFull
-
-// ErrFarmClosed is returned (wrapped) by submissions to a farm that has
-// been Closed or Shut down, and by waiters whose queued jobs a timed-out
-// Shutdown abandoned; match it with errors.Is.
-var ErrFarmClosed = farm.ErrFarmClosed
-
-// PanicError is a simulator panic recovered into a per-job error: the
-// panicking value plus the goroutine stack. One poisoned job fails alone
-// with a *PanicError instead of taking down the process.
-type PanicError = farm.PanicError
 
 // RetryPolicy configures a RetryStore: bounded-exponential retry of
 // transient failures and the health breaker that quarantines a
@@ -184,46 +153,6 @@ type RetryStore = farm.RetryStore
 func NewRetryStore(inner FarmStore, policy RetryPolicy) *RetryStore {
 	return farm.NewRetryStore(inner, policy)
 }
-
-// PackCache is the content-keyed cache of derived operand forms (packed
-// weight panels, kernel matrices, layout transposes) a farm shares across
-// jobs, so a sweep over fixed network weights packs each derived form once
-// instead of once per job. Results and cache keys are byte-identical with
-// or without one. Every farm carries a bounded PackCache by default;
-// FarmPackCache overrides it (nil disables pack reuse).
-type PackCache = tensor.PackCache
-
-// PackCacheStats is a snapshot of a pack cache's reuse counters, reported
-// as FarmStats.Pack.
-type PackCacheStats = tensor.PackStats
-
-// NewPackCache returns a bounded content-keyed pack cache; maxEntries <= 0
-// and maxBytes <= 0 each disable that bound.
-func NewPackCache(maxEntries int, maxBytes int64) *PackCache {
-	return tensor.NewPackCache(maxEntries, maxBytes)
-}
-
-// FarmPackCache replaces the farm's default shared pack cache — e.g. one
-// cache shared by several farms, or nil to disable pack reuse.
-func FarmPackCache(pc *PackCache) FarmOption { return farm.WithPackCache(pc) }
-
-// Trace is one job's lifecycle trace: where its wall-clock time went
-// (enqueue wait, dedup, cache lookups, compute, persist) and which tier
-// answered it. Request one per submission with Job.Trace, or attach a
-// TraceRing to keep the most recent ones. Tracing is observation only —
-// results and cache keys are byte-identical with it on or off.
-type Trace = telemetry.Trace
-
-// TraceRing is a bounded, concurrency-safe ring of recent job traces (the
-// payload of bifrost-serve's /debug/traces endpoint).
-type TraceRing = telemetry.TraceRing
-
-// NewTraceRing returns a ring retaining the last n traces.
-func NewTraceRing(n int) *TraceRing { return telemetry.NewTraceRing(n) }
-
-// FarmTraceRing attaches a trace ring to the farm: every executed job's
-// lifecycle trace is recorded into it, newest first.
-func FarmTraceRing(r *TraceRing) FarmOption { return farm.WithTraceRing(r) }
 
 // NewFarm returns a running simulation farm; workers <= 0 selects
 // GOMAXPROCS.
@@ -390,13 +319,9 @@ func NewMRNAMapper(arch Architecture) (*MRNAMapper, error) {
 	return mrna.NewMapper(arch, mrna.MinimizeCycles)
 }
 
-// SpMSpMEngine is the sparse×sparse matrix-multiplication engine (MAGMA
-// class), implementing the paper's future-work operator on the SIGMA
-// fabric configuration.
-type SpMSpMEngine = magma.Engine
-
-// NewSpMSpMEngine returns a MAGMA-class SpMSpM engine for a
-// SIGMA_SPARSE_GEMM architecture.
-func NewSpMSpMEngine(arch Architecture) (*SpMSpMEngine, error) {
+// NewSpMSpMEngine returns a sparse×sparse matrix-multiplication engine
+// (MAGMA class) — the paper's future-work operator on the SIGMA fabric —
+// for a SIGMA_SPARSE_GEMM architecture.
+func NewSpMSpMEngine(arch Architecture) (*magma.Engine, error) {
 	return magma.NewEngine(arch)
 }

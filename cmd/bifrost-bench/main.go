@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/farm"
+	"repro/internal/job"
 )
 
 func main() {
@@ -45,11 +46,12 @@ func main() {
 		scale = bench.Full
 		scaleName = "full AlexNet"
 	}
-	var fm *farm.Farm
+	var runner job.Runner // nil: every experiment runs inline
 	farmName := "serial"
 	if *workers > 0 {
-		fm = farm.New(*workers)
+		fm := farm.New(*workers)
 		defer fm.Close()
+		runner = fm
 		farmName = fmt.Sprintf("%d-worker farm", fm.Workers())
 	}
 	fmt.Printf("Bifrost evaluation harness — %s workloads, %s\n\n", scaleName, farmName)
@@ -69,7 +71,7 @@ func main() {
 		opts.Trials = *trials
 		opts.Seed = *seed
 		start := time.Now()
-		rows, err := bench.MappingStudy(fm, scale, opts)
+		rows, err := bench.MappingStudy(runner, scale, opts)
 		if err != nil {
 			log.Fatalf("mapping study: %v", err)
 		}
@@ -80,7 +82,7 @@ func main() {
 
 	if want("fig9") {
 		start := time.Now()
-		rows, err := bench.Fig9(fm, scale, *seed)
+		rows, err := bench.Fig9(runner, scale, *seed)
 		if err != nil {
 			log.Fatalf("fig9: %v", err)
 		}
@@ -94,7 +96,7 @@ func main() {
 	}
 	if want("fig10") {
 		start := time.Now()
-		rows, err := bench.Fig10(fm, nil)
+		rows, err := bench.Fig10(runner, nil)
 		if err != nil {
 			log.Fatalf("fig10: %v", err)
 		}

@@ -25,6 +25,7 @@ package bifrost
 // benchmark (benchmark/README.md).
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 
@@ -231,7 +232,8 @@ func BenchmarkWarmSweep(b *testing.B) {
 					jobs[j] = farm.Job{HW: cfg, Kind: farm.Conv2D, Dims: d,
 						ConvMapping: m, Input: in, Weights: ker, Seed: int64(i)}
 				}
-				if _, err := fm.DoBatch(jobs); err != nil {
+				_, errs := fm.DoBatch(jobs)
+				if err := errors.Join(errs...); err != nil {
 					b.Fatal(err)
 				}
 			}

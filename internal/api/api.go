@@ -91,7 +91,7 @@ type Options struct {
 	// that finds every helper taken by concurrent farm jobs, runs serially
 	// whatever Workers says. Outputs are bitwise identical for every value.
 	//
-	// No production path sets it: its one source, farm.Job.ExecWorkers, is
+	// No production path sets it: its one source, job.Job.ExecWorkers, is
 	// set only by the benchmark harness, which pins both fields. They go
 	// together under ROADMAP item 1(c).
 	Workers int

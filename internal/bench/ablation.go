@@ -5,7 +5,7 @@ import (
 	"io"
 
 	"repro/internal/autotune"
-	"repro/internal/farm"
+	"repro/internal/job"
 	"repro/internal/stonne/config"
 	"repro/internal/stonne/energy"
 	"repro/internal/stonne/mapping"
@@ -28,7 +28,7 @@ func ablationConv() tensor.ConvDims {
 
 // dryConvStats measures a conv mapping with a counters-only MAERI job.
 func dryConvStats(cfg config.HWConfig, d tensor.ConvDims, m mapping.ConvMapping) (stats.Stats, error) {
-	res, err := farm.Run(farm.Job{HW: cfg, Kind: farm.Conv2D, Dims: d, ConvMapping: m, DryRun: true})
+	res, err := job.Run(job.Job{HW: cfg, Kind: job.Conv2D, Dims: d, ConvMapping: m, DryRun: true})
 	return res.Stats, err
 }
 

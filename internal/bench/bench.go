@@ -10,11 +10,12 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 
 	"repro/internal/autotune"
-	"repro/internal/farm"
 	"repro/internal/graph"
+	"repro/internal/job"
 	"repro/internal/models"
 	"repro/internal/stonne/config"
 	"repro/internal/stonne/mapping"
@@ -22,49 +23,26 @@ import (
 	"repro/internal/tensor"
 )
 
-// runJobStats streams a batched job set through the farm — or inline and
-// serially when fm is nil — returning only each job's Stats. Jobs are
-// built lazily and at most 2×workers are in flight, so a sweep's peak
-// memory stays at a handful of layers' operand tensors rather than the
-// whole network's. Both paths funnel through farm.Run, so results are
-// bit-identical; only wall-clock time differs.
-func runJobStats(fm *farm.Farm, builders []func() farm.Job) ([]stats.Stats, error) {
+// runJobStats runs a job set through r — or inline and serially when r is
+// nil — returning only each job's Stats. Jobs are built lazily, one chunk
+// of 2×GOMAXPROCS at a time, so a sweep's peak memory stays at a handful
+// of layers' operand tensors rather than the whole network's. Both paths
+// funnel through job.Run, so results are bit-identical; only wall-clock
+// time differs.
+func runJobStats(r job.Runner, builders []func() job.Job) ([]stats.Stats, error) {
 	out := make([]stats.Stats, len(builders))
-	if fm == nil {
-		for i, build := range builders {
-			res, err := farm.Run(build())
-			if err != nil {
-				return nil, fmt.Errorf("job %d: %w", i, err)
+	chunk := 2 * runtime.GOMAXPROCS(0)
+	for lo := 0; lo < len(builders); lo += chunk {
+		jobs := make([]job.Job, 0, chunk)
+		for _, build := range builders[lo:min(lo+chunk, len(builders))] {
+			jobs = append(jobs, build())
+		}
+		results, errs := job.DoBatch(r, jobs)
+		for i, res := range results {
+			if errs[i] != nil {
+				return nil, fmt.Errorf("job %d: %w", lo+i, errs[i])
 			}
-			out[i] = res.Stats
-		}
-		return out, nil
-	}
-	window := 2 * fm.Workers()
-	futures := make([]*farm.Future, len(builders))
-	collect := func(i int) error {
-		res, err := futures[i].Wait()
-		if err != nil {
-			return fmt.Errorf("job %d: %w", i, err)
-		}
-		futures[i] = nil // release the future (and its output tensor)
-		out[i] = res.Stats
-		return nil
-	}
-	for i, build := range builders {
-		if i >= window {
-			if err := collect(i - window); err != nil {
-				return nil, err
-			}
-		}
-		futures[i] = fm.Submit(build())
-	}
-	for i := len(builders) - window; i < len(builders); i++ {
-		if i < 0 {
-			continue
-		}
-		if err := collect(i); err != nil {
-			return nil, err
+			out[lo+i] = res.Stats
 		}
 	}
 	return out, nil
@@ -141,22 +119,22 @@ func (r Fig9Row) Reduction() float64 {
 // Fig9 runs every AlexNet layer on SIGMA at 0% and 50% weight sparsity.
 // The layer×sparsity grid is one batched job set: with a farm the
 // simulations run concurrently across its workers (and repeated sweeps are
-// served from the result cache); with fm == nil they run serially inline.
-func Fig9(fm *farm.Farm, scale Scale, seed int64) ([]Fig9Row, error) {
+// served from the result cache); with r == nil they run serially inline.
+func Fig9(r job.Runner, scale Scale, seed int64) ([]Fig9Row, error) {
 	ls := layers(scale)
-	var builders []func() farm.Job
+	var builders []func() job.Job
 	for i, l := range ls {
 		for _, sparsity := range []float64{0, 0.5} {
-			builders = append(builders, func() farm.Job {
+			builders = append(builders, func() job.Job {
 				cfg := config.Default(config.SIGMASparseGEMM)
 				cfg.SparsityRatio = int(sparsity * 100)
-				j := farm.Job{HW: cfg, Seed: seed + int64(i)}
+				j := job.Job{HW: cfg, Seed: seed + int64(i)}
 				if l.Op == graph.OpConv2D {
 					d := l.Conv
 					ker := tensor.RandomUniform(seed+int64(i)+100, 1, d.K, d.C/d.G, d.R, d.S)
 					ensureDense(ker)
 					tensor.Prune(ker, sparsity)
-					j.Kind = farm.Conv2D
+					j.Kind = job.Conv2D
 					j.Dims = d
 					j.ConvMapping = mapping.Basic()
 					j.Input = tensor.RandomUniform(seed+int64(i), 1, d.N, d.C, d.H, d.W)
@@ -165,7 +143,7 @@ func Fig9(fm *farm.Farm, scale Scale, seed int64) ([]Fig9Row, error) {
 					w := tensor.RandomUniform(seed+int64(i)+100, 1, l.N, l.K)
 					ensureDense(w)
 					tensor.Prune(w, sparsity)
-					j.Kind = farm.Dense
+					j.Kind = job.Dense
 					j.FCMapping = mapping.BasicFC()
 					j.Input = tensor.RandomUniform(seed+int64(i), 1, l.M, l.K)
 					j.Weights = w
@@ -174,7 +152,7 @@ func Fig9(fm *farm.Farm, scale Scale, seed int64) ([]Fig9Row, error) {
 			})
 		}
 	}
-	results, err := runJobStats(fm, builders)
+	results, err := runJobStats(r, builders)
 	if err != nil {
 		return nil, fmt.Errorf("bench: fig9: %w", err)
 	}
@@ -259,7 +237,7 @@ func Fig10Conv() tensor.ConvDims {
 // (worst) mappings — the two curves of Figure 10. With a farm, every
 // feasible mapping in the space is measured as a concurrent dry-run job;
 // the resulting curves are bit-identical to the serial search.
-func Fig10(fm *farm.Farm, multipliers []int) ([]Fig10Row, error) {
+func Fig10(r job.Runner, multipliers []int) ([]Fig10Row, error) {
 	if len(multipliers) == 0 {
 		multipliers = []int{8, 16, 32, 64, 128}
 	}
@@ -273,8 +251,8 @@ func Fig10(fm *farm.Farm, multipliers []int) ([]Fig10Row, error) {
 			return nil, err
 		}
 		opts := autotune.Options{}
-		if fm != nil {
-			opts.Measurer = autotune.FarmConvCycleMeasurer(fm, cfg, d)
+		if r != nil {
+			opts.Measurer = autotune.FarmConvCycleMeasurer(r, cfg, d)
 		}
 		res, err := autotune.GridSearch{}.Tune(space, autotune.ConvCycleCost(cfg, d), opts)
 		if err != nil {

@@ -5,8 +5,8 @@ import (
 	"io"
 
 	"repro/internal/autotune"
-	"repro/internal/farm"
 	"repro/internal/graph"
+	"repro/internal/job"
 	"repro/internal/models"
 	"repro/internal/mrna"
 	"repro/internal/stonne/config"
@@ -57,24 +57,20 @@ func tunedFCMapping(l models.LayerSpec, ms int) (mapping.FCMapping, error) {
 }
 
 // dryCycles measures a mapping's cycle count with a counters-only MAERI job,
-// through the farm (cached, deduplicated) when one is provided and inline
-// otherwise.
-func dryCycles(f *farm.Farm, cfg config.HWConfig, l models.LayerSpec, cm mapping.ConvMapping, fcm mapping.FCMapping) (int64, error) {
-	j := farm.Job{HW: cfg, DryRun: true}
+// through r (a farm caches and deduplicates it) when one is provided and
+// inline otherwise.
+func dryCycles(r job.Runner, cfg config.HWConfig, l models.LayerSpec, cm mapping.ConvMapping, fcm mapping.FCMapping) (int64, error) {
+	j := job.Job{HW: cfg, DryRun: true}
 	if l.Op == graph.OpConv2D {
-		j.Kind = farm.Conv2D
+		j.Kind = job.Conv2D
 		j.Dims = l.Conv
 		j.ConvMapping = cm
 	} else {
-		j.Kind = farm.Dense
+		j.Kind = job.Dense
 		j.FCMapping = fcm
 		j.M, j.K, j.N = l.M, l.K, l.N
 	}
-	run := farm.Run
-	if f != nil {
-		run = f.Do
-	}
-	res, err := run(j)
+	res, err := job.Do(r, j)
 	return res.Stats.Cycles, err
 }
 
@@ -104,7 +100,7 @@ func (r MappingRow) Speedup() float64 { return float64(r.BasicCycles) / float64(
 // cycles on MAERI with 128 multipliers. With a farm, the cycle measurements
 // run as cached dry-run jobs; rows are bit-identical to the serial study
 // either way.
-func MappingStudy(fm *farm.Farm, scale Scale, o TuneOptions) ([]MappingRow, error) {
+func MappingStudy(r job.Runner, scale Scale, o TuneOptions) ([]MappingRow, error) {
 	cfg := config.Default(config.MAERIDenseWorkload)
 	mapper, err := mrna.NewMapper(cfg, mrna.MinimizeCycles)
 	if err != nil {
@@ -122,13 +118,13 @@ func MappingStudy(fm *farm.Farm, scale Scale, o TuneOptions) ([]MappingRow, erro
 			if err != nil {
 				return nil, fmt.Errorf("bench: mRNA %s: %w", l.Name, err)
 			}
-			if row.BasicCycles, err = dryCycles(fm, cfg, l, mapping.Basic(), mapping.FCMapping{}); err != nil {
+			if row.BasicCycles, err = dryCycles(r, cfg, l, mapping.Basic(), mapping.FCMapping{}); err != nil {
 				return nil, err
 			}
-			if row.AutoTVMCycles, err = dryCycles(fm, cfg, l, row.AutoTVMConv, mapping.FCMapping{}); err != nil {
+			if row.AutoTVMCycles, err = dryCycles(r, cfg, l, row.AutoTVMConv, mapping.FCMapping{}); err != nil {
 				return nil, err
 			}
-			if row.MRNACycles, err = dryCycles(fm, cfg, l, row.MRNAConv, mapping.FCMapping{}); err != nil {
+			if row.MRNACycles, err = dryCycles(r, cfg, l, row.MRNAConv, mapping.FCMapping{}); err != nil {
 				return nil, err
 			}
 		} else {
@@ -140,13 +136,13 @@ func MappingStudy(fm *farm.Farm, scale Scale, o TuneOptions) ([]MappingRow, erro
 			if err != nil {
 				return nil, fmt.Errorf("bench: mRNA %s: %w", l.Name, err)
 			}
-			if row.BasicCycles, err = dryCycles(fm, cfg, l, mapping.ConvMapping{}, mapping.BasicFC()); err != nil {
+			if row.BasicCycles, err = dryCycles(r, cfg, l, mapping.ConvMapping{}, mapping.BasicFC()); err != nil {
 				return nil, err
 			}
-			if row.AutoTVMCycles, err = dryCycles(fm, cfg, l, mapping.ConvMapping{}, row.AutoTVMFC); err != nil {
+			if row.AutoTVMCycles, err = dryCycles(r, cfg, l, mapping.ConvMapping{}, row.AutoTVMFC); err != nil {
 				return nil, err
 			}
-			if row.MRNACycles, err = dryCycles(fm, cfg, l, mapping.ConvMapping{}, row.MRNAFC); err != nil {
+			if row.MRNACycles, err = dryCycles(r, cfg, l, mapping.ConvMapping{}, row.MRNAFC); err != nil {
 				return nil, err
 			}
 		}

@@ -15,8 +15,8 @@ import (
 	"strings"
 
 	"repro/internal/api"
-	"repro/internal/farm"
 	"repro/internal/graph"
+	"repro/internal/job"
 	"repro/internal/passes"
 	"repro/internal/stonne/config"
 	"repro/internal/stonne/mapping"
@@ -53,17 +53,17 @@ type Session struct {
 	DefaultConvMapping *mapping.ConvMapping
 	DefaultFCMapping   *mapping.FCMapping
 
-	// Reference sets farm.Job.Reference on every offloaded layer, running it
+	// Reference sets job.Job.Reference on every offloaded layer, running it
 	// on the oracle package's step-loop simulations instead of the
 	// production engines. Outputs, records and cache keys are identical
 	// either way — the flag exists to validate the engines end to end and to
 	// measure their speedup.
 	Reference bool
 
-	farm *farm.Farm
+	runner job.Runner
 
 	// pack is the session's content-keyed cache of derived operand forms,
-	// used by the inline (farmless) execution path so repeated runs of the
+	// used by the inline (runnerless) execution path so repeated runs of the
 	// same model — or weight-sharing layers within one run — pack each
 	// derived form once. Farmed layers use the farm's shared cache instead.
 	// Results are byte-identical with or without it.
@@ -100,23 +100,19 @@ func NewSession(cfg config.HWConfig) (*Session, error) {
 // Config returns the session's normalised hardware configuration.
 func (s *Session) Config() config.HWConfig { return s.cfg }
 
-// WithFarm routes every offloaded layer through the given simulation farm:
-// each layer is submitted as a job, so identical simulations — across runs,
-// sessions or concurrent requests sharing the farm — are deduplicated and
-// served from the content-addressed cache. A farm with a persistent tier
-// (farm.WithDiskStore) extends that across processes: a cold session
-// replaying a model against a warm cache directory executes zero
-// simulations. Outputs, per-layer records and their ordering are
-// bit-identical to the farmless path; only wall-clock time and cache
-// statistics change. Passing nil restores direct execution. It returns s
-// for chaining.
-func (s *Session) WithFarm(f *farm.Farm) *Session {
-	s.farm = f
+// WithFarm routes every offloaded layer through r, typically a simulation
+// farm: each layer is submitted as a job, so identical simulations — across
+// runs, sessions or concurrent requests sharing the farm — are deduplicated
+// and served from the content-addressed cache. A farm with a persistent tier
+// extends that across processes: a cold session replaying a model against a
+// warm cache directory executes zero simulations. Outputs, per-layer
+// records and their ordering are bit-identical to the farmless path; only
+// wall-clock time and cache statistics change. Passing nil (or a nil
+// *farm.Farm) restores direct execution. It returns s for chaining.
+func (s *Session) WithFarm(r job.Runner) *Session {
+	s.runner = r
 	return s
 }
-
-// Farm returns the farm configured with WithFarm, or nil.
-func (s *Session) Farm() *farm.Farm { return s.farm }
 
 // Records returns the per-layer simulation records of the last Run, in
 // topological order. Each Run starts a fresh slice, so a slice returned
@@ -219,15 +215,13 @@ func (s *Session) offload(n *graph.Node, ins []*tensor.Tensor) (*tensor.Tensor, 
 	return nil, false, nil
 }
 
-// exec runs one offloaded layer. One job description serves both paths: the
-// farm schedules, caches and deduplicates it; without a farm the same job
-// runs inline, so the two paths cannot drift apart.
-func (s *Session) exec(job farm.Job) (farm.Result, error) {
-	job.Reference = s.Reference
-	if s.farm != nil {
-		return s.farm.Do(job)
-	}
-	return farm.Run(job.WithPackCache(s.pack))
+// exec runs one offloaded layer. One job description serves both paths: a
+// farm schedules, caches and deduplicates it (and uses its own pack cache);
+// without a runner the same job runs inline, so the two paths cannot drift
+// apart.
+func (s *Session) exec(j job.Job) (job.Result, error) {
+	j.Reference = s.Reference
+	return job.Do(s.runner, j.WithPackCache(s.pack))
 }
 
 func (s *Session) offloadConv(n *graph.Node, ins []*tensor.Tensor) (*tensor.Tensor, bool, error) {
@@ -237,8 +231,8 @@ func (s *Session) offloadConv(n *graph.Node, ins []*tensor.Tensor) (*tensor.Tens
 	}
 	kernel := s.maybePrune(ins[1])
 	m := s.convMappingFor(n.Name)
-	res, err := s.exec(farm.Job{
-		HW: s.cfg, Kind: farm.Conv2D, Layout: n.Attrs.DataLayout,
+	res, err := s.exec(job.Job{
+		HW: s.cfg, Kind: job.Conv2D, Layout: n.Attrs.DataLayout,
 		Dims: d, ConvMapping: m, Input: ins[0], Weights: kernel,
 	})
 	if err != nil {
@@ -268,7 +262,7 @@ func (s *Session) offloadConv(n *graph.Node, ins []*tensor.Tensor) (*tensor.Tens
 func (s *Session) offloadDense(n *graph.Node, ins []*tensor.Tensor) (*tensor.Tensor, bool, error) {
 	weights := s.maybePrune(ins[1])
 	m := s.fcMappingFor(n.Name)
-	res, err := s.exec(farm.Job{HW: s.cfg, Kind: farm.Dense, FCMapping: m, Input: ins[0], Weights: weights})
+	res, err := s.exec(job.Job{HW: s.cfg, Kind: job.Dense, FCMapping: m, Input: ins[0], Weights: weights})
 	if err != nil {
 		return nil, false, fmt.Errorf("offloading dense %q: %w", n.Name, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/farm"
+	"repro/internal/farm/farmtest"
 )
 
 // TestDoBatchLargerThanQueueBound is the regression test for the batch
@@ -24,10 +25,7 @@ func TestDoBatchLargerThanQueueBound(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = dryJob(i) // distinct keys: no dedup, every job queues
 	}
-	results, err := fm.DoBatch(jobs)
-	if err != nil {
-		t.Fatalf("DoBatch over a bounded queue: %v", err)
-	}
+	results := farmtest.DoBatch(t, "DoBatch over a bounded queue", fm, jobs)
 	if len(results) != batch {
 		t.Fatalf("got %d results, want %d", len(results), batch)
 	}

@@ -72,10 +72,7 @@ func TestChaosDiskQuarantineRecovery(t *testing.T) {
 	fm := farm.New(4, farm.WithDiskStore(rs))
 	defer fm.Close()
 
-	broken, err := fm.DoBatch(jobs)
-	if err != nil {
-		t.Fatalf("sweep during outage: %v", err)
-	}
+	broken := farmtest.DoBatch(t, "sweep during outage", fm, jobs)
 	farmtest.AssertSameResults(t, "sweep during outage vs fresh", want, broken)
 	st := fm.Stats()
 	if st.Disk == nil || !st.Disk.Degraded {
@@ -143,10 +140,7 @@ func TestFaultPanicIsolation(t *testing.T) {
 	// The farm (and its workers) survived: a healthy sweep still runs.
 	jobs := farmtest.Jobs()
 	want := farmtest.RunFresh(t, jobs)
-	got, err := fm.DoBatch(jobs)
-	if err != nil {
-		t.Fatalf("healthy sweep after panic: %v", err)
-	}
+	got := farmtest.DoBatch(t, "healthy sweep after panic", fm, jobs)
 	farmtest.AssertSameResults(t, "sweep after panic vs fresh", want, got)
 
 	st := fm.Stats()

@@ -10,3 +10,7 @@ func (f *Farm) KeyMemoLen() int {
 	defer f.keys.mu.Unlock()
 	return len(f.keys.cur) + len(f.keys.old)
 }
+
+// keyVersion is the key-derivation version the golden key file records;
+// the encoder that folds it into every key lives in internal/job.
+const keyVersion = KeyVersion

@@ -1,3 +1,14 @@
+// Package farm is the concurrent simulation farm: a worker-pool scheduler
+// that runs job.Jobs across GOMAXPROCS workers, fronted by a
+// content-addressed result cache so identical simulations are never run
+// twice. Every layer Bifrost offloads spins up a fresh STONNE instance (§V
+// step 3 of the paper) and the AutoTVM-style tuners re-simulate thousands
+// of near-identical (architecture, layer, mapping) points — the farm
+// deduplicates and parallelises both, and backs the bifrost-serve batch
+// service. The unit of work, its key and its inline Run live in
+// internal/job; farm adds the scheduler, the key memo, the result codec,
+// the memory and disk tiers, the retry breakers, the placement ring,
+// replication and the sweep journal. *Farm is a job.Runner.
 package farm
 
 import (
@@ -11,9 +22,29 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/job"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
+
+// The unit of work lives in internal/job; these aliases keep the farm's
+// callers (serve, farmtest, the benchmark harness) spelling it farm.Job.
+type (
+	Job        = job.Job
+	Result     = job.Result
+	PanicError = job.PanicError
+)
+
+const (
+	Conv2D     = job.Conv2D
+	Dense      = job.Dense
+	KeyVersion = job.KeyVersion
+)
+
+// Run executes a job inline, without a farm; see job.Run.
+func Run(j Job) (Result, error) { return job.Run(j) }
+
+var _ job.Runner = (*Farm)(nil)
 
 // Sentinel errors the scheduler returns for submissions it will not run.
 // Both are matched with errors.Is: the farm may wrap them with context.
@@ -463,12 +494,11 @@ func (f *Farm) exec(c *call) {
 		}
 	}
 	f.count(&f.misses)
-	job := c.job
-	job.pack = f.pack // shared pack reuse; excluded from Key(), bit-identical results
 	t := time.Now()
 	// Both tiers missed: only now does Run generate a lazy job's operands,
-	// so their cost is observed under the compute phase.
-	c.res, c.err = Run(job)
+	// so their cost is observed under the compute phase. The farm's shared
+	// pack cache is not keyed, so results stay bit-identical.
+	c.res, c.err = job.Run(c.job.WithPackCache(f.pack))
 	c.span.Observe(telemetry.PhaseCompute, time.Since(t))
 	t = time.Now()
 	if c.err == nil && f.persist(c) != nil {
@@ -812,8 +842,15 @@ func (f *Farm) cachePutLocal(key string, res Result) {
 	f.cmu.Unlock()
 }
 
-// Do submits a job and blocks until its result is ready.
-func (f *Farm) Do(j Job) (Result, error) { return f.Submit(j).Wait() }
+// Do submits a job and blocks until its result is ready. A nil *Farm runs
+// it inline, like a nil job.Runner: a session or measurer handed a farm
+// variable that was never set still works.
+func (f *Farm) Do(j Job) (Result, error) {
+	if f == nil {
+		return job.Run(j)
+	}
+	return f.Submit(j).Wait()
+}
 
 // DoCtx submits a job bound to ctx and blocks until its result is ready or
 // ctx fires. Cancelling ctx frees the job's queue slot if no other waiter
@@ -823,8 +860,8 @@ func (f *Farm) DoCtx(ctx context.Context, j Job) (Result, error) {
 }
 
 // DoBatch submits every job, waits for all of them, and returns the results
-// in submission order. The error is the first failure encountered (in
-// order); successful entries are still populated.
+// in submission order with each job's own error, so one failed job fails
+// only its own entry (job.Runner).
 //
 // Submission runs at queue pace: with a WithMaxQueue bound configured,
 // DoBatch blocks at the bound until a worker frees a slot instead of
@@ -832,22 +869,21 @@ func (f *Farm) DoCtx(ctx context.Context, j Job) (Result, error) {
 // committed to waiting for the whole batch, so rejecting jobs it would
 // happily wait for silently poisons sweeps. A batch of any size therefore
 // completes with zero rejections on an otherwise idle farm; concurrent
-// Submit traffic still sheds fast at the bound.
-func (f *Farm) DoBatch(jobs []Job) ([]Result, error) {
+// Submit traffic still sheds fast at the bound. A nil *Farm runs the
+// batch inline, as Do does.
+func (f *Farm) DoBatch(jobs []Job) ([]Result, []error) {
+	if f == nil {
+		return job.DoBatch(nil, jobs)
+	}
 	futures := make([]*Future, len(jobs))
 	for i, j := range jobs {
 		futures[i] = f.SubmitWait(j)
 	}
-	results := make([]Result, len(jobs))
-	var firstErr error
+	results, errs := make([]Result, len(jobs)), make([]error, len(jobs))
 	for i, fu := range futures {
-		res, err := fu.Wait()
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("farm: job %d: %w", i, err)
-		}
-		results[i] = res
+		results[i], errs[i] = fu.Wait()
 	}
-	return results, firstErr
+	return results, errs
 }
 
 // Stats is a snapshot of the farm's scheduler and cache counters.

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -129,8 +130,8 @@ func TestFarmDoBatchPreservesOrder(t *testing.T) {
 	}
 	// Duplicate the middle job: it must dedupe, not rerun.
 	jobs = append(jobs, jobs[1])
-	results, err := f.DoBatch(jobs)
-	if err != nil {
+	results, errs := f.DoBatch(jobs)
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != len(jobs) {

@@ -22,6 +22,19 @@ import (
 	"repro/internal/tensor"
 )
 
+// DoBatch runs jobs on fm and fails tb at the first job that failed,
+// naming the pass.
+func DoBatch(tb testing.TB, pass string, fm *farm.Farm, jobs []farm.Job) []farm.Result {
+	tb.Helper()
+	results, errs := fm.DoBatch(jobs)
+	for i, err := range errs {
+		if err != nil {
+			tb.Fatalf("%s: job %d: %v", pass, i, err)
+		}
+	}
+	return results
+}
+
 // Jobs returns a deterministic table of small simulation jobs spanning the
 // three architectures, both conv layouts, basic and tiled mappings, SIGMA
 // sparsity (with pre-pruned weights, mirroring core and serve) and the
@@ -176,15 +189,9 @@ func AssertEquivalent(tb testing.TB, jobs []farm.Job) {
 
 	// Path 2: warm in-memory cache.
 	fm := farm.New(4)
-	first, err := fm.DoBatch(jobs)
-	if err != nil {
-		tb.Fatalf("in-memory first pass: %v", err)
-	}
-	second, err := fm.DoBatch(jobs)
+	first := DoBatch(tb, "in-memory first pass", fm, jobs)
+	second := DoBatch(tb, "in-memory warm pass", fm, jobs)
 	fm.Close()
-	if err != nil {
-		tb.Fatalf("in-memory warm pass: %v", err)
-	}
 	AssertSameResults(tb, "in-memory first pass vs fresh", want, first)
 	AssertSameResults(tb, "in-memory warm pass vs fresh", want, second)
 	for i, res := range second {
@@ -203,19 +210,13 @@ func AssertEquivalent(tb testing.TB, jobs []farm.Job) {
 		return farm.New(4, farm.WithDiskStore(ds))
 	}
 	warm := openFarm()
-	populated, err := warm.DoBatch(jobs)
+	populated := DoBatch(tb, "populating disk cache", warm, jobs)
 	warm.Close()
-	if err != nil {
-		tb.Fatalf("populating disk cache: %v", err)
-	}
 	AssertSameResults(tb, "disk populate pass vs fresh", want, populated)
 
 	cold := openFarm()
 	defer cold.Close()
-	replayed, err := cold.DoBatch(jobs)
-	if err != nil {
-		tb.Fatalf("cold disk replay: %v", err)
-	}
+	replayed := DoBatch(tb, "cold disk replay", cold, jobs)
 	AssertSameResults(tb, "cold disk replay vs fresh", want, replayed)
 	for i, res := range replayed {
 		if !res.Hit {
@@ -290,10 +291,7 @@ func AssertEquivalent(tb testing.TB, jobs []farm.Job) {
 		j.Trace = true
 		tjobs[i] = j
 	}
-	tracedResults, err := traced.DoBatch(tjobs)
-	if err != nil {
-		tb.Fatalf("traced pass: %v", err)
-	}
+	tracedResults := DoBatch(tb, "traced pass", traced, tjobs)
 	AssertSameResults(tb, "traced pass vs fresh", want, tracedResults)
 	for i, res := range tracedResults {
 		if res.Key != plainKeys[i] {

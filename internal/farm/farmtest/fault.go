@@ -1,6 +1,7 @@
 package farmtest
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -41,16 +42,10 @@ func AssertFaultTolerant(tb testing.TB, policy FaultPolicy) {
 	fm := farm.New(4, farm.WithDiskStore(farm.NewRetryStore(fs, TestRetryPolicy())))
 	defer fm.Close()
 
-	first, err := fm.DoBatch(jobs)
-	if err != nil {
-		tb.Fatalf("faulted first pass (policy %+v): %v", policy, err)
-	}
+	first := DoBatch(tb, fmt.Sprintf("faulted first pass (policy %+v)", policy), fm, jobs)
 	AssertSameResults(tb, "faulted first pass vs fresh", want, first)
 
-	second, err := fm.DoBatch(jobs)
-	if err != nil {
-		tb.Fatalf("faulted second pass (policy %+v): %v", policy, err)
-	}
+	second := DoBatch(tb, fmt.Sprintf("faulted second pass (policy %+v)", policy), fm, jobs)
 	AssertSameResults(tb, "faulted second pass vs fresh", want, second)
 
 	st := fm.Stats()

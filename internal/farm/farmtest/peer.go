@@ -2,6 +2,7 @@ package farmtest
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -141,16 +142,10 @@ func AssertPeerFaultTolerant(tb testing.TB, policy FaultPolicy) {
 	fm := farm.New(4, farm.WithDiskStore(repl))
 	defer fm.Close()
 
-	first, err := fm.DoBatch(jobs)
-	if err != nil {
-		tb.Fatalf("peer-faulted first pass (policy %+v): %v", policy, err)
-	}
+	first := DoBatch(tb, fmt.Sprintf("peer-faulted first pass (policy %+v)", policy), fm, jobs)
 	AssertSameResults(tb, "peer-faulted first pass vs fresh", want, first)
 
-	second, err := fm.DoBatch(jobs)
-	if err != nil {
-		tb.Fatalf("peer-faulted second pass (policy %+v): %v", policy, err)
-	}
+	second := DoBatch(tb, fmt.Sprintf("peer-faulted second pass (policy %+v)", policy), fm, jobs)
 	AssertSameResults(tb, "peer-faulted second pass vs fresh", want, second)
 
 	st := member.Stats()

@@ -131,7 +131,7 @@ func TestPlacementIsSpecDigest(t *testing.T) {
 	}
 	base := convJob()
 	p := place(base)
-	if d, _ := base.specDigest(); p != hex.EncodeToString(d[:]) {
+	if d, _ := base.SpecDigest(); p != hex.EncodeToString(d[:]) {
 		t.Fatalf("Placement %s is not the spec digest %x", p, d)
 	}
 	if p == mustKey(t, base) {

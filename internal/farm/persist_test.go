@@ -30,9 +30,7 @@ func TestDiskTierPromotesToMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := farm.New(2, farm.WithDiskStore(ds))
-	if _, err := warm.DoBatch(jobs); err != nil {
-		t.Fatal(err)
-	}
+	farmtest.DoBatch(t, "warm pass", warm, jobs)
 	warm.Close()
 
 	ds2, err := farm.NewDiskStore(dir, 0)
@@ -41,12 +39,8 @@ func TestDiskTierPromotesToMemory(t *testing.T) {
 	}
 	cold := farm.New(2, farm.WithDiskStore(ds2))
 	defer cold.Close()
-	if _, err := cold.DoBatch(jobs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cold.DoBatch(jobs); err != nil {
-		t.Fatal(err)
-	}
+	farmtest.DoBatch(t, "cold disk pass", cold, jobs)
+	farmtest.DoBatch(t, "cold memory pass", cold, jobs)
 	st := cold.Stats()
 	if st.DiskHits != int64(len(jobs)) {
 		t.Fatalf("disk hits = %d, want %d (second pass must come from memory): %+v", st.DiskHits, len(jobs), st)
@@ -68,15 +62,9 @@ func TestEvictedEntriesRecomputeCorrectly(t *testing.T) {
 
 	f := farm.New(2, farm.WithMaxEntries(2))
 	defer f.Close()
-	first, err := f.DoBatch(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := farmtest.DoBatch(t, "bounded farm first pass", f, jobs)
 	farmtest.AssertSameResults(t, "bounded farm first pass", want, first)
-	second, err := f.DoBatch(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := farmtest.DoBatch(t, "bounded farm recompute pass", f, jobs)
 	farmtest.AssertSameResults(t, "bounded farm recompute pass", want, second)
 
 	st := f.Stats()

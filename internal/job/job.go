@@ -1,12 +1,22 @@
-// Package farm is the concurrent simulation farm: a worker-pool job
-// scheduler that executes layer simulations across GOMAXPROCS workers,
-// fronted by a content-addressed result cache so identical simulations are
-// never run twice. Every layer Bifrost offloads spins up a fresh STONNE
-// instance (§V step 3 of the paper) and the AutoTVM-style tuners re-simulate
-// thousands of near-identical (architecture, layer, mapping) points — the
-// farm deduplicates and parallelises both, and backs the bifrost-serve
-// batch service.
-package farm
+// Package job is the simulator's unit of work: one offloaded layer run on
+// one STONNE instance (§V step 3 of the paper), as a value. A Job carries
+// everything its simulation needs; Run executes it inline on the production
+// engines or, with Job.Reference, on the oracle package; and Key names it by
+// content, so identical jobs share one cached result in any service built
+// around it.
+//
+// Keyed fields — the ones that can change a result, and so enter Key and
+// Placement — are HW (normalised), Kind, Layout, Dims, ConvMapping,
+// FCMapping, M/K/N, DryRun, Seed and the operand contents. Fields that only
+// choose how or when a result is computed are not keyed: ExecWorkers,
+// Reference, Trace, Deadline, the pack cache (WithPackCache) and the fault
+// hook (WithFaultHook). A lazy job (WithOperands) keys like its
+// materialised form.
+//
+// Callers that run many jobs take a Runner: a nil Runner means Run inline,
+// and the simulation farm (internal/farm) satisfies it with a scheduler and
+// a result cache in front of the same Run.
+package job
 
 import (
 	"fmt"
@@ -62,11 +72,11 @@ type Job struct {
 	// operand tensors.
 	M, K, N int
 
-	// Input and Weights are the operand tensors. The farm treats them as
-	// immutable; callers apply pruning before building the job (the key
-	// then covers the pruned content together with HW.SparsityRatio).
+	// Input and Weights are the operand tensors, treated as immutable;
+	// callers apply pruning before building the job (the key then covers
+	// the pruned content together with HW.SparsityRatio).
 	// Both are nil for dry-run jobs, and for a lazy job (WithOperands) until
-	// Materialize generates them — which the farm does only when it must
+	// Materialize generates them — which a farm does only when it must
 	// hash a never-seen spec or actually simulate.
 	Input, Weights *tensor.Tensor
 
@@ -99,10 +109,10 @@ type Job struct {
 	// Reference runs the job on the oracle package — the step-loop / chunk-
 	// loop / cycle-ticked reference simulations and, for GEMM-lowered
 	// convolutions, the materialised im2col lowering — instead of the
-	// production engines; run consults it once, and nothing below the farm
-	// knows the flag exists. Results are bitwise identical either way — the
-	// engine equivalence suites, the FuzzEngineEquivalence target and the
-	// farmtest differential harness enforce it — so Reference, like
+	// production engines; run consults it once, and nothing below this
+	// package knows the flag exists. Results are bitwise identical either
+	// way — the engine equivalence suites, the FuzzEngineEquivalence target
+	// and the farmtest differential harness enforce it — so Reference, like
 	// ExecWorkers, deliberately does NOT participate in Key(): a warm cache
 	// populated by engine runs serves reference submissions and vice versa.
 	//
@@ -141,8 +151,8 @@ type Job struct {
 	pack *tensor.PackCache
 
 	// fault, when set, is invoked at the start of the simulator execution —
-	// the fault-injection seam the farmtest chaos harness uses to provoke
-	// panics and stalls inside workers. It observes execution only: a
+	// the fault-injection seam the chaos harnesses use to provoke panics and
+	// stalls inside workers. It observes execution only: a
 	// healthy job computes the same bytes with or without a hook, and like
 	// pack it does NOT participate in Key().
 	fault func()
@@ -175,7 +185,7 @@ func (j Job) WithFaultHook(fn func()) Job {
 // contents. gen must be a pure function of the job's other keyed fields —
 // HW (including SparsityRatio), Kind, Layout, Dims or M/K/N, and Seed — and
 // must already apply any pruning: a farm remembers the content key of every
-// lazy spec it has hashed (Farm.KeyOf), so two lazy jobs with equal specs
+// lazy spec it has hashed (farm.Farm.KeyOf), so two lazy jobs with equal specs
 // are taken to have equal operands without generating either. In exchange a
 // cache hit, a single-flight attach or a journal replay of a known spec
 // never allocates an operand (a coordinator placement, Job.Placement, never
@@ -186,6 +196,10 @@ func (j Job) WithOperands(gen func() (input, weights *tensor.Tensor)) Job {
 	j.Input, j.Weights, j.operands = nil, nil, gen
 	return j
 }
+
+// Lazy reports whether the job still carries an operand generator
+// (WithOperands) instead of operand tensors.
+func (j Job) Lazy() bool { return j.operands != nil }
 
 // Materialize returns the job with its operands in place: a lazy job's
 // generator runs once and is dropped, any other job is returned unchanged.
@@ -238,14 +252,14 @@ type PanicError struct {
 // simulator bug, and the trace is the only evidence left once the job's
 // goroutine has moved on.
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("farm: simulator panic: %v\n%s", e.Value, e.Stack)
+	return fmt.Sprintf("job: simulator panic: %v\n%s", e.Value, e.Stack)
 }
 
 // Run executes the job inline on the calling goroutine, with no farm, no
-// cache and no concurrency. Farm workers and the serial fallback paths both
-// funnel through here, which is what keeps farmed and serial runs
-// bit-identical. A simulator panic is recovered into a *PanicError, so a
-// poisoned job fails alone whether it runs inline or on a farm worker.
+// cache and no concurrency. Farm workers and a nil Runner both funnel
+// through here, which is what keeps farmed and serial runs bit-identical.
+// A simulator panic is recovered into a *PanicError, so a poisoned job
+// fails alone whether it runs inline or on a farm worker.
 func Run(j Job) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -272,15 +286,15 @@ func run(j Job) (Result, error) {
 		}
 	case Dense:
 		if j.DryRun && (j.M <= 0 || j.K <= 0 || j.N <= 0) {
-			return Result{}, fmt.Errorf("farm: dry-run dense job needs M, K, N geometry, got %d×%d→%d", j.M, j.K, j.N)
+			return Result{}, fmt.Errorf("job: dry-run dense job needs M, K, N geometry, got %d×%d→%d", j.M, j.K, j.N)
 		}
 	default:
-		return Result{}, fmt.Errorf("farm: unknown job kind %q", j.Kind)
+		return Result{}, fmt.Errorf("job: unknown job kind %q", j.Kind)
 	}
 	if !j.DryRun {
 		j = j.Materialize()
 		if j.Input == nil || j.Weights == nil {
-			return Result{}, fmt.Errorf("farm: %s job needs input and weight tensors", j.Kind)
+			return Result{}, fmt.Errorf("job: %s job needs input and weight tensors", j.Kind)
 		}
 	}
 	// The one place a simulator is chosen: every caller that wants the
@@ -341,4 +355,37 @@ func runOracle(cfg config.HWConfig, j Job, d tensor.ConvDims) (*tensor.Tensor, s
 	default:
 		return oracle.Conv2DNCHW(cfg, j.Input, j.Weights, d, j.ConvMapping)
 	}
+}
+
+// Runner runs jobs. *farm.Farm schedules, deduplicates and caches them; a
+// nil Runner means Run inline (see Do and DoBatch). Either way the results
+// are bit-identical, so a caller chooses a Runner for wall-clock time and
+// cache reuse only.
+type Runner interface {
+	// Do runs one job and returns its result.
+	Do(Job) (Result, error)
+	// DoBatch runs every job and returns, index for index, each job's
+	// result and its own error: one failed job fails only its own entry.
+	DoBatch([]Job) ([]Result, []error)
+}
+
+// Do runs j on r, or inline with Run when r is nil.
+func Do(r Runner, j Job) (Result, error) {
+	if r == nil {
+		return Run(j)
+	}
+	return r.Do(j)
+}
+
+// DoBatch runs jobs on r, or inline one after another when r is nil, with
+// Runner.DoBatch's per-job results and errors.
+func DoBatch(r Runner, jobs []Job) ([]Result, []error) {
+	if r != nil {
+		return r.DoBatch(jobs)
+	}
+	results, errs := make([]Result, len(jobs)), make([]error, len(jobs))
+	for i, j := range jobs {
+		results[i], errs[i] = Run(j)
+	}
+	return results, errs
 }

@@ -9,11 +9,11 @@
 //
 // The package is deliberately independent of what it checks: it imports no
 // engine package and takes no pack cache, and it builds its fabrics afresh on
-// every call. farm.Run selects it for jobs with Job.Reference set — the only
+// every call. job.Run selects it for jobs with Job.Reference set — the only
 // selector there is — and the engines' equivalence suites call it directly.
 //
 // The bitwise contract with the engines assumes finite operands (see
-// farm.Job.Reference).
+// job.Job.Reference).
 package oracle
 
 import (
