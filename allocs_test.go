@@ -295,8 +295,8 @@ func TestTelemetryRecordAllocFree(t *testing.T) {
 }
 
 // TestTracedFarmSteadyStateAllocFree pins what tracing adds to the farm's
-// warm hit path: the path itself pays for key hashing and the future, but
-// span accounting and phase observations must add nothing, and a traced
+// warm hit path: the path itself pays for key hashing and the caller's
+// copy of the output, but span accounting and phase observations must add nothing, and a traced
 // hit may add only the single echoed Trace object.
 func TestTracedFarmSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
@@ -313,8 +313,8 @@ func TestTracedFarmSteadyStateAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Baseline: the pre-existing warm hit path (key encode + hash, future,
-	// hit counters). Tracing must not change it when off, and a traced hit
+	// Baseline: the pre-existing warm hit path (key encode + hash, output
+	// copy, hit counters). Tracing must not change it when off, and a traced hit
 	// may add only the one Trace allocation on top.
 	plain := steadyStateAllocs(func() {
 		if _, err := f.Do(job); err != nil {
@@ -340,9 +340,9 @@ func TestTracedFarmSteadyStateAllocFree(t *testing.T) {
 // TestServeHitPathAllocBound pins the cache hit path at lookup cost: a
 // memory-warm /simulate of the benchmark's standard conv row and of its
 // K1024×N256 dense row allocates well under 64 KB per request — the JSON in
-// and out, the future and the caller's copy of the output, but never an
-// operand (156 KB and 1.0 MB respectively when every request regenerated
-// and hashed them). A change that materialises operands on a hit fails here
+// and out and the caller's copy of the output, but never an operand (156
+// KB and 1.0 MB respectively when every request regenerated and hashed
+// them). A change that materialises operands on a hit fails here
 // before it shows on the benchmark's sweep_hit_mixed workload.
 func TestServeHitPathAllocBound(t *testing.T) {
 	if raceEnabled {

@@ -129,7 +129,7 @@ func main() {
 		maxBytes   = flag.Int64("cache-max-bytes", 0, "in-memory cache byte bound, LRU-evicted (0 = the default, 256 MiB)")
 		diskMax    = flag.Int64("cache-disk-max-bytes", 0, "disk cache byte bound, oldest segments first (0 = unbounded)")
 		maxQueue   = flag.Int("max-queue", 0, "queued-job bound: submissions beyond it are rejected with HTTP 429 + Retry-After instead of growing the queue (0 = unbounded)")
-		jobTimeout = flag.Duration("job-timeout", 0, "default per-job deadline, e.g. 30s; unanswered jobs fail with HTTP 504 and queued ones are removed (0 = none; requests override with timeout_ms)")
+		jobTimeout = flag.Duration("job-timeout", 0, "default per-request deadline, e.g. 30s; an unanswered request fails with HTTP 504, and its queued job is removed unless another request waits on it (0 = none; requests override with timeout_ms)")
 		drainWait  = flag.Duration("shutdown-timeout", 30*time.Second, "graceful-drain bound on SIGINT/SIGTERM: running jobs get this long to finish before queued work is abandoned")
 		pprofAddr  = flag.String("pprof", "", "side-port listen address for net/http/pprof and /metrics, e.g. localhost:6060 (empty = disabled)")
 		traceAll   = flag.Bool("trace", false, "echo a per-job lifecycle trace in every response (same as \"trace\": true on each request)")

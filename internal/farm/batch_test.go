@@ -2,7 +2,6 @@ package farm_test
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -44,8 +43,8 @@ func TestDoBatchLargerThanQueueBound(t *testing.T) {
 }
 
 // TestSubmitStillFailsFastAtBound pins the other half of the contract:
-// plain Submit keeps shedding load at the bound while a worker is wedged,
-// so interactive traffic still gets its fast ErrQueueFull.
+// plain Do keeps shedding load at the bound while a worker is wedged, so
+// interactive traffic still gets its fast ErrQueueFull.
 func TestSubmitStillFailsFastAtBound(t *testing.T) {
 	release := make(chan struct{})
 	fm := farm.New(1, farm.WithMaxQueue(1))
@@ -53,43 +52,39 @@ func TestSubmitStillFailsFastAtBound(t *testing.T) {
 	defer close(release)
 
 	// Wedge the single worker, then fill the one queue slot.
-	blocked := fm.Submit(dryJob(0).WithFaultHook(func() { <-release }))
+	go fm.Do(dryJob(0).WithFaultHook(func() { <-release }))
 	waitForBusy(t, fm)
-	queued := fm.Submit(dryJob(1))
+	go fm.Do(dryJob(1))
+	waitUntil(t, "the queue to fill", func() bool { return fm.Stats().Queued == 1 })
 
-	rejected := fm.Submit(dryJob(2))
-	if _, err := rejected.Wait(); !errors.Is(err, farm.ErrQueueFull) {
+	if _, err := fm.Do(dryJob(2)); !errors.Is(err, farm.ErrQueueFull) {
 		t.Fatalf("submit over the bound: err = %v, want ErrQueueFull", err)
 	}
-	_ = blocked
-	_ = queued
 }
 
-// TestSubmitWaitReleasedByClose proves a SubmitWait blocked on a full queue
-// does not hang a closing farm: it is released with ErrFarmClosed.
-func TestSubmitWaitReleasedByClose(t *testing.T) {
+// TestDoBatchReleasedByClose proves a DoBatch blocked on a full queue does
+// not hang a closing farm: it is released with ErrFarmClosed.
+func TestDoBatchReleasedByClose(t *testing.T) {
 	release := make(chan struct{})
 	fm := farm.New(1, farm.WithMaxQueue(1))
 
-	fm.Submit(dryJob(0).WithFaultHook(func() { <-release }))
+	go fm.Do(dryJob(0).WithFaultHook(func() { <-release }))
 	waitForBusy(t, fm)
-	fm.Submit(dryJob(1)) // fills the queue
+	go fm.Do(dryJob(1)) // fills the queue
+	waitUntil(t, "the queue to fill", func() bool { return fm.Stats().Queued == 1 })
 
-	var wg sync.WaitGroup
-	wg.Add(1)
 	errc := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		_, err := fm.SubmitWait(dryJob(2)).Wait()
-		errc <- err
+		_, errs := fm.DoBatch([]farm.Job{dryJob(2)})
+		errc <- errs[0]
 	}()
-	// Let the goroutine reach the qspace wait, then close underneath it.
-	time.Sleep(20 * time.Millisecond)
+	// The batch's job is counted before it waits for a queue slot; close
+	// underneath it.
+	waitUntil(t, "the batch to submit", func() bool { return fm.Stats().Submitted == 3 })
 	go fm.Close()
 	close(release)
-	wg.Wait()
 	if err := <-errc; err != nil && !errors.Is(err, farm.ErrFarmClosed) {
-		t.Fatalf("blocked SubmitWait after Close: err = %v, want nil or ErrFarmClosed", err)
+		t.Fatalf("blocked DoBatch after Close: err = %v, want nil or ErrFarmClosed", err)
 	}
 }
 
@@ -103,5 +98,30 @@ func waitForBusy(t *testing.T, fm *farm.Farm) {
 			t.Fatal("worker never picked up the wedged job")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// BenchmarkDoBatchHalfHits times one 16-job dry-run batch of which half are
+// memory hits and half are fresh keys, the shape of a tuner's batch late in
+// a search. -benchmem reports the batch's scheduling allocations.
+func BenchmarkDoBatchHalfHits(b *testing.B) {
+	fm := farm.New(2)
+	defer fm.Close()
+	const batch = 16
+	jobs := make([]farm.Job, batch)
+	for i := 0; i < batch/2; i++ {
+		jobs[i] = dryJob(i)
+	}
+	farmtest.DoBatch(b, "warm", fm, jobs[:batch/2])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for i := batch / 2; i < batch; i++ {
+			jobs[i] = dryJob(i)
+			jobs[i].Seed = int64(n*batch + i)
+		}
+		if _, errs := fm.DoBatch(jobs); errs[batch-1] != nil {
+			b.Fatal(errs[batch-1])
+		}
 	}
 }

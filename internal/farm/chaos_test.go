@@ -177,22 +177,22 @@ func TestFaultCancellationFreesQueuedJobs(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	blocker := dryJob(3000).WithFaultHook(func() { close(started); <-release })
-	blockerFut := fm.Submit(blocker)
+	waitBlocker := farmtest.Start(context.Background(), fm, blocker)
 	<-started // the single worker is now pinned
 
 	ctx, cancel := context.WithCancel(context.Background())
 	const queued = 8
-	futures := make([]*farm.Future, queued)
-	for i := 0; i < queued; i++ {
-		futures[i] = fm.SubmitCtx(ctx, dryJob(3001+i))
+	waits := make([]func() (farm.Result, error), queued)
+	for i := range waits {
+		waits[i] = farmtest.Start(ctx, fm, dryJob(3001+i))
 	}
 	waitUntil(t, "jobs to queue behind the pinned worker", func() bool {
 		return fm.Stats().Queued == queued
 	})
 
 	cancel()
-	for i, fut := range futures {
-		if _, err := fut.WaitCtx(ctx); !errors.Is(err, context.Canceled) {
+	for i, wait := range waits {
+		if _, err := wait(); !errors.Is(err, context.Canceled) {
 			t.Errorf("queued job %d: err = %v, want context.Canceled", i, err)
 		}
 	}
@@ -205,7 +205,7 @@ func TestFaultCancellationFreesQueuedJobs(t *testing.T) {
 	}
 
 	close(release)
-	if _, err := blockerFut.Wait(); err != nil {
+	if _, err := waitBlocker(); err != nil {
 		t.Errorf("pinned job failed: %v", err)
 	}
 	// Nothing cancelled ever executed.
@@ -214,44 +214,80 @@ func TestFaultCancellationFreesQueuedJobs(t *testing.T) {
 	}
 }
 
-// TestFaultDeadlineExpiresQueuedJob proves Job.Deadline bounds queue time:
-// a job stuck behind a pinned worker past its deadline is removed and fails
-// with context.DeadlineExceeded without ever executing — and the deadline,
-// like every fault-tolerance knob, stays out of the content key.
+// TestFaultDeadlineExpiresQueuedJob proves a caller's deadline bounds its
+// queue time: a job stuck behind a pinned worker when its DoCtx context
+// expires is removed from the queue and fails with
+// context.DeadlineExceeded without ever executing.
 func TestFaultDeadlineExpiresQueuedJob(t *testing.T) {
-	plain := dryJob(4000)
-	deadlined := plain
-	deadlined.Deadline = 5 * time.Millisecond
-	pk, err1 := plain.Key()
-	dk, err2 := deadlined.Key()
-	if err1 != nil || err2 != nil || pk != dk {
-		t.Fatalf("Deadline leaked into the content key: %q (err %v) vs %q (err %v)", pk, err1, dk, err2)
-	}
-
 	fm := farm.New(1)
 	defer fm.Close()
 	release := make(chan struct{})
 	started := make(chan struct{})
-	fm.Submit(dryJob(4001).WithFaultHook(func() { close(started); <-release }))
+	pinned := farmtest.Start(context.Background(), fm, dryJob(4001).WithFaultHook(func() { close(started); <-release }))
 	<-started
 
-	fut := fm.Submit(deadlined)
-	time.Sleep(10 * time.Millisecond) // let the deadline lapse while queued
-	close(release)
-	if _, err := fut.Wait(); !errors.Is(err, context.DeadlineExceeded) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	if _, err := fm.DoCtx(ctx, dryJob(4000)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("expired job: err = %v, want context.DeadlineExceeded", err)
 	}
 	st := fm.Stats()
+	if st.Queued != 0 {
+		t.Errorf("expired job still queued: depth %d, want 0", st.Queued)
+	}
 	if st.Cancelled != 1 {
 		t.Errorf("Stats.Cancelled = %d, want 1", st.Cancelled)
 	}
-	if st.Completed != 1 {
+	close(release)
+	if _, err := pinned(); err != nil {
+		t.Errorf("pinned job failed: %v", err)
+	}
+	if st := fm.Stats(); st.Completed != 1 {
 		t.Errorf("Stats.Completed = %d, want 1 (the pinned job only)", st.Completed)
 	}
 }
 
+// TestFaultDeadlineLeavesSharedJobToOtherWaiters proves a deadline belongs
+// to its waiter, not to the job it shares: a DoCtx whose context expires
+// while its job is queued detaches, and a plain Do attached to the same
+// job still gets the result once the worker frees. Nothing is cancelled,
+// since one waiter remained.
+func TestFaultDeadlineLeavesSharedJobToOtherWaiters(t *testing.T) {
+	fm := farm.New(1)
+	defer fm.Close()
+	release := make(chan struct{})
+	started := make(chan struct{})
+	pinned := farmtest.Start(context.Background(), fm, dryJob(4101).WithFaultHook(func() { close(started); <-release }))
+	<-started
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	timed := farmtest.Start(ctx, fm, dryJob(4100))
+	waitUntil(t, "the timed job to queue", func() bool { return fm.Stats().Queued == 1 })
+	plain := farmtest.Start(context.Background(), fm, dryJob(4100))
+	waitUntil(t, "the plain Do to attach", func() bool { return fm.Stats().Deduped == 1 })
+
+	if _, err := timed(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("timed waiter: err = %v, want context.DeadlineExceeded", err)
+	}
+	close(release)
+	if _, err := pinned(); err != nil {
+		t.Errorf("pinned job failed: %v", err)
+	}
+	if _, err := plain(); err != nil {
+		t.Errorf("waiter with no deadline failed at another waiter's deadline: %v", err)
+	}
+	st := fm.Stats()
+	if st.Cancelled != 0 {
+		t.Errorf("Stats.Cancelled = %d, want 0 (a waiter remained)", st.Cancelled)
+	}
+	if st.Completed != 2 {
+		t.Errorf("Stats.Completed = %d, want 2 (the pinned and the shared job)", st.Completed)
+	}
+}
+
 // TestChaosBackpressureQueueBound proves WithMaxQueue fails fast: at the
-// bound, Submit rejects with ErrQueueFull without enqueuing, and once the
+// bound, Do rejects with ErrQueueFull without enqueuing, and once the
 // queue drains the farm accepts work again.
 func TestChaosBackpressureQueueBound(t *testing.T) {
 	const bound = 2
@@ -260,18 +296,18 @@ func TestChaosBackpressureQueueBound(t *testing.T) {
 
 	release := make(chan struct{})
 	started := make(chan struct{})
-	fm.Submit(dryJob(5000).WithFaultHook(func() { close(started); <-release }))
+	go fm.Do(dryJob(5000).WithFaultHook(func() { close(started); <-release }))
 	<-started
 
-	accepted := make([]*farm.Future, bound)
-	for i := 0; i < bound; i++ {
-		accepted[i] = fm.Submit(dryJob(5001 + i))
+	accepted := make([]func() (farm.Result, error), bound)
+	for i := range accepted {
+		accepted[i] = farmtest.Start(context.Background(), fm, dryJob(5001+i))
 	}
 	waitUntil(t, "queue to fill to its bound", func() bool {
 		return fm.Stats().Queued == bound
 	})
 
-	if _, err := fm.Submit(dryJob(5100)).Wait(); !errors.Is(err, farm.ErrQueueFull) {
+	if _, err := fm.Do(dryJob(5100)); !errors.Is(err, farm.ErrQueueFull) {
 		t.Errorf("submit over the bound: err = %v, want ErrQueueFull", err)
 	}
 	st := fm.Stats()
@@ -287,8 +323,8 @@ func TestChaosBackpressureQueueBound(t *testing.T) {
 
 	// Drain, then verify the farm accepts and executes again.
 	close(release)
-	for i, fut := range accepted {
-		if _, err := fut.Wait(); err != nil {
+	for i, wait := range accepted {
+		if _, err := wait(); err != nil {
 			t.Errorf("bounded-queue job %d failed: %v", i, err)
 		}
 	}

@@ -81,8 +81,8 @@ func PhaseSummaries() map[string]telemetry.HistogramSummary { return phaseSecond
 // without simulating at all.
 //
 // The memory tier (bounded with WithMaxEntries / WithMaxBytes) is consulted
-// synchronously on Submit; the optional persistent tier (WithDiskStore) is
-// probed by the worker that picks the job up, before it simulates, so a
+// synchronously on submission; the optional persistent tier (WithDiskStore)
+// is probed by the worker that picks the job up, before it simulates, so a
 // warm disk directory lets a cold process answer every repeated job with
 // zero simulator executions. With a disk tier a computed result is written
 // to disk only, and memory admits it when a disk hit promotes it: most
@@ -101,7 +101,7 @@ type Farm struct {
 
 	qmu   sync.Mutex
 	qcond *sync.Cond
-	// qspace wakes SubmitWait callers blocked on a full bounded queue; it is
+	// qspace wakes DoBatch submissions blocked on a full bounded queue; it is
 	// signalled whenever a queue slot frees (dequeue, cancellation removal,
 	// shutdown abandonment) and broadcast on close.
 	qspace *sync.Cond
@@ -187,12 +187,12 @@ const DefaultMemMaxBytes = 256 << 20
 // equal, and the tier's resident bytes only fall below it.
 func WithMaxBytes(b int64) Option { return func(f *Farm) { f.maxBytes = b } }
 
-// WithMaxQueue bounds the job queue to n waiting jobs; when full, Submit
-// fails fast with ErrQueueFull instead of accepting work the farm cannot
-// serve, while SubmitWait (and therefore DoBatch) blocks until a slot
-// frees. n <= 0 (the default) leaves the queue unbounded. Cache hits and
-// single-flight attaches never consume queue slots, so a warm sweep is
-// unaffected by the bound.
+// WithMaxQueue bounds the job queue to n waiting jobs; when full, Do and
+// DoCtx fail fast with ErrQueueFull instead of accepting work the farm
+// cannot serve, while DoBatch blocks until a slot frees. n <= 0 (the
+// default) leaves the queue unbounded. Cache hits and single-flight
+// attaches never consume queue slots, so a warm sweep is unaffected by the
+// bound.
 func WithMaxQueue(n int) Option { return func(f *Farm) { f.maxQueue = n } }
 
 // WithDiskStore attaches a persistent tier — typically a *DiskStore —
@@ -243,20 +243,19 @@ type call struct {
 	// executing worker reading it at finish, hence atomic.
 	traced atomic.Bool
 
-	// waiters counts the futures attached to this call. Context-less
-	// submissions hold their reference forever; a context-aware waiter
-	// releases it when its context fires. When the count reaches zero the
-	// call is cancelled: pulled out of the queue (if still there) and
-	// failed with context.Canceled, so abandoned work never occupies a
-	// worker. Attach (under Farm.cmu) and the zero-check in detach (also
-	// under cmu) serialise, so a cancel never races a fresh attach.
+	// waiters counts the submissions waiting on this call. A waiter
+	// releases its reference when its context fires (a Do or DoBatch
+	// waiter never does). When the count reaches zero the call is
+	// cancelled: pulled out of the queue (if still there) and failed with
+	// context.Canceled, so abandoned work never occupies a worker. The
+	// call has no deadline of its own: a deadline is one waiter's context,
+	// so it can only ever drop that waiter. Attach (under Farm.cmu) and the
+	// zero-check in detach (also under cmu) serialise, so a cancel never
+	// races a fresh attach.
 	waiters atomic.Int64
 	// cancelled marks a call whose last waiter detached; a worker that
 	// dequeues it reaps it instead of executing.
 	cancelled atomic.Bool
-	// deadline, when non-zero, is the instant the queued job expires; a
-	// worker dequeuing it later reaps it with context.DeadlineExceeded.
-	deadline time.Time
 }
 
 // New returns a running farm with the given number of workers; workers <= 0
@@ -317,7 +316,7 @@ func (f *Farm) Close() { f.Shutdown(context.Background()) }
 // finish everything already queued or running, then releases them and
 // closes the cache tiers — a clean stop that loses no accepted work. If ctx
 // fires first, the jobs still waiting in the queue are abandoned (their
-// Wait callers are released with ErrFarmClosed), executions already on a
+// waiters are released with ErrFarmClosed), executions already on a
 // worker run to completion (simulations cannot be interrupted), and ctx's
 // error is returned to report the unclean drain. Shutdown is idempotent and
 // composes with Close in either order.
@@ -382,21 +381,18 @@ func (f *Farm) worker() {
 		f.queue = f.queue[1:]
 		f.qspace.Signal()
 		f.qmu.Unlock()
-		switch {
-		case c.cancelled.Load():
+		if c.cancelled.Load() {
 			// Every waiter detached while the job was queued; the cancel
 			// path did not find it in the queue in time, so reap it here.
 			f.reap(c, context.Canceled)
-		case !c.deadline.IsZero() && time.Now().After(c.deadline):
-			f.reap(c, fmt.Errorf("farm: queued past its deadline: %w", context.DeadlineExceeded))
-		default:
+		} else {
 			f.exec(c)
 		}
 	}
 }
 
-// reap fails a call without executing it — cancellation, deadline expiry or
-// an abandoned shutdown queue — releasing every waiter still blocked on it.
+// reap fails a call without executing it — every waiter gone, or an
+// abandoned shutdown queue — releasing every waiter still blocked on it.
 // Exactly one goroutine reaps a given call: removal from the queue (or the
 // decision not to execute after dequeue) is the exclusive hand-off.
 func (f *Farm) reap(c *call, err error) {
@@ -598,71 +594,47 @@ func (f *Farm) finishSpan(c *call, source string) {
 	c.span = nil
 }
 
-// Future is a handle to a submitted job. Wait blocks until the result is
-// available; it may be called any number of times (sequentially — a Future
-// is not safe for concurrent use, though distinct Futures for the same job
-// are).
-type Future struct {
-	f   *Farm
+// handle is one submission's claim on a result: resolved at submission (a
+// memory hit, or a job that could not be keyed) or attached to the call that
+// produces it.
+type handle struct {
 	c   *call
 	key string
 	res Result
 	err error
 }
 
-// Wait blocks until the job finishes and returns its result. The returned
-// output tensor is the caller's own copy.
-func (fu *Future) Wait() (Result, error) {
-	if fu.c != nil {
-		<-fu.c.done
-		fu.res, fu.err = fu.c.res, fu.c.err
-		fu.c = nil
+// wait blocks until h's call finishes or ctx fires. A fired context returns
+// ctx's error and detaches this waiter only: when it was the call's last
+// waiter, a still-queued job leaves the queue before any worker picks it up;
+// an execution already on a worker runs on, and its result lands in the
+// cache. The returned output tensor is the caller's own copy.
+func (f *Farm) wait(ctx context.Context, h handle) (Result, error) {
+	if c := h.c; c != nil {
+		select {
+		case <-c.done:
+			h.res, h.err = c.res, c.err
+		case <-ctx.Done():
+			f.detach(c)
+			return Result{}, ctx.Err()
+		}
 	}
-	if fu.err != nil {
-		return Result{}, fu.err
+	if h.err != nil {
+		return Result{}, h.err
 	}
-	res := fu.res
-	res.Key = fu.key
+	res := h.res
+	res.Key = h.key
 	if res.Out != nil {
 		res.Out = res.Out.Clone()
 	}
 	return res, nil
 }
 
-// WaitCtx blocks until the job finishes or ctx fires, whichever is first.
-// A context cancellation is terminal for this future: it returns ctx's
-// error and releases the future's interest in the job — when every waiter
-// has detached, a still-queued job is removed from the queue before any
-// worker picks it up, so cancelled sweeps free their queue slots instead of
-// running to completion for nobody. An execution already on a worker is not
-// interrupted; its result lands in the cache for future submissions.
-func (fu *Future) WaitCtx(ctx context.Context) (Result, error) {
-	if fu.c != nil {
-		select {
-		case <-fu.c.done:
-			return fu.Wait()
-		case <-ctx.Done():
-			c := fu.c
-			fu.c = nil
-			fu.err = ctx.Err()
-			if fu.f != nil {
-				fu.f.detach(c)
-			}
-			return Result{}, fu.err
-		}
-	}
-	return fu.Wait()
-}
-
-func resolvedFuture(key string, res Result, err error) *Future {
-	return &Future{key: key, res: res, err: err}
-}
-
 // memHit resolves a submission served by the memory tier: the hit counter,
 // the memory-lookup phase histogram, and — only when the job asked for a
 // trace — a materialised Trace echoed in the result and recorded in the
-// ring. Untraced warm hits allocate nothing beyond the Future itself.
-func (f *Farm) memHit(j Job, key string, res Result, start time.Time, lookup time.Duration) *Future {
+// ring. Untraced warm hits allocate nothing.
+func (f *Farm) memHit(j Job, key string, res Result, start time.Time, lookup time.Duration) handle {
 	f.count(&f.hits)
 	phaseSeconds.Observe(telemetry.PhaseMemLookup, lookup)
 	res.Hit = true
@@ -676,33 +648,20 @@ func (f *Farm) memHit(j Job, key string, res Result, start time.Time, lookup tim
 		res.Trace = tr
 		f.ring.Add(tr)
 	}
-	return resolvedFuture(key, res, nil)
+	return handle{key: key, res: res}
 }
 
-// Submit enqueues a job and returns immediately with a Future. Cache hits
-// resolve instantly; a job identical to one already queued or running
-// attaches to that execution instead of enqueueing a second one. When the
-// queue is at its WithMaxQueue bound the submission fails fast with
-// ErrQueueFull; a caller prepared to wait out the backpressure should use
-// SubmitWait instead.
-func (f *Farm) Submit(j Job) *Future { return f.submit(j, false) }
-
-// SubmitWait enqueues like Submit but absorbs backpressure instead of
-// surfacing it: when the queue is at its WithMaxQueue bound, SubmitWait
-// blocks until a worker frees a slot (or the farm closes) rather than
-// failing with ErrQueueFull. Cache hits and single-flight attaches still
-// resolve instantly — they never consume queue slots. This is the
-// submission pace DoBatch uses, so a bounded queue sheds concurrent
-// overload without fast-failing the tail of a batch whose caller is
-// blocked and ready to wait.
-func (f *Farm) SubmitWait(j Job) *Future { return f.submit(j, true) }
-
-func (f *Farm) submit(j Job, block bool) *Future {
+// submit keys a job and resolves it from the memory tier, attaches it to an
+// identical queued or running call, or queues a new call. block selects
+// the pace at a full WithMaxQueue bound: wait for a slot (DoBatch) or fail
+// fast with ErrQueueFull (DoCtx). Cache hits and attaches never take a
+// queue slot.
+func (f *Farm) submit(j Job, block bool) handle {
 	f.count(&f.submitted)
 	key, j, spec, err := f.keyOf(j)
 	if err != nil {
 		f.count(&f.failed)
-		return resolvedFuture("", Result{}, err)
+		return handle{err: err}
 	}
 	start := time.Now()
 	// Fast path outside the farm-global mutex: the memory tier has its own
@@ -732,13 +691,10 @@ func (f *Farm) submit(j Job, block bool) *Future {
 		if j.Trace {
 			c.traced.Store(true)
 		}
-		return &Future{f: f, c: c, key: key}
+		return handle{c: c, key: key}
 	}
 	c := &call{job: j, key: key, spec: spec, done: make(chan struct{}), span: telemetry.BeginSpan()}
 	c.waiters.Store(1)
-	if j.Deadline > 0 {
-		c.deadline = time.Now().Add(j.Deadline)
-	}
 	c.span.Observe(telemetry.PhaseMemLookup, memLookup)
 	c.traced.Store(j.Trace)
 	f.inflight[key] = c
@@ -765,7 +721,7 @@ func (f *Farm) submit(j Job, block bool) *Future {
 		telemetry.EndSpan(c.span)
 		c.span = nil
 		// Complete the call rather than abandoning it: a concurrent
-		// identical Submit may already have attached to it as a waiter.
+		// identical submission may already have attached to it as a waiter.
 		if rejected {
 			f.count(&f.rejected)
 			c.err = fmt.Errorf("%w: %d jobs queued", ErrQueueFull, f.maxQueue)
@@ -774,42 +730,23 @@ func (f *Farm) submit(j Job, block bool) *Future {
 			c.err = fmt.Errorf("submit rejected: %w", ErrFarmClosed)
 		}
 		close(c.done)
-		return &Future{f: f, c: c, key: key}
+		return handle{c: c, key: key}
 	}
 	f.count(&f.pending)
 	c.enqueuedAt = time.Now()
 	f.queue = append(f.queue, c)
 	f.qcond.Signal()
 	f.qmu.Unlock()
-	return &Future{f: f, c: c, key: key}
-}
-
-// SubmitCtx enqueues a job bound to ctx: an already-cancelled context fails
-// immediately without touching the queue, a context deadline tightens the
-// job's own Deadline, and the returned future should be waited on with
-// WaitCtx so cancellation releases the job's queue slot. Cache hits resolve
-// instantly regardless of ctx, exactly like Submit.
-func (f *Farm) SubmitCtx(ctx context.Context, j Job) *Future {
-	if err := ctx.Err(); err != nil {
-		f.count(&f.submitted)
-		f.count(&f.cancelled)
-		return resolvedFuture("", Result{}, err)
-	}
-	if d, ok := ctx.Deadline(); ok {
-		if remaining := time.Until(d); j.Deadline <= 0 || remaining < j.Deadline {
-			j.Deadline = remaining
-		}
-	}
-	return f.Submit(j)
+	return handle{c: c, key: key}
 }
 
 // CacheGet consults the farm's cache tiers without scheduling anything: the
 // memory tier first, then the disk tier, promoting a disk hit into memory
 // exactly like a worker would. It is the sweep journal's replay primitive: a
-// lookup must never trigger a simulation. Unlike Future.Wait it does not
-// clone: the returned output is the memory tier's own tensor, possibly
-// shared by other keys, and is read-only — one write through it would
-// corrupt every key that shares it.
+// lookup must never trigger a simulation. Unlike Do it does not clone: the
+// returned output is the memory tier's own tensor, possibly shared by other
+// keys, and is read-only — one write through it would corrupt every key
+// that shares it.
 func (f *Farm) CacheGet(key string) (Result, bool) {
 	if res, ok := f.mem.Get(key); ok {
 		return res, true
@@ -842,21 +779,29 @@ func (f *Farm) cachePutLocal(key string, res Result) {
 	f.cmu.Unlock()
 }
 
-// Do submits a job and blocks until its result is ready. A nil *Farm runs
-// it inline, like a nil job.Runner: a session or measurer handed a farm
-// variable that was never set still works.
-func (f *Farm) Do(j Job) (Result, error) {
+// Do submits a job and blocks until its result is ready: DoCtx with no
+// deadline. A nil *Farm runs it inline, like a nil job.Runner: a session or
+// measurer handed a farm variable that was never set still works.
+func (f *Farm) Do(j Job) (Result, error) { return f.DoCtx(context.Background(), j) }
+
+// DoCtx submits a job and blocks until its result is ready or ctx fires.
+// A cache hit resolves at once, a job identical to one already queued or
+// running attaches to that execution, and at the WithMaxQueue bound the
+// submission fails fast with ErrQueueFull. ctx is the caller's deadline,
+// not the shared job's: when it fires, DoCtx returns ctx's error and the
+// job leaves the queue only if no other waiter still wants it (see wait).
+// An already-cancelled ctx fails without touching the queue. A nil *Farm
+// runs the job inline.
+func (f *Farm) DoCtx(ctx context.Context, j Job) (Result, error) {
 	if f == nil {
 		return job.Run(j)
 	}
-	return f.Submit(j).Wait()
-}
-
-// DoCtx submits a job bound to ctx and blocks until its result is ready or
-// ctx fires. Cancelling ctx frees the job's queue slot if no other waiter
-// shares it; see Future.WaitCtx for the exact semantics.
-func (f *Farm) DoCtx(ctx context.Context, j Job) (Result, error) {
-	return f.SubmitCtx(ctx, j).WaitCtx(ctx)
+	if err := ctx.Err(); err != nil {
+		f.count(&f.submitted)
+		f.count(&f.cancelled)
+		return Result{}, err
+	}
+	return f.wait(ctx, f.submit(j, false))
 }
 
 // DoBatch submits every job, waits for all of them, and returns the results
@@ -868,20 +813,20 @@ func (f *Farm) DoCtx(ctx context.Context, j Job) (Result, error) {
 // fast-failing the batch's tail with ErrQueueFull — the caller is already
 // committed to waiting for the whole batch, so rejecting jobs it would
 // happily wait for silently poisons sweeps. A batch of any size therefore
-// completes with zero rejections on an otherwise idle farm; concurrent
-// Submit traffic still sheds fast at the bound. A nil *Farm runs the
+// completes with zero rejections on an otherwise idle farm; concurrent Do
+// and DoCtx traffic still sheds fast at the bound. A nil *Farm runs the
 // batch inline, as Do does.
 func (f *Farm) DoBatch(jobs []Job) ([]Result, []error) {
 	if f == nil {
 		return job.DoBatch(nil, jobs)
 	}
-	futures := make([]*Future, len(jobs))
+	hs := make([]handle, len(jobs))
 	for i, j := range jobs {
-		futures[i] = f.SubmitWait(j)
+		hs[i] = f.submit(j, true)
 	}
 	results, errs := make([]Result, len(jobs)), make([]error, len(jobs))
-	for i, fu := range futures {
-		results[i], errs[i] = fu.Wait()
+	for i, h := range hs {
+		results[i], errs[i] = f.wait(context.Background(), h)
 	}
 	return results, errs
 }
@@ -890,7 +835,7 @@ func (f *Farm) DoBatch(jobs []Job) ([]Result, []error) {
 type Stats struct {
 	// Workers is the pool size.
 	Workers int `json:"workers"`
-	// Submitted counts every job handed to Submit/Do/DoBatch.
+	// Submitted counts every job handed to Do/DoCtx/DoBatch.
 	Submitted int64 `json:"submitted"`
 	// Completed and Failed count finished executions (not cache hits).
 	Completed int64 `json:"completed"`
@@ -898,9 +843,11 @@ type Stats struct {
 	// Panics is the subset of Failed caused by simulator panics the workers
 	// recovered into per-job errors.
 	Panics int64 `json:"panics"`
-	// Cancelled counts jobs removed before execution: every waiter
-	// detached (context cancellation), the queue deadline passed, or a
-	// timed-out Shutdown abandoned them.
+	// Cancelled counts jobs removed before execution, because the context
+	// of every waiter fired (a deadline is one waiter's context, so a
+	// shared job outlives it while another waiter remains) or a timed-out
+	// Shutdown abandoned them, plus DoCtx calls made with a context that
+	// had already fired.
 	Cancelled int64 `json:"cancelled"`
 	// Rejected counts submissions refused fast with ErrQueueFull because
 	// the queue was at its WithMaxQueue bound.
@@ -994,8 +941,8 @@ func (f *Farm) Stats() Stats {
 type Limits struct {
 	// Workers is the pool size.
 	Workers int `json:"workers"`
-	// MaxQueue bounds the job queue (0 = unbounded); at the bound, Submit
-	// fails fast with ErrQueueFull.
+	// MaxQueue bounds the job queue (0 = unbounded); at the bound, Do and
+	// DoCtx fail fast with ErrQueueFull.
 	MaxQueue int `json:"max_queue"`
 	// MemMaxEntries and MemMaxBytes bound the in-memory result tier
 	// (MemMaxEntries 0 = no entry bound; MemMaxBytes is always set).

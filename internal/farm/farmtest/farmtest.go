@@ -11,6 +11,7 @@
 package farmtest
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -33,6 +34,26 @@ func DoBatch(tb testing.TB, pass string, fm *farm.Farm, jobs []farm.Job) []farm.
 		}
 	}
 	return results
+}
+
+// Start runs fm.DoCtx(ctx, j) on its own goroutine and returns a function
+// that waits for its outcome, so a test can hold a submission open while it
+// drives the farm. The job reaches the farm some time after Start returns:
+// a test that needs it queued or attached waits on fm.Stats.
+func Start(ctx context.Context, fm *farm.Farm, j farm.Job) func() (farm.Result, error) {
+	type outcome struct {
+		res farm.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := fm.DoCtx(ctx, j)
+		done <- outcome{res, err}
+	}()
+	return func() (farm.Result, error) {
+		o := <-done
+		return o.res, o.err
+	}
 }
 
 // Jobs returns a deterministic table of small simulation jobs spanning the

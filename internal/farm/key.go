@@ -53,9 +53,9 @@ func (m *keyMemo) putLocked(d [sha256.Size]byte, key string) {
 // whose spec this farm has hashed before is answered from the farm's
 // bounded in-memory memo without generating an operand. A never-seen lazy
 // spec is materialised once, keyed with Key() and remembered; a job with
-// explicit tensors bypasses the memo and is hashed in full. Submit and
-// every caller that needs a job's key outside a submission (journal
-// replay, naming a failed row) go through here; placing a job needs only
+// explicit tensors bypasses the memo and is hashed in full. Every
+// submission, and every caller that needs a job's key outside one (journal
+// replay, naming a failed row), goes through here; placing a job needs only
 // its Placement.
 func (f *Farm) KeyOf(j Job) (string, error) {
 	key, _, _, err := f.keyOf(j)

@@ -2,6 +2,7 @@ package farm_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -213,9 +214,10 @@ func TestLazyGeneratorInvocations(t *testing.T) {
 		fm := farm.New(1, farm.WithMaxQueue(1))
 		defer fm.Close()
 		entered, release := make(chan struct{}), make(chan struct{})
-		pinned := fm.Submit(newRow(1).lazy.WithFaultHook(func() { close(entered); <-release }))
+		pinned := farmtest.Start(context.Background(), fm, newRow(1).lazy.WithFaultHook(func() { close(entered); <-release }))
 		<-entered
-		queued := fm.Submit(newRow(2).lazy)
+		queued := farmtest.Start(context.Background(), fm, newRow(2).lazy)
+		waitUntil(t, "the queue to fill", func() bool { return fm.Stats().Queued == 1 })
 		c := newRow(3)
 		if _, err := fm.Do(c.lazy); !errors.Is(err, farm.ErrQueueFull) {
 			t.Fatalf("err = %v, want ErrQueueFull", err)
@@ -230,8 +232,8 @@ func TestLazyGeneratorInvocations(t *testing.T) {
 			t.Errorf("rejected job generated operands %d times, want 1", n)
 		}
 		close(release)
-		for _, fu := range []*farm.Future{pinned, queued} {
-			if _, err := fu.Wait(); err != nil {
+		for _, wait := range []func() (farm.Result, error){pinned, queued} {
+			if _, err := wait(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -242,18 +244,16 @@ func TestLazyGeneratorInvocations(t *testing.T) {
 		defer fm.Close()
 		a := newRow(1)
 		entered, release := make(chan struct{}), make(chan struct{})
-		first := fm.Submit(a.lazy.WithFaultHook(func() { close(entered); <-release }))
+		first := farmtest.Start(context.Background(), fm, a.lazy.WithFaultHook(func() { close(entered); <-release }))
 		<-entered
-		second := fm.Submit(a.lazy)
-		if st := fm.Stats(); st.Deduped != 1 {
-			t.Errorf("deduped = %d, want 1", st.Deduped)
-		}
+		second := farmtest.Start(context.Background(), fm, a.lazy)
+		waitUntil(t, "the second submission to attach", func() bool { return fm.Stats().Deduped == 1 })
 		if n := a.gens.Load(); n != 1 {
 			t.Errorf("attach generated operands: %d calls, want 1", n)
 		}
 		close(release)
-		for _, fu := range []*farm.Future{first, second} {
-			if _, err := fu.Wait(); err != nil {
+		for _, wait := range []func() (farm.Result, error){first, second} {
+			if _, err := wait(); err != nil {
 				t.Fatal(err)
 			}
 		}

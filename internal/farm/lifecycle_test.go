@@ -18,17 +18,21 @@ import (
 func TestShutdownGracefulDrain(t *testing.T) {
 	fm := farm.New(2)
 	const n = 16
-	futures := make([]*farm.Future, n)
-	for i := 0; i < n; i++ {
-		futures[i] = fm.Submit(dryJob(6000 + i))
+	waits := make([]func() (farm.Result, error), n)
+	for i := range waits {
+		waits[i] = farmtest.Start(context.Background(), fm, dryJob(6000+i))
 	}
+	waitUntil(t, "every job to be accepted", func() bool {
+		st := fm.Stats()
+		return st.Pending+st.Completed == n
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := fm.Shutdown(ctx); err != nil {
 		t.Fatalf("graceful Shutdown: %v", err)
 	}
-	for i, fut := range futures {
-		if _, err := fut.Wait(); err != nil {
+	for i, wait := range waits {
+		if _, err := wait(); err != nil {
 			t.Errorf("job %d accepted before Shutdown failed: %v", i, err)
 		}
 	}
@@ -38,21 +42,22 @@ func TestShutdownGracefulDrain(t *testing.T) {
 }
 
 // TestShutdownDeadlineReleasesWaiters proves a drain that cannot finish in
-// time still terminates: queued jobs are abandoned, their Wait callers are
+// time still terminates: queued jobs are abandoned, their waiters are
 // released with ErrFarmClosed instead of hanging forever, and Shutdown
 // reports the unclean drain via ctx's error.
 func TestShutdownDeadlineReleasesWaiters(t *testing.T) {
 	fm := farm.New(1)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	pinned := fm.Submit(dryJob(6200).WithFaultHook(func() { close(started); <-release }))
+	pinned := farmtest.Start(context.Background(), fm, dryJob(6200).WithFaultHook(func() { close(started); <-release }))
 	<-started
 
 	const queued = 4
-	futures := make([]*farm.Future, queued)
-	for i := 0; i < queued; i++ {
-		futures[i] = fm.Submit(dryJob(6201 + i))
+	waits := make([]func() (farm.Result, error), queued)
+	for i := range waits {
+		waits[i] = farmtest.Start(context.Background(), fm, dryJob(6201+i))
 	}
+	waitUntil(t, "jobs to queue behind the pinned worker", func() bool { return fm.Stats().Queued == queued })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -61,15 +66,15 @@ func TestShutdownDeadlineReleasesWaiters(t *testing.T) {
 
 	// The deadline fires while the worker is pinned: every queued waiter
 	// must come back with ErrFarmClosed, not hang.
-	for i, fut := range futures {
-		if _, err := fut.Wait(); !errors.Is(err, farm.ErrFarmClosed) {
+	for i, wait := range waits {
+		if _, err := wait(); !errors.Is(err, farm.ErrFarmClosed) {
 			t.Errorf("abandoned job %d: err = %v, want ErrFarmClosed", i, err)
 		}
 	}
 
 	// The execution already on the worker runs to completion once released.
 	close(release)
-	if _, err := pinned.Wait(); err != nil {
+	if _, err := pinned(); err != nil {
 		t.Errorf("pinned job failed: %v", err)
 	}
 	if err := <-shutdownErr; !errors.Is(err, context.DeadlineExceeded) {
@@ -114,15 +119,15 @@ func TestShutdownAndCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestShutdownSubmitCtxAlreadyCancelled proves a dead context never touches
-// the queue: SubmitCtx resolves immediately with the context's error.
-func TestShutdownSubmitCtxAlreadyCancelled(t *testing.T) {
+// TestShutdownDoCtxAlreadyCancelled proves a dead context never touches the
+// queue: DoCtx returns the context's error at once.
+func TestShutdownDoCtxAlreadyCancelled(t *testing.T) {
 	fm := farm.New(1)
 	defer fm.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := fm.SubmitCtx(ctx, dryJob(6400)).WaitCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-cancelled SubmitCtx: err = %v, want context.Canceled", err)
+	if _, err := fm.DoCtx(ctx, dryJob(6400)); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled DoCtx: err = %v, want context.Canceled", err)
 	}
 	st := fm.Stats()
 	if st.Queued != 0 || st.Pending != 0 {

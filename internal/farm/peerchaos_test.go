@@ -32,8 +32,8 @@ func TestChaosPeerNetworkFaultRates(t *testing.T) {
 }
 
 // TestRingChurnMidSweepByteIdentical runs the reference sweep while the
-// ring loses and regains a member between (and during) passes, re-deriving
-// each job's owner per pass. Whatever the churn does to placement, the
+// membership loses and regains a member between (and during) passes: each
+// job's owner comes from a ring built over the membership of its moment. Whatever the churn does to placement, the
 // results must stay byte-identical to single-node execution — ownership
 // moves work around, never changes what the work computes.
 func TestRingChurnMidSweepByteIdentical(t *testing.T) {
@@ -48,22 +48,22 @@ func TestRingChurnMidSweepByteIdentical(t *testing.T) {
 		nodes[name] = farm.New(2)
 		defer nodes[name].Close()
 	}
-	ring := farm.NewRing(0)
+	full, without := farm.NewRing(0), farm.NewRing(0)
 	for name := range nodes {
-		ring.Add(name)
+		full.Add(name)
+		if name != "node-1" {
+			without.Add(name)
+		}
 	}
 
-	runSweep := func(pass string, churn func(i int)) {
+	runSweep := func(pass string, ringFor func(i int) *farm.Ring) {
 		t.Helper()
 		for i, j := range jobs {
-			if churn != nil {
-				churn(i)
-			}
 			key, err := j.Key()
 			if err != nil {
 				t.Fatalf("%s: job %d key: %v", pass, i, err)
 			}
-			owner := ring.Owner(key)
+			owner := ringFor(i).Owners(key, 1)[0]
 			res, err := nodes[owner].Do(j)
 			if err != nil {
 				t.Fatalf("%s: job %d on %s: %v", pass, i, owner, err)
@@ -74,14 +74,14 @@ func TestRingChurnMidSweepByteIdentical(t *testing.T) {
 		}
 	}
 
-	runSweep("full ring", nil)
-	ring.Remove("node-1")
-	runSweep("after losing node-1", nil)
+	runSweep("full ring", func(int) *farm.Ring { return full })
+	runSweep("after losing node-1", func(int) *farm.Ring { return without })
 	// Churn mid-sweep: node-1 rejoins halfway through the pass, so early
 	// jobs place on the 2-member ring and late jobs on the 3-member one.
-	runSweep("node-1 rejoining mid-sweep", func(i int) {
-		if i == len(jobs)/2 {
-			ring.Add("node-1")
+	runSweep("node-1 rejoining mid-sweep", func(i int) *farm.Ring {
+		if i < len(jobs)/2 {
+			return without
 		}
+		return full
 	})
 }

@@ -2,6 +2,7 @@ package farm_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
@@ -256,21 +257,19 @@ func TestResubmitDuringPersistAttaches(t *testing.T) {
 	fm := farm.New(2, farm.WithMaxEntries(1), farm.WithDiskStore(gate))
 	defer fm.Close()
 
-	first := fm.Submit(a)
+	first := farmtest.Start(context.Background(), fm, a)
 	<-gate.entered // a is computed and in memory; its disk write is parked
 	if _, err := fm.Do(b); err != nil {
 		t.Fatal(err) // b's result evicts a's from the one-entry memory tier
 	}
-	second := fm.Submit(a)
-	if st := fm.Stats(); st.Deduped != 1 {
-		t.Errorf("resubmission during the persist window: deduped = %d, want 1 (stats %+v)", st.Deduped, st)
-	}
+	second := farmtest.Start(context.Background(), fm, a)
+	waitUntil(t, "the resubmission during the persist window to attach", func() bool { return fm.Stats().Deduped == 1 })
 	close(gate.release)
-	want, err := first.Wait()
+	want, err := first()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := second.Wait()
+	got, err := second()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,22 +5,22 @@ import (
 	"encoding/binary"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // Ring is a consistent-hash ring over named peers: every job's placement
-// (Job.Placement) maps to an owner, and adding or removing one peer remaps
-// only the jobs that peer owned (roughly 1/N of the space) instead of
-// reshuffling the whole sweep. Positions are derived from SHA-256, so the
-// mapping is deterministic across processes and platforms — two
-// coordinators over the same member set dispatch every job identically,
-// which is what keeps a sharded sweep byte-identical to a single-node run.
+// (Job.Placement) maps to an owner, and a ring built with one more or one
+// fewer peer remaps only the jobs that peer owns (roughly 1/N of the space)
+// instead of reshuffling the whole sweep. Positions are derived from
+// SHA-256, so the mapping is deterministic across processes and platforms —
+// two coordinators over the same member set dispatch every job
+// identically, which is what keeps a sharded sweep byte-identical to a
+// single-node run.
 //
-// A Ring is safe for concurrent use: the coordinator reads owners on every
-// request while peer churn (join, drain, quarantine-driven removal)
-// mutates membership.
+// A Ring is built once: every Add runs before the ring is shared, and a
+// peer that is down or draining stays a member, skipped by its caller's
+// breaker rather than removed. Owners and Len are then safe for concurrent
+// use with no lock.
 type Ring struct {
-	mu       sync.RWMutex
 	replicas int
 	points   []ringPoint // sorted ascending by hash
 	members  map[string]struct{}
@@ -34,7 +34,7 @@ type ringPoint struct {
 
 // DefaultRingReplicas is the virtual-node count per member: enough to keep
 // the per-member share of the key space within a few percent of uniform for
-// small clusters, cheap enough that churn stays microseconds.
+// small clusters, cheap enough that building a ring stays microseconds.
 const DefaultRingReplicas = 128
 
 // NewRing returns an empty ring with the given virtual-node count per
@@ -53,10 +53,9 @@ func ringHash(s string) uint64 {
 	return binary.LittleEndian.Uint64(sum[:8])
 }
 
-// Add inserts a member (idempotent).
+// Add inserts a member (idempotent). It must not run concurrently with any
+// other method.
 func (r *Ring) Add(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if _, ok := r.members[name]; ok {
 		return
 	}
@@ -67,59 +66,14 @@ func (r *Ring) Add(name string) {
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 }
 
-// Remove deletes a member and its virtual nodes (idempotent).
-func (r *Ring) Remove(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[name]; !ok {
-		return
-	}
-	delete(r.members, name)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.name != name {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Members returns the current member names, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for name := range r.members {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len returns the member count.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
-}
-
-// Owner returns the member owning key: the first virtual node at or after
-// the key's position, wrapping around. Empty string on an empty ring.
-func (r *Ring) Owner(key string) string {
-	owners := r.Owners(key, 1)
-	if len(owners) == 0 {
-		return ""
-	}
-	return owners[0]
-}
+func (r *Ring) Len() int { return len(r.members) }
 
 // Owners returns up to n distinct members in failover order: the key's
 // owner first, then the successive distinct members walking the ring — the
 // same order every coordinator derives, so redistribution of a failed
 // peer's shard is deterministic too.
 func (r *Ring) Owners(key string, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.points) == 0 || n < 1 {
 		return nil
 	}

@@ -8,22 +8,32 @@ import (
 	"repro/internal/farm"
 )
 
+// newRing builds a ring over members with the default virtual-node count.
+func newRing(members ...string) *farm.Ring {
+	r := farm.NewRing(0)
+	for _, m := range members {
+		r.Add(m)
+	}
+	return r
+}
+
+// owner is the ring's primary owner of key, "" on an empty ring.
+func owner(r *farm.Ring, key string) string {
+	if owners := r.Owners(key, 1); len(owners) == 1 {
+		return owners[0]
+	}
+	return ""
+}
+
 // TestRingDeterministic pins that two independently built rings over the
 // same member set agree on every owner — the property that lets every
 // coordinator compute placement locally with no consensus traffic.
 func TestRingDeterministic(t *testing.T) {
-	build := func() *farm.Ring {
-		r := farm.NewRing(0)
-		// Insertion order must not matter.
-		for _, m := range []string{"node-c", "node-a", "node-b"} {
-			r.Add(m)
-		}
-		return r
-	}
-	a, b := build(), build()
+	// Insertion order must not matter.
+	a, b := newRing("node-c", "node-a", "node-b"), newRing("node-b", "node-c", "node-a")
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		if ao, bo := a.Owner(key), b.Owner(key); ao != bo {
+		if ao, bo := owner(a, key), owner(b, key); ao != bo {
 			t.Fatalf("key %q: ring A owner %q, ring B owner %q", key, ao, bo)
 		}
 	}
@@ -42,8 +52,8 @@ func TestRingOwnersDistinctFailoverOrder(t *testing.T) {
 		if len(owners) != 4 {
 			t.Fatalf("key %q: %d owners, want all 4", key, len(owners))
 		}
-		if owners[0] != r.Owner(key) {
-			t.Fatalf("key %q: Owners[0]=%q != Owner=%q", key, owners[0], r.Owner(key))
+		if owners[0] != owner(r, key) {
+			t.Fatalf("key %q: Owners(key, 10)[0]=%q != Owners(key, 1)[0]=%q", key, owners[0], owner(r, key))
 		}
 		seen := map[string]bool{}
 		for _, o := range owners {
@@ -56,33 +66,25 @@ func TestRingOwnersDistinctFailoverOrder(t *testing.T) {
 }
 
 // TestRingRemoveOnlyRemapsLostShard is the consistent-hashing property
-// itself: dropping one of four members must leave every key owned by a
-// surviving member exactly where it was.
+// itself: a ring built without one of four members must leave every key
+// owned by a surviving member exactly where the full ring puts it.
 func TestRingRemoveOnlyRemapsLostShard(t *testing.T) {
-	r := farm.NewRing(0)
-	members := []string{"node-0", "node-1", "node-2", "node-3"}
-	for _, m := range members {
-		r.Add(m)
-	}
+	full := newRing("node-0", "node-1", "node-2", "node-3")
+	without := newRing("node-0", "node-1", "node-3")
 	const keys = 2000
-	before := make(map[string]string, keys)
+	moved := 0
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		before[k] = r.Owner(k)
-	}
-	r.Remove("node-2")
-	moved := 0
-	for k, owner := range before {
-		now := r.Owner(k)
-		if owner == "node-2" {
+		was, now := owner(full, k), owner(without, k)
+		if was == "node-2" {
 			if now == "node-2" || now == "" {
 				t.Fatalf("key %q still maps to the removed member", k)
 			}
 			moved++
 			continue
 		}
-		if now != owner {
-			t.Fatalf("key %q moved %q → %q though its owner survived", k, owner, now)
+		if now != was {
+			t.Fatalf("key %q moved %q → %q though its owner survived", k, was, now)
 		}
 	}
 	if moved == 0 {
@@ -101,7 +103,7 @@ func TestRingBalance(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for i := 0; i < keys; i++ {
-		counts[r.Owner(fmt.Sprintf("key-%d", i))]++
+		counts[owner(r, fmt.Sprintf("key-%d", i))]++
 	}
 	fair := float64(keys) / nodes
 	for m, n := range counts {
@@ -114,12 +116,12 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
-// TestRingEmptyAndChurn covers the edges: an empty ring owns nothing,
-// add/remove are idempotent, and a ring churned down to one member routes
-// everything there.
-func TestRingEmptyAndChurn(t *testing.T) {
+// TestRingEmptyAndSingleMember covers the edges: an empty ring owns
+// nothing, Add is idempotent, and a one-member ring routes everything
+// there.
+func TestRingEmptyAndSingleMember(t *testing.T) {
 	r := farm.NewRing(8)
-	if o := r.Owner("anything"); o != "" {
+	if o := owner(r, "anything"); o != "" {
 		t.Fatalf("empty ring owner = %q, want empty", o)
 	}
 	if owners := r.Owners("anything", 3); owners != nil {
@@ -127,17 +129,15 @@ func TestRingEmptyAndChurn(t *testing.T) {
 	}
 	r.Add("solo")
 	r.Add("solo") // idempotent
-	r.Remove("ghost")
-	if got := r.Members(); len(got) != 1 || got[0] != "solo" {
-		t.Fatalf("members = %v, want [solo]", got)
+	if r.Len() != 1 {
+		t.Fatalf("Len = %d after adding one member twice, want 1", r.Len())
+	}
+	if owners := r.Owners("k", 3); len(owners) != 1 || owners[0] != "solo" {
+		t.Fatalf("owners = %v, want [solo]", owners)
 	}
 	for i := 0; i < 10; i++ {
-		if o := r.Owner(fmt.Sprintf("k%d", i)); o != "solo" {
+		if o := owner(r, fmt.Sprintf("k%d", i)); o != "solo" {
 			t.Fatalf("single-member ring routed %q to %q", fmt.Sprintf("k%d", i), o)
 		}
-	}
-	r.Remove("solo")
-	if r.Len() != 0 || r.Owner("k") != "" {
-		t.Fatal("ring did not drain to empty")
 	}
 }

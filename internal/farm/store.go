@@ -9,8 +9,8 @@ import (
 )
 
 // Store is one tier of the farm's result cache, keyed by Job.Key(). The farm
-// composes two of them — a bounded in-memory tier consulted on Submit and a
-// persistent disk tier consulted by the worker before simulating — but a
+// composes two of them — a bounded in-memory tier consulted on submission and
+// a persistent disk tier consulted by the worker before simulating — but a
 // Store is also usable standalone. Implementations must be safe for
 // concurrent use.
 //

@@ -8,10 +8,9 @@
 // Keyed fields — the ones that can change a result, and so enter Key and
 // Placement — are HW (normalised), Kind, Layout, Dims, ConvMapping,
 // FCMapping, M/K/N, DryRun, Seed and the operand contents. Fields that only
-// choose how or when a result is computed are not keyed: ExecWorkers,
-// Reference, Trace, Deadline, the pack cache (WithPackCache) and the fault
-// hook (WithFaultHook). A lazy job (WithOperands) keys like its
-// materialised form.
+// choose how a result is computed are not keyed: ExecWorkers, Reference,
+// Trace, the pack cache (WithPackCache) and the fault hook (WithFaultHook).
+// A lazy job (WithOperands) keys like its materialised form.
 //
 // Callers that run many jobs take a Runner: a nil Runner means Run inline,
 // and the simulation farm (internal/farm) satisfies it with a scheduler and
@@ -21,7 +20,6 @@ package job
 import (
 	"fmt"
 	"runtime/debug"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/stonne/config"
@@ -132,15 +130,6 @@ type Job struct {
 	// does NOT participate in Key(): traced and untraced submissions share
 	// cache entries on every tier.
 	Trace bool
-
-	// Deadline bounds how long the job may wait in the farm's queue: a job
-	// still queued when its deadline passes is removed before any worker
-	// picks it up and fails with context.DeadlineExceeded. Zero means no
-	// deadline. A deadline can only prevent a result from being computed,
-	// never change one, so Deadline — like ExecWorkers, Reference and Trace
-	// — deliberately does NOT participate in Key(): a deadlined submission
-	// that completes shares its cache entry with unbounded ones.
-	Deadline time.Duration
 
 	// pack is the shared content-keyed cache of derived operand forms the
 	// fused engines may reuse (packed weight panels, kernel matrices,

@@ -25,7 +25,7 @@ import (
 // its still-queued jobs. ?sweep_id=<id> detaches the same run and journals it:
 // the server computes every row to completion whatever the client does, and
 // records each completed row's farm key (farm.SweepLog — CRC-framed appends
-// beside the disk store's atomic-rename result files). A reconnect with
+// beside the disk store's segment log). A reconnect with
 // &resume=true attaches to the still-running sweep, or — after a crash or
 // restart — replays every journaled row straight from the result cache and
 // computes only the remainder. Either way the client's view is byte-identical

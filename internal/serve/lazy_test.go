@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/farm"
+	"repro/internal/farm/farmtest"
 	"repro/internal/stonne/config"
 	"repro/internal/stonne/mapping"
 	"repro/internal/tensor"
@@ -226,9 +228,9 @@ func TestQueueFullRowNamesItsKey(t *testing.T) {
 	t.Cleanup(func() { ts.Close(); fm.Close() })
 
 	started, release := make(chan struct{}), make(chan struct{})
-	pinned := fm.Submit(pinJob(0, started, release))
+	pinned := farmtest.Start(context.Background(), fm, pinJob(0, started, release))
 	<-started
-	filler := fm.Submit(farm.Job{HW: config.Default(config.MAERIDenseWorkload), Kind: farm.Dense, DryRun: true,
+	filler := farmtest.Start(context.Background(), fm, farm.Job{HW: config.Default(config.MAERIDenseWorkload), Kind: farm.Dense, DryRun: true,
 		M: 1, K: 32, N: 4001, FCMapping: mapping.BasicFC()})
 	waitFor(t, "queue to fill", func() bool { return fm.Stats().Queued == 1 })
 
@@ -239,8 +241,8 @@ func TestQueueFullRowNamesItsKey(t *testing.T) {
 	}
 
 	close(release)
-	for _, fu := range []*farm.Future{pinned, filler} {
-		if _, err := fu.Wait(); err != nil {
+	for _, wait := range []func() (farm.Result, error){pinned, filler} {
+		if _, err := wait(); err != nil {
 			t.Fatal(err)
 		}
 	}

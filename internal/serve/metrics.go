@@ -117,7 +117,7 @@ func (s *Server) writeFarmMetrics(w io.Writer) {
 	telemetry.WriteSamples(w, "bifrost_farm_completed_total", "Simulator executions finished.", "counter", one(float64(st.Completed))...)
 	telemetry.WriteSamples(w, "bifrost_farm_failed_total", "Simulator executions failed.", "counter", one(float64(st.Failed))...)
 	telemetry.WriteSamples(w, "bifrost_farm_panics_total", "Simulator panics recovered into per-job errors.", "counter", one(float64(st.Panics))...)
-	telemetry.WriteSamples(w, "bifrost_farm_cancelled_total", "Jobs cancelled, deadline-expired or abandoned by shutdown before execution.", "counter", one(float64(st.Cancelled))...)
+	telemetry.WriteSamples(w, "bifrost_farm_cancelled_total", "Jobs dropped before execution because every waiter left or shutdown abandoned them.", "counter", one(float64(st.Cancelled))...)
 	telemetry.WriteSamples(w, "bifrost_farm_rejected_total", "Submissions refused by the queue bound (backpressure).", "counter", one(float64(st.Rejected))...)
 	telemetry.WriteSamples(w, "bifrost_farm_hits_total", "Submissions served from cache.", "counter", one(float64(st.Hits))...)
 	telemetry.WriteSamples(w, "bifrost_farm_disk_hits_total", "Cache hits answered by the disk tier.", "counter", one(float64(st.DiskHits))...)

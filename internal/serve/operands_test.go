@@ -187,7 +187,7 @@ func TestRegistryEmptyAfterCancelledBatch(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	t.Cleanup(func() { ts.Close(); fm.Close() })
 	defer close(release)
-	fm.Submit(pinJob(30, started, release))
+	go fm.Do(pinJob(30, started, release))
 	<-started
 
 	ctx, cancel := context.WithCancel(context.Background())

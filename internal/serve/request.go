@@ -107,11 +107,12 @@ type JobRequest struct {
 	// results or cache keys; the server's -trace flag turns it on for
 	// every request.
 	Trace bool `json:"trace,omitempty"`
-	// TimeoutMS bounds the job in milliseconds: a job still unanswered when
-	// the timeout passes fails with a deadline error (HTTP 504) instead of
-	// occupying the queue. 0 inherits the server's -job-timeout default;
-	// a negative value disables the deadline for this job. Timeouts never
-	// change results or cache keys — only whether one is produced.
+	// TimeoutMS bounds this request's wait in milliseconds: a request still
+	// unanswered when the timeout passes fails with a deadline error (HTTP
+	// 504), and its job leaves the queue unless another request waits on
+	// it. 0 inherits the server's -job-timeout default; a negative value
+	// disables the deadline for this request. Timeouts never change results
+	// or cache keys — only whether one is produced.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 

@@ -79,10 +79,11 @@ type Server struct {
 // ServerOption configures a Server.
 type ServerOption func(*Server)
 
-// WithJobTimeout sets the default per-job deadline applied to requests that
-// leave timeout_ms unset (0 disables the default). A job that outlives its
-// deadline fails with HTTP 504; if it was still queued the farm removes it
-// so it never occupies a worker.
+// WithJobTimeout sets the default per-request deadline applied to requests
+// that leave timeout_ms unset (0 disables the default). A request that
+// outlives its deadline answers HTTP 504; if its job was still queued and
+// no other request waits on it, the farm removes it so it never occupies a
+// worker.
 func WithJobTimeout(d time.Duration) ServerOption { return func(s *Server) { s.jobTimeout = d } }
 
 // WithLogger sets the structured request logger (default slog.Default()).
@@ -326,13 +327,13 @@ func (s *Server) run(ctx context.Context, req JobRequest) JobResponse {
 	if err != nil {
 		return s.annotate(JobResponse{Error: err.Error(), ElapsedMS: msSince(start), err: err})
 	}
-	job.Deadline = s.deadline(req)
-	if job.Deadline > 0 {
-		// Bound the wait as well as the queue time: a job already executing
-		// when the deadline passes keeps running (its result still feeds the
-		// cache and any other waiters), but this caller gets its 504 on time.
+	if d := s.deadline(req); d > 0 {
+		// The deadline is this request's, not the job's: when it passes the
+		// caller gets its 504, and the job leaves the queue only if no other
+		// request waits on it. One already executing keeps running, and its
+		// result still feeds the cache.
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, job.Deadline)
+		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
 	res, err := s.farm.DoCtx(ctx, job)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -53,13 +54,13 @@ func TestServeFaultBackpressure429(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	pinned := fm.Submit(pinJob(0, started, release))
+	pinned := farmtest.Start(context.Background(), fm, pinJob(0, started, release))
 	<-started
 	filler := farm.Job{ // fills the queue's one slot; runs normally after the drain
 		HW: config.Default(config.MAERIDenseWorkload), Kind: farm.Dense, DryRun: true,
 		M: 1, K: 32, N: 4001, FCMapping: mapping.BasicFC(),
 	}
-	queuedFut := fm.Submit(filler)
+	queued := farmtest.Start(context.Background(), fm, filler)
 	waitFor(t, "queue to fill", func() bool { return fm.Stats().Queued == 1 })
 
 	resp, err := http.Post(ts.URL+"/simulate", "application/json", strings.NewReader(dryBody(100, "")))
@@ -83,10 +84,10 @@ func TestServeFaultBackpressure429(t *testing.T) {
 
 	// Drain and verify the server accepts work again.
 	close(release)
-	if _, err := pinned.Wait(); err != nil {
+	if _, err := pinned(); err != nil {
 		t.Fatalf("pinned job: %v", err)
 	}
-	if _, err := queuedFut.Wait(); err != nil {
+	if _, err := queued(); err != nil {
 		t.Fatalf("queued job: %v", err)
 	}
 	resp2, err := http.Post(ts.URL+"/simulate", "application/json", strings.NewReader(dryBody(100, "")))
@@ -110,7 +111,7 @@ func TestServeFaultTimeout504(t *testing.T) {
 	t.Cleanup(func() { ts.Close(); fm.Close() })
 	defer close(release) // unpin before Close so the farm can drain
 
-	fm.Submit(pinJob(10, started, release))
+	go fm.Do(pinJob(10, started, release))
 	<-started
 
 	resp, err := http.Post(ts.URL+"/simulate", "application/json",
@@ -137,6 +138,67 @@ func TestServeFaultTimeout504(t *testing.T) {
 	}
 }
 
+// TestServeFaultTimeoutLeavesSharedJob proves timeout_ms belongs to its
+// request, not to the job the request shares: a request with a 50 ms budget
+// that queued a job answers 504, and a request for the same row with no
+// deadline, attached to that job, answers 200 with the same key once the
+// worker frees.
+func TestServeFaultTimeoutLeavesSharedJob(t *testing.T) {
+	fm := farm.New(1)
+	ts := httptest.NewServer(NewServer(fm))
+	started := make(chan struct{})
+	release := make(chan struct{})
+	unpin := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(func() { ts.Close(); fm.Close() })
+	defer unpin() // unpin before Close so the farm can drain
+
+	go fm.Do(pinJob(40, started, release))
+	<-started
+
+	type answer struct {
+		status int
+		jr     JobResponse
+	}
+	post := func(extra string) <-chan answer {
+		ch := make(chan answer, 1)
+		go func() {
+			var a answer
+			defer func() { ch <- a }()
+			resp, err := http.Post(ts.URL+"/simulate", "application/json", strings.NewReader(dryBody(140, extra)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			a.status = resp.StatusCode
+			if err := json.NewDecoder(resp.Body).Decode(&a.jr); err != nil {
+				t.Error(err)
+			}
+		}()
+		return ch
+	}
+	timed := post(`,"timeout_ms":50`)
+	waitFor(t, "the timed request's job to queue", func() bool { return fm.Stats().Queued == 1 })
+	untimed := post(`,"timeout_ms":-1`)
+	waitFor(t, "the untimed request to attach", func() bool { return fm.Stats().Deduped == 1 })
+
+	a := <-timed
+	if a.status != http.StatusGatewayTimeout {
+		t.Fatalf("timed request: status %d, want 504 (body: %+v)", a.status, a.jr)
+	}
+	unpin()
+	b := <-untimed
+	if b.status != http.StatusOK {
+		t.Fatalf("request with no deadline failed at another request's deadline: status %d, want 200 (body: %+v)", b.status, b.jr)
+	}
+	if a.jr.Key == "" || b.jr.Key != a.jr.Key {
+		t.Errorf("504 names key %q, 200 names %q: want one key", a.jr.Key, b.jr.Key)
+	}
+	if st := fm.Stats(); st.Cancelled != 0 {
+		t.Errorf("the shared job was cancelled though a request still waited on it: %+v", st)
+	}
+}
+
 // TestServeFaultBatchDisconnectFreesQueue proves a dead client's sweep
 // stops consuming the farm: cancelling a /batch request releases its
 // still-queued jobs before any worker picks them up.
@@ -148,7 +210,7 @@ func TestServeFaultBatchDisconnectFreesQueue(t *testing.T) {
 	t.Cleanup(func() { ts.Close(); fm.Close() })
 	defer close(release)
 
-	fm.Submit(pinJob(20, started, release))
+	go fm.Do(pinJob(20, started, release))
 	<-started
 
 	var batch strings.Builder
