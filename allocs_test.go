@@ -362,7 +362,7 @@ func TestServeHitPathAllocBound(t *testing.T) {
 				t.Fatalf("%s row: HTTP %d: %s", name, rec.Code, rec.Body)
 			}
 		}
-		post() // cold: simulate once, fill the memory tier and the key memo
+		post() // cold: simulate once and fill the memory tier
 		const runs = 50
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -375,5 +375,51 @@ func TestServeHitPathAllocBound(t *testing.T) {
 		} else {
 			t.Logf("%s row: %d B per warm request", name, perReq)
 		}
+	}
+}
+
+// TestSeededMemoryHitAllocBound pins what naming a seeded job costs on a
+// memory hit: a named job (Job.WithOperands) is keyed by one hash of its
+// spec, so a warm hit on the benchmark's standard conv row builds no
+// operand and allocates no more than the spec → key memo's hit did when
+// every lazy job had to be keyed by content (10 allocations and 9 792 B per
+// hit, almost all of it the caller's copy of the 64×6×6 output).
+func TestSeededMemoryHitAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is inflated under -race")
+	}
+	d := tensor.ConvDims{N: 1, C: 64, H: 6, W: 6, K: 64, R: 3, S: 3, PadH: 1, PadW: 1}
+	builds := 0
+	job := farm.Job{HW: config.Default(config.MAERIDenseWorkload), Kind: farm.Conv2D, Dims: d,
+		ConvMapping: mapping.Basic(), Seed: 41}
+	job = job.WithOperands("bifrost-test/seeded-uniform/v1", func() (*tensor.Tensor, *tensor.Tensor) {
+		builds++
+		return tensor.RandomUniform(41, 1, 1, 64, 6, 6), tensor.RandomUniform(141, 1, 64, 64, 3, 3)
+	})
+	f := NewFarm(1)
+	defer f.Close()
+	hit := func() {
+		if res, err := f.Do(job); err != nil || !res.Hit {
+			t.Fatalf("hit %v, err %v", res.Hit, err)
+		}
+	}
+	if _, err := f.Do(job); err != nil {
+		t.Fatal(err)
+	}
+	hit()
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		hit()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	if builds != 1 || allocs > 10 || bytes > 9792 {
+		t.Errorf("%d operand builds, %d allocations and %d B per memory hit; want 1 build (the miss), ≤ 10 and ≤ 9792 B",
+			builds, allocs, bytes)
+	} else {
+		t.Logf("%d allocations, %d B per memory hit", allocs, bytes)
 	}
 }

@@ -16,10 +16,11 @@ import (
 // codecVersion below, or with the segment record layout (diskstore.go):
 // entries written under different key, encoding or layout rules must never
 // be visible to a store using the current ones. v1 kept one file per key;
-// v2 appends key-prefixed frames to segments. The golden key values in
-// testdata/job_keys.golden pin today's keys, so a key change cannot land
-// without failing tests until both versions move.
-const DiskFormatVersion = "v2"
+// v2 appends key-prefixed frames to segments; v3 keeps v2's layout under
+// keys that name a seeded job's operands by generator instead of content.
+// The golden key values in testdata/job_keys.golden pin today's keys, so a
+// key change cannot land without failing tests until both versions move.
+const DiskFormatVersion = "v3"
 
 // Frame layout of one persisted result:
 //

@@ -6,14 +6,13 @@
 // of near-identical (architecture, layer, mapping) points — the farm
 // deduplicates and parallelises both, and backs the bifrost-serve batch
 // service. The unit of work, its key and its inline Run live in
-// internal/job; farm adds the scheduler, the key memo, the result codec,
+// internal/job; farm adds the scheduler, the result codec,
 // the memory and disk tiers, the retry breakers, the placement ring,
 // replication and the sweep journal. *Farm is a job.Runner.
 package farm
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -129,9 +128,6 @@ type Farm struct {
 	put      FallibleStore
 	inflight map[string]*call
 
-	// keys is the spec → content key memo for lazy jobs (see KeyOf).
-	keys keyMemo
-
 	pack    *tensor.PackCache
 	packSet bool
 
@@ -224,12 +220,14 @@ func WithTraceRing(r *telemetry.TraceRing) Option {
 // call is one in-flight execution, shared by every waiter that submitted an
 // identical job while it was queued or running.
 type call struct {
-	job  Job
-	key  string
-	spec [sha256.Size]byte // a lazy job's spec digest from keyOf; zero otherwise
-	done chan struct{}
-	res  Result
-	err  error
+	job Job
+	key string
+	// place is the job's Placement, derived with its key at submission:
+	// the ring input a ReplicatedStore persists the result by.
+	place string
+	done  chan struct{}
+	res   Result
+	err   error
 
 	// span accumulates the job's per-phase timings from submission until
 	// the worker finishes it; pooled, so the always-on tracing machinery
@@ -491,7 +489,7 @@ func (f *Farm) exec(c *call) {
 	}
 	f.count(&f.misses)
 	t := time.Now()
-	// Both tiers missed: only now does Run generate a lazy job's operands,
+	// Both tiers missed: only now does Run generate a named job's operands,
 	// so their cost is observed under the compute phase. The farm's shared
 	// pack cache is not keyed, so results stay bit-identical.
 	c.res, c.err = job.Run(c.job.WithPackCache(f.pack))
@@ -555,7 +553,7 @@ func (f *Farm) exec(c *call) {
 func (f *Farm) persist(c *call) error {
 	switch {
 	case f.repl != nil:
-		return f.repl.put(c.placement(), c.key, c.res)
+		return f.repl.put(c.place, c.key, c.res)
 	case f.put != nil:
 		return f.put.PutErr(c.key, c.res)
 	}
@@ -564,17 +562,6 @@ func (f *Farm) persist(c *call) error {
 
 // errNoDiskTier is persist's answer for a node with no local tier.
 var errNoDiskTier = errors.New("farm: no disk tier")
-
-// placement is the call's ring input, Job.Placement: the spec digest keyOf
-// computed for a lazy job, hashed here for any other. It cannot fail for a
-// job that was keyed, since Key() encodes the same spec first.
-func (c *call) placement() string {
-	if c.spec == [sha256.Size]byte{} {
-		p, _ := c.job.Placement()
-		return p
-	}
-	return hex.EncodeToString(c.spec[:])
-}
 
 // finishSpan rolls the call's span into the per-phase histograms, echoes a
 // trace when anyone asked for one (the job's Trace flag, a deduped traced
@@ -594,47 +581,38 @@ func (f *Farm) finishSpan(c *call, source string) {
 	c.span = nil
 }
 
-// handle is one submission's claim on a result: resolved at submission (a
-// memory hit, or a job that could not be keyed) or attached to the call that
-// produces it.
-type handle struct {
-	c   *call
-	key string
-	res Result
-	err error
-}
-
-// wait blocks until h's call finishes or ctx fires. A fired context returns
-// ctx's error and detaches this waiter only: when it was the call's last
-// waiter, a still-queued job leaves the queue before any worker picks it up;
-// an execution already on a worker runs on, and its result lands in the
-// cache. The returned output tensor is the caller's own copy.
-func (f *Farm) wait(ctx context.Context, h handle) (Result, error) {
-	if c := h.c; c != nil {
-		select {
-		case <-c.done:
-			h.res, h.err = c.res, c.err
-		case <-ctx.Done():
-			f.detach(c)
-			return Result{}, ctx.Err()
-		}
+// resolve shapes a submission's answer for its caller: the job's key filled
+// in and the output tensor the caller's own copy.
+func resolve(key string, res Result, err error) (Result, error) {
+	if err != nil {
+		return Result{}, err
 	}
-	if h.err != nil {
-		return Result{}, h.err
-	}
-	res := h.res
-	res.Key = h.key
+	res.Key = key
 	if res.Out != nil {
 		res.Out = res.Out.Clone()
 	}
 	return res, nil
 }
 
-// memHit resolves a submission served by the memory tier: the hit counter,
+// wait blocks until c finishes or ctx fires. A fired context returns ctx's
+// error and detaches this waiter only: when it was the call's last waiter,
+// a still-queued job leaves the queue before any worker picks it up; an
+// execution already on a worker runs on, and its result lands in the cache.
+func (f *Farm) wait(ctx context.Context, c *call) (Result, error) {
+	select {
+	case <-c.done:
+		return resolve(c.key, c.res, c.err)
+	case <-ctx.Done():
+		f.detach(c)
+		return Result{}, ctx.Err()
+	}
+}
+
+// memHit counts a submission served by the memory tier: the hit counter,
 // the memory-lookup phase histogram, and — only when the job asked for a
 // trace — a materialised Trace echoed in the result and recorded in the
 // ring. Untraced warm hits allocate nothing.
-func (f *Farm) memHit(j Job, key string, res Result, start time.Time, lookup time.Duration) handle {
+func (f *Farm) memHit(j Job, key string, res Result, start time.Time, lookup time.Duration) Result {
 	f.count(&f.hits)
 	phaseSeconds.Observe(telemetry.PhaseMemLookup, lookup)
 	res.Hit = true
@@ -648,26 +626,29 @@ func (f *Farm) memHit(j Job, key string, res Result, start time.Time, lookup tim
 		res.Trace = tr
 		f.ring.Add(tr)
 	}
-	return handle{key: key, res: res}
+	return res
 }
 
-// submit keys a job and resolves it from the memory tier, attaches it to an
-// identical queued or running call, or queues a new call. block selects
-// the pace at a full WithMaxQueue bound: wait for a slot (DoBatch) or fail
-// fast with ErrQueueFull (DoCtx). Cache hits and attaches never take a
-// queue slot.
-func (f *Farm) submit(j Job, block bool) handle {
+// submit names a job (Job.Address: its key and placement from one pass
+// over the spec, no operand built) and resolves it from the memory tier,
+// attaches it to an identical queued or running call, or queues a new
+// call. It returns the call to wait on, or a nil call when the submission
+// resolved at once: a memory hit in res, or a job that could not be named
+// in err. block selects the pace at a full WithMaxQueue bound: wait for a
+// slot (DoBatch) or fail fast with ErrQueueFull (DoCtx). Cache hits and
+// attaches never take a queue slot.
+func (f *Farm) submit(j Job, block bool) (c *call, key string, res Result, err error) {
 	f.count(&f.submitted)
-	key, j, spec, err := f.keyOf(j)
+	key, spec, err := j.Address()
 	if err != nil {
 		f.count(&f.failed)
-		return handle{err: err}
+		return nil, "", Result{}, err
 	}
 	start := time.Now()
 	// Fast path outside the farm-global mutex: the memory tier has its own
 	// lock, so submissions hitting a warm cache never serialise on cmu.
 	if res, ok := f.mem.Get(key); ok {
-		return f.memHit(j, key, res, start, time.Since(start))
+		return nil, key, f.memHit(j, key, res, start, time.Since(start)), nil
 	}
 	memLookup := time.Since(start)
 	dedupStart := time.Now()
@@ -678,7 +659,7 @@ func (f *Farm) submit(j Job, block bool) handle {
 	// two checks here, or is on disk for the worker's probe.
 	if res, ok := f.mem.Get(key); ok {
 		f.cmu.Unlock()
-		return f.memHit(j, key, res, start, memLookup)
+		return nil, key, f.memHit(j, key, res, start, memLookup), nil
 	}
 	if c, ok := f.inflight[key]; ok {
 		c.waiters.Add(1) // under cmu, so it cannot race the cancel decision in detach
@@ -691,9 +672,9 @@ func (f *Farm) submit(j Job, block bool) handle {
 		if j.Trace {
 			c.traced.Store(true)
 		}
-		return handle{c: c, key: key}
+		return c, key, Result{}, nil
 	}
-	c := &call{job: j, key: key, spec: spec, done: make(chan struct{}), span: telemetry.BeginSpan()}
+	c = &call{job: j, key: key, place: hex.EncodeToString(spec[:]), done: make(chan struct{}), span: telemetry.BeginSpan()}
 	c.waiters.Store(1)
 	c.span.Observe(telemetry.PhaseMemLookup, memLookup)
 	c.traced.Store(j.Trace)
@@ -730,14 +711,14 @@ func (f *Farm) submit(j Job, block bool) handle {
 			c.err = fmt.Errorf("submit rejected: %w", ErrFarmClosed)
 		}
 		close(c.done)
-		return handle{c: c, key: key}
+		return c, key, Result{}, nil
 	}
 	f.count(&f.pending)
 	c.enqueuedAt = time.Now()
 	f.queue = append(f.queue, c)
 	f.qcond.Signal()
 	f.qmu.Unlock()
-	return handle{c: c, key: key}
+	return c, key, Result{}, nil
 }
 
 // CacheGet consults the farm's cache tiers without scheduling anything: the
@@ -801,7 +782,11 @@ func (f *Farm) DoCtx(ctx context.Context, j Job) (Result, error) {
 		f.count(&f.cancelled)
 		return Result{}, err
 	}
-	return f.wait(ctx, f.submit(j, false))
+	c, key, res, err := f.submit(j, false)
+	if c == nil {
+		return resolve(key, res, err)
+	}
+	return f.wait(ctx, c)
 }
 
 // DoBatch submits every job, waits for all of them, and returns the results
@@ -820,13 +805,20 @@ func (f *Farm) DoBatch(jobs []Job) ([]Result, []error) {
 	if f == nil {
 		return job.DoBatch(nil, jobs)
 	}
-	hs := make([]handle, len(jobs))
-	for i, j := range jobs {
-		hs[i] = f.submit(j, true)
-	}
 	results, errs := make([]Result, len(jobs)), make([]error, len(jobs))
-	for i, h := range hs {
-		results[i], errs[i] = f.wait(context.Background(), h)
+	// A job resolved at submission goes straight into results; only the
+	// calls still running are kept to wait on.
+	calls := make([]*call, len(jobs))
+	for i, j := range jobs {
+		c, key, res, err := f.submit(j, true)
+		if calls[i] = c; c == nil {
+			results[i], errs[i] = resolve(key, res, err)
+		}
+	}
+	for i, c := range calls {
+		if c != nil {
+			results[i], errs[i] = f.wait(context.Background(), c)
+		}
 	}
 	return results, errs
 }

@@ -44,6 +44,10 @@ func goldenJobs() []struct {
 	}
 	nhwcConv := convJob()
 	nhwcConv.Layout = tensor.NHWC
+	// The named twin of convJob: same spec, operands named by a generator.
+	namedConv := convJob().WithOperands("farm-test/golden/v1", func() (in, w *tensor.Tensor) {
+		panic("keying a named job built its operands")
+	})
 	dryConv := Job{
 		HW: config.Default(config.MAERIDenseWorkload), Kind: Conv2D, DryRun: true,
 		Dims:        tensor.ConvDims{N: 1, C: 4, H: 10, W: 10, K: 8, R: 3, S: 3},
@@ -54,6 +58,7 @@ func goldenJobs() []struct {
 		job  Job
 	}{
 		{"maeri-conv-nchw", convJob()},
+		{"maeri-conv-nchw-named", namedConv},
 		{"maeri-conv-nhwc", nhwcConv},
 		{"maeri-dense-dry", denseJob()},
 		{"maeri-conv-dry", dryConv},
@@ -65,8 +70,9 @@ func goldenJobs() []struct {
 // TestKeyGoldenFile pins today's key bytes in testdata/job_keys.golden.
 func TestKeyGoldenFile(t *testing.T) {
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "# Content-addressed job keys, pinned. Regenerate ONLY together with a\n")
-	fmt.Fprintf(&buf, "# keyVersion + DiskFormatVersion bump: these keys name on-disk cache files.\n")
+	fmt.Fprintf(&buf, "# Job keys, pinned: content keys, and a named key (spec + generator name).\n")
+	fmt.Fprintf(&buf, "# Regenerate ONLY together with a keyVersion + DiskFormatVersion bump:\n")
+	fmt.Fprintf(&buf, "# these keys name on-disk cache records.\n")
 	fmt.Fprintf(&buf, "# key version: %s   disk format: %s\n", keyVersion, DiskFormatVersion)
 	for _, g := range goldenJobs() {
 		fmt.Fprintf(&buf, "%s\t%s\n", g.name, mustKey(t, g.job))

@@ -117,9 +117,10 @@ func TestKeyFieldChangesChangeHash(t *testing.T) {
 }
 
 // TestPlacementIsSpecDigest pins Job.Placement: the hex form of the spec
-// digest that indexes the key memo, computed without touching an operand —
-// so operands never move it, a lazy job places like its materialised form,
-// and every spec field the key covers does move it.
+// digest, computed without touching an operand — so operands never move it,
+// a named job places like its explicit twin, and every spec field the key
+// covers does move it. Job.Address derives the same digest in the pass that
+// derives the key.
 func TestPlacementIsSpecDigest(t *testing.T) {
 	place := func(j Job) string {
 		t.Helper()
@@ -137,18 +138,21 @@ func TestPlacementIsSpecDigest(t *testing.T) {
 	if p == mustKey(t, base) {
 		t.Fatal("Placement equals the content key")
 	}
+	if key, d, err := base.Address(); err != nil || key != mustKey(t, base) || hex.EncodeToString(d[:]) != p {
+		t.Fatalf("Address = %s, %x (err %v); want Key %s and Placement %s", key, d, err, mustKey(t, base), p)
+	}
 	other := convJob()
 	other.Input = tensor.RandomUniform(99, 1, 1, 2, 10, 10)
 	other.ExecWorkers = 3
 	if place(other) != p {
 		t.Error("operands or ExecWorkers moved the placement")
 	}
-	lazy := base.WithOperands(func() (in, w *tensor.Tensor) {
+	named := base.WithOperands("farm-test/unbuilt/v1", func() (in, w *tensor.Tensor) {
 		t.Fatal("Placement built the operands")
 		return nil, nil
 	})
-	if place(lazy) != p {
-		t.Error("a lazy job places unlike its materialised form")
+	if place(named) != p {
+		t.Error("a named job places unlike its explicit twin")
 	}
 	for name, mutate := range map[string]func(*Job){
 		"mapping": func(j *Job) { j.ConvMapping.TK = 4 },
@@ -174,8 +178,8 @@ func TestKeyGoldenValues(t *testing.T) {
 		job  Job
 		want string
 	}{
-		{"conv", convJob(), "a253119e62bb85994efc245062540b44ce7127dc875989900c09a29acc4b8db3"},
-		{"dense-dry", denseJob(), "2d6ef9e26c66002872bae258a1a46c4bffaa7c3cfeab4a9c0735148cd7af4279"},
+		{"conv", convJob(), "b0971e20145749b89bdb388d86cd1e879263b8e2d0a63e65e287ff8851cdfd4e"},
+		{"dense-dry", denseJob(), "91aba4761d3b894a08ad2dce85f73c23e883c938ee1074ce5f1a76621348ea64"},
 	}
 	for _, g := range golden {
 		if got := mustKey(t, g.job); got != g.want {

@@ -16,10 +16,15 @@ import (
 	"repro/internal/tensor"
 )
 
-// seeded is one seeded job spec built both ways: eager carries the operand
-// tensors, lazy carries a generator that regenerates them from the same
-// seed (the bifrost-serve recipe: uniform input, uniform weights at
-// seed+100, weights pruned to the sparsity ratio) and counts its calls.
+// seededGenerator names the tests' copy of the bifrost-serve recipe:
+// uniform input, uniform weights at seed+100, weights pruned to the
+// sparsity ratio.
+const seededGenerator = "farm-test/seeded-uniform/v1"
+
+// seeded is one seeded job spec built both ways: eager is its explicit twin
+// and carries the operand tensors, lazy is named (Job.WithOperands) and
+// carries a generator that regenerates them from the same seed and counts
+// its calls.
 type seeded struct {
 	name        string
 	eager, lazy farm.Job
@@ -40,7 +45,7 @@ func seed(name string, spec farm.Job, inShape, wShape []int) seeded {
 	eager := spec
 	eager.Input, eager.Weights = gen()
 	gens.Store(0)
-	return seeded{name: name, eager: eager, lazy: spec.WithOperands(gen), gens: gens}
+	return seeded{name: name, eager: eager, lazy: spec.WithOperands(seededGenerator, gen), gens: gens}
 }
 
 func seededConv(name string, ct config.ControllerType, sparsity int, d tensor.ConvDims, m mapping.ConvMapping, s int64) seeded {
@@ -83,43 +88,63 @@ func alexnetRows() []seeded {
 	}
 }
 
-func mustKeyOf(t *testing.T, fm *farm.Farm, j farm.Job) string {
+func mustKey(t *testing.T, j farm.Job) string {
 	t.Helper()
-	key, err := fm.KeyOf(j)
+	key, err := j.Key()
 	if err != nil {
-		t.Fatalf("KeyOf: %v", err)
+		t.Fatalf("Key: %v", err)
 	}
 	return key
 }
 
-// TestLazyKeyColdWarmEager: whatever the memo's state, a lazy job's key is
-// the eager Job.Key() of the same spec — built once on a cold memo, looked
-// up without generating on a warm one.
+// TestLazyKeyColdWarmEager pins the named-key contract on every row kind
+// of the sweep mix and two AlexNet geometries: a named job's key is the same
+// on a first (cold) and a repeated (warm) call, neither builds an operand,
+// and it is the key of the job's Materialize() — the eager job that carries
+// the same generator name and the built tensors. It never equals the
+// content key of the explicit twin with the very same operand bytes.
 func TestLazyKeyColdWarmEager(t *testing.T) {
+	for _, s := range append(mixRows(), alexnetRows()...) {
+		cold := mustKey(t, s.lazy)
+		if warm := mustKey(t, s.lazy); warm != cold {
+			t.Errorf("%s: warm named key %s, cold %s", s.name, warm, cold)
+		}
+		if n := s.gens.Load(); n != 0 {
+			t.Errorf("%s: Key generated operands %d times, want 0", s.name, n)
+		}
+		if got := mustKey(t, s.lazy.Materialize()); got != cold {
+			t.Errorf("%s: materialised key %s, named %s", s.name, got, cold)
+		}
+		if content := mustKey(t, s.eager); content == cold {
+			t.Errorf("%s: the named key equals the explicit twin's content key %s", s.name, content)
+		}
+	}
+}
+
+// TestExplicitOperandsBypassMemo: a job with explicit tensors keys by its own
+// operand contents — a job with the same spec header but other weights keys
+// differently — and a farm files a named job and its explicit twin each
+// under its own key, so neither is served the other's result.
+func TestExplicitOperandsBypassMemo(t *testing.T) {
+	for _, s := range append(mixRows(), alexnetRows()...) {
+		content := mustKey(t, s.eager)
+		other := s.eager
+		other.Weights = other.Weights.Clone()
+		other.Weights.Data()[0]++
+		if mustKey(t, other) == content {
+			t.Errorf("%s: an explicit job's key ignored its operand contents", s.name)
+		}
+	}
 	fm := farm.New(1)
 	defer fm.Close()
-	for _, s := range append(mixRows(), alexnetRows()...) {
-		want, err := s.eager.Key()
+	s := seededDense("dense", config.MAERIDenseWorkload, 16, 8, mapping.BasicFC(), 7)
+	for _, j := range []farm.Job{s.lazy, s.eager} {
+		res, err := fm.Do(j)
 		if err != nil {
-			t.Fatalf("%s: eager key: %v", s.name, err)
+			t.Fatal(err)
 		}
-		if got := mustKeyOf(t, fm, s.lazy); got != want {
-			t.Errorf("%s: cold lazy key %s, eager %s", s.name, got, want)
-		}
-		if n := s.gens.Load(); n != 1 {
-			t.Errorf("%s: cold KeyOf generated operands %d times, want 1", s.name, n)
-		}
-		if got := mustKeyOf(t, fm, s.lazy); got != want {
-			t.Errorf("%s: warm lazy key %s, eager %s", s.name, got, want)
-		}
-		if n := s.gens.Load(); n != 1 {
-			t.Errorf("%s: warm KeyOf generated operands (%d calls in total, want 1)", s.name, n)
-		}
-		if got, err := s.lazy.Key(); err != nil || got != want {
-			t.Errorf("%s: Job.Key() of the lazy job = %s (err %v), eager %s", s.name, got, err, want)
-		}
-		if got := mustKeyOf(t, fm, s.eager); got != want {
-			t.Errorf("%s: KeyOf(eager) = %s, want %s", s.name, got, want)
+		if want := mustKey(t, j); res.Key != want || res.Hit {
+			t.Errorf("submission ran under key %s (hit %v), want a miss under %s", res.Key, res.Hit, want)
 		}
 	}
 }
@@ -153,7 +178,7 @@ func TestLazyRunMatchesEager(t *testing.T) {
 
 // TestLazyGeneratorInvocations counts operand generations along every
 // submission path: exactly one on a cold miss, none on a memory hit, a disk
-// hit or a single-flight attach of a known spec, and one more when a known
+// hit, a single-flight attach or a rejected submission, and one more when a
 // spec has fallen out of both tiers and must be simulated again.
 func TestLazyGeneratorInvocations(t *testing.T) {
 	conv := tensor.ConvDims{N: 1, C: 2, H: 6, W: 6, K: 4, R: 3, S: 3}
@@ -172,8 +197,8 @@ func TestLazyGeneratorInvocations(t *testing.T) {
 		if n := s.gens.Load(); n != wantGens {
 			t.Errorf("%s: %d operand generations so far, want %d", s.name, n, wantGens)
 		}
-		if want, _ := s.eager.Key(); res.Key != want {
-			t.Errorf("%s: key %s, eager %s", s.name, res.Key, want)
+		if want := mustKey(t, s.lazy); res.Key != want {
+			t.Errorf("%s: key %s, named %s", s.name, res.Key, want)
 		}
 	}
 
@@ -207,7 +232,7 @@ func TestLazyGeneratorInvocations(t *testing.T) {
 		a, b := newRow(1), newRow(2)
 		do(t, fm, a, false, 1)
 		do(t, fm, b, false, 1)
-		do(t, fm, a, false, 2) // key from the memo, operands rebuilt by the worker
+		do(t, fm, a, false, 2) // operands rebuilt by the worker
 	})
 
 	t.Run("rejected by a full queue, then named", func(t *testing.T) {
@@ -222,14 +247,11 @@ func TestLazyGeneratorInvocations(t *testing.T) {
 		if _, err := fm.Do(c.lazy); !errors.Is(err, farm.ErrQueueFull) {
 			t.Fatalf("err = %v, want ErrQueueFull", err)
 		}
-		// The error path names the job: the rejected submission already
-		// taught the memo this spec, so no operand is generated or hashed.
-		want, _ := c.eager.Key()
-		if got := mustKeyOf(t, fm, c.lazy); got != want {
-			t.Errorf("key of the rejected job %s, eager %s", got, want)
-		}
-		if n := c.gens.Load(); n != 1 {
-			t.Errorf("rejected job generated operands %d times, want 1", n)
+		// Neither the rejection nor naming the job on the error path
+		// builds an operand.
+		mustKey(t, c.lazy)
+		if n := c.gens.Load(); n != 0 {
+			t.Errorf("rejected job generated operands %d times, want 0", n)
 		}
 		close(release)
 		for _, wait := range []func() (farm.Result, error){pinned, queued} {
@@ -248,8 +270,9 @@ func TestLazyGeneratorInvocations(t *testing.T) {
 		<-entered
 		second := farmtest.Start(context.Background(), fm, a.lazy)
 		waitUntil(t, "the second submission to attach", func() bool { return fm.Stats().Deduped == 1 })
-		if n := a.gens.Load(); n != 1 {
-			t.Errorf("attach generated operands: %d calls, want 1", n)
+		// The fault hook holds the worker before it builds the operands.
+		if n := a.gens.Load(); n != 0 {
+			t.Errorf("submitting and attaching generated operands: %d calls, want 0", n)
 		}
 		close(release)
 		for _, wait := range []func() (farm.Result, error){first, second} {
@@ -263,89 +286,14 @@ func TestLazyGeneratorInvocations(t *testing.T) {
 	})
 }
 
-// TestExplicitOperandsBypassMemo: a job with explicit tensors never reads
-// the memo, even when a lazy job with the very same spec header has been
-// memoised — its key covers its own operand contents.
-func TestExplicitOperandsBypassMemo(t *testing.T) {
-	fm := farm.New(1)
-	defer fm.Close()
-	s := seededDense("dense", config.MAERIDenseWorkload, 16, 8, mapping.BasicFC(), 7)
-	memoised := mustKeyOf(t, fm, s.lazy)
-
-	other := s.eager
-	other.Weights = tensor.RandomUniform(999, 1, 8, 16) // same header, different contents
-	want, err := other.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want == memoised {
-		t.Fatal("test is vacuous: different operands produced the same key")
-	}
-	if got := mustKeyOf(t, fm, other); got != want {
-		t.Errorf("explicit-operand job keyed %s, want its own content key %s", got, want)
-	}
-	res, err := fm.Do(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Key != want {
-		t.Errorf("explicit-operand submission ran under key %s, want %s", res.Key, want)
-	}
-}
-
-// TestKeyMemoBounded drives more distinct specs through KeyOf than the memo
-// may hold: occupancy stays within the bound, the oldest spec is really
-// gone (its next lookup rebuilds), and every key is still the eager one.
-func TestKeyMemoBounded(t *testing.T) {
-	fm := farm.New(1)
-	defer fm.Close()
-	// Constant operands keep 65k cold builds cheap; the seed alone makes
-	// each spec — and so each key — distinct.
-	in, w := tensor.RandomUniform(1, 1, 1, 2), tensor.RandomUniform(2, 1, 2, 2)
-	var gens [3]int
-	row := func(s int64, gens *int) (eager, lazy farm.Job) {
-		eager = farm.Job{HW: config.Default(config.MAERIDenseWorkload), Kind: farm.Dense,
-			FCMapping: mapping.BasicFC(), Seed: s, Input: in, Weights: w}
-		return eager, eager.WithOperands(func() (*tensor.Tensor, *tensor.Tensor) {
-			if gens != nil {
-				*gens++
-			}
-			return in, w
-		})
-	}
-	const last = farm.KeyMemoEntries + 10
-	for s := int64(0); s <= last; s++ {
-		var count *int
-		if s == 0 {
-			count = &gens[0]
-		}
-		_, lazy := row(s, count)
-		mustKeyOf(t, fm, lazy)
-		if n := fm.KeyMemoLen(); n > farm.KeyMemoEntries {
-			t.Fatalf("memo holds %d entries after %d specs, bound %d", n, s+1, farm.KeyMemoEntries)
-		}
-	}
-	for i, s := range []int64{0, farm.KeyMemoEntries / 2, last} {
-		eager, lazy := row(s, &gens[i])
-		want, _ := eager.Key()
-		if got := mustKeyOf(t, fm, lazy); got != want {
-			t.Errorf("seed %d: key %s after eviction churn, eager %s", s, got, want)
-		}
-	}
-	// The oldest spec was built once at insertion and again after eviction;
-	// the newest is still memoised and was not rebuilt by its lookup.
-	if gens[0] != 2 || gens[2] != 0 {
-		t.Errorf("generations: oldest spec %d (want 2: built, evicted, rebuilt), newest lookup %d (want 0)", gens[0], gens[2])
-	}
-}
-
-// TestKeyMemoConcurrent hammers one never-seen spec and a spread of
-// distinct ones from 8 goroutines; run under -race.
-func TestKeyMemoConcurrent(t *testing.T) {
+// TestNamedKeyConcurrent hammers one never-seen named spec and a spread of
+// distinct ones from 8 goroutines: the shared spec simulates once, on one
+// operand build; run under -race.
+func TestNamedKeyConcurrent(t *testing.T) {
 	fm := farm.New(2)
 	defer fm.Close()
 	shared := seededDense("shared", config.MAERIDenseWorkload, 16, 8, mapping.BasicFC(), 1)
-	wantShared, _ := shared.eager.Key()
+	wantShared := mustKey(t, shared.lazy)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -357,28 +305,31 @@ func TestKeyMemoConcurrent(t *testing.T) {
 					t.Errorf("shared spec: key %s err %v, want %s", res.Key, err, wantShared)
 				}
 				own := seededDense("own", config.MAERIDenseWorkload, 16, 8, mapping.BasicFC(), int64(100+g*20+i))
-				want, _ := own.eager.Key()
-				if got, err := fm.KeyOf(own.lazy); err != nil || got != want {
-					t.Errorf("distinct spec: key %s err %v, want %s", got, err, want)
+				res, err = fm.Do(own.lazy)
+				if want, _ := own.lazy.Key(); err != nil || res.Key != want {
+					t.Errorf("distinct spec: key %s err %v, want %s", res.Key, err, want)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if st := fm.Stats(); st.Completed != 1 {
-		t.Errorf("shared spec simulated %d times, want 1 (stats %+v)", st.Completed, st)
+	if st := fm.Stats(); st.Completed != 1+8*20 {
+		t.Errorf("%d simulations, want 1 for the shared spec and 160 distinct (stats %+v)", st.Completed, st)
+	}
+	if n := shared.gens.Load(); n != 1 {
+		t.Errorf("shared spec built its operands %d times, want 1", n)
 	}
 }
 
-// FuzzLazyKeyEquality asserts the spec → key memo's contract on arbitrary
-// seeded jobs: through one long-lived farm, a lazy job's key — cold, then
-// warm — is the eager Key() of the same spec with generated operands.
-// Because the memo persists across iterations, any two fuzzed specs that
-// aliased in it (a keyed field missing from the digest) would hand the
-// second spec the first one's key and fail here.
+// FuzzLazyKeyEquality asserts the named-key contracts on arbitrary seeded
+// specs. For each: the named key builds no operand and equals its
+// Materialize()'s key, and differs from the explicit twin's content key.
+// Across every spec the fuzzer feeds one process, two named keys collide
+// exactly when the explicit twins' content keys do — so a keyed field
+// missing from the spec encoding, which would alias two simulations under
+// one named key, fails here (the content half is FuzzKeyEquality's).
 func FuzzLazyKeyEquality(f *testing.F) {
-	fm := farm.New(1)
-	f.Cleanup(fm.Close)
+	byNamed, byContent := map[string]string{}, map[string]string{}
 	f.Add(uint8(2), uint8(6), uint8(4), uint8(3), uint8(1), uint8(2), int64(7), uint8(0), uint8(0), false)
 	f.Add(uint8(2), uint8(6), uint8(4), uint8(3), uint8(1), uint8(2), int64(7), uint8(50), uint8(1), false)
 	f.Add(uint8(5), uint8(9), uint8(7), uint8(0), uint8(0), uint8(1), int64(-3), uint8(0), uint8(2), true)
@@ -396,14 +347,26 @@ func FuzzLazyKeyEquality(f *testing.F) {
 			m := mapping.ConvMapping{TR: d.R, TS: d.S, TC: 1, TK: int(tk%2) + 1, TG: 1, TN: 1, TX: 1, TY: 1}
 			s = seededConv("fuzz", ct, int(sparsity%100), d, m, seed)
 		}
-		want, err := s.eager.Key()
+		content, err := s.eager.Key()
 		if err != nil {
-			t.Fatalf("eager key of a valid job errored: %v (%+v)", err, s.eager)
+			t.Fatalf("content key of a valid job errored: %v (%+v)", err, s.eager)
 		}
-		for _, pass := range []string{"cold", "warm"} {
-			if got, err := fm.KeyOf(s.lazy); err != nil || got != want {
-				t.Fatalf("%s lazy key %s (err %v) != eager key %s for %+v", pass, got, err, want, s.eager)
-			}
+		named, err := s.lazy.Key()
+		if err != nil || s.gens.Load() != 0 {
+			t.Fatalf("named key %s (err %v) after %d operand builds, want 0", named, err, s.gens.Load())
 		}
+		if m, err := s.lazy.Materialize().Key(); err != nil || m != named {
+			t.Fatalf("materialised key %s (err %v) != named key %s for %+v", m, err, named, s.eager)
+		}
+		if named == content {
+			t.Fatalf("named key equals the content key %s", content)
+		}
+		if prev, ok := byNamed[named]; ok && prev != content {
+			t.Fatalf("named key %s names two simulations: content keys %s and %s", named, prev, content)
+		}
+		if prev, ok := byContent[content]; ok && prev != named {
+			t.Fatalf("one simulation (content key %s) has two named keys: %s and %s", content, prev, named)
+		}
+		byNamed[named], byContent[content] = content, named
 	})
 }

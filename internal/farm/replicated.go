@@ -13,7 +13,7 @@ import (
 // next owner, which holds a copy in its own local tier.
 //
 // Replicas are written, never read back. Every result is a pure function of
-// its content key (the simulations are deterministic), so a copy this node
+// its key (the simulations are deterministic), so a copy this node
 // lacks — it restarted empty, joined after the write, or a frame failed its
 // CRC — is recomputed byte for byte rather than fetched. Get therefore reads
 // the local tier only, and nothing heals replicas in the background: the

@@ -1,16 +1,17 @@
 // Package job is the simulator's unit of work: one offloaded layer run on
 // one STONNE instance (§V step 3 of the paper), as a value. A Job carries
 // everything its simulation needs; Run executes it inline on the production
-// engines or, with Job.Reference, on the oracle package; and Key names it by
-// content, so identical jobs share one cached result in any service built
-// around it.
+// engines or, with Job.Reference, on the oracle package; and Key names it,
+// so identical jobs share one cached result in any service built around it.
 //
 // Keyed fields — the ones that can change a result, and so enter Key and
 // Placement — are HW (normalised), Kind, Layout, Dims, ConvMapping,
-// FCMapping, M/K/N, DryRun, Seed and the operand contents. Fields that only
-// choose how a result is computed are not keyed: ExecWorkers, Reference,
-// Trace, the pack cache (WithPackCache) and the fault hook (WithFaultHook).
-// A lazy job (WithOperands) keys like its materialised form.
+// FCMapping, M/K/N, DryRun and Seed, then the operands: a named job
+// (WithOperands) by its generator's name and version, any other job by the
+// operand contents. Fields that only choose how a result is computed are
+// not keyed: ExecWorkers, Reference, Trace, the pack cache (WithPackCache)
+// and the fault hook (WithFaultHook). A named job keys like its
+// Materialize(), and never like an explicit-tensor job with the same bytes.
 //
 // Callers that run many jobs take a Runner: a nil Runner means Run inline,
 // and the simulation farm (internal/farm) satisfies it with a scheduler and
@@ -41,9 +42,10 @@ const (
 )
 
 // Job is one layer simulation: a hardware configuration plus the layer
-// geometry, dataflow mapping and operand tensors. Jobs are values — they
-// carry everything needed to run the simulation, so identical jobs are
-// interchangeable and their results cacheable under a content-addressed Key.
+// geometry, dataflow mapping and operand tensors (or their named
+// generator). Jobs are values — they carry everything needed to run the
+// simulation, so identical jobs are interchangeable and their results
+// cacheable under Key.
 type Job struct {
 	// HW is the accelerator configuration (normalised before execution and
 	// hashing, so equivalent configurations share cache entries).
@@ -73,9 +75,9 @@ type Job struct {
 	// Input and Weights are the operand tensors, treated as immutable;
 	// callers apply pruning before building the job (the key then covers
 	// the pruned content together with HW.SparsityRatio).
-	// Both are nil for dry-run jobs, and for a lazy job (WithOperands) until
-	// Materialize generates them — which a farm does only when it must
-	// hash a never-seen spec or actually simulate.
+	// Both are nil for dry-run jobs, and for a named job (WithOperands)
+	// until Materialize generates them — which a farm does only on a miss,
+	// when a worker is about to simulate.
 	Input, Weights *tensor.Tensor
 
 	// Seed identifies operands generated from a PRNG seed by the caller
@@ -146,9 +148,14 @@ type Job struct {
 	// pack it does NOT participate in Key().
 	fault func()
 
-	// operands, when set, makes the job lazy: Input and Weights are nil and
-	// this generator produces them on demand (see WithOperands).
+	// operands, when set, produces Input and Weights on demand (see
+	// WithOperands); Materialize runs it once and drops it.
 	operands func() (input, weights *tensor.Tensor)
+
+	// generator names and versions the function that built or will build
+	// the operands. Set by WithOperands and kept by Materialize, it is what
+	// Key hashes in place of the operand contents.
+	generator string
 }
 
 // WithPackCache returns a copy of the job that will reuse derived operand
@@ -169,29 +176,29 @@ func (j Job) WithFaultHook(fn func()) Job {
 	return j
 }
 
-// WithOperands returns a lazy copy of the job: it carries no operand
-// tensors, and gen produces them the first time something needs their
-// contents. gen must be a pure function of the job's other keyed fields —
-// HW (including SparsityRatio), Kind, Layout, Dims or M/K/N, and Seed — and
-// must already apply any pruning: a farm remembers the content key of every
-// lazy spec it has hashed (farm.Farm.KeyOf), so two lazy jobs with equal specs
-// are taken to have equal operands without generating either. In exchange a
-// cache hit, a single-flight attach or a journal replay of a known spec
-// never allocates an operand (a coordinator placement, Job.Placement, never
-// needs the key at all); only a worker about to simulate, or the first hash
-// of a new spec, calls gen. Jobs built from
-// explicit tensors never set a generator and never consult that memory.
-func (j Job) WithOperands(gen func() (input, weights *tensor.Tensor)) Job {
-	j.Input, j.Weights, j.operands = nil, nil, gen
+// WithOperands returns a named copy of the job: it carries no operand
+// tensors, gen produces them the first time something needs their contents,
+// and Key names them by generator — a name and version such as
+// "serve/seeded-uniform/v1" — instead of hashing them. gen must be a pure
+// function of the job's other keyed fields (HW including SparsityRatio,
+// Kind, Layout, Dims or M/K/N, and Seed), must already apply any pruning,
+// and must return bit-identical tensors for as long as its name stands:
+// a generator whose output changes takes a new version. In exchange, naming
+// a job — a cache hit, a single-flight attach, a journal replay, an error
+// row — never builds an operand; only a worker about to simulate calls gen.
+// WithOperands panics on an empty name, which would read as a content key.
+func (j Job) WithOperands(generator string, gen func() (input, weights *tensor.Tensor)) Job {
+	if generator == "" {
+		panic("job: WithOperands needs a generator name")
+	}
+	j.Input, j.Weights, j.operands, j.generator = nil, nil, gen, generator
 	return j
 }
 
-// Lazy reports whether the job still carries an operand generator
-// (WithOperands) instead of operand tensors.
-func (j Job) Lazy() bool { return j.operands != nil }
-
-// Materialize returns the job with its operands in place: a lazy job's
+// Materialize returns the job with its operands in place: a named job's
 // generator runs once and is dropped, any other job is returned unchanged.
+// The generator's name stays, so the materialised job keys like the named
+// one.
 func (j Job) Materialize() Job {
 	if j.operands != nil {
 		j.Input, j.Weights = j.operands()
@@ -213,7 +220,7 @@ type Result struct {
 	// cache instead of a fresh simulation.
 	Hit bool
 
-	// Key is the job's content-addressed cache key, filled in by the farm
+	// Key is the job's cache key (Job.Key), filled in by the farm
 	// (inline Run leaves it empty — no key is computed on that path).
 	Key string
 

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 
 	"repro/internal/tensor"
 )
@@ -12,7 +11,7 @@ import (
 // keyVersion is folded into every key. Bump it whenever the encoding or the
 // simulation semantics change, so stale caches can never serve results
 // computed under different rules.
-const keyVersion = "bifrost/farm/v1"
+const keyVersion = "bifrost/farm/v2"
 
 // KeyVersion is the key-derivation version, exported for the peer wire
 // protocol's version headers: a node deriving keys under different rules
@@ -20,150 +19,179 @@ const keyVersion = "bifrost/farm/v1"
 // receiver refuses a mismatched write with 412 instead.
 const KeyVersion = keyVersion
 
-// Key returns the content-addressed cache key of a job: a hex-encoded
-// SHA-256 over a canonical little-endian encoding of the normalised
-// hardware configuration, operator kind, geometry, mapping, declared seed
-// and the full operand tensor contents. Two jobs share a key exactly when
-// they describe the same simulation, and keys are stable across processes
-// and platforms (golden values are pinned by internal/farm's key_test.go and
-// testdata/job_keys.golden; its FuzzKeyEquality checks the equivalence both
-// ways). The fields that choose how a result is computed —
-// ExecWorkers, and the flag that selects the oracle package — are
+// The two ways a key names a job's operands, written after the spec: by
+// their contents, or by the generator that builds them. Distinct tags keep
+// a named key from ever equalling a content key, whatever bytes the
+// generator returns.
+const (
+	contentTag = "operands/content"
+	namedTag   = "operands/named"
+)
+
+// Key returns the job's cache key: a hex-encoded SHA-256 over a canonical
+// little-endian encoding of the normalised hardware configuration, operator
+// kind, geometry, mapping and declared seed (appendSpec), followed by what
+// names the operands.
+//
+//   - A named job (WithOperands) continues with a domain tag and its
+//     generator's name and version. Its operands are a pure function of
+//     the spec and that name, so the key never touches a tensor: a named
+//     job keys like its Materialize(), and no operand is built to name it.
+//   - Any other job continues with a different tag and the full operand
+//     contents, so it is content-addressed: two such jobs share a key
+//     exactly when they describe the same simulation.
+//
+// Keys are stable across processes and platforms (golden values are pinned
+// by internal/farm's key_test.go and testdata/job_keys.golden; its fuzz
+// targets check the equivalences). The fields that choose how a result is
+// computed — ExecWorkers, and the flag that selects the oracle package — are
 // deliberately excluded: neither can change the result, only the wall-clock
 // time of computing it, so engine and oracle submissions share cache entries.
 //
 // Keys also index a farm's disk records, so any change to this encoding
 // must bump both keyVersion and farm.DiskFormatVersion.
 func (j Job) Key() (string, error) {
-	j = j.Materialize() // a lazy job keys like its materialised form
-	h := sha256.New()
-	w := &keyWriter{h: h}
-	if err := j.writeSpec(w); err != nil {
-		return "", err
-	}
-
-	// Operand contents — this is what makes the key content-addressed.
-	w.tensor(j.Input)
-	w.tensor(j.Weights)
-
-	return hex.EncodeToString(h.Sum(nil)), nil
+	key, _, err := j.Address()
+	return key, err
 }
 
-// writeSpec serialises everything Key() hashes ahead of the operand
-// contents: the normalised hardware, operator identity, seed, geometry and
+// Address returns the job's Key and its SpecDigest from one pass over the
+// spec: the hash of appendSpec's bytes is summed for the digest, then
+// continued with what names the operands for the key. A farm names every
+// submission with it; a named job's costs one spec hash and the key string.
+func (j Job) Address() (key string, spec [sha256.Size]byte, err error) {
+	var buf [specBytes]byte
+	b, err := j.appendSpec(buf[:0])
+	if err != nil {
+		return "", spec, err
+	}
+	h := sha256.New()
+	h.Write(b)
+	h.Sum(spec[:0])
+	if j.generator != "" {
+		b = appendStr(appendStr(b[:0], namedTag), j.generator)
+		h.Write(b)
+	} else {
+		b = appendStr(b[:0], contentTag)
+		for _, t := range [...]*tensor.Tensor{j.Input, j.Weights} {
+			h.Write(appendTensorHeader(b, t))
+			b = b[:0]
+			if t != nil {
+				// Stream the elements through tensor's canonical chunked
+				// encoder, without an allocation proportional to the
+				// operand size.
+				tensor.WriteFloatBits(h, t.Data())
+			}
+		}
+	}
+	var sum [sha256.Size]byte
+	return hexString(h.Sum(sum[:0])), spec, nil
+}
+
+// appendSpec appends everything Key() hashes ahead of the operands' name
+// to b: the normalised hardware, operator identity, seed, geometry and
 // mappings. It is the single canonical encoder of a job's spec — Key()
-// continues it with the operands, SpecDigest stops here.
-func (j Job) writeSpec(w *keyWriter) error {
+// continues it, SpecDigest stops here. The format is self-delimiting:
+// every string is length-prefixed and every integer a fixed-width
+// little-endian int64, so no two distinct jobs produce the same bytes.
+func (j Job) appendSpec(b []byte) ([]byte, error) {
 	cfg := j.HW.Normalize()
 	d := j.Dims
 	if j.Kind == Conv2D {
 		if err := d.Resolve(); err != nil {
-			return err
+			return b, err
 		}
 	}
-	w.str(keyVersion)
+	b = appendStr(b, keyVersion)
 
 	// Hardware configuration, Table III order.
-	w.str(string(cfg.Controller))
-	w.str(string(cfg.MSNetwork))
-	w.ints(cfg.MSSize, cfg.MSRows, cfg.MSCols, cfg.DNBandwidth, cfg.RNBandwidth)
-	w.str(string(cfg.ReduceNetwork))
-	w.ints(cfg.SparsityRatio)
-	w.bool(cfg.AccumBuffer)
+	b = appendStr(b, string(cfg.Controller))
+	b = appendStr(b, string(cfg.MSNetwork))
+	b = appendInts(b, cfg.MSSize, cfg.MSRows, cfg.MSCols, cfg.DNBandwidth, cfg.RNBandwidth)
+	b = appendStr(b, string(cfg.ReduceNetwork))
+	b = appendInts(b, cfg.SparsityRatio)
+	b = appendBool(b, cfg.AccumBuffer)
 
 	// Operator identity.
-	w.str(string(j.Kind))
-	w.str(string(j.Layout))
-	w.bool(j.DryRun)
-	w.u64(uint64(j.Seed)) // full 64 bits — int() would truncate on 32-bit builds
+	b = appendStr(b, string(j.Kind))
+	b = appendStr(b, string(j.Layout))
+	b = appendBool(b, j.DryRun)
+	b = binary.LittleEndian.AppendUint64(b, uint64(j.Seed)) // full 64 bits — int() would truncate on 32-bit builds
 
 	// Geometry (conv dims are resolved so defaulted fields hash equal).
-	w.ints(d.N, d.C, d.H, d.W, d.K, d.R, d.S, d.G,
+	b = appendInts(b, d.N, d.C, d.H, d.W, d.K, d.R, d.S, d.G,
 		d.StrideH, d.StrideW, d.PadH, d.PadW, d.DilationH, d.DilationW)
-	w.ints(j.M, j.K, j.N)
+	b = appendInts(b, j.M, j.K, j.N)
 
 	// Mappings.
 	m := j.ConvMapping
-	w.ints(m.TR, m.TS, m.TC, m.TK, m.TG, m.TN, m.TX, m.TY)
+	b = appendInts(b, m.TR, m.TS, m.TC, m.TK, m.TG, m.TN, m.TX, m.TY)
 	f := j.FCMapping
-	w.ints(f.TS, f.TK, f.TN)
-	return nil
+	return appendInts(b, f.TS, f.TK, f.TN), nil
 }
 
-// SpecDigest is a SHA-256 over exactly the bytes Key() hashes before the
-// operand contents. A lazy job's operands are a pure function of those
-// bytes (Job.WithOperands), so equal digests mean equal content keys,
-// which is what lets a farm's key memo index by it.
+// SpecDigest is a SHA-256 over exactly the bytes Key() hashes before it
+// names the operands. A named job's operands are a pure function of those
+// bytes and its generator's name (WithOperands), so equal digests under one
+// generator mean one simulation.
 func (j Job) SpecDigest() (d [sha256.Size]byte, err error) {
-	h := sha256.New()
-	if err := j.writeSpec(&keyWriter{h: h}); err != nil {
+	var buf [specBytes]byte
+	b, err := j.appendSpec(buf[:0])
+	if err != nil {
 		return d, err
 	}
-	h.Sum(d[:0])
-	return d, nil
+	return sha256.Sum256(b), nil
 }
 
-// Placement returns the job's ring input: the hex SHA-256 of exactly the
-// bytes Key() hashes ahead of the operand contents (SpecDigest in hex). A coordinator routes a job by it and a
-// ReplicatedStore picks a persisted result's owners by it, so placing a job
-// never builds or hashes an operand, and any node derives it from the
-// request alone. Equal keys always have equal placements (the key covers
-// the spec), and a seeded job's operands are a pure function of its spec,
-// so a placement names one simulation exactly as its key does.
+// Placement returns the job's ring input: SpecDigest in hex. A coordinator
+// routes a job by it and a ReplicatedStore picks a persisted result's
+// owners by it, so placing a job never builds or hashes an operand, and any
+// node derives it from the request alone. Equal keys always have equal
+// placements (the key continues the same hash), and a seeded job's operands
+// are a pure function of its spec, so a placement names one simulation
+// exactly as its key does.
 func (j Job) Placement() (string, error) {
 	d, err := j.SpecDigest()
 	if err != nil {
 		return "", err
 	}
-	return hex.EncodeToString(d[:]), nil
+	return hexString(d[:]), nil
 }
 
-// keyWriter serialises values into the hash in a fixed, self-delimiting
-// format: every string is length-prefixed and every integer is a fixed-width
-// little-endian int64, so no two distinct jobs can produce the same byte
-// stream.
-type keyWriter struct {
-	h   hash.Hash
-	buf [8]byte
+// hexString is hex.EncodeToString with one allocation, the string's.
+func hexString(sum []byte) string {
+	var dst [2 * sha256.Size]byte
+	return string(dst[:hex.Encode(dst[:], sum)])
 }
 
-func (w *keyWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.h.Write(w.buf[:])
+// specBytes sizes the stack buffer a spec is encoded into, larger than any
+// spec: a few short names and 41 integers.
+const specBytes = 512
+
+func appendStr(b []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint64(b, uint64(len(s))), s...)
 }
 
-func (w *keyWriter) str(s string) {
-	w.u64(uint64(len(s)))
-	w.h.Write([]byte(s))
-}
-
-func (w *keyWriter) ints(vs ...int) {
+func appendInts(b []byte, vs ...int) []byte {
 	for _, v := range vs {
-		w.u64(uint64(int64(v)))
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
 	}
+	return b
 }
 
-func (w *keyWriter) bool(b bool) {
-	if b {
-		w.u64(1)
-	} else {
-		w.u64(0)
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return appendInts(b, 1)
 	}
+	return appendInts(b, 0)
 }
 
-func (w *keyWriter) tensor(t *tensor.Tensor) {
+// appendTensorHeader appends an operand's header — present or not, then
+// its shape and element count; Address streams the elements after it.
+func appendTensorHeader(b []byte, t *tensor.Tensor) []byte {
 	if t == nil {
-		w.u64(0)
-		return
+		return appendInts(b, 0)
 	}
-	w.u64(1)
-	shape := t.Shape()
-	w.u64(uint64(len(shape)))
-	w.ints(shape...)
-	data := t.Data()
-	w.u64(uint64(len(data)))
-	// Stream the elements through tensor's canonical chunked encoder: the
-	// hashed bytes are identical to a single contiguous conversion, without
-	// the per-submission allocation proportional to the operand size.
-	tensor.WriteFloatBits(w.h, data)
+	b = appendInts(b, 1, t.Rank())
+	return appendInts(appendInts(b, t.Shape()...), t.Size())
 }

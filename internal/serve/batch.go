@@ -29,8 +29,9 @@ import (
 // &resume=true attaches to the still-running sweep, or — after a crash or
 // restart — replays every journaled row straight from the result cache and
 // computes only the remainder. Either way the client's view is byte-identical
-// to an uninterrupted run: rows are keyed by content, so a replayed row
-// carries exactly the bytes the original execution produced.
+// to an uninterrupted run: a row's key names its simulation (a seeded row
+// by spec and generator), so a replayed row carries exactly the bytes the
+// original execution produced.
 
 // BatchRequest is the JSON form of a sweep.
 type BatchRequest struct {
@@ -356,11 +357,10 @@ func (s *Server) sweepRow(run *sweepRun, i int, req JobRequest) JobResponse {
 // replayRow serves a journaled row from the result cache. The journaled key
 // must equal the key of the job the client re-sent for this row — a client
 // reusing a sweep id for a different sweep gets its rows recomputed, never
-// a wrong cached answer. The key comes from the farm's spec memo: a lookup
-// for a spec this process has keyed before, one operand generation (and no
-// simulation) for one it has not — a restarted server rebuilds each distinct
-// journaled spec once. A cache miss (evicted entry) simply falls back to a
-// normal dispatch.
+// a wrong cached answer. A seeded job is keyed by its spec and generator
+// name, so checking costs one hash of the spec and builds no operand, in a
+// restarted server as in a warm one. A cache miss (evicted entry) simply
+// falls back to a normal dispatch.
 func (s *Server) replayRow(req JobRequest, key string) (JobResponse, bool) {
 	start := time.Now()
 	req.Trace = false
@@ -369,7 +369,7 @@ func (s *Server) replayRow(req JobRequest, key string) (JobResponse, bool) {
 	if err != nil {
 		return JobResponse{}, false
 	}
-	k, err := s.farm.KeyOf(job)
+	k, err := job.Key()
 	if err != nil || k != key {
 		return JobResponse{}, false
 	}

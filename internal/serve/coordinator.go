@@ -20,7 +20,7 @@ import (
 
 // Coordinator mode turns a bifrost-serve node into the front of a
 // distributed farm: each job's spec digest (farm.Job.Placement, the bytes
-// its content key hashes ahead of the operands) is consistent-hashed onto a
+// its key hashes ahead of naming the operands) is consistent-hashed onto a
 // ring of peer nodes, the job is forwarded to its owner's /simulate
 // endpoint, and the response streams back through the normal single-job and
 // NDJSON batch paths. Placement is deterministic (farm.Ring) and needs no
@@ -285,12 +285,14 @@ func (c *coordinator) owners(req JobRequest) ([]string, error) {
 
 // failed is a row the coordinator originates itself: the client left
 // mid-walk, or the request would not marshal. Like every row it names the
-// job's content key, which placement never computes, so this rare path pays
-// one KeyOf.
+// job's key, which placement never computes, so this rare path hashes the
+// spec once more; a seeded job's key builds no operand.
 func (c *coordinator) failed(req JobRequest, err error, start time.Time) JobResponse {
+	job, release, jerr := c.s.operands.lazyJob(req)
+	defer release()
 	var key string
-	if job, jerr := req.lazyJob(); jerr == nil {
-		key, _ = c.s.farm.KeyOf(job)
+	if jerr == nil {
+		key, _ = job.Key()
 	}
 	return c.s.annotate(JobResponse{Key: key, Error: err.Error(), ElapsedMS: msSince(start), err: err})
 }

@@ -38,7 +38,8 @@ func postSimulate(t *testing.T, url string, req JobRequest) (int, JobResponse) {
 	return resp.StatusCode, jr
 }
 
-// eagerKey is the oracle: the key of the fully materialised job.
+// eagerKey is the oracle: the key of the fully materialised job, which keys
+// like the named job the server submits (by spec and generator name).
 func eagerKey(t *testing.T, req JobRequest) string {
 	t.Helper()
 	job, err := req.Job()
@@ -55,12 +56,33 @@ func eagerKey(t *testing.T, req JobRequest) string {
 	return key
 }
 
-// TestSeedReuseNeverAliases: the farm's spec memo answers by request spec,
-// so a request that reuses a seed but changes anything the key covers must
-// get its own key — always the eager one — while the knobs the key ignores
-// (trace, timeout_ms) share the memoised entry and generate nothing.
+// namedKey keys the request's named job with a generator that fails the
+// test if anything builds an operand.
+func namedKey(t *testing.T, req JobRequest) string {
+	t.Helper()
+	job, err := req.spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !job.DryRun {
+		job = job.WithOperands(seededGenerator, func() (*tensor.Tensor, *tensor.Tensor) {
+			t.Error("keying a seeded job built its operands")
+			return nil, nil
+		})
+	}
+	key, err := job.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// TestSeedReuseNeverAliases: a seeded job is keyed by its request spec, so
+// a request that reuses a seed but changes anything the key covers must get
+// its own key — always the materialised job's — while the knobs the key
+// ignores (trace, timeout_ms) share the cache entry and generate nothing.
 func TestSeedReuseNeverAliases(t *testing.T) {
-	ts, fm := newTestServer(t)
+	ts, _ := newTestServer(t)
 	base := JobRequest{Arch: ArchSpec{Controller: "sigma", Sparsity: 50}, Op: "conv2d",
 		Conv: &ConvSpec{C: 4, H: 8, K: 4, R: 3}, Seed: 9}
 	_, first := postSimulate(t, ts.URL, base)
@@ -109,26 +131,15 @@ func TestSeedReuseNeverAliases(t *testing.T) {
 		if got.Key != first.Key || !got.Cached {
 			t.Errorf("%s set: key %s cached %v, want the base entry %s", name, got.Key, got.Cached, first.Key)
 		}
-		// Same memo entry: the farm keys the variant without generating.
-		job, err := v.lazyJob()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gens := 0
-		counted := job.WithOperands(func() (*tensor.Tensor, *tensor.Tensor) {
-			gens++
-			m := job.Materialize()
-			return m.Input, m.Weights
-		})
-		if key, err := fm.KeyOf(counted); err != nil || key != first.Key || gens != 0 {
-			t.Errorf("%s set: KeyOf = %s (err %v) after %d operand generations, want %s after 0", name, key, err, gens, first.Key)
+		if key := namedKey(t, v); key != first.Key {
+			t.Errorf("%s set: named key %s, want %s", name, key, first.Key)
 		}
 	}
 
 	// The same requests in flight together on a fresh server: the ones that
 	// share the base's operands share them through the operand registry,
 	// and none of the others may pick them up — every row keys like its
-	// eager twin.
+	// materialised job.
 	cold, _ := newTestServer(t)
 	changed["base"] = base
 	var wg sync.WaitGroup
@@ -161,7 +172,7 @@ func TestSeedReuseNeverAliases(t *testing.T) {
 // TestRetiredExecWorkersFieldIgnored: "exec_workers" is no longer a request
 // field, and requests decode without DisallowUnknownFields, so a client that
 // still sends it is answered byte for byte as the row without it — on
-// /simulate and on an NDJSON /batch — under one key and one memo entry.
+// /simulate and on an NDJSON /batch — under one key and one cache entry.
 func TestRetiredExecWorkersFieldIgnored(t *testing.T) {
 	ts, fm := newTestServer(t)
 	// A SIGMA conv: the GEMM-lowered path the field used to cap.
@@ -198,30 +209,19 @@ func TestRetiredExecWorkersFieldIgnored(t *testing.T) {
 		t.Fatalf("%d simulations for one job, want 1", n)
 	}
 
-	// One memo entry: the farm keys the retired row without generating.
+	// One key, named without building an operand.
 	var req JobRequest
 	if err := json.Unmarshal([]byte(retired), &req); err != nil {
 		t.Fatal(err)
 	}
-	job, err := req.lazyJob()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens := 0
-	counted := job.WithOperands(func() (*tensor.Tensor, *tensor.Tensor) {
-		gens++
-		m := job.Materialize()
-		return m.Input, m.Weights
-	})
-	want := eagerKey(t, req)
-	if key, err := fm.KeyOf(counted); err != nil || key != want || gens != 0 {
-		t.Errorf("KeyOf = %s (err %v) after %d operand generations, want %s after 0", key, err, gens, want)
+	if key, want := namedKey(t, req), eagerKey(t, req); key != want {
+		t.Errorf("named key %s, materialised %s", key, want)
 	}
 }
 
 // TestQueueFullRowNamesItsKey: an error row names its job with the same key
-// a successful run of the request reports — from the farm's key accessor,
-// not from a second hash of freshly generated operands.
+// a successful run of the request reports, and JobRequest.Job().Key() —
+// the spec's named key, which builds no operand.
 func TestQueueFullRowNamesItsKey(t *testing.T) {
 	fm := farm.New(1, farm.WithMaxQueue(1))
 	ts := httptest.NewServer(NewServer(fm))
@@ -251,7 +251,7 @@ func TestQueueFullRowNamesItsKey(t *testing.T) {
 		t.Fatalf("post-drain status %d error %q", status, ok.Error)
 	}
 	if full.Key == "" || full.Key != ok.Key || ok.Key != eagerKey(t, req) {
-		t.Errorf("queue_full row key %q, successful run %q, eager %q — want all equal", full.Key, ok.Key, eagerKey(t, req))
+		t.Errorf("queue_full row key %q, successful run %q, materialised %q — want all equal", full.Key, ok.Key, eagerKey(t, req))
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/farm"
 	"repro/internal/tensor"
@@ -11,10 +12,10 @@ import (
 // requests. A sweep submits one layer under many mappings and
 // configurations, so rows that name the same seededOperands are common;
 // through the registry they hand the farm one generator, and the first
-// row to need operands builds the pair every other holder then reads —
-// along with the tensors' memoised ContentHash, which the pack cache keys
-// its derived forms by. Sharing is safe because farm operands are
-// read-only (tensor.Tensor.ContentHash) and the key is the generator's full
+// row to miss builds the pair every other holder then simulates on. (The
+// pack cache shares their derived forms across requests too, by the
+// identity generate stamps on each tensor.) Sharing is safe because farm
+// operands are read-only and the registry key is the generator's full
 // input, so holders only ever share tensors that would have been
 // bit-identical anyway.
 //
@@ -27,6 +28,11 @@ import (
 type operandRegistry struct {
 	mu      sync.Mutex
 	entries map[seededOperands]*operandEntry
+	// builds counts the operand pairs the registry's jobs have generated.
+	// A build costs milliseconds and up to megabytes, so the tests pin
+	// every path that only names a job — a hit, an attach, a journal
+	// replay, an error row — to none.
+	builds atomic.Int64
 }
 
 type operandEntry struct {
@@ -50,12 +56,15 @@ func (o *operandRegistry) lazyJob(req JobRequest) (job farm.Job, release func(),
 	o.mu.Lock()
 	e := o.entries[ops]
 	if e == nil {
-		e = &operandEntry{get: sync.OnceValues(ops.generate)}
+		e = &operandEntry{get: sync.OnceValues(func() (input, weights *tensor.Tensor) {
+			o.builds.Add(1)
+			return ops.generate()
+		})}
 		o.entries[ops] = e
 	}
 	e.holders++
 	o.mu.Unlock()
-	return j.WithOperands(e.get), func() {
+	return j.WithOperands(seededGenerator, e.get), func() {
 		o.mu.Lock()
 		if e.holders--; e.holders == 0 {
 			delete(o.entries, ops)

@@ -43,8 +43,9 @@ func sweepMix(seed int64) []JobRequest {
 // TestRegistrySharesOnlyEqualOperands: requests held at the same time that
 // name the same seeded operands — the same seed, sparsity and shapes under
 // different mappings or controllers — materialise pointer-identical tensors,
-// while a request differing in any generator argument never aliases them.
-// Every holder, shared or not, keys exactly like its eager twin.
+// while a request differing in any generator argument never aliases them,
+// nor shares their stamped pack identity. Every holder, shared or not, keys
+// exactly like its materialised job.
 func TestRegistrySharesOnlyEqualOperands(t *testing.T) {
 	fm := farm.New(1)
 	t.Cleanup(fm.Close)
@@ -78,7 +79,7 @@ func TestRegistrySharesOnlyEqualOperands(t *testing.T) {
 	}
 
 	// Every holder takes its reference before any materialises, then all
-	// materialise concurrently through the farm's key path.
+	// materialise concurrently.
 	type held struct {
 		job     farm.Job
 		key     string
@@ -98,11 +99,12 @@ func TestRegistrySharesOnlyEqualOperands(t *testing.T) {
 				return
 			}
 			acquired.Wait()
-			key, err := fm.KeyOf(job)
+			job = job.Materialize()
+			key, err := job.Key()
 			if err != nil {
 				t.Error(err)
 			}
-			got[i] = held{job: job.Materialize(), key: key, release: release}
+			got[i] = held{job: job, key: key, release: release}
 		}()
 	}
 	wg.Wait()
@@ -114,10 +116,12 @@ func TestRegistrySharesOnlyEqualOperands(t *testing.T) {
 	}
 	for i, h := range got {
 		if want := eagerKey(t, all[i]); h.key != want {
-			t.Errorf("row %d (%s): key %s, eager %s", i, names[i], h.key, want)
+			t.Errorf("row %d (%s): key %s, materialised %s", i, names[i], h.key, want)
 		}
 		first := got[0].job
-		alias := h.job.Input == first.Input || h.job.Weights == first.Weights
+		alias := h.job.Input == first.Input || h.job.Weights == first.Weights ||
+			h.job.Input.ContentHash() == first.Input.ContentHash() ||
+			h.job.Weights.ContentHash() == first.Weights.ContentHash()
 		switch {
 		case i < len(shared) && (h.job.Input != first.Input || h.job.Weights != first.Weights):
 			t.Errorf("same-operand row %d got its own tensors", i)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"net/http"
@@ -147,8 +148,9 @@ func checkElems(what string, dims ...int) error {
 // Job compiles the request into a fully materialised farm job: the
 // validated spec of lazyJob with both operand tensors generated. It is the
 // eager form for callers that read the operands or run the job inline; the
-// server's own paths submit the lazy form and let the farm decide whether
-// an operand is ever needed.
+// server's own paths submit the named form and let the farm decide whether
+// an operand is ever needed. Both forms key alike (farm.Job.Materialize):
+// by spec and generator name, which is the key every served row carries.
 func (r JobRequest) Job() (farm.Job, error) {
 	j, err := r.lazyJob()
 	return j.Materialize(), err
@@ -158,7 +160,8 @@ func (r JobRequest) Job() (farm.Job, error) {
 // argument list of their generator: uniform input and weights of the given
 // shapes drawn from seed and seed+100, the weights pruned to the sparsity
 // percentage. Generation is a pure function of these fields, all of which
-// the job's key covers (farm.Job.WithOperands), so two requests with equal
+// the job's spec covers, so the job is keyed by its spec and
+// seededGenerator (farm.Job.WithOperands) and two requests with equal
 // seededOperands need bit-identical tensors — the server's operand
 // registry (operands.go) shares one pair between them. Both shapes have
 // rank dims: 4 for conv2d (NCHW input, KCRS kernel), 2 for dense ([M K]
@@ -170,14 +173,32 @@ type seededOperands struct {
 	in, w    [4]int
 }
 
-// generate draws the operands.
+// seededGenerator names and versions seededOperands.generate. A seeded job's
+// key covers this name instead of the operand bytes, so any change to what
+// generate returns for some seededOperands must bump the version: the
+// golden in testdata/seeded_operands.golden fails until it does.
+const seededGenerator = "serve/seeded-uniform/v1"
+
+// generate draws the operands, prunes the weights, then stamps each tensor
+// with its identity, so the pack cache keys their derived forms without
+// hashing an element.
 func (o seededOperands) generate() (input, weights *tensor.Tensor) {
 	input = tensor.RandomUniform(o.seed, 1, o.in[:o.rank]...)
 	weights = tensor.RandomUniform(o.seed+100, 1, o.w[:o.rank]...)
 	if o.sparsity > 0 {
 		tensor.Prune(weights, float64(o.sparsity)/100)
 	}
+	input.SetIdentity(o.identity("input"))
+	weights.SetIdentity(o.identity("weights"))
 	return input, weights
+}
+
+// identity names one generated operand: a SHA-256 over a domain tag, the
+// generator's name and version, the operand's role and the generator's full
+// argument list. Equal identities mean equal arguments, and so equal
+// tensors.
+func (o seededOperands) identity(role string) [sha256.Size]byte {
+	return sha256.Sum256(fmt.Appendf(nil, "serve/operand-identity %q %q %+v", seededGenerator, role, o))
 }
 
 // operandsOf names the seeded operands of a job compiled by spec.
@@ -193,12 +214,12 @@ func operandsOf(j farm.Job) seededOperands {
 }
 
 // lazyJob compiles the request into a farm job without allocating an
-// operand: a non-dry-run job carries its own seeded generator instead of
-// tensors.
+// operand: a non-dry-run job carries its own seeded generator, under
+// seededGenerator's name, instead of tensors.
 func (r JobRequest) lazyJob() (farm.Job, error) {
 	j, err := r.spec()
 	if err == nil && !j.DryRun {
-		j = j.WithOperands(operandsOf(j).generate)
+		j = j.WithOperands(seededGenerator, operandsOf(j).generate)
 	}
 	return j, err
 }
@@ -296,7 +317,8 @@ func (r JobRequest) spec() (farm.Job, error) {
 
 // JobResponse is what one simulation reports back.
 type JobResponse struct {
-	// Key is the job's content-addressed cache key.
+	// Key is the job's cache key (farm.Job.Key): a seeded job's names its
+	// spec and operand generator.
 	Key string `json:"key,omitempty"`
 	// Cached reports whether the result came from the farm's cache.
 	Cached bool `json:"cached"`

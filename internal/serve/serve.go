@@ -19,13 +19,13 @@
 //
 // Operand tensors are generated server-side from the request seed, so a job
 // is a small, reproducible description — the same request always hits the
-// same content-addressed cache entry, including entries persisted to disk
-// by a previous process (bifrost-serve -cache-dir): a restarted server
-// answers previously computed requests byte-identically with zero
-// simulator executions. Generation is lazy: the server submits the request's
-// spec with a generator attached, and the farm materialises operands only
-// to hash a spec it has never keyed or to actually simulate — a cache hit
-// costs a lookup.
+// same cache entry, including entries persisted to disk by a previous
+// process (bifrost-serve -cache-dir): a restarted server answers previously
+// computed requests byte-identically with zero simulator executions.
+// Generation is lazy: the server submits the request's spec with a named
+// generator attached, the job is keyed by its spec and the generator's
+// name, and the farm materialises operands only to actually simulate — a
+// cache hit costs a hash of the spec and a lookup.
 package serve
 
 import (
@@ -339,10 +339,10 @@ func (s *Server) run(ctx context.Context, req JobRequest) JobResponse {
 	res, err := s.farm.DoCtx(ctx, job)
 	elapsed := time.Since(start)
 	if err != nil {
-		// Best effort: name the job even on failure. The submission already
-		// taught the farm this spec's key, so a node at its queue bound
-		// answers its 429s and 504s without hashing an operand.
-		key, _ := s.farm.KeyOf(job)
+		// Best effort: name the job even on failure. A seeded job's key is
+		// its spec's, so a node at its queue bound answers its 429s and
+		// 504s without building an operand.
+		key, _ := job.Key()
 		return s.annotate(JobResponse{Key: key, Error: err.Error(), ElapsedMS: telemetry.MS(elapsed), err: err})
 	}
 	if s.slowJob > 0 && elapsed >= s.slowJob {

@@ -6,12 +6,28 @@ import (
 )
 
 // RandomUniform fills a new tensor of the given shape with values uniformly
-// distributed in [-scale, scale), using a deterministic seed.
+// distributed in [-scale, scale), using a deterministic seed. The values are
+// those of rand.New(rand.NewSource(seed)).Float32(), bit for bit, drawn
+// straight from the source: with the Rand's two method layers gone, the
+// compiler sees the source's type and calls it directly.
 func RandomUniform(seed int64, scale float32, shape ...int) *Tensor {
-	rng := rand.New(rand.NewSource(seed))
+	src := rand.NewSource(seed)
 	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = (rng.Float32()*2 - 1) * scale
+	data := t.data
+	for i := range data {
+		// Float32's steps: Float64 redraws a quotient that rounds to 1,
+		// then Float32 redraws a float32 that rounds to 1.
+		var f float32
+		for {
+			f64 := float64(src.Int63()) / (1 << 63)
+			if f64 == 1 {
+				continue
+			}
+			if f = float32(f64); f != 1 {
+				break
+			}
+		}
+		data[i] = (f*2 - 1) * scale
 	}
 	return t
 }

@@ -27,8 +27,9 @@ type Tensor struct {
 	// recycle (views and plain New tensors must never re-enter the arena).
 	pooled bool
 
-	// chash memoizes ContentHash. It is reset when the arena recycles the
-	// tensor; mutation-after-hash is excluded by ContentHash's contract.
+	// chash memoizes ContentHash, or holds the identity SetIdentity stamped.
+	// It is reset when the arena recycles the tensor; mutation after either
+	// is excluded by their contracts.
 	chash atomic.Pointer[[32]byte]
 }
 
@@ -108,6 +109,18 @@ func (t *Tensor) ContentHash() [32]byte {
 	t.chash.Store(&sum)
 	return sum
 }
+
+// SetIdentity stamps t with id as its ContentHash, so the pack cache keys
+// t's derived forms by id without reading an element. The stamp is a
+// promise from the tensor's maker: t's contents are final (the contract
+// ContentHash already imposes once it has memoised), and every tensor
+// stamped with the same id holds the same elements. A maker derives id
+// under a domain tag of its own — a generator's name and full argument
+// list, say — so it can equal no other maker's id and no content hash.
+// Tensors with equal contents but different identities only miss a chance
+// to share packs. Pack keys live in memory only, so an identity never
+// reaches a job key or a disk record.
+func (t *Tensor) SetIdentity(id [32]byte) { t.chash.Store(&id) }
 
 // WriteFloatBits streams data's little-endian float32 bit patterns into w
 // through a fixed stack buffer — the canonical element encoding shared by
