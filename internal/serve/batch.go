@@ -64,10 +64,10 @@ func newBatchRun(reqs []JobRequest) *batchRun {
 }
 
 // fanout bounds a batch's concurrent in-flight jobs. Twice the worker pool
-// keeps every worker fed while the next never-seen specs' operand tensors
-// materialise for hashing, but the width is clamped to the queue bound: a
-// fan-out wider than the queue admits would manufacture ErrQueueFull rows
-// for jobs whose caller was blocked right here, ready to wait.
+// keeps every worker fed while the next rows' operands are generated, but
+// the width is clamped to the queue bound: a fan-out wider than the queue
+// admits would manufacture ErrQueueFull rows for jobs whose caller was
+// blocked right here, ready to wait.
 func (s *Server) fanout() int {
 	n := 2 * s.farm.Workers()
 	if lim := s.farm.Limits(); lim.MaxQueue > 0 {
@@ -78,18 +78,27 @@ func (s *Server) fanout() int {
 
 // execute computes every row of the run through row, then calls end (nil for
 // none) and marks the run ended. The farm caps simulation concurrency; the
-// semaphore here caps how many never-seen jobs have their operand tensors
-// materialised at once — without it a huge cold sweep would allocate every
-// operand up front regardless of worker count.
-func (s *Server) execute(b *batchRun, row func(i int, req JobRequest) JobResponse, end func()) {
+// semaphore here caps how many rows are in flight, and so how many operand
+// sets are materialised at once — without it a huge cold sweep would
+// allocate every operand up front regardless of worker count.
+//
+// Each row is named once, at admission, before it waits on the semaphore,
+// and holds its operands in the registry until it is answered. Row i+1's
+// hold is thus taken while row i still runs, so adjacent rows that name
+// the same seededOperands overlap and a sweep builds each set once. A
+// waiting row holds only a name, so a batch materialises at most fan-out +
+// 1 operand sets, and the registry empties when the run does.
+func (s *Server) execute(b *batchRun, row func(i int, n named) JobResponse, end func()) {
 	sem := make(chan struct{}, s.fanout())
 	var wg sync.WaitGroup
 	for i, req := range b.reqs {
+		n := s.name(req)
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer func() { <-sem; wg.Done() }()
-			b.rows[i] = row(i, req)
+			b.rows[i] = row(i, n)
+			n.release()
 			close(b.ready[i])
 		}()
 	}
@@ -221,7 +230,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// The request context rides along: a client that disconnects cancels
 		// every still-queued job of its batch, freeing the farm for others.
 		run = newBatchRun(reqs)
-		go s.execute(run, func(_ int, req JobRequest) JobResponse { return s.dispatch(ctx, req) }, nil)
+		go s.execute(run, func(_ int, n named) JobResponse { return s.dispatch(ctx, n) }, nil)
 	}
 	if ndjson {
 		run.stream(ctx, w)
@@ -332,7 +341,7 @@ func (s *Server) attachSweep(id string, reqs []JobRequest, resume bool) (*sweepR
 	run := &sweepRun{batchRun: newBatchRun(reqs), id: id, journal: journal, log: log, mem: mem}
 	reg.active[id] = run
 	go s.execute(run.batchRun,
-		func(i int, req JobRequest) JobResponse { return s.sweepRow(run, i, req) },
+		func(i int, n named) JobResponse { return s.sweepRow(run, i, n) },
 		func() { reg.finish(run) })
 	return run, nil
 }
@@ -340,14 +349,14 @@ func (s *Server) attachSweep(id string, reqs []JobRequest, resume bool) (*sweepR
 // sweepRow answers one row: from the journal + cache when a previous run
 // already computed it, through the normal dispatch path otherwise. Error
 // rows are never journaled — a resume retries them.
-func (s *Server) sweepRow(run *sweepRun, i int, req JobRequest) JobResponse {
+func (s *Server) sweepRow(run *sweepRun, i int, n named) JobResponse {
 	if key, ok := run.journal[i]; ok {
-		if resp, ok := s.replayRow(req, key); ok {
+		if resp, ok := s.replayRow(n, key); ok {
 			s.sweeps.replayed.Add(1)
 			return resp
 		}
 	}
-	resp := s.dispatch(context.Background(), req)
+	resp := s.dispatch(context.Background(), n)
 	if resp.err == nil && resp.Error == "" && resp.Key != "" {
 		run.record(i, resp.Key)
 	}
@@ -361,15 +370,12 @@ func (s *Server) sweepRow(run *sweepRun, i int, req JobRequest) JobResponse {
 // name, so checking costs one hash of the spec and builds no operand, in a
 // restarted server as in a warm one. A cache miss (evicted entry) simply
 // falls back to a normal dispatch.
-func (s *Server) replayRow(req JobRequest, key string) (JobResponse, bool) {
+func (s *Server) replayRow(n named, key string) (JobResponse, bool) {
 	start := time.Now()
-	req.Trace = false
-	job, release, err := s.operands.lazyJob(req)
-	defer release()
-	if err != nil {
+	if n.err != nil {
 		return JobResponse{}, false
 	}
-	k, err := job.Key()
+	k, err := n.job.Key()
 	if err != nil || k != key {
 		return JobResponse{}, false
 	}

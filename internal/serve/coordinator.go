@@ -227,22 +227,22 @@ func (ps *peerState) placeable() bool {
 	return true
 }
 
-// run dispatches one request across the ring, on the caller's goroutine.
-// The job's spec digest (farm.Job.Placement) decides its owner — a hash of
-// the compiled spec, never an operand build and never a key taken from the
-// request. Owners are tried one at a time in the ring's deterministic
-// failover order, skipping peers whose breaker refuses; if every owner is
-// out, the local farm executes the job — the coordinator
-// never refuses work a single node could do. The walk is bounded by the
-// row's own deadline, the one its owner enforces too: an owner that stalls
-// past it costs this row, never the next owner's time.
-func (c *coordinator) run(ctx context.Context, req JobRequest) JobResponse {
+// run dispatches one named request across the ring, on the caller's
+// goroutine. The job's spec digest (farm.Job.Placement) decides its owner —
+// a hash of the spec compiled when the row was named, never an operand
+// build and never a key taken from the request. Owners are tried one at a
+// time in the ring's deterministic failover order, skipping peers whose
+// breaker refuses; if every owner is out, the local farm executes the job
+// — the coordinator never refuses work a single node could do. The walk is
+// bounded by the row's own deadline, the one its owner enforces too: an
+// owner that stalls past it costs this row, never the next owner's time.
+func (c *coordinator) run(ctx context.Context, n named) JobResponse {
 	start := time.Now()
-	owners, err := c.owners(req)
+	owners, err := c.owners(n)
 	if err != nil {
 		return c.s.annotate(JobResponse{Error: err.Error(), ElapsedMS: msSince(start), err: err})
 	}
-	if d := c.s.deadline(req); d > 0 {
+	if d := c.s.deadline(n.req); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
@@ -252,31 +252,30 @@ func (c *coordinator) run(ctx context.Context, req JobRequest) JobResponse {
 		if !ps.placeable() {
 			continue
 		}
-		if resp, terminal := c.forward(ctx, ps, req, start); terminal {
+		if resp, terminal := c.forward(ctx, ps, n, start); terminal {
 			return resp
 		}
 		ps.failovers.Add(1)
 		if ctx.Err() != nil {
 			// The client is gone or the row's deadline passed; walking
 			// more owners only burns peers.
-			return c.failed(req, ctx.Err(), start)
+			return c.failed(n, ctx.Err(), start)
 		}
 	}
 
 	// Redistribution's last hop: the shard lands on the local farm.
 	c.localFallbacks.Add(1)
-	return c.s.run(ctx, req)
+	return c.s.run(ctx, n)
 }
 
-// owners compiles the request's spec and returns every peer in the ring's
-// failover order for its placement — the order the owner's ReplicatedStore
-// walks when it persists the result.
-func (c *coordinator) owners(req JobRequest) ([]string, error) {
-	job, err := req.spec()
-	if err != nil {
-		return nil, err
+// owners returns every peer in the ring's failover order for the named
+// job's placement — the order the owner's ReplicatedStore walks when it
+// persists the result.
+func (c *coordinator) owners(n named) ([]string, error) {
+	if n.err != nil {
+		return nil, n.err
 	}
-	place, err := job.Placement()
+	place, err := n.job.Placement()
 	if err != nil {
 		return nil, err
 	}
@@ -287,13 +286,8 @@ func (c *coordinator) owners(req JobRequest) ([]string, error) {
 // mid-walk, or the request would not marshal. Like every row it names the
 // job's key, which placement never computes, so this rare path hashes the
 // spec once more; a seeded job's key builds no operand.
-func (c *coordinator) failed(req JobRequest, err error, start time.Time) JobResponse {
-	job, release, jerr := c.s.operands.lazyJob(req)
-	defer release()
-	var key string
-	if jerr == nil {
-		key, _ = job.Key()
-	}
+func (c *coordinator) failed(n named, err error, start time.Time) JobResponse {
+	key, _ := n.job.Key()
 	return c.s.annotate(JobResponse{Key: key, Error: err.Error(), ElapsedMS: msSince(start), err: err})
 }
 
@@ -303,10 +297,10 @@ func (c *coordinator) failed(req JobRequest, err error, start time.Time) JobResp
 // invalid job — is terminal and propagates. A failure caused by our own
 // context (the client gone or its deadline passed) is not breaker food: the
 // peer did nothing wrong.
-func (c *coordinator) forward(ctx context.Context, ps *peerState, req JobRequest, start time.Time) (JobResponse, bool) {
-	body, err := json.Marshal(req)
+func (c *coordinator) forward(ctx context.Context, ps *peerState, n named, start time.Time) (JobResponse, bool) {
+	body, err := json.Marshal(n.req)
 	if err != nil {
-		return c.failed(req, err, start), true
+		return c.failed(n, err, start), true
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, ps.url+"/simulate", bytes.NewReader(body))
 	if err != nil {

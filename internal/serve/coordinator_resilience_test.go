@@ -106,7 +106,7 @@ func TestCoordinatorProbesFeedBreaker(t *testing.T) {
 		}},
 		{"dispatches", func(t *testing.T, c *coordinator, ps *peerState, rows []JobRequest) {
 			for _, req := range rows[:farm.DefaultRetryPolicy().TripAfter] {
-				if resp := c.run(context.Background(), req); resp.Error != "" || resp.Peer != "good" {
+				if resp := dispatchRow(context.Background(), c.s, req); resp.Error != "" || resp.Peer != "good" {
 					t.Fatalf("a row failed over from the sick peer came back %+v, want answered by good", resp)
 				}
 			}
@@ -140,7 +140,7 @@ func TestCoordinatorProbesFeedBreaker(t *testing.T) {
 			var rows []JobRequest
 			for seed := int64(0); len(rows) < 5; seed++ {
 				req := JobRequest{Arch: ArchSpec{Controller: "maeri"}, Op: "dense", Dense: &DenseSpec{K: 16, N: 8}, DryRun: true, Seed: seed}
-				if owners, err := c.owners(req); err != nil {
+				if owners, err := place(srv, req); err != nil {
 					t.Fatal(err)
 				} else if owners[0] == "sick" {
 					rows = append(rows, req)
@@ -173,7 +173,7 @@ func TestCoordinatorProbesFeedBreaker(t *testing.T) {
 			// Placement skips the quarantined peer: no probe slot is due yet.
 			healthzDown.Store(false)
 			simulateDown.Store(false)
-			if resp := c.run(context.Background(), rows[3]); resp.Error != "" || resp.Peer != "good" {
+			if resp := dispatchRow(context.Background(), c.s, rows[3]); resp.Error != "" || resp.Peer != "good" {
 				t.Fatalf("row placed with its first owner quarantined came back %+v, want answered by good", resp)
 			}
 			if n := simulates.Load(); n != 0 {
@@ -183,7 +183,7 @@ func TestCoordinatorProbesFeedBreaker(t *testing.T) {
 			// One healthy probe re-admits it.
 			c.probe(ps)
 			scrape(1)
-			if resp := c.run(context.Background(), rows[4]); resp.Error != "" || resp.Peer != "sick" {
+			if resp := dispatchRow(context.Background(), c.s, rows[4]); resp.Error != "" || resp.Peer != "sick" {
 				t.Fatalf("row placed on the re-admitted peer came back %+v, want answered by sick", resp)
 			}
 		})

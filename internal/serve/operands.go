@@ -19,12 +19,15 @@ import (
 // input, so holders only ever share tensors that would have been
 // bit-identical anyway.
 //
-// An entry lives exactly as long as its holders: it is deleted when the
-// request of its last holder returns, so nothing is retained between
-// requests and the registry is empty whenever the server is idle. A job
-// still in the farm after its request returned (a deadline that fired
-// mid-simulation) keeps its generator; a later request simply starts a
-// fresh entry.
+// A holder is a named row (Server.name): a /simulate request from arrival
+// until it is answered, a /batch row from its admission — before it waits
+// for a fan-out slot, so the next row holds the set while this one still
+// runs — until it is answered. An entry lives exactly as long as its
+// holders: it is deleted when its last holder releases it, so nothing is
+// retained between requests and the registry is empty whenever the server
+// is idle. A job still in the farm after its row was answered (a deadline
+// that fired mid-simulation) keeps its generator; a later row simply
+// starts a fresh entry.
 type operandRegistry struct {
 	mu      sync.Mutex
 	entries map[seededOperands]*operandEntry

@@ -245,3 +245,50 @@ func TestRegistryEmptyAfterCoordinatedBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchBuildsSharedOperandsOnce: a /batch of six K1024×N256 dense rows
+// that share one seed under six fc mappings builds their operand pair once
+// — at fan-out 1, where each row waits for the one before it to finish, at
+// fan-out 2, and as a journaled sweep — and leaves the registry empty. At
+// fan-out 1 the pair outlives each row only because the next row holds it
+// from admission, before the running one is answered.
+func TestBatchBuildsSharedOperandsOnce(t *testing.T) {
+	var reqs []JobRequest
+	for _, m := range [][]int{{1, 1, 1}, {2, 2, 1}, {4, 4, 1}, {8, 8, 1}, {16, 8, 1}, {4, 16, 1}} {
+		reqs = append(reqs, JobRequest{Arch: ArchSpec{Controller: "maeri"}, Op: "dense",
+			Dense: &DenseSpec{K: 1024, N: 256}, FCMapping: m, Seed: 3})
+	}
+	for _, tc := range []struct {
+		name  string
+		farm  func() *farm.Farm
+		query string
+	}{
+		{"fan-out 1", func() *farm.Farm { return farm.New(1, farm.WithMaxQueue(1)) }, ""},
+		{"fan-out 2", func() *farm.Farm { return farm.New(1) }, ""},
+		{"sweep", func() *farm.Farm { return farm.New(1, farm.WithMaxQueue(1)) }, "sweep_id=shared"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fm := tc.farm()
+			srv := NewServer(fm)
+			ts := httptest.NewServer(srv)
+			t.Cleanup(func() { ts.Close(); fm.Close() })
+
+			before := srv.operands.builds.Load()
+			rows := postSweepNDJSON(t, ts.URL, tc.query, reqs)
+			for i, row := range rows {
+				if row.Error != "" || row.Cached {
+					t.Fatalf("row %d: error %q cached %v, want a fresh result", i, row.Error, row.Cached)
+				}
+			}
+			if len(rows) != len(reqs) {
+				t.Fatalf("%d rows for %d requests", len(rows), len(reqs))
+			}
+			if n := srv.operands.builds.Load() - before; n != 1 {
+				t.Errorf("six rows sharing one operand set built it %d times, want 1", n)
+			}
+			if n := srv.operands.len(); n != 0 {
+				t.Errorf("registry holds %d operand sets after the batch, want 0", n)
+			}
+		})
+	}
+}

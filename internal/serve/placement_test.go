@@ -50,7 +50,7 @@ func TestCoordinatorCancelledRowNamesContentKey(t *testing.T) {
 	t.Cleanup(coordFarm.Close)
 	srv := NewServer(coordFarm, WithPeers([]Peer{{Name: "down", URL: down.URL}, {Name: "dead", URL: dead.URL}}))
 
-	row := srv.dispatch(ctx, req)
+	row := dispatchRow(ctx, srv, req)
 	if row.err == nil || !strings.Contains(row.Error, context.Canceled.Error()) {
 		t.Fatalf("row = %+v, want a cancellation error", row)
 	}
@@ -62,10 +62,24 @@ func TestCoordinatorCancelledRowNamesContentKey(t *testing.T) {
 	}
 }
 
-// TestCoordinatorPlacementAllocBound pins placement at spec cost: placing
-// 100 fresh K1024×N256 dense rows (1 MiB of weights each) allocates well
-// under 64 KiB per row. Placing by the content key built and hashed every
-// row's operands, over 1 MiB a row.
+// dispatchRow names req on srv and dispatches it, as /simulate does.
+func dispatchRow(ctx context.Context, srv *Server, req JobRequest) JobResponse {
+	n := srv.name(req)
+	defer n.release()
+	return srv.dispatch(ctx, n)
+}
+
+// place names req on srv and returns its owners, as a coordinator row does.
+func place(srv *Server, req JobRequest) ([]string, error) {
+	n := srv.name(req)
+	defer n.release()
+	return srv.coord.owners(n)
+}
+
+// TestCoordinatorPlacementAllocBound pins placement at spec cost: naming
+// and placing 100 fresh K1024×N256 dense rows (1 MiB of weights each)
+// allocates well under 64 KiB per row. Placing by the content key built and
+// hashed every row's operands, over 1 MiB a row.
 func TestCoordinatorPlacementAllocBound(t *testing.T) {
 	srv := NewServer(farm.New(1), WithPeers([]Peer{{Name: "w1", URL: "http://w1"}, {Name: "w2", URL: "http://w2"}}))
 	t.Cleanup(srv.farm.Close)
@@ -73,14 +87,14 @@ func TestCoordinatorPlacementAllocBound(t *testing.T) {
 		return JobRequest{Arch: ArchSpec{Controller: "maeri"}, Op: "dense", Dense: &DenseSpec{K: 1024, N: 256},
 			FCMapping: []int{4, 4, 1}, Seed: seed}
 	}
-	if _, err := srv.coord.owners(req(0)); err != nil {
+	if _, err := place(srv, req(0)); err != nil {
 		t.Fatal(err)
 	}
 	const runs = 100
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 1; i <= runs; i++ {
-		if _, err := srv.coord.owners(req(int64(i))); err != nil {
+		if _, err := place(srv, req(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,7 +196,7 @@ func TestCoordinatorAndReplicaRingWalksAgree(t *testing.T) {
 			req = JobRequest{Arch: ArchSpec{Controller: "tpu"}, Op: "conv2d", Conv: &ConvSpec{C: 2, H: 6, K: 4, R: 3}}
 		}
 		req.Seed = int64(i)
-		owners, err := srv.coord.owners(req)
+		owners, err := place(srv, req)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -313,21 +313,37 @@ func (s *Server) instrument(endpoint string, hist *telemetry.Histogram, h http.H
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// run executes one request through the farm and shapes the response. ctx is
-// the request context: a client that disconnects mid-sweep cancels its
-// still-queued jobs so they never occupy a worker.
-func (s *Server) run(ctx context.Context, req JobRequest) JobResponse {
+// named is one request compiled, once, into the farm job that answers it:
+// req as the client sent it (what a coordinator forwards), the job under
+// run's trace rule with its seeded operands held in the registry, and the
+// release that drops that hold, which the namer calls exactly once when
+// the row is answered.
+type named struct {
+	req       JobRequest
+	job       farm.Job
+	err       error // the request does not compile; the row answers it
+	echoTrace bool  // the client sees the job's trace
+	release   func()
+}
+
+// name compiles req into its job. The job is additionally traced when
+// slow-job logging needs the data; echoTrace controls what the client sees.
+func (s *Server) name(req JobRequest) named {
+	n := named{req: req, echoTrace: req.Trace || s.traceAll}
+	req.Trace = n.echoTrace || s.slowJob > 0
+	n.job, n.release, n.err = s.operands.lazyJob(req)
+	return n
+}
+
+// run executes one named request through the farm and shapes the response.
+// ctx is the request context: a client that disconnects mid-sweep cancels
+// its still-queued jobs so they never occupy a worker.
+func (s *Server) run(ctx context.Context, n named) JobResponse {
 	start := time.Now()
-	// echoTrace controls what the client sees; the job is additionally
-	// traced when slow-job logging needs the data.
-	echoTrace := req.Trace || s.traceAll
-	req.Trace = echoTrace || s.slowJob > 0
-	job, release, err := s.operands.lazyJob(req)
-	defer release()
-	if err != nil {
-		return s.annotate(JobResponse{Error: err.Error(), ElapsedMS: msSince(start), err: err})
+	if n.err != nil {
+		return s.annotate(JobResponse{Error: n.err.Error(), ElapsedMS: msSince(start), err: n.err})
 	}
-	if d := s.deadline(req); d > 0 {
+	if d := s.deadline(n.req); d > 0 {
 		// The deadline is this request's, not the job's: when it passes the
 		// caller gets its 504, and the job leaves the queue only if no other
 		// request waits on it. One already executing keeps running, and its
@@ -336,27 +352,27 @@ func (s *Server) run(ctx context.Context, req JobRequest) JobResponse {
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	res, err := s.farm.DoCtx(ctx, job)
+	res, err := s.farm.DoCtx(ctx, n.job)
 	elapsed := time.Since(start)
 	if err != nil {
 		// Best effort: name the job even on failure. A seeded job's key is
 		// its spec's, so a node at its queue bound answers its 429s and
 		// 504s without building an operand.
-		key, _ := job.Key()
+		key, _ := n.job.Key()
 		return s.annotate(JobResponse{Key: key, Error: err.Error(), ElapsedMS: telemetry.MS(elapsed), err: err})
 	}
 	if s.slowJob > 0 && elapsed >= s.slowJob {
 		s.logger.LogAttrs(context.Background(), slog.LevelWarn, "slow job",
 			slog.String("key", res.Key),
-			slog.String("op", req.Op),
-			slog.String("controller", req.Arch.Controller),
+			slog.String("op", n.req.Op),
+			slog.String("controller", n.req.Arch.Controller),
 			slog.Bool("cached", res.Hit),
 			slog.Float64("elapsed_ms", telemetry.MS(elapsed)),
 			slog.Any("trace", res.Trace),
 		)
 	}
 	resp := respond(res, elapsed)
-	if echoTrace {
+	if n.echoTrace {
 		resp.Trace = res.Trace
 	}
 	return resp
@@ -419,7 +435,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, badBodyStatus(err), JobResponse{Error: "decoding job: " + err.Error()})
 		return
 	}
-	resp := s.dispatch(r.Context(), req)
+	n := s.name(req)
+	resp := s.dispatch(r.Context(), n)
+	n.release()
 	status := http.StatusOK
 	if resp.err != nil {
 		_, status, _ = classify(resp.err)
@@ -444,13 +462,13 @@ func (s *Server) deadline(req JobRequest) time.Duration {
 	return 0
 }
 
-// dispatch routes one request: through the coordinator's peer ring when
-// configured, straight into the local farm otherwise.
-func (s *Server) dispatch(ctx context.Context, req JobRequest) JobResponse {
+// dispatch routes one named request: through the coordinator's peer ring
+// when configured, straight into the local farm otherwise.
+func (s *Server) dispatch(ctx context.Context, n named) JobResponse {
 	if s.coord != nil {
-		return s.coord.run(ctx, req)
+		return s.coord.run(ctx, n)
 	}
-	return s.run(ctx, req)
+	return s.run(ctx, n)
 }
 
 // retryAfterSeconds derives the 429 Retry-After hint from the live queue
