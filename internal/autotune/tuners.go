@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -149,31 +150,21 @@ func (g GATuner) Tune(space *Space, measure MeasureFunc, opts Options) (Result, 
 // cost model on the measurements so far, scores a large pool of random
 // candidates with the model, and measures only the most promising batch —
 // AutoTVM's transfer-learning loop with our from-scratch XGBoost.
-type XGBTuner struct {
-	BatchSize int            // measurements per round (default 16)
-	PoolSize  int            // model-scored candidates per round (default 256)
-	Params    xgboost.Params // zero value → xgboost.DefaultParams()
-}
+type XGBTuner struct{}
+
+const (
+	xgbBatch  = 16  // measurements per round
+	xgbPool   = 256 // model-scored candidates per round
+	xgbRounds = 30  // boosting rounds per refit
+)
 
 // Tune implements Tuner.
-func (x XGBTuner) Tune(space *Space, measure MeasureFunc, opts Options) (Result, error) {
+func (XGBTuner) Tune(space *Space, measure MeasureFunc, opts Options) (Result, error) {
 	if opts.Trials <= 0 {
 		return Result{}, fmt.Errorf("autotune: XGB tuner needs a positive trial budget")
 	}
-	batch := x.BatchSize
-	if batch <= 0 {
-		batch = 16
-	}
-	pool := x.PoolSize
-	if pool <= 0 {
-		pool = 256
-	}
-	params := x.Params
-	if params.Rounds == 0 {
-		params = xgboost.DefaultParams()
-		params.Rounds = 30
-	}
-	params.Seed = opts.Seed
+	params := xgboost.DefaultParams()
+	params.Rounds = xgbRounds
 	rng := rand.New(rand.NewSource(opts.Seed))
 	tr := newTracker(opts.EarlyStopping)
 	size := space.Size()
@@ -247,7 +238,7 @@ func (x XGBTuner) Tune(space *Space, measure MeasureFunc, opts Options) (Result,
 
 	// Warm-up: two batches of random measurements.
 	var warm []int64
-	for i := 0; i < 2*batch && tr.result.Measured+len(warm) < opts.Trials; i++ {
+	for i := 0; i < 2*xgbBatch && tr.result.Measured+len(warm) < opts.Trials; i++ {
 		idx, ok := randomUnseen()
 		if !ok {
 			break
@@ -282,8 +273,8 @@ func (x XGBTuner) Tune(space *Space, measure MeasureFunc, opts Options) (Result,
 			idx  int64
 			pred float64
 		}
-		candidates := make([]scored, 0, pool)
-		for i := 0; i < pool; i++ {
+		candidates := make([]scored, 0, xgbPool)
+		for i := 0; i < xgbPool; i++ {
 			idx, ok := randomUnseen()
 			if !ok {
 				break
@@ -303,18 +294,11 @@ func (x XGBTuner) Tune(space *Space, measure MeasureFunc, opts Options) (Result,
 		if len(candidates) == 0 {
 			break
 		}
-		// The picks, and with them the seeded trial logs, depend on the
-		// order of equal predictions. With a "less"-only cmp, SortFunc runs
-		// the pdqsort sort.Slice runs and leaves ties in the same order.
-		slices.SortFunc(candidates, func(a, b scored) int {
-			if a.pred < b.pred {
-				return -1
-			}
-			return 0
-		})
+		// Ties keep their draw order.
+		slices.SortStableFunc(candidates, func(a, b scored) int { return cmp.Compare(a.pred, b.pred) })
 		var picked []int64
 		for _, c := range candidates {
-			if len(picked) >= batch || tr.result.Measured+len(picked) >= opts.Trials {
+			if len(picked) >= xgbBatch || tr.result.Measured+len(picked) >= opts.Trials {
 				break
 			}
 			if seen[c.idx] {

@@ -1,32 +1,17 @@
 // Package xgboost implements gradient-boosted regression trees from
 // scratch: the learned cost model behind Bifrost's XGBTuner, standing in
 // for the XGBoost library (Chen & Guestrin, KDD 2016) that AutoTVM uses.
-// The implementation is a classic exact-greedy GBT: squared-error loss,
-// depth-limited regression trees fit to residuals, shrinkage, and optional
-// per-tree row subsampling for variance reduction.
-//
-// Train is bit-identical to the plain algorithm (trainRef in the tests):
-// every node's split scan folds its targets in the order a pdqsort of the
-// node's feature values leaves them, equal values included, and the low
-// bits of the gains — hence the chosen splits — depend on that order. The
-// order is a function of the sequence of keys sorted alone, and a node's
-// rows are always in ascending row order (the root holds every row or a
-// sorted subsample, and partitioning is stable), so a node's row set fixes
-// it. Train therefore sorts each distinct (row set, feature) once per call
-// and reuses the order wherever that row set recurs: the root in every
-// round, and most small nodes. The memo lives for one Train call and holds
-// at most Rounds × MaxDepth × rows × (features + 1) int32s. Presorting once
-// and partitioning stably, as XGBoost's column blocks do, or a stable sort,
-// would reorder equal values and change the trees, so neither is used.
+// It is classic exact-greedy GBT: squared-error loss, depth-limited
+// regression trees fit to residuals, and shrinkage. Train sorts each
+// feature once per call, by (value, row), and splits a node by stably
+// partitioning every feature's order, as XGBoost's column blocks do.
 package xgboost
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
-	"sort"
 )
 
 // Params configures training.
@@ -36,14 +21,12 @@ type Params struct {
 	MaxDepth     int     // maximum tree depth
 	MinSamples   int     // minimum samples to attempt a split
 	Lambda       float64 // L2 regularisation on leaf values
-	SubsampleRow float64 // fraction of rows sampled per tree (0 or 1 = all)
-	Seed         int64
 }
 
 // DefaultParams mirrors the conservative settings AutoTVM uses for its
 // transfer cost model.
 func DefaultParams() Params {
-	return Params{Rounds: 50, LearningRate: 0.2, MaxDepth: 4, MinSamples: 2, Lambda: 1.0, SubsampleRow: 1.0}
+	return Params{Rounds: 50, LearningRate: 0.2, MaxDepth: 4, MinSamples: 2, Lambda: 1.0}
 }
 
 // node is one tree node; leaves have feature == -1.
@@ -96,9 +79,6 @@ func Train(x [][]float64, y []float64, p Params) (*Model, error) {
 	if p.MinSamples < 2 {
 		p.MinSamples = 2
 	}
-	// Only row subsampling draws from the generator; it is seeded on first
-	// use, so the default full-row fit never pays for a source.
-	var rng *rand.Rand
 
 	var base float64
 	for _, v := range y {
@@ -110,18 +90,33 @@ func Train(x [][]float64, y []float64, p Params) (*Model, error) {
 	tr := &trainer{
 		p:       p,
 		cols:    make([][]float64, dim),
+		orders:  make([][]int32, dim),
 		target:  make([]float64, n),
-		orders:  make(map[string][][]int32),
-		scratch: make([]int32, 0, n),
+		rows:    make([]int32, n),
+		goLeft:  make([]uint8, n),
+		scratch: make([]int32, n),
 		leaf:    make([]int32, n),
 	}
 	flat := make([]float64, dim*n)
+	sorted := make([]int32, dim*n) // each feature's order over every row
+	work := make([]int32, dim*n)   // the orders the current tree partitions
 	for f := range tr.cols {
 		col := flat[f*n : (f+1)*n : (f+1)*n]
 		for r, row := range x {
 			col[r] = row[f]
 		}
 		tr.cols[f] = col
+		order := sorted[f*n : (f+1)*n]
+		for r := range order {
+			order[r] = int32(r)
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			if c := cmp.Compare(col[a], col[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		tr.orders[f] = work[f*n : (f+1)*n : (f+1)*n]
 	}
 
 	m := &Model{params: p, base: base}
@@ -129,84 +124,65 @@ func Train(x [][]float64, y []float64, p Params) (*Model, error) {
 	for i := range pred {
 		pred[i] = base
 	}
-	work := make([]int32, n) // the current tree's rows, partitioned in place
 	for round := 0; round < p.Rounds; round++ {
 		for i := range tr.target {
 			tr.target[i] = y[i] - pred[i]
 		}
-		rows := work
-		if p.SubsampleRow > 0 && p.SubsampleRow < 1 {
-			k := int(math.Ceil(p.SubsampleRow * float64(n)))
-			if rng == nil {
-				rng = rand.New(rand.NewSource(p.Seed))
-			}
-			perm := rng.Perm(n)[:k]
-			sort.Ints(perm)
-			rows = work[:k]
-			for i, r := range perm {
-				rows[i] = int32(r)
-			}
-		} else {
-			for i := range rows {
-				rows[i] = int32(i)
-			}
-		}
-		for i := range tr.leaf {
-			tr.leaf[i] = -1
+		copy(work, sorted)
+		for i := range tr.rows {
+			tr.rows[i] = int32(i)
 		}
 		t := tree{}
-		tr.grow(&t, rows, 0)
+		tr.grow(&t, 0, n, 0)
 		m.trees = append(m.trees, t)
 		for i := range pred {
-			var v float64
-			if l := tr.leaf[i]; l >= 0 {
-				v = t.nodes[l].value
-			} else {
-				v = t.predict(x[i]) // outside this tree's subsample
-			}
-			pred[i] += p.LearningRate * v
+			pred[i] += p.LearningRate * t.nodes[tr.leaf[i]].value
 		}
 	}
 	return m, nil
 }
 
-// trainer is one Train call's working state.
+// trainer is one Train call's working state. A node is a range [lo, hi)
+// of rows and of every feature's order: rows[lo:hi] holds the node's rows
+// ascending, and orders[f][lo:hi] the same rows sorted by (value, row) —
+// unless f is constant on an ancestor, whose range split leaves f's order
+// alone: then its range holds rows that all share that one value.
 type trainer struct {
-	p      Params
-	cols   [][]float64 // cols[f][r] = x[r][f]
-	target []float64   // the current round's residuals
-	// orders maps a row set, its rows as little-endian uint32s, to every
-	// feature's sorted row order (nil for a feature constant on the set).
-	orders  map[string][][]int32
-	key     []byte  // the row set being looked up, encoded
-	scratch []int32 // a partition's right-hand rows
-	leaf    []int32 // per row: the current tree's leaf it landed in, or -1
+	p       Params
+	cols    [][]float64 // cols[f][r] = x[r][f]
+	orders  [][]int32   // per feature, the current tree's partitioned order
+	target  []float64   // the current round's residuals
+	rows    []int32     // the current tree's rows, partitioned in row order
+	goLeft  []uint8     // per row: 1 if the split being applied sends it left
+	scratch []int32     // a partition's right-hand rows
+	leaf    []int32     // per row: the current tree's leaf it landed in
 }
 
-// grow appends the subtree fitted to rows (depth levels down) to t and
-// returns its root's index. It partitions rows in place.
-func (tr *trainer) grow(t *tree, rows []int32, depth int) int {
+// grow appends the subtree fitted to the node [lo, hi) (depth levels down)
+// to t and returns its root's index. It partitions the node's ranges in
+// place.
+func (tr *trainer) grow(t *tree, lo, hi, depth int) int {
 	idx := len(t.nodes)
 	t.nodes = append(t.nodes, node{feature: -1, left: -1, right: -1})
 	var sum float64
-	for _, r := range rows {
+	for _, r := range tr.rows[lo:hi] {
 		sum += tr.target[r]
 	}
 	// Regularised leaf value.
-	t.nodes[idx].value = sum / (float64(len(rows)) + tr.p.Lambda)
-	if depth < tr.p.MaxDepth && len(rows) >= tr.p.MinSamples {
-		if f, threshold, ok := tr.bestSplit(rows, sum); ok {
-			if nl := tr.partition(rows, tr.cols[f], threshold); nl > 0 && nl < len(rows) {
+	t.nodes[idx].value = sum / (float64(hi-lo) + tr.p.Lambda)
+	if depth < tr.p.MaxDepth && hi-lo >= tr.p.MinSamples {
+		if f, threshold, ok := tr.bestSplit(lo, hi, sum); ok {
+			if mid := tr.split(lo, hi, f, threshold); mid > lo && mid < hi {
 				t.nodes[idx].feature = f
 				t.nodes[idx].threshold = threshold
-				left := tr.grow(t, rows[:nl], depth+1)
-				right := tr.grow(t, rows[nl:], depth+1)
+				left := tr.grow(t, lo, mid, depth+1)
+				right := tr.grow(t, mid, hi, depth+1)
 				t.nodes[idx].left, t.nodes[idx].right = left, right
 				return idx
 			}
 		}
 	}
-	for _, r := range rows {
+	for _, r := range tr.rows[lo:hi] {
 		tr.leaf[r] = int32(idx)
 	}
 	return idx
@@ -214,15 +190,18 @@ func (tr *trainer) grow(t *tree, rows []int32, depth int) int {
 
 // bestSplit scans every feature for the exact split minimising the
 // regularised squared-error objective (maximum variance-reduction gain).
-// total is the rows' target sum, accumulated in row order.
-func (tr *trainer) bestSplit(rows []int32, total float64) (int, float64, bool) {
-	n := float64(len(rows))
+// total is the node's target sum, accumulated in row order.
+func (tr *trainer) bestSplit(lo, hi int, total float64) (int, float64, bool) {
+	n := float64(hi - lo)
 	parentScore := total * total / (n + tr.p.Lambda)
 
 	bestGain := 1e-12
 	bestFeature, bestThreshold, found := -1, 0.0, false
-	for f, order := range tr.sortedOrders(rows) {
-		col := tr.cols[f]
+	for f, col := range tr.cols {
+		order := tr.orders[f][lo:hi]
+		if col[order[0]] == col[order[len(order)-1]] {
+			continue // constant on the node: no split
+		}
 		var leftSum float64
 		for i := 0; i < len(order)-1; i++ {
 			r, next := order[i], order[i+1]
@@ -245,72 +224,44 @@ func (tr *trainer) bestSplit(rows []int32, total float64) (int, float64, bool) {
 	return bestFeature, bestThreshold, found
 }
 
-// sortedOrders returns rows sorted by each feature's value, nil for a
-// feature constant on rows (it offers no split), memoised by row set.
-func (tr *trainer) sortedOrders(rows []int32) [][]int32 {
-	tr.key = tr.key[:0]
-	for _, r := range rows {
-		tr.key = binary.LittleEndian.AppendUint32(tr.key, uint32(r))
-	}
-	if orders, ok := tr.orders[string(tr.key)]; ok {
-		return orders
-	}
-	orders := make([][]int32, len(tr.cols))
-	sorted := 0
-	for f, col := range tr.cols {
-		if !constantOn(col, rows) {
-			orders[f] = rows // sorted below
-			sorted++
+// split stably partitions the node's rows and feature orders so that the
+// rows with cols[f][r] <= threshold come first, and returns where the
+// right child's range begins. f's own order is already split, and a
+// feature constant on the node stays constant on every range below it.
+func (tr *trainer) split(lo, hi, f int, threshold float64) int {
+	col := tr.cols[f]
+	for _, r := range tr.rows[lo:hi] {
+		var g uint8
+		if col[r] <= threshold {
+			g = 1
 		}
+		tr.goLeft[r] = g
 	}
-	buf := make([]int32, sorted*len(rows))
-	for f, col := range tr.cols {
-		if orders[f] == nil {
+	mid := tr.partition(tr.rows[lo:hi]) + lo
+	for g, order := range tr.orders {
+		order := order[lo:hi]
+		if g == f || tr.cols[g][order[0]] == tr.cols[g][order[len(order)-1]] {
 			continue
 		}
-		order := buf[:len(rows):len(rows)]
-		buf = buf[len(rows):]
-		copy(order, rows)
-		// sort.Slice and slices.SortFunc are instances of one pdqsort
-		// template: with a cmp that reports only "less" they permute equal
-		// keys identically, and the split scan's fold order is that
-		// permutation.
-		slices.SortFunc(order, func(a, b int32) int {
-			if col[a] < col[b] {
-				return -1
-			}
-			return 0
-		})
-		orders[f] = order
+		tr.partition(order)
 	}
-	tr.orders[string(tr.key)] = orders
-	return orders
+	return mid
 }
 
-func constantOn(col []float64, rows []int32) bool {
-	v := col[rows[0]]
-	for _, r := range rows[1:] {
-		if col[r] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// partition stably moves the rows with col[r] <= threshold to the front
-// of rows and returns how many there are.
-func (tr *trainer) partition(rows []int32, col []float64, threshold float64) int {
-	right := tr.scratch[:0]
-	nl := 0
+// partition stably moves the rows going left to the front of rows and
+// returns how many there are. It writes every row to both sides and
+// advances one, so a random split costs no mispredicted branches.
+func (tr *trainer) partition(rows []int32) int {
+	right := tr.scratch[:len(rows)]
+	nl, nr := 0, 0
 	for _, r := range rows {
-		if col[r] <= threshold {
-			rows[nl] = r
-			nl++
-		} else {
-			right = append(right, r)
-		}
+		g := int(tr.goLeft[r])
+		rows[nl] = r
+		right[nr] = r
+		nl += g
+		nr += 1 - g
 	}
-	copy(rows[nl:], right)
+	copy(rows[nl:], right[:nr])
 	return nl
 }
 

@@ -130,34 +130,20 @@ func TestPredictBatch(t *testing.T) {
 	}
 }
 
-func TestSubsampling(t *testing.T) {
-	x, y := dataset(200, 8, func(v []float64) float64 { return v[0] })
-	p := DefaultParams()
-	p.SubsampleRow = 0.5
-	p.Seed = 42
-	m, err := Train(x, y, p)
+// TestTrainDeterministic requires two trainings on the same data to build
+// the same trees, bit for bit.
+func TestTrainDeterministic(t *testing.T) {
+	x, y := dataset(100, 9, func(v []float64) float64 { return v[0] + v[1] })
+	m1, err := Train(x, y, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumTrees() != p.Rounds {
-		t.Fatalf("trees = %d, want %d", m.NumTrees(), p.Rounds)
+	m2, err := Train(x, y, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mse := m.MSE(x, y); mse > 2 {
-		t.Fatalf("subsampled fit too poor: MSE %v", mse)
-	}
-}
-
-func TestDeterministicPerSeed(t *testing.T) {
-	x, y := dataset(100, 9, func(v []float64) float64 { return v[0] + v[1] })
-	p := DefaultParams()
-	p.SubsampleRow = 0.7
-	p.Seed = 5
-	m1, _ := Train(x, y, p)
-	m2, _ := Train(x, y, p)
-	for i := range x {
-		if m1.Predict(x[i]) != m2.Predict(x[i]) {
-			t.Fatal("same seed must give identical models")
-		}
+	if d := diffModels(m1, m2); d != "" {
+		t.Fatalf("two trainings differ: %s", d)
 	}
 }
 
@@ -198,10 +184,8 @@ func TestSingleFeatureStep(t *testing.T) {
 }
 
 // TestTrainAllocsPerRoundIndependentOfRows pins the refit's steady state:
-// once a row set's sorted orders are memoised, another round allocates
-// only its tree's node arena — nothing per row and nothing per sorted
-// feature. On this two-knob grid every round grows the same depth-2 tree
-// over the same row sets, so rounds 2–21 hit the memo at every node.
+// the features are sorted once per call, so another round allocates only
+// its tree's node arena — nothing per row and nothing per feature.
 func TestTrainAllocsPerRoundIndependentOfRows(t *testing.T) {
 	perRound := func(n int) float64 {
 		x := make([][]float64, n)
@@ -227,5 +211,21 @@ func TestTrainAllocsPerRoundIndependentOfRows(t *testing.T) {
 	t.Logf("allocs per round after the first: %.2f at 64 rows, %.2f at 4096 rows", small, large)
 	if large > small+0.5 || large > 8 {
 		t.Fatalf("allocs per round grew to %.2f at 4096 rows (%.2f at 64): the refit allocates per node or per row again", large, small)
+	}
+}
+
+// BenchmarkTrainRefits is one op = the refits of one tuner search: 600
+// tuner-shaped rows (8 integer knobs of up to 8 levels), fitted at n = 32,
+// 48, …, 592 with the XGBTuner's parameters.
+func BenchmarkTrainRefits(b *testing.B) {
+	x, y, p := trainCase{seed: 1, rows: 600, dim: 8, levels: 8, depth: 4, rounds: 30}.data()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for n := 32; n < len(x); n += 16 {
+			if _, err := Train(x[:n], y[:n], p); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
