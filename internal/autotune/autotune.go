@@ -88,13 +88,13 @@ func (s *Space) decode(idx int64, values []int) {
 	}
 }
 
-// fromGenome converts per-knob option indices to a Config.
-func (s *Space) fromGenome(genome []int) Config {
-	values := make([]int, len(s.Knobs))
-	for i, g := range genome {
-		values[i] = s.Knobs[i].Values[g]
+// index is decode's inverse: the flat index of per-knob option indices.
+func (s *Space) index(options []int) int64 {
+	var idx int64
+	for i, o := range options {
+		idx = idx*int64(len(s.Knobs[i].Values)) + int64(o)
 	}
-	return Config{space: s, values: values}
+	return idx
 }
 
 // Cost is a lexicographic objective: Primary is the tuning target (psums or
@@ -155,7 +155,8 @@ type Options struct {
 	// always visits the whole space).
 	Trials int
 	// EarlyStopping stops the run after this many measurements without
-	// improvement; 0 disables it.
+	// improving on the best feasible one; measurements before the first
+	// feasible one do not count. 0 disables it.
 	EarlyStopping int
 	Seed          int64
 
@@ -166,32 +167,9 @@ type Options struct {
 	Measurer Measurer
 }
 
-// measureEach evaluates cfgs and feeds each cost to record in order,
-// stopping (and returning true) as soon as record asks to. With a Measurer
-// the whole batch is evaluated up front — possibly concurrently — and only
-// the recording stops early; without one, each configuration is measured
-// and recorded one at a time, so early stopping never pays for
-// measurements the serial tuners would not have run.
-func (o Options) measureEach(f MeasureFunc, cfgs []Config, record func(i int, c Cost) bool) bool {
-	if o.Measurer != nil {
-		for i, c := range o.Measurer.MeasureBatch(cfgs) {
-			if record(i, c) {
-				return true
-			}
-		}
-		return false
-	}
-	for i, cfg := range cfgs {
-		if record(i, f(cfg)) {
-			return true
-		}
-	}
-	return false
-}
-
-// measureChunk is the batch granularity the tuners use when a Measurer is
-// present; large enough to keep a worker pool busy, small enough that early
-// stopping does not overshoot by much.
+// measureChunk is the batch size of grid and random search: large enough to
+// keep a farm's workers busy, small enough that early stopping does not
+// overshoot by much.
 const measureChunk = 64
 
 // Tuner is a search strategy over a Space.
@@ -199,39 +177,112 @@ type Tuner interface {
 	Tune(space *Space, measure MeasureFunc, opts Options) (Result, error)
 }
 
-// tracker accumulates trials and handles early stopping.
-type tracker struct {
-	result    Result
-	sinceBest int
-	stop      int
-	hasBest   bool
+// eachMeasurer measures a batch with a MeasureFunc, one configuration at a
+// time.
+type eachMeasurer MeasureFunc
+
+func (f eachMeasurer) MeasureBatch(cfgs []Config) []Cost {
+	costs := make([]Cost, len(cfgs))
+	for i, c := range cfgs {
+		costs[i] = f(c)
+	}
+	return costs
 }
 
-func newTracker(stop int) *tracker { return &tracker{stop: stop} }
+// search is one tuning run, shared by every tuner. A tuner only proposes
+// flat indices (draw); the search measures each batch through one Measurer,
+// keeps the trial log and the early-stopping state, and ends the run.
+type search struct {
+	space     *Space
+	size      int64
+	measurer  Measurer
+	limit     int // indices the run may draw: the budget, or the space if smaller
+	stop      int // early-stopping window; 0 disables it
+	drawn     map[int64]bool
+	batch     []int64 // drawn, not yet measured
+	result    Result
+	hasBest   bool
+	sinceBest int
+}
 
-// record returns true when the search should stop.
-func (t *tracker) record(tr Trial) bool {
-	t.result.Trials = append(t.result.Trials, tr)
-	t.result.Measured++
-	if !tr.Cost.IsInfeasible() && (!t.hasBest || tr.Cost.Less(t.result.Best.Cost)) {
-		t.result.Best = tr
-		t.hasBest = true
-		t.sinceBest = 0
+// newSearch starts a run of opts.Trials measurements, through opts.Measurer
+// or else through measure.
+func newSearch(tuner string, space *Space, measure MeasureFunc, opts Options) (*search, error) {
+	if opts.Trials <= 0 {
+		return nil, fmt.Errorf("autotune: %s needs a positive trial budget", tuner)
+	}
+	s := &search{space: space, size: space.Size(), measurer: opts.Measurer,
+		stop: opts.EarlyStopping, drawn: make(map[int64]bool)}
+	s.limit = int(min(int64(opts.Trials), s.size))
+	if s.measurer == nil {
+		s.measurer = eachMeasurer(measure)
+	}
+	return s, nil
+}
+
+// room is how many more indices the run may draw.
+func (s *search) room() int { return s.limit - len(s.drawn) }
+
+// draw adds idx to the next batch unless it was drawn before or the run has
+// no room left, and reports whether it did.
+func (s *search) draw(idx int64) bool {
+	if s.room() == 0 || s.drawn[idx] {
 		return false
 	}
-	t.sinceBest++
-	if t.stop > 0 && t.sinceBest >= t.stop {
-		t.result.Converged = true
-		return true
-	}
-	return false
+	s.drawn[idx] = true
+	s.batch = append(s.batch, idx)
+	return true
 }
 
-func (t *tracker) finish() (Result, error) {
-	if !t.hasBest {
-		return t.result, fmt.Errorf("autotune: no feasible configuration found in %d measurements", t.result.Measured)
+// run is the one search loop. It alternates propose, which draws the next
+// batch given the indices and costs of the last one (nil at first), with
+// measuring that batch, and ends the run when early stopping fires, the
+// budget is spent or every index has been drawn.
+func (s *search) run(propose func(idxs []int64, costs []Cost) error) (Result, error) {
+	var idxs []int64
+	var costs []Cost
+	for !s.result.Converged && s.room() > 0 {
+		if err := propose(idxs, costs); err != nil {
+			return s.result, err
+		}
+		idxs, costs = s.flush()
 	}
-	return t.result, nil
+	if !s.hasBest {
+		return s.result, fmt.Errorf("autotune: no feasible configuration found in %d measurements", s.result.Measured)
+	}
+	return s.result, nil
+}
+
+// flush measures the batch as one and records it in order, up to where
+// early stopping fires. It returns the batch's indices and their costs.
+func (s *search) flush() ([]int64, []Cost) {
+	idxs := s.batch
+	if len(idxs) == 0 {
+		return nil, nil
+	}
+	s.batch = nil
+	cfgs := make([]Config, len(idxs))
+	for i, idx := range idxs {
+		cfgs[i] = s.space.At(idx)
+	}
+	costs := s.measurer.MeasureBatch(cfgs)
+	for i := 0; i < len(cfgs) && !s.result.Converged; i++ {
+		s.record(Trial{Config: cfgs[i], Cost: costs[i]})
+	}
+	return idxs, costs
+}
+
+func (s *search) record(t Trial) {
+	s.result.Trials = append(s.result.Trials, t)
+	s.result.Measured++
+	if !t.Cost.IsInfeasible() && (!s.hasBest || t.Cost.Less(s.result.Best.Cost)) {
+		s.result.Best, s.hasBest, s.sinceBest = t, true, 0
+		return
+	}
+	if s.hasBest { // early stopping waits for the first feasible trial
+		s.sinceBest++
+	}
+	s.result.Converged = s.stop > 0 && s.sinceBest >= s.stop
 }
 
 // GridSearch exhaustively measures every configuration — the strategy used
@@ -241,23 +292,18 @@ type GridSearch struct{}
 
 // Tune implements Tuner.
 func (GridSearch) Tune(space *Space, measure MeasureFunc, opts Options) (Result, error) {
-	tr := newTracker(0) // exhaustive: ignore early stopping and budget
-	size := space.Size()
-	for start := int64(0); start < size; start += measureChunk {
-		end := start + measureChunk
-		if end > size {
-			end = size
-		}
-		cfgs := make([]Config, 0, end-start)
-		for i := start; i < end; i++ {
-			cfgs = append(cfgs, space.At(i))
-		}
-		opts.measureEach(measure, cfgs, func(i int, cost Cost) bool {
-			tr.record(Trial{Config: cfgs[i], Cost: cost})
-			return false // exhaustive: never stop early
-		})
+	// Exhaustive: the whole space is the budget, and nothing stops it early.
+	opts.Trials, opts.EarlyStopping = int(space.Size()), 0
+	s, err := newSearch("grid search", space, measure, opts)
+	if err != nil {
+		return Result{}, err
 	}
-	return tr.finish()
+	var next int64
+	return s.run(func([]int64, []Cost) error {
+		for ; len(s.batch) < measureChunk && s.draw(next); next++ {
+		}
+		return nil
+	})
 }
 
 // Worst returns the highest-cost feasible trial of a result — the
@@ -283,38 +329,16 @@ type RandomSearch struct{}
 
 // Tune implements Tuner.
 func (RandomSearch) Tune(space *Space, measure MeasureFunc, opts Options) (Result, error) {
-	if opts.Trials <= 0 {
-		return Result{}, fmt.Errorf("autotune: random search needs a positive trial budget")
+	s, err := newSearch("random search", space, measure, opts)
+	if err != nil {
+		return Result{}, err
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	tr := newTracker(opts.EarlyStopping)
-	seen := make(map[int64]bool)
-	size := space.Size()
-	for tr.result.Measured < opts.Trials && int64(len(seen)) < size {
-		// Draw the next chunk of unseen indices; the rng sequence is the
-		// same as drawing one at a time, so batched and serial runs record
-		// identical trial sequences.
-		chunk := opts.Trials - tr.result.Measured
-		if chunk > measureChunk {
-			chunk = measureChunk
-		}
-		cfgs := make([]Config, 0, chunk)
-		for len(cfgs) < chunk && int64(len(seen)) < size {
-			var idx int64
-			for {
-				idx = rng.Int63n(size)
-				if !seen[idx] {
-					seen[idx] = true
-					break
-				}
+	return s.run(func([]int64, []Cost) error {
+		for len(s.batch) < measureChunk && s.room() > 0 {
+			for !s.draw(rng.Int63n(s.size)) {
 			}
-			cfgs = append(cfgs, space.At(idx))
 		}
-		if opts.measureEach(measure, cfgs, func(i int, cost Cost) bool {
-			return tr.record(Trial{Config: cfgs[i], Cost: cost})
-		}) {
-			return tr.finish()
-		}
-	}
-	return tr.finish()
+		return nil
+	})
 }

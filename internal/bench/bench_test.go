@@ -3,6 +3,10 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/models"
+	"repro/internal/stonne/config"
 )
 
 func TestFig9MiniShape(t *testing.T) {
@@ -97,6 +101,26 @@ func TestMappingStudyMiniShape(t *testing.T) {
 	for _, want := range []string{"Figure 11a", "Figure 11b", "Table VI", "Figure 12a", "Figure 12b"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render output missing %q", want)
+		}
+	}
+}
+
+// TestConvTuningFeasibleOnEverySeed runs the mapping study's psum XGB search
+// (600 trials, early stopping at 120) on the paper-scale AlexNet conv layers
+// for seeds 1–100: every search must find a feasible mapping. Conv1's space
+// is about 1.4 % feasible, so a search may open with well over 120
+// infeasible trials; early stopping must not count them.
+func TestConvTuningFeasibleOnEverySeed(t *testing.T) {
+	cfg := config.Default(config.MAERIDenseWorkload)
+	for _, l := range models.AlexNetLayers() {
+		if l.Op != graph.OpConv2D {
+			continue
+		}
+		o := DefaultTuneOptions()
+		for o.Seed = 1; o.Seed <= 100; o.Seed++ {
+			if _, err := tunedConvMapping(l.Conv, cfg.MSSize, o); err != nil {
+				t.Errorf("%s seed %d: %v", l.Name, o.Seed, err)
+			}
 		}
 	}
 }
