@@ -103,12 +103,13 @@ type Options struct {
 	Pack *tensor.PackCache
 }
 
-// checkConvOperands rejects operands whose shapes disagree with the
+// CheckConvOperands rejects operands whose shapes disagree with the
 // resolved d: an NCHW input [N C H W] with a KCRS kernel [K C/G R S], or
 // for nhwc an NHWC input [N H W C] with an RSCK kernel [R S C/G K]. Both
 // entry points check here, before any layout work, so no architecture can
-// index past a short operand or compute from part of a long one.
-func checkConvOperands(in, kernel *tensor.Tensor, d ConvParams, nhwc bool) error {
+// index past a short operand or compute from part of a long one; a caller
+// that serves a memoised output checks here before it looks one up.
+func CheckConvOperands(in, kernel *tensor.Tensor, d ConvParams, nhwc bool) error {
 	inLayout, kLayout := "NCHW", "KCRS"
 	wantIn, wantK := [4]int{d.N, d.C, d.H, d.W}, [4]int{d.K, d.C / d.G, d.R, d.S}
 	if nhwc {
@@ -129,7 +130,7 @@ func Conv2DNCHWOpts(cfg config.HWConfig, in, kernel *tensor.Tensor, d ConvParams
 	if err := d.Resolve(); err != nil {
 		return nil, stats.Stats{}, err
 	}
-	if err := checkConvOperands(in, kernel, d, false); err != nil {
+	if err := CheckConvOperands(in, kernel, d, false); err != nil {
 		return nil, stats.Stats{}, err
 	}
 	defer observeCompute(cfg, time.Now())
@@ -201,7 +202,7 @@ func Conv2DNHWCOpts(cfg config.HWConfig, in, kernel *tensor.Tensor, d ConvParams
 	if err := d.Resolve(); err != nil {
 		return nil, stats.Stats{}, err
 	}
-	if err := checkConvOperands(in, kernel, d, true); err != nil {
+	if err := CheckConvOperands(in, kernel, d, true); err != nil {
 		return nil, stats.Stats{}, err
 	}
 	defer observeCompute(cfg, time.Now())

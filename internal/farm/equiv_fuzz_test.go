@@ -1,7 +1,9 @@
 package farm_test
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/bits"
 	"testing"
 
@@ -312,7 +314,69 @@ func FuzzEngineEquivalence(f *testing.F) {
 		if err := farmtest.DiffResults(want, got); err != nil {
 			t.Fatalf("%+v: engines diverge from the oracle: %v", c, err)
 		}
+		if c.cfg.Controller == config.MAERIDenseWorkload && (c.op == opConvNCHW || c.op == opConvNHWC || c.op == opDense) {
+			memoLeg(t, c)
+		}
 	})
+}
+
+// memoLeg is FuzzEngineEquivalence's memo leg: the case's MAERI job, its
+// operands stamped with identities, runs through one pack cache under its
+// own mapping and then under one that differs in a single tile size — the
+// second served from the first's output when both reduce in one order —
+// and each result must equal the oracle's, output bytes and Stats, or fail
+// with it.
+func memoLeg(t *testing.T, c equivCase) {
+	pc := tensor.NewPackCache(0, 0)
+	for _, mc := range []equivCase{c, c.altMapping()} {
+		job := mc.job()
+		stampOperands(job, mc)
+		got, gotErr := farm.Run(job.WithPackCache(pc))
+		job.Reference = true
+		want, wantErr := farm.Run(job)
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("%+v: memoised engines and oracle disagree on validity:\n engines: %v\n oracle:  %v", mc, gotErr, wantErr)
+		}
+		if err := farmtest.DiffResults(want, got); err != nil {
+			t.Fatalf("%+v: memoised engines diverge from the oracle: %v", mc, err)
+		}
+	}
+}
+
+// altMapping returns the case with one tile of its mapping changed, the
+// tile picked by the seed: a tile of size v over a dimension of dim steps to
+// v%dim + 1. Changing T_C, T_R, T_S or T_K may change the reduction order;
+// any other tile changes only the cycles.
+func (c equivCase) altMapping() equivCase {
+	var tiles []*int
+	var dims []int
+	if c.op == opDense {
+		tiles, dims = []*int{&c.fm.TS, &c.fm.TK, &c.fm.TN}, []int{c.n, c.k, c.m}
+	} else {
+		d := c.d
+		p, q := 1, 1
+		if d.Resolve() == nil {
+			p, q = d.P(), d.Q()
+		}
+		m := &c.cm
+		tiles = []*int{&m.TR, &m.TS, &m.TC, &m.TK, &m.TG, &m.TN, &m.TX, &m.TY}
+		dims = []int{d.R, d.S, d.C / d.G, d.K / d.G, d.G, d.N, p, q}
+	}
+	i := c.seed % len(tiles)
+	*tiles[i] = *tiles[i]%dims[i] + 1
+	return c
+}
+
+// stampOperands stamps the job's operands with identities named by what
+// generates them — role, seed, zero sprinkling and shape — so equal
+// identities mean equal elements, as SetIdentity requires.
+func stampOperands(j farm.Job, c equivCase) {
+	for _, o := range []struct {
+		role string
+		t    *tensor.Tensor
+	}{{"input", j.Input}, {"weights", j.Weights}} {
+		o.t.SetIdentity(sha256.Sum256(fmt.Appendf(nil, "equiv %s seed=%d zeros=%v shape=%v", o.role, c.seed, c.zeros, o.t.Shape())))
+	}
 }
 
 // TestEquivCaseRoundTrip pins the seed encoding: every table seed decodes

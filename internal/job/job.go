@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/stonne/config"
-	"repro/internal/stonne/maeri"
 	"repro/internal/stonne/mapping"
 	"repro/internal/stonne/oracle"
 	"repro/internal/stonne/stats"
@@ -135,7 +134,9 @@ type Job struct {
 
 	// pack is the shared content-keyed cache of derived operand forms the
 	// fused engines may reuse (packed weight panels, kernel matrices,
-	// layout transposes). The farm threads its own cache through here on
+	// layout transposes), and of the MAERI outputs a full-accuracy job
+	// over identified operands keeps for the other mappings of its sweep
+	// (memo.go). The farm threads its own cache through here on
 	// execution; WithPackCache sets it for inline Run calls. Like
 	// ExecWorkers and Reference it cannot change results — only where
 	// derived bytes come from — so it does NOT participate in Key().
@@ -308,23 +309,22 @@ func run(j Job) (Result, error) {
 }
 
 // runEngines executes a validated job on the production engines: analytic
-// counters plus fused arithmetic.
+// counters plus fused arithmetic, or for a dry run the counters alone. A
+// full-accuracy MAERI job may be served its memoised output (memo.go).
 func runEngines(cfg config.HWConfig, j Job, d tensor.ConvDims) (*tensor.Tensor, stats.Stats, error) {
-	opt := api.Options{Workers: j.ExecWorkers, Pack: j.pack}
-	switch {
-	case j.DryRun:
+	if j.DryRun {
 		// Counters only: MAERI's, matching the AutoTVM cycle-cost measure
 		// functions.
-		eng, err := maeri.NewEngine(cfg)
-		if err != nil {
-			return nil, stats.Stats{}, err
-		}
-		eng.DryRun = true
-		if j.Kind == Conv2D {
-			return eng.Conv2D(nil, nil, d, j.ConvMapping)
-		}
-		st, err := eng.DenseStats(j.M, j.K, j.N, j.FCMapping)
+		st, err := counters(cfg, j, d, j.M, j.K, j.N)
 		return nil, st, err
+	}
+	return runMemoised(cfg, j, d)
+}
+
+// compute runs a validated full-accuracy job through the api lowering.
+func compute(cfg config.HWConfig, j Job, d tensor.ConvDims) (*tensor.Tensor, stats.Stats, error) {
+	opt := api.Options{Workers: j.ExecWorkers, Pack: j.pack}
+	switch {
 	case j.Kind == Dense:
 		return api.DenseOpts(cfg, j.Input, j.Weights, j.FCMapping, opt)
 	case j.Layout == tensor.NHWC:

@@ -14,10 +14,12 @@ import (
 // through the registry they hand the farm one generator, and the first
 // row to miss builds the pair every other holder then simulates on. (The
 // pack cache shares their derived forms across requests too, by the
-// identity generate stamps on each tensor.) Sharing is safe because farm
-// operands are read-only and the registry key is the generator's full
-// input, so holders only ever share tensors that would have been
-// bit-identical anyway.
+// identity generate stamps on each tensor. On MAERI that includes the
+// output: rows that hold one operand set and reduce in one order, as most
+// mappings of a sweep do, share one computed output and differ only in
+// their counters.) Sharing is safe because farm operands are read-only and
+// the registry key is the generator's full input, so holders only ever
+// share tensors that would have been bit-identical anyway.
 //
 // A holder is a named row (Server.name): a /simulate request from arrival
 // until it is answered, a /batch row from its admission — before it waits

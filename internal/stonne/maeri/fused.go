@@ -49,6 +49,28 @@ import (
 // So both run as one tile spanning the axis: the conv kernel flushes once
 // per block instead of once per tap, and the dense loop once per neuron.
 
+// ConvReductionOrder returns the reduction tiling fusedConv accumulates m's
+// output under: (T_C, T_R, T_S), with the basic all-ones tiling folded into
+// one tile spanning (C/G, R, S) by the argument above. Valid mappings of d
+// with equal orders compute bit-identical outputs from equal operands — the
+// other tiles change only the counters — so it is the class a caller may
+// share one output across.
+func ConvReductionOrder(d tensor.ConvDims, m mapping.ConvMapping) [3]int {
+	if m.TC == 1 && m.TR == 1 && m.TS == 1 {
+		return [3]int{d.C / d.G, d.R, d.S}
+	}
+	return [3]int{m.TC, m.TR, m.TS}
+}
+
+// DenseReductionTile is ConvReductionOrder for a dense layer of inN input
+// neurons: fusedDense's T_K, with T_K = 1 folded into one tile spanning inN.
+func DenseReductionTile(inN int, m mapping.FCMapping) int {
+	if m.TK == 1 {
+		return inN
+	}
+	return m.TK
+}
+
 // convTap is one (c, r, s) tap of the reduction axis, resolved against the
 // layer geometry once per call; n, x and the group shift it by a base.
 type convTap struct {
@@ -79,18 +101,19 @@ var convScratchPool = sync.Pool{New: func() any { return &convScratch{} }}
 // reductionAxis lays out the reduction axis of one output element in the
 // step loop's visit order — tiles c0 outermost, then r0, then s0; within a
 // tile c, then r, then s — as the tap table and the per-tile tap counts the
-// micro-kernel flushes its fresh accumulators by. An axis of single-tap
-// tiles is laid out as one tile over every tap, bit-identical by the file
-// header's argument.
+// micro-kernel flushes its fresh accumulators by. The tiles are
+// ConvReductionOrder's, so an axis of single-tap tiles is laid out as one
+// tile over every tap.
 func (sc *convScratch) reductionAxis(d tensor.ConvDims, m mapping.ConvMapping) ([]convTap, []int32) {
 	cg, q := d.C/d.G, d.Q()
+	o := ConvReductionOrder(d, m)
 	taps, nts := sc.taps[:0], sc.nts[:0]
-	for c0 := 0; c0 < cg; c0 += m.TC {
-		tc := eff(c0, m.TC, cg)
-		for r0 := 0; r0 < d.R; r0 += m.TR {
-			tr := eff(r0, m.TR, d.R)
-			for s0 := 0; s0 < d.S; s0 += m.TS {
-				ts := eff(s0, m.TS, d.S)
+	for c0 := 0; c0 < cg; c0 += o[0] {
+		tc := eff(c0, o[0], cg)
+		for r0 := 0; r0 < d.R; r0 += o[1] {
+			tr := eff(r0, o[1], d.R)
+			for s0 := 0; s0 < d.S; s0 += o[2] {
+				ts := eff(s0, o[2], d.S)
 				nts = append(nts, int32(tc*tr*ts))
 				for c := c0; c < c0+tc; c++ {
 					for r := r0; r < r0+tr; r++ {
@@ -113,9 +136,6 @@ func (sc *convScratch) reductionAxis(d tensor.ConvDims, m mapping.ConvMapping) (
 				}
 			}
 		}
-	}
-	if len(nts) == len(taps) && len(taps) > 0 {
-		nts = append(nts[:0], int32(len(taps)))
 	}
 	sc.taps, sc.nts = taps, nts
 	return taps, nts
@@ -274,18 +294,16 @@ func gatherConvRow(acts, inD []float32, taps []convTap, d tensor.ConvDims, base,
 // neuron, not one per tile. A layer big enough to repay it has its neuron
 // quads split across idle cores by tensor.ParallelFor.
 //
-// T_K = 1 (the basic mapping) runs as one tile spanning the row, which the
-// file header shows is bit-identical and costs one add per product, not two.
+// T_K = 1 (the basic mapping) runs as one tile spanning the row
+// (DenseReductionTile), which the file header shows is bit-identical and
+// costs one add per product, not two.
 func fusedDense(in, weights *tensor.Tensor, m mapping.FCMapping) *tensor.Tensor {
 	batches, inN := in.Dim(0), in.Dim(1)
 	outN := weights.Dim(0)
 	out := tensor.NewPooled(batches, outN)
 	inD, wD, outD := in.Data(), weights.Data(), out.Data()
 	quads := (outN + 3) / 4
-	tk := m.TK
-	if tk == 1 {
-		tk = inN
-	}
+	tk := DenseReductionTile(inN, m)
 	if grain := tensor.Grain(quads, 4*inN*batches, 0); grain < quads {
 		tensor.ParallelFor(quads, grain, func(lo, hi int) { denseQuads(inD, wD, outD, batches, inN, outN, tk, lo, hi) })
 	} else {

@@ -9,16 +9,27 @@ import (
 
 // PackCache memoizes derived, immutable forms of operand tensors — packed
 // GEMM B-panels, weight layout transposes, kernel matrices, SIGMA's per-row
-// nonzero summaries — keyed by the source operand's content hash plus the
-// parameters the derivation depends on. Simulation sweeps submit many jobs
-// over the same network weights; with a shared PackCache those jobs derive
-// each form once instead of once per job, which is the BLIS-style
-// separation of packing from compute amortised across jobs instead of
-// within one GEMM. It is for forms that are re-read: a whole-operand
-// derivation of something constant across jobs or runs (weights). A form of
-// a one-shot operand (a layer's activation) or one that costs less to redo
-// than to hash and keep (MAERI's per-call kernel panel) does not belong in
-// it — every entry that is never hit pushes out one that would be.
+// nonzero summaries, MAERI layer outputs — keyed by the source operands'
+// identities plus the parameters the derivation depends on. Simulation
+// sweeps submit many jobs over the same network weights; with a shared
+// PackCache those jobs derive each form once instead of once per job, which
+// is the BLIS-style separation of packing from compute amortised across
+// jobs instead of within one GEMM. It is for forms that are re-read:
+//
+//   - A whole-operand derivation of something constant across jobs or runs
+//     (weights), keyed by ContentHash.
+//   - A MAERI output (job's "maeri/conv-out/v1", "maeri/dense-out/v1"),
+//     which a mapping changes the cycles of but never the values: an entry
+//     exists only when both operands' identities are free (Identity — a
+//     stamp, or a hash already memoised), and every mapping of a sweep that
+//     shares the entry's reduction order re-reads it. An operand without a
+//     free identity — every activation of a model run — is never hashed
+//     for it.
+//
+// A form of a one-shot operand (an activation's layout transpose) or one
+// that costs less to redo than to hash and keep (MAERI's per-call kernel
+// panel) does not belong in it — every entry that is never hit pushes out
+// one that would be.
 //
 // Cached values are immutable by contract: producers hand the cache a
 // fully built tensor and never write to it again, and consumers only read.
@@ -44,8 +55,9 @@ type PackCache struct {
 type PackKey struct {
 	// Op names and versions the derived form, e.g. "gemm/packB/v1".
 	Op string
-	// Hash is the source operand's ContentHash, optionally folded with
-	// extra geometry via CombineHash when P cannot carry it all.
+	// Hash is the source operand's identity (ContentHash, or a stamp), or
+	// the identities of several, optionally folded with extra geometry via
+	// CombineHash when P cannot carry it all.
 	Hash [32]byte
 	// P carries the op-specific blocking / geometry parameters.
 	P [6]int
@@ -93,6 +105,14 @@ type packEntry struct {
 //
 // 32 is no smaller than 64 in resident memory and leaves a SIGMA session
 // no headroom; 256 costs 60–100 MB for forms no job reads twice.
+//
+// A sweep's MAERI outputs follow the same rule and need no room of their
+// own. In a 15 s sweep_miss_small run (seed 2) a 32-row batch puts 2.5
+// conv outputs, which serve 13.5 rows before they age out, and 6.2 dense
+// outputs, which serve 1.8 (the mix's four dense mappings reduce in three
+// orders), against floors of 2 and 6 puts. At 256 entries the conv builds
+// stay at 2.4 a batch — the excess is two workers racing on a set's first
+// rows, not eviction — and peak RSS rises from 78 to 103 MB.
 const (
 	DefaultPackCacheEntries = 64
 	DefaultPackCacheBytes   = 256 << 20

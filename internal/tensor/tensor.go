@@ -122,6 +122,17 @@ func (t *Tensor) ContentHash() [32]byte {
 // reaches a job key or a disk record.
 func (t *Tensor) SetIdentity(id [32]byte) { t.chash.Store(&id) }
 
+// Identity returns t's identity when it is free: the one SetIdentity
+// stamped or the ContentHash already memoised. It never reads an element,
+// and an operand with neither reports false and stays without one, so a
+// caller that keys only free identities never pays for a hash.
+func (t *Tensor) Identity() ([32]byte, bool) {
+	if p := t.chash.Load(); p != nil {
+		return *p, true
+	}
+	return [32]byte{}, false
+}
+
 // WriteFloatBits streams data's little-endian float32 bit patterns into w
 // through a fixed stack buffer — the canonical element encoding shared by
 // ContentHash and the farm's content-addressed job keys, without an
