@@ -12,8 +12,7 @@
 //	# server answers previously computed jobs from disk with zero
 //	# simulator executions and byte-identical responses
 //	bifrost-serve -cache-dir /var/cache/bifrost \
-//	  -cache-max-entries 10000 -cache-max-bytes 256000000 \
-//	  -cache-disk-max-bytes 10000000000
+//	  -cache-max-bytes 256000000 -cache-disk-max-bytes 10000000000
 //
 //	# operational bounds: reject work beyond 4096 queued jobs (HTTP 429 +
 //	# Retry-After), time out jobs stuck past 30s (HTTP 504), and drain
@@ -125,14 +124,12 @@ func main() {
 		addr       = flag.String("addr", ":8087", "listen address")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "simulation-farm workers")
 		cacheDir   = flag.String("cache-dir", "", "persistent result-cache directory (empty = memory only)")
-		maxEntries = flag.Int("cache-max-entries", 0, "in-memory cache entry bound, LRU-evicted (0 = no entry bound; the byte bound still holds)")
 		maxBytes   = flag.Int64("cache-max-bytes", 0, "in-memory cache byte bound, LRU-evicted (0 = the default, 256 MiB)")
 		diskMax    = flag.Int64("cache-disk-max-bytes", 0, "disk cache byte bound, oldest segments first (0 = unbounded)")
 		maxQueue   = flag.Int("max-queue", 0, "queued-job bound: submissions beyond it are rejected with HTTP 429 + Retry-After instead of growing the queue (0 = unbounded)")
 		jobTimeout = flag.Duration("job-timeout", 0, "default per-request deadline, e.g. 30s; an unanswered request fails with HTTP 504, and its queued job is removed unless another request waits on it (0 = none; requests override with timeout_ms)")
 		drainWait  = flag.Duration("shutdown-timeout", 30*time.Second, "graceful-drain bound on SIGINT/SIGTERM: running jobs get this long to finish before queued work is abandoned")
 		pprofAddr  = flag.String("pprof", "", "side-port listen address for net/http/pprof and /metrics, e.g. localhost:6060 (empty = disabled)")
-		traceAll   = flag.Bool("trace", false, "echo a per-job lifecycle trace in every response (same as \"trace\": true on each request)")
 		slowJob    = flag.Duration("slow-job", 0, "log a warning with the full lifecycle trace for jobs slower than this, e.g. 250ms (0 = disabled)")
 		traceRing  = flag.Int("traces", 256, "recent lifecycle traces retained for GET /debug/traces (0 = disabled)")
 		logJSON    = flag.Bool("log-json", false, "emit structured request logs as JSON instead of text")
@@ -165,7 +162,6 @@ func main() {
 	log.Printf("simd: %s kernels", tensor.SIMDLevel())
 
 	opts := []farm.Option{
-		farm.WithMaxEntries(*maxEntries),
 		farm.WithMaxBytes(*maxBytes),
 		farm.WithMaxQueue(*maxQueue),
 	}
@@ -214,7 +210,6 @@ func main() {
 	sopts := []serve.ServerOption{
 		serve.WithJobTimeout(*jobTimeout),
 		serve.WithLogger(logger),
-		serve.WithTraceAll(*traceAll),
 		serve.WithSlowJobThreshold(*slowJob),
 		serve.WithSweepDir(*sweepDir),
 	}

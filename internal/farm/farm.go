@@ -859,8 +859,6 @@ type Stats struct {
 	// utilisation and queue-depth gauges.
 	BusyWorkers int64 `json:"busy_workers"`
 	Queued      int64 `json:"queued"`
-	// CacheEntries is the number of distinct results held in memory.
-	CacheEntries int `json:"cache_entries"`
 	// Memory and Disk are the per-tier cache counters (hits, evictions,
 	// bytes, corrupt entries dropped); Disk is nil without a disk tier.
 	Memory StoreStats  `json:"memory"`
@@ -903,22 +901,21 @@ func (f *Farm) Stats() Stats {
 	f.statsMu.Lock()
 	defer f.statsMu.Unlock()
 	st := Stats{
-		Workers:      f.workers,
-		Submitted:    f.submitted.Load(),
-		Completed:    f.completed.Load(),
-		Failed:       f.failed.Load(),
-		Panics:       f.panics.Load(),
-		Cancelled:    f.cancelled.Load(),
-		Rejected:     f.rejected.Load(),
-		Hits:         f.hits.Load(),
-		DiskHits:     f.diskHits.Load(),
-		Misses:       f.misses.Load(),
-		Deduped:      f.deduped.Load(),
-		Pending:      f.pending.Load(),
-		BusyWorkers:  f.busy.Load(),
-		Queued:       queued,
-		CacheEntries: int(mem.Entries),
-		Memory:       mem,
+		Workers:     f.workers,
+		Submitted:   f.submitted.Load(),
+		Completed:   f.completed.Load(),
+		Failed:      f.failed.Load(),
+		Panics:      f.panics.Load(),
+		Cancelled:   f.cancelled.Load(),
+		Rejected:    f.rejected.Load(),
+		Hits:        f.hits.Load(),
+		DiskHits:    f.diskHits.Load(),
+		Misses:      f.misses.Load(),
+		Deduped:     f.deduped.Load(),
+		Pending:     f.pending.Load(),
+		BusyWorkers: f.busy.Load(),
+		Queued:      queued,
+		Memory:      mem,
 	}
 	if f.disk != nil {
 		disk := f.disk.Stats()

@@ -53,8 +53,8 @@ func TestFarmCachesIdenticalJobs(t *testing.T) {
 	if st.Submitted != 2 || st.Misses != 1 || st.Hits != 1 || st.Completed != 1 {
 		t.Fatalf("unexpected stats: %+v", st)
 	}
-	if st.CacheEntries != 1 {
-		t.Fatalf("cache entries = %d, want 1", st.CacheEntries)
+	if st.Memory.Entries != 1 {
+		t.Fatalf("cache entries = %d, want 1", st.Memory.Entries)
 	}
 	if got := st.HitRate(); got != 0.5 {
 		t.Fatalf("hit rate = %v, want 0.5", got)
@@ -161,7 +161,7 @@ func TestFarmErrorsAreNotCached(t *testing.T) {
 	if st.Failed == 0 {
 		t.Fatalf("failed = 0, want > 0: %+v", st)
 	}
-	if st.CacheEntries != 0 {
+	if st.Memory.Entries != 0 {
 		t.Fatalf("error was cached: %+v", st)
 	}
 }

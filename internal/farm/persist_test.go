@@ -72,8 +72,8 @@ func TestEvictedEntriesRecomputeCorrectly(t *testing.T) {
 	if st.Memory.Evictions == 0 {
 		t.Fatalf("no evictions with max entries 2 and %d jobs: %+v", len(jobs), st)
 	}
-	if st.CacheEntries > 2 {
-		t.Fatalf("memory tier exceeded its bound: %d entries", st.CacheEntries)
+	if st.Memory.Entries > 2 {
+		t.Fatalf("memory tier exceeded its bound: %d entries", st.Memory.Entries)
 	}
 	// With the cache bounded to 2 of len(jobs) entries and two sequential
 	// full passes, most of the second pass must have been recomputed.

@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -85,6 +87,13 @@ func TestCoordinatorRingSkipsDrainingPeer(t *testing.T) {
 	}
 	if v := metricValue(t, metrics, `bifrost_peer_breaker_trips_total{peer="w2"}`); v != 1 {
 		t.Errorf("the drain tripped w2's breaker %v times, want 1", v)
+	}
+	// Once w2's breaker is open, placements that reach it skip it.
+	if v := metricValue(t, metrics, `bifrost_peer_skipped_total{peer="w2"}`); v == 0 {
+		t.Error("no placement skipped the quarantined w2")
+	}
+	if v := metricValue(t, metrics, `bifrost_peer_skipped_total{peer="w1"}`); v != 0 {
+		t.Errorf("placements skipped the healthy w1 %v times", v)
 	}
 }
 
@@ -259,6 +268,70 @@ func TestCoordinatorWalkIsSequential(t *testing.T) {
 		if v := metricValue(t, metrics, `bifrost_peer_breaker_trips_total{peer="`+p.Name+`"}`); v != 0 {
 			t.Errorf("the rows' deadlines tripped %s's breaker %v times", p.Name, v)
 		}
+	}
+}
+
+// TestCoordinatorPeerTimeoutFailsOver proves WithPeerTimeout: a peer that
+// accepts the connection but never sends response headers is given up on
+// within the bound, and the row fails over to the next owner and is
+// answered there.
+func TestCoordinatorPeerTimeoutFailsOver(t *testing.T) {
+	hung, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn // accepted, read from by no one, never answered
+	go func() {
+		for {
+			conn, err := hung.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, conn)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		hung.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	})
+	good := newWorkerNode(t)
+
+	const bound = 100 * time.Millisecond
+	coordFarm := farm.New(1)
+	api := NewServer(coordFarm, WithPeerTimeout(bound),
+		WithPeers([]Peer{{Name: "hung", URL: "http://" + hung.Addr().String()}, {Name: "good", URL: good.URL}}))
+	coord := httptest.NewServer(api)
+	t.Cleanup(func() { coord.Close(); api.Close(); coordFarm.Close() })
+
+	// A row whose first owner is the hung peer.
+	req := JobRequest{Arch: ArchSpec{Controller: "maeri"}, Op: "dense", Dense: &DenseSpec{K: 16, N: 8}, DryRun: true}
+	for {
+		owners, err := place(api, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owners[0] == "hung" {
+			break
+		}
+		req.Dense.N++
+	}
+	start := time.Now()
+	code, jr := postSimulate(t, coord.URL, req)
+	if elapsed := time.Since(start); elapsed > 30*bound {
+		t.Errorf("failover took %s with a %s peer timeout", elapsed, bound)
+	}
+	if code != http.StatusOK || jr.Peer != "good" {
+		t.Fatalf("HTTP %d from peer %q (%s), want 200 from the next owner", code, jr.Peer, jr.Error)
+	}
+	if v := metricValue(t, scrapeMetrics(t, coord.URL), `bifrost_peer_failovers_total{peer="hung"}`); v != 1 {
+		t.Errorf("failovers off the hung peer = %v, want 1", v)
 	}
 }
 

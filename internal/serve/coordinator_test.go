@@ -147,6 +147,11 @@ func TestCoordinatorTwoNodePeerSweepByteIdentical(t *testing.T) {
 			t.Errorf("coordinator /metrics missing %s", fam)
 		}
 	}
+	for name, rows := range peers {
+		if v := metricValue(t, string(metrics), `bifrost_peer_dispatched_total{peer="`+name+`"}`); v != float64(rows) {
+			t.Errorf("bifrost_peer_dispatched_total for %s = %v, want the %d rows it answered", name, v, rows)
+		}
+	}
 }
 
 // TestCoordinatorPlacementMakesNoSideCalls fronts each worker with a handler
@@ -382,7 +387,7 @@ func testCoordinatorAllPeersDownFallsBackLocal(t *testing.T) {
 	}
 	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(metrics), "bifrost_coordinator_local_fallbacks_total") {
-		t.Error("local-fallback counter missing from /metrics")
+	if v := metricValue(t, string(metrics), "bifrost_coordinator_local_fallbacks_total"); v != float64(len(reqs)) {
+		t.Errorf("bifrost_coordinator_local_fallbacks_total = %v, want every one of the %d rows", v, len(reqs))
 	}
 }

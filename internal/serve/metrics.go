@@ -86,6 +86,8 @@ func (s *Server) MetricsHandler() http.Handler { return http.HandlerFunc(s.handl
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	telemetry.Default().WritePrometheus(w)
+	telemetry.WriteSamples(w, "bifrost_http_in_flight", "HTTP requests currently being served.", "gauge",
+		telemetry.Sample{Value: float64(httpInFlight.Load())})
 	s.writeFarmMetrics(w)
 	if s.coord != nil {
 		s.coord.writeMetrics(w)
@@ -123,7 +125,6 @@ func (s *Server) writeFarmMetrics(w io.Writer) {
 	telemetry.WriteSamples(w, "bifrost_farm_disk_hits_total", "Cache hits answered by the disk tier.", "counter", one(float64(st.DiskHits))...)
 	telemetry.WriteSamples(w, "bifrost_farm_misses_total", "Submissions that required a simulation.", "counter", one(float64(st.Misses))...)
 	telemetry.WriteSamples(w, "bifrost_farm_deduped_total", "Submissions attached to an in-flight execution.", "counter", one(float64(st.Deduped))...)
-	telemetry.WriteSamples(w, "bifrost_farm_hit_ratio", "Fraction of submissions answered without an execution.", "gauge", one(st.HitRate())...)
 
 	tier := func(name string) []telemetry.Label { return []telemetry.Label{{Name: "tier", Value: name}} }
 	tiers := []struct {
@@ -151,7 +152,6 @@ func (s *Server) writeFarmMetrics(w io.Writer) {
 	family("evictions_total", "Entries evicted to honour the tier's bounds.", "counter", func(s farm.StoreStats) float64 { return float64(s.Evictions) })
 	family("corrupt_total", "Entries dropped as corrupt.", "counter", func(s farm.StoreStats) float64 { return float64(s.Corrupt) })
 	family("errors_total", "Tier I/O errors.", "counter", func(s farm.StoreStats) float64 { return float64(s.Errors) })
-	family("hit_ratio", "Tier lookup hit ratio.", "gauge", farm.StoreStats.HitRatio)
 	if st.Disk != nil {
 		d := *st.Disk
 		telemetry.WriteSamples(w, "bifrost_farm_disk_errors_total",
@@ -197,7 +197,6 @@ func (s *Server) writeFarmMetrics(w io.Writer) {
 	telemetry.WriteSamples(w, "bifrost_pack_cache_hits_total", "Packed-operand reuse hits.", "counter", one(float64(pk.Hits))...)
 	telemetry.WriteSamples(w, "bifrost_pack_cache_misses_total", "Packed-operand misses.", "counter", one(float64(pk.Misses))...)
 	telemetry.WriteSamples(w, "bifrost_pack_cache_evictions_total", "Packed operands evicted.", "counter", one(float64(pk.Evictions))...)
-	telemetry.WriteSamples(w, "bifrost_pack_cache_hit_ratio", "Packed-operand hit ratio.", "gauge", one(telemetry.Ratio(pk.Hits, pk.Misses))...)
 
 	telemetry.WriteSamples(w, "bifrost_traces_recorded_total", "Lifecycle traces captured into the debug ring.", "counter", one(float64(s.ring.Total()))...)
 

@@ -7,12 +7,18 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/farm"
+	"repro/internal/stonne/config"
+	"repro/internal/stonne/mapping"
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
 // TestMetricsEndpoint checks the Prometheus exposition: content type, the
@@ -47,7 +53,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	text := string(body)
 
 	for _, family := range []string{
-		// Registry-backed histograms and gauges.
+		// Registry-backed histograms and the in-flight count.
 		"bifrost_http_request_seconds_bucket",
 		"bifrost_http_in_flight",
 		"bifrost_farm_phase_seconds_bucket",
@@ -57,9 +63,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"bifrost_farm_submitted_total 2",
 		"bifrost_farm_hits_total 1",
 		"bifrost_farm_misses_total 1",
-		"bifrost_farm_hit_ratio 0.5",
 		`bifrost_store_entries{tier="memory"} 1`,
-		`bifrost_store_hit_ratio{tier="memory"}`,
+		`bifrost_store_hits_total{tier="memory"} 1`,
 		"bifrost_pack_cache_hits_total",
 		"bifrost_traces_recorded_total",
 	} {
@@ -71,6 +76,210 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got, want := strings.Count(text, "# HELP"), strings.Count(text, "# TYPE"); got != want || got == 0 {
 		t.Errorf("HELP lines %d, TYPE lines %d", got, want)
 	}
+	// The scrape itself is in flight while it renders.
+	if v := metricValue(t, text, "bifrost_http_in_flight"); v < 1 {
+		t.Errorf("bifrost_http_in_flight = %v during a scrape, want >= 1", v)
+	}
+	// Ratios are derived by the scraper (rate of hits over rate of
+	// lookups), never served as lifetime values.
+	if strings.Contains(text, "_ratio") {
+		t.Error("exposition serves a _ratio family")
+	}
+}
+
+// TestMetricsSoloScenario drives one node through every way a job is
+// answered — a miss, a disk hit, a memory hit, a disk hit after eviction,
+// a corrupt disk record, a failed job, a panic and a dedup behind a busy
+// worker — and checks that each scrape-time family moves with it.
+func TestMetricsSoloScenario(t *testing.T) {
+	ds, err := farm.NewDiskStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One memory entry and one pack-cache entry: the second distinct job
+	// evicts the first from both.
+	fm := farm.New(1, farm.WithMaxEntries(1), farm.WithDiskStore(ds),
+		farm.WithPackCache(tensor.NewPackCache(1, 0)), farm.WithTraceRing(telemetry.NewTraceRing(8)))
+	ts := httptest.NewServer(NewServer(fm))
+	t.Cleanup(func() { ts.Close(); fm.Close() })
+
+	expect := func(step string, want map[string]float64) {
+		t.Helper()
+		body := scrapeMetrics(t, ts.URL)
+		for name, v := range want {
+			if got := metricValue(t, body, name); got != v {
+				t.Errorf("%s: %s = %v, want %v", step, name, got, v)
+			}
+		}
+	}
+	conv := func(seed int64) JobRequest {
+		return JobRequest{Arch: ArchSpec{Controller: "maeri"}, Op: "conv2d",
+			Conv: &ConvSpec{C: 2, H: 10, K: 4, R: 3}, Seed: seed}
+	}
+	simulate := func(step string, req JobRequest, status int, cached bool) JobResponse {
+		t.Helper()
+		code, jr := postSimulate(t, ts.URL, req)
+		if code != status || jr.Cached != cached {
+			t.Fatalf("%s: HTTP %d cached=%v (%s), want HTTP %d cached=%v", step, code, jr.Cached, jr.Error, status, cached)
+		}
+		return jr
+	}
+
+	// A computed result goes to disk; memory holds what is read again.
+	simulate("miss", conv(1), http.StatusOK, false)
+	expect("miss", map[string]float64{
+		"bifrost_farm_completed_total":            1,
+		`bifrost_store_puts_total{tier="disk"}`:   1,
+		`bifrost_store_puts_total{tier="memory"}`: 0,
+		`bifrost_store_misses_total{tier="disk"}`: 1,
+		`bifrost_store_entries{tier="memory"}`:    0,
+		`bifrost_store_bytes{tier="memory"}`:      0,
+		"bifrost_pack_cache_entries":              1,
+		"bifrost_traces_recorded_total":           1,
+	})
+	for _, name := range []string{`bifrost_store_misses_total{tier="memory"}`, `bifrost_store_bytes{tier="disk"}`,
+		"bifrost_pack_cache_misses_total", "bifrost_pack_cache_bytes"} {
+		if metricValue(t, scrapeMetrics(t, ts.URL), name) == 0 {
+			t.Errorf("miss: %s = 0 after a computed MAERI conv", name)
+		}
+	}
+
+	simulate("disk hit", conv(1), http.StatusOK, true)
+	expect("disk hit", map[string]float64{
+		"bifrost_farm_disk_hits_total":            1,
+		`bifrost_store_puts_total{tier="memory"}`: 1,
+		`bifrost_store_entries{tier="memory"}`:    1,
+	})
+	if metricValue(t, scrapeMetrics(t, ts.URL), `bifrost_store_bytes{tier="memory"}`) == 0 {
+		t.Error("disk hit: the promoted result holds no memory-tier bytes")
+	}
+
+	simulate("memory hit", conv(1), http.StatusOK, true)
+	expect("memory hit", map[string]float64{
+		"bifrost_farm_hits_total":                 2,
+		"bifrost_farm_disk_hits_total":            1,
+		`bifrost_store_hits_total{tier="memory"}`: 1,
+	})
+
+	second := simulate("second miss", conv(2), http.StatusOK, false)
+	expect("second miss", map[string]float64{
+		"bifrost_farm_completed_total": 2,
+		"bifrost_pack_cache_entries":   1,
+	})
+	if metricValue(t, scrapeMetrics(t, ts.URL), "bifrost_pack_cache_evictions_total") == 0 {
+		t.Error("a second operand set did not evict from a one-entry pack cache")
+	}
+
+	// Reading the second job back takes the memory tier's one slot.
+	simulate("second disk hit", conv(2), http.StatusOK, true)
+	expect("second disk hit", map[string]float64{
+		"bifrost_farm_disk_hits_total":                 2,
+		`bifrost_store_evictions_total{tier="memory"}`: 1,
+	})
+	simulate("disk hit after eviction", conv(1), http.StatusOK, true)
+	expect("disk hit after eviction", map[string]float64{
+		"bifrost_farm_disk_hits_total":                 3,
+		`bifrost_store_evictions_total{tier="memory"}`: 2,
+	})
+
+	// The second job is on disk only now; damage its record so the next
+	// lookup finds a corrupt frame and recomputes.
+	path, b, off := diskRecord(t, ds.Dir(), second.Key)
+	b[off+64+(len(b)-off-64)/2] ^= 0x10
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	packHits := metricValue(t, scrapeMetrics(t, ts.URL), "bifrost_pack_cache_hits_total")
+	simulate("corrupt record", conv(2), http.StatusOK, false)
+	expect("corrupt record", map[string]float64{
+		`bifrost_store_corrupt_total{tier="disk"}`: 1,
+		"bifrost_farm_completed_total":             3,
+	})
+	// The recomputation finds the output it computed before in the pack
+	// cache, by operand identity.
+	if metricValue(t, scrapeMetrics(t, ts.URL), "bifrost_pack_cache_hits_total") <= packHits {
+		t.Error("recomputing a job whose output the pack cache holds scored no pack hit")
+	}
+
+	bad := conv(3)
+	bad.Mapping = []int{3, 3, 1, 5, 1, 1, 1, 1} // T_K=5 exceeds K=4
+	simulate("failed job", bad, http.StatusUnprocessableEntity, false)
+	expect("failed job", map[string]float64{"bifrost_farm_failed_total": 1})
+
+	panicky := farm.Job{HW: config.Default(config.MAERIDenseWorkload), Kind: farm.Dense, DryRun: true,
+		M: 1, K: 32, N: 18, FCMapping: mapping.BasicFC()}.WithFaultHook(func() { panic("injected") })
+	if _, err := fm.Do(panicky); err == nil {
+		t.Fatal("a panicking job returned no error")
+	}
+	expect("panic", map[string]float64{"bifrost_farm_panics_total": 1})
+
+	// Two identical requests queue behind a pinned worker: one job, two
+	// waiters.
+	started, release := make(chan struct{}), make(chan struct{})
+	unpin := sync.OnceFunc(func() { close(release) })
+	defer unpin() // unpin before Close so the farm can drain
+	go fm.Do(pinJob(1, started, release))
+	<-started
+	dry, err := json.Marshal(JobRequest{Arch: ArchSpec{Controller: "maeri"}, Op: "dense",
+		Dense: &DenseSpec{K: 32, N: 17}, DryRun: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := make(chan int, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			resp, err := http.Post(ts.URL+"/simulate", "application/json", bytes.NewReader(dry))
+			if err != nil {
+				codes <- 0
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	waitFor(t, "the second request to attach", func() bool { return fm.Stats().Deduped == 1 })
+	expect("busy worker", map[string]float64{
+		"bifrost_farm_busy_workers":  1,
+		"bifrost_farm_queue_depth":   1,
+		"bifrost_farm_pending_jobs":  2,
+		"bifrost_farm_deduped_total": 1,
+	})
+	unpin()
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("deduped request answered HTTP %d", code)
+		}
+	}
+	waitFor(t, "the pinned job to finish", func() bool { return fm.Stats().Pending == 0 })
+	expect("idle", map[string]float64{
+		"bifrost_farm_busy_workers": 0,
+		"bifrost_farm_queue_depth":  0,
+		"bifrost_farm_pending_jobs": 0,
+	})
+}
+
+// diskRecord finds key's last record among the disk store's segments: the
+// segment's path and contents, and the record's offset.
+func diskRecord(t *testing.T, dir, key string) (path string, b []byte, off int) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := bytes.LastIndex(data, []byte(key)); i >= 0 {
+			path, b, off = p, data, i
+		}
+	}
+	if path == "" {
+		t.Fatalf("no record of %s in %s", key, dir)
+	}
+	return path, b, off
 }
 
 // TestVersionEndpoint checks the build/runtime descriptor.
@@ -299,26 +508,5 @@ func TestSlowJobLogging(t *testing.T) {
 	}
 	if !strings.Contains(logs, `"path":"/simulate"`) {
 		t.Error("request log line missing")
-	}
-}
-
-// TestTraceAll checks the server-wide -trace mode: every response carries a
-// trace without the client opting in.
-func TestTraceAll(t *testing.T) {
-	fm := farm.New(1)
-	ts := httptest.NewServer(NewServer(fm, WithTraceAll(true)))
-	t.Cleanup(func() { ts.Close(); fm.Close() })
-
-	resp, err := http.Post(ts.URL+"/simulate", "application/json", strings.NewReader(convBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var jr JobResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
-		t.Fatal(err)
-	}
-	if jr.Trace == nil || jr.Trace.Source != "compute" {
-		t.Fatalf("server-wide tracing returned trace %+v", jr.Trace)
 	}
 }

@@ -181,7 +181,7 @@ func TestServeBoundedCacheStillCorrect(t *testing.T) {
 	if st.Memory.Evictions == 0 {
 		t.Fatalf("one-entry memory tier never evicted: %+v", st)
 	}
-	if st.CacheEntries > 1 {
+	if st.Memory.Entries > 1 {
 		t.Fatalf("memory tier over bound: %+v", st)
 	}
 	// The disk tier backs up what memory evicts: the second pass must not

@@ -234,12 +234,39 @@ func TestChaosReplicaRejoinsAfterPeerRestart(t *testing.T) {
 		return slices.Contains(rz.Reasons, "replication_degraded")
 	}
 
+	replica := func(step string, want map[string]float64) {
+		t.Helper()
+		body := scrapeMetrics(t, front.ts.URL)
+		for name, v := range want {
+			if got := metricValue(t, body, name); got != v {
+				t.Errorf("%s: %s = %v, want %v", step, name, got, v)
+			}
+		}
+	}
+
 	simulate()
 	if degraded() {
 		t.Fatal("degraded with both nodes up")
 	}
+	replica("both up", map[string]float64{
+		"bifrost_replica_members":        1,
+		"bifrost_replica_healthy":        1,
+		"bifrost_replica_writes_total":   1,
+		"bifrost_replica_failures_total": 0,
+		"bifrost_replication_degraded":   0,
+	})
 	peer.kill()
 	waitFor(t, "the dead peer's breaker to trip", func() bool { simulate(); return degraded() })
+	body := scrapeMetrics(t, front.ts.URL)
+	replica("peer down", map[string]float64{
+		"bifrost_replica_members":      1,
+		"bifrost_replica_healthy":      0,
+		"bifrost_replica_writes_total": 1,
+		"bifrost_replication_degraded": 1,
+	})
+	if v := metricValue(t, body, "bifrost_replica_failures_total"); v == 0 {
+		t.Error("writes to the dead peer counted no replica failures")
+	}
 
 	// The peer comes back on the same address (same ring name), like a
 	// restarted process; its farm kept running, as after a network partition.
@@ -253,6 +280,10 @@ func TestChaosReplicaRejoinsAfterPeerRestart(t *testing.T) {
 	back.Start()
 	t.Cleanup(back.Close)
 	waitFor(t, "the replica breaker to re-close on traffic", func() bool { simulate(); return !degraded() })
+	replica("peer back", map[string]float64{
+		"bifrost_replica_healthy":      1,
+		"bifrost_replication_degraded": 0,
+	})
 
 	// Rejoined for real: the next result is replicated onto the peer's disk.
 	before := peer.fm.Stats().Disk.Puts

@@ -105,8 +105,7 @@ type JobRequest struct {
 	// Trace echoes a per-job lifecycle trace in the response: where the
 	// job's wall-clock time went (enqueue wait, dedup, cache lookups,
 	// compute, persist) and which tier answered it. Tracing never changes
-	// results or cache keys; the server's -trace flag turns it on for
-	// every request.
+	// results or cache keys.
 	Trace bool `json:"trace,omitempty"`
 	// TimeoutMS bounds this request's wait in milliseconds: a request still
 	// unanswered when the timeout passes fails with a deadline error (HTTP
@@ -333,7 +332,7 @@ type JobResponse struct {
 	// their real cost instead of truncating to 0.
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// Trace is the job's lifecycle trace, present when the request set
-	// "trace": true or the server runs with -trace.
+	// "trace": true.
 	Trace *telemetry.Trace `json:"trace,omitempty"`
 	// Peer names the node that executed the job when a coordinator
 	// dispatched it across the ring; empty for locally executed jobs.

@@ -199,6 +199,13 @@ func TestChaosSweepDisconnectResumeRestart(t *testing.T) {
 	if n := srv2.sweeps.replayed.Load(); n != int64(len(reqs)) {
 		t.Fatalf("restarted resume replayed %d rows from the journal, want %d", n, len(reqs))
 	}
+	metrics := scrapeMetrics(t, ts2.URL)
+	if v := metricValue(t, metrics, "bifrost_sweep_rows_replayed_total"); v != float64(len(reqs)) {
+		t.Errorf("bifrost_sweep_rows_replayed_total = %v, want %d", v, len(reqs))
+	}
+	if v := metricValue(t, metrics, "bifrost_active_sweeps"); v != 0 {
+		t.Errorf("bifrost_active_sweeps = %v after the resume finished, want 0", v)
+	}
 	for i, row := range got {
 		if !row.Cached {
 			t.Errorf("post-restart row %d not served from cache", i)
@@ -233,6 +240,10 @@ func TestChaosSweepConflictAndFreshStart(t *testing.T) {
 			t.Fatal("sweep never became active")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+
+	if v := metricValue(t, scrapeMetrics(t, ts.URL), "bifrost_active_sweeps"); v != 1 {
+		t.Errorf("bifrost_active_sweeps = %v while the sweep runs, want 1", v)
 	}
 
 	// Same id, no resume: refused while the sweep runs.

@@ -52,10 +52,9 @@ type Server struct {
 	mux        *http.ServeMux
 	jobTimeout time.Duration
 
-	logger   *slog.Logger
-	traceAll bool
-	slowJob  time.Duration
-	ring     *telemetry.TraceRing
+	logger  *slog.Logger
+	slowJob time.Duration
+	ring    *telemetry.TraceRing
 
 	peerList []Peer
 	coord    *coordinator
@@ -71,7 +70,6 @@ type Server struct {
 	drainCh   chan struct{}
 	drainOnce sync.Once
 
-	inflight   *telemetry.Gauge
 	reqSeconds map[string]*telemetry.Histogram
 	started    time.Time
 }
@@ -88,10 +86,6 @@ func WithJobTimeout(d time.Duration) ServerOption { return func(s *Server) { s.j
 
 // WithLogger sets the structured request logger (default slog.Default()).
 func WithLogger(l *slog.Logger) ServerOption { return func(s *Server) { s.logger = l } }
-
-// WithTraceAll echoes a lifecycle trace in every job response, as if each
-// request had set "trace": true. Tracing never changes results or keys.
-func WithTraceAll(on bool) ServerOption { return func(s *Server) { s.traceAll = on } }
 
 // WithSlowJobThreshold logs a warning with the full lifecycle trace for
 // any job slower than d (0 disables). The trace is collected for every job
@@ -127,9 +121,6 @@ func NewServer(f *farm.Farm, opts ...ServerOption) *Server {
 	if len(s.peerList) > 0 {
 		s.coord = newCoordinator(s, s.peerList)
 	}
-	reg := telemetry.Default()
-	s.inflight = reg.Gauge("bifrost_http_in_flight",
-		"HTTP requests currently being served.")
 	s.reqSeconds = make(map[string]*telemetry.Histogram)
 	s.route("POST", "/simulate", s.handleSimulate)
 	s.route("POST", "/batch", s.handleBatch)
@@ -248,8 +239,12 @@ func (s *Server) refuseDraining(w http.ResponseWriter) {
 		JobResponse{Error: "node is draining", Code: "draining", Retryable: true})
 }
 
+// httpInFlight counts the HTTP requests being served by every Server in
+// the process; /metrics renders it as bifrost_http_in_flight.
+var httpInFlight atomic.Int64
+
 // route registers an instrumented endpoint: per-endpoint latency
-// histogram, in-flight gauge and a structured request log line.
+// histogram, in-flight count and a structured request log line.
 func (s *Server) route(method, path string, h http.HandlerFunc) {
 	hist := telemetry.Default().Histogram("bifrost_http_request_seconds",
 		"HTTP request latency per endpoint.",
@@ -284,7 +279,7 @@ func (r *statusRecorder) Flush() {
 }
 
 // instrument wraps a handler with the request telemetry: latency
-// histogram, in-flight gauge, structured log line. Scrape and liveness
+// histogram, in-flight count, structured log line. Scrape and liveness
 // endpoints log at Debug so a tight scrape loop does not drown real
 // traffic in the log.
 func (s *Server) instrument(endpoint string, hist *telemetry.Histogram, h http.HandlerFunc) http.HandlerFunc {
@@ -294,10 +289,10 @@ func (s *Server) instrument(endpoint string, hist *telemetry.Histogram, h http.H
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.inflight.Inc()
+		httpInFlight.Add(1)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		h(rec, r)
-		s.inflight.Dec()
+		httpInFlight.Add(-1)
 		elapsed := time.Since(start)
 		hist.Observe(elapsed.Seconds())
 		s.logger.LogAttrs(r.Context(), level, "request",
@@ -329,7 +324,7 @@ type named struct {
 // name compiles req into its job. The job is additionally traced when
 // slow-job logging needs the data; echoTrace controls what the client sees.
 func (s *Server) name(req JobRequest) named {
-	n := named{req: req, echoTrace: req.Trace || s.traceAll}
+	n := named{req: req, echoTrace: req.Trace}
 	req.Trace = n.echoTrace || s.slowJob > 0
 	n.job, n.release, n.err = s.operands.lazyJob(req)
 	return n

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -81,6 +82,9 @@ func TestServeFaultBackpressure429(t *testing.T) {
 	if !strings.Contains(jr.Error, "queue full") {
 		t.Errorf("429 error %q does not name the queue bound", jr.Error)
 	}
+	if v := metricValue(t, scrapeMetrics(t, ts.URL), "bifrost_farm_rejected_total"); v != 1 {
+		t.Errorf("bifrost_farm_rejected_total = %v after one 429, want 1", v)
+	}
 
 	// Drain and verify the server accepts work again.
 	close(release)
@@ -135,6 +139,9 @@ func TestServeFaultTimeout504(t *testing.T) {
 	})
 	if st := fm.Stats(); st.Cancelled == 0 {
 		t.Errorf("timed-out job was never reaped: %+v", st)
+	}
+	if v := metricValue(t, scrapeMetrics(t, ts.URL), "bifrost_farm_cancelled_total"); v == 0 {
+		t.Error("bifrost_farm_cancelled_total = 0 after a timed-out job was reaped")
 	}
 }
 
@@ -196,6 +203,71 @@ func TestServeFaultTimeoutLeavesSharedJob(t *testing.T) {
 	}
 	if st := fm.Stats(); st.Cancelled != 0 {
 		t.Errorf("the shared job was cancelled though a request still waited on it: %+v", st)
+	}
+}
+
+// TestServeFaultDefaultJobTimeout proves WithJobTimeout: a request that
+// leaves timeout_ms unset inherits the server's default deadline and
+// answers 504 with the deadline code, while a request that sets its own
+// timeout_ms outlives that default and is answered once the worker frees.
+func TestServeFaultDefaultJobTimeout(t *testing.T) {
+	fm := farm.New(1)
+	ts := httptest.NewServer(NewServer(fm, WithJobTimeout(50*time.Millisecond)))
+	started := make(chan struct{})
+	release := make(chan struct{})
+	unpin := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(func() { ts.Close(); fm.Close() })
+	defer unpin() // unpin before Close so the farm can drain
+
+	go fm.Do(pinJob(50, started, release))
+	<-started
+
+	type answer struct {
+		status int
+		jr     JobResponse
+	}
+	overridden := make(chan answer, 1)
+	go func() {
+		var a answer
+		defer func() { overridden <- a }()
+		resp, err := http.Post(ts.URL+"/simulate", "application/json", strings.NewReader(dryBody(150, `,"timeout_ms":60000`)))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		a.status = resp.StatusCode
+		if err := json.NewDecoder(resp.Body).Decode(&a.jr); err != nil {
+			t.Error(err)
+		}
+	}()
+	waitFor(t, "the overriding request's job to queue", func() bool { return fm.Stats().Queued == 1 })
+
+	// Queued after it, so answered only after the overriding request has
+	// itself waited past the default. The client bound turns a server that
+	// ignores its default into a failure, not a hang.
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(ts.URL+"/simulate", "application/json", strings.NewReader(dryBody(151, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jr JobResponse
+	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout || jr.Code != "deadline" || !jr.Retryable {
+		t.Fatalf("default deadline: HTTP %d code %q retryable %v, want 504 deadline retryable (body: %+v)",
+			resp.StatusCode, jr.Code, jr.Retryable, jr)
+	}
+	select {
+	case a := <-overridden:
+		t.Fatalf("a request with timeout_ms 60000 answered at the 50 ms default: HTTP %d (body: %+v)", a.status, a.jr)
+	default:
+	}
+	unpin()
+	if a := <-overridden; a.status != http.StatusOK || a.jr.Error != "" {
+		t.Fatalf("overriding request: HTTP %d (body: %+v), want 200", a.status, a.jr)
 	}
 }
 
@@ -318,6 +390,44 @@ func TestServeFaultDegradedDiskObservability(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// The faults are injected above the disk store, so the store itself
+	// counts no I/O errors; the retry wrapper counts what it saw.
+	for _, name := range []string{"bifrost_farm_disk_breaker_trips_total", "bifrost_farm_disk_retries_total"} {
+		if metricValue(t, body, name) == 0 {
+			t.Errorf("%s = 0 after a disk outage", name)
+		}
+	}
+}
+
+// TestServeFaultDiskWriteErrorCounted removes the disk tier's directory
+// under a live node: the next result cannot be written, the job is still
+// answered, and the failed write is counted in both error families.
+func TestServeFaultDiskWriteErrorCounted(t *testing.T) {
+	ds, err := farm.NewDiskStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm := farm.New(1, farm.WithDiskStore(ds))
+	ts := httptest.NewServer(NewServer(fm))
+	t.Cleanup(func() { ts.Close(); fm.Close() })
+	if err := os.RemoveAll(ds.Dir()); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Post(ts.URL+"/simulate", "application/json", strings.NewReader(dryBody(300, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("job with an unwritable disk tier: HTTP %d, want 200", resp.StatusCode)
+	}
+	body := scrapeMetrics(t, ts.URL)
+	for _, name := range []string{`bifrost_store_errors_total{tier="disk"}`, "bifrost_farm_disk_errors_total"} {
+		if v := metricValue(t, body, name); v != 1 {
+			t.Errorf("%s = %v after one failed write, want 1", name, v)
 		}
 	}
 }

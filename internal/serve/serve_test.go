@@ -82,7 +82,7 @@ func TestSimulateAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	sresp.Body.Close()
-	if st.Hits == 0 || st.Misses == 0 || st.CacheEntries == 0 {
+	if st.Hits == 0 || st.Misses == 0 || st.Memory.Entries == 0 {
 		t.Fatalf("stats did not record the hit/miss: %+v", st)
 	}
 	if st.HitRate() <= 0 {

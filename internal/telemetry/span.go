@@ -75,17 +75,6 @@ func (s *Span) Observe(p Phase, d time.Duration) {
 	}
 }
 
-// Duration returns the accumulated time in phase p.
-func (s *Span) Duration(p Phase) time.Duration {
-	if s == nil || p >= NumPhases {
-		return 0
-	}
-	return s.durs[p]
-}
-
-// Start returns the span's begin time.
-func (s *Span) Start() time.Time { return s.start }
-
 // PhaseHistograms is one latency histogram per lifecycle phase, registered
 // as a single family distinguished by the phase label. ObserveSpan rolls a
 // finished span into them.
@@ -135,8 +124,8 @@ func (ph *PhaseHistograms) Summaries() map[string]HistogramSummary {
 // Trace is the JSON echo of a finished span: where a job's wall-clock time
 // went and which tier answered it. It is transport state — per submission,
 // never cached or persisted — and is only materialised when a caller asks
-// for it (the "trace": true request flag, the server-wide -trace default,
-// or slow-job logging), so the untraced hot path allocates nothing.
+// for it (the "trace": true request flag or slow-job logging), so the
+// untraced hot path allocates nothing.
 type Trace struct {
 	// Key is the job's content-addressed cache key.
 	Key string `json:"key,omitempty"`
@@ -175,8 +164,6 @@ type Trace struct {
 // truncate to 0).
 func MS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-func ms(d time.Duration) float64 { return MS(d) }
-
 // Take materialises the span into a freshly allocated Trace, stamped with
 // the job key, result source and total wall-clock time since the span
 // began. The span itself stays usable (and poolable) afterwards.
@@ -184,13 +171,13 @@ func (s *Span) Take(key, source string) *Trace {
 	t := &Trace{
 		Key:           key,
 		Source:        source,
-		EnqueueWaitMS: ms(s.durs[PhaseEnqueueWait]),
-		DedupMS:       ms(s.durs[PhaseDedup]),
-		MemLookupMS:   ms(s.durs[PhaseMemLookup]),
-		DiskLookupMS:  ms(s.durs[PhaseDiskLookup]),
-		ComputeMS:     ms(s.durs[PhaseCompute]),
-		PersistMS:     ms(s.durs[PhasePersist]),
-		TotalMS:       ms(time.Since(s.start)),
+		EnqueueWaitMS: MS(s.durs[PhaseEnqueueWait]),
+		DedupMS:       MS(s.durs[PhaseDedup]),
+		MemLookupMS:   MS(s.durs[PhaseMemLookup]),
+		DiskLookupMS:  MS(s.durs[PhaseDiskLookup]),
+		ComputeMS:     MS(s.durs[PhaseCompute]),
+		PersistMS:     MS(s.durs[PhasePersist]),
+		TotalMS:       MS(time.Since(s.start)),
 	}
 	return t
 }

@@ -1,19 +1,20 @@
 // Package telemetry is the dependency-free metrics layer behind the
-// simulation stack's observability: atomic counters, gauges, fixed-bucket
-// latency histograms with sharded atomic cells, Prometheus text exposition,
-// and per-job lifecycle spans (span.go). Everything is stdlib-only and
-// allocation-free on the record path — Observe/Add/Set never allocate and
-// never take a lock — so the farm's steady-state hot paths stay at ~0
-// allocs/op with telemetry enabled (pinned by allocs_test.go at the repo
-// root).
+// simulation stack's observability: fixed-bucket latency histograms with
+// sharded atomic cells, Prometheus text exposition, and per-job lifecycle
+// spans (span.go). Everything is stdlib-only and allocation-free on the
+// record path — Observe never allocates and never takes a lock — so the
+// farm's steady-state hot paths stay at ~0 allocs/op with telemetry enabled
+// (pinned by allocs_test.go at the repo root).
 //
-// Metrics register into a Registry under a family name plus an optional
-// fixed label set. Registration is idempotent: requesting an already
-// registered (name, labels) series returns the existing metric, so any
-// layer that knows a series' name can obtain a handle to it without
-// threading pointers through constructors — the farm registers its phase
-// histograms once at package init, and the serve layer re-requests the same
-// handles to build /stats summaries.
+// The Registry holds histograms only. Registration is idempotent:
+// requesting an already registered (name, labels) series returns the
+// existing histogram, so any layer that knows a series' name can obtain a
+// handle to it without threading pointers through constructors — the farm
+// registers its phase histograms once at package init, and the serve layer
+// re-requests the same handles to build /stats summaries. Counts and
+// gauges that another subsystem already tracks (the farm's Stats, the
+// cache tiers) are rendered at scrape time through WriteSamples instead of
+// being mirrored into registered state.
 package telemetry
 
 import (
@@ -33,73 +34,6 @@ type Label struct {
 	Name  string
 	Value string
 }
-
-// kind is the Prometheus metric type of a family.
-type kind uint8
-
-const (
-	kindCounter kind = iota
-	kindGauge
-	kindHistogram
-)
-
-func (k kind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	default:
-		return "histogram"
-	}
-}
-
-// Counter is a monotonically increasing atomic counter.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter by n (n < 0 is a programmer error and ignored).
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v.Add(n)
-	}
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a settable value that can go up and down. Stored as float64 bits
-// so Set is a single atomic store and Add a CAS loop.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add shifts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Inc and Dec shift the gauge by ±1 (the in-flight-requests idiom).
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec shifts the gauge by -1.
-func (g *Gauge) Dec() { g.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // DefBuckets are the default latency bucket upper bounds in seconds,
 // spanning the stack's full dynamic range: sub-microsecond analytic dry
@@ -262,21 +196,16 @@ func (h *Histogram) Summary() HistogramSummary {
 	return sum
 }
 
-// metric is one registered series.
+// metric is one registered histogram series.
 type metric struct {
 	name   string
 	help   string
-	kind   kind
 	labels []Label
-	lstr   string // canonical rendered label set, e.g. {tier="memory"}
-
-	counter *Counter
-	gauge   *Gauge
-	gfunc   func() float64
-	hist    *Histogram
+	lstr   string // canonical rendered label set, e.g. {phase="compute"}
+	hist   *Histogram
 }
 
-// Registry holds registered metrics and renders them in Prometheus text
+// Registry holds registered histograms and renders them in Prometheus text
 // exposition format. The zero value is not usable; use NewRegistry or the
 // process-wide Default registry.
 type Registry struct {
@@ -324,63 +253,24 @@ func escapeLabel(v string) string {
 	return r.Replace(v)
 }
 
-// register returns the existing series for (name, labels) when present —
-// registration is idempotent — or inserts the one built by mk. A name
-// re-registered with a different metric type panics: that is always a
-// programming error and silently returning a mismatched handle would
-// corrupt the exposition.
-func (r *Registry) register(name, help string, k kind, labels []Label, mk func() *metric) *metric {
-	key := name + labelString(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byKey[key]; ok {
-		if m.kind != k {
-			panic(fmt.Sprintf("telemetry: %s re-registered as %s (was %s)", key, k, m.kind))
-		}
-		return m
-	}
-	m := mk()
-	m.name, m.help, m.kind = name, help, k
-	m.labels = append([]Label(nil), labels...)
-	m.lstr = labelString(labels)
-	r.byKey[key] = m
-	r.metrics = append(r.metrics, m)
-	return m
-}
-
-// Counter registers (or retrieves) a counter series.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.register(name, help, kindCounter, labels, func() *metric {
-		return &metric{counter: &Counter{}}
-	}).counter
-}
-
-// Gauge registers (or retrieves) a settable gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.register(name, help, kindGauge, labels, func() *metric {
-		return &metric{gauge: &Gauge{}}
-	}).gauge
-}
-
-// GaugeFunc registers a gauge series whose value is computed at scrape time.
-// Re-registering replaces nothing: the first registered function wins,
-// matching the idempotence of the other constructors.
-func (r *Registry) GaugeFunc(name, help string, f func() float64, labels ...Label) {
-	r.register(name, help, kindGauge, labels, func() *metric {
-		return &metric{gfunc: f}
-	})
-}
-
 // Histogram registers (or retrieves) a histogram series with the given
-// bucket upper bounds (nil selects DefBuckets). Retrieval ignores bounds:
-// the first registration fixes them.
+// bucket upper bounds (nil selects DefBuckets). Registration is idempotent:
+// an already registered (name, labels) series is returned as is, and the
+// first registration fixes the bounds.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
 	if bounds == nil {
 		bounds = DefBuckets
 	}
-	return r.register(name, help, kindHistogram, labels, func() *metric {
-		return &metric{hist: newHistogram(bounds)}
-	}).hist
+	lstr := labelString(labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m, ok := r.byKey[name+lstr]; ok {
+		return m.hist
+	}
+	m := &metric{name: name, help: help, labels: append([]Label(nil), labels...), lstr: lstr, hist: newHistogram(bounds)}
+	r.byKey[name+lstr] = m
+	r.metrics = append(r.metrics, m)
+	return m.hist
 }
 
 // formatValue renders a sample value the way Prometheus expects.
@@ -394,10 +284,10 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WritePrometheus renders every registered series in Prometheus text
+// WritePrometheus renders every registered histogram in Prometheus text
 // exposition format (version 0.0.4): families sorted by name, HELP/TYPE
-// emitted once per family, series sorted by label set, histograms expanded
-// into cumulative _bucket/_sum/_count series.
+// emitted once per family, series sorted by label set, each expanded into
+// cumulative _bucket/_sum/_count series.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	ms := make([]*metric, len(r.metrics))
@@ -415,23 +305,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	prevFamily := ""
 	for _, m := range ms {
 		if m.name != prevFamily {
-			fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.kind)
+			fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s histogram\n", m.name, m.help, m.name)
 			prevFamily = m.name
 		}
-		switch m.kind {
-		case kindCounter:
-			fmt.Fprintf(&sb, "%s%s %d\n", m.name, m.lstr, m.counter.Value())
-		case kindGauge:
-			v := 0.0
-			if m.gfunc != nil {
-				v = m.gfunc()
-			} else {
-				v = m.gauge.Value()
-			}
-			fmt.Fprintf(&sb, "%s%s %s\n", m.name, m.lstr, formatValue(v))
-		case kindHistogram:
-			writeHistogram(&sb, m)
-		}
+		writeHistogram(&sb, m)
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err

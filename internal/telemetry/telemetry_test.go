@@ -13,26 +13,28 @@ import (
 // the expected output is compared verbatim.
 func TestExpositionGolden(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("jobs_total", "Jobs submitted.", Label{"kind", "conv2d"})
-	c.Add(3)
-	reg.Counter("jobs_total", "Jobs submitted.", Label{"kind", "dense"}).Inc()
-	g := reg.Gauge("queue_depth", "Jobs waiting.")
-	g.Set(2.5)
-	reg.GaugeFunc("workers", "Worker count.", func() float64 { return 4 })
 	h := reg.Histogram("latency_seconds", "Job latency.", []float64{0.1, 1, 10})
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(0.5)
 	h.Observe(100)
+	reg.Histogram("a_seconds", "A.", []float64{1}, Label{"kind", "dense"}).Observe(2)
+	reg.Histogram("a_seconds", "A.", []float64{1}, Label{"kind", "conv2d"}).Observe(0.5)
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP jobs_total Jobs submitted.
-# TYPE jobs_total counter
-jobs_total{kind="conv2d"} 3
-jobs_total{kind="dense"} 1
+	want := `# HELP a_seconds A.
+# TYPE a_seconds histogram
+a_seconds_bucket{kind="conv2d",le="1"} 1
+a_seconds_bucket{kind="conv2d",le="+Inf"} 1
+a_seconds_sum{kind="conv2d"} 0.5
+a_seconds_count{kind="conv2d"} 1
+a_seconds_bucket{kind="dense",le="1"} 0
+a_seconds_bucket{kind="dense",le="+Inf"} 1
+a_seconds_sum{kind="dense"} 2
+a_seconds_count{kind="dense"} 1
 # HELP latency_seconds Job latency.
 # TYPE latency_seconds histogram
 latency_seconds_bucket{le="0.1"} 1
@@ -41,12 +43,6 @@ latency_seconds_bucket{le="10"} 3
 latency_seconds_bucket{le="+Inf"} 4
 latency_seconds_sum 101.05
 latency_seconds_count 4
-# HELP queue_depth Jobs waiting.
-# TYPE queue_depth gauge
-queue_depth 2.5
-# HELP workers Worker count.
-# TYPE workers gauge
-workers 4
 `
 	if got := sb.String(); got != want {
 		t.Errorf("exposition drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -140,39 +136,28 @@ func TestHistogramSummary(t *testing.T) {
 }
 
 // TestRegistrationIdempotent checks that re-registering a series returns
-// the same metric, which is what lets independent layers share handles by
-// name alone.
+// the same histogram, which is what lets independent layers share handles
+// by name alone.
 func TestRegistrationIdempotent(t *testing.T) {
 	reg := NewRegistry()
-	a := reg.Counter("x_total", "X.", Label{"k", "v"})
-	b := reg.Counter("x_total", "X.", Label{"k", "v"})
-	if a != b {
-		t.Error("same (name, labels) returned distinct counters")
+	a := reg.Histogram("h_seconds", "H.", []float64{1, 2}, Label{"k", "v"})
+	if reg.Histogram("h_seconds", "H.", nil, Label{"k", "v"}) != a {
+		t.Error("same (name, labels) returned distinct histograms")
 	}
-	if reg.Counter("x_total", "X.", Label{"k", "w"}) == a {
-		t.Error("distinct labels returned the same counter")
+	if reg.Histogram("h_seconds", "H.", nil, Label{"k", "w"}) == a {
+		t.Error("distinct labels returned the same histogram")
 	}
-	h1 := reg.Histogram("h_seconds", "H.", []float64{1, 2})
-	h2 := reg.Histogram("h_seconds", "H.", nil)
-	if h1 != h2 {
-		t.Error("histogram re-registration returned a distinct histogram")
+	if got := len(a.Snapshot().Bounds); got != 2 {
+		t.Errorf("re-registration changed the bounds: %d, want the first registration's 2", got)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("re-registering a counter as a gauge did not panic")
-		}
-	}()
-	reg.Gauge("x_total", "X.", Label{"k", "v"})
 }
 
-// TestConcurrentRecordAndScrape hammers every metric kind from many
-// goroutines while scraping concurrently; run under -race this proves the
+// TestConcurrentRecordAndScrape hammers histograms, spans and the trace
+// ring from many goroutines while scraping concurrently; run under -race this proves the
 // record and exposition paths are data-race-free, and afterwards the
 // totals must be exact (no lost updates).
 func TestConcurrentRecordAndScrape(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("c_total", "C.")
-	g := reg.Gauge("g", "G.")
 	h := reg.Histogram("h_seconds", "H.", nil)
 	ph := NewPhaseHistograms(reg, "p_seconds", "P.")
 	ring := NewTraceRing(64)
@@ -186,8 +171,6 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 			defer wg.Done()
 			s := BeginSpan()
 			for i := 0; i < iters; i++ {
-				c.Inc()
-				g.Add(1)
 				h.Observe(float64(i%100) * 1e-6)
 				ph.Observe(Phase(i%int(NumPhases)), 1)
 				if i%500 == 0 {
@@ -212,12 +195,6 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 	wg.Wait()
 	<-done
 
-	if got := c.Value(); got != workers*iters {
-		t.Errorf("counter = %d, want %d", got, workers*iters)
-	}
-	if got := g.Value(); got != workers*iters {
-		t.Errorf("gauge = %v, want %d", got, workers*iters)
-	}
 	if got := h.Snapshot().Count; got != workers*iters {
 		t.Errorf("histogram count = %d, want %d", got, workers*iters)
 	}
@@ -229,17 +206,9 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 // steady state.
 func TestRecordPathAllocFree(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("c_total", "C.")
-	g := reg.Gauge("g", "G.")
 	h := reg.Histogram("h_seconds", "H.", nil)
 	ph := NewPhaseHistograms(reg, "p_seconds", "P.")
 
-	if a := testing.AllocsPerRun(100, func() { c.Inc() }); a > 0 {
-		t.Errorf("Counter.Inc allocates %.1f/op", a)
-	}
-	if a := testing.AllocsPerRun(100, func() { g.Set(1); g.Add(2) }); a > 0 {
-		t.Errorf("Gauge Set/Add allocates %.1f/op", a)
-	}
 	if a := testing.AllocsPerRun(100, func() { h.Observe(3e-5) }); a > 0 {
 		t.Errorf("Histogram.Observe allocates %.1f/op", a)
 	}
